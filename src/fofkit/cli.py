@@ -30,7 +30,8 @@ from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField
 from .mesh import load_obj, mesh_to_fof, normalize_mesh, save_obj, check_watertight
 from .metrics import evaluate_pair, MetricReport
-from .occlusion import MaskPair, OccluderSpec, occlude_field, synthesize_occlusion
+from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, MaskPair, OccluderSpec, \
+    occlude_field, synthesize_occlusion
 from .raster import OrthoFrame
 from .render import render_normals, render_silhouette
 from .selftest import run_selftest
@@ -252,8 +253,8 @@ def build_parser():
     p.add_argument("out")
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kind", choices=("rectangle", "ellipse", "capsule"), default="rectangle")
-    p.add_argument("--policy", choices=("zero", "noise"), default="zero")
+    p.add_argument("--kind", choices=OCCLUDER_KINDS, default="rectangle")
+    p.add_argument("--policy", choices=OCCLUSION_POLICIES, default="zero")
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--out-visible", default=None)
     p.add_argument("--out-mask", default=None)

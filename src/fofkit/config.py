@@ -198,6 +198,37 @@ class HarnessConfig:
     def jobs(self):
         return self._int("sweep", "jobs")
 
+    def validate(self):
+        """Name and range checks of the sweep settings, before any work.
+
+        Raises ConfigError for an unknown occluder kind, occlusion policy or
+        shape, a ratio outside [0, MAX_RATIO], an empty ratio or seed list,
+        grid_res < 2, order < 0, eval_samples < 1 or an invalid frame.
+        """
+        from .errors import DomainError
+        from .occlusion import MAX_RATIO, OCCLUDER_KINDS, OCCLUSION_POLICIES
+        from .shapes import SHAPE_MAKERS
+
+        for sec, key, known in (("occlude", "kind", OCCLUDER_KINDS),
+                                ("occlude", "policy", OCCLUSION_POLICIES),
+                                ("sweep", "shape", SHAPE_MAKERS)):
+            if self._get(sec, key) not in known:
+                raise ConfigError(f"{sec}.{key} must be one of {list(known)}, "
+                                  f"got {self._get(sec, key)!r}")
+        if not self.sweep_ratios or not self.sweep_seeds:
+            raise ConfigError("sweep needs at least one ratio and one seed")
+        bad = [r for r in self.sweep_ratios if not 0.0 <= r <= MAX_RATIO]
+        if bad:
+            raise ConfigError(f"sweep.ratios must lie in [0, {MAX_RATIO}], got {bad}")
+        for sec, key, lo in (("extract", "grid_res", 2), ("encode", "order", 0),
+                             ("sweep", "eval_samples", 1)):
+            if self._int(sec, key) < lo:
+                raise ConfigError(f"{sec}.{key} must be >= {lo}, got {self._int(sec, key)}")
+        try:
+            self.frame()
+        except DomainError as exc:
+            raise ConfigError(f"invalid frame: {exc}") from exc
+
     def resolved_text(self):
         """Canonical INI text of the fully resolved configuration."""
         out = io.StringIO()

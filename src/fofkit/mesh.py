@@ -115,7 +115,10 @@ def load_obj(path):
             elif tag == "vn":
                 if len(parts) < 4:
                     raise ObjParseError(path, line_no, "normal needs 3 components")
-                normals.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                try:
+                    normals.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                except ValueError as exc:
+                    raise ObjParseError(path, line_no, f"bad normal: {exc}") from exc
             elif tag == "f":
                 if len(parts) < 4:
                     raise ObjParseError(path, line_no, "face needs at least 3 vertices")
@@ -130,7 +133,11 @@ def load_obj(path):
                         raise ObjParseError(path, line_no, "OBJ face indices are 1-based")
                     idx.append(vi - 1 if vi > 0 else len(vertices) + vi)
                     if len(fields) >= 3 and fields[2]:
-                        ni = int(fields[2])
+                        try:
+                            ni = int(fields[2])
+                        except ValueError as exc:
+                            raise ObjParseError(path, line_no,
+                                                f"bad normal index {token!r}") from exc
                         nidx.append(ni - 1 if ni > 0 else len(normals) + ni)
                 # Fan-triangulate polygons.
                 for a in range(1, len(idx) - 1):
@@ -145,6 +152,9 @@ def load_obj(path):
     faces_arr = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if faces_arr.size and faces_arr.max() >= len(verts):
         raise ObjParseError(path, 0, "face references a missing vertex")
+    nids = np.asarray(face_normal_ids, dtype=np.int64)
+    if nids.size and (nids.min() < 0 or nids.max() >= len(normals)):
+        raise ObjParseError(path, 0, "face references a missing normal")
     faces_arr = drop_degenerate_faces(verts, faces_arr)
     vnorm = None
     if normals and len(face_normal_ids) == 0 and len(normals) == len(verts):

@@ -24,6 +24,8 @@ MAX_BISECT = 40
 MAX_PLACEMENTS = 8
 
 OCCLUDER_KINDS = ("rectangle", "ellipse", "capsule")
+OCCLUSION_POLICIES = ("zero", "noise")
+MAX_RATIO = 0.95
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class OccluderSpec:
     def __post_init__(self):
         if self.kind not in OCCLUDER_KINDS:
             raise DomainError(f"kind must be one of {OCCLUDER_KINDS}, got {self.kind!r}")
-        if not (0.0 <= self.ratio <= 0.95):
-            raise DomainError(f"ratio must be in [0, 0.95], got {self.ratio}")
+        if not (0.0 <= self.ratio <= MAX_RATIO):
+            raise DomainError(f"ratio must be in [0, {MAX_RATIO}], got {self.ratio}")
 
 
 @dataclass

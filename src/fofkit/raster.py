@@ -92,33 +92,6 @@ def _edge_accepts_boundary(dx, dy):
     return (dy > 0) | ((dy == 0) & (dx < 0))
 
 
-def coverage_mask(px, py, tri):
-    """Boolean coverage of points (px, py) by raster-space triangle (3, 2).
-
-    The triangle is orientation-normalized; boundary points are resolved by
-    the direction tie rule. Zero-area triangles cover nothing.
-    """
-    (ax, ay), (bx, by), (cx, cy) = tri
-    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if area2 == 0.0:
-        return np.zeros(np.broadcast(px, py).shape, dtype=bool), None
-    w0, w1, w2 = edge_weights(px, py, ax, ay, bx, by, cx, cy)
-    if area2 < 0.0:
-        w0, w1, w2 = -w0, -w1, -w2
-        # Normalized traversal direction flips with the sign change.
-        e0 = _edge_accepts_boundary(bx - cx, by - cy)
-        e1 = _edge_accepts_boundary(cx - ax, cy - ay)
-        e2 = _edge_accepts_boundary(ax - bx, ay - by)
-    else:
-        e0 = _edge_accepts_boundary(cx - bx, cy - by)
-        e1 = _edge_accepts_boundary(ax - cx, ay - cy)
-        e2 = _edge_accepts_boundary(bx - ax, by - ay)
-    inside = ((w0 > 0) | ((w0 == 0) & e0)) \
-        & ((w1 > 0) | ((w1 == 0) & e1)) \
-        & ((w2 > 0) | ((w2 == 0) & e2))
-    return inside, (w0, w1, w2)
-
-
 @dataclass
 class CoverageRecords:
     """Flat pixel-coverage records of a triangle batch."""

@@ -167,14 +167,16 @@ def make_capsule_figure(grid_res=160, capsules=FIGURE_CAPSULES):
     return mesh
 
 
+SHAPE_MAKERS = {
+    "sphere": make_sphere,
+    "torus": make_torus,
+    "capsule_figure": make_capsule_figure,
+    "cube": make_cube,
+}
+
+
 def make_shape(kind, **params):
     """Dispatch by shape name: sphere | torus | capsule_figure | cube."""
-    makers = {
-        "sphere": make_sphere,
-        "torus": make_torus,
-        "capsule_figure": make_capsule_figure,
-        "cube": make_cube,
-    }
-    if kind not in makers:
-        raise DomainError(f"unknown shape {kind!r}; choose from {sorted(makers)}")
-    return makers[kind](**params)
+    if kind not in SHAPE_MAKERS:
+        raise DomainError(f"unknown shape {kind!r}; choose from {sorted(SHAPE_MAKERS)}")
+    return SHAPE_MAKERS[kind](**params)

@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .completion import degrade_prior, vgcc_blend
-from .errors import ConfigError, FofkitError
+from .errors import FofkitError
 from .fof import BasisConfig
 from .mesh import fit_to_frame, mesh_to_fof
 from .metrics import evaluate_pair
@@ -94,19 +94,16 @@ def run_sweep(cfg, out_dir, jobs=None):
 
     Returns the list of result rows in deterministic order.
     """
+    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     if jobs is None:
         jobs = cfg.jobs
     if jobs <= 0:
         jobs = os.cpu_count() or 1
-    ratios = cfg.sweep_ratios
-    seeds = cfg.sweep_seeds
-    if not ratios or not seeds:
-        raise ConfigError("sweep needs at least one ratio and one seed")
 
     global _CTX
     _CTX = prepare_context(cfg)
-    cells = [(float(r), int(s)) for r in ratios for s in seeds]
+    cells = [(float(r), int(s)) for r in cfg.sweep_ratios for s in cfg.sweep_seeds]
     try:
         pool_ctx = multiprocessing.get_context("fork")  # workers inherit _CTX
     except ValueError:

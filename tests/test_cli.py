@@ -98,6 +98,27 @@ class TestPipeline:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         assert run("sweep", "--out", tmp_path / "o", "--set", "bogus.key=1") == 2
 
+    @pytest.mark.parametrize("text", ["vn x y z\nf 1//1 2//1 3//1\n",
+                                      "vn 0 0 1\nf 1//a 2//b 3//c\n"])
+    def test_malformed_obj_normal_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + text)
+        assert run("encode", path, tmp_path / "x.oaht") == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "occlude.kind=bogus", "occlude.policy=bogus", "sweep.shape=bogus",
+        "sweep.ratios=0.2,0.96", "sweep.ratios=-0.1", "extract.grid_res=1",
+        "encode.order=-1", "sweep.eval_samples=0", "frame.width=0"])
+    def test_invalid_sweep_config_is_config_error(self, tmp_path, monkeypatch, override):
+        def no_context(cfg):
+            raise AssertionError("sweep started on an invalid config")
+
+        monkeypatch.setattr("fofkit.sweep.prepare_context", no_context)
+        out = tmp_path / "o"
+        assert run("sweep", "--out", out, "--set", override) == 2
+        assert not out.exists()
+
 
 class TestSelftestCommand:
     def test_exit_zero(self):

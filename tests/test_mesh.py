@@ -61,6 +61,24 @@ class TestObjIO:
         with pytest.raises(ObjParseError, match=":2:"):
             load_obj(path)
 
+    def test_bad_normal_is_parse_error(self, tmp_path):
+        path = tmp_path / "vn.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn x y z\nf 1//1 2//1 3//1\n")
+        with pytest.raises(ObjParseError, match=":4:"):
+            load_obj(path)
+
+    def test_bad_normal_index_is_parse_error(self, tmp_path):
+        path = tmp_path / "fn.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//a 2//b 3//c\n")
+        with pytest.raises(ObjParseError, match=":5:"):
+            load_obj(path)
+
+    def test_missing_normal_is_parse_error(self, tmp_path):
+        path = tmp_path / "fm.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//2 2//2 3//2\n")
+        with pytest.raises(ObjParseError, match="missing normal"):
+            load_obj(path)
+
 
 class TestWatertight:
     def test_closed_icosphere(self):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fofkit import metrics
 from fofkit.errors import DomainError, ShapeError
 from fofkit.mesh import TriMesh
-from fofkit.metrics import (MetricReport, SurfaceDistanceIndex, chamfer,
+from fofkit.metrics import (QUERY_BLOCK, MetricReport, SurfaceDistanceIndex, chamfer,
                             chamfer_bruteforce, evaluate_pair, p2s, p2s_exhaustive,
                             point_triangle_distance, psnr, ssim)
 from fofkit.shapes import make_sphere
@@ -88,6 +89,50 @@ class TestP2S:
         empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
         with pytest.raises(DomainError):
             p2s([[0, 0, 0]], empty)
+
+
+class TestP2SFrontier:
+    """The frontier traversal returns the exhaustive minimum bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return make_sphere(0.6, 3)
+
+    @pytest.fixture(scope="class")
+    def index(self, mesh):
+        return SurfaceDistanceIndex(mesh)
+
+    @pytest.mark.parametrize("kind", ["surface", "vertices", "far", "interior"])
+    def test_equals_exhaustive_exactly(self, mesh, index, kind):
+        pts, nrm = sample_surface(mesh, 300, seed=2)
+        points = {"surface": pts, "vertices": mesh.vertices[:300],
+                  "far": nrm * 3.0, "interior": nrm * 0.2}[kind]
+        assert np.array_equal(index.query(points), p2s_exhaustive(points, mesh))
+
+    def test_blocks_concatenate(self, index, rng):
+        points = rng.normal(size=(QUERY_BLOCK + 300, 3)) * 0.7
+        cut = QUERY_BLOCK - 100
+        split = np.concatenate([index.query(points[:cut]), index.query(points[cut:])])
+        assert np.array_equal(index.query(points), split)
+
+    def test_split_frontier_is_exact(self, mesh, index, rng, monkeypatch):
+        points = rng.normal(size=(300, 3)) * 0.7
+        monkeypatch.setattr(metrics, "MAX_FRONTIER", 64)
+        assert np.array_equal(index.query(points), p2s_exhaustive(points, mesh))
+
+    def test_kernel_looked_up_in_module_namespace(self, mesh, index, monkeypatch):
+        # Tracers count P2S work by wrapping metrics.point_triangle_distance.
+        pts, _ = sample_surface(mesh, 300, seed=4)
+        expected = index.query(pts)
+        pairs = []
+
+        def counting(points, tris):
+            pairs.append(len(points))
+            return point_triangle_distance(points, tris)
+
+        monkeypatch.setattr(metrics, "point_triangle_distance", counting)
+        assert np.array_equal(index.query(pts), expected)
+        assert pairs and sum(pairs) >= len(pts)
 
 
 class TestSSIM:
