@@ -22,7 +22,7 @@ from .occlusion import (MaskPair, OccluderSpec, occlude_field, occlude_image,
 from .completion import degrade_prior, vgcc_blend
 from .losses import (FeaturePyramid, LevelWeights, feat_loss, geo_loss, image_loss,
                      mse_coeff_loss, normal_loss)
-from .metrics import MetricReport, chamfer, evaluate_pair, p2s, psnr, ssim
+from .metrics import EvalReference, MetricReport, chamfer, evaluate_pair, p2s, psnr, ssim
 
 __all__ = [
     "BasisConfig", "FourierField", "IntervalList", "basis_eval", "decode_grid",
@@ -37,5 +37,5 @@ __all__ = [
     "degrade_prior", "vgcc_blend",
     "FeaturePyramid", "LevelWeights", "feat_loss", "geo_loss", "image_loss",
     "mse_coeff_loss", "normal_loss",
-    "MetricReport", "chamfer", "evaluate_pair", "p2s", "psnr", "ssim",
+    "EvalReference", "MetricReport", "chamfer", "evaluate_pair", "p2s", "psnr", "ssim",
 ]

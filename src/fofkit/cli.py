@@ -12,8 +12,9 @@ Subcommands:
     sweep           full occlusion-ratio experiment (CSV + SVG + config echo)
     selftest        embedded oracle suite
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 selftest
-invariant failure. OAHUMAN_SEED provides the seed when --seed is omitted.
+Exit codes: 0 success, 2 configuration error, 3 data error or a sweep with
+failed cells, 4 selftest invariant failure. OAHUMAN_SEED provides the seed
+when --seed is omitted.
 """
 
 import argparse
@@ -37,7 +38,7 @@ from .render import render_normals, render_silhouette
 from .selftest import run_selftest
 from .shapes import make_capsule_figure, make_cube, make_sphere, make_torus
 from .surface import reconstruct_field
-from .sweep import run_sweep
+from .sweep import METHODS, run_sweep
 from .tensor_io import read_pgm, read_tensor, write_pfm, write_pgm, write_png16, \
     write_tensor
 
@@ -199,9 +200,13 @@ def cmd_silhouette(args):
 def cmd_sweep(args):
     cfg = HarnessConfig.load(args.config, args.set or ())
     rows = run_sweep(cfg, args.out, jobs=args.jobs)
-    n_bad = sum(1 for r in rows if not np.isfinite(r[3]))
+    n_bad = len({r[:2] for r in rows if not np.isfinite(r[3:]).all()})
     print(f"wrote {args.out}/curves.csv ({len(rows)} rows, {n_bad} failed cells), "
           f"curves.svg, config.ini")
+    if n_bad:
+        print(f"error: {n_bad} of {len(rows) // len(METHODS)} sweep cells failed",
+              file=sys.stderr)
+        return 3
 
 
 def cmd_selftest(args):

@@ -19,7 +19,10 @@ taken on the raw series.
 
 All arithmetic is float64; file storage quantizes to float32 (see tensor_io).
 Decoding accumulates strictly in channel order so that grid decoding and
-single-ray decoding are bit-identical.
+single-ray decoding are bit-identical. Grid decoding skips pixels whose
+coefficients are all zero (off the body, the field is identically zero):
+such a pixel's sum starts at +0.0 and adds only signed zeros, and
++0.0 + (+-0.0) is +0.0, so writing +0.0 there without decoding is exact.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +32,9 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 DEFAULT_ORDER = 15
+
+# Pixels decoded together by decode_grid; a (chunk, depth) buffer stays in cache.
+_DECODE_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -172,18 +178,31 @@ def depth_samples(depth_res):
 def decode_grid(fof, depth_res):
     """Sample occupancy on the (H, W, depth_res) grid of uniform depths.
 
-    Accumulates channel by channel so every sample equals decode_ray at the
-    same depth exactly.
+    Only pixels with a non-zero coefficient are decoded; the rest stay +0.0.
+    That is exact: a pixel's sum starts at +0.0 and each term of an all-zero
+    pixel is a signed zero, and +0.0 + (+-0.0) is +0.0. Live pixels are
+    decoded in chunks, accumulating channel by channel into a zeroed buffer,
+    so every sample equals decode_ray at the same depth bit for bit.
     """
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
     cfg = BasisConfig(fof.order)
     basis = basis_eval(depth_samples(depth_res), cfg)  # (D, K)
-    out = np.zeros((fof.height, fof.width, depth_res), dtype=np.float64)
-    data = fof.data
-    for c in range(cfg.channels):
-        out += data[:, :, c, None] * basis[None, None, :, c]
-    return out
+    flat = fof.data.reshape(-1, cfg.channels)
+    live = np.flatnonzero(np.any(flat != 0.0, axis=1))
+    coeffs = np.ascontiguousarray(flat[live].T)  # (K, n_live)
+    out = np.zeros((len(flat), depth_res), dtype=np.float64)
+    acc = np.empty((min(_DECODE_CHUNK, len(live)), depth_res), dtype=np.float64)
+    term = np.empty_like(acc)
+    for s in range(0, len(live), _DECODE_CHUNK):
+        n = min(_DECODE_CHUNK, len(live) - s)
+        a, t = acc[:n], term[:n]
+        a.fill(0.0)
+        for c in range(cfg.channels):
+            np.multiply(coeffs[c, s:s + n, None], basis[:, c], out=t)
+            a += t
+        out[live[s:s + n]] = a
+    return out.reshape(fof.height, fof.width, depth_res)
 
 
 def parseval_energy(coeffs):

@@ -139,11 +139,12 @@ def load_obj(path):
                             raise ObjParseError(path, line_no,
                                                 f"bad normal index {token!r}") from exc
                         nidx.append(ni - 1 if ni > 0 else len(normals) + ni)
-                # Fan-triangulate polygons.
+                # Fan-triangulate polygons. Every face gets a normal entry
+                # (None without normals) so face_normal_ids stays aligned.
                 for a in range(1, len(idx) - 1):
                     faces.append([idx[0], idx[a], idx[a + 1]])
-                    if len(nidx) == len(idx):
-                        face_normal_ids.append([nidx[0], nidx[a], nidx[a + 1]])
+                    face_normal_ids.append([nidx[0], nidx[a], nidx[a + 1]]
+                                           if len(nidx) == len(idx) else None)
             else:
                 ignored.add(tag)
     if ignored:
@@ -152,20 +153,23 @@ def load_obj(path):
     faces_arr = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if faces_arr.size and faces_arr.max() >= len(verts):
         raise ObjParseError(path, 0, "face references a missing vertex")
-    nids = np.asarray(face_normal_ids, dtype=np.int64)
+    with_normals = [nf for nf in face_normal_ids if nf is not None]
+    nids = np.asarray(with_normals, dtype=np.int64)
     if nids.size and (nids.min() < 0 or nids.max() >= len(normals)):
         raise ObjParseError(path, 0, "face references a missing normal")
     faces_arr = drop_degenerate_faces(verts, faces_arr)
     vnorm = None
-    if normals and len(face_normal_ids) == 0 and len(normals) == len(verts):
+    if normals and not with_normals and len(normals) == len(verts):
         vnorm = np.asarray(normals, dtype=np.float64)
-    elif normals and face_normal_ids:
+    elif normals and with_normals:
         # Keep per-vertex normals only when the mapping is one-to-one.
         vnorm = np.zeros((len(verts), 3), dtype=np.float64)
         seen = np.zeros(len(verts), dtype=bool)
         consistent = True
         narr = np.asarray(normals, dtype=np.float64)
         for f, nf in zip(faces, face_normal_ids):
+            if nf is None:
+                continue
             for vi, ni in zip(f, nf):
                 if seen[vi] and not np.allclose(vnorm[vi], narr[ni]):
                     consistent = False

@@ -13,6 +13,12 @@ operations and one batched distance call rather than a loop per triangle.
 Per-pair distances are elementwise and the pruning is conservative, so the
 result equals `p2s_exhaustive`, which scans every triangle and is the oracle
 the accelerated path is validated against, bit for bit.
+
+Mesh-pair evaluation goes through `EvalReference`, which holds the
+ground-truth half of a comparison: the sampling uniforms, the ground-truth
+samples and their kd-tree, the distance index and the normal maps. A sweep
+builds it once per run and scores every reconstruction against it;
+`evaluate_pair` builds one for a single comparison.
 """
 
 import hashlib
@@ -27,7 +33,7 @@ from .errors import DomainError, ShapeError
 from .mesh import BVH
 from .raster import OrthoFrame
 from .render import normal_map_error, render_normals
-from .surface import sample_surface
+from .surface import _sample_points, _sample_uniforms
 
 UNIT_SCALE = 100.0  # scene units -> centi-units
 PSNR_CAP_DB = 99.0
@@ -57,21 +63,25 @@ def nearest_bruteforce(queries, points):
     return out
 
 
-def _nn_distances(queries, points):
-    # Indices via kd-tree; distances recomputed so they match brute force
-    # bit-for-bit.
-    _, idx = cKDTree(points).query(queries)
-    return np.linalg.norm(np.asarray(queries) - np.asarray(points)[idx], axis=1)
+def _nn_distances(queries, tree):
+    # Indices via kd-tree; distances recomputed from the tree's points so
+    # they match brute force bit-for-bit.
+    _, idx = tree.query(queries)
+    return np.linalg.norm(queries - tree.data[idx], axis=1)
 
 
 def chamfer(a, b):
-    """Symmetric mean nearest-neighbor distance between point sets, x100."""
+    """Symmetric mean nearest-neighbor distance between point sets, x100.
+
+    b may also be a cKDTree over its points, which is then reused.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
-    if len(a) == 0 or len(b) == 0:
+    if not isinstance(b, cKDTree):
+        b = cKDTree(np.asarray(b, dtype=np.float64).reshape(-1, 3))
+    if len(a) == 0 or b.n == 0:
         raise DomainError("chamfer requires two non-empty point sets")
     d_ab = _nn_distances(a, b)
-    d_ba = _nn_distances(b, a)
+    d_ba = _nn_distances(b.data, cKDTree(a))
     return float((0.5 * d_ab.mean() + 0.5 * d_ba.mean()) * UNIT_SCALE)
 
 
@@ -214,11 +224,17 @@ class SurfaceDistanceIndex:
 
 
 def p2s(points, mesh):
-    """Mean exact point-to-surface distance, x100 (BVH accelerated)."""
+    """Mean exact point-to-surface distance, x100 (BVH accelerated).
+
+    mesh may also be a SurfaceDistanceIndex over the mesh, which is then
+    reused.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         raise DomainError("p2s requires a non-empty point set")
-    return float(SurfaceDistanceIndex(mesh).query(pts).mean() * UNIT_SCALE)
+    if not isinstance(mesh, SurfaceDistanceIndex):
+        mesh = SurfaceDistanceIndex(mesh)
+    return float(mesh.query(pts).mean() * UNIT_SCALE)
 
 
 def p2s_exhaustive(points, mesh):
@@ -352,26 +368,51 @@ def config_hash(frame, n_samples, seed):
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+class EvalReference:
+    """The ground-truth side of a mesh comparison, built once per ground truth.
+
+    Holds what depends only on (gt, frame, n_samples, seed): the 3n sampling
+    uniforms, a kd-tree over the ground-truth samples, the ground-truth
+    SurfaceDistanceIndex and the front and back normal maps. Both surfaces
+    are sampled with the same (n, seed), so evaluate(recon) samples the
+    reconstruction with the same uniforms. Every reconstruction scored
+    against one reference gets the same report as a one-shot comparison,
+    bit for bit.
+    """
+
+    def __init__(self, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
+        self.frame = frame
+        self.n_samples = n_samples
+        self.seed = seed
+        self.uniforms = _sample_uniforms(n_samples, seed)
+        self.tree = cKDTree(_sample_points(gt, self.uniforms)[1])
+        self.index = SurfaceDistanceIndex(gt)
+        self.front = render_normals(gt, frame, "front")
+        self.back = render_normals(gt, frame, "back")
+
+    def evaluate(self, recon):
+        """Chamfer, P2S from reconstruction samples to the ground-truth
+        surface, and the mean of the front and back normal-map errors."""
+        _, pts = _sample_points(recon, self.uniforms)
+        cd = chamfer(pts, self.tree)
+        p2s_val = p2s(pts, self.index)
+        err_front = normal_map_error(render_normals(recon, self.frame, "front"), self.front)
+        err_back = normal_map_error(render_normals(recon, self.frame, "back"), self.back)
+        return MetricReport(
+            cd=cd,
+            p2s=p2s_val,
+            normal_err=0.5 * (err_front + err_back),
+            n_samples=self.n_samples,
+            seed=self.seed,
+            config_hash=config_hash(self.frame, self.n_samples, self.seed),
+        )
+
+
 def evaluate_pair(recon, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
     """Full geometry comparison of a reconstruction against ground truth.
 
-    Samples both surfaces with the same seed, computes Chamfer, P2S from
-    reconstruction samples to the ground-truth surface, and the mean of the
-    front and back normal-map errors.
+    Samples both surfaces with the same seed; see EvalReference, which does
+    the ground-truth half once when many reconstructions share one ground
+    truth.
     """
-    pts_recon, _ = sample_surface(recon, n_samples, seed)
-    pts_gt, _ = sample_surface(gt, n_samples, seed)
-    cd = chamfer(pts_recon, pts_gt)
-    p2s_val = p2s(pts_recon, gt)
-    err_front = normal_map_error(render_normals(recon, frame, "front"),
-                                 render_normals(gt, frame, "front"))
-    err_back = normal_map_error(render_normals(recon, frame, "back"),
-                                render_normals(gt, frame, "back"))
-    return MetricReport(
-        cd=cd,
-        p2s=p2s_val,
-        normal_err=0.5 * (err_front + err_back),
-        n_samples=n_samples,
-        seed=seed,
-        config_hash=config_hash(frame, n_samples, seed),
-    )
+    return EvalReference(gt, frame, n_samples, seed).evaluate(recon)

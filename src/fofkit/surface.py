@@ -147,8 +147,23 @@ def sample_surface(mesh, n, seed=0):
     seed. Returns (points (n, 3), normals (n, 3)) where normals are the face
     normals of the sampled faces.
     """
+    face_idx, pts = _sample_points(mesh, _sample_uniforms(n, seed))
+    return pts, mesh.face_normals()[face_idx]
+
+
+def _sample_uniforms(n, seed):
+    """The 3n uniforms that sample_surface(mesh, n, seed) draws for any mesh."""
+    return np.asarray(Xoshiro256StarStar(seed).uniforms(3 * n), dtype=np.float64)
+
+
+def _sample_points(mesh, u):
+    """Face indices and points of the area-weighted samples for uniforms u.
+
+    u holds 3n uniforms: n choose faces, 2n place the barycentric points.
+    """
     if mesh.n_faces == 0:
         raise DomainError("cannot sample an empty mesh")
+    n = len(u) // 3
     if n < 1:
         raise DomainError("need at least one sample")
     areas = mesh.face_areas()
@@ -156,8 +171,6 @@ def sample_surface(mesh, n, seed=0):
     if total <= 0.0:
         raise DomainError("mesh has zero surface area")
     cum = np.cumsum(areas)
-    rng = Xoshiro256StarStar(seed)
-    u = np.asarray(rng.uniforms(3 * n), dtype=np.float64)
     face_idx = np.searchsorted(cum, u[:n] * total, side="right")
     face_idx = np.minimum(face_idx, mesh.n_faces - 1)
     r1 = u[n:2 * n]
@@ -167,8 +180,7 @@ def sample_surface(mesh, n, seed=0):
     r2 = np.where(flip, 1.0 - r2, r2)
     tri = mesh.vertices[mesh.faces[face_idx]]
     pts = tri[:, 0] + r1[:, None] * (tri[:, 1] - tri[:, 0]) + r2[:, None] * (tri[:, 2] - tri[:, 0])
-    normals = mesh.face_normals()[face_idx]
-    return pts, normals
+    return face_idx, pts
 
 
 def mesh_volume(mesh):

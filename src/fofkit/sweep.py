@@ -6,6 +6,11 @@ field alone (method "naive") and once after visibility-guided blending with
 the degraded-prior field (method "blend"). Every cell row carries Chamfer,
 point-to-surface and normal-map error against the ground truth.
 
+The ground-truth half of every evaluation (samples, kd-tree, distance index,
+normal maps) is the same in every cell, so run_sweep builds one
+metrics.EvalReference per run, before any cell starts, and the cells score
+their reconstructions against it.
+
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
 so reruns with the same config are byte-identical.
@@ -21,7 +26,7 @@ from .completion import degrade_prior, vgcc_blend
 from .errors import FofkitError
 from .fof import BasisConfig
 from .mesh import fit_to_frame, mesh_to_fof
-from .metrics import evaluate_pair
+from .metrics import EvalReference
 from .occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from .render import render_silhouette
 from .shapes import make_shape
@@ -55,7 +60,7 @@ def _run_cell(cell):
             else:
                 field = vgcc_blend(c_obs, ctx["c_prior"], pair, ctx["feather_px"])
             recon = reconstruct_field(field, frame, ctx["grid_res"], iso=ctx["iso"])
-            rep = evaluate_pair(recon, ctx["gt"], frame, ctx["eval_samples"], ctx["eval_seed"])
+            rep = _reference(ctx).evaluate(recon)
             rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
     except FofkitError as exc:
         log.error("cell ratio=%s seed=%s failed: %s", ratio, seed, exc)
@@ -64,6 +69,15 @@ def _run_cell(cell):
             if method not in done:
                 rows.append((ratio, seed, method, float("nan"), float("nan"), float("nan")))
     return rows
+
+
+def _reference(ctx):
+    """The context's ground-truth EvalReference, built on first use, so that
+    a context made by prepare_context alone also runs cells."""
+    if "reference" not in ctx:
+        ctx["reference"] = EvalReference(ctx["gt"], ctx["frame"], ctx["eval_samples"],
+                                         ctx["eval_seed"])
+    return ctx["reference"]
 
 
 def prepare_context(cfg):
@@ -103,6 +117,7 @@ def run_sweep(cfg, out_dir, jobs=None):
 
     global _CTX
     _CTX = prepare_context(cfg)
+    _reference(_CTX)  # once per run, before the cells and the pool's fork
     cells = [(float(r), int(s)) for r in cfg.sweep_ratios for s in cfg.sweep_seeds]
     try:
         pool_ctx = multiprocessing.get_context("fork")  # workers inherit _CTX

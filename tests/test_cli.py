@@ -3,7 +3,7 @@ import pytest
 
 from fofkit.cli import main
 from fofkit.config import HarnessConfig
-from fofkit.errors import ConfigError
+from fofkit.errors import ConfigError, OcclusionError
 from fofkit.mesh import load_obj
 from fofkit.surface import mesh_volume
 from fofkit.tensor_io import read_pfm, read_pgm, read_tensor
@@ -157,6 +157,22 @@ class TestSweepCommand:
         assert run("sweep", "--out", b, *args, "--jobs", 2) == 0
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
         assert (a / "curves.svg").read_bytes() == (b / "curves.svg").read_bytes()
+
+    def test_failed_cell_exits_3_after_writing(self, tmp_path, monkeypatch, capsys):
+        def no_occluder(body, spec):
+            raise OcclusionError("no placement reaches the ratio")
+
+        monkeypatch.setattr("fofkit.sweep.synthesize_occlusion", no_occluder)
+        out = tmp_path / "o"
+        assert run("sweep", "--out", out, "--set", "sweep.ratios=0.0,0.4",
+                   "--set", "sweep.seeds=1", "--set", "sweep.eval_samples=500",
+                   "--set", "extract.grid_res=48",
+                   "--set", "frame.width=48", "--set", "frame.height=48", "--jobs", 1) == 3
+        assert "1 of 2 sweep cells failed" in capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0.0", "0.0", "0.4", "0.4"]
+        assert all(r[3] == "nan" for r in rows[2:]) and rows[0][3] != "nan"
+        assert (out / "curves.svg").exists() and (out / "config.ini").exists()
 
 
 class TestConfig:

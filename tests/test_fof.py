@@ -173,6 +173,73 @@ class TestDecodeGrid:
                     assert grid[r, c, k] == decode_ray(field.data[r, c], zs[k])
 
 
+def channel_order_decode(data, depth_res):
+    """Every pixel decoded by a dense loop that adds the channels in order."""
+    basis = basis_eval(depth_samples(depth_res), BasisConfig((data.shape[2] - 1) // 2))
+    out = np.zeros(data.shape[:2] + (depth_res,))
+    for c in range(data.shape[2]):
+        out += data[:, :, c, None] * basis[None, None, :, c]
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestSparseDecode:
+    """decode_grid decodes only pixels with a non-zero coefficient; the
+    result must equal the dense loop and decode_ray bit for bit."""
+
+    @staticmethod
+    def mixed_field(rng):
+        data = rng.normal(size=(9, 7, 31))
+        data[rng.random((9, 7)) < 0.5] = 0.0
+        data[0, 0] = -0.0                      # negative zeros only
+        data[0, 1] = 0.0
+        data[0, 1, 5] = 5e-324                 # one subnormal coefficient
+        data[0, 2] = -0.0
+        data[0, 2, 0] = -2.2e-308              # subnormal DC
+        data[1, 1, ::3] = -0.0                 # negative zeros in a live pixel
+        return data
+
+    def check(self, data, depth_res, rays=None):
+        grid = decode_grid(FourierField(data), depth_res)
+        assert np.array_equal(bits(grid), bits(channel_order_decode(data, depth_res)))
+        zs = depth_samples(depth_res)
+        h, w = data.shape[:2]
+        pixels = [(r, c) for r in range(h) for c in range(w)] if rays is None else rays
+        for r, c in pixels:
+            ray = [decode_ray(data[r, c], z) for z in zs]
+            assert np.array_equal(bits(grid[r, c]), bits(ray))
+        return grid
+
+    @pytest.mark.parametrize("depth_res", [2, 17])
+    def test_mixed_zero_negative_zero_and_subnormal(self, rng, depth_res):
+        grid = self.check(self.mixed_field(rng), depth_res)
+        assert not np.signbit(grid[0, 0]).any()
+
+    def test_all_zero_is_positive_zero(self):
+        data = np.zeros((3, 4, 7))
+        data[1] = -0.0
+        grid = self.check(data, 5)
+        assert not grid.any() and not np.signbit(grid).any()
+
+    def test_single_live_pixel(self, rng):
+        data = np.zeros((6, 5, 31))
+        data[4, 2] = rng.normal(size=31)
+        self.check(data, 2)
+        self.check(data, 33)
+
+    def test_more_live_pixels_than_a_chunk(self, rng):
+        # 37 x 29 = 1073 live pixels: two full chunks of 512 and one of 49.
+        data = np.zeros((40, 29, 7))
+        data[3:] = rng.normal(size=(37, 29, 7))
+        data[3:, :, 2] = -0.0
+        rays = [(3, 0), (20, 14), (21, 0), (39, 28)]
+        self.check(data, 2, rays)
+        self.check(data, 9, rays)
+
+
 class TestParseval:
     def test_constant(self):
         assert parseval_energy([1.0, 0.0, 0.0]) == 2.0

@@ -79,6 +79,18 @@ class TestObjIO:
         with pytest.raises(ObjParseError, match="missing normal"):
             load_obj(path)
 
+    def test_mixed_faces_keep_normals_on_their_vertices(self, tmp_path):
+        # A face without normal indices before one with them must not shift
+        # the later face's normals onto other vertices.
+        head = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 1 0 0\nvn 0 1 0\nvn 0 0 1\nf 1 2 3\n"
+        path = tmp_path / "mixed.obj"
+        path.write_text(head + "f 3//1 1//2 2//3\n")
+        normals = load_obj(path).normals
+        assert np.array_equal(normals, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        path.write_text(head + "f 3//1 1//2 2//4\n")
+        with pytest.raises(ObjParseError, match="missing normal"):
+            load_obj(path)
+
 
 class TestWatertight:
     def test_closed_icosphere(self):

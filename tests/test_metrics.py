@@ -4,11 +4,13 @@ import pytest
 from fofkit import metrics
 from fofkit.errors import DomainError, ShapeError
 from fofkit.mesh import TriMesh
-from fofkit.metrics import (QUERY_BLOCK, MetricReport, SurfaceDistanceIndex, chamfer,
-                            chamfer_bruteforce, evaluate_pair, p2s, p2s_exhaustive,
-                            point_triangle_distance, psnr, ssim)
+from fofkit.metrics import (QUERY_BLOCK, EvalReference, MetricReport, SurfaceDistanceIndex,
+                            chamfer, chamfer_bruteforce, config_hash, evaluate_pair, p2s,
+                            p2s_exhaustive, point_triangle_distance, psnr, ssim)
+from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
+from fofkit.render import normal_map_error, render_normals, render_silhouette
 from fofkit.shapes import make_sphere
-from fofkit.surface import sample_surface
+from fofkit.surface import reconstruct_field, sample_surface
 
 
 class TestChamfer:
@@ -220,3 +222,34 @@ class TestEvaluatePair:
         assert len(header) == len(row)
         assert float(row[header.index("cd")]) == rep.cd
         assert "units" in rep.sidecar_text()
+
+
+def oneshot_report(recon, gt, frame, n, seed):
+    """A comparison assembled from the public primitives, each surface
+    sampled and each normal map rendered on its own."""
+    pts_recon, _ = sample_surface(recon, n, seed)
+    pts_gt, _ = sample_surface(gt, n, seed)
+    err = [normal_map_error(render_normals(recon, frame, view), render_normals(gt, frame, view))
+           for view in ("front", "back")]
+    return MetricReport(cd=chamfer(pts_recon, pts_gt), p2s=p2s(pts_recon, gt),
+                        normal_err=0.5 * (err[0] + err[1]), n_samples=n, seed=seed,
+                        config_hash=config_hash(frame, n, seed))
+
+
+class TestEvalReference:
+    def test_equals_oneshot_for_every_recon(self, sphere_mesh, sphere_field, frame128):
+        pair = synthesize_occlusion(render_silhouette(sphere_mesh, frame128),
+                                    OccluderSpec("rectangle", seed=3, ratio=0.4))
+        occluded = reconstruct_field(occlude_field(sphere_field, pair, "zero"), frame128, 64)
+        ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
+        for recon in (sphere_mesh, sphere_mesh.translated([0.01, 0, 0]), occluded):
+            want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
+            assert ref.evaluate(recon) == want
+            assert evaluate_pair(recon, sphere_mesh, frame128, 2000, seed=5) == want
+
+    def test_empty_recon_raises_like_evaluate_pair(self, sphere_mesh, frame128):
+        empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+        with pytest.raises(DomainError, match="cannot sample an empty mesh"):
+            EvalReference(sphere_mesh, frame128, 100).evaluate(empty)
+        with pytest.raises(DomainError, match="cannot sample an empty mesh"):
+            evaluate_pair(empty, sphere_mesh, frame128, 100)
