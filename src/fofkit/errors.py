@@ -47,7 +47,8 @@ class UnsupportedVersionError(TensorFormatError):
 
 
 class TruncatedPayloadError(TensorFormatError):
-    """Payload or footer is shorter than the header promises."""
+    """The file is not as long as its header promises: payload or footer cut
+    short, or bytes after the footer."""
 
 
 class CrcMismatchError(TensorFormatError):

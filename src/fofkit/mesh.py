@@ -12,6 +12,7 @@ dropped with a warning.
 
 import logging
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,9 @@ log = logging.getLogger(__name__)
 
 JITTER_PIXELS = 1e-4
 MAX_RECASTS = 3
+_OBJ_KINDS = {"v": 1, "vn": 2, "f": 3}
+_OBJ_BLOCK_CHARS = 1 << 18  # text parsed together by load_obj; bounds its temporaries
+_OBJ_WRITE_ROWS = 4096  # records per formatted write in save_obj
 
 
 @dataclass
@@ -95,108 +99,209 @@ def drop_degenerate_faces(vertices, faces):
     return faces[keep]
 
 
+def _numbers(tokens, kind):
+    """[kind(t) for t in tokens], and None; at the first token kind rejects,
+    the values before it and (its position, the ValueError)."""
+    try:
+        return list(map(kind, tokens)), None
+    except ValueError:
+        pass
+    values = []
+    for token in tokens:
+        try:
+            values.append(kind(token))
+        except ValueError as exc:
+            return values, (len(values), exc)
+    return values, None
+
+
+def _index_array(values):
+    """int64 array of parsed OBJ indices; values past int64 are clamped to
+    +-2**62, which no count of records reaches."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.clip(np.array(values, dtype=object), -2**62, 2**62).astype(np.int64)
+
+
+def _pick(items, positions):
+    """The items at ascending positions, as a list."""
+    mask = np.zeros(len(items), dtype=bool)
+    mask[positions] = True
+    return list(compress(items, mask.tolist()))
+
+
+def _obj_records(kinds, counts, kind, short_msg, errors):
+    """Line indices of one kind of record. Every v, vn and f record needs its
+    tag and three values; the first short one goes to errors as
+    (line index + 1, token position, check, message) and is left out."""
+    at = np.flatnonzero(kinds == kind)
+    ok = counts[at] >= 4
+    if not ok.all():
+        errors.append((at[np.argmin(ok)] + 1, -1, 0, short_msg))
+    return at[ok]
+
+
+def _obj_vectors(tokens, first, at, bad_msg, errors):
+    """(n, 3) float64 of the v or vn records at line indices `at` (first
+    holds each line's first token position), or None when a coordinate is
+    malformed; the first malformed one goes to errors."""
+    values, bad = _numbers(_pick(tokens, (first[at, None] + (1, 2, 3)).ravel()), float)
+    if bad:
+        errors.append((at[bad[0] // 3] + 1, -1, 0, f"{bad_msg}: {bad[1]}"))
+        return None
+    return np.array(values, dtype=np.float64).reshape(-1, 3)
+
+
+def _obj_faces(tokens, first, counts, at, v_seen, vn_seen, errors):
+    """Fan-triangulated faces of the f records at line indices `at`.
+
+    Returns faces (m, 3), their normal ids (m, 3) and which faces carry
+    normal indices, in file order, or None when an index is malformed.
+    v_seen and vn_seen count the v and vn records up to each line; negative
+    indices count back from them. Malformed indices go to errors like
+    _obj_vectors, keyed by token position and check, so that the least key
+    is the first failure in file order.
+    """
+    sizes = counts[at] - 1
+    starts = np.cumsum(sizes) - sizes
+    token_row = np.repeat(np.arange(len(at)), sizes)
+    n_tok = len(token_row)
+    corner_tokens = _pick(tokens, first[at][token_row] + 1 + np.arange(n_tok) - starts[token_row])
+    if "/" in "".join(corner_tokens):
+        fields = "/".join(corner_tokens).split("/")
+        n_fields = 1 + np.fromiter(map(str.count, corner_tokens, repeat("/")),
+                                   dtype=np.intp, count=n_tok)
+    else:  # one field per token
+        fields, n_fields = corner_tokens, np.ones(n_tok, dtype=np.intp)
+    field0 = np.cumsum(n_fields) - n_fields
+
+    def fail(t, check, message):
+        errors.append((at[token_row[t]] + 1, t - starts[token_row[t]], check, message))
+
+    vi, bad = _numbers(_pick(fields, field0), int)
+    vi = _index_array(vi)
+    if bad:
+        fail(bad[0], 0, f"bad face index {corner_tokens[bad[0]]!r}")
+    zero = np.flatnonzero(vi == 0)
+    if zero.size:
+        fail(zero[0], 1, "OBJ face indices are 1-based")
+    third = np.flatnonzero(n_fields >= 3)
+    normal_fields = _pick(fields, field0[third] + 2)
+    present = np.fromiter(map(len, normal_fields), dtype=np.intp, count=len(third)) > 0
+    with_n = third[present]
+    ni, bad = _numbers(list(compress(normal_fields, present.tolist())), int)
+    if bad:
+        fail(with_n[bad[0]], 2, f"bad normal index {corner_tokens[with_n[bad[0]]]!r}")
+    if errors:
+        return None
+    vi = np.where(vi > 0, vi - 1, np.repeat(v_seen[at], sizes) + vi)
+    ni = _index_array(ni)
+    nid = np.zeros(n_tok, dtype=np.int64)
+    nid[with_n] = np.where(ni > 0, ni - 1, np.repeat(vn_seen[at], sizes)[with_n] + ni)
+    row_has_n = np.bincount(token_row[with_n], minlength=len(sizes)) == sizes
+    # Triangle a of a k-gon has corners (0, a, a + 1); rows of equal k go together.
+    tris = sizes - 2
+    first_tri = np.cumsum(tris) - tris
+    faces = np.empty((int(tris.sum()), 3), dtype=np.int64)
+    normal_ids = np.empty_like(faces)
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        a = np.arange(1, k - 1)
+        fan = np.stack([np.zeros_like(a), a, a + 1], axis=1)
+        corner = (starts[rows, None, None] + fan).reshape(-1, 3)
+        tri = (first_tri[rows, None] + np.arange(k - 2)).ravel()
+        faces[tri] = vi[corner]
+        normal_ids[tri] = nid[corner]
+    return faces, normal_ids, np.repeat(row_has_n, tris)
+
+
 def load_obj(path):
-    """Load an ASCII Wavefront OBJ (v/f/vn records; everything else ignored)."""
-    vertices, normals, faces, face_normal_ids = [], [], [], []
+    """Load an ASCII Wavefront OBJ (v/f/vn records; everything else ignored).
+
+    Records are parsed by kind, a block of lines at a time: the coordinates
+    of a block's v (and vn) records go through one float conversion, its
+    face indices through one int conversion, and its polygons are
+    fan-triangulated in groups of equal vertex count. A malformed record
+    raises ObjParseError naming the first bad line.
+    """
+    no_rows = np.zeros((0, 3))
+    verts, normals = [no_rows], [no_rows]
+    faces = [(no_rows.astype(np.int64), no_rows.astype(np.int64), np.zeros(0, dtype=bool))]
     ignored = set()
+    n_lines = n_v = n_vn = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise ObjParseError(path, line_no, "vertex needs 3 coordinates")
-                try:
-                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise ObjParseError(path, line_no, f"bad vertex: {exc}") from exc
-            elif tag == "vn":
-                if len(parts) < 4:
-                    raise ObjParseError(path, line_no, "normal needs 3 components")
-                try:
-                    normals.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise ObjParseError(path, line_no, f"bad normal: {exc}") from exc
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise ObjParseError(path, line_no, "face needs at least 3 vertices")
-                idx, nidx = [], []
-                for token in parts[1:]:
-                    fields = token.split("/")
-                    try:
-                        vi = int(fields[0])
-                    except ValueError as exc:
-                        raise ObjParseError(path, line_no, f"bad face index {token!r}") from exc
-                    if vi == 0:
-                        raise ObjParseError(path, line_no, "OBJ face indices are 1-based")
-                    idx.append(vi - 1 if vi > 0 else len(vertices) + vi)
-                    if len(fields) >= 3 and fields[2]:
-                        try:
-                            ni = int(fields[2])
-                        except ValueError as exc:
-                            raise ObjParseError(path, line_no,
-                                                f"bad normal index {token!r}") from exc
-                        nidx.append(ni - 1 if ni > 0 else len(normals) + ni)
-                # Fan-triangulate polygons. Every face gets a normal entry
-                # (None without normals) so face_normal_ids stays aligned.
-                for a in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[a], idx[a + 1]])
-                    face_normal_ids.append([nidx[0], nidx[a], nidx[a + 1]]
-                                           if len(nidx) == len(idx) else None)
-            else:
-                ignored.add(tag)
+        while lines := fh.readlines(_OBJ_BLOCK_CHARS):
+            counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp,
+                                 count=len(lines))
+            tokens = "".join(lines).split()
+            first = np.cumsum(counts) - counts
+            tags = _pick(tokens, first[counts > 0])
+            kinds = np.full(len(lines), -1, dtype=np.int8)  # -1: blank line
+            kinds[counts > 0] = np.fromiter(map(_OBJ_KINDS.get, tags, repeat(0)),
+                                            dtype=np.int8, count=len(tags))
+            ignored.update(compress(tags, (kinds[counts > 0] == 0).tolist()))
+            errors = []
+            v_at = _obj_records(kinds, counts, 1, "vertex needs 3 coordinates", errors)
+            vn_at = _obj_records(kinds, counts, 2, "normal needs 3 components", errors)
+            f_at = _obj_records(kinds, counts, 3, "face needs at least 3 vertices", errors)
+            verts.append(_obj_vectors(tokens, first, v_at, "bad vertex", errors))
+            normals.append(_obj_vectors(tokens, first, vn_at, "bad normal", errors))
+            faces.append(_obj_faces(tokens, first, counts, f_at, n_v + np.cumsum(kinds == 1),
+                                    n_vn + np.cumsum(kinds == 2), errors))
+            if errors:
+                line_no, _, _, message = min(errors, key=lambda e: e[:3])
+                raise ObjParseError(path, n_lines + int(line_no), message)
+            n_lines, n_v, n_vn = n_lines + len(lines), n_v + len(v_at), n_vn + len(vn_at)
+    ignored = sorted(tag for tag in ignored if not tag.startswith("#"))
     if ignored:
-        log.warning("%s: ignored OBJ records %s", path, sorted(ignored))
-    verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    faces_arr = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    if faces_arr.size and faces_arr.max() >= len(verts):
+        log.warning("%s: ignored OBJ records %s", path, ignored)
+    verts, normals = np.concatenate(verts), np.concatenate(normals)
+    faces, normal_ids, has_n = (np.concatenate(part) for part in zip(*faces))
+    if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
         raise ObjParseError(path, 0, "face references a missing vertex")
-    with_normals = [nf for nf in face_normal_ids if nf is not None]
-    nids = np.asarray(with_normals, dtype=np.int64)
+    nids = normal_ids[has_n]
     if nids.size and (nids.min() < 0 or nids.max() >= len(normals)):
         raise ObjParseError(path, 0, "face references a missing normal")
-    faces_arr = drop_degenerate_faces(verts, faces_arr)
     vnorm = None
-    if normals and not with_normals and len(normals) == len(verts):
-        vnorm = np.asarray(normals, dtype=np.float64)
-    elif normals and with_normals:
-        # Keep per-vertex normals only when the mapping is one-to-one.
-        vnorm = np.zeros((len(verts), 3), dtype=np.float64)
-        seen = np.zeros(len(verts), dtype=bool)
-        consistent = True
-        narr = np.asarray(normals, dtype=np.float64)
-        for f, nf in zip(faces, face_normal_ids):
-            if nf is None:
-                continue
-            for vi, ni in zip(f, nf):
-                if seen[vi] and not np.allclose(vnorm[vi], narr[ni]):
-                    consistent = False
-                    break
-                vnorm[vi] = narr[ni]
-                seen[vi] = True
-            if not consistent:
-                break
-        if not (consistent and seen.all()):
-            vnorm = None
-    return TriMesh(verts, faces_arr, vnorm)
+    if len(normals) and not nids.size and len(normals) == len(verts):
+        vnorm = normals
+    elif len(normals) and nids.size:
+        vnorm = _vertex_normals(faces[has_n].ravel(), nids.ravel(), normals, len(verts))
+    return TriMesh(verts, drop_degenerate_faces(verts, faces), vnorm)
+
+
+def _vertex_normals(corner_v, corner_n, normals, n_vertices):
+    """Per-vertex normals from face corners in file order, or None unless
+    every vertex has a corner and each vertex's successive normals pass
+    np.allclose(previous, next); the last one is kept."""
+    order = np.argsort(corner_v, kind="stable")
+    v, n = corner_v[order], corner_n[order]
+    again = v[1:] == v[:-1]
+    if not np.isclose(normals[n[:-1][again]], normals[n[1:][again]]).all():
+        return None
+    last = np.append(~again, True)
+    if last.sum() != n_vertices:
+        return None
+    vnorm = np.empty((n_vertices, 3), dtype=np.float64)
+    vnorm[v[last]] = normals[n[last]]
+    return vnorm
 
 
 def save_obj(mesh, path):
     """Write v/vn/f records with 9 significant digits."""
+    has_normals = mesh.normals is not None
+    blocks = [("v %.9g %.9g %.9g\n", mesh.vertices)]
+    if has_normals:
+        blocks.append(("vn %.9g %.9g %.9g\n", mesh.normals))
+        blocks.append(("f %d//%d %d//%d %d//%d\n", np.repeat(mesh.faces + 1, 2, axis=1)))
+    else:
+        blocks.append(("f %d %d %d\n", mesh.faces + 1))
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        has_normals = mesh.normals is not None
-        if has_normals:
-            for n in mesh.normals:
-                fh.write(f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}\n")
-        for f in mesh.faces:
-            if has_normals:
-                fh.write(f"f {f[0]+1}//{f[0]+1} {f[1]+1}//{f[1]+1} {f[2]+1}//{f[2]+1}\n")
-            else:
-                fh.write(f"f {f[0]+1} {f[1]+1} {f[2]+1}\n")
+        for fmt, rows in blocks:
+            for start in range(0, len(rows), _OBJ_WRITE_ROWS):
+                chunk = rows[start:start + _OBJ_WRITE_ROWS]
+                fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def check_watertight(mesh):

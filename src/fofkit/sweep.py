@@ -55,9 +55,13 @@ def _run_cell(cell):
             c_obs = occlude_field(ctx["c_gt"], pair, ctx["policy"],
                                   sigma=ctx["sigma"], seed=seed)
         for method in METHODS:
-            if method == "naive" or pair is None:
-                field = c_obs
-            else:
+            if method == "blend" and pair is None:
+                # No occluder: the blend field is c_obs itself, so the blend
+                # row is the naive one.
+                rows.append((ratio, seed, method) + rows[0][3:])
+                continue
+            field = c_obs
+            if method == "blend":
                 field = vgcc_blend(c_obs, ctx["c_prior"], pair, ctx["feather_px"])
             recon = reconstruct_field(field, frame, ctx["grid_res"], iso=ctx["iso"])
             rep = _reference(ctx).evaluate(recon)

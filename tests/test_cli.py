@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fofkit
 from fofkit.cli import main
 from fofkit.config import HarnessConfig
 from fofkit.errors import ConfigError, OcclusionError
@@ -123,6 +128,16 @@ class TestPipeline:
 class TestSelftestCommand:
     def test_exit_zero(self):
         assert run("selftest") == 0
+
+
+def test_python_m_fofkit_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(fofkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "fofkit", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: fofkit")
 
 
 class TestSweepCommand:

@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from fofkit.errors import (BadMagicError, CrcMismatchError, ImageFormatError,
+from fofkit.errors import (BadMagicError, CrcMismatchError, FofkitError, ImageFormatError,
                            ShapeError, TruncatedPayloadError, UnsupportedVersionError)
 from fofkit.tensor_io import (crc64, read_pfm, read_pgm, read_png16, read_ppm,
                               read_tensor, write_pfm, write_pgm, write_png16,
@@ -18,6 +23,139 @@ class TestCrc64:
 
     def test_sensitivity(self):
         assert crc64(b"abc") != crc64(b"abd")
+
+
+def _bytewise_table():
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0xC96C5795D7870F42 if crc & 1 else 0)
+        table.append(crc)
+    return table
+
+
+_BYTEWISE = _bytewise_table()
+
+
+def crc64_bytewise(data, crc=0):
+    """Reference CRC-64/XZ: the reflected table loop, one byte at a time."""
+    crc ^= 0xFFFFFFFFFFFFFFFF
+    for byte in bytes(data):
+        crc = _BYTEWISE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+class TestCrc64Oracle:
+    # Word edges, and the lengths where crc64's steps per lane double
+    # (1024 * 4**m bytes), each with its neighbours.
+    EDGES = [0, 1, 7, 8, 9, 15, 16, 17, 511, 512, 513, 1023, 1024, 1025, 1031, 1032,
+             4095, 4096, 4097, 16383, 16384, 16385, 65535, 65536, 65537, 65543]
+
+    def test_edge_lengths(self, rng):
+        data = rng.integers(0, 256, max(self.EDGES), dtype=np.uint8).tobytes()
+        for n in self.EDGES:
+            assert crc64(data[:n]) == crc64_bytewise(data[:n]), n
+
+    def test_random_lengths_and_initial_values(self, rng):
+        for n in rng.integers(0, 200_000, 12):
+            data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+            init = int(rng.integers(0, 2**63)) * 2 + 1
+            assert crc64(data) == crc64_bytewise(data), n
+            assert crc64(data, init) == crc64_bytewise(data, init), n
+
+    def test_buffer_kinds(self, rng):
+        data = rng.integers(0, 256, 70_001, dtype=np.uint8).tobytes()
+        want = crc64_bytewise(data[3:])
+        assert crc64(data[3:]) == want
+        assert crc64(bytearray(data[3:])) == want
+        assert crc64(memoryview(data)[3:]) == want
+        assert crc64(memoryview(bytearray(data))[3:]) == want
+        assert crc64(np.frombuffer(data, dtype=np.uint8)[3:]) == want
+
+    def test_continuation(self, rng):
+        data = rng.integers(0, 256, 9_000, dtype=np.uint8).tobytes()
+        for cut in (0, 1, 8, 13, 4096, 8_999, 9_000):
+            a, b = data[:cut], data[cut:]
+            assert crc64(b, crc64(a)) == crc64(data), cut
+
+
+def _header_edit(blob, field, value):
+    """blob with one header field (version, dtype, ndim or a dim) replaced."""
+    out = bytearray(blob)
+    if field == "version":
+        struct.pack_into("<H", out, 4, value & 0xFFFF)
+    elif field == "dtype":
+        out[6] = value & 0xFF
+    elif field == "ndim":
+        out[7] = value & 0xFF
+    elif out[7]:
+        struct.pack_into("<Q", out, 8 + 8 * (value % out[7]), value >> 8)
+    return bytes(out)
+
+
+_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.sampled_from(["version", "dtype", "ndim", "dim"]),
+              st.integers(0, 2**72 - 1)),
+)
+
+
+class TestTensorFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arr=arrays(np.float32, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                      elements=st.floats(width=32)),
+           edit=_EDITS)
+    def test_damaged_container(self, tmp_path, arr, edit):
+        path = tmp_path / "fuzz.oaht"
+        write_tensor(path, arr)
+        blob = path.read_bytes()
+        dims_edited = edit[0] == "dim"
+        if edit[0] == "truncate":
+            blob = blob[:edit[1] % len(blob)]
+        elif edit[0] == "flip":
+            pos = edit[1] % len(blob)
+            blob = blob[:pos] + bytes([blob[pos] ^ edit[2]]) + blob[pos + 1:]
+            dims_edited = 8 <= pos < 8 + 8 * arr.ndim
+        elif edit[0] == "append":
+            blob = blob + edit[1]
+        else:
+            blob = _header_edit(blob, *edit)
+        path.write_bytes(blob)
+        try:
+            dims, back = read_tensor(path)
+        except FofkitError:
+            return
+        # The CRC covers the payload, not the header: a dims edit that keeps
+        # the element count reads back the same values in the edited shape.
+        assert back.shape == dims
+        assert back.tobytes() == arr.tobytes()
+        if not dims_edited:
+            assert dims == arr.shape
+
+    def test_zeroed_dim_over_zero_payload_rejected(self, tmp_path):
+        # With dims (2, 0) the payload is empty and the "CRC" is read from the
+        # first eight zero payload bytes, which is the CRC of no bytes.
+        path = tmp_path / "z.oaht"
+        write_tensor(path, np.zeros((2, 2), dtype=np.float32))
+        path.write_bytes(_header_edit(path.read_bytes(), "dim", 1))
+        with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.oaht"
+        write_tensor(path, np.ones(3, dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+
+    def test_zero_dim_array_keeps_its_shape(self, tmp_path):
+        path = tmp_path / "s.oaht"
+        write_tensor(path, np.float32(2.5))
+        assert read_tensor(path)[0] == ()
 
 
 class TestTensorContainer:

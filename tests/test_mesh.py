@@ -1,10 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fofkit.errors import DomainError, MeshError, ObjParseError
+from fofkit.errors import DomainError, FofkitError, MeshError, ObjParseError
 from fofkit.fof import BasisConfig, intervals_to_coeffs
-from fofkit.mesh import (TriMesh, check_watertight, field_volume, fit_to_frame,
-                         load_obj, mesh_to_fof, mesh_volume_divergence,
+from fofkit.mesh import (TriMesh, check_watertight, drop_degenerate_faces, field_volume,
+                         fit_to_frame, load_obj, mesh_to_fof, mesh_volume_divergence,
                          normalize_mesh, ray_cast_all, ray_intervals, save_obj)
 from fofkit.metrics import chamfer
 from fofkit.raster import OrthoFrame
@@ -90,6 +95,287 @@ class TestObjIO:
         path.write_text(head + "f 3//1 1//2 2//4\n")
         with pytest.raises(ObjParseError, match="missing normal"):
             load_obj(path)
+
+
+    @pytest.mark.parametrize("face", ["f -4 1 2", "f -10 1 2", "f 99999999999999999999 1 2",
+                                      "f 1 2 -99999999999999999999"])
+    def test_face_index_out_of_range_is_parse_error(self, tmp_path, face):
+        # Negative indices that count back past the first vertex used to wrap
+        # around (or raise IndexError), and indices past int64 OverflowError.
+        path = tmp_path / "range.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + face + "\n")
+        with pytest.raises(ObjParseError, match="missing vertex"):
+            load_obj(path)
+
+    def test_normal_consistency_is_allclose_previous_then_next(self, tmp_path):
+        # |a - b| = 0.0100001 is within 1e-8 + 1e-5 * 1000.0100001 but not
+        # within 1e-8 + 1e-5 * 1000: np.allclose(previous, next) accepts
+        # the rising pair only, so the order of the corners decides.
+        head = "v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 1000 0 0\nvn 1000.0100001 0 0\n"
+        path = tmp_path / "n.obj"
+        path.write_text(head + "f 1//1 2//1 3//1\nf 1//2 3//2 2//2\n")
+        assert np.array_equal(load_obj(path).normals[:, 0], [1000.0100001] * 3)
+        path.write_text(head + "f 1//2 2//2 3//2\nf 1//1 3//1 2//1\n")
+        assert load_obj(path).normals is None
+
+    def test_ignored_records_warning_lists_tags(self, tmp_path, caplog):
+        path = tmp_path / "tags.obj"
+        path.write_text("o a\n# note\nvt 0 0\n\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\ns 1\n")
+        with caplog.at_level(logging.WARNING, logger="fofkit.mesh"):
+            load_obj(path)
+        assert caplog.messages == [f"{path}: ignored OBJ records ['o', 's', 'vt']"]
+
+
+def load_obj_by_line(path):
+    """Reference OBJ reader: the line-by-line parser that load_obj replaced,
+    kept as it was (the IndexError and OverflowError it can leak included)."""
+    vertices, normals, faces, face_normal_ids = [], [], [], []
+    ignored = set()
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            tag = parts[0]
+            if tag == "v":
+                if len(parts) < 4:
+                    raise ObjParseError(path, line_no, "vertex needs 3 coordinates")
+                try:
+                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                except ValueError as exc:
+                    raise ObjParseError(path, line_no, f"bad vertex: {exc}") from exc
+            elif tag == "vn":
+                if len(parts) < 4:
+                    raise ObjParseError(path, line_no, "normal needs 3 components")
+                try:
+                    normals.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                except ValueError as exc:
+                    raise ObjParseError(path, line_no, f"bad normal: {exc}") from exc
+            elif tag == "f":
+                if len(parts) < 4:
+                    raise ObjParseError(path, line_no, "face needs at least 3 vertices")
+                idx, nidx = [], []
+                for token in parts[1:]:
+                    fields = token.split("/")
+                    try:
+                        vi = int(fields[0])
+                    except ValueError as exc:
+                        raise ObjParseError(path, line_no, f"bad face index {token!r}") from exc
+                    if vi == 0:
+                        raise ObjParseError(path, line_no, "OBJ face indices are 1-based")
+                    idx.append(vi - 1 if vi > 0 else len(vertices) + vi)
+                    if len(fields) >= 3 and fields[2]:
+                        try:
+                            ni = int(fields[2])
+                        except ValueError as exc:
+                            raise ObjParseError(path, line_no,
+                                                f"bad normal index {token!r}") from exc
+                        nidx.append(ni - 1 if ni > 0 else len(normals) + ni)
+                for a in range(1, len(idx) - 1):
+                    faces.append([idx[0], idx[a], idx[a + 1]])
+                    face_normal_ids.append([nidx[0], nidx[a], nidx[a + 1]]
+                                           if len(nidx) == len(idx) else None)
+            else:
+                ignored.add(tag)
+    if ignored:
+        logging.getLogger("fofkit.mesh").warning("%s: ignored OBJ records %s", path,
+                                                 sorted(ignored))
+    verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    faces_arr = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    if faces_arr.size and faces_arr.max() >= len(verts):
+        raise ObjParseError(path, 0, "face references a missing vertex")
+    with_normals = [nf for nf in face_normal_ids if nf is not None]
+    nids = np.asarray(with_normals, dtype=np.int64)
+    if nids.size and (nids.min() < 0 or nids.max() >= len(normals)):
+        raise ObjParseError(path, 0, "face references a missing normal")
+    faces_arr = drop_degenerate_faces(verts, faces_arr)
+    vnorm = None
+    if normals and not with_normals and len(normals) == len(verts):
+        vnorm = np.asarray(normals, dtype=np.float64)
+    elif normals and with_normals:
+        vnorm = np.zeros((len(verts), 3), dtype=np.float64)
+        seen = np.zeros(len(verts), dtype=bool)
+        consistent = True
+        narr = np.asarray(normals, dtype=np.float64)
+        for f, nf in zip(faces, face_normal_ids):
+            if nf is None:
+                continue
+            for vi, ni in zip(f, nf):
+                if seen[vi] and not np.allclose(vnorm[vi], narr[ni]):
+                    consistent = False
+                    break
+                vnorm[vi] = narr[ni]
+                seen[vi] = True
+            if not consistent:
+                break
+        if not (consistent and seen.all()):
+            vnorm = None
+    return TriMesh(verts, faces_arr, vnorm)
+
+
+def save_obj_by_line(mesh, path):
+    """Reference OBJ writer: one f-string per record, as save_obj was."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        if mesh.normals is not None:
+            for n in mesh.normals:
+                fh.write(f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}\n")
+        for f in mesh.faces:
+            if mesh.normals is not None:
+                fh.write(f"f {f[0]+1}//{f[0]+1} {f[1]+1}//{f[1]+1} {f[2]+1}//{f[2]+1}\n")
+            else:
+                fh.write(f"f {f[0]+1} {f[1]+1} {f[2]+1}\n")
+
+
+def assert_same_mesh(a, b):
+    """Vertices, faces and normals equal bit for bit (NaN payloads included)."""
+    assert np.array_equal(a.vertices.view(np.int64), b.vertices.view(np.int64))
+    assert np.array_equal(a.faces, b.faces)
+    assert (a.normals is None) == (b.normals is None)
+    if a.normals is not None:
+        assert np.array_equal(a.normals.view(np.int64), b.normals.view(np.int64))
+
+
+_FLOAT_TEXT = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.4e}"),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1E5", "+1.5", "-0", ".5",
+                     "1e-320", "1_0.5"]),
+)
+_FILLER = st.sampled_from(["# comment", "#", "", "   ", "o body", "g part", "s off",
+                           "usemtl skin", "vt 0.5 0.5", "mtllib a.mtl", "l 1 2"])
+_SEP = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def valid_obj_text(draw):
+    """An OBJ that both readers accept: every index points at a record already
+    read, written positive or negative, with a/b/c, a//c, a/b and bare tokens,
+    n-gons, and faces with and without (or with only some) normal indices."""
+    lines, n_v, n_vn = [], 0, 0
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["v", "v", "vn", "f", "f", "filler"]))
+        sep = draw(_SEP)
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        if kind in ("v", "vn"):
+            coords = draw(st.lists(_FLOAT_TEXT, min_size=3, max_size=5))
+            lines.append(lead + sep.join([kind] + coords))
+            n_v, n_vn = n_v + (kind == "v"), n_vn + (kind == "vn")
+        elif kind == "f" and n_v >= 3:
+            tokens = []
+            normals = draw(st.sampled_from(["all", "none", "some"])) if n_vn else "none"
+            corners = draw(st.lists(st.integers(0, n_v - 1), min_size=3, max_size=6,
+                                    unique=True))
+            for c, vi in enumerate(corners):
+                token = str(vi + 1 if draw(st.booleans()) else vi - n_v)
+                if normals == "all" or (normals == "some" and c % 2):
+                    ni = draw(st.integers(0, n_vn - 1))
+                    nt = str(ni + 1 if draw(st.booleans()) else ni - n_vn)
+                    token += draw(st.sampled_from(["//", "/7/"])) + nt
+                elif draw(st.booleans()):
+                    token += draw(st.sampled_from(["/3", "/", "//", "/2/"]))
+                tokens.append(token)
+            lines.append(lead + sep.join(["f"] + tokens))
+        else:
+            lines.append(lead + draw(_FILLER))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def shared_normal_obj_text(draw):
+    """Faces covering every vertex whose corners name normals: the vertex's
+    own, a twin that differs by a relative 1e-12, 1e-6 or 1e-3 (np.allclose
+    accepts the first two), or now and then another vertex's."""
+    n = draw(st.integers(3, 7))
+    lines = [f"v {i} {draw(st.integers(-3, 3))} {i * i % 5}" for i in range(n)]
+    for scale in (0.0, draw(st.sampled_from([1e-12, 1e-6, 1e-3]))):
+        for i in range(n):
+            normal = [(i * 7 + c * 3) % 5 - 2.0 for c in range(3)]
+            lines.append("vn " + " ".join(repr(x * (1 + scale)) for x in normal))
+    polygons = [[0, a, a + 1] for a in range(1, n - 1)]
+    polygons += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=5,
+                                       unique=True), max_size=4))
+    for poly in polygons:
+        tokens = []
+        for vi in poly:
+            ni = vi + n * draw(st.integers(0, 1))
+            if draw(st.integers(0, 9)) == 0:
+                ni = draw(st.integers(0, 2 * n - 1))
+            v_text = str(vi + 1) if draw(st.booleans()) else str(vi - n)
+            tokens.append(v_text + draw(st.sampled_from(["//", "/1/"])) + str(ni + 1))
+        lines.append("f " + " ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
+class TestObjReaderAgainstLineParser:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=valid_obj_text())
+    def test_valid_files_load_identically(self, tmp_path, text):
+        path = tmp_path / "gen.obj"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_mesh(load_obj(path), load_obj_by_line(path))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=shared_normal_obj_text())
+    def test_per_vertex_normals_match(self, tmp_path, text):
+        path = tmp_path / "normals.obj"
+        path.write_text(text)
+        assert_same_mesh(load_obj(path), load_obj_by_line(path))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.lists(st.one_of(
+        st.text(alphabet="vnf/#-+.0123456789eE \t\r\x0b\x85é", max_size=24),
+        st.builds(" ".join, st.lists(st.sampled_from(
+            ["v", "vn", "f", "1", "-1", "2/3/1", "1//1", "0", "x", "nan", "3//", "/1",
+             "99999999999999999999", "-4"]), max_size=6))), max_size=12).map("\n".join))
+    def test_random_text_fails_typed_or_as_before(self, tmp_path, text):
+        path = tmp_path / "fuzz.obj"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            got = load_obj(path)
+        except FofkitError as exc:
+            got = exc
+        try:
+            want = load_obj_by_line(path)
+        except ObjParseError as exc:
+            # A per-line error names the same line with the same message.
+            assert isinstance(got, ObjParseError) and str(got) == str(exc)
+            return
+        except Exception:  # the old reader's leaks (IndexError, OverflowError, ...)
+            return
+        if isinstance(got, TriMesh):
+            assert_same_mesh(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
+class TestObjWriter:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(verts=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                        elements=st.floats(width=64)),
+           with_normals=st.booleans(), data=st.data())
+    def test_bytes_match_line_writer(self, tmp_path, verts, with_normals, data):
+        faces = data.draw(arrays(np.int64, st.tuples(st.integers(0, 9), st.just(3)),
+                                 elements=st.integers(0, len(verts) - 1)))
+        normals = verts[::-1] if with_normals else None
+        mesh = TriMesh(verts, faces, normals)
+        save_obj(mesh, tmp_path / "a.obj")
+        save_obj_by_line(mesh, tmp_path / "b.obj")
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
+
+    def test_many_blocks(self, tmp_path):
+        mesh = make_sphere(0.6, 4)  # 2562 vertices, 5120 faces
+        big = TriMesh(np.concatenate([mesh.vertices] * 2), mesh.faces, None)
+        save_obj(big, tmp_path / "a.obj")
+        save_obj_by_line(big, tmp_path / "b.obj")
+        assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
 
 class TestWatertight:

@@ -39,3 +39,21 @@ def test_run_sweep_hooks(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "_run_cell", cell)
     sweep.run_sweep(HarnessConfig.load(overrides=TINY), str(tmp_path), jobs=1)
     assert calls == ["prepare", (0.0, 1), (0.4, 1)]
+
+
+def test_ratio_zero_cell_reconstructs_once(monkeypatch):
+    # With no occluder the blend row is the naive one, so one reconstruction
+    # and one evaluation serve both rows.
+    calls = []
+    orig = sweep.reconstruct_field
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "reconstruct_field", counting)
+    monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(HarnessConfig.load(overrides=TINY)))
+    naive, blend = sweep._run_cell((0.0, 1))
+    assert len(calls) == 1
+    assert naive[2:] == ("naive",) + blend[3:] and blend[2] == "blend"
+    assert naive[:2] == blend[:2] == (0.0, 1)
