@@ -85,17 +85,20 @@ def _read_field(path):
     frame = None
     if os.path.exists(meta_path):
         meta = {}
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if "=" in line:
-                    key, value = line.split("=", 1)
-                    meta[key.strip()] = value.strip()
         try:
+            with open(meta_path, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    if "=" in line:
+                        key, value = line.split("=", 1)
+                        meta[key.strip()] = value.strip()
             frame = OrthoFrame(int(meta["width"]), int(meta["height"]),
                                tuple(float(t) for t in meta["center"].split(",")),
                                float(meta["half_extent"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
             raise ConfigError(f"{meta_path}: bad field metadata: {exc}") from exc
+        if (frame.height, frame.width) != (field.height, field.width):
+            raise ConfigError(f"{meta_path}: frame {frame.height}x{frame.width} does not "
+                              f"match the {field.height}x{field.width} field")
     if frame is None:
         frame = OrthoFrame(field.width, field.height)
     return field, frame

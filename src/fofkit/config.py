@@ -36,10 +36,6 @@ DEFAULTS = {
         "sigma": "0.1",
         "feather_px": "3.0",
     },
-    "weights": {
-        "lambda_occ": "2.0",
-        "lambda_vis": "1.0",
-    },
     "sweep": {
         "shape": "sphere",
         "ratios": "0.2,0.4,0.6,0.8",
@@ -165,14 +161,6 @@ class HarnessConfig:
     @property
     def feather_px(self):
         return self._float("occlude", "feather_px")
-
-    @property
-    def lambda_occ(self):
-        return self._float("weights", "lambda_occ")
-
-    @property
-    def lambda_vis(self):
-        return self._float("weights", "lambda_vis")
 
     @property
     def sweep_shape(self):

@@ -4,10 +4,14 @@ Encoding casts one +z ray per pixel center through the mesh, pairs the sorted
 hit depths by parity into inside intervals, and feeds them to the closed-form
 coefficient formula. Hits are produced by 2D triangle coverage in raster
 space (see raster.py), which is exact for orthographic rays and gives the
-deterministic shared-edge ownership a watertight count needs. Numerically
+deterministic shared-edge ownership a watertight count needs. The batched
+encoder and the single-ray caster use the same coverage rule; a single ray
+tests the triangles whose raster bounding box holds its point. Numerically
 degenerate rays (odd hit count, e.g. a pixel center meeting a projected
 vertex) are recast with a tiny fixed diagonal jitter up to three times, then
 dropped with a warning.
+
+The BVH serves point-to-surface distance queries (metrics.py).
 """
 
 import logging
@@ -424,23 +428,6 @@ class BVH:
         self.node_start = np.asarray(node_start, dtype=np.int64)
         self.node_count = np.asarray(node_count, dtype=np.int64)
 
-    def ray_candidates(self, x, y):
-        """Triangle indices whose AABB contains (x, y) for a +z line."""
-        out = []
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            if (x < self.node_lo[i, 0] or x > self.node_hi[i, 0]
-                    or y < self.node_lo[i, 1] or y > self.node_hi[i, 1]):
-                continue
-            if self.node_start[i] >= 0:
-                s = self.node_start[i]
-                out.extend(self.order[s:s + self.node_count[i]])
-            else:
-                stack.append(self.node_right[i])
-                stack.append(self.node_left[i])
-        return np.asarray(out, dtype=np.int64)
-
 
 # ---------------------------------------------------------------------------
 # Ray casting and encoding.
@@ -453,15 +440,6 @@ def _require_watertight(mesh):
             f"mesh is not watertight: {len(boundary)} boundary edge(s), e.g. {boundary[:3]}")
 
 
-def _tris_raster_and_depth(mesh, frame):
-    """Per-face raster xy vertices and NDC depth for encoding."""
-    ndc = frame.to_ndc(mesh.vertices)
-    rast = frame.raster_xy(ndc[:, :2])
-    tris = rast[mesh.faces]  # (m, 3, 2)
-    tri_z = ndc[mesh.faces][:, :, 2]  # (m, 3)
-    return tris, tri_z
-
-
 def _pair_hits(zs):
     """Parity-pair sorted hit depths into intervals; drop empty pairs."""
     pairs = zs.reshape(-1, 2)
@@ -469,7 +447,7 @@ def _pair_hits(zs):
     return pairs[keep]
 
 
-def ray_intervals(mesh, frame, pixel, bvh=None, _check=True):
+def ray_intervals(mesh, frame, pixel):
     """Occupancy intervals along the +z ray through one pixel center.
 
     pixel is (row, col). Depths are normalized through the frame; the result
@@ -478,17 +456,18 @@ def ray_intervals(mesh, frame, pixel, bvh=None, _check=True):
     row, col = pixel
     if not (0 <= row < frame.height and 0 <= col < frame.width):
         raise DomainError(f"pixel {pixel} outside {frame.height}x{frame.width} frame")
-    if _check:
-        _require_watertight(mesh)
-    tris, tri_z = _tris_raster_and_depth(mesh, frame)
-    if bvh is None:
-        bvh = BVH(_raster_points_3d(mesh, frame), mesh.faces)
-    px, py = frame.pixel_center_raster(row, col)
+    _require_watertight(mesh)
+    return _cast_pixel(*frame.project_faces(mesh.vertices, mesh.faces), frame, pixel)
+
+
+def _cast_pixel(tris, tri_z, frame, pixel):
+    """Intervals of one pixel's ray through projected faces, recast with the
+    fixed diagonal jitter while its hit count is odd."""
+    px, py = frame.pixel_center_raster(*pixel)
     for attempt in range(MAX_RECASTS + 1):
         qx = px + attempt * JITTER_PIXELS
         qy = py + attempt * JITTER_PIXELS
-        cand = bvh.ray_candidates(qx, qy)
-        zs = ray_hits_at_point(qx, qy, tris[cand], tri_z[cand])
+        zs = ray_hits_at_point(qx, qy, tris, tri_z)
         if len(zs) % 2 == 0:
             if attempt:
                 log.warning("pixel %s recast with jitter %d", pixel, attempt)
@@ -497,22 +476,14 @@ def ray_intervals(mesh, frame, pixel, bvh=None, _check=True):
     return IntervalList()
 
 
-def _raster_points_3d(mesh, frame):
-    """Vertex positions with raster xy and untouched z, for the xy-BVH."""
-    ndc = frame.to_ndc(mesh.vertices)
-    rast = frame.raster_xy(ndc[:, :2])
-    return np.column_stack([rast, ndc[:, 2]])
-
-
-def ray_cast_all(mesh, frame, check=True):
+def ray_cast_all(mesh, frame):
     """Sorted hit depth lists for every pixel, parity-repaired.
 
     Returns (pixel_index, z) arrays sorted by (pixel, z); consumers pair by
     parity. Shared by mesh_to_fof and diagnostics.
     """
-    if check:
-        _require_watertight(mesh)
-    tris, tri_z = _tris_raster_and_depth(mesh, frame)
+    _require_watertight(mesh)
+    tris, tri_z = frame.project_faces(mesh.vertices, mesh.faces)
     rec = rasterize_coverage(tris, frame.width, frame.height)
     if len(rec.pixel) == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -524,12 +495,10 @@ def ray_cast_all(mesh, frame, check=True):
     counts = np.bincount(pix, minlength=frame.width * frame.height)
     odd = np.nonzero(counts % 2 == 1)[0]
     if len(odd):
-        bvh = BVH(_raster_points_3d(mesh, frame), mesh.faces)
         keep = ~np.isin(pix, odd)
         fixed_pix, fixed_z = [pix[keep]], [z[keep]]
         for flat in odd:
-            row, col = divmod(int(flat), frame.width)
-            iv = ray_intervals(mesh, frame, (row, col), bvh=bvh, _check=False)
+            iv = _cast_pixel(tris, tri_z, frame, divmod(int(flat), frame.width))
             if len(iv):
                 fixed_pix.append(np.full(2 * len(iv), flat, dtype=np.int64))
                 fixed_z.append(iv.intervals.ravel())

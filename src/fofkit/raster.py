@@ -15,12 +15,17 @@ an edge the rule admits exactly one of them, which keeps parity ray counts
 even on watertight meshes. Triangles whose projection has exactly zero area
 are skipped.
 
-The batched path groups triangles by bounding-box size so meshes with tens of
-thousands of sub-pixel triangles rasterize in a handful of vectorized passes;
-its per-pixel arithmetic is the same expression as the single-ray path, so
-both produce identical hits.
+The per-triangle setup and the inside test are written once (_setup,
+_covered) and used by both coverage paths. The batched path groups triangles
+by bounding-box size so meshes with tens of thousands of sub-pixel triangles
+rasterize in a handful of vectorized passes; the single-ray path tests only
+the triangles whose bounding box holds the point, which is the box the
+batched path's pixel windows come from. Both therefore produce identical
+hits.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -43,9 +48,15 @@ class OrthoFrame:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise DomainError("frame must have positive pixel dimensions")
-        if self.half_extent <= 0:
-            raise DomainError("half_extent must be positive")
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
+        if not 0.0 < self.half_extent < math.inf:
+            raise DomainError(f"half_extent must be positive and finite, got {self.half_extent!r}")
+        try:
+            center = tuple(float(v) for v in self.center)
+        except (TypeError, ValueError):
+            center = ()
+        if len(center) != 3 or not all(map(math.isfinite, center)):
+            raise DomainError(f"center must be three finite numbers, got {self.center!r}")
+        object.__setattr__(self, "center", center)
 
     def to_ndc(self, points):
         """Scene points (n, 3) -> normalized [-1, 1]^3 coordinates."""
@@ -64,6 +75,11 @@ class OrthoFrame:
         out[..., 1] = (1.0 - xy[..., 1]) * (self.height / 2.0)
         return out
 
+    def project_faces(self, vertices, faces):
+        """Per-face raster xy vertices (m, 3, 2) and NDC depths (m, 3)."""
+        ndc = self.to_ndc(vertices)
+        return self.raster_xy(ndc[:, :2])[faces], ndc[:, 2][faces]
+
     def pixel_center_raster(self, row, col):
         return float(col) + 0.5, float(row) + 0.5
 
@@ -74,22 +90,55 @@ class OrthoFrame:
         return np.meshgrid(xs, ys)
 
 
-def edge_weights(px, py, ax, ay, bx, by, cx, cy):
-    """Edge functions (w0, w1, w2) of point p against triangle (a, b, c).
-
-    w0 pairs with edge b->c, w1 with c->a, w2 with a->b; all arguments
-    broadcast. The exact expression is shared by every coverage path so that
-    batched and single-ray casting agree bitwise.
-    """
-    w0 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-    w1 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-    w2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    return w0, w1, w2
-
-
 def _edge_accepts_boundary(dx, dy):
     # Direction-based tie rule; exactly one of d and -d qualifies.
     return (dy > 0) | ((dy == 0) & (dx < 0))
+
+
+# Per-triangle coverage setup: vertex coordinates, doubled signed area,
+# orientation sign, and the tie rule's boundary acceptance of edges b->c, c->a
+# and a->b of the orientation-normalized triangle.
+_Setup = namedtuple("_Setup", "ax ay bx by cx cy area2 sgn e0 e1 e2")
+
+
+def _setup(tris):
+    ax, ay = tris[:, 0, 0], tris[:, 0, 1]
+    bx, by = tris[:, 1, 0], tris[:, 1, 1]
+    cx, cy = tris[:, 2, 0], tris[:, 2, 1]
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    sgn = np.where(area2 < 0.0, -1.0, 1.0)
+    return _Setup(ax, ay, bx, by, cx, cy, area2, sgn,
+                  _edge_accepts_boundary(sgn * (cx - bx), sgn * (cy - by)),
+                  _edge_accepts_boundary(sgn * (ax - cx), sgn * (ay - cy)),
+                  _edge_accepts_boundary(sgn * (bx - ax), sgn * (by - ay)))
+
+
+def _box(tris):
+    """Per-triangle raster bounding box (xmin, xmax, ymin, ymax)."""
+    x, y = tris[:, :, 0], tris[:, :, 1]
+    return (np.minimum(np.minimum(x[:, 0], x[:, 1]), x[:, 2]),
+            np.maximum(np.maximum(x[:, 0], x[:, 1]), x[:, 2]),
+            np.minimum(np.minimum(y[:, 0], y[:, 1]), y[:, 2]),
+            np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2]))
+
+
+def _covered(px, py, t, within):
+    """Tie-rule coverage of points (px, py) by the triangles of setup t.
+
+    All arguments broadcast; `within` masks the (triangle, point) pairs to
+    test. Returns the inside mask and the normalized barycentric weights of
+    its True entries in row-major order.
+    """
+    # Edge functions: w0 pairs with edge b->c, w1 with c->a, w2 with a->b.
+    w0 = ((t.cx - t.bx) * (py - t.by) - (t.cy - t.by) * (px - t.bx)) * t.sgn
+    w1 = ((t.ax - t.cx) * (py - t.cy) - (t.ay - t.cy) * (px - t.cx)) * t.sgn
+    w2 = ((t.bx - t.ax) * (py - t.ay) - (t.by - t.ay) * (px - t.ax)) * t.sgn
+    inside = ((w0 > 0) | ((w0 == 0) & t.e0)) \
+        & ((w1 > 0) | ((w1 == 0) & t.e1)) \
+        & ((w2 > 0) | ((w2 == 0) & t.e2)) \
+        & within
+    w0, w1, w2 = w0[inside], w1[inside], w2[inside]
+    return inside, np.stack([w0, w1, w2], axis=1) / (w0 + w1 + w2)[:, None]
 
 
 @dataclass
@@ -114,38 +163,21 @@ def rasterize_coverage(tris_raster, width, height):
     Returns CoverageRecords with normalized barycentric weights per record.
     """
     tris = np.asarray(tris_raster, dtype=np.float64)
-    n = tris.shape[0]
-    if n == 0:
-        return CoverageRecords()
-
-    ax, ay = tris[:, 0, 0], tris[:, 0, 1]
-    bx, by = tris[:, 1, 0], tris[:, 1, 1]
-    cx, cy = tris[:, 2, 0], tris[:, 2, 1]
-    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    neg = area2 < 0.0
+    t = _setup(tris)
 
     # Pixel index ranges whose centers (i + 0.5) can fall inside the bbox.
-    xmin = np.minimum(np.minimum(ax, bx), cx)
-    xmax = np.maximum(np.maximum(ax, bx), cx)
-    ymin = np.minimum(np.minimum(ay, by), cy)
-    ymax = np.maximum(np.maximum(ay, by), cy)
+    xmin, xmax, ymin, ymax = _box(tris)
     ix0 = np.maximum(np.ceil(xmin - 0.5), 0).astype(np.int64)
     ix1 = np.minimum(np.floor(xmax - 0.5), width - 1).astype(np.int64)
     iy0 = np.maximum(np.ceil(ymin - 0.5), 0).astype(np.int64)
     iy1 = np.minimum(np.floor(ymax - 0.5), height - 1).astype(np.int64)
 
-    live = (area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0)
+    live = (t.area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0)
     if not np.any(live):
         return CoverageRecords()
 
     bw = np.where(live, ix1 - ix0 + 1, 0)
     bh = np.where(live, iy1 - iy0 + 1, 0)
-
-    # Boundary acceptance per edge of the orientation-normalized triangle.
-    sgn = np.where(neg, -1.0, 1.0)
-    e0 = _edge_accepts_boundary(sgn * (cx - bx), sgn * (cy - by))
-    e1 = _edge_accepts_boundary(sgn * (ax - cx), sgn * (ay - cy))
-    e2 = _edge_accepts_boundary(sgn * (bx - ax), sgn * (by - ay))
 
     pix_out, tri_out, bary_out = [], [], []
     bw_b = _bucket(bw)
@@ -158,35 +190,16 @@ def rasterize_coverage(tris_raster, width, height):
         sel = np.where(key == k)[0]
         wb, hb = int(k // 10000), int(k % 10000)
         oy, ox = np.mgrid[0:hb, 0:wb]
-        ox = ox.ravel()[None, :]
-        oy = oy.ravel()[None, :]
-        col = ix0[sel, None] + ox
-        row = iy0[sel, None] + oy
+        col = ix0[sel, None] + ox.ravel()[None, :]
+        row = iy0[sel, None] + oy.ravel()[None, :]
         valid = (col <= ix1[sel, None]) & (row <= iy1[sel, None])
-        px = col + 0.5
-        py = row + 0.5
-        w0, w1, w2 = edge_weights(
-            px, py,
-            ax[sel, None], ay[sel, None], bx[sel, None], by[sel, None],
-            cx[sel, None], cy[sel, None],
-        )
-        s = sgn[sel, None]
-        w0, w1, w2 = w0 * s, w1 * s, w2 * s
-        inside = ((w0 > 0) | ((w0 == 0) & e0[sel, None])) \
-            & ((w1 > 0) | ((w1 == 0) & e1[sel, None])) \
-            & ((w2 > 0) | ((w2 == 0) & e2[sel, None])) \
-            & valid
-        if not inside.any():
-            continue
+        inside, bary = _covered(col + 0.5, row + 0.5,
+                                _Setup(*(f[sel, None] for f in t)), valid)
         ti, pi = np.nonzero(inside)
-        denom = w0[ti, pi] + w1[ti, pi] + w2[ti, pi]
-        bary = np.stack([w0[ti, pi], w1[ti, pi], w2[ti, pi]], axis=1) / denom[:, None]
         pix_out.append(row[ti, pi] * width + col[ti, pi])
         tri_out.append(sel[ti])
         bary_out.append(bary)
 
-    if not pix_out:
-        return CoverageRecords()
     return CoverageRecords(
         pixel=np.concatenate(pix_out),
         tri=np.concatenate(tri_out),
@@ -211,31 +224,16 @@ def bary_interp(bary, vals):
 
 
 def ray_hits_at_point(px, py, tris_raster, tri_z):
-    """Depths of all triangles covering raster point (px, py).
+    """Sorted depths of all triangles covering raster point (px, py).
 
-    tri_z is (n, 3) per-vertex depth; returns sorted hit depths. Used by the
-    single-ray caster and by parity-repair recasts.
+    tri_z is (n, 3) per-vertex depth. Only triangles whose bounding box
+    holds the point, inclusive, are tested. Used by the single-ray caster
+    and by parity-repair recasts.
     """
-    tris = np.asarray(tris_raster, dtype=np.float64)
-    if tris.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    ax, ay = tris[:, 0, 0], tris[:, 0, 1]
-    bx, by = tris[:, 1, 0], tris[:, 1, 1]
-    cx, cy = tris[:, 2, 0], tris[:, 2, 1]
-    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    sgn = np.where(area2 < 0.0, -1.0, 1.0)
-    e0 = _edge_accepts_boundary(sgn * (cx - bx), sgn * (cy - by))
-    e1 = _edge_accepts_boundary(sgn * (ax - cx), sgn * (ay - cy))
-    e2 = _edge_accepts_boundary(sgn * (bx - ax), sgn * (by - ay))
-    w0, w1, w2 = edge_weights(px, py, ax, ay, bx, by, cx, cy)
-    w0, w1, w2 = w0 * sgn, w1 * sgn, w2 * sgn
-    inside = (area2 != 0.0) \
-        & ((w0 > 0) | ((w0 == 0) & e0)) \
-        & ((w1 > 0) | ((w1 == 0) & e1)) \
-        & ((w2 > 0) | ((w2 == 0) & e2))
-    if not inside.any():
-        return np.empty(0, dtype=np.float64)
-    zs = np.asarray(tri_z, dtype=np.float64)
-    denom = w0[inside] + w1[inside] + w2[inside]
-    bary = np.stack([w0[inside], w1[inside], w2[inside]], axis=1) / denom[:, None]
-    return np.sort(bary_interp(bary, zs[inside]))
+    tris = np.asarray(tris_raster, dtype=np.float64).reshape(-1, 3, 2)
+    xmin, xmax, ymin, ymax = _box(tris)
+    near = np.flatnonzero((xmin <= px) & (px <= xmax) & (ymin <= py) & (py <= ymax))
+    t = _setup(tris[near])
+    inside, bary = _covered(px, py, t, t.area2 != 0.0)
+    zs = np.asarray(tri_z, dtype=np.float64).reshape(-1, 3)[near[inside]]
+    return np.sort(bary_interp(bary, zs))

@@ -70,10 +70,7 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     if mesh.n_faces == 0:
         return NormalMap(out, mask)
 
-    ndc = frame.to_ndc(mesh.vertices)
-    rast = frame.raster_xy(ndc[:, :2])
-    tris = rast[mesh.faces]
-    depth = ndc[mesh.faces][:, :, 2]
+    tris, depth = frame.project_faces(mesh.vertices, mesh.faces)
     if view == BACK:
         depth = -depth
 

@@ -213,12 +213,20 @@ def read_pfm(path):
         scale = float(tokens[3])
     except ValueError as exc:
         raise ImageFormatError(path, offset, f"bad PFM header: {exc}") from exc
+    _check_size(path, offset, w, h)
     count = w * h * 3
     if len(blob) - offset < 4 * count:
         raise ImageFormatError(path, offset, "PFM payload truncated")
     dt = "<f4" if scale < 0 else ">f4"
     arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).reshape(h, w, 3)
     return arr[::-1].astype(np.float64)
+
+
+def _check_size(path, offset, w, h):
+    # 2**31 - 1 is PNG's limit; a larger side of an empty image can overflow
+    # numpy's shape arithmetic.
+    if not (0 <= w < 2**31 and 0 <= h < 2**31):
+        raise ImageFormatError(path, offset, f"image size {w}x{h} out of range")
 
 
 def _read_pnm_header(path, blob, magic):
@@ -249,6 +257,7 @@ def _read_pnm_header(path, blob, magic):
         raise ImageFormatError(path, offset, f"bad header field: {exc}") from exc
     if maxval != 255:
         raise ImageFormatError(path, offset, f"only maxval 255 supported, got {maxval}")
+    _check_size(path, offset, w, h)
     return w, h, offset
 
 
@@ -306,8 +315,8 @@ def _png_chunk(tag, body):
 def write_png16(path, normals):
     """Quantize a (H, W, 3) normal image with n*0.5+0.5 into 16-bit RGB PNG."""
     arr = np.asarray(normals, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ShapeError(f"PNG writer expects (H, W, 3), got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[2] != 3 or not arr.size:
+        raise ShapeError(f"PNG writer expects a non-empty (H, W, 3), got {arr.shape}")
     h, w, _ = arr.shape
     enc = np.clip(np.rint((arr * 0.5 + 0.5) * 65535.0), 0, 65535).astype(">u2")
     raw = enc.tobytes()
@@ -332,13 +341,17 @@ def read_png16(path):
             raise ImageFormatError(path, offset, "truncated chunk header")
         length, tag = struct.unpack_from(">I4s", blob, offset)
         body = blob[offset + 8:offset + 8 + length]
-        if len(body) < length:
-            raise ImageFormatError(path, offset, "truncated chunk body")
+        if offset + 12 + length > len(blob):
+            raise ImageFormatError(path, offset, "truncated chunk body or CRC")
         stored = struct.unpack_from(">I", blob, offset + 8 + length)[0]
         if zlib.crc32(tag + body) & 0xFFFFFFFF != stored:
             raise ImageFormatError(path, offset, f"bad CRC in {tag!r} chunk")
         if tag == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(path, offset, f"IHDR must be 13 bytes, got {length}")
             width, height, depth, ctype = struct.unpack_from(">IIBB", body, 0)
+            if not (0 < width < 2**31 and 0 < height < 2**31):
+                raise ImageFormatError(path, offset, f"PNG size {width}x{height} out of range")
             if depth != 16 or ctype != 2:
                 raise ImageFormatError(path, offset, "only 16-bit RGB PNG supported")
         elif tag == b"IDAT":
@@ -348,7 +361,10 @@ def read_png16(path):
         offset += 12 + length
     if width is None:
         raise ImageFormatError(path, 8, "missing IHDR")
-    raw = zlib.decompress(idat)
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise ImageFormatError(path, 8, f"bad IDAT stream: {exc}") from exc
     stride = width * 6
     if len(raw) != height * (stride + 1):
         raise ImageFormatError(path, 8, "decompressed size mismatch")

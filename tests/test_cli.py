@@ -100,6 +100,24 @@ class TestPipeline:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.oaht", tmp_path / "x.obj") == 3
 
+    @pytest.mark.parametrize("line", ["center = 0.0,0.0", "half_extent = nan"])
+    def test_bad_field_meta_is_config_error(self, workdir, tmp_path, capsys, line):
+        field = tmp_path / "f.oaht"
+        field.write_bytes((workdir / "gt.oaht").read_bytes())
+        key = line.split(" ")[0]
+        meta = [line if old.startswith(key + " ") else old
+                for old in (workdir / "gt.oaht.meta").read_text().splitlines()]
+        (tmp_path / "f.oaht.meta").write_text("\n".join(meta) + "\n")
+        assert run("reconstruct", field, tmp_path / "r.obj", "--grid-res", 8) == 2
+        err = capsys.readouterr().err
+        assert "bad field metadata" in err and "Traceback" not in err
+
+    def test_weights_section_is_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("fofkit.sweep.prepare_context", None)  # no sweep may start
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[weights]\nlambda_occ = 2.0\n")
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         assert run("sweep", "--out", tmp_path / "o", "--set", "bogus.key=1") == 2
 

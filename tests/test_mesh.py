@@ -12,7 +12,7 @@ from fofkit.mesh import (TriMesh, check_watertight, drop_degenerate_faces, field
                          fit_to_frame, load_obj, mesh_to_fof, mesh_volume_divergence,
                          normalize_mesh, ray_cast_all, ray_intervals, save_obj)
 from fofkit.metrics import chamfer
-from fofkit.raster import OrthoFrame
+from fofkit.raster import CoverageRecords, OrthoFrame, rasterize_coverage, ray_hits_at_point
 from fofkit.shapes import make_cube, make_sphere
 
 
@@ -438,6 +438,17 @@ class TestRayIntervals:
             ray_intervals(sphere_mesh, frame128, (128, 0))
 
 
+class TestOrthoFrame:
+    @pytest.mark.parametrize("kwargs", [
+        {"center": (0.0, 0.0)}, {"center": (0.0, 0.0, 0.0, 0.0)}, {"center": (0.0, np.nan, 0.0)},
+        {"center": (np.inf, 0.0, 0.0)}, {"center": "0,0,0"}, {"center": 0.0},
+        {"half_extent": 0.0}, {"half_extent": -1.0}, {"half_extent": np.inf},
+        {"half_extent": np.nan}])
+    def test_rejects_bad_center_and_extent(self, kwargs):
+        with pytest.raises(DomainError):
+            OrthoFrame(8, 8, **kwargs)
+
+
 class TestParity:
     def test_even_hit_counts(self, sphere_mesh, frame128):
         pix, z = ray_cast_all(sphere_mesh, frame128)
@@ -477,6 +488,21 @@ class TestMeshToFof:
             expected = intervals_to_coeffs(iv, cfg)
             assert np.array_equal(sphere_field.data[pixel[0], pixel[1]], expected)
 
+    @pytest.mark.parametrize("shape, res", [("sphere", 32), ("torus", 24), ("cube", 2),
+                                            ("cube", 6)])
+    def test_every_pixel_matches_per_ray_path(self, sphere_mesh, torus_mesh, shape, res,
+                                              caplog):
+        # At 2 and 6 pixels the cube's corners and edges lie on pixel centers.
+        mesh = {"sphere": sphere_mesh, "torus": torus_mesh, "cube": make_cube(1.0)}[shape]
+        frame, cfg = OrthoFrame(res, res), BasisConfig(7)
+        with caplog.at_level(logging.WARNING, logger="fofkit.mesh"):
+            field = mesh_to_fof(mesh, frame, cfg)
+            for row in range(res):
+                for col in range(res):
+                    expected = intervals_to_coeffs(ray_intervals(mesh, frame, (row, col)), cfg)
+                    assert np.array_equal(field.data[row, col], expected), (row, col)
+        assert not caplog.records  # the tie rule alone keeps every count even
+
     def test_sphere_volume_within_1pct(self, sphere_field, frame128):
         vol = field_volume(sphere_field, frame128)
         assert vol == pytest.approx(4 / 3 * np.pi * 0.6 ** 3, rel=0.01)
@@ -510,6 +536,33 @@ class TestNormalize:
         assert np.max(np.abs([lo, hi])) <= 0.9 + 1e-12
 
 
+class TestTieRule:
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("diagonal", ["/", "\\", "mixed"])
+    def test_grid_owns_each_point_once(self, flip, diagonal):
+        # A 4x4-cell triangle grid whose vertices and edges lie on pixel
+        # centers: every center inside it belongs to exactly one triangle.
+        n = 5
+        tris = []
+        for r in range(n - 1):
+            for c in range(n - 1):
+                a, b, d, e = (c, r), (c + 1, r), (c, r + 1), (c + 1, r + 1)
+                if diagonal == "/" or (diagonal == "mixed" and (r + c) % 2):
+                    tris += [(a, b, d), (b, e, d)]
+                else:
+                    tris += [(a, b, e), (a, e, d)]
+        tris = np.array(tris, dtype=np.float64) + 0.5
+        if flip:
+            tris = tris[:, ::-1]
+        tri_z = np.zeros(tris.shape[:2])
+        rec = rasterize_coverage(tris, 8, 8)
+        counts = np.bincount(rec.pixel, minlength=64).reshape(8, 8)
+        assert np.all(counts[1:n - 1, 1:n - 1] == 1)
+        for row in range(1, n - 1):
+            for col in range(1, n - 1):
+                assert len(ray_hits_at_point(col + 0.5, row + 0.5, tris, tri_z)) == 1
+
+
 class TestDegenerateRayPolicy:
     def test_corner_on_pixel_center_stays_even(self):
         # cube corners projecting exactly onto pixel centers: the coverage
@@ -519,6 +572,26 @@ class TestDegenerateRayPolicy:
         pix, z = ray_cast_all(cube, frame)
         counts = np.bincount(pix, minlength=4)
         assert np.all(counts % 2 == 0)
+
+    def test_parity_repair_recasts_odd_pixels(self, monkeypatch, caplog):
+        # drop one coverage record: its pixel's count turns odd, and the
+        # repair recasts that pixel through the single-ray caster
+        import fofkit.mesh as mesh_mod
+
+        frame = OrthoFrame(16, 16)
+        cube = make_cube(1.0)
+        want_pix, want_z = ray_cast_all(cube, frame)
+        real = mesh_mod.rasterize_coverage
+
+        def drop_first(tris, width, height):
+            rec = real(tris, width, height)
+            return CoverageRecords(rec.pixel[1:], rec.tri[1:], rec.bary[1:])
+
+        monkeypatch.setattr(mesh_mod, "rasterize_coverage", drop_first)
+        with caplog.at_level(logging.WARNING, logger="fofkit.mesh"):
+            pix, z = ray_cast_all(cube, frame)
+        assert np.array_equal(pix, want_pix) and np.array_equal(z, want_z)
+        assert not caplog.records  # the unjittered recast is already even
 
     def test_jitter_retries_then_empty(self, monkeypatch, frame128):
         # force odd hit counts: the caster must recast with the fixed diagonal
