@@ -12,6 +12,11 @@ form (summed over intervals for multi-interval rays):
     c_cos_n  += (sin(n pi b) - sin(n pi a)) / (n pi)
     c_sin_n  += (cos(n pi a) - cos(n pi b)) / (n pi)
 
+interval_terms is the one implementation of these terms, one row per
+interval. intervals_to_coeffs adds a ray's rows in ascending order, and the
+batched encoder mesh.mesh_to_fof adds every pixel's rows in the same order,
+so both give the same coefficients bit for bit.
+
 Channel layout is [1, cos(pi z), sin(pi z), cos(2 pi z), sin(2 pi z), ...]
 giving K = 2 * order + 1 channels. Decoded values are not clamped: the
 truncation ringing is part of the representation and the 0.5 iso-crossing is
@@ -134,18 +139,32 @@ def basis_eval(z, cfg=BasisConfig()):
     return out
 
 
+def interval_terms(a, b, cfg=BasisConfig()):
+    """Closed-form coefficients of each interval [a_i, b_i] on its own.
+
+    a and b are equal-length arrays of interval endpoints; row i of the
+    (len(a), K) result is the projection of the indicator of [a_i, b_i].
+    Summing rows in ascending interval order is intervals_to_coeffs; the
+    batched encoder (mesh.mesh_to_fof) adds the same rows per pixel.
+    """
+    a = np.asarray(a, dtype=np.float64)[:, None]
+    b = np.asarray(b, dtype=np.float64)[:, None]
+    freqs = cfg.freqs()
+    terms = np.empty((a.shape[0], cfg.channels), dtype=np.float64)
+    terms[:, :1] = (b - a) / 2.0
+    terms[:, 1::2] = (np.sin(freqs * b) - np.sin(freqs * a)) / freqs
+    terms[:, 2::2] = (np.cos(freqs * a) - np.cos(freqs * b)) / freqs
+    return terms
+
+
 def intervals_to_coeffs(iv, cfg=BasisConfig()):
-    """Closed-form coefficients of the occupancy indicator of ``iv``."""
+    """Closed-form coefficients of the occupancy indicator of ``iv``: the
+    rows of interval_terms added in ascending interval order from zero."""
     if not isinstance(iv, IntervalList):
         iv = IntervalList(iv)
     coeffs = np.zeros(cfg.channels, dtype=np.float64)
-    freqs = cfg.freqs()
-    # Sequential accumulation over ascending intervals; the batched encoder in
-    # mesh.py reproduces this order so both paths agree bit-for-bit.
-    for a, b in iv.intervals:
-        coeffs[0] += (b - a) / 2.0
-        coeffs[1::2] += (np.sin(freqs * b) - np.sin(freqs * a)) / freqs
-        coeffs[2::2] += (np.cos(freqs * a) - np.cos(freqs * b)) / freqs
+    for row in interval_terms(iv.intervals[:, 0], iv.intervals[:, 1], cfg):
+        coeffs += row
     return coeffs
 
 

@@ -2,7 +2,7 @@
 
 Encoding casts one +z ray per pixel center through the mesh, pairs the sorted
 hit depths by parity into inside intervals, and feeds them to the closed-form
-coefficient formula. Hits are produced by 2D triangle coverage in raster
+coefficient terms of fof.interval_terms. Hits are produced by 2D triangle coverage in raster
 space (see raster.py), which is exact for orthographic rays and gives the
 deterministic shared-edge ownership a watertight count needs. The batched
 encoder and the single-ray caster use the same coverage rule; a single ray
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, MeshError, ObjParseError, ShapeError
-from .fof import BasisConfig, FourierField, IntervalList
+from .fof import BasisConfig, FourierField, IntervalList, interval_terms
 from .raster import OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
 
 log = logging.getLogger(__name__)
@@ -312,7 +312,8 @@ def check_watertight(mesh):
     """(is_watertight, boundary_edges).
 
     Watertight means every undirected edge is used by exactly two faces with
-    opposite traversal orientation (vacuously true for an empty mesh).
+    opposite traversal orientation (vacuously true for an empty mesh): the
+    directed edges are distinct and are the same set as their reverses.
     boundary_edges lists offending (a, b) vertex pairs.
     """
     f = mesh.faces
@@ -323,20 +324,14 @@ def check_watertight(mesh):
     code = edges[:, 0] * n + edges[:, 1]
     rev_code = edges[:, 1] * n + edges[:, 0]
     code_sorted = np.sort(code)
-    # Each directed edge must be unique and its reverse present exactly once.
     dup = code_sorted[1:] == code_sorted[:-1]
+    if not dup.any() and np.array_equal(code_sorted, np.sort(rev_code)):
+        return True, []
+    # Offending edges: repeated ones and those whose reverse is missing.
     pos = np.searchsorted(code_sorted, rev_code)
     has_rev = (pos < len(code_sorted)) & (code_sorted[np.minimum(pos, len(code_sorted) - 1)] == rev_code)
-    bad = np.zeros(len(edges), dtype=bool)
-    if dup.any():
-        dup_codes = np.unique(code_sorted[1:][dup])
-        bad |= np.isin(code, dup_codes)
-    bad |= ~has_rev
-    if not bad.any():
-        return True, []
-    offending = edges[bad]
-    und = np.sort(offending, axis=1)
-    und = np.unique(und, axis=0)
+    bad = ~has_rev | np.isin(code, code_sorted[1:][dup])
+    und = np.unique(np.sort(edges[bad], axis=1), axis=0)
     return False, [tuple(int(x) for x in e) for e in und]
 
 
@@ -513,9 +508,9 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
     """Encode a watertight mesh into a FourierField over the frame.
 
     Equivalent to per-pixel ray_intervals + intervals_to_coeffs, but batched:
-    all pixel hits are produced by one vectorized coverage pass and the
-    closed-form coefficient updates are accumulated per interval in ascending
-    depth order (the same order the per-ray path uses).
+    all pixel hits come from one vectorized coverage pass, and the
+    interval_terms rows of every interval are added to their pixels in
+    ascending depth order, the order intervals_to_coeffs adds them in.
     """
     pix, z = ray_cast_all(mesh, frame)
     H, W, K = frame.height, frame.width, cfg.channels
@@ -527,13 +522,7 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
         if not np.array_equal(ipix, pix[1::2]):
             raise MeshError("internal: unpaired ray hits after parity repair")
         keep = b > a
-        a, b, ipix = a[keep], b[keep], ipix[keep]
-        np.add.at(data[:, 0], ipix, (b - a) / 2.0)
-        freqs = cfg.freqs()
-        for n in range(cfg.order):
-            w = freqs[n]
-            np.add.at(data[:, 1 + 2 * n], ipix, (np.sin(w * b) - np.sin(w * a)) / w)
-            np.add.at(data[:, 2 + 2 * n], ipix, (np.cos(w * a) - np.cos(w * b)) / w)
+        np.add.at(data, ipix[keep], interval_terms(a[keep], b[keep], cfg))
     return FourierField(data.reshape(H, W, K))
 
 

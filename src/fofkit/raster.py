@@ -63,10 +63,6 @@ class OrthoFrame:
         p = np.asarray(points, dtype=np.float64)
         return (p - np.asarray(self.center)) / self.half_extent
 
-    def from_ndc(self, points):
-        p = np.asarray(points, dtype=np.float64)
-        return p * self.half_extent + np.asarray(self.center)
-
     def raster_xy(self, ndc_xy):
         """NDC (x, y) -> raster pixel units (x right, y down)."""
         xy = np.asarray(ndc_xy, dtype=np.float64)
@@ -82,12 +78,6 @@ class OrthoFrame:
 
     def pixel_center_raster(self, row, col):
         return float(col) + 0.5, float(row) + 0.5
-
-    def pixel_centers_ndc(self):
-        """(H, W) grids of pixel-center NDC x and y."""
-        xs = -1.0 + 2.0 * (np.arange(self.width) + 0.5) / self.width
-        ys = 1.0 - 2.0 * (np.arange(self.height) + 0.5) / self.height
-        return np.meshgrid(xs, ys)
 
 
 def _edge_accepts_boundary(dx, dy):

@@ -1,10 +1,13 @@
 """Iso-surface extraction, surface sampling, and volume measurement.
 
 marching_cubes uses the classic 15-configuration tables with linear
-interpolation of edge crossings. Vertices are deduplicated by their global
-grid-edge key, so the output is independent of traversal order and adjacent
-cubes share vertices exactly. The rare face ambiguities of the classic tables
-are accepted; the harness measures distances, not genus.
+interpolation of edge crossings. It takes the cube layout (corner offsets,
+and each edge's axis and lower corner) from mc_tables, so the case bits, the
+crossing-edge vertices and the table's edge numbers all follow one
+definition. Vertices are deduplicated by their global grid-edge key, so the
+output is independent of traversal order and adjacent cubes share vertices
+exactly. The rare face ambiguities of the classic tables are accepted; the
+harness measures distances, not genus.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import numpy as np
 from .errors import DomainError, MeshError, ShapeError
 from .fof import FourierField, decode_grid, depth_samples
 from .mesh import TriMesh, check_watertight, mesh_volume_divergence
-from .mc_tables import TRI_TABLE
+from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
 from .rng import Xoshiro256StarStar
 
@@ -68,68 +71,42 @@ def marching_cubes(grid, iso=0.5):
     """
     v = grid.values
     below = v < iso
+    cells = tuple(n - 1 for n in v.shape)
 
-    # Case index per cube from the 8 corner bits.
-    b = [below[:-1, :-1, :-1], below[1:, :-1, :-1], below[1:, 1:, :-1], below[:-1, 1:, :-1],
-         below[:-1, :-1, 1:], below[1:, :-1, 1:], below[1:, 1:, 1:], below[:-1, 1:, 1:]]
-    case = np.zeros(b[0].shape, dtype=np.int64)
-    for bit, corner in enumerate(b):
-        case |= corner.astype(np.int64) << bit
-    active = (case != 0) & (case != 255)
-    if not active.any():
+    # Case index per cube: bit c is set when corner c is below iso.
+    case = np.zeros(cells, dtype=np.uint8)
+    for bit, offset in enumerate(CORNER_OFFSETS):
+        corner = below[tuple(slice(o, o + n) for o, n in zip(offset, cells))]
+        case |= corner.view(np.uint8) << bit
+    ci, cj, ck = np.nonzero((case != 0) & (case != 255))
+    if not len(ci):
         return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
-    ci, cj, ck = np.nonzero(active)
-    case_a = case[ci, cj, ck]
 
-    # One vertex per crossing grid edge, indexed globally per axis.
-    def crossings(axis):
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(None, -1)
-        sl_hi[axis] = slice(1, None)
-        va = v[tuple(sl_lo)]
-        vb = v[tuple(sl_hi)]
-        mask = below[tuple(sl_lo)] != below[tuple(sl_hi)]
-        idx = np.full(va.shape, -1, dtype=np.int64)
-        n = int(mask.sum())
-        idx[mask] = np.arange(n)
-        t = (iso - va[mask]) / (vb[mask] - va[mask])
-        base = np.stack(np.nonzero(mask), axis=1).astype(np.float64)
-        base[:, axis] += t
-        pos = grid.origin + grid.spacing * base
-        return idx, pos, n
+    # One vertex per crossing grid edge, numbered axis by axis: vid[axis][p]
+    # is the vertex on the edge from grid point p along axis (0 elsewhere).
+    vid = np.zeros((3,) + v.shape, dtype=np.int64)
+    positions, n = [], 0
+    for axis in range(3):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        cross = np.nonzero(below[lo] != below[hi])
+        va, vb = v[lo][cross], v[hi][cross]
+        vid[axis][cross] = np.arange(n, n + len(va))
+        base = np.stack(cross, axis=1).astype(np.float64)
+        base[:, axis] += (iso - va) / (vb - va)
+        positions.append(grid.origin + grid.spacing * base)
+        n += len(va)
 
-    vidx_x, pos_x, nx = crossings(0)
-    vidx_y, pos_y, ny = crossings(1)
-    vidx_z, pos_z, nz = crossings(2)
-    vidx_y_off = vidx_y.copy()
-    vidx_y_off[vidx_y >= 0] += nx
-    vidx_z_off = vidx_z.copy()
-    vidx_z_off[vidx_z >= 0] += nx + ny
-    vertices = np.concatenate([pos_x, pos_y, pos_z], axis=0)
-
-    # Global vertex id of each of the 12 cube edges, per active cube.
-    edge_vertex = np.stack([
-        vidx_x[ci, cj, ck],
-        vidx_y_off[ci + 1, cj, ck],
-        vidx_x[ci, cj + 1, ck],
-        vidx_y_off[ci, cj, ck],
-        vidx_x[ci, cj, ck + 1],
-        vidx_y_off[ci + 1, cj, ck + 1],
-        vidx_x[ci, cj + 1, ck + 1],
-        vidx_y_off[ci, cj, ck + 1],
-        vidx_z_off[ci, cj, ck],
-        vidx_z_off[ci + 1, cj, ck],
-        vidx_z_off[ci + 1, cj + 1, ck],
-        vidx_z_off[ci, cj + 1, ck],
-    ], axis=1)
-
-    rows = TRI_TABLE[case_a]  # (n_active, 16), -1 padded in trailing triples
-    valid = rows >= 0
-    faces = edge_vertex[np.nonzero(valid)[0], rows[valid]].reshape(-1, 3)
+    # Each face corner is a cube edge named by TRI_TABLE; its vertex id sits
+    # at a fixed flat offset from the cube's own grid point in vid.
+    edge_offset = EDGE_AXIS * v.size + np.ravel_multi_index(EDGE_ORIGIN.T, v.shape)
+    rows = TRI_TABLE[case[ci, cj, ck]]  # (n_active, 16), -1 padded in trailing triples
+    cube, slot = np.nonzero(rows >= 0)
+    point = np.ravel_multi_index((ci[cube], cj[cube], ck[cube]), v.shape)
+    faces = vid.ravel()[point + edge_offset[rows[cube, slot]]].reshape(-1, 3)
     # The table's winding already points out of the high-occupancy region
     # under this corner layout (verified by signed volume on spheres).
-    return TriMesh(vertices, faces)
+    return TriMesh(np.concatenate(positions, axis=0), faces)
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):

@@ -3,12 +3,17 @@
 Tensor container layout (all integers little-endian):
 
     magic   4 bytes  b"OAHT"
-    version u16      1
+    version u16      2
     dtype   u8       1 = float32
     ndim    u8
     dims    ndim * u64
     payload product(dims) float32 values, row-major
-    footer  u64      CRC-64 of the payload bytes
+    footer  u64      CRC-64 of every byte before it, header included
+
+Version 1 files, whose footer is the CRC-64 of the payload bytes only,
+still read; their header is unprotected, so a dims edit that keeps the
+element count reads back in the edited shape. write_tensor writes
+version 2.
 
 The CRC is CRC-64/XZ: ECMA-182 polynomial 0x42F0E1EBA9EA3693, bit-reflected,
 initial value and final xor 0xFFFFFFFFFFFFFFFF. crc64 computes it as array
@@ -36,7 +41,7 @@ from .errors import (BadMagicError, CrcMismatchError, ImageFormatError, ShapeErr
                      TensorFormatError, TruncatedPayloadError, UnsupportedVersionError)
 
 MAGIC = b"OAHT"
-VERSION = 1
+VERSION = 2
 DTYPE_F32 = 1
 
 _CRC_POLY_REFLECTED = 0xC96C5795D7870F42  # ECMA-182, bit-reversed
@@ -139,13 +144,12 @@ def write_tensor(path, data, dims=None):
             raise ShapeError(f"dims {tuple(dims)} do not match {arr.size} values")
         arr = arr.reshape(dims)
     arr = np.ascontiguousarray(arr, dtype="<f4").reshape(arr.shape)  # keeps 0-d as 0-d
+    header = MAGIC + struct.pack(f"<HBB{arr.ndim}Q", VERSION, DTYPE_F32, arr.ndim, *arr.shape)
     payload = arr.tobytes()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HBB", VERSION, DTYPE_F32, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        fh.write(header)
         fh.write(payload)
-        fh.write(struct.pack("<Q", crc64(payload)))
+        fh.write(struct.pack("<Q", crc64(payload, crc64(header))))
 
 
 def read_tensor(path):
@@ -155,7 +159,7 @@ def read_tensor(path):
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a tensor container (bad magic)")
     version, dtype_code, ndim = struct.unpack_from("<HBB", blob, 4)
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise UnsupportedVersionError(f"{path}: unsupported container version {version}")
     if dtype_code != DTYPE_F32:
         raise UnsupportedVersionError(f"{path}: unsupported dtype code {dtype_code}")
@@ -171,8 +175,9 @@ def read_tensor(path):
         raise TruncatedPayloadError(
             f"{path}: expected {payload_end + 8} bytes, found {len(blob)}")
     stored = struct.unpack_from("<Q", blob, payload_end)[0]
-    if crc64(memoryview(blob)[header_end:payload_end]) != stored:
-        raise CrcMismatchError(f"{path}: payload CRC mismatch")
+    covered = header_end if version == 1 else 0
+    if crc64(memoryview(blob)[covered:payload_end]) != stored:
+        raise CrcMismatchError(f"{path}: CRC mismatch")
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=header_end)
     try:
         arr = arr.reshape(dims)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import (BasisConfig, FourierField, IntervalList, basis_eval,
-                        decode_grid, decode_ray, depth_samples,
+                        decode_grid, decode_ray, depth_samples, interval_terms,
                         intervals_to_coeffs, parseval_energy)
 from fofkit.selftest import (coeffs_by_quadrature, quadrature_grid,
                              random_snapped_intervals)
@@ -112,6 +112,51 @@ class TestIntervalsToCoeffs:
             lhs = intervals_to_coeffs(union, cfg)
             rhs = intervals_to_coeffs(iv_a, cfg) + intervals_to_coeffs(iv_b, cfg)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def intervals_to_coeffs_by_interval(iv, cfg):
+    """Reference: intervals_to_coeffs as it was when it wrote the closed form
+    out itself, one update per interval in ascending order, kept as it was."""
+    coeffs = np.zeros(cfg.channels, dtype=np.float64)
+    freqs = cfg.freqs()
+    for a, b in IntervalList(iv).intervals:
+        coeffs[0] += (b - a) / 2.0
+        coeffs[1::2] += (np.sin(freqs * b) - np.sin(freqs * a)) / freqs
+        coeffs[2::2] += (np.cos(freqs * a) - np.cos(freqs * b)) / freqs
+    return coeffs
+
+
+# Disjoint ascending intervals: sorted distinct depths, paired in order.
+_INTERVALS = st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=12, unique=True).map(
+    lambda zs: np.sort(np.array(zs[:len(zs) // 2 * 2], dtype=np.float64)).reshape(-1, 2))
+
+
+class TestIntervalTerms:
+    """intervals_to_coeffs and the batched encoder share interval_terms; the
+    sum of its rows must equal the per-interval closed form bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(iv=_INTERVALS, order=st.integers(0, 31))
+    def test_matches_per_interval_loop(self, iv, order):
+        cfg = BasisConfig(order)
+        got = intervals_to_coeffs(iv, cfg)
+        assert np.array_equal(bits(got), bits(intervals_to_coeffs_by_interval(iv, cfg)))
+
+    def test_touching_and_full_range_intervals(self):
+        cfg = BasisConfig(15)
+        for iv in ([(-1.0, 1.0)], [(-1.0, -0.25), (-0.25, 0.5), (0.5, 1.0)],
+                   [(-5e-324, 5e-324)], [(0.3, 0.3 + 2.0 ** -50)]):
+            got = intervals_to_coeffs(iv, cfg)
+            assert np.array_equal(bits(got), bits(intervals_to_coeffs_by_interval(iv, cfg)))
+
+    def test_one_row_per_interval(self, rng):
+        cfg = BasisConfig(4)
+        iv = np.sort(rng.uniform(-1, 1, size=10)).reshape(-1, 2)
+        terms = interval_terms(iv[:, 0], iv[:, 1], cfg)
+        assert terms.shape == (5, cfg.channels)
+        for row, (a, b) in zip(terms, iv):
+            assert np.array_equal(bits(row), bits(intervals_to_coeffs([(a, b)], cfg)))
+        assert interval_terms(np.empty(0), np.empty(0), cfg).shape == (0, cfg.channels)
 
 
 class TestDecodeRay:

@@ -142,6 +142,59 @@ class TestTensorFuzz:
         if not dims_edited:
             assert dims == arr.shape
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arr=arrays(np.float32, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                      elements=st.floats(width=32)),
+           edit=st.one_of(st.tuples(st.sampled_from(["version", "dtype", "ndim", "dim"]),
+                                    st.integers(0, 2**72 - 1)),
+                          st.tuples(st.just("version"), st.just(1))))
+    def test_header_rewrite_rejected(self, tmp_path, arr, edit):
+        # The version 2 CRC covers the header: any rewritten field fails.
+        path = tmp_path / "h.oaht"
+        write_tensor(path, arr)
+        blob = path.read_bytes()
+        edited = _header_edit(blob, *edit)
+        assume(edited != blob)
+        path.write_bytes(edited)
+        with pytest.raises(FofkitError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("rewrite", ["downgrade", "swap_dims"])
+    def test_header_rewrite_is_a_crc_mismatch(self, tmp_path, rewrite):
+        # Read as version 1, or with dims (4, 8) swapped to (8, 4), the file
+        # keeps its length, so only the CRC over the header tells.
+        path = tmp_path / "d.oaht"
+        write_tensor(path, np.arange(32, dtype=np.float32).reshape(4, 8))
+        blob = path.read_bytes()
+        if rewrite == "downgrade":
+            blob = _header_edit(blob, "version", 1)
+        else:
+            blob = _header_edit(_header_edit(blob, "dim", 8 << 8), "dim", 4 << 8 | 1)
+        path.write_bytes(blob)
+        with pytest.raises(CrcMismatchError):
+            read_tensor(path)
+
+    def test_reads_version_1(self, tmp_path):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        payload = arr.tobytes()
+        v1 = b"OAHT" + struct.pack("<HBB2Q", 1, 1, 2, 2, 3) + payload
+        path = tmp_path / "v1.oaht"
+        path.write_bytes(v1 + struct.pack("<Q", crc64(payload)))
+        dims, back = read_tensor(path)
+        assert dims == (2, 3) and np.array_equal(back, arr)
+        # Its header is not covered: swapped dims read back in the new shape.
+        path.write_bytes(_header_edit(_header_edit(path.read_bytes(), "dim", 3 << 8),
+                                      "dim", 2 << 8 | 1))
+        assert read_tensor(path)[0] == (3, 2)
+
+    def test_writes_version_2_with_whole_file_crc(self, tmp_path):
+        path = tmp_path / "v2.oaht"
+        write_tensor(path, np.ones((2, 2), dtype=np.float32))
+        blob = path.read_bytes()
+        assert struct.unpack_from("<H", blob, 4)[0] == 2
+        assert struct.unpack_from("<Q", blob, len(blob) - 8)[0] == crc64(blob[:-8])
+
     def test_zeroed_dim_over_zero_payload_rejected(self, tmp_path):
         # With dims (2, 0) the payload is empty and the "CRC" is read from the
         # first eight zero payload bytes, which is the CRC of no bytes.

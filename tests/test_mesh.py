@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -400,6 +401,59 @@ class TestWatertight:
         mesh = tetrahedron()
         doubled = TriMesh(mesh.vertices, np.vstack([mesh.faces, mesh.faces[:1]]))
         assert not check_watertight(doubled)[0]
+
+
+def watertight_by_counter(faces):
+    """Definition check: every directed edge occurs exactly once and so does
+    its reverse; the boundary is each undirected edge where that fails."""
+    directed = Counter((int(f[i]), int(f[(i + 1) % 3])) for f in faces for i in range(3))
+    bad = {tuple(sorted(e)) for e, count in directed.items()
+           if count != 1 or directed[e[::-1]] != 1}
+    return not bad, sorted(bad)
+
+
+# Edits of a closed mesh: drop, duplicate or flip a face, flip every face,
+# add a face with a self-loop edge (a, a), or add any face at all.
+_MESH_EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["drop", "dup", "flip"]), st.integers(0, 2**16)),
+    st.tuples(st.just("flip_all")),
+    st.tuples(st.just("loop"), st.integers(0, 11), st.integers(0, 11)),
+    st.tuples(st.just("add"), st.integers(0, 11), st.integers(0, 11), st.integers(0, 11)),
+), max_size=4)
+
+
+class TestWatertightDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(["tetrahedron", "icosahedron"]), edits=_MESH_EDITS)
+    def test_matches_directed_edge_counts(self, base, edits):
+        mesh = tetrahedron() if base == "tetrahedron" else make_sphere(0.6, 0)
+        faces = [list(f) for f in mesh.faces]
+        n = mesh.n_vertices
+        for edit in edits:
+            if edit[0] == "flip_all":
+                faces = [f[::-1] for f in faces]
+            elif edit[0] in ("loop", "add"):
+                corners = edit[1:] if edit[0] == "add" else (edit[1], edit[1], edit[2])
+                faces.append([c % n for c in corners])
+            elif faces:
+                i = edit[1] % len(faces)
+                if edit[0] == "drop":
+                    faces.pop(i)
+                elif edit[0] == "dup":
+                    faces.append(list(faces[i]))
+                else:
+                    faces[i] = faces[i][::-1]
+        got = check_watertight(TriMesh(mesh.vertices, np.array(faces, dtype=np.int64)))
+        assert got == watertight_by_counter(faces)
+
+    def test_cases_of_both_kinds(self):
+        closed = make_sphere(0.6, 0)
+        for faces in (closed.faces, closed.faces[:, ::-1], np.array([[0, 0, 1]])):
+            assert check_watertight(TriMesh(closed.vertices, faces)) == (True, [])
+        for faces in (closed.faces[1:], np.vstack([closed.faces, closed.faces[:1, ::-1]]),
+                      np.vstack([closed.faces[1:], closed.faces[:1, ::-1]])):
+            got = check_watertight(TriMesh(closed.vertices, faces))
+            assert not got[0] and got == watertight_by_counter(faces)
 
 
 class TestRayIntervals:

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fofkit.completion import vgcc_blend
+from fofkit.config import HarnessConfig
 from fofkit.errors import DomainError, MeshError
 from fofkit.fof import BasisConfig
 from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
+from fofkit.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_ORIGIN, TRI_TABLE
 from fofkit.metrics import chamfer
+from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.shapes import make_cube, make_sphere
 from fofkit.surface import (OccupancyGrid, field_to_grid, marching_cubes,
                             mesh_volume, reconstruct_field, sample_surface)
+from fofkit.sweep import prepare_context
 
 SPHERE_AREA = 4 * np.pi * 0.6 ** 2
 SPHERE_VOLUME = 4 / 3 * np.pi * 0.6 ** 3
@@ -79,6 +87,152 @@ class TestMarchingCubes:
             pts, _ = sample_surface(recon, 10_000, seed=5)
             cds.append(chamfer(pts, gt_pts))
         assert cds[2] <= cds[1] <= cds[0]
+
+
+def marching_cubes_by_hand(grid, iso=0.5):
+    """Reference extractor: marching_cubes as it was when it spelled out the
+    cube layout itself (eight corner slices, an int64 case array, -1 filled
+    index grids with offset copies and a twelve-row edge gather), kept as
+    it was."""
+    v = grid.values
+    below = v < iso
+
+    # Case index per cube from the 8 corner bits.
+    b = [below[:-1, :-1, :-1], below[1:, :-1, :-1], below[1:, 1:, :-1], below[:-1, 1:, :-1],
+         below[:-1, :-1, 1:], below[1:, :-1, 1:], below[1:, 1:, 1:], below[:-1, 1:, 1:]]
+    case = np.zeros(b[0].shape, dtype=np.int64)
+    for bit, corner in enumerate(b):
+        case |= corner.astype(np.int64) << bit
+    active = (case != 0) & (case != 255)
+    if not active.any():
+        return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+    ci, cj, ck = np.nonzero(active)
+    case_a = case[ci, cj, ck]
+
+    # One vertex per crossing grid edge, indexed globally per axis.
+    def crossings(axis):
+        sl_lo = [slice(None)] * 3
+        sl_hi = [slice(None)] * 3
+        sl_lo[axis] = slice(None, -1)
+        sl_hi[axis] = slice(1, None)
+        va = v[tuple(sl_lo)]
+        vb = v[tuple(sl_hi)]
+        mask = below[tuple(sl_lo)] != below[tuple(sl_hi)]
+        idx = np.full(va.shape, -1, dtype=np.int64)
+        n = int(mask.sum())
+        idx[mask] = np.arange(n)
+        t = (iso - va[mask]) / (vb[mask] - va[mask])
+        base = np.stack(np.nonzero(mask), axis=1).astype(np.float64)
+        base[:, axis] += t
+        pos = grid.origin + grid.spacing * base
+        return idx, pos, n
+
+    vidx_x, pos_x, nx = crossings(0)
+    vidx_y, pos_y, ny = crossings(1)
+    vidx_z, pos_z, nz = crossings(2)
+    vidx_y_off = vidx_y.copy()
+    vidx_y_off[vidx_y >= 0] += nx
+    vidx_z_off = vidx_z.copy()
+    vidx_z_off[vidx_z >= 0] += nx + ny
+    vertices = np.concatenate([pos_x, pos_y, pos_z], axis=0)
+
+    # Global vertex id of each of the 12 cube edges, per active cube.
+    edge_vertex = np.stack([
+        vidx_x[ci, cj, ck],
+        vidx_y_off[ci + 1, cj, ck],
+        vidx_x[ci, cj + 1, ck],
+        vidx_y_off[ci, cj, ck],
+        vidx_x[ci, cj, ck + 1],
+        vidx_y_off[ci + 1, cj, ck + 1],
+        vidx_x[ci, cj + 1, ck + 1],
+        vidx_y_off[ci, cj, ck + 1],
+        vidx_z_off[ci, cj, ck],
+        vidx_z_off[ci + 1, cj, ck],
+        vidx_z_off[ci + 1, cj + 1, ck],
+        vidx_z_off[ci, cj + 1, ck],
+    ], axis=1)
+
+    rows = TRI_TABLE[case_a]  # (n_active, 16), -1 padded in trailing triples
+    valid = rows >= 0
+    faces = edge_vertex[np.nonzero(valid)[0], rows[valid]].reshape(-1, 3)
+    return TriMesh(vertices, faces)
+
+
+def assert_same_extraction(grid, iso=0.5):
+    got, want = marching_cubes(grid, iso), marching_cubes_by_hand(grid, iso)
+    assert got.vertices.shape == want.vertices.shape
+    assert np.array_equal(got.vertices.view(np.int64), want.vertices.view(np.int64))
+    assert got.faces.dtype == want.faces.dtype
+    assert np.array_equal(got.faces, want.faces)
+    return got
+
+
+@pytest.fixture(scope="module")
+def sweep_fields():
+    """The default sweep's naive and blend fields of one occluded cell, and
+    its naive field under the noise policy."""
+    cfg = HarnessConfig.load()
+    ctx = prepare_context(cfg)
+    pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, 0, 0.4))
+    naive = occlude_field(ctx["c_gt"], pair, "zero", sigma=cfg.noise_sigma, seed=0)
+    noisy = occlude_field(ctx["c_gt"], pair, "noise", sigma=cfg.noise_sigma, seed=0)
+    blend = vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)
+    return ctx["frame"], cfg.grid_res, {"naive": naive, "blend": blend, "noise": noisy}
+
+
+class TestCubeLayout:
+    """marching_cubes reads its cube layout from mc_tables; it must extract
+    what the hand-written layout did, bit for bit."""
+
+    def test_edges_are_unit_grid_edges(self):
+        for e, (c0, c1) in enumerate(EDGE_CORNERS):
+            step = np.zeros(3, dtype=np.int64)
+            step[EDGE_AXIS[e]] = 1
+            ends = {tuple(CORNER_OFFSETS[c0]), tuple(CORNER_OFFSETS[c1])}
+            assert ends == {tuple(EDGE_ORIGIN[e]), tuple(EDGE_ORIGIN[e] + step)}, e
+
+    def test_corner_offsets_are_the_unit_cube(self):
+        assert {tuple(c) for c in CORNER_OFFSETS} == {
+            (i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 6),
+                                               st.integers(2, 6)),
+                         elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+    def test_samples_at_iso(self, values):
+        assert_same_extraction(unit_grid(values))
+
+    def test_random_grid_with_exact_iso_samples(self):
+        rng = np.random.default_rng(7)
+        values = rng.random((12, 9, 10))
+        values[rng.random(values.shape) < 0.2] = 0.5
+        assert assert_same_extraction(unit_grid(values)).n_faces > 0
+
+    @pytest.mark.parametrize("fill", [0.0, 0.49, 0.5, 1.0])
+    def test_constant_grid(self, fill):
+        assert assert_same_extraction(unit_grid(np.full((3, 4, 5), fill))).n_faces == 0
+
+    def test_single_voxel(self):
+        values = np.zeros((8, 8, 8))
+        values[4, 4, 4] = 1.0
+        assert assert_same_extraction(unit_grid(values)).n_faces == 8
+
+    def test_smallest_odd_grid(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            assert_same_extraction(unit_grid(rng.random((2, 3, 5))), iso=0.4)
+
+    def test_non_unit_origin_and_spacing(self):
+        rng = np.random.default_rng(5)
+        grid = OccupancyGrid(rng.random((7, 5, 6)), origin=np.array([-0.3, 1.7, -2.1]),
+                             spacing=np.array([0.1, 0.37, 1.3]))
+        assert assert_same_extraction(grid, iso=0.6).n_faces > 0
+
+    @pytest.mark.parametrize("method", ["naive", "blend", "noise"])
+    def test_sweep_fields(self, sweep_fields, method):
+        frame, grid_res, fields = sweep_fields
+        grid = field_to_grid(fields[method], frame, grid_res)
+        assert assert_same_extraction(grid).n_faces > 0
 
 
 class TestRoundTrip:
