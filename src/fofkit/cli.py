@@ -18,6 +18,7 @@ when --seed is omitted.
 """
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .completion import vgcc_blend
-from .config import HarnessConfig, default_seed
+from .config import SETTINGS, HarnessConfig, default_seed, number
 from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField
 from .mesh import load_obj, mesh_to_fof, normalize_mesh, save_obj, check_watertight
@@ -36,7 +37,7 @@ from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, MaskPair, OccluderSpe
 from .raster import OrthoFrame
 from .render import render_normals, render_silhouette
 from .selftest import run_selftest
-from .shapes import make_capsule_figure, make_cube, make_sphere, make_torus
+from .shapes import SHAPE_MAKERS, make_shape
 from .surface import reconstruct_field
 from .sweep import METHODS, run_sweep
 from .tensor_io import read_pgm, read_tensor, write_pfm, write_pgm, write_png16, \
@@ -45,21 +46,28 @@ from .tensor_io import read_pgm, read_tensor, write_pfm, write_pgm, write_png16,
 log = logging.getLogger("fofkit")
 
 
+_SETTING = {f"{sec}.{key}": (parse, text) for sec, key, text, parse, *_ in SETTINGS}
+
+
+def _add_setting(p, flag, setting, **kwargs):
+    """A flag that parses and defaults like the harness setting it stands for;
+    argparse passes the default text through the parser too."""
+    parse, text = _SETTING[setting]
+    p.add_argument(flag, type=parse, default=text, **kwargs)
+
+
 def _add_frame_args(p):
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=128)
-    p.add_argument("--center", default="0,0,0", help="frame center as x,y,z")
-    p.add_argument("--half-extent", type=float, default=1.0)
+    _add_setting(p, "--width", "frame.width")
+    _add_setting(p, "--height", "frame.height")
+    _add_setting(p, "--center", "frame.center", help="frame center as x,y,z")
+    _add_setting(p, "--half-extent", "frame.half_extent")
 
 
 def _frame_from_args(args):
     try:
-        center = tuple(float(t) for t in args.center.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--center must be x,y,z: {exc}") from exc
-    if len(center) != 3:
-        raise ConfigError("--center must have three components")
-    return OrthoFrame(args.width, args.height, center, args.half_extent)
+        return OrthoFrame(args.width, args.height, args.center, args.half_extent)
+    except DomainError as exc:
+        raise ConfigError(f"invalid frame: {exc}") from exc
 
 
 def _seed_or_env(value):
@@ -105,14 +113,9 @@ def _read_field(path):
 
 
 def cmd_shapes(args):
-    if args.kind == "sphere":
-        mesh = make_sphere(args.radius, args.subdivisions)
-    elif args.kind == "torus":
-        mesh = make_torus(args.major_radius, args.minor_radius)
-    elif args.kind == "capsule_figure":
-        mesh = make_capsule_figure(args.grid_res)
-    else:
-        mesh = make_cube(args.size)
+    # Each flag's dest is the name of the maker parameter it sets.
+    params = inspect.signature(SHAPE_MAKERS[args.kind]).parameters
+    mesh = make_shape(args.kind, **{k: v for k, v in vars(args).items() if k in params})
     ok, boundary = check_watertight(mesh)
     if not ok:
         raise FofkitError(f"generated mesh is not watertight ({len(boundary)} boundary edges)")
@@ -229,7 +232,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("shapes", help="generate a procedural mesh")
-    p.add_argument("kind", choices=("sphere", "torus", "capsule_figure", "cube"))
+    p.add_argument("kind", choices=tuple(SHAPE_MAKERS))
     p.add_argument("out")
     p.add_argument("--radius", type=float, default=0.6)
     p.add_argument("--subdivisions", type=int, default=4)
@@ -243,7 +246,7 @@ def build_parser():
     p.add_argument("mesh")
     p.add_argument("out")
     _add_frame_args(p)
-    p.add_argument("--order", type=int, default=15)
+    _add_setting(p, "--order", "encode.order")
     p.add_argument("--normalize", action="store_true",
                    help="rescale the mesh to a 0.9 half-extent bounding box first")
     p.set_defaults(func=cmd_encode)
@@ -251,19 +254,19 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="extract the 0.5 iso-surface of a field")
     p.add_argument("field")
     p.add_argument("out")
-    p.add_argument("--grid-res", type=int, default=128)
-    p.add_argument("--iso", type=float, default=0.5)
+    _add_setting(p, "--grid-res", "extract.grid_res")
+    _add_setting(p, "--iso", "extract.iso")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("occlude", help="corrupt a field under a synthetic occluder")
     p.add_argument("field")
     p.add_argument("body", help="body silhouette PGM")
     p.add_argument("out")
-    p.add_argument("--ratio", type=float, required=True)
+    p.add_argument("--ratio", type=number, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kind", choices=OCCLUDER_KINDS, default="rectangle")
-    p.add_argument("--policy", choices=OCCLUSION_POLICIES, default="zero")
-    p.add_argument("--sigma", type=float, default=0.1)
+    _add_setting(p, "--kind", "occlude.kind", choices=OCCLUDER_KINDS)
+    _add_setting(p, "--policy", "occlude.policy", choices=OCCLUSION_POLICIES)
+    _add_setting(p, "--sigma", "occlude.sigma")
     p.add_argument("--out-visible", default=None)
     p.add_argument("--out-mask", default=None)
     p.set_defaults(func=cmd_occlude)
@@ -274,7 +277,7 @@ def build_parser():
     p.add_argument("visible", help="V mask PGM")
     p.add_argument("mask", help="M mask PGM")
     p.add_argument("out")
-    p.add_argument("--feather", type=float, default=3.0)
+    _add_setting(p, "--feather", "occlude.feather_px")
     p.set_defaults(func=cmd_blend)
 
     p = sub.add_parser("render-normals", help="front/back normal maps of a mesh")
@@ -298,7 +301,7 @@ def build_parser():
     p.add_argument("gt")
     p.add_argument("out")
     _add_frame_args(p)
-    p.add_argument("--samples", type=int, default=10_000)
+    _add_setting(p, "--samples", "sweep.eval_samples")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 

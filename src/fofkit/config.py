@@ -4,47 +4,81 @@ The config is a plain key=value file with bracketed section headers (read by
 configparser). Every value has a default, every default can be overridden by
 a ``--set section.key=value`` flag, and the fully resolved config is echoed
 into each output directory for provenance.
+
+Each setting is one row of SETTINGS. HarnessConfig parses and range-checks
+every row once, when it is built, so a malformed or out-of-range value raises
+ConfigError before any work starts or any output is written.
 """
 
 import configparser
 import io
+import math
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .occlusion import MAX_RATIO, OCCLUDER_KINDS, OCCLUSION_POLICIES
+from .raster import OrthoFrame
+from .shapes import SHAPE_MAKERS
 
-DEFAULTS = {
-    "frame": {
-        "width": "128",
-        "height": "128",
-        "center": "0,0,0",
-        "half_extent": "1.0",
-    },
-    "encode": {
-        "order": "15",
-    },
-    "extract": {
-        "grid_res": "128",
-        "iso": "0.5",
-    },
-    "prior": {
-        "iterations": "20",
-        "strength": "0.5",
-    },
-    "occlude": {
-        "kind": "rectangle",
-        "policy": "zero",
-        "sigma": "0.1",
-        "feather_px": "3.0",
-    },
-    "sweep": {
-        "shape": "sphere",
-        "ratios": "0.2,0.4,0.6,0.8",
-        "seeds": "0,1,2,3,4",
-        "eval_samples": "10000",
-        "eval_seed": "0",
-        "jobs": "0",
-    },
-}
+
+def number(text):
+    """A finite float: the parser of every real-valued setting and CLI flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def numbers(text):
+    """Comma-separated finite floats; empty items are skipped."""
+    return [number(tok) for tok in text.split(",") if tok.strip()]
+
+
+def integers(text):
+    """Comma-separated integers; empty items are skipped."""
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+# A range check is (predicate, what a valid value is).
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+def _one_of(names):
+    return (lambda v: v in names), f"one of {list(names)}"
+
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
+_RATIOS = (lambda v: v and all(0.0 <= r <= MAX_RATIO for r in v)), \
+    f"one or more ratios in [0, {MAX_RATIO}]"
+_NON_EMPTY = bool, "non-empty"
+
+# The [frame] rows have no attribute: they are the OrthoFrame fields of frame().
+SETTINGS = (
+    # section, key, default text, parser, range check, HarnessConfig attribute
+    ("frame", "width", "128", int, None, None),
+    ("frame", "height", "128", int, None, None),
+    ("frame", "center", "0,0,0", numbers, None, None),
+    ("frame", "half_extent", "1.0", number, None, None),
+    ("encode", "order", "15", int, _at_least(0), "order"),
+    ("extract", "grid_res", "128", int, _at_least(2), "grid_res"),
+    ("extract", "iso", "0.5", number, None, "iso"),
+    ("prior", "iterations", "20", int, _at_least(0), "prior_iterations"),
+    ("prior", "strength", "0.5", number, _UNIT, "prior_strength"),
+    ("occlude", "kind", "rectangle", str, _one_of(OCCLUDER_KINDS), "occluder_kind"),
+    ("occlude", "policy", "zero", str, _one_of(OCCLUSION_POLICIES), "occlusion_policy"),
+    ("occlude", "sigma", "0.1", number, None, "noise_sigma"),
+    ("occlude", "feather_px", "3.0", number, None, "feather_px"),
+    ("sweep", "shape", "sphere", str, _one_of(SHAPE_MAKERS), "sweep_shape"),
+    ("sweep", "ratios", "0.2,0.4,0.6,0.8", numbers, _RATIOS, "sweep_ratios"),
+    ("sweep", "seeds", "0,1,2,3,4", integers, _NON_EMPTY, "sweep_seeds"),
+    ("sweep", "eval_samples", "10000", int, _at_least(1), "eval_samples"),
+    ("sweep", "eval_seed", "0", int, None, "eval_seed"),
+    ("sweep", "jobs", "0", int, None, "jobs"),
+)
+
+DEFAULTS = {sec: {key: text for s, key, text, *_ in SETTINGS if s == sec}
+            for sec, *_ in SETTINGS}
 
 
 def default_seed():
@@ -56,10 +90,27 @@ def default_seed():
 
 
 class HarnessConfig:
-    """Typed view over the section/key table."""
+    """The section/key text table, parsed and checked into typed attributes."""
 
     def __init__(self, table):
         self._table = table
+        frame = {}
+        for sec, key, _, parse, check, attr in SETTINGS:
+            raw = table[sec][key]
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{sec}.{key} = {raw!r} is malformed: {exc}") from exc
+            if check is not None and not check[0](value):
+                raise ConfigError(f"{sec}.{key} must be {check[1]}, got {raw!r}")
+            if attr is None:
+                frame[key] = value
+            else:
+                setattr(self, attr, value)
+        try:
+            self._frame = OrthoFrame(**frame)
+        except DomainError as exc:
+            raise ConfigError(f"invalid frame: {exc}") from exc
 
     @classmethod
     def load(cls, path=None, overrides=()):
@@ -88,134 +139,9 @@ class HarnessConfig:
             table[sec][key] = value
         return cls(table)
 
-    def _get(self, sec, key):
-        return self._table[sec][key]
-
-    def _float(self, sec, key):
-        try:
-            return float(self._get(sec, key))
-        except ValueError as exc:
-            raise ConfigError(f"{sec}.{key} must be a number: {exc}") from exc
-
-    def _int(self, sec, key):
-        try:
-            return int(self._get(sec, key))
-        except ValueError as exc:
-            raise ConfigError(f"{sec}.{key} must be an integer: {exc}") from exc
-
-    def _float_list(self, sec, key):
-        raw = self._get(sec, key)
-        try:
-            return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"{sec}.{key} must be comma-separated numbers: {exc}") from exc
-
-    def _int_list(self, sec, key):
-        raw = self._get(sec, key)
-        try:
-            return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"{sec}.{key} must be comma-separated integers: {exc}") from exc
-
     def frame(self):
-        from .raster import OrthoFrame
-
-        center = self._float_list("frame", "center")
-        if len(center) != 3:
-            raise ConfigError("frame.center must have 3 components")
-        return OrthoFrame(self._int("frame", "width"), self._int("frame", "height"),
-                          tuple(center), self._float("frame", "half_extent"))
-
-    @property
-    def order(self):
-        return self._int("encode", "order")
-
-    @property
-    def grid_res(self):
-        return self._int("extract", "grid_res")
-
-    @property
-    def iso(self):
-        return self._float("extract", "iso")
-
-    @property
-    def prior_iterations(self):
-        return self._int("prior", "iterations")
-
-    @property
-    def prior_strength(self):
-        return self._float("prior", "strength")
-
-    @property
-    def occluder_kind(self):
-        return self._get("occlude", "kind")
-
-    @property
-    def occlusion_policy(self):
-        return self._get("occlude", "policy")
-
-    @property
-    def noise_sigma(self):
-        return self._float("occlude", "sigma")
-
-    @property
-    def feather_px(self):
-        return self._float("occlude", "feather_px")
-
-    @property
-    def sweep_shape(self):
-        return self._get("sweep", "shape")
-
-    @property
-    def sweep_ratios(self):
-        return self._float_list("sweep", "ratios")
-
-    @property
-    def sweep_seeds(self):
-        return self._int_list("sweep", "seeds")
-
-    @property
-    def eval_samples(self):
-        return self._int("sweep", "eval_samples")
-
-    @property
-    def eval_seed(self):
-        return self._int("sweep", "eval_seed")
-
-    @property
-    def jobs(self):
-        return self._int("sweep", "jobs")
-
-    def validate(self):
-        """Name and range checks of the sweep settings, before any work.
-
-        Raises ConfigError for an unknown occluder kind, occlusion policy or
-        shape, a ratio outside [0, MAX_RATIO], an empty ratio or seed list,
-        grid_res < 2, order < 0, eval_samples < 1 or an invalid frame.
-        """
-        from .errors import DomainError
-        from .occlusion import MAX_RATIO, OCCLUDER_KINDS, OCCLUSION_POLICIES
-        from .shapes import SHAPE_MAKERS
-
-        for sec, key, known in (("occlude", "kind", OCCLUDER_KINDS),
-                                ("occlude", "policy", OCCLUSION_POLICIES),
-                                ("sweep", "shape", SHAPE_MAKERS)):
-            if self._get(sec, key) not in known:
-                raise ConfigError(f"{sec}.{key} must be one of {list(known)}, "
-                                  f"got {self._get(sec, key)!r}")
-        if not self.sweep_ratios or not self.sweep_seeds:
-            raise ConfigError("sweep needs at least one ratio and one seed")
-        bad = [r for r in self.sweep_ratios if not 0.0 <= r <= MAX_RATIO]
-        if bad:
-            raise ConfigError(f"sweep.ratios must lie in [0, {MAX_RATIO}], got {bad}")
-        for sec, key, lo in (("extract", "grid_res", 2), ("encode", "order", 0),
-                             ("sweep", "eval_samples", 1)):
-            if self._int(sec, key) < lo:
-                raise ConfigError(f"{sec}.{key} must be >= {lo}, got {self._int(sec, key)}")
-        try:
-            self.frame()
-        except DomainError as exc:
-            raise ConfigError(f"invalid frame: {exc}") from exc
+        """The OrthoFrame of the [frame] settings, built and checked at load."""
+        return self._frame
 
     def resolved_text(self):
         """Canonical INI text of the fully resolved configuration."""

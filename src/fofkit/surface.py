@@ -67,8 +67,10 @@ def marching_cubes(grid, iso=0.5):
     """Extract the iso-surface triangle mesh of an occupancy grid.
 
     Faces are wound so normals point out of the high-occupancy region. A
-    constant grid yields an empty mesh.
+    constant grid yields an empty mesh; a non-finite iso raises DomainError.
     """
+    if not np.isfinite(iso):
+        raise DomainError(f"iso must be finite, got {iso!r}")
     v = grid.values
     below = v < iso
     cells = tuple(n - 1 for n in v.shape)

@@ -44,16 +44,16 @@ _CTX = {}
 def _run_cell(cell):
     ratio, seed = cell
     ctx = _CTX
-    frame = ctx["frame"]
+    cfg = ctx["cfg"]
     rows = []
     try:
         if ratio == 0.0:
             pair = None
             c_obs = ctx["c_gt"]
         else:
-            pair = synthesize_occlusion(ctx["body"], OccluderSpec(ctx["kind"], seed, ratio))
-            c_obs = occlude_field(ctx["c_gt"], pair, ctx["policy"],
-                                  sigma=ctx["sigma"], seed=seed)
+            pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
+            c_obs = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
+                                  sigma=cfg.noise_sigma, seed=seed)
         for method in METHODS:
             if method == "blend" and pair is None:
                 # No occluder: the blend field is c_obs itself, so the blend
@@ -62,8 +62,8 @@ def _run_cell(cell):
                 continue
             field = c_obs
             if method == "blend":
-                field = vgcc_blend(c_obs, ctx["c_prior"], pair, ctx["feather_px"])
-            recon = reconstruct_field(field, frame, ctx["grid_res"], iso=ctx["iso"])
+                field = vgcc_blend(c_obs, ctx["c_prior"], pair, cfg.feather_px)
+            recon = reconstruct_field(field, ctx["frame"], cfg.grid_res, iso=cfg.iso)
             rep = _reference(ctx).evaluate(recon)
             rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
     except FofkitError as exc:
@@ -79,40 +79,35 @@ def _reference(ctx):
     """The context's ground-truth EvalReference, built on first use, so that
     a context made by prepare_context alone also runs cells."""
     if "reference" not in ctx:
-        ctx["reference"] = EvalReference(ctx["gt"], ctx["frame"], ctx["eval_samples"],
-                                         ctx["eval_seed"])
+        cfg = ctx["cfg"]
+        ctx["reference"] = EvalReference(ctx["gt"], ctx["frame"], cfg.eval_samples,
+                                         cfg.eval_seed)
     return ctx["reference"]
 
 
 def prepare_context(cfg):
-    """Build the shared ground-truth artifacts of one sweep run."""
+    """Build the shared ground-truth artifacts of one sweep run; the cells
+    read their settings from ``cfg``, which the context holds."""
     frame = cfg.frame()
     basis = BasisConfig(cfg.order)
     gt = fit_to_frame(make_shape(cfg.sweep_shape), frame)
     prior = degrade_prior(gt, cfg.prior_iterations, cfg.prior_strength)
     return {
+        "cfg": cfg,
         "frame": frame,
         "gt": gt,
         "c_gt": mesh_to_fof(gt, frame, basis),
         "c_prior": mesh_to_fof(prior, frame, basis),
         "body": render_silhouette(gt, frame),
-        "kind": cfg.occluder_kind,
-        "policy": cfg.occlusion_policy,
-        "sigma": cfg.noise_sigma,
-        "feather_px": cfg.feather_px,
-        "grid_res": cfg.grid_res,
-        "iso": cfg.iso,
-        "eval_samples": cfg.eval_samples,
-        "eval_seed": cfg.eval_seed,
     }
 
 
 def run_sweep(cfg, out_dir, jobs=None):
     """Execute the sweep; writes curves.csv, curves.svg and config.ini.
 
-    Returns the list of result rows in deterministic order.
+    Returns the list of result rows in deterministic order. ``cfg`` was
+    checked when it was built, so no output is written for a bad config.
     """
-    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     if jobs is None:
         jobs = cfg.jobs

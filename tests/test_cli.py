@@ -1,13 +1,15 @@
+import configparser
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fofkit
 from fofkit.cli import main
-from fofkit.config import HarnessConfig
+from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import ConfigError, OcclusionError
 from fofkit.mesh import load_obj
 from fofkit.surface import mesh_volume
@@ -33,6 +35,12 @@ class TestShapes:
         assert run("shapes", "cube", out, "--size", 0.8) == 0
         vol, _ = mesh_volume(load_obj(out))
         assert vol == pytest.approx(0.8 ** 3, abs=1e-12)
+
+    def test_torus_radii_reach_the_maker(self, tmp_path):
+        out = tmp_path / "t.obj"
+        assert run("shapes", "torus", out, "--major-radius", 0.5, "--minor-radius", 0.1) == 0
+        vol, _ = mesh_volume(load_obj(out))
+        assert vol == pytest.approx(2 * np.pi ** 2 * 0.5 * 0.1 ** 2, rel=0.01)
 
     def test_capsule_figure_watertight(self, tmp_path):
         out = tmp_path / "f.obj"
@@ -142,6 +150,38 @@ class TestPipeline:
         assert run("sweep", "--out", out, "--set", override) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [f"{sec}.{key}=x" for sec, key, *_ in SETTINGS] + [
+        "prior.strength=2", "prior.iterations=x", "occlude.sigma=abc", "extract.iso=nan",
+        "sweep.jobs=x", "prior.strength=-0.1", "prior.iterations=-1",
+        "occlude.feather_px=inf", "sweep.seeds=,"])
+    def test_malformed_setting_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                               override):
+        # "x" is malformed for every key: no number parses it and no name list
+        # holds it. --jobs 1 must not hide a bad sweep.jobs.
+        def no_context(cfg):
+            raise AssertionError("sweep started on a malformed config")
+
+        monkeypatch.setattr("fofkit.sweep.prepare_context", no_context)
+        out = tmp_path / "o"
+        assert run("sweep", "--out", out, "--set", override, "--jobs", 1) == 2
+        assert not out.exists()
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("reconstruct", "{d}/gt.oaht", "{t}/r.obj", "--iso", "nan"),
+        ("reconstruct", "{d}/gt.oaht", "{t}/r.obj", "--iso", "inf"),
+        ("occlude", "{d}/gt.oaht", "{d}/body.pgm", "{t}/o.oaht", "--ratio", "nan"),
+        ("occlude", "{d}/gt.oaht", "{d}/body.pgm", "{t}/o.oaht", "--ratio", "0.4",
+         "--sigma", "-inf"),
+        ("blend", "{d}/gt.oaht", "{d}/gt.oaht", "{d}/body.pgm", "{d}/body.pgm",
+         "{t}/b.oaht", "--feather", "nan"),
+        ("silhouette", "{d}/gt.obj", "{t}/s.pgm", "--half-extent", "inf")])
+    def test_non_finite_float_flag_is_usage_error(self, workdir, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(*(f.format(d=workdir, t=tmp_path) for f in flags))
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
 
 class TestSelftestCommand:
     def test_exit_zero(self):
@@ -228,6 +268,24 @@ class TestConfig:
         path.write_text("[sweep]\nbogus = 1\n")
         with pytest.raises(ConfigError):
             HarnessConfig.load(path)
+
+    def test_default_resolved_text(self):
+        assert HarnessConfig.load().resolved_text() == (
+            "[frame]\nwidth = 128\nheight = 128\ncenter = 0,0,0\nhalf_extent = 1.0\n\n"
+            "[encode]\norder = 15\n\n"
+            "[extract]\ngrid_res = 128\niso = 0.5\n\n"
+            "[prior]\niterations = 20\nstrength = 0.5\n\n"
+            "[occlude]\nkind = rectangle\npolicy = zero\nsigma = 0.1\nfeather_px = 3.0\n\n"
+            "[sweep]\nshape = sphere\nratios = 0.2,0.4,0.6,0.8\nseeds = 0,1,2,3,4\n"
+            "eval_samples = 10000\neval_seed = 0\njobs = 0\n\n")
+
+    def test_readme_lists_every_setting_with_its_default(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(block)
+        listed = [(sec, key, parser[sec][key]) for sec in parser.sections() for key in parser[sec]]
+        assert listed == [(sec, key, text) for sec, key, text, *_ in SETTINGS]
 
     def test_resolved_text_parses_back(self):
         cfg = HarnessConfig.load(overrides=["sweep.shape=capsule_figure"])

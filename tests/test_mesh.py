@@ -557,6 +557,22 @@ class TestMeshToFof:
                     assert np.array_equal(field.data[row, col], expected), (row, col)
         assert not caplog.records  # the tie rule alone keeps every count even
 
+    @pytest.mark.parametrize("shape", ["sphere", "torus"])
+    def test_z_mirror_negates_sin_channels(self, sphere_mesh, torus_mesh, shape):
+        # Mirroring in z maps each interval [a, b] to [-b, -a]: DC and cos
+        # terms are even in z and stay, sin terms are odd and change sign.
+        mesh = {"sphere": sphere_mesh, "torus": torus_mesh}[shape]
+        mirrored = TriMesh(mesh.vertices * [1.0, 1.0, -1.0], mesh.faces)
+        frame, cfg = OrthoFrame(64, 64), BasisConfig(15)
+        field = mesh_to_fof(mesh, frame, cfg).data
+        flipped = mesh_to_fof(mirrored, frame, cfg).data
+        sin = np.zeros(cfg.channels, dtype=bool)
+        sin[2::2] = True  # channels are [1, cos(pi z), sin(pi z), cos(2 pi z), ...]
+        assert field[..., sin].any()
+        assert np.array_equal(flipped[..., ~sin].view(np.uint64),
+                              field[..., ~sin].view(np.uint64))
+        assert np.array_equal(flipped[..., sin], -field[..., sin])
+
     def test_sphere_volume_within_1pct(self, sphere_field, frame128):
         vol = field_volume(sphere_field, frame128)
         assert vol == pytest.approx(4 / 3 * np.pi * 0.6 ** 3, rel=0.01)

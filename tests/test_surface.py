@@ -33,6 +33,15 @@ class TestMarchingCubes:
         assert mesh.n_faces == 0
         assert mesh.n_vertices == 0
 
+    @pytest.mark.parametrize("iso", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iso_rejected(self, iso):
+        # Every comparison with nan is false, so a nan iso would silently
+        # extract an empty mesh.
+        values = np.zeros((4, 4, 4))
+        values[1:3, 1:3, 1:3] = 1.0
+        with pytest.raises(DomainError, match="iso must be finite"):
+            marching_cubes(unit_grid(values), iso=iso)
+
     def test_single_voxel_closed_surface(self):
         values = np.zeros((8, 8, 8))
         values[4, 4, 4] = 1.0
