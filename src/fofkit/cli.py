@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .completion import vgcc_blend
-from .config import SETTINGS, HarnessConfig, default_seed, number
+from .config import RATIO, SETTINGS, HarnessConfig, default_seed, number, parse_checked
 from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField
 from .mesh import load_obj, mesh_to_fof, normalize_mesh, save_obj, check_watertight
@@ -46,14 +46,25 @@ from .tensor_io import read_pgm, read_tensor, write_pfm, write_pgm, write_png16,
 log = logging.getLogger("fofkit")
 
 
-_SETTING = {f"{sec}.{key}": (parse, text) for sec, key, text, parse, *_ in SETTINGS}
+_SETTING = {f"{sec}.{key}": (text, parse, check) for sec, key, text, parse, check, _ in SETTINGS}
+
+
+def _checked_type(name, parse, check):
+    """An argparse type that parses and range-checks like a SETTINGS row, so
+    a bad flag value is a usage error (exit 2) before any work."""
+    def convert(raw):
+        try:
+            return parse_checked(name, raw, parse, check)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _add_setting(p, flag, setting, **kwargs):
-    """A flag that parses and defaults like the harness setting it stands for;
-    argparse passes the default text through the parser too."""
-    parse, text = _SETTING[setting]
-    p.add_argument(flag, type=parse, default=text, **kwargs)
+    """A flag that parses, checks and defaults like the harness setting it
+    stands for; argparse passes the default text through the parser too."""
+    text, parse, check = _SETTING[setting]
+    p.add_argument(flag, type=_checked_type(setting, parse, check), default=text, **kwargs)
 
 
 def _add_frame_args(p):
@@ -262,7 +273,7 @@ def build_parser():
     p.add_argument("field")
     p.add_argument("body", help="body silhouette PGM")
     p.add_argument("out")
-    p.add_argument("--ratio", type=number, required=True)
+    p.add_argument("--ratio", type=_checked_type("ratio", number, RATIO), required=True)
     p.add_argument("--seed", type=int, default=None)
     _add_setting(p, "--kind", "occlude.kind", choices=OCCLUDER_KINDS)
     _add_setting(p, "--policy", "occlude.policy", choices=OCCLUSION_POLICIES)

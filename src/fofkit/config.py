@@ -49,8 +49,8 @@ def _one_of(names):
 
 
 _UNIT = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
-_RATIOS = (lambda v: v and all(0.0 <= r <= MAX_RATIO for r in v)), \
-    f"one or more ratios in [0, {MAX_RATIO}]"
+RATIO = (lambda v: 0.0 <= v <= MAX_RATIO), f"in [0, {MAX_RATIO}]"
+_RATIOS = (lambda v: v and all(map(RATIO[0], v))), f"one or more ratios in [0, {MAX_RATIO}]"
 _NON_EMPTY = bool, "non-empty"
 
 # The [frame] rows have no attribute: they are the OrthoFrame fields of frame().
@@ -77,6 +77,19 @@ SETTINGS = (
     ("sweep", "jobs", "0", int, None, "jobs"),
 )
 
+
+def parse_checked(name, raw, parse, check):
+    """Parse raw text and apply a range check (None for none); ConfigError
+    names `name` when either fails."""
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {raw!r} is malformed: {exc}") from exc
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{name} must be {check[1]}, got {raw!r}")
+    return value
+
+
 DEFAULTS = {sec: {key: text for s, key, text, *_ in SETTINGS if s == sec}
             for sec, *_ in SETTINGS}
 
@@ -96,13 +109,7 @@ class HarnessConfig:
         self._table = table
         frame = {}
         for sec, key, _, parse, check, attr in SETTINGS:
-            raw = table[sec][key]
-            try:
-                value = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{sec}.{key} = {raw!r} is malformed: {exc}") from exc
-            if check is not None and not check[0](value):
-                raise ConfigError(f"{sec}.{key} must be {check[1]}, got {raw!r}")
+            value = parse_checked(f"{sec}.{key}", table[sec][key], parse, check)
             if attr is None:
                 frame[key] = value
             else:

@@ -367,9 +367,16 @@ def fit_to_frame(mesh, frame=OrthoFrame(), margin=0.9):
 
 
 class BVH:
-    """Static triangle BVH stored as flat arrays."""
+    """Static triangle BVH stored as flat arrays.
 
-    LEAF_SIZE = 4
+    A leaf holds the triangles order[node_start:node_start + node_count]; an
+    inner node has node_start -1 and children node_left and node_right.
+    Boxes are stored axis-major, shape (3, n), so a box test reads one
+    contiguous row per axis: node_lo and node_hi per node, tri_lo and tri_hi
+    per slot of `order`.
+    """
+
+    LEAF_SIZE = 8
 
     def __init__(self, vertices, faces):
         self.tri_verts = np.asarray(vertices, dtype=np.float64)[np.asarray(faces, dtype=np.int64)]
@@ -416,8 +423,10 @@ class BVH:
             stack.append((start, half, idx, False))
 
         self.order = order
-        self.node_lo = np.asarray(node_lo)
-        self.node_hi = np.asarray(node_hi)
+        self.tri_lo = lo[order].T.copy()
+        self.tri_hi = hi[order].T.copy()
+        self.node_lo = np.asarray(node_lo).T.copy()
+        self.node_hi = np.asarray(node_hi).T.copy()
         self.node_left = np.asarray(node_left, dtype=np.int64)
         self.node_right = np.asarray(node_right, dtype=np.int64)
         self.node_start = np.asarray(node_start, dtype=np.int64)

@@ -6,10 +6,12 @@ tables for this problem family. Chamfer uses the symmetric half-sum of mean
 nearest-neighbor distances; nearest neighbors come from a kd-tree but the
 reported distances are recomputed from the matched pairs, so the kd-tree
 result equals the exhaustive scan exactly. Point-to-surface uses exact
-point-triangle distances (Ericson's face/edge/vertex region classification)
-through a BVH with branch-and-bound pruning, traversed breadth first over
-flat (point, node) pair arrays so that each BVH level costs a few array
-operations and one batched distance call rather than a loop per triangle.
+point-triangle distances (Ericson's face/edge/vertex region classification:
+each pair is classified first and only its own region's closed form is
+evaluated) through a BVH with branch-and-bound pruning, traversed breadth
+first over flat (point, node) pairs so that each BVH level costs a few array
+operations rather than a loop per triangle. Leaf pairs are scored only when
+the point is nearer than its best distance to the triangle's own box.
 Per-pair distances are elementwise and the pruning is conservative, so the
 result equals `p2s_exhaustive`, which scans every triangle and is the oracle
 the accelerated path is validated against, bit for bit.
@@ -99,8 +101,7 @@ def point_triangle_closest(points, tris):
     triangle i. Returns the (n, 3) closest points.
     """
     p = np.asarray(points, dtype=np.float64)
-    t = np.asarray(tris, dtype=np.float64)
-    a, b, c = t[:, 0], t[:, 1], t[:, 2]
+    a, b, c = np.asarray(tris, dtype=np.float64).transpose(1, 0, 2).copy()
     ab = b - a
     ac = c - a
     ap = p - a
@@ -117,37 +118,40 @@ def point_triangle_closest(points, tris):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
+    # Each pair takes the first region whose test holds: vertex A, B, C,
+    # edge AB, AC, BC; the face takes the rest, NaN pairs included. Each
+    # closed form is then evaluated on its own region's pairs only.
+    region = np.select([(d1 <= 0) & (d2 <= 0),
+                        (d3 >= 0) & (d4 <= d3),
+                        (d6 >= 0) & (d5 <= d6),
+                        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+                        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)],
+                       np.arange(6, dtype=np.int8), 6)
+    at_a, at_b, at_c, on_ab, on_ac, on_bc, on_face = (np.flatnonzero(region == r)
+                                                      for r in range(7))
     out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
-
-    def assign(mask, value):
-        m = mask & ~done
-        if m.any():
-            out[m] = value[m]
-            done[m] = True
-
-    assign((d1 <= 0) & (d2 <= 0), a)  # vertex A
-    assign((d3 >= 0) & (d4 <= d3), b)  # vertex B
-    assign((d6 >= 0) & (d5 <= d6), c)  # vertex C
-
+    out[at_a] = a[at_a]
+    out[at_b] = b[at_b]
+    out[at_c] = c[at_c]
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = d1 / (d1 - d3)
-        edge_ab = a + v_ab[:, None] * ab
-        assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), edge_ab)
+        i = on_ab
+        v = d1[i] / (d1[i] - d3[i])
+        out[i] = a[i] + v[:, None] * ab[i]
 
-        v_ac = d2 / (d2 - d6)
-        edge_ac = a + v_ac[:, None] * ac
-        assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), edge_ac)
+        i = on_ac
+        v = d2[i] / (d2[i] - d6[i])
+        out[i] = a[i] + v[:, None] * ac[i]
 
-        v_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        edge_bc = b + v_bc[:, None] * (c - b)
-        assign((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), edge_bc)
+        i = on_bc
+        v = (d4[i] - d3[i]) / ((d4[i] - d3[i]) + (d5[i] - d6[i]))
+        out[i] = b[i] + v[:, None] * (c[i] - b[i])
 
-        denom = va + vb + vc
-        v = vb / denom
-        w = vc / denom
-        face = a + v[:, None] * ab + w[:, None] * ac
-    assign(np.ones(len(p), dtype=bool), face)
+        i = on_face
+        denom = va[i] + vb[i] + vc[i]
+        v = vb[i] / denom
+        w = vc[i] / denom
+        out[i] = a[i] + v[:, None] * ab[i] + w[:, None] * ac[i]
     return out
 
 
@@ -171,18 +175,20 @@ class SurfaceDistanceIndex:
         Points are traversed in blocks of QUERY_BLOCK. Each block starts from
         the distance to the triangle with the nearest centroid and walks the
         BVH breadth first over flat (point, node) pairs: a pair survives while
-        its AABB lower bound is below the point's best distance, surviving
-        leaf pairs expand into (point, triangle) pairs that one
-        point_triangle_distance call scores per level, and surviving internal
-        pairs push both children. A frontier wider than MAX_FRONTIER pairs is
-        split in halves and walked one half at a time.
+        the distance from the point to the node's box is below the point's
+        best distance, and surviving internal pairs push both children.
+        Surviving leaf pairs expand into (point, triangle) pairs, which face
+        the same test against each triangle's own box; the pairs that pass
+        are scored by one point_triangle_distance call per level. A frontier
+        wider than MAX_FRONTIER pairs is split in halves and walked one half
+        at a time.
 
         The result equals the exhaustive minimum bit for bit: each pair's
         distance is computed elementwise, so it does not depend on which
-        other pairs share the call; the AABB bound never exceeds the distance
-        to a triangle inside the box, so pruning only drops triangles that
-        cannot lower the minimum; and the minimum does not depend on the
-        order in which pairs are visited.
+        other pairs share the call; a box's distance never exceeds the
+        distance to a triangle inside it, so both box tests only drop
+        triangles that cannot lower the minimum; and the minimum does not
+        depend on the order in which pairs are visited.
         """
         p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         best = np.empty(len(p))
@@ -194,6 +200,7 @@ class SurfaceDistanceIndex:
         bvh = self.bvh
         _, seed_idx = self._centroid_tree.query(p)
         best = point_triangle_distance(p, bvh.tri_verts[seed_idx])
+        coords = p.T.copy()
         frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64))]
         while frontier:
             pt, node = frontier.pop()
@@ -201,19 +208,19 @@ class SurfaceDistanceIndex:
                 half = len(pt) // 2
                 frontier += [(pt[half:], node[half:]), (pt[:half], node[:half])]
                 continue
-            q = p[pt]
-            gap = np.maximum(bvh.node_lo[node] - q, 0.0) + np.maximum(q - bvh.node_hi[node], 0.0)
-            keep = np.linalg.norm(gap, axis=1) < best[pt]
+            keep = _box_gap(coords, pt, bvh.node_lo, bvh.node_hi, node) < best[pt]
             pt, node = pt[keep], node[keep]
             leaf = bvh.node_start[node] >= 0
             if leaf.any():
                 count = bvh.node_count[node[leaf]]
                 pair_pt = np.repeat(pt[leaf], count)
-                # Pair j of a leaf whose pairs start at offset o scores
-                # triangle order[start + j - o].
+                # Pair j of a leaf whose pairs start at offset o scores the
+                # triangle in slot start + j - o of the BVH order.
                 shift = np.repeat(bvh.node_start[node[leaf]] - (np.cumsum(count) - count), count)
-                tri = bvh.order[shift + np.arange(len(pair_pt))]
-                d = point_triangle_distance(p[pair_pt], bvh.tri_verts[tri])
+                slot = shift + np.arange(len(pair_pt))
+                near = _box_gap(coords, pair_pt, bvh.tri_lo, bvh.tri_hi, slot) < best[pair_pt]
+                pair_pt, slot = pair_pt[near], slot[near]
+                d = point_triangle_distance(p[pair_pt], bvh.tri_verts[bvh.order[slot]])
                 # fmin, like a `d < best` update, never lets a NaN distance in.
                 np.fmin.at(best, pair_pt, d)
             inner = node[~leaf]
@@ -221,6 +228,18 @@ class SurfaceDistanceIndex:
                 children = np.column_stack([bvh.node_left[inner], bvh.node_right[inner]])
                 frontier.append((np.repeat(pt[~leaf], 2), children.ravel()))
         return best
+
+
+def _box_gap(coords, pt, lo, hi, box):
+    """Distance from each point coords[:, pt[i]] to box box[i] of the
+    axis-major corner arrays lo and hi; the squares are summed left to right,
+    as np.linalg.norm sums a row."""
+    g2 = 0.0
+    for axis in range(3):
+        q = coords[axis][pt]
+        g = np.maximum(lo[axis][box] - q, 0.0) + np.maximum(q - hi[axis][box], 0.0)
+        g2 = g2 + g * g
+    return np.sqrt(g2)
 
 
 def p2s(points, mesh):

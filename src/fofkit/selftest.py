@@ -16,7 +16,7 @@ from .fof import BasisConfig, IntervalList, basis_eval, decode_grid, decode_ray,
 from .losses import FeaturePyramid, LevelWeights, feat_loss, geo_loss, mse_coeff_loss
 from .metrics import chamfer, chamfer_bruteforce, SurfaceDistanceIndex, p2s_exhaustive
 from .occlusion import MaskPair, weight_map
-from .shapes import make_sphere
+from .shapes import make_sphere, make_torus
 from .tensor_io import CrcMismatchError, read_tensor, write_tensor
 
 QUAD_SAMPLES = 100_000
@@ -130,15 +130,13 @@ def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):
 
 def check_bvh_vs_exhaustive(n_instances=20, seed=4):
     rng = np.random.default_rng(seed)
-    mesh = make_sphere(0.6, 2)
-    worst = 0.0
-    for _ in range(n_instances):
+    sphere = make_sphere(0.6, 2)
+    ok = True
+    for mesh in [sphere] * n_instances + [make_torus()]:
         pts = rng.normal(size=(50, 3)) * 0.5
-        fast = SurfaceDistanceIndex(mesh).query(pts)
-        slow = p2s_exhaustive(pts, mesh)
-        worst = max(worst, float(np.max(np.abs(fast - slow))))
-    return _check("BVH point-to-surface equals exhaustive scan", worst <= 1e-9,
-                  f"worst deviation {worst:.2e} (bound 1e-9)")
+        ok &= np.array_equal(SurfaceDistanceIndex(mesh).query(pts), p2s_exhaustive(pts, mesh))
+    return _check("BVH point-to-surface equals exhaustive scan", ok,
+                  f"exact equality over {n_instances} sphere instances and a torus")
 
 
 def finite_difference(fn, x, step=1e-5):

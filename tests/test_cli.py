@@ -183,6 +183,20 @@ class TestPipeline:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("flags", [
+        ("reconstruct", "{d}/gt.oaht", "{t}/r.obj", "--grid-res", "1"),
+        ("encode", "{d}/gt.obj", "{t}/e.oaht", "--order", "-1"),
+        ("eval", "{d}/gt.obj", "{d}/gt.obj", "{t}/m.csv", "--samples", "0"),
+        ("occlude", "{d}/gt.oaht", "{d}/body.pgm", "{t}/o.oaht", "--ratio", "0.99")])
+    def test_out_of_range_setting_flag_is_usage_error(self, workdir, tmp_path, capsys, flags):
+        # The same range check as `sweep --set`, so the same exit code.
+        with pytest.raises(SystemExit) as exc:
+            run(*(f.format(d=workdir, t=tmp_path) for f in flags))
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+        assert "must be" in capsys.readouterr().err
+
+
 class TestSelftestCommand:
     def test_exit_zero(self):
         assert run("selftest") == 0

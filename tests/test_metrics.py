@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from fofkit.errors import DomainError, ShapeError
 from fofkit.mesh import TriMesh
 from fofkit.metrics import (QUERY_BLOCK, EvalReference, MetricReport, SurfaceDistanceIndex,
                             chamfer, chamfer_bruteforce, config_hash, evaluate_pair, p2s,
-                            p2s_exhaustive, point_triangle_distance, psnr, ssim)
+                            p2s_exhaustive, point_triangle_closest, point_triangle_distance,
+                            psnr, ssim)
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.render import normal_map_error, render_normals, render_silhouette
 from fofkit.shapes import make_sphere
@@ -66,6 +69,150 @@ class TestPointTriangle:
         assert d[0] == pytest.approx(2.0, abs=1e-12)
 
 
+def point_triangle_closest_all_branches(points, tris):
+    """Reference kernel: the form point_triangle_closest replaced, kept as it
+    was. It evaluates all seven closed forms on every pair and keeps the
+    first region that holds."""
+    p = np.asarray(points, dtype=np.float64)
+    t = np.asarray(tris, dtype=np.float64)
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    out = np.empty_like(p)
+    done = np.zeros(len(p), dtype=bool)
+
+    def assign(mask, value):
+        m = mask & ~done
+        if m.any():
+            out[m] = value[m]
+            done[m] = True
+
+    assign((d1 <= 0) & (d2 <= 0), a)  # vertex A
+    assign((d3 >= 0) & (d4 <= d3), b)  # vertex B
+    assign((d6 >= 0) & (d5 <= d6), c)  # vertex C
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = d1 / (d1 - d3)
+        edge_ab = a + v_ab[:, None] * ab
+        assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), edge_ab)
+
+        v_ac = d2 / (d2 - d6)
+        edge_ac = a + v_ac[:, None] * ac
+        assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), edge_ac)
+
+        v_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        edge_bc = b + v_bc[:, None] * (c - b)
+        assign((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), edge_bc)
+
+        denom = va + vb + vc
+        v = vb / denom
+        w = vc / denom
+        face = a + v[:, None] * ab + w[:, None] * ac
+    assign(np.ones(len(p), dtype=bool), face)
+    return out
+
+
+def assert_kernel_matches_reference(points, tris):
+    closest = point_triangle_closest_all_branches(points, tris)
+    assert np.array_equal(point_triangle_closest(points, tris), closest, equal_nan=True)
+    assert np.array_equal(point_triangle_distance(points, tris),
+                          np.linalg.norm(points - closest, axis=1), equal_nan=True)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def points_by_region(rng, n):
+    """n random triangles and, for each of the seven regions, one point per
+    triangle placed well inside that region, with its exact closest point."""
+    a, b, c = (rng.normal(size=(n, 3)) for _ in range(3))
+    normal = _unit(np.cross(b - a, c - a))
+    lift = rng.uniform(-1.0, 1.0, size=(n, 1)) * normal
+    out = rng.uniform(0.2, 1.0, size=(n, 1))
+    groups = {}
+    for name, v, e1, e2 in (("A", a, b, c), ("B", b, c, a), ("C", c, a, b)):
+        # Between the outward extensions of the two edges at v.
+        groups[name] = (v - out * (_unit(e1 - v) + _unit(e2 - v)) + lift, v)
+    for name, u, v, w in (("AB", a, b, c), ("AC", a, c, b), ("BC", b, c, a)):
+        t = rng.uniform(0.2, 0.8, size=(n, 1))
+        foot = u + t * (v - u)
+        away = _unit(np.cross(v - u, normal))
+        away *= np.sign(np.einsum("ij,ij->i", away, foot - w))[:, None]
+        groups[name] = (foot + out * away + lift, foot)
+    s, t = rng.uniform(0.1, 0.45, size=(2, n, 1))
+    foot = a + s * (b - a) + t * (c - a)
+    groups["face"] = (foot + lift, foot)
+    return np.stack([a, b, c], axis=1), groups
+
+
+class TestKernelMatchesAllBranches:
+    """The region-first kernel equals the all-branches form bit for bit."""
+
+    def test_each_region(self, rng):
+        tris, groups = points_by_region(rng, 500)
+        for name, (pts, foot) in groups.items():
+            closest = point_triangle_closest_all_branches(pts, tris)
+            # Far from the foot if any pair had fallen in another region.
+            assert np.allclose(closest, foot, atol=1e-9), name
+            assert_kernel_matches_reference(pts, tris)
+
+    def test_mixed_regions_in_one_call(self, rng):
+        tris, groups = points_by_region(rng, 200)
+        pts = np.concatenate([p for p, _ in groups.values()])
+        order = rng.permutation(len(pts))
+        assert_kernel_matches_reference(pts[order], np.tile(tris, (7, 1, 1))[order])
+
+    def test_points_on_vertices_and_edges(self, rng):
+        tris = rng.normal(size=(300, 3, 3))
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        t = rng.uniform(size=(300, 1))
+        on = [a, b, c, 0.5 * (a + b), a + t * (c - a), b + t * (c - b),
+              a + 2.0 * (b - a), (a + b + c) / 3.0]
+        for pts in on:
+            assert_kernel_matches_reference(pts, tris)
+
+    @pytest.mark.parametrize("kind", ["zero_area", "repeated_vertex", "collinear",
+                                      "one_ulp_edge"])
+    def test_degenerate_triangles(self, rng, kind):
+        a, b = rng.normal(size=(2, 400, 3))
+        tris = {"zero_area": np.stack([a, a, a], axis=1),
+                "repeated_vertex": np.stack([a, a, b], axis=1),
+                "collinear": np.stack([a, b, a + 2.0 * (b - a)], axis=1),
+                # B and C one ulp apart: rounding lets both vertex tests hold.
+                "one_ulp_edge": np.stack([a, b, np.nextafter(b, np.inf)], axis=1)}[kind]
+        pts = np.concatenate([rng.normal(size=(400, 3)), a, b, 0.5 * (a + b)])
+        assert_kernel_matches_reference(pts, np.tile(tris, (4, 1, 1)))
+
+    def test_nan_coordinates(self, rng):
+        pts = rng.normal(size=(60, 3))
+        tris = rng.normal(size=(60, 3, 3))
+        pts[0:10, rng.integers(0, 3)] = np.nan
+        tris[10:20, 0, 1] = np.nan
+        tris[20:30, 1] = np.nan
+        tris[30:40, 2, 2] = np.nan
+        pts[40:50] = np.nan
+        tris[40:50] = np.nan
+        assert_kernel_matches_reference(pts, tris)
+
+    def test_no_pairs(self):
+        assert_kernel_matches_reference(np.empty((0, 3)), np.empty((0, 3, 3)))
+
+
 class TestP2S:
     def test_points_on_mesh_zero(self, sphere_mesh):
         pts, _ = sample_surface(sphere_mesh, 500, seed=1)
@@ -121,6 +268,54 @@ class TestP2SFrontier:
         points = rng.normal(size=(300, 3)) * 0.7
         monkeypatch.setattr(metrics, "MAX_FRONTIER", 64)
         assert np.array_equal(index.query(points), p2s_exhaustive(points, mesh))
+
+    @staticmethod
+    def hard_points(mesh, rng):
+        """Points at and near the sphere's center, where every triangle is
+        within bound, and points 0.2-0.6 units off the surface either way."""
+        pts, nrm = sample_surface(mesh, 300, seed=6)
+        scale = 10.0 ** rng.uniform(-12, -1, size=(200, 1))
+        off = rng.uniform(0.2, 0.6, size=(300, 1)) * rng.choice([-1.0, 1.0], size=(300, 1))
+        return {"center": np.concatenate([np.zeros((1, 3)), rng.normal(size=(200, 3)) * scale]),
+                "off_surface": pts + off * nrm}
+
+    @pytest.mark.parametrize("kind", ["center", "off_surface"])
+    @pytest.mark.parametrize("max_frontier", [None, 64])
+    def test_hard_points_exact(self, mesh, index, rng, monkeypatch, kind, max_frontier):
+        if max_frontier is not None:
+            monkeypatch.setattr(metrics, "MAX_FRONTIER", max_frontier)
+        points = self.hard_points(mesh, rng)[kind]
+        assert np.array_equal(index.query(points), p2s_exhaustive(points, mesh))
+
+    @pytest.mark.parametrize("max_frontier", [None, 64])
+    def test_torus_exact(self, torus_mesh, rng, monkeypatch, max_frontier):
+        if max_frontier is not None:
+            monkeypatch.setattr(metrics, "MAX_FRONTIER", max_frontier)
+        pts, nrm = sample_surface(torus_mesh, 200, seed=7)
+        points = np.concatenate([pts, pts + rng.uniform(-0.5, 0.5, size=(200, 1)) * nrm,
+                                 rng.uniform(-0.8, 0.8, size=(100, 3)), np.zeros((1, 3))])
+        index = SurfaceDistanceIndex(torus_mesh)
+        assert np.array_equal(index.query(points), p2s_exhaustive(points, torus_mesh))
+
+    @pytest.mark.parametrize("signs", list(itertools.product([1.0, -1.0], repeat=3)))
+    def test_near_tie_at_a_box_corner(self, signs):
+        # The nearest triangle's closest point is the corner of its box, so
+        # its box distance equals its distance. A second triangle, whose
+        # centroid is nearer and so seeds the bound, is 1e-12 farther: only a
+        # box test that is exact keeps the nearest triangle.
+        p = np.full(3, 0.1)
+        d = np.linalg.norm(p)
+        centre = p + (d + 1e-12) * np.ones(3) / np.sqrt(3.0)
+        e1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        e2 = np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)
+        ring = [0.05 * (np.cos(t) * e1 + np.sin(t) * e2) for t in (0.0, 2.1, 4.2)]
+        vertices = np.array([[0, 0, 0], [-1, -0.2, -0.5], [-0.3, -1, -0.1]]
+                            + [centre + r for r in ring]) * signs
+        mesh = TriMesh(vertices, [[0, 1, 2], [3, 4, 5]])
+        points = p[None] * signs
+        assert p2s_exhaustive(points, mesh)[0] == d
+        assert np.array_equal(SurfaceDistanceIndex(mesh).query(points),
+                              p2s_exhaustive(points, mesh))
 
     def test_kernel_looked_up_in_module_namespace(self, mesh, index, monkeypatch):
         # Tracers count P2S work by wrapping metrics.point_triangle_distance.
