@@ -181,8 +181,7 @@ def cmd_blend(args):
 def cmd_render_normals(args):
     mesh = load_obj(args.mesh)
     frame = _frame_from_args(args)
-    front = render_normals(mesh, frame, "front")
-    back = render_normals(mesh, frame, "back")
+    front, back = render_normals(mesh, frame, ("front", "back"))
     write_pfm(args.out_front, front.data)
     write_pfm(args.out_back, back.data)
     if args.out_mask:

@@ -531,7 +531,14 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
         if not np.array_equal(ipix, pix[1::2]):
             raise MeshError("internal: unpaired ray hits after parity repair")
         keep = b > a
-        np.add.at(data, ipix[keep], interval_terms(a[keep], b[keep], cfg))
+        ipix, terms = ipix[keep], interval_terms(a[keep], b[keep], cfg)
+        # Hits come sorted by pixel, so interval j is the rank[j]-th of its
+        # pixel; adding every pixel's k-th interval in step k keeps each
+        # pixel's ascending-depth sum order without a scatter-add.
+        rank = np.arange(len(ipix)) - np.searchsorted(ipix, ipix)
+        for k in range(int(rank.max(initial=-1)) + 1):
+            at = rank == k
+            data[ipix[at]] += terms[at]
     return FourierField(data.reshape(H, W, K))
 
 

@@ -9,7 +9,9 @@ view z is negative (a back-facing surface, e.g. an open sheet seen from
 behind) is negated so foreground normals always face the viewer.
 
 Per pixel the nearest surface wins; depth ties keep the lowest triangle
-index, so output is deterministic and independent of batching.
+index, so output is deterministic and independent of batching. The coverage
+records do not depend on the view, so render_normals(mesh, frame,
+(FRONT, BACK)) rasterizes once for both maps.
 """
 
 import numpy as np
@@ -59,29 +61,39 @@ class NormalMap:
 def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     """Rasterize interpolated surface normals into a NormalMap.
 
-    Uses per-vertex normals when the mesh carries them, otherwise flat face
-    normals. An empty mesh renders to an all-background map.
+    view is FRONT, BACK or a tuple of them; a tuple returns a tuple with one
+    map per entry, all resolved from one coverage pass, since the coverage
+    records do not depend on the view: only the depth sign, the nearest-
+    surface sort and the normal flip do. Uses per-vertex normals when the
+    mesh carries them, otherwise flat face normals. An empty mesh renders to
+    all-background maps.
     """
-    if view not in (FRONT, BACK):
-        raise DomainError(f"view must be 'front' or 'back', got {view!r}")
+    views = view if isinstance(view, tuple) else (view,)
+    for v in views:
+        if v not in (FRONT, BACK):
+            raise DomainError(f"view must be 'front' or 'back', got {v!r}")
     H, W = frame.height, frame.width
-    out = np.zeros((H, W, 3), dtype=np.float64)
-    mask = np.zeros((H, W), dtype=bool)
-    if mesh.n_faces == 0:
-        return NormalMap(out, mask)
+    rec = None
+    if mesh.n_faces:
+        tris, depth = frame.project_faces(mesh.vertices, mesh.faces)
+        rec = rasterize_coverage(tris, W, H)
+    if rec is None or len(rec.pixel) == 0:
+        maps = tuple(NormalMap(np.zeros((H, W, 3)), np.zeros((H, W), dtype=bool))
+                     for _ in views)
+    else:
+        z = bary_interp(rec.bary, depth[rec.tri])
+        face_normals = mesh.face_normals() if mesh.normals is None else None
+        maps = tuple(_nearest_normals(mesh, face_normals, rec, z, v, H, W) for v in views)
+    return maps if isinstance(view, tuple) else maps[0]
 
-    tris, depth = frame.project_faces(mesh.vertices, mesh.faces)
-    if view == BACK:
-        depth = -depth
 
-    rec = rasterize_coverage(tris, W, H)
-    if len(rec.pixel) == 0:
-        return NormalMap(out, mask)
-    z = bary_interp(rec.bary, depth[rec.tri])
-
-    # Nearest surface per pixel: sort by (pixel, -z, tri) and keep the first
-    # record of each pixel run.
-    order = np.lexsort((rec.tri, -z, rec.pixel))
+def _nearest_normals(mesh, face_normals, rec, z, view, H, W):
+    """The NormalMap of one view from the coverage records rec and their
+    front-view depths z; the back view sees depth -z."""
+    # Nearest surface per pixel: sort by (pixel, -view depth, tri) and keep
+    # the first record of each pixel run. Negation is exact, so the back
+    # view's key z equals the negated back depth.
+    order = np.lexsort((rec.tri, z if view == BACK else -z, rec.pixel))
     pix = rec.pixel[order]
     first = np.ones(len(pix), dtype=bool)
     first[1:] = pix[1:] != pix[:-1]
@@ -90,11 +102,11 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     win_tri = rec.tri[win]
     win_bary = rec.bary[win]
 
-    if mesh.normals is not None:
+    if face_normals is None:
         vn = mesh.normals[mesh.faces[win_tri]]  # (k, 3, 3)
         n = np.einsum("ij,ijk->ik", win_bary, vn)
     else:
-        n = mesh.face_normals()[win_tri]
+        n = face_normals[win_tri]
     if view == BACK:
         n = n * np.array([-1.0, 1.0, -1.0])
     # Renormalize and face the viewer.
@@ -103,6 +115,8 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     n = n / ln
     n = np.where(n[:, 2:3] < 0.0, -n, n)
 
+    out = np.zeros((H, W, 3), dtype=np.float64)
+    mask = np.zeros((H, W), dtype=bool)
     rows, cols = np.divmod(win_pix, W)
     out[rows, cols] = n
     mask[rows, cols] = True

@@ -124,8 +124,16 @@ def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):
         a = rng.normal(size=(int(rng.integers(2, 500)), 3))
         b = rng.normal(size=(int(rng.integers(2, 500)), 3))
         ok &= chamfer(a, b) == chamfer_bruteforce(a, b)
+    # Samples on a sphere shell against shell points mixed with points well
+    # inside it, as an occluded reconstruction scored against its ground
+    # truth produces them.
+    shell = rng.normal(size=(1500, 3))
+    shell *= 0.6 / np.linalg.norm(shell, axis=1, keepdims=True)
+    inner = shell[:400] * rng.uniform(0.1, 0.7, size=(400, 1))
+    a = np.concatenate([shell[400:] + rng.normal(size=(1100, 3)) * 1e-3, inner])
+    ok &= chamfer(a, shell) == chamfer_bruteforce(a, shell)
     return _check("kd-tree chamfer equals exhaustive search", ok,
-                  f"exact equality over {n_clouds} clouds")
+                  f"exact equality over {n_clouds} clouds and a sphere shell")
 
 
 def check_bvh_vs_exhaustive(n_instances=20, seed=4):
@@ -134,9 +142,16 @@ def check_bvh_vs_exhaustive(n_instances=20, seed=4):
     ok = True
     for mesh in [sphere] * n_instances + [make_torus()]:
         pts = rng.normal(size=(50, 3)) * 0.5
-        ok &= np.array_equal(SurfaceDistanceIndex(mesh).query(pts), p2s_exhaustive(pts, mesh))
+        index = SurfaceDistanceIndex(mesh)
+        want = p2s_exhaustive(pts, mesh)
+        # Adversarial seeds: each point starts from the face whose centroid
+        # is farthest from it.
+        gap = ((pts[:, None, :] - index.bvh.tri_verts.mean(axis=1)[None]) ** 2).sum(axis=2)
+        ok &= np.array_equal(index.query(pts), want)
+        ok &= np.array_equal(index.query(pts, np.argmax(gap, axis=1)), want)
     return _check("BVH point-to-surface equals exhaustive scan", ok,
-                  f"exact equality over {n_instances} sphere instances and a torus")
+                  f"exact equality over {n_instances} sphere instances and a torus, "
+                  "with nearest-centroid and farthest-centroid seeds")
 
 
 def finite_difference(fn, x, step=1e-5):

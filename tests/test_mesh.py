@@ -557,6 +557,24 @@ class TestMeshToFof:
                     assert np.array_equal(field.data[row, col], expected), (row, col)
         assert not caplog.records  # the tie rule alone keeps every count even
 
+    def test_stacked_intervals_match_per_ray_path(self):
+        # Three spheres on the z axis give pixels up to three intervals, so
+        # each pixel's terms are added over several accumulation steps.
+        ball = make_sphere(0.25, 2)
+        parts = [ball.translated([0.0, 0.0, z]) for z in (-0.6, 0.0, 0.6)]
+        n = ball.vertices.shape[0]
+        mesh = TriMesh(np.concatenate([m.vertices for m in parts]),
+                       np.concatenate([m.faces + i * n for i, m in enumerate(parts)]))
+        frame, cfg = OrthoFrame(16, 16), BasisConfig(7)
+        field = mesh_to_fof(mesh, frame, cfg)
+        counts = []
+        for row in range(16):
+            for col in range(16):
+                iv = ray_intervals(mesh, frame, (row, col))
+                counts.append(len(iv.intervals))
+                assert np.array_equal(field.data[row, col], intervals_to_coeffs(iv, cfg))
+        assert max(counts) == 3
+
     @pytest.mark.parametrize("shape", ["sphere", "torus"])
     def test_z_mirror_negates_sin_channels(self, sphere_mesh, torus_mesh, shape):
         # Mirroring in z maps each interval [a, b] to [-b, -a]: DC and cos

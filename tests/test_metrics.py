@@ -2,18 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from fofkit import metrics
 from fofkit.errors import DomainError, ShapeError
-from fofkit.mesh import TriMesh
-from fofkit.metrics import (QUERY_BLOCK, EvalReference, MetricReport, SurfaceDistanceIndex,
-                            chamfer, chamfer_bruteforce, config_hash, evaluate_pair, p2s,
-                            p2s_exhaustive, point_triangle_closest, point_triangle_distance,
-                            psnr, ssim)
+from fofkit.fof import BasisConfig
+from fofkit.mesh import TriMesh, mesh_to_fof
+from fofkit.metrics import (QUERY_BLOCK, UNIT_SCALE, EvalReference, MetricReport,
+                            SurfaceDistanceIndex, chamfer, chamfer_bruteforce, config_hash,
+                            evaluate_pair, nearest_bruteforce, p2s, p2s_exhaustive,
+                            point_triangle_closest, point_triangle_distance, psnr, ssim)
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
+from fofkit.raster import OrthoFrame
 from fofkit.render import normal_map_error, render_normals, render_silhouette
 from fofkit.shapes import make_sphere
-from fofkit.surface import reconstruct_field, sample_surface
+from fofkit.surface import _sample_points, _sample_uniforms, reconstruct_field, sample_surface
 
 
 class TestChamfer:
@@ -39,6 +42,18 @@ class TestChamfer:
             a = rng.normal(size=(int(rng.integers(1, 500)), 3))
             b = rng.normal(size=(int(rng.integers(1, 500)), 3))
             assert chamfer(a, b) == chamfer_bruteforce(a, b)
+
+    def test_kdtree_equals_bruteforce_on_a_shell(self, rng):
+        # Samples on a sphere shell against other shell points mixed with
+        # points well inside it, as an occluded reconstruction produces them:
+        # the case the kd-tree layout is chosen for.
+        b = _unit(rng.normal(size=(2000, 3))) * 0.6
+        a = np.concatenate([_unit(rng.normal(size=(900, 3))) * 0.6,
+                            _unit(rng.normal(size=(600, 3))) * rng.uniform(0.05, 0.55, (600, 1))])
+        assert chamfer(a, b) == chamfer_bruteforce(a, b)
+        cd, nearest = chamfer(a, b, return_index=True)
+        assert cd == chamfer(a, b)
+        assert np.array_equal(np.linalg.norm(a - b[nearest], axis=1), nearest_bruteforce(a, b))
 
     def test_triangle_inequality_diagnostic(self, rng):
         # mean-NN chamfer is not a metric; audit and count, don't assert
@@ -332,6 +347,83 @@ class TestP2SFrontier:
         assert pairs and sum(pairs) >= len(pts)
 
 
+def farthest_faces(points, mesh):
+    """For each point, the face at the largest exact distance from it."""
+    tris = mesh.vertices[mesh.faces]
+    n, m = len(points), len(tris)
+    d = point_triangle_distance(np.repeat(points, m, axis=0), np.tile(tris, (n, 1, 1)))
+    return np.argmax(d.reshape(n, m), axis=1)
+
+
+def nearest_sample_faces(points, mesh, n=2000, seed=3):
+    """For each point, the face of its nearest surface sample; NaN points get
+    face 0."""
+    faces, samples = _sample_points(mesh, _sample_uniforms(n, seed))
+    finite = np.isfinite(points).all(axis=1)
+    out = np.zeros(len(points), dtype=np.int64)
+    out[finite] = faces[cKDTree(samples).query(points[finite])[1]]
+    return out
+
+
+class TestSeededQuery:
+    """A seeded query returns the exhaustive minimum bit for bit, however
+    good or bad its seed faces are."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return make_sphere(0.6, 3)
+
+    @staticmethod
+    def points(mesh, rng, kind):
+        pts, nrm = sample_surface(mesh, 200, seed=8)
+        if kind == "off_surface":
+            off = rng.uniform(0.2, 0.6, size=(200, 1)) * rng.choice([-1.0, 1.0], size=(200, 1))
+            return np.concatenate([pts, pts + off * nrm, nrm * 0.2])
+        if kind == "center":
+            scale = 10.0 ** rng.uniform(-12, -1, size=(150, 1))
+            return np.concatenate([np.zeros((1, 3)), rng.normal(size=(150, 3)) * scale])
+        pts = pts + rng.uniform(-0.3, 0.3, size=(200, 1)) * nrm
+        pts[::7, rng.integers(0, 3)] = np.nan
+        pts[::11] = np.nan
+        return pts
+
+    @pytest.mark.parametrize("kind", ["off_surface", "center", "nan"])
+    @pytest.mark.parametrize("seeding", ["nearest_sample", "farthest"])
+    @pytest.mark.parametrize("max_frontier", [None, 64])
+    def test_equals_exhaustive(self, mesh, rng, monkeypatch, kind, seeding, max_frontier):
+        if max_frontier is not None:
+            monkeypatch.setattr(metrics, "MAX_FRONTIER", max_frontier)
+        points = self.points(mesh, rng, kind)
+        seeds = {"nearest_sample": nearest_sample_faces,
+                 "farthest": farthest_faces}[seeding](points, mesh)
+        got = SurfaceDistanceIndex(mesh).query(points, seeds)
+        assert np.array_equal(got, p2s_exhaustive(points, mesh), equal_nan=True)
+        if kind == "nan":
+            assert np.isnan(got).sum() == np.isnan(points).any(axis=1).sum() > 0
+
+    @pytest.mark.parametrize("seeding", ["nearest_sample", "farthest"])
+    @pytest.mark.parametrize("max_frontier", [None, 64])
+    def test_torus(self, torus_mesh, rng, monkeypatch, seeding, max_frontier):
+        if max_frontier is not None:
+            monkeypatch.setattr(metrics, "MAX_FRONTIER", max_frontier)
+        pts, nrm = sample_surface(torus_mesh, 60, seed=9)
+        points = np.concatenate([pts, pts + rng.uniform(-0.5, 0.5, size=(60, 1)) * nrm,
+                                 rng.uniform(-0.8, 0.8, size=(30, 3)), np.zeros((1, 3))])
+        seeds = {"nearest_sample": nearest_sample_faces,
+                 "farthest": farthest_faces}[seeding](points, torus_mesh)
+        assert np.array_equal(SurfaceDistanceIndex(torus_mesh).query(points, seeds),
+                              p2s_exhaustive(points, torus_mesh))
+
+    def test_p2s_passes_seeds(self, mesh, rng):
+        points = self.points(mesh, rng, "off_surface")
+        seeds = farthest_faces(points, mesh)
+        assert p2s(points, mesh, seeds) == p2s(points, mesh)
+
+    def test_one_seed_per_point(self, mesh):
+        with pytest.raises(ShapeError, match="one seed face per point"):
+            SurfaceDistanceIndex(mesh).query(np.zeros((3, 3)), [0, 1])
+
+
 class TestSSIM:
     def test_identity_exactly_one(self, rng):
         img = rng.random((32, 32, 3))
@@ -441,6 +533,28 @@ class TestEvalReference:
             want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
             assert ref.evaluate(recon) == want
             assert evaluate_pair(recon, sphere_mesh, frame128, 2000, seed=5) == want
+
+    def test_equals_exhaustive_pieces_on_an_occluded_sphere(self):
+        # Many reconstruction samples lie far inside the ground truth here,
+        # where the P2S seed and the kd-tree layout matter most; the report
+        # must still equal one assembled from the oracles and one-view renders.
+        gt = make_sphere(0.6, 3)
+        frame = OrthoFrame(64, 64)
+        pair = synthesize_occlusion(render_silhouette(gt, frame),
+                                    OccluderSpec("rectangle", seed=0, ratio=0.4))
+        field = occlude_field(mesh_to_fof(gt, frame, BasisConfig(15)), pair, "zero")
+        recon = reconstruct_field(field, frame, 64)
+        n, seed = 2000, 5
+        pts, _ = sample_surface(recon, n, seed)
+        gt_pts, _ = sample_surface(gt, n, seed)
+        dist = p2s_exhaustive(pts, gt)
+        assert (dist > 0.1).mean() > 0.1
+        err = [normal_map_error(render_normals(recon, frame, v), render_normals(gt, frame, v))
+               for v in ("front", "back")]
+        want = MetricReport(cd=chamfer(pts, gt_pts), p2s=float(dist.mean() * UNIT_SCALE),
+                            normal_err=0.5 * (err[0] + err[1]), n_samples=n, seed=seed,
+                            config_hash=config_hash(frame, n, seed))
+        assert EvalReference(gt, frame, n, seed).evaluate(recon) == want
 
     def test_empty_recon_raises_like_evaluate_pair(self, sphere_mesh, frame128):
         empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fofkit.errors import ShapeError
+from fofkit import render
+from fofkit.errors import DomainError, ShapeError
 from fofkit.mesh import TriMesh
 from fofkit.raster import OrthoFrame
 from fofkit.render import NormalMap, normal_map_error, render_normals, render_silhouette
@@ -89,6 +90,48 @@ class TestRenderNormals:
         b = render_normals(sphere_mesh, frame128, "front")
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.mask, b.mask)
+
+
+class TestSharedCoveragePass:
+    """A tuple of views renders every map from one coverage pass, each equal
+    to its own one-view render."""
+
+    @staticmethod
+    def mesh(sphere_mesh, kind):
+        return {"vertex_normals": sphere_mesh,
+                "face_normals": TriMesh(sphere_mesh.vertices, sphere_mesh.faces),
+                "empty": TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)),
+                "outside": sphere_mesh.translated([5.0, 0.0, 0.0])}[kind]
+
+    @pytest.mark.parametrize("kind", ["vertex_normals", "face_normals", "empty", "outside"])
+    def test_equals_one_view_renders(self, sphere_mesh, frame128, kind):
+        mesh = self.mesh(sphere_mesh, kind)
+        views = ("front", "back")
+        maps = render_normals(mesh, frame128, views)
+        assert isinstance(maps, tuple) and len(maps) == 2
+        for view, got in zip(views, maps):
+            want = render_normals(mesh, frame128, view)
+            assert np.array_equal(got.data, want.data) and np.array_equal(got.mask, want.mask)
+            assert got.data.tobytes() == want.data.tobytes()
+        assert maps[0].mask.any() == (kind in ("vertex_normals", "face_normals"))
+
+    def test_one_coverage_pass(self, sphere_mesh, frame128, monkeypatch):
+        calls = []
+        rasterize = render.rasterize_coverage
+
+        def counting(*args):
+            calls.append(1)
+            return rasterize(*args)
+
+        monkeypatch.setattr(render, "rasterize_coverage", counting)
+        back, front, back_again = render_normals(sphere_mesh, frame128, ("back", "front", "back"))
+        assert len(calls) == 1
+        assert np.array_equal(back.data, back_again.data)
+        assert np.array_equal(front.data, render_normals(sphere_mesh, frame128, "front").data)
+
+    def test_unknown_view_in_tuple(self, sphere_mesh, frame128):
+        with pytest.raises(DomainError, match="view must be"):
+            render_normals(sphere_mesh, frame128, ("front", "side"))
 
 
 class TestSilhouette:
