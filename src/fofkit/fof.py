@@ -24,7 +24,8 @@ taken on the raw series.
 
 All arithmetic is float64; file storage quantizes to float32 (see tensor_io).
 Decoding accumulates strictly in channel order so that grid decoding and
-single-ray decoding are bit-identical. Grid decoding skips pixels whose
+single-ray decoding are bit-identical. Grid decoding (decode_grid, and
+surface.field_to_grid through the same kernel) skips pixels whose
 coefficients are all zero (off the body, the field is identically zero):
 such a pixel's sum starts at +0.0 and adds only signed zeros, and
 +0.0 + (+-0.0) is +0.0, so writing +0.0 there without decoding is exact.
@@ -38,7 +39,7 @@ from .errors import DomainError, ShapeError
 
 DEFAULT_ORDER = 15
 
-# Pixels decoded together by decode_grid; a (chunk, depth) buffer stays in cache.
+# Pixels decoded together by _decode_pixels; a (chunk, depth) buffer stays in cache.
 _DECODE_CHUNK = 512
 
 
@@ -197,31 +198,42 @@ def depth_samples(depth_res):
 def decode_grid(fof, depth_res):
     """Sample occupancy on the (H, W, depth_res) grid of uniform depths.
 
-    Only pixels with a non-zero coefficient are decoded; the rest stay +0.0.
-    That is exact: a pixel's sum starts at +0.0 and each term of an all-zero
-    pixel is a signed zero, and +0.0 + (+-0.0) is +0.0. Live pixels are
-    decoded in chunks, accumulating channel by channel into a zeroed buffer,
-    so every sample equals decode_ray at the same depth bit for bit.
+    Only pixels with a non-zero coefficient are decoded; the rest stay +0.0
+    (see _decode_pixels), and every sample equals decode_ray at the same
+    depth bit for bit.
     """
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
+    live = np.flatnonzero(np.any(fof.data != 0.0, axis=2))
+    out = _decode_pixels(fof, live, live, fof.height * fof.width, depth_res)
+    return out.reshape(fof.height, fof.width, depth_res)
+
+
+def _decode_pixels(fof, pixels, rows, n_rows, depth_res):
+    """Decode the pixels with flat indices `pixels` at the uniform depths.
+
+    Returns an (n_rows, depth_res) array whose row rows[i] holds pixel
+    pixels[i]; every other row is +0.0. That is exact for a pixel whose
+    coefficients are all zero: its sum starts at +0.0 and each term is a
+    signed zero, and +0.0 + (+-0.0) is +0.0. Pixels are decoded in chunks,
+    accumulating channel by channel into a zeroed buffer, so every sample
+    equals decode_ray at the same depth bit for bit.
+    """
     cfg = BasisConfig(fof.order)
     basis = basis_eval(depth_samples(depth_res), cfg)  # (D, K)
-    flat = fof.data.reshape(-1, cfg.channels)
-    live = np.flatnonzero(np.any(flat != 0.0, axis=1))
-    coeffs = np.ascontiguousarray(flat[live].T)  # (K, n_live)
-    out = np.zeros((len(flat), depth_res), dtype=np.float64)
-    acc = np.empty((min(_DECODE_CHUNK, len(live)), depth_res), dtype=np.float64)
+    coeffs = np.ascontiguousarray(fof.data.reshape(-1, cfg.channels)[pixels].T)  # (K, n)
+    out = np.zeros((n_rows, depth_res), dtype=np.float64)
+    acc = np.empty((min(_DECODE_CHUNK, len(pixels)), depth_res), dtype=np.float64)
     term = np.empty_like(acc)
-    for s in range(0, len(live), _DECODE_CHUNK):
-        n = min(_DECODE_CHUNK, len(live) - s)
+    for s in range(0, len(pixels), _DECODE_CHUNK):
+        n = min(_DECODE_CHUNK, len(pixels) - s)
         a, t = acc[:n], term[:n]
         a.fill(0.0)
         for c in range(cfg.channels):
             np.multiply(coeffs[c, s:s + n, None], basis[:, c], out=t)
             a += t
-        out[live[s:s + n]] = a
-    return out.reshape(fof.height, fof.width, depth_res)
+        out[rows[s:s + n]] = a
+    return out
 
 
 def parseval_energy(coeffs):

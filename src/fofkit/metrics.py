@@ -87,6 +87,15 @@ def _kdtree(points):
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
+def _finite_points(points, what):
+    """points as an (n, 3) float64 array; a NaN or infinite coordinate
+    raises DomainError."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if not np.all(np.isfinite(p)):
+        raise DomainError(f"{what} contain non-finite coordinates")
+    return p
+
+
 def _nearest(queries, tree):
     # Indices via kd-tree; distances recomputed from the tree's points so
     # they match brute force bit-for-bit.
@@ -99,11 +108,12 @@ def chamfer(a, b, return_index=False):
 
     b may also be a cKDTree over its points, which is then reused. With
     return_index, also returns the index into b of each point of a's
-    nearest neighbor.
+    nearest neighbor. A NaN or infinite coordinate in either set raises
+    DomainError.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 3)
-    if not isinstance(b, cKDTree):
-        b = _kdtree(np.asarray(b, dtype=np.float64).reshape(-1, 3))
+    a = _finite_points(a, "chamfer points")
+    if not isinstance(b, cKDTree):  # a cKDTree holds finite points only
+        b = _kdtree(_finite_points(b, "chamfer points"))
     if len(a) == 0 or b.n == 0:
         raise DomainError("chamfer requires two non-empty point sets")
     d_ab, nearest = _nearest(a, b)
@@ -201,7 +211,7 @@ class SurfaceDistanceIndex:
         search starts from its distance to that face, so a face near the
         point (such as the face of its nearest surface sample) makes for a
         tight start. Without seeds each point starts from the triangle with
-        the nearest centroid.
+        the nearest centroid. A NaN or infinite coordinate raises DomainError.
 
         Points are traversed in blocks of QUERY_BLOCK. Each block starts from
         the seed distances and walks the BVH breadth first over flat
@@ -223,7 +233,7 @@ class SurfaceDistanceIndex:
         the distance to a real triangle, so it never undercuts the minimum,
         and the result is the same for any seed.
         """
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        p = _finite_points(points, "query points")
         if seeds is None:
             _, seeds = self._centroid_tree.query(p)
         seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
@@ -285,9 +295,10 @@ def p2s(points, mesh, seeds=None):
 
     mesh may also be a SurfaceDistanceIndex over the mesh, which is then
     reused. seeds are optional start faces, one per point; see
-    SurfaceDistanceIndex.query.
+    SurfaceDistanceIndex.query. A NaN or infinite coordinate raises
+    DomainError.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = _finite_points(points, "p2s points")
     if len(pts) == 0:
         raise DomainError("p2s requires a non-empty point set")
     if not isinstance(mesh, SurfaceDistanceIndex):

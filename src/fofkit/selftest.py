@@ -3,7 +3,8 @@
 Each check validates an optimized path against a slower, obviously-correct
 oracle: trapezoid quadrature for the closed-form encoding, exhaustive search
 for the kd-tree and the BVH, central finite differences for the loss
-gradients, and the literal case table for the visibility weights.
+gradients, the literal case table for the visibility weights, and
+extraction from the full-frame grid for the cropped reconstruction.
 """
 
 import os
@@ -16,7 +17,9 @@ from .fof import BasisConfig, IntervalList, basis_eval, decode_grid, decode_ray,
 from .losses import FeaturePyramid, LevelWeights, feat_loss, geo_loss, mse_coeff_loss
 from .metrics import chamfer, chamfer_bruteforce, SurfaceDistanceIndex, p2s_exhaustive
 from .occlusion import MaskPair, weight_map
+from .raster import OrthoFrame
 from .shapes import make_sphere, make_torus
+from .surface import OccupancyGrid, field_to_grid, marching_cubes, reconstruct_field
 from .tensor_io import CrcMismatchError, read_tensor, write_tensor
 
 QUAD_SAMPLES = 100_000
@@ -115,6 +118,29 @@ def check_decode_consistency(seed=2):
         grid[r, c, k] == decode_ray(field.data[r, c], zs[k])
         for r in range(5) for c in range(6) for k in range(9))
     return _check("decode_grid equals decode_ray exactly", exact, "bitwise over 270 samples")
+
+
+def check_cropped_reconstruction(seed=7):
+    rng = np.random.default_rng(seed)
+    frame = OrthoFrame(10, 12)
+    data = rng.normal(size=(12, 10, 7)) * 0.4
+    data[..., 0] += 0.5
+    live = np.zeros((12, 10), dtype=bool)
+    live[4:8, 3:6] = True  # inside the frame
+    live[9:, 7:] = True  # touching its bottom and right edges
+    data[~live] = 0.0
+    field = FourierField(data)
+    grid = field_to_grid(field, frame, 9)
+    dense = OccupancyGrid(np.transpose(decode_grid(field, 9)[::-1], (1, 0, 2)),
+                          grid.origin, grid.spacing)
+    exact = True
+    for iso in (0.5, 0.0, -0.1):
+        got, want = reconstruct_field(field, frame, 9, iso), marching_cubes(dense, iso)
+        exact &= (want.n_faces > 0 and got.vertices.shape == want.vertices.shape
+                  and np.array_equal(got.vertices.view(np.int64), want.vertices.view(np.int64))
+                  and np.array_equal(got.faces, want.faces))
+    return _check("cropped reconstruction equals dense extraction", exact,
+                  "bitwise at iso 0.5, 0 and -0.1 on a 12x10 field")
 
 
 def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):
@@ -236,6 +262,7 @@ ALL_CHECKS = (
     check_closed_form_vs_quadrature,
     check_bessel_bound,
     check_decode_consistency,
+    check_cropped_reconstruction,
     check_kdtree_vs_bruteforce,
     check_bvh_vs_exhaustive,
     check_gradients,

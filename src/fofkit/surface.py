@@ -8,12 +8,24 @@ definition. Vertices are deduplicated by their global grid-edge key, so the
 output is independent of traversal order and adjacent cubes share vertices
 exactly. The rare face ambiguities of the classic tables are accepted; the
 harness measures distances, not genus.
+
+An OccupancyGrid may hold a box cut out of a larger grid: its integer offset
+is the full-grid index of values[0, 0, 0], and origin and spacing map
+full-grid indices to the scene. marching_cubes places each vertex at
+origin + spacing * (offset + index + t), so a box that holds every cube with
+a crossing extracts the full grid's mesh bit for bit: np.nonzero visits the
+box's cubes and edges in the full grid's order, so vertices and faces are
+numbered alike. field_to_grid returns such a box: the live columns of the
+field (those with a non-zero coefficient) plus one cell on each side,
+clamped to the frame. Dead columns decode to exactly +0.0, so a cube whose
+corners are all dead has no crossing at any iso, and every cube with a live
+corner lies inside the box.
 """
 
 import numpy as np
 
 from .errors import DomainError, MeshError, ShapeError
-from .fof import FourierField, decode_grid, depth_samples
+from .fof import FourierField, _decode_pixels, depth_samples
 from .mesh import TriMesh, check_watertight, mesh_volume_divergence
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
@@ -24,16 +36,27 @@ from dataclasses import dataclass, field as dc_field
 
 @dataclass
 class OccupancyGrid:
-    """Sampled occupancy with a per-axis linear index-to-scene map."""
+    """Sampled occupancy with a per-axis linear index-to-scene map.
+
+    values may be a box of a larger grid whose sample (i, j, k) sits at
+    scene point origin + spacing * (i, j, k); offset is the full-grid index
+    of values[0, 0, 0], three non-negative integers, (0, 0, 0) by default.
+    """
 
     values: np.ndarray  # (X, Y, Z) float64
     origin: np.ndarray = dc_field(default_factory=lambda: np.array([-1.0, -1.0, -1.0]))
     spacing: np.ndarray = dc_field(default_factory=lambda: np.array([1.0, 1.0, 1.0]))
+    offset: np.ndarray = dc_field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.spacing = np.asarray(self.spacing, dtype=np.float64).reshape(3)
+        offset = np.asarray(self.offset)
+        if (offset.shape != (3,) or not np.issubdtype(offset.dtype, np.integer)
+                or np.any(offset < 0)):
+            raise ShapeError(f"offset must be three non-negative integers, got {self.offset!r}")
+        self.offset = offset.astype(np.int64)
         if self.values.ndim != 3 or min(self.values.shape) < 2:
             raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
@@ -44,10 +67,28 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     """Decode a field into an OccupancyGrid in scene coordinates.
 
     Grid axes are (x, y, z): x follows columns, y follows rows bottom-up,
-    z follows the uniform decode depths.
+    z follows the uniform decode depths. The grid is the box of live columns
+    (pixels with a non-zero coefficient) plus one cell on each side, clamped
+    to the frame, over all depths; its offset is the box's corner in the
+    full (width, height, depth_res) grid, and origin and spacing are those
+    of the full grid. Only live pixels are decoded; the rest of the box is
+    +0.0, as the full grid is there. A field with no live pixel gives a
+    2 x 2 x depth_res box of zeros at offset (0, 0, 0).
     """
-    occ = decode_grid(fof, depth_res)  # (H, W, D), row 0 = top
-    values = np.ascontiguousarray(np.transpose(occ[::-1, :, :], (1, 0, 2)))
+    if not isinstance(fof, FourierField):
+        fof = FourierField(fof)
+    live = np.any(fof.data != 0.0, axis=2)[::-1].T  # (x, y), y bottom-up
+    # x-major order, so decoded rows are written in sequence.
+    xs, ys = np.nonzero(live)
+    if len(xs):
+        lo = np.maximum([xs.min() - 1, ys.min() - 1], 0)
+        hi = np.minimum([xs.max() + 2, ys.max() + 2], live.shape)
+    else:
+        lo, hi = np.zeros(2, dtype=np.int64), np.full(2, 2)
+    box = tuple(hi - lo)
+    pixels = (fof.height - 1 - ys) * fof.width + xs
+    rows = (xs - lo[0]) * box[1] + (ys - lo[1])
+    values = _decode_pixels(fof, pixels, rows, box[0] * box[1], depth_res)
     h = frame.half_extent
     cx, cy, cz = frame.center
     origin = np.array([
@@ -60,7 +101,8 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
         2.0 * h / frame.height,
         2.0 * h / (depth_res - 1),
     ])
-    return OccupancyGrid(values, origin, spacing)
+    return OccupancyGrid(values.reshape(box + (depth_res,)), origin, spacing,
+                         np.array([lo[0], lo[1], 0]))
 
 
 def marching_cubes(grid, iso=0.5):
@@ -94,7 +136,8 @@ def marching_cubes(grid, iso=0.5):
         cross = np.nonzero(below[lo] != below[hi])
         va, vb = v[lo][cross], v[hi][cross]
         vid[axis][cross] = np.arange(n, n + len(va))
-        base = np.stack(cross, axis=1).astype(np.float64)
+        # Full-grid indices, so a box extracts its full grid's vertices.
+        base = (np.stack(cross, axis=1) + grid.offset).astype(np.float64)
         base[:, axis] += (iso - va) / (vb - va)
         positions.append(grid.origin + grid.spacing * base)
         n += len(va)
@@ -112,9 +155,7 @@ def marching_cubes(grid, iso=0.5):
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
-    """decode_grid + marching_cubes convenience wrapper."""
-    if not isinstance(fof, FourierField):
-        fof = FourierField(fof)
+    """field_to_grid + marching_cubes convenience wrapper."""
     return marching_cubes(field_to_grid(fof, frame, grid_res), iso=iso)
 
 

@@ -36,6 +36,17 @@ class TestChamfer:
         with pytest.raises(DomainError):
             chamfer(np.empty((0, 3)), [[0, 0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, rng, bad):
+        good = rng.normal(size=(20, 3))
+        worse = good.copy()
+        worse[7, 1] = bad
+        for a, b in ((worse, good), (good, worse), (worse, cKDTree(good))):
+            with pytest.raises(DomainError, match="non-finite"):
+                chamfer(a, b)
+            with pytest.raises(DomainError, match="non-finite"):
+                chamfer(a, b, return_index=True)
+
     def test_kdtree_equals_bruteforce(self, rng):
         # oracle equivalence on random clouds up to 500 points
         for _ in range(30):
@@ -254,6 +265,18 @@ class TestP2S:
         with pytest.raises(DomainError):
             p2s([[0, 0, 0]], empty)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, sphere_mesh, bad):
+        index = SurfaceDistanceIndex(sphere_mesh)
+        points = np.array([[0.1, 0.2, 0.3], [bad, 0.0, 0.0], [0.0, 0.7, 0.0]])
+        for mesh in (sphere_mesh, index):
+            with pytest.raises(DomainError, match="non-finite"):
+                p2s(points, mesh)
+        with pytest.raises(DomainError, match="non-finite"):
+            index.query(points)
+        with pytest.raises(DomainError, match="non-finite"):
+            index.query(points, np.zeros(3, dtype=np.int64))
+
 
 class TestP2SFrontier:
     """The frontier traversal returns the exhaustive minimum bit for bit."""
@@ -396,10 +419,15 @@ class TestSeededQuery:
         points = self.points(mesh, rng, kind)
         seeds = {"nearest_sample": nearest_sample_faces,
                  "farthest": farthest_faces}[seeding](points, mesh)
-        got = SurfaceDistanceIndex(mesh).query(points, seeds)
-        assert np.array_equal(got, p2s_exhaustive(points, mesh), equal_nan=True)
+        index = SurfaceDistanceIndex(mesh)
         if kind == "nan":
-            assert np.isnan(got).sum() == np.isnan(points).any(axis=1).sum() > 0
+            # NaN points are rejected; the finite ones still score exactly.
+            with pytest.raises(DomainError, match="non-finite"):
+                index.query(points, seeds)
+            finite = np.isfinite(points).all(axis=1)
+            assert 0 < finite.sum() < len(points)
+            points, seeds = points[finite], seeds[finite]
+        assert np.array_equal(index.query(points, seeds), p2s_exhaustive(points, mesh))
 
     @pytest.mark.parametrize("seeding", ["nearest_sample", "farthest"])
     @pytest.mark.parametrize("max_frontier", [None, 64])

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from fofkit.completion import vgcc_blend
 from fofkit.config import HarnessConfig
-from fofkit.errors import DomainError, MeshError
-from fofkit.fof import BasisConfig
+from fofkit.errors import DomainError, MeshError, ShapeError
+from fofkit.fof import BasisConfig, FourierField, decode_grid
 from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
 from fofkit.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_ORIGIN, TRI_TABLE
 from fofkit.metrics import chamfer
@@ -167,13 +167,32 @@ def marching_cubes_by_hand(grid, iso=0.5):
     return TriMesh(vertices, faces)
 
 
-def assert_same_extraction(grid, iso=0.5):
-    got, want = marching_cubes(grid, iso), marching_cubes_by_hand(grid, iso)
+def assert_same_mesh(got, want):
     assert got.vertices.shape == want.vertices.shape
     assert np.array_equal(got.vertices.view(np.int64), want.vertices.view(np.int64))
     assert got.faces.dtype == want.faces.dtype
     assert np.array_equal(got.faces, want.faces)
     return got
+
+
+def assert_same_extraction(grid, iso=0.5):
+    return assert_same_mesh(marching_cubes(grid, iso), marching_cubes_by_hand(grid, iso))
+
+
+def dense_grid(field, frame, depth_res):
+    """The full-frame grid of a field: decode_grid's (H, W, D) samples with
+    rows flipped and moved to the (X, Y, Z) layout, on field_to_grid's
+    index-to-scene map."""
+    grid = field_to_grid(field, frame, depth_res)
+    values = np.transpose(decode_grid(field, depth_res)[::-1], (1, 0, 2))
+    return OccupancyGrid(values, grid.origin, grid.spacing)
+
+
+def assert_cropped_equals_dense(field, frame, depth_res, iso=0.5):
+    """reconstruct_field extracts, bit for bit, what the hand-written
+    extractor takes from the full-frame grid."""
+    return assert_same_mesh(reconstruct_field(field, frame, depth_res, iso),
+                            marching_cubes_by_hand(dense_grid(field, frame, depth_res), iso))
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +260,90 @@ class TestCubeLayout:
     def test_sweep_fields(self, sweep_fields, method):
         frame, grid_res, fields = sweep_fields
         grid = field_to_grid(fields[method], frame, grid_res)
-        assert assert_same_extraction(grid).n_faces > 0
+        want = marching_cubes_by_hand(dense_grid(fields[method], frame, grid_res))
+        assert assert_same_mesh(marching_cubes(grid), want).n_faces > 0
+
+
+def random_support_field(live, order=3, seed=0):
+    """A field whose pixels are live where live is set: c0 near 0.5 and
+    random harmonics, so the decoded columns cross every tested iso."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=live.shape + (2 * order + 1,)) * 0.4
+    data[..., 0] += 0.5
+    data[~live] = 0.0
+    return FourierField(data)
+
+
+class TestCroppedExtraction:
+    """field_to_grid returns only the box of live columns; extracting from it
+    must give the full-frame mesh bit for bit at any iso."""
+
+    @pytest.mark.parametrize("iso", [0.5, 0.0, -0.1])
+    @pytest.mark.parametrize("method", ["naive", "blend", "noise"])
+    def test_sweep_fields(self, sweep_fields, method, iso):
+        frame, grid_res, fields = sweep_fields
+        assert assert_cropped_equals_dense(fields[method], frame, grid_res, iso).n_faces > 0
+
+    @pytest.mark.parametrize("iso", [0.5, 0.0, -0.1])
+    def test_live_pixels_touch_every_frame_edge(self, iso):
+        live = np.random.default_rng(1).random((12, 10)) < 0.3
+        live[0, 4] = live[-1, 7] = live[5, 0] = live[2, -1] = True
+        field = random_support_field(live, seed=2)
+        grid = field_to_grid(field, OrthoFrame(10, 12), 9)
+        assert grid.values.shape == (10, 12, 9)
+        assert np.array_equal(grid.offset, [0, 0, 0])
+        assert assert_cropped_equals_dense(field, OrthoFrame(10, 12), 9, iso).n_faces > 0
+
+    @pytest.mark.parametrize("iso", [0.5, 0.0, -0.1])
+    @pytest.mark.parametrize("pixel", [(4, 6), (0, 0), (11, 9), (0, 5)])
+    def test_single_live_pixel(self, pixel, iso):
+        live = np.zeros((12, 10), dtype=bool)
+        live[pixel] = True
+        field = random_support_field(live, seed=3)
+        grid = field_to_grid(field, OrthoFrame(10, 12), 9)
+        # one cell on each side of the pixel's column, clamped to the frame
+        x, y = pixel[1], 11 - pixel[0]
+        assert np.array_equal(grid.offset, [max(x - 1, 0), max(y - 1, 0), 0])
+        assert grid.values.shape[:2] == (min(x + 2, 10) - max(x - 1, 0),
+                                         min(y + 2, 12) - max(y - 1, 0))
+        assert_cropped_equals_dense(field, OrthoFrame(10, 12), 9, iso)
+
+    @pytest.mark.parametrize("iso", [0.5, 0.0, -0.1])
+    def test_two_depth_samples(self, iso):
+        live = np.zeros((12, 10), dtype=bool)
+        live[3:9, 2:6] = True
+        field = random_support_field(live, seed=4)
+        assert field_to_grid(field, OrthoFrame(10, 12), 2).values.shape == (6, 8, 2)
+        assert_cropped_equals_dense(field, OrthoFrame(10, 12), 2, iso)
+
+    @pytest.mark.parametrize("iso", [0.5, -0.1])
+    def test_all_zero_field_gives_empty_mesh(self, iso):
+        field = FourierField(np.zeros((12, 10, 7)))
+        grid = field_to_grid(field, OrthoFrame(10, 12), 9)
+        assert grid.values.shape == (2, 2, 9) and not grid.values.any()
+        assert np.array_equal(grid.offset, [0, 0, 0])
+        mesh = assert_cropped_equals_dense(field, OrthoFrame(10, 12), 9, iso)
+        assert mesh.n_faces == 0 and mesh.n_vertices == 0
+
+    @pytest.mark.parametrize("iso", [0.5, -0.1])
+    @pytest.mark.parametrize("offset", [(0, 0, 0), (3, 0, 0), (0, 2, 5), (4, 1, 3)])
+    def test_integer_offset_equivariance(self, offset, iso):
+        rng = np.random.default_rng(sum(offset))
+        small = np.zeros((6, 5, 7))
+        small[1:-1, 1:-1, 1:-1] = rng.random((4, 3, 5)) * 1.4 - 0.4
+        large = np.zeros(tuple(np.add(offset, small.shape) + [2, 3, 1]))
+        large[tuple(slice(o, o + n) for o, n in zip(offset, small.shape))] = small
+        origin, spacing = np.array([-0.3, 1.7, -2.1]), np.array([0.1, 0.37, 1.3])
+        want = marching_cubes(OccupancyGrid(large, origin, spacing), iso)
+        got = marching_cubes(OccupancyGrid(small, origin, spacing, offset), iso)
+        assert assert_same_mesh(got, want).n_faces > 0
+
+    @pytest.mark.parametrize("offset", [(1, 2), (0, 0, 0, 0), ((0, 0, 0),), (-1, 0, 0),
+                                        (0.0, 0, 0), (0.5, 1, 2), (True, False, True),
+                                        "abc"])
+    def test_bad_offset_rejected(self, offset):
+        with pytest.raises(ShapeError, match="offset"):
+            OccupancyGrid(np.zeros((2, 2, 2)), offset=offset)
 
 
 class TestRoundTrip:
@@ -322,19 +424,27 @@ class TestMeshVolume:
 class TestFieldToGrid:
     def test_grid_matches_decode(self, sphere_field, frame128):
         grid = field_to_grid(sphere_field, frame128, 64)
-        assert grid.values.shape == (128, 128, 64)
+        (nx, ny, nz), (x0, y0, z0) = grid.values.shape, grid.offset
+        assert nz == 64 and z0 == 0
         # x axis follows columns, y axis follows rows bottom-up
-        from fofkit.fof import decode_grid
         occ = decode_grid(sphere_field, 64)
-        assert grid.values[3, 5, 10] == occ[128 - 1 - 5, 3, 10]
+        assert grid.values[3, 5, 10] == occ[128 - 1 - (5 + y0), 3 + x0, 10]
+        dense = np.transpose(occ[::-1], (1, 0, 2))
+        assert np.array_equal(grid.values, dense[x0:x0 + nx, y0:y0 + ny])
+        # the box holds every live pixel
+        rows, cols = np.nonzero(np.any(sphere_field.data != 0.0, axis=2))
+        assert len(rows)
+        assert x0 <= cols.min() and cols.max() < x0 + nx
+        assert y0 <= 127 - rows.max() and 127 - rows.min() < y0 + ny
 
     def test_scene_coordinates_center(self, sphere_field, frame128):
         grid = field_to_grid(sphere_field, frame128, 128)
         # center voxel of the sphere grid decodes to ~1 occupancy
-        assert grid.values[64, 64, 64] > 0.9
+        x0, y0, z0 = grid.offset
+        assert grid.values[64 - x0, 64 - y0, 64 - z0] > 0.9
         # index->scene transform covers [-1, 1]
         assert grid.origin[2] == pytest.approx(-1.0)
-        top = grid.origin + grid.spacing * (np.array(grid.values.shape) - 1)
+        top = grid.origin + grid.spacing * (grid.offset + np.array(grid.values.shape) - 1)
         assert top[2] == pytest.approx(1.0)
 
 
