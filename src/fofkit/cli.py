@@ -29,7 +29,7 @@ from . import __version__
 from .completion import vgcc_blend
 from .config import RATIO, SETTINGS, HarnessConfig, default_seed, number, parse_checked
 from .errors import ConfigError, DomainError, FofkitError
-from .fof import BasisConfig, FourierField
+from .fof import BasisConfig, FourierField, _check_frame
 from .mesh import load_obj, mesh_to_fof, normalize_mesh, save_obj, check_watertight
 from .metrics import evaluate_pair, MetricReport
 from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, MaskPair, OccluderSpec, \
@@ -113,11 +113,9 @@ def _read_field(path):
             frame = OrthoFrame(int(meta["width"]), int(meta["height"]),
                                tuple(float(t) for t in meta["center"].split(",")),
                                float(meta["half_extent"]))
-        except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            _check_frame(field, frame)
+        except (KeyError, ValueError) as exc:  # UnicodeDecodeError and ShapeError too
             raise ConfigError(f"{meta_path}: bad field metadata: {exc}") from exc
-        if (frame.height, frame.width) != (field.height, field.width):
-            raise ConfigError(f"{meta_path}: frame {frame.height}x{frame.width} does not "
-                              f"match the {field.height}x{field.width} field")
     if frame is None:
         frame = OrthoFrame(field.width, field.height)
     return field, frame
@@ -126,7 +124,12 @@ def _read_field(path):
 def cmd_shapes(args):
     # Each flag's dest is the name of the maker parameter it sets.
     params = inspect.signature(SHAPE_MAKERS[args.kind]).parameters
-    mesh = make_shape(args.kind, **{k: v for k, v in vars(args).items() if k in params})
+    try:
+        mesh = make_shape(args.kind, **{k: v for k, v in vars(args).items() if k in params})
+    except DomainError as exc:
+        raise ConfigError(f"invalid shape: {exc}") from exc
+    if mesh.n_faces == 0:
+        raise FofkitError("generated mesh has no faces")
     ok, boundary = check_watertight(mesh)
     if not ok:
         raise FofkitError(f"generated mesh is not watertight ({len(boundary)} boundary edges)")
@@ -244,12 +247,12 @@ def build_parser():
     p = sub.add_parser("shapes", help="generate a procedural mesh")
     p.add_argument("kind", choices=tuple(SHAPE_MAKERS))
     p.add_argument("out")
-    p.add_argument("--radius", type=float, default=0.6)
-    p.add_argument("--subdivisions", type=int, default=4)
-    p.add_argument("--major-radius", type=float, default=0.45)
-    p.add_argument("--minor-radius", type=float, default=0.2)
-    p.add_argument("--grid-res", type=int, default=160)
-    p.add_argument("--size", type=float, default=1.0)
+    # Each flag takes the default, and its type, of the maker parameter it sets.
+    defaults = {name: param.default for maker in SHAPE_MAKERS.values()
+                for name, param in inspect.signature(maker).parameters.items()}
+    for name in ("radius", "subdivisions", "major_radius", "minor_radius", "grid_res", "size"):
+        p.add_argument("--" + name.replace("_", "-"), type=type(defaults[name]),
+                       default=defaults[name])
     p.set_defaults(func=cmd_shapes)
 
     p = sub.add_parser("encode", help="encode a mesh into a Fourier field")

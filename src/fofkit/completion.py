@@ -12,6 +12,9 @@ linearly with the chamfer distance to the mask boundary over feather_px
 pixels. Background pixels copy the observation.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -27,8 +30,8 @@ def degrade_prior(mesh, iterations=20, strength=0.5):
     """
     if not (0.0 <= strength <= 1.0):
         raise DomainError(f"strength must be in [0, 1], got {strength}")
-    if iterations < 0:
-        raise DomainError("iterations must be >= 0")
+    if not isinstance(iterations, numbers.Integral) or iterations < 0:
+        raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
     out = mesh.copy()
     if iterations == 0 or mesh.n_faces == 0:
         return out
@@ -84,6 +87,8 @@ def chamfer_distance_transform(mask):
 
 def blend_alpha(pair, feather_px=3.0):
     """Observation weight per pixel: 1 on V and background, ramp inside M."""
+    if not math.isfinite(feather_px):
+        raise DomainError(f"feather_px must be finite, got {feather_px!r}")
     alpha = np.ones(pair.M.shape, dtype=np.float64)
     if not pair.M.any():
         return alpha

@@ -97,6 +97,13 @@ class FourierField:
         return FourierField(self.data.copy())
 
 
+def _check_frame(field, frame):
+    """ShapeError unless the field has one pixel per pixel of the frame."""
+    if (field.height, field.width) != (frame.height, frame.width):
+        raise ShapeError(f"field {field.height}x{field.width} does not match "
+                         f"frame {frame.height}x{frame.width}")
+
+
 @dataclass
 class IntervalList:
     """Disjoint, ascending (z_in, z_out) pairs with -1 <= z_in < z_out <= 1."""

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, MeshError, ObjParseError, ShapeError
-from .fof import BasisConfig, FourierField, IntervalList, interval_terms
+from .fof import BasisConfig, FourierField, IntervalList, _check_frame, interval_terms
 from .raster import OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
 
 log = logging.getLogger(__name__)
@@ -204,20 +204,12 @@ def _obj_faces(tokens, first, counts, at, v_seen, vn_seen, errors):
     nid = np.zeros(n_tok, dtype=np.int64)
     nid[with_n] = np.where(ni > 0, ni - 1, np.repeat(vn_seen[at], sizes)[with_n] + ni)
     row_has_n = np.bincount(token_row[with_n], minlength=len(sizes)) == sizes
-    # Triangle a of a k-gon has corners (0, a, a + 1); rows of equal k go together.
+    # Triangle a of a k-gon has corners (0, a, a + 1), a = 1 .. k - 2.
     tris = sizes - 2
-    first_tri = np.cumsum(tris) - tris
-    faces = np.empty((int(tris.sum()), 3), dtype=np.int64)
-    normal_ids = np.empty_like(faces)
-    for k in np.unique(sizes):
-        rows = np.flatnonzero(sizes == k)
-        a = np.arange(1, k - 1)
-        fan = np.stack([np.zeros_like(a), a, a + 1], axis=1)
-        corner = (starts[rows, None, None] + fan).reshape(-1, 3)
-        tri = (first_tri[rows, None] + np.arange(k - 2)).ravel()
-        faces[tri] = vi[corner]
-        normal_ids[tri] = nid[corner]
-    return faces, normal_ids, np.repeat(row_has_n, tris)
+    row = np.repeat(np.arange(len(sizes)), tris)
+    a = np.arange(len(row)) - (np.cumsum(tris) - tris)[row] + 1
+    corner = starts[row, None] + np.stack([np.zeros_like(a), a, a + 1], axis=1)
+    return vi[corner], nid[corner], row_has_n[row]
 
 
 def load_obj(path):
@@ -226,8 +218,8 @@ def load_obj(path):
     Records are parsed by kind, a block of lines at a time: the coordinates
     of a block's v (and vn) records go through one float conversion, its
     face indices through one int conversion, and its polygons are
-    fan-triangulated in groups of equal vertex count. A malformed record
-    raises ObjParseError naming the first bad line.
+    fan-triangulated in one step. A malformed record raises ObjParseError
+    naming the first bad line.
     """
     no_rows = np.zeros((0, 3))
     verts, normals = [no_rows], [no_rows]
@@ -545,6 +537,7 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
 def field_volume(fof, frame=OrthoFrame()):
     """Scene volume implied by channel 0: sum over pixels of the occupied
     depth length times the pixel footprint."""
+    _check_frame(fof, frame)
     pixel_area = (2.0 * frame.half_extent / frame.width) * (2.0 * frame.half_extent / frame.height)
     return float(np.sum(2.0 * fof.data[:, :, 0]) * frame.half_extent * pixel_area)
 

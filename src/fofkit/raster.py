@@ -16,24 +16,25 @@ even on watertight meshes. Triangles whose projection has exactly zero area
 are skipped.
 
 The per-triangle setup and the inside test are written once (_setup,
-_covered) and used by both coverage paths. The batched path groups triangles
-by bounding-box size so meshes with tens of thousands of sub-pixel triangles
-rasterize in a handful of vectorized passes; the single-ray path tests only
-the triangles whose bounding box holds the point, which is the box the
-batched path's pixel windows come from. Both therefore produce identical
-hits.
+_covered) and used by both coverage paths. The batched path numbers the
+tests of every live triangle against each pixel center of its clamped
+bounding box in one flat sequence and runs them _PASS_TESTS at a time. The
+pass size bounds only the working memory, about 25 MB per pass whatever the
+sizes of the triangles; the records do not depend on it, so it is a constant
+and not a setting. The single-ray path tests the triangles whose bounding
+box holds the point. Both therefore produce identical hits.
 """
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DomainError
 
-# Window size buckets for the batched rasterizer (pixels per axis).
-_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+# Pixel tests per pass of rasterize_coverage (bounds its working arrays).
+_PASS_TESTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,8 @@ def rasterize_coverage(tris_raster, width, height):
     width, height : int
         Pixel grid bounds; pixels outside are discarded.
 
-    Returns CoverageRecords with normalized barycentric weights per record.
+    Returns CoverageRecords with normalized barycentric weights per record,
+    in no particular order.
     """
     tris = np.asarray(tris_raster, dtype=np.float64)
     t = _setup(tris)
@@ -162,49 +164,21 @@ def rasterize_coverage(tris_raster, width, height):
     iy0 = np.maximum(np.ceil(ymin - 0.5), 0).astype(np.int64)
     iy1 = np.minimum(np.floor(ymax - 0.5), height - 1).astype(np.int64)
 
-    live = (t.area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0)
-    if not np.any(live):
-        return CoverageRecords()
-
-    bw = np.where(live, ix1 - ix0 + 1, 0)
-    bh = np.where(live, iy1 - iy0 + 1, 0)
-
-    pix_out, tri_out, bary_out = [], [], []
-    bw_b = _bucket(bw)
-    bh_b = _bucket(bh)
-    key = bw_b * 10000 + bh_b
-    key[~live] = -1
-    for k in np.unique(key):
-        if k < 0:
-            continue
-        sel = np.where(key == k)[0]
-        wb, hb = int(k // 10000), int(k % 10000)
-        oy, ox = np.mgrid[0:hb, 0:wb]
-        col = ix0[sel, None] + ox.ravel()[None, :]
-        row = iy0[sel, None] + oy.ravel()[None, :]
-        valid = (col <= ix1[sel, None]) & (row <= iy1[sel, None])
-        inside, bary = _covered(col + 0.5, row + 0.5,
-                                _Setup(*(f[sel, None] for f in t)), valid)
-        ti, pi = np.nonzero(inside)
-        pix_out.append(row[ti, pi] * width + col[ti, pi])
-        tri_out.append(sel[ti])
-        bary_out.append(bary)
-
-    return CoverageRecords(
-        pixel=np.concatenate(pix_out),
-        tri=np.concatenate(tri_out),
-        bary=np.concatenate(bary_out),
-    )
-
-
-def _bucket(sizes):
-    out = np.zeros_like(sizes)
-    pos = sizes > 0
-    idx = np.searchsorted(_BUCKETS, sizes[pos])
-    vals = np.take(_BUCKETS, np.minimum(idx, len(_BUCKETS) - 1))
-    # beyond the table each size forms its own group (no window clipping)
-    out[pos] = np.where(sizes[pos] > _BUCKETS[-1], sizes[pos], vals)
-    return out
+    live = np.flatnonzero((t.area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0))
+    bw = (ix1 - ix0 + 1)[live]
+    n_tests = bw * (iy1 - iy0 + 1)[live]
+    start, total = np.cumsum(n_tests) - n_tests, int(n_tests.sum())
+    # Test j is pixel j - start[k] of live triangle k's box, in row-major order.
+    out = [astuple(CoverageRecords())]
+    for lo in range(0, total, _PASS_TESTS):
+        j = np.arange(lo, min(lo + _PASS_TESTS, total))
+        k = np.searchsorted(start, j, side="right") - 1
+        dy, dx = np.divmod(j - start[k], bw[k])
+        tri = live[k]
+        col, row = ix0[tri] + dx, iy0[tri] + dy
+        inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[tri] for f in t)), True)
+        out.append((row[inside] * width + col[inside], tri[inside], bary))
+    return CoverageRecords(*map(np.concatenate, zip(*out)))
 
 
 def bary_interp(bary, vals):

@@ -7,16 +7,24 @@ union-of-capsules distance field, which fuses the overlapping parts into one
 watertight manifold. All defaults fit inside [-0.9, 0.9]^3.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import DomainError
 from .mesh import TriMesh
 
 
+def _check_count(name, value, low):
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def make_cube(size=1.0):
     """Axis-aligned cube of edge length ``size`` centered at the origin."""
-    if size <= 0:
-        raise DomainError("cube size must be positive")
+    if not 0.0 < size < math.inf:
+        raise DomainError(f"cube size must be positive and finite, got {size!r}")
     h = size / 2.0
     v = np.array([
         [-h, -h, -h], [h, -h, -h], [h, h, -h], [-h, h, -h],
@@ -35,8 +43,9 @@ def make_cube(size=1.0):
 
 def make_sphere(radius=0.6, subdivisions=4):
     """Icosphere with vertices and normals on the exact sphere."""
-    if radius <= 0:
-        raise DomainError("sphere radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"sphere radius must be positive and finite, got {radius!r}")
+    _check_count("subdivisions", subdivisions, 0)
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -81,8 +90,11 @@ def _subdivide_unit(verts, faces):
 
 def make_torus(major_radius=0.45, minor_radius=0.2, major_segments=96, minor_segments=48):
     """Torus around the z axis with exact normals."""
-    if not (0 < minor_radius < major_radius):
-        raise DomainError("need 0 < minor_radius < major_radius")
+    if not 0.0 < minor_radius < major_radius < math.inf:
+        raise DomainError("need 0 < minor_radius < major_radius, both finite, got "
+                          f"{minor_radius!r} and {major_radius!r}")
+    _check_count("major_segments", major_segments, 3)
+    _check_count("minor_segments", minor_segments, 3)
     u = 2.0 * np.pi * np.arange(major_segments) / major_segments
     v = 2.0 * np.pi * np.arange(minor_segments) / minor_segments
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -144,6 +156,7 @@ def make_capsule_figure(grid_res=160, capsules=FIGURE_CAPSULES):
     """
     from .surface import OccupancyGrid, marching_cubes
 
+    _check_count("grid_res", grid_res, 2)
     lo, hi = -0.95, 0.95
     axis = np.linspace(lo, hi, grid_res)
     spacing = axis[1] - axis[0]

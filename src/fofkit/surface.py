@@ -25,7 +25,7 @@ corner lies inside the box.
 import numpy as np
 
 from .errors import DomainError, MeshError, ShapeError
-from .fof import FourierField, _decode_pixels, depth_samples
+from .fof import FourierField, _check_frame, _decode_pixels, depth_samples
 from .mesh import TriMesh, check_watertight, mesh_volume_divergence
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
@@ -73,10 +73,12 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     full (width, height, depth_res) grid, and origin and spacing are those
     of the full grid. Only live pixels are decoded; the rest of the box is
     +0.0, as the full grid is there. A field with no live pixel gives a
-    2 x 2 x depth_res box of zeros at offset (0, 0, 0).
+    2 x 2 x depth_res box of zeros at offset (0, 0, 0). A field whose size
+    is not the frame's raises ShapeError.
     """
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
+    _check_frame(fof, frame)
     live = np.any(fof.data != 0.0, axis=2)[::-1].T  # (x, y), y bottom-up
     # x-major order, so decoded rows are written in sequence.
     xs, ys = np.nonzero(live)

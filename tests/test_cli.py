@@ -1,4 +1,5 @@
 import configparser
+import inspect
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import fofkit
-from fofkit.cli import main
+from fofkit.cli import build_parser, main
 from fofkit.config import SETTINGS, HarnessConfig
-from fofkit.errors import ConfigError, OcclusionError
+from fofkit.errors import ConfigError, DomainError, OcclusionError
 from fofkit.mesh import load_obj
+from fofkit.shapes import SHAPE_MAKERS, make_shape
 from fofkit.surface import mesh_volume
 from fofkit.tensor_io import read_pfm, read_pgm, read_tensor
 
@@ -47,6 +49,50 @@ class TestShapes:
         assert run("shapes", "capsule_figure", out, "--grid-res", 96) == 0
         from fofkit.mesh import check_watertight
         assert check_watertight(load_obj(out))[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("capsule_figure", "--grid-res", 1), ("sphere", "--radius", "nan"),
+        ("sphere", "--radius", 0), ("sphere", "--subdivisions", -1),
+        ("cube", "--size", "inf"), ("cube", "--size", -1),
+        ("torus", "--major-radius", "inf"), ("torus", "--minor-radius", "nan")])
+    def test_bad_parameter_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.obj"
+        assert run("shapes", argv[0], out, *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "invalid shape" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_mesh_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "f.obj"
+        assert run("shapes", "capsule_figure", out, "--grid-res", 2) == 3
+        assert "no faces" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_defaults_are_the_makers(self):
+        args = build_parser().parse_args(["shapes", "sphere", "s.obj"])
+        for maker in SHAPE_MAKERS.values():
+            for name, param in inspect.signature(maker).parameters.items():
+                if hasattr(args, name):
+                    assert getattr(args, name) == param.default
+                    assert type(getattr(args, name)) is type(param.default)
+        assert {"radius", "subdivisions", "major_radius", "minor_radius", "grid_res",
+                "size"} <= set(vars(args))
+
+
+class TestShapeMakers:
+    @pytest.mark.parametrize("kind,params", [
+        ("sphere", {"radius": np.nan}), ("sphere", {"radius": np.inf}),
+        ("sphere", {"radius": -0.5}), ("sphere", {"subdivisions": -1}),
+        ("sphere", {"subdivisions": 1.5}), ("cube", {"size": np.inf}),
+        ("cube", {"size": np.nan}), ("cube", {"size": 0.0}),
+        ("torus", {"major_radius": np.inf}), ("torus", {"minor_radius": np.nan}),
+        ("torus", {"minor_radius": 0.0}), ("torus", {"major_segments": 2}),
+        ("torus", {"minor_segments": 1}), ("torus", {"major_segments": 2.5}),
+        ("capsule_figure", {"grid_res": 1}),
+        ("capsule_figure", {"grid_res": 0}), ("capsule_figure", {"grid_res": 8.0})])
+    def test_bad_parameter_is_domain_error(self, kind, params):
+        with pytest.raises(DomainError):
+            make_shape(kind, **params)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +165,15 @@ class TestPipeline:
         assert run("reconstruct", field, tmp_path / "r.obj", "--grid-res", 8) == 2
         err = capsys.readouterr().err
         assert "bad field metadata" in err and "Traceback" not in err
+
+    def test_meta_frame_size_mismatch_is_config_error(self, workdir, tmp_path, capsys):
+        field = tmp_path / "f.oaht"
+        field.write_bytes((workdir / "gt.oaht").read_bytes())
+        meta = (workdir / "gt.oaht.meta").read_text().replace("width = 128", "width = 64")
+        (tmp_path / "f.oaht.meta").write_text(meta)
+        assert run("reconstruct", field, tmp_path / "r.obj", "--grid-res", 8) == 2
+        err = capsys.readouterr().err
+        assert "bad field metadata" in err and "frame 128x64" in err
 
     def test_weights_section_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr("fofkit.sweep.prepare_context", None)  # no sweep may start

@@ -45,6 +45,11 @@ class TestDegradePrior:
         with pytest.raises(DomainError):
             degrade_prior(sphere_mesh, -1, 0.5)
 
+    @pytest.mark.parametrize("iterations", [2.5, np.float64(3.0), "3", None])
+    def test_non_integer_iterations(self, sphere_mesh, iterations):
+        with pytest.raises(DomainError, match="iterations"):
+            degrade_prior(sphere_mesh, iterations, 0.5)
+
 
 class TestDistanceTransform:
     def test_values_inside_block(self):
@@ -118,6 +123,14 @@ class TestBlend:
         small = np.zeros((8, 8), dtype=bool)
         with pytest.raises(ShapeError):
             vgcc_blend(c_obs, c_prior, MaskPair(small, small, small))
+
+    @pytest.mark.parametrize("feather", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("occluded", [True, False])
+    def test_non_finite_feather(self, setup, feather, occluded):
+        gt, body, c_obs, c_prior = setup
+        pair = MaskPair(body & ~occluded, body & occluded, body)
+        with pytest.raises(DomainError, match="feather_px"):
+            vgcc_blend(c_obs, c_prior, pair, feather)
 
     def test_blend_beats_zero_fill(self, sphere_mesh, sphere_field, frame128):
         # ratio 0.6: completion from a smoothed prior must reconstruct at

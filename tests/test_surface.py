@@ -8,7 +8,7 @@ from fofkit.completion import vgcc_blend
 from fofkit.config import HarnessConfig
 from fofkit.errors import DomainError, MeshError, ShapeError
 from fofkit.fof import BasisConfig, FourierField, decode_grid
-from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
+from fofkit.mesh import TriMesh, check_watertight, field_volume, mesh_to_fof
 from fofkit.mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_CORNERS, EDGE_ORIGIN, TRI_TABLE
 from fofkit.metrics import chamfer
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
@@ -446,6 +446,19 @@ class TestFieldToGrid:
         assert grid.origin[2] == pytest.approx(-1.0)
         top = grid.origin + grid.spacing * (grid.offset + np.array(grid.values.shape) - 1)
         assert top[2] == pytest.approx(1.0)
+
+
+class TestFieldFrameSize:
+    @pytest.mark.parametrize("frame", [OrthoFrame(128, 128), OrthoFrame(64, 32),
+                                       OrthoFrame(32, 64)])
+    def test_mismatch_is_shape_error(self, frame):
+        field = mesh_to_fof(make_sphere(0.6, 2), OrthoFrame(64, 64), BasisConfig(3))
+        for call in (lambda: field_to_grid(field, frame, 16),
+                     lambda: reconstruct_field(field, frame, 16),
+                     lambda: field_volume(field, frame)):
+            with pytest.raises(ShapeError, match=f"field 64x64 .* frame "
+                                                 f"{frame.height}x{frame.width}"):
+                call()
 
 
 class TestTables:
