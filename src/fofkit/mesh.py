@@ -65,14 +65,12 @@ class TriMesh:
             raise MeshError("empty mesh has no bounds")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def face_normals(self, normalized=True):
+    def face_normals(self):
         v = self.vertices[self.faces]
         n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        if normalized:
-            ln = np.linalg.norm(n, axis=1, keepdims=True)
-            ln[ln == 0.0] = 1.0
-            n = n / ln
-        return n
+        ln = np.linalg.norm(n, axis=1, keepdims=True)
+        ln[ln == 0.0] = 1.0
+        return n / ln
 
     def face_areas(self):
         v = self.vertices[self.faces]

@@ -348,7 +348,8 @@ def _check_image_pair(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    if a.min() < 0.0 or a.max() > 1.0 or b.min() < 0.0 or b.max() > 1.0:
+    # Written so that a NaN, which fails every comparison, fails the test.
+    if not (a.min() >= 0.0 and a.max() <= 1.0 and b.min() >= 0.0 and b.max() <= 1.0):
         raise DomainError("image values must lie in [0, 1]")
     return a, b
 

@@ -4,22 +4,24 @@ marching_cubes uses the classic 15-configuration tables with linear
 interpolation of edge crossings. It takes the cube layout (corner offsets,
 and each edge's axis and lower corner) from mc_tables, so the case bits, the
 crossing-edge vertices and the table's edge numbers all follow one
-definition. Vertices are deduplicated by their global grid-edge key, so the
-output is independent of traversal order and adjacent cubes share vertices
-exactly. The rare face ambiguities of the classic tables are accepted; the
-harness measures distances, not genus.
+definition. Each face corner names a grid edge by a global key, and the
+vertices are the distinct keys in sorted order, so adjacent cubes share
+vertices exactly. That set is every crossing edge: the table names exactly
+the edges whose two corners differ in the case bits, and each crossing edge
+belongs to some cube, which is then active. The rare face ambiguities of
+the classic tables are accepted; the harness measures distances, not genus.
 
 An OccupancyGrid may hold a box cut out of a larger grid: its integer offset
 is the full-grid index of values[0, 0, 0], and origin and spacing map
 full-grid indices to the scene. marching_cubes places each vertex at
 origin + spacing * (offset + index + t), so a box that holds every cube with
 a crossing extracts the full grid's mesh bit for bit: np.nonzero visits the
-box's cubes and edges in the full grid's order, so vertices and faces are
-numbered alike. field_to_grid returns such a box: the live columns of the
-field (those with a non-zero coefficient) plus one cell on each side,
-clamped to the frame. Dead columns decode to exactly +0.0, so a cube whose
-corners are all dead has no crossing at any iso, and every cube with a live
-corner lies inside the box.
+box's cubes, and the sorted keys order its edges, as the full grid does, so
+vertices and faces are numbered alike. field_to_grid returns such a box:
+the live columns of the field (those with a non-zero coefficient) plus one
+cell on each side, clamped to the frame. Dead columns decode to exactly
++0.0, so a cube whose corners are all dead has no crossing at any iso, and
+every cube with a live corner lies inside the box.
 """
 
 import numpy as np
@@ -41,6 +43,7 @@ class OccupancyGrid:
     values may be a box of a larger grid whose sample (i, j, k) sits at
     scene point origin + spacing * (i, j, k); offset is the full-grid index
     of values[0, 0, 0], three non-negative integers, (0, 0, 0) by default.
+    origin and spacing are three finite numbers each, spacing positive.
     """
 
     values: np.ndarray  # (X, Y, Z) float64
@@ -50,8 +53,15 @@ class OccupancyGrid:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.spacing = np.asarray(self.spacing, dtype=np.float64).reshape(3)
+        for name in ("origin", "spacing"):
+            vec = np.asarray(getattr(self, name))
+            if vec.shape != (3,) or vec.dtype.kind not in "iuf":
+                raise ShapeError(f"{name} must be three numbers, got {getattr(self, name)!r}")
+            if not np.all(np.isfinite(vec)):
+                raise DomainError(f"{name} must be finite, got {vec!r}")
+            setattr(self, name, np.asarray(vec, dtype=np.float64))
+        if np.any(self.spacing <= 0.0):
+            raise DomainError(f"spacing must be positive, got {self.spacing!r}")
         offset = np.asarray(self.offset)
         if (offset.shape != (3,) or not np.issubdtype(offset.dtype, np.integer)
                 or np.any(offset < 0)):
@@ -128,32 +138,28 @@ def marching_cubes(grid, iso=0.5):
     if not len(ci):
         return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
 
-    # One vertex per crossing grid edge, numbered axis by axis: vid[axis][p]
-    # is the vertex on the edge from grid point p along axis (0 elsewhere).
-    vid = np.zeros((3,) + v.shape, dtype=np.int64)
-    positions, n = [], 0
-    for axis in range(3):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        cross = np.nonzero(below[lo] != below[hi])
-        va, vb = v[lo][cross], v[hi][cross]
-        vid[axis][cross] = np.arange(n, n + len(va))
-        # Full-grid indices, so a box extracts its full grid's vertices.
-        base = (np.stack(cross, axis=1) + grid.offset).astype(np.float64)
-        base[:, axis] += (iso - va) / (vb - va)
-        positions.append(grid.origin + grid.spacing * base)
-        n += len(va)
-
-    # Each face corner is a cube edge named by TRI_TABLE; its vertex id sits
-    # at a fixed flat offset from the cube's own grid point in vid.
+    # Each face corner is a cube edge named by TRI_TABLE; key it by its grid
+    # edge, axis * v.size + the flat index of its lower grid point.
     edge_offset = EDGE_AXIS * v.size + np.ravel_multi_index(EDGE_ORIGIN.T, v.shape)
     rows = TRI_TABLE[case[ci, cj, ck]]  # (n_active, 16), -1 padded in trailing triples
     cube, slot = np.nonzero(rows >= 0)
     point = np.ravel_multi_index((ci[cube], cj[cube], ck[cube]), v.shape)
-    faces = vid.ravel()[point + edge_offset[rows[cube, slot]]].reshape(-1, 3)
+    # One vertex per distinct key. TRI_TABLE[case] names exactly the edges
+    # whose two corners differ in case's bits (the invariant that
+    # tests/test_surface.py::TestTables pins), and every crossing edge lies
+    # in a cube with that crossing, an active one. So the sorted distinct
+    # keys are the crossing edges, axis-major and then in C order.
+    keys, faces = np.unique(point + edge_offset[rows[cube, slot]], return_inverse=True)
+    axis, flat = np.divmod(keys, v.size)
+    lo = np.stack(np.unravel_index(flat, v.shape), axis=1)
+    step = np.eye(3, dtype=np.int64)[axis]
+    va, vb = v[tuple(lo.T)], v[tuple((lo + step).T)]
+    # Full-grid indices, so a box extracts its full grid's vertices.
+    base = (lo + grid.offset).astype(np.float64)
+    base[np.arange(len(keys)), axis] += (iso - va) / (vb - va)
     # The table's winding already points out of the high-occupancy region
     # under this corner layout (verified by signed volume on spheres).
-    return TriMesh(np.concatenate(positions, axis=0), faces)
+    return TriMesh(grid.origin + grid.spacing * base, faces.reshape(-1, 3))
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):

@@ -508,6 +508,17 @@ class TestPSNR:
             assert psnr(a, b) >= 0.0
 
 
+@pytest.mark.parametrize("fn", [ssim, psnr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_image_rejected(fn, bad, rng):
+    a = rng.random((16, 16))
+    b = a.copy()
+    b[3, 5] = bad
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            fn(x, y)
+
+
 class TestEvaluatePair:
     def test_identical_meshes(self, sphere_mesh, frame128):
         rep = evaluate_pair(sphere_mesh, sphere_mesh, frame128, 2000, seed=3)

@@ -345,6 +345,17 @@ class TestCroppedExtraction:
         with pytest.raises(ShapeError, match="offset"):
             OccupancyGrid(np.zeros((2, 2, 2)), offset=offset)
 
+    @pytest.mark.parametrize("name, value, error", [
+        ("spacing", 1.0, ShapeError), ("spacing", (1.0, 1.0), ShapeError),
+        ("origin", np.zeros((1, 3)), ShapeError), ("origin", "abc", ShapeError),
+        ("origin", (True, False, True), ShapeError), ("origin", (0, None, 0), ShapeError),
+        ("origin", (0.0, np.nan, 0.0), DomainError), ("origin", (np.inf, 0, 0), DomainError),
+        ("spacing", (1.0, 1.0, np.nan), DomainError), ("spacing", (1, 0, 1), DomainError),
+        ("spacing", (-1, 1, 1), DomainError), ("spacing", (1.0, -np.inf, 1.0), DomainError)])
+    def test_bad_origin_or_spacing_rejected(self, name, value, error):
+        with pytest.raises(error, match=name):
+            OccupancyGrid(np.zeros((2, 2, 2)), **{name: value})
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("shape", ["sphere", "torus", "capsule_figure"])
@@ -462,15 +473,12 @@ class TestFieldFrameSize:
 
 
 class TestTables:
-    def test_tri_table_consistent_with_edge_table(self):
-        from fofkit.mc_tables import EDGE_TABLE, TRI_TABLE
+    def test_tri_table_uses_exactly_the_crossing_edges(self):
+        # marching_cubes takes its vertices from the face corners, so each
+        # case must name every edge whose two corners differ in its bits and
+        # no other edge. Complementary cases then use the same edges.
         for case in range(256):
-            used = 0
-            for e in TRI_TABLE[case]:
-                if e >= 0:
-                    used |= 1 << int(e)
-            assert used == EDGE_TABLE[case]
-
-    def test_complementary_cases_same_edges(self):
-        from fofkit.mc_tables import EDGE_TABLE
-        assert np.array_equal(EDGE_TABLE, EDGE_TABLE[::-1])
+            bits = (case >> EDGE_CORNERS) & 1
+            crossing = set(np.flatnonzero(bits[:, 0] != bits[:, 1]).tolist())
+            row = TRI_TABLE[case]
+            assert set(row[row >= 0].tolist()) == crossing, case
