@@ -14,9 +14,9 @@ dropped with a warning.
 The BVH serves point-to-surface distance queries (metrics.py).
 """
 
+import io
 import logging
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,8 @@ log = logging.getLogger(__name__)
 
 JITTER_PIXELS = 1e-4
 MAX_RECASTS = 3
-_OBJ_KINDS = {"v": 1, "vn": 2, "f": 3}
+# str.split()'s separators but "\n" (none lies past U+3000), as str.translate maps them to " "
+_BLANKS = {c: " " for c in range(0x3001) if chr(c).isspace() and c != ord("\n")}
 _OBJ_BLOCK_CHARS = 1 << 18  # text parsed together by load_obj; bounds its temporaries
 _OBJ_WRITE_ROWS = 4096  # records per formatted write in save_obj
 
@@ -121,16 +122,95 @@ def _index_array(values):
     """int64 array of parsed OBJ indices; values past int64 are clamped to
     +-2**62, which no count of records reaches."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.clip(np.array(values, dtype=object), -2**62, 2**62).astype(np.int64)
 
 
-def _pick(items, positions):
-    """The items at ascending positions, as a list."""
-    mask = np.zeros(len(items), dtype=bool)
-    mask[positions] = True
-    return list(compress(items, mask.tolist()))
+class _ObjBlock:
+    """A block of OBJ lines cut into the tokens str.split() gives, held as
+    numpy positions: token i is text[starts[i]:ends[i]], and line j of the
+    block holds counts[j] tokens, from token first[j] on."""
+
+    def __init__(self, lines):
+        # The closing newline ends the last token, so chars[ends] is in range.
+        self.text = "".join(lines) + "\n"
+        # One byte per character: separators other than "\n" become " ", and
+        # characters past U+00FF "?", which numpy's reader rejects in a number.
+        self.chars = np.frombuffer(self.text.translate(_BLANKS).encode("latin-1", "replace"),
+                                   dtype=np.uint8)
+        space = (self.chars == ord(" ")) | (self.chars == ord("\n"))
+        edges = np.flatnonzero(np.diff(space, prepend=True))  # token starts and ends in turn
+        self.starts, self.ends = edges[::2], edges[1::2]
+        before = np.searchsorted(self.starts, np.flatnonzero(self.chars == ord("\n")))
+        self.counts = np.diff(before[:len(lines)], prepend=0)
+        self.first = before[:len(lines)] - self.counts
+        self.slashes = np.append(np.flatnonzero(self.chars == ord("/")), len(self.chars))
+
+    def kinds(self):
+        """Each line's record kind (1 v, 2 vn, 3 f, 0 any other tag, -1 a
+        blank line) and the set of other tags that are not comments."""
+        has = self.counts > 0
+        s = self.starts[self.first[has]]
+        size = self.ends[self.first[has]] - s
+        c0, c1 = self.chars[s], self.chars[s + 1]
+        tag_kind = np.select([(size == 1) & (c0 == ord("v")),
+                              (size == 2) & (c0 == ord("v")) & (c1 == ord("n")),
+                              (size == 1) & (c0 == ord("f"))], [1, 2, 3])
+        kinds = np.full(len(self.counts), -1, dtype=np.int8)
+        kinds[has] = tag_kind
+        other = (tag_kind == 0) & (c0 != ord("#"))
+        tags = {self.text[a:b] for a, b in zip(s[other].tolist(), (s + size)[other].tolist())}
+        return kinds, tags
+
+    def numbers(self, lo, hi, kind):
+        """kind (float or int) of each span text[lo:hi], as _numbers returns
+        it. The spans are converted in bulk, floats by numpy's C reader and
+        ints digit by digit; when that rejects a span, _numbers over the
+        spans decides and names the first bad one."""
+        if not len(lo):
+            return np.zeros(0, dtype=np.float64 if kind is float else np.int64), None
+        values = self._floats(lo, hi) if kind is float else self._ints(lo, hi)
+        if values is not None:
+            return values, None
+        return _numbers([self.text[a:b] for a, b in zip(lo.tolist(), hi.tolist())], kind)
+
+    def _floats(self, lo, hi):
+        """float64 of each span by np.loadtxt, or None if it rejects one.
+        The spans are whole tokens, three per record, so each record's
+        text from its first token to its third, blanks between them, goes
+        to loadtxt as a row."""
+        row_lo, row_hi = lo[::3], hi[2::3]
+        edge = np.zeros(len(self.chars) + 1, dtype=np.int8)
+        edge[row_hi + 1] = -1  # the blank after a row's last token ends it, as "\n"
+        edge[row_lo] += 1  # a row may start right after that blank
+        chars = self.chars.copy()
+        chars[row_hi] = ord("\n")
+        text = chars[np.cumsum(edge[:-1], dtype=np.int8).view(bool)]
+        try:
+            return np.loadtxt(io.StringIO(text.tobytes().decode("latin-1")), comments=None,
+                              ndmin=2).ravel()
+        except ValueError:
+            return None
+
+    def _ints(self, lo, hi):
+        """int64 of each span, or None unless every span is an optional "-"
+        and 1 to 18 ASCII digits, whose sum cannot overflow."""
+        neg = self.chars[lo] == ord("-")
+        first = lo + neg
+        size = hi - first
+        if size.min() < 1 or size.max() > 18:
+            return None
+        value = np.zeros(len(lo), dtype=np.int64)
+        at = hi - 1
+        for k in range(size.max()):  # the k-th digit from the right is at `at`
+            live = at >= first
+            digit = self.chars[np.maximum(at, first)] - np.uint8(ord("0"))  # wraps below "0"
+            if (live & (digit > 9)).any():
+                return None
+            value += digit * np.where(live, 10 ** k, 0)
+            at -= 1
+        return np.where(neg, -value, value)
 
 
 def _obj_records(kinds, counts, kind, short_msg, errors):
@@ -144,57 +224,62 @@ def _obj_records(kinds, counts, kind, short_msg, errors):
     return at[ok]
 
 
-def _obj_vectors(tokens, first, at, bad_msg, errors):
-    """(n, 3) float64 of the v or vn records at line indices `at` (first
-    holds each line's first token position), or None when a coordinate is
-    malformed; the first malformed one goes to errors."""
-    values, bad = _numbers(_pick(tokens, (first[at, None] + (1, 2, 3)).ravel()), float)
+def _obj_vectors(block, at, bad_msg, errors):
+    """(n, 3) float64 of the v or vn records at line indices `at` of the
+    block, or None when a coordinate is malformed; the first malformed one
+    goes to errors."""
+    t = (block.first[at, None] + (1, 2, 3)).ravel()
+    values, bad = block.numbers(block.starts[t], block.ends[t], float)
     if bad:
         errors.append((at[bad[0] // 3] + 1, -1, 0, f"{bad_msg}: {bad[1]}"))
         return None
-    return np.array(values, dtype=np.float64).reshape(-1, 3)
+    return np.asarray(values, dtype=np.float64).reshape(-1, 3)
 
 
-def _obj_faces(tokens, first, counts, at, v_seen, vn_seen, errors):
-    """Fan-triangulated faces of the f records at line indices `at`.
+def _obj_faces(block, at, v_seen, vn_seen, errors):
+    """Fan-triangulated faces of the f records at line indices `at` of the
+    block.
 
     Returns faces (m, 3), their normal ids (m, 3) and which faces carry
     normal indices, in file order, or None when an index is malformed.
     v_seen and vn_seen count the v and vn records up to each line; negative
-    indices count back from them. Malformed indices go to errors like
+    indices count back from them. A corner token's vertex index is its text
+    up to the first '/', its normal index the text after the second '/' up
+    to the third, if not empty. Malformed indices go to errors like
     _obj_vectors, keyed by token position and check, so that the least key
     is the first failure in file order.
     """
-    sizes = counts[at] - 1
+    sizes = block.counts[at] - 1
     starts = np.cumsum(sizes) - sizes
     token_row = np.repeat(np.arange(len(at)), sizes)
     n_tok = len(token_row)
-    corner_tokens = _pick(tokens, first[at][token_row] + 1 + np.arange(n_tok) - starts[token_row])
-    if "/" in "".join(corner_tokens):
-        fields = "/".join(corner_tokens).split("/")
-        n_fields = 1 + np.fromiter(map(str.count, corner_tokens, repeat("/")),
-                                   dtype=np.intp, count=n_tok)
-    else:  # one field per token
-        fields, n_fields = corner_tokens, np.ones(n_tok, dtype=np.intp)
-    field0 = np.cumsum(n_fields) - n_fields
+    t = np.repeat(block.first[at] + 1 - starts, sizes)
+    t += np.arange(n_tok)
+    lo, hi = block.starts[t], block.ends[t]
+    slash = np.searchsorted(block.slashes, lo)  # the token's first '/', if it has one
+    n_slashes = np.searchsorted(block.slashes, hi) - slash
 
     def fail(t, check, message):
         errors.append((at[token_row[t]] + 1, t - starts[token_row[t]], check, message))
 
-    vi, bad = _numbers(_pick(fields, field0), int)
+    def token(t):
+        return block.text[lo[t]:hi[t]]
+
+    vi, bad = block.numbers(lo, np.minimum(block.slashes[slash], hi), int)
     vi = _index_array(vi)
     if bad:
-        fail(bad[0], 0, f"bad face index {corner_tokens[bad[0]]!r}")
+        fail(bad[0], 0, f"bad face index {token(bad[0])!r}")
     zero = np.flatnonzero(vi == 0)
     if zero.size:
         fail(zero[0], 1, "OBJ face indices are 1-based")
-    third = np.flatnonzero(n_fields >= 3)
-    normal_fields = _pick(fields, field0[third] + 2)
-    present = np.fromiter(map(len, normal_fields), dtype=np.intp, count=len(third)) > 0
+    third = np.flatnonzero(n_slashes >= 2)
+    n_lo = block.slashes[slash[third] + 1] + 1
+    n_hi = np.minimum(block.slashes[slash[third] + 2], hi[third])
+    present = n_hi > n_lo
     with_n = third[present]
-    ni, bad = _numbers(list(compress(normal_fields, present.tolist())), int)
+    ni, bad = block.numbers(n_lo[present], n_hi[present], int)
     if bad:
-        fail(with_n[bad[0]], 2, f"bad normal index {corner_tokens[with_n[bad[0]]]!r}")
+        fail(with_n[bad[0]], 2, f"bad normal index {token(with_n[bad[0]])!r}")
     if errors:
         return None
     vi = np.where(vi > 0, vi - 1, np.repeat(v_seen[at], sizes) + vi)
@@ -213,11 +298,16 @@ def _obj_faces(tokens, first, counts, at, v_seen, vn_seen, errors):
 def load_obj(path):
     """Load an ASCII Wavefront OBJ (v/f/vn records; everything else ignored).
 
-    Records are parsed by kind, a block of lines at a time: the coordinates
-    of a block's v (and vn) records go through one float conversion, its
-    face indices through one int conversion, and its polygons are
-    fan-triangulated in one step. A malformed record raises ObjParseError
-    naming the first bad line.
+    The text is read a block of lines at a time. _ObjBlock finds a block's
+    tokens (those str.split() gives) with numpy, one byte per character, so
+    token counts, record kinds and the positions of each record's numbers
+    are array operations. The block's v and vn coordinates then go through
+    one np.loadtxt call (numpy's C reader) and its face indices through one
+    digit-by-digit sum; where either rejects a token, Python's float or int
+    reads that conversion's tokens instead, which accepts what a per-line
+    parser with float and int accepts and names the first bad token. The
+    polygons are fan-triangulated in one step. A malformed record raises
+    ObjParseError naming the first bad line.
     """
     no_rows = np.zeros((0, 3))
     verts, normals = [no_rows], [no_rows]
@@ -226,28 +316,22 @@ def load_obj(path):
     n_lines = n_v = n_vn = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         while lines := fh.readlines(_OBJ_BLOCK_CHARS):
-            counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp,
-                                 count=len(lines))
-            tokens = "".join(lines).split()
-            first = np.cumsum(counts) - counts
-            tags = _pick(tokens, first[counts > 0])
-            kinds = np.full(len(lines), -1, dtype=np.int8)  # -1: blank line
-            kinds[counts > 0] = np.fromiter(map(_OBJ_KINDS.get, tags, repeat(0)),
-                                            dtype=np.int8, count=len(tags))
-            ignored.update(compress(tags, (kinds[counts > 0] == 0).tolist()))
+            block = _ObjBlock(lines)
+            kinds, tags = block.kinds()
+            ignored |= tags
             errors = []
-            v_at = _obj_records(kinds, counts, 1, "vertex needs 3 coordinates", errors)
-            vn_at = _obj_records(kinds, counts, 2, "normal needs 3 components", errors)
-            f_at = _obj_records(kinds, counts, 3, "face needs at least 3 vertices", errors)
-            verts.append(_obj_vectors(tokens, first, v_at, "bad vertex", errors))
-            normals.append(_obj_vectors(tokens, first, vn_at, "bad normal", errors))
-            faces.append(_obj_faces(tokens, first, counts, f_at, n_v + np.cumsum(kinds == 1),
+            v_at = _obj_records(kinds, block.counts, 1, "vertex needs 3 coordinates", errors)
+            vn_at = _obj_records(kinds, block.counts, 2, "normal needs 3 components", errors)
+            f_at = _obj_records(kinds, block.counts, 3, "face needs at least 3 vertices", errors)
+            verts.append(_obj_vectors(block, v_at, "bad vertex", errors))
+            normals.append(_obj_vectors(block, vn_at, "bad normal", errors))
+            faces.append(_obj_faces(block, f_at, n_v + np.cumsum(kinds == 1),
                                     n_vn + np.cumsum(kinds == 2), errors))
             if errors:
                 line_no, _, _, message = min(errors, key=lambda e: e[:3])
                 raise ObjParseError(path, n_lines + int(line_no), message)
             n_lines, n_v, n_vn = n_lines + len(lines), n_v + len(v_at), n_vn + len(vn_at)
-    ignored = sorted(tag for tag in ignored if not tag.startswith("#"))
+    ignored = sorted(ignored)
     if ignored:
         log.warning("%s: ignored OBJ records %s", path, ignored)
     verts, normals = np.concatenate(verts), np.concatenate(normals)

@@ -24,6 +24,8 @@ cell on each side, clamped to the frame. Dead columns decode to exactly
 every cube with a live corner lies inside the box.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError, MeshError, ShapeError
@@ -163,7 +165,10 @@ def marching_cubes(grid, iso=0.5):
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
-    """field_to_grid + marching_cubes convenience wrapper."""
+    """field_to_grid + marching_cubes convenience wrapper; grid_res is
+    field_to_grid's depth_res, an integer >= 2."""
+    if not isinstance(grid_res, numbers.Integral) or grid_res < 2:
+        raise DomainError(f"grid_res must be an integer >= 2, got {grid_res!r}")
     return marching_cubes(field_to_grid(fof, frame, grid_res), iso=iso)
 
 

@@ -3,15 +3,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fofkit.errors import DomainError, FofkitError, MeshError, ObjParseError
 from fofkit.fof import BasisConfig, intervals_to_coeffs
-from fofkit.mesh import (TriMesh, check_watertight, drop_degenerate_faces, field_volume,
-                         fit_to_frame, load_obj, mesh_to_fof, mesh_volume_divergence,
-                         normalize_mesh, ray_cast_all, ray_intervals, save_obj)
+from fofkit.mesh import (TriMesh, _numbers, _ObjBlock, check_watertight, drop_degenerate_faces,
+                         field_volume, fit_to_frame, load_obj, mesh_to_fof,
+                         mesh_volume_divergence, normalize_mesh, ray_cast_all, ray_intervals,
+                         save_obj)
 from fofkit.metrics import chamfer
 from fofkit.raster import CoverageRecords, OrthoFrame, rasterize_coverage, ray_hits_at_point
 from fofkit.shapes import make_cube, make_sphere
@@ -354,6 +355,243 @@ class TestObjReaderAgainstLineParser:
         if isinstance(got, TriMesh):
             assert_same_mesh(got, want)
 
+
+def random_obj_text():
+    """TestObjReaderAgainstLineParser's fuzz text."""
+    return st.lists(st.one_of(
+        st.text(alphabet="vnf/#-+.0123456789eE \t\r\x0b\x85é", max_size=24),
+        st.builds(" ".join, st.lists(st.sampled_from(
+            ["v", "vn", "f", "1", "-1", "2/3/1", "1//1", "0", "x", "nan", "3//", "/1",
+             "99999999999999999999", "-4"]), max_size=6))), max_size=12).map("\n".join)
+
+
+def assert_fails_typed_or_as_before(path):
+    """TestObjReaderAgainstLineParser's fuzz oracle."""
+    try:
+        got = load_obj(path)
+    except FofkitError as exc:
+        got = exc
+    try:
+        want = load_obj_by_line(path)
+    except ObjParseError as exc:
+        # A per-line error names the same line with the same message.
+        assert isinstance(got, ObjParseError) and str(got) == str(exc)
+        return
+    except Exception:  # the old reader's leaks (IndexError, OverflowError, ...)
+        return
+    if isinstance(got, TriMesh):
+        assert_same_mesh(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
+class TestObjReaderAcrossBlocks:
+    """TestObjReaderAgainstLineParser's properties with blocks of a few
+    characters, so nearly every line is a block of its own: negative
+    indices reach back into earlier blocks, and the first error may lie in
+    any block."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", 8)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=valid_obj_text())
+    def test_valid_files_load_identically(self, tmp_path, text):
+        path = tmp_path / "gen.obj"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_mesh(load_obj(path), load_obj_by_line(path))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=shared_normal_obj_text())
+    def test_per_vertex_normals_match(self, tmp_path, text):
+        path = tmp_path / "normals.obj"
+        path.write_text(text)
+        assert_same_mesh(load_obj(path), load_obj_by_line(path))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=random_obj_text())
+    def test_random_text_fails_typed_or_as_before(self, tmp_path, text):
+        path = tmp_path / "fuzz.obj"
+        path.write_bytes(text.encode("utf-8"))
+        assert_fails_typed_or_as_before(path)
+
+
+def assert_same_outcome(path):
+    """load_obj loads what load_obj_by_line loads, bit for bit, or raises its
+    ObjParseError text; where the line parser leaks OverflowError (an index
+    past int64), load_obj raises ObjParseError."""
+    try:
+        want = load_obj_by_line(path)
+    except ObjParseError as exc:
+        with pytest.raises(ObjParseError) as got:
+            load_obj(path)
+        assert str(got.value) == str(exc)
+        return
+    except OverflowError:
+        with pytest.raises(ObjParseError, match="face references a missing vertex"):
+            load_obj(path)
+        return
+    assert_same_mesh(load_obj(path), want)
+
+
+def pad_to(text, size):
+    """text followed by one comment line, size characters in all."""
+    assert size - len(text) >= 2
+    return text + "#" + "x" * (size - len(text) - 2) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf coordinates
+class TestObjReaderBlocks:
+    def test_negative_indices_and_error_across_blocks(self, tmp_path, monkeypatch):
+        # Four blocks of exactly `size` characters: the first sphere's
+        # vertices; its faces, written with negative indices into block 1;
+        # a shifted copy's vertices; its faces, as quads and triangles.
+        sphere = make_sphere(0.6, 1)
+        n = sphere.n_vertices
+        verts = "".join("v %.9g %.9g %.9g\n" % tuple(v) for v in sphere.vertices)
+        faces = "".join("f %d %d %d\n" % tuple(f - n) for f in sphere.faces)
+        shifted = ["v %.9g %.9g %.9g\n" % tuple(v + 2.0) for v in sphere.vertices]
+        later = "".join("f %d %d %d\n" % tuple(f + n + 1) for f in sphere.faces)
+        later += "f %d %d %d %d\n" % (n + 1, n + 2, n + 3, n + 4)
+        size = max(map(len, [verts, faces, "".join(shifted), later])) + 2
+        blocks = [pad_to(verts, size), pad_to(faces, size), pad_to("".join(shifted), size),
+                  pad_to(later, size)]
+        # readlines(hint) stops after the line that takes it past hint.
+        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", size - 1)
+        path = tmp_path / "blocks.obj"
+        path.write_text("".join(blocks))
+        with open(path) as fh:  # load_obj reads these four blocks
+            assert ["".join(fh.readlines(size - 1)) for _ in range(5)] == blocks + [""]
+        assert_same_outcome(path)
+        got = load_obj(path)
+        assert got.n_vertices == 2 * n and got.n_faces == 2 * sphere.n_faces + 2
+        assert np.array_equal(got.faces[:sphere.n_faces], sphere.faces)
+
+        # A bad coordinate in block 3, the 5th vertex there.
+        shifted[4] = "v 1.5 0.25oops 2\n"
+        blocks[2] = pad_to("".join(shifted), size)
+        path.write_text("".join(blocks))
+        line_no = blocks[0].count("\n") + blocks[1].count("\n") + 5
+        assert_same_outcome(path)
+        with pytest.raises(ObjParseError, match=f"^{path}:{line_no}: bad vertex: could not "):
+            load_obj(path)
+
+    # numpy's C reader rejects the first two coordinates, and the digit sum
+    # the indices past int64, with an underscore, a "+" or a non-ASCII digit,
+    # so Python's float or int reads their block; the other coordinates the
+    # C reader reads as float does, sign of a NaN and subnormals included.
+    ODD_COORDINATES = ["1_0.5", "١.٥", "-nan", "nan", "1e-320", "Infinity", "-inf", "1e999"]
+    ODD_INDICES = ["99999999999999999999", "-99999999999999999999", "1_0", "٣", "+2", "007"]
+
+    @pytest.mark.parametrize("token", ODD_COORDINATES)
+    def test_odd_coordinate_alone(self, tmp_path, token):
+        path = tmp_path / "odd.obj"
+        path.write_text(f"v {token} 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 3 4\nf 2 3 4\n",
+                        encoding="utf-8")
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("token", ODD_INDICES)
+    def test_odd_index_alone(self, tmp_path, token):
+        path = tmp_path / "odd.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 {token} 3\nf 1 3 4\n",
+                        encoding="utf-8")
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("token", ODD_COORDINATES + ODD_INDICES)
+    def test_odd_token_in_a_large_block(self, tmp_path, token):
+        # One block of a 1280-face sphere with normals; the token replaces
+        # one coordinate, or one face's vertex index.
+        path = tmp_path / "sphere.obj"
+        save_obj(make_sphere(0.6, 3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len("".join(lines)) < 1 << 18
+        if token in self.ODD_COORDINATES:
+            at = 300
+            lines[at] = f"v 0.25 {token} -0.5\n"
+        else:
+            at = next(i for i, line in enumerate(lines) if line.startswith("f ")) + 500
+            corners = lines[at].split()[1:]
+            lines[at] = f"f {token}//{corners[0].split('/')[-1]} {corners[1]} {corners[2]}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert_same_outcome(path)
+
+    def test_well_formed_file_is_read_in_bulk(self, tmp_path, monkeypatch):
+        # Python's float and int are for a block with an odd token only.
+        path = tmp_path / "sphere.obj"
+        save_obj(make_sphere(0.6, 2), path)
+        want = load_obj(path)
+        lines = path.read_text().splitlines()
+        lines[:20] = [line + " 1 0.5" for line in lines[:20]]  # extra values on v lines
+        lines[20:40] = [line.replace(" ", "\t") for line in lines[20:40]]
+        n = want.n_vertices
+        lines += ["f %d//%d %d//%d %d//%d" % (a - n, a - n, b - n, b - n, c - n, c - n)
+                  for a, b, c in want.faces[:10]]
+        path.write_bytes(("# sphere\no s\r\n" + "\r\n".join(lines) + "\r\n").encode())
+
+        def python_numbers(tokens, kind):
+            raise AssertionError(f"{kind.__name__} of {tokens[:3]}... left the bulk path")
+
+        monkeypatch.setattr("fofkit.mesh._numbers", python_numbers)
+        got = load_obj(path)
+        assert_same_mesh(TriMesh(got.vertices, got.faces[:-10], got.normals), want)
+        assert np.array_equal(got.faces[-10:], want.faces[:10])
+
+
+# Separators str.split() knows, "\n" aside, and characters a number may hold.
+_SEPARATORS = " \t\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+_NUMBER_TEXT = "0123456789+-.eExXinfatyINFATY_\x00\x7f²½é١٣１"
+
+
+class TestObjBlock:
+    """The pieces load_obj builds on: its tokens are str.split()'s, and its
+    bulk conversions read a token only as float or int read it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.text(alphabet=_SEPARATORS + "vf/#1é\u0663", max_size=12),
+                          min_size=1, max_size=6))
+    def test_tokens_are_str_split_tokens(self, parts):
+        lines = [part + "\n" for part in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
+        block = _ObjBlock(lines or ["\n"])
+        tokens = [block.text[a:b] for a, b in zip(block.starts.tolist(), block.ends.tolist())]
+        assert tokens == "".join(lines).split()
+        assert block.counts.tolist() == [len(line.split()) for line in lines or ["\n"]]
+        assert [tokens[i] for i in block.first[block.counts > 0]] == \
+            [line.split()[0] for line in lines if line.split()]
+
+    @settings(max_examples=500, deadline=None)
+    @given(tokens=st.lists(st.one_of(
+        st.text(alphabet=_NUMBER_TEXT, min_size=1, max_size=22),
+        st.integers(-10**20, 10**20).map(str),
+        st.floats(width=64).map(repr),
+        st.sampled_from(["-nan", "Infinity", "1e-320", "1e999", "1_0", "\u0663", "+7", "007",
+                         "999999999999999999", "-999999999999999999", "9999999999999999999",
+                         "9223372036854775807", "-9223372036854775808"])),
+        min_size=1, max_size=9), kind=st.sampled_from([float, int]))
+    @example(tokens=["9999999999999999999"], kind=int)  # past int64 by 19 digits
+    @example(tokens=["999999999999999999", "-9223372036854775808", "-0", "+5"], kind=int)
+    @example(tokens=["-nan", "1e-320", "Infinity", "1e999", "-0", "\u0661.\u0665"], kind=float)
+    def test_numbers_read_as_python_does(self, tokens, kind):
+        if kind is float:  # coordinates come three to a record
+            tokens = (tokens * 3)[:len(tokens) * 3]
+        block = _ObjBlock(["x " + " ".join(tokens) + "\n"])
+        lo, hi = block.starts[1:], block.ends[1:]
+        want, want_bad = _numbers(tokens, kind)
+        bulk = block._floats(lo, hi) if kind is float else block._ints(lo, hi)
+        if bulk is not None:  # it accepts only what Python accepts, equal bit for bit
+            assert want_bad is None
+            dtype = np.float64 if kind is float else np.int64
+            assert np.array_equal(bulk.view(np.int64), np.array(want, dtype=dtype).view(np.int64))
+        got, bad = block.numbers(lo, hi, kind)
+        if want_bad:
+            assert bad[0] == want_bad[0] and str(bad[1]) == str(want_bad[1])
+        elif kind is int:
+            assert bad is None and [int(v) for v in got] == want
+        else:
+            assert bad is None
+            assert np.array_equal(np.asarray(got).view(np.int64), np.array(want).view(np.int64))
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
 class TestObjWriter:

@@ -472,6 +472,20 @@ class TestFieldFrameSize:
                 call()
 
 
+class TestReconstructFieldArguments:
+    @pytest.mark.parametrize("grid_res", [1, 0, -3, 2.5, True])
+    def test_bad_grid_res_names_grid_res(self, grid_res):
+        # It used to reach depth_samples and report "depth_res must be >= 2",
+        # an argument the caller never passed.
+        field = mesh_to_fof(make_sphere(0.6, 1), OrthoFrame(16, 16), BasisConfig(3))
+        with pytest.raises(DomainError, match=r"^grid_res must be an integer >= 2, got "):
+            reconstruct_field(field, OrthoFrame(16, 16), grid_res)
+
+    def test_numpy_integer_grid_res_accepted(self):
+        field = mesh_to_fof(make_sphere(0.6, 1), OrthoFrame(16, 16), BasisConfig(3))
+        assert isinstance(reconstruct_field(field, OrthoFrame(16, 16), np.int64(2)), TriMesh)
+
+
 class TestTables:
     def test_tri_table_uses_exactly_the_crossing_edges(self):
         # marching_cubes takes its vertices from the face corners, so each
