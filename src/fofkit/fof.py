@@ -31,6 +31,7 @@ such a pixel's sum starts at +0.0 and adds only signed zeros, and
 +0.0 + (+-0.0) is +0.0, so writing +0.0 there without decoding is exact.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,9 +196,10 @@ def decode_ray(coeffs, z, cfg=None):
 
 
 def depth_samples(depth_res):
-    """Uniform decode depths z_k = -1 + 2k/(depth_res - 1)."""
-    if depth_res < 2:
-        raise DomainError(f"depth_res must be >= 2, got {depth_res}")
+    """Uniform decode depths z_k = -1 + 2k/(depth_res - 1); depth_res is an
+    integer >= 2."""
+    if not isinstance(depth_res, numbers.Integral) or depth_res < 2:
+        raise DomainError(f"depth_res must be an integer >= 2, got {depth_res!r}")
     k = np.arange(depth_res, dtype=np.float64)
     return -1.0 + 2.0 * k / (depth_res - 1)
 

@@ -67,15 +67,12 @@ class TriMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def face_normals(self):
-        v = self.vertices[self.faces]
-        n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        ln = np.linalg.norm(n, axis=1, keepdims=True)
+        n, ln = _face_cross(self.vertices, self.faces)
         ln[ln == 0.0] = 1.0
-        return n / ln
+        return (n / ln).T
 
     def face_areas(self):
-        v = self.vertices[self.faces]
-        return 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
+        return 0.5 * _face_cross(self.vertices, self.faces)[1]
 
     def translated(self, offset):
         return TriMesh(self.vertices + np.asarray(offset, dtype=np.float64),
@@ -87,6 +84,24 @@ class TriMesh:
                        None if self.normals is None else self.normals.copy())
 
 
+def _face_cross(vertices, faces):
+    """Each face's (b - a) x (c - a) as (3, m) component rows, and its norm.
+
+    The components follow np.cross's formula and the norm sums the squares
+    left to right, as np.linalg.norm sums a row, so both equal that form
+    bit for bit.
+    """
+    rows = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64).T)
+    corners = np.take(rows, np.asarray(faces).T, axis=1)  # (axis, corner, face)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    u = b - a
+    v = c - a
+    n = np.array([u[1] * v[2] - u[2] * v[1],
+                  u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0]])
+    return n, np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+
+
 def drop_degenerate_faces(vertices, faces):
     """Remove faces with repeated indices or exactly zero area."""
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
@@ -94,8 +109,7 @@ def drop_degenerate_faces(vertices, faces):
         return faces
     distinct = (faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2]) \
         & (faces[:, 0] != faces[:, 2])
-    v = np.asarray(vertices, dtype=np.float64)[faces]
-    area2 = np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
+    area2 = _face_cross(vertices, faces)[1]
     keep = distinct & (area2 > 0.0)
     if not keep.all():
         log.warning("dropped %d degenerate faces", int((~keep).sum()))
@@ -447,7 +461,9 @@ class BVH:
     inner node has node_start -1 and children node_left and node_right.
     Boxes are stored axis-major, shape (3, n), so a box test reads one
     contiguous row per axis: node_lo and node_hi per node, tri_lo and tri_hi
-    per slot of `order`.
+    per slot of `order`. slot_rows, shape (3, 3, m), holds the vertices of
+    each slot's triangle the same way: slot_rows[j, k] is coordinate k of
+    corner j, so a leaf's triangles are one gather away.
     """
 
     LEAF_SIZE = 8
@@ -497,6 +513,7 @@ class BVH:
             stack.append((start, half, idx, False))
 
         self.order = order
+        self.slot_rows = self.tri_verts[order].transpose(1, 2, 0).copy()
         self.tri_lo = lo[order].T.copy()
         self.tri_hi = hi[order].T.copy()
         self.node_lo = np.asarray(node_lo).T.copy()

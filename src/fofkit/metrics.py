@@ -18,6 +18,15 @@ the point is nearer than its best distance to the triangle's own box. Each
 point's best distance starts at its distance to one seed triangle: a given
 face (an evaluation passes the face of the point's Chamfer-nearest
 ground-truth sample) or else the triangle with the nearest centroid.
+The pair kernel works on axis-major component rows: one row per coordinate
+of the points and of each triangle corner, which the BVH gathers in that
+layout from its slot-ordered copy of the triangles. Its summation order is
+written out and pinned: each 3-term dot product is (x*x' + z*z') + y*y',
+the order in which np.einsum summed these rows in the form it replaced, and
+each distance is sqrt((x*x + y*y) + z*z), as np.linalg.norm sums a row; so
+the distances do not depend on numpy's SIMD paths, and a scalar reference
+in the tests reproduces them bit for bit. Pairs are scored PAIR_BLOCK at a
+time, which keeps the kernel's temporaries small.
 Per-pair distances are elementwise and the pruning is conservative, so the
 result equals `p2s_exhaustive`, which scans every triangle and is the oracle
 the accelerated path is validated against, bit for bit, whatever the seed.
@@ -52,6 +61,10 @@ PSNR_CAP_DB = 99.0
 # expanded at once, which bounds the pair arrays when pruning is weak.
 QUERY_BLOCK = 2048
 MAX_FRONTIER = 1 << 16
+# Point-triangle pairs scored at once. It bounds the kernel's temporaries
+# to 64 KiB rows, which the allocator reuses; rows as long as a whole leaf
+# level (up to 8 * MAX_FRONTIER pairs, 4 MiB) are paged in afresh each call.
+PAIR_BLOCK = 8192
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -129,25 +142,39 @@ def chamfer_bruteforce(a, b):
     return float((0.5 * d_ab.mean() + 0.5 * d_ba.mean()) * UNIT_SCALE)
 
 
-def point_triangle_closest(points, tris):
-    """Closest points on paired triangles (Ericson region classification).
+def _dot(u, v):
+    """Dot products of the columns of two (3, n) component arrays, summed as
+    (x + z) + y: the order in which np.einsum("ij,ij->i") sums a 3-column
+    row with numpy's two-lane baseline SIMD, so these equal the einsum form
+    they replaced bit for bit, whatever numpy's build."""
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
-    points is (n, 3) and tris is (n, 3, 3); element i is matched with
-    triangle i. Returns the (n, 3) closest points.
-    """
-    p = np.asarray(points, dtype=np.float64)
-    a, b, c = np.asarray(tris, dtype=np.float64).transpose(1, 0, 2).copy()
+
+def _pair_rows(points, tris):
+    """Points (n, 3) and triangles (n, 3, 3) as component rows: p[k] is
+    coordinate k of the points and t[j, k] coordinate k of corner j. Input
+    already laid out so, such as a transposed view of (3, 3, n) rows, is
+    not copied."""
+    p = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    t = np.ascontiguousarray(np.asarray(tris, dtype=np.float64).transpose(1, 2, 0))
+    return p, t
+
+
+def _closest_rows(p, t):
+    """Closest points on paired triangles, as component rows (3, n), from
+    the rows p and t of _pair_rows."""
+    a, b, c = t
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
     bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
     cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -156,42 +183,61 @@ def point_triangle_closest(points, tris):
     # Each pair takes the first region whose test holds: vertex A, B, C,
     # edge AB, AC, BC; the face takes the rest, NaN pairs included. Each
     # closed form is then evaluated on its own region's pairs only.
-    region = np.select([(d1 <= 0) & (d2 <= 0),
-                        (d3 >= 0) & (d4 <= d3),
-                        (d6 >= 0) & (d5 <= d6),
-                        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
-                        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
-                        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)],
-                       np.arange(6, dtype=np.int8), 6)
-    at_a, at_b, at_c, on_ab, on_ac, on_bc, on_face = (np.flatnonzero(region == r)
-                                                      for r in range(7))
-    out = np.empty_like(p)
-    out[at_a] = a[at_a]
-    out[at_b] = b[at_b]
-    out[at_c] = c[at_c]
+    rest = np.ones(len(d1), dtype=bool)
+    regions = []
+    for test in ((d1 <= 0) & (d2 <= 0),
+                 (d3 >= 0) & (d4 <= d3),
+                 (d6 >= 0) & (d5 <= d6),
+                 (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+                 (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+                 (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)):
+        test &= rest
+        rest ^= test
+        regions.append(np.flatnonzero(test))
+    at_a, at_b, at_c, on_ab, on_ac, on_bc = regions
+    on_face = np.flatnonzero(rest)
     with np.errstate(divide="ignore", invalid="ignore"):
-        i = on_ab
-        v = d1[i] / (d1[i] - d3[i])
-        out[i] = a[i] + v[:, None] * ab[i]
-
-        i = on_ac
-        v = d2[i] / (d2[i] - d6[i])
-        out[i] = a[i] + v[:, None] * ac[i]
-
-        i = on_bc
-        v = (d4[i] - d3[i]) / ((d4[i] - d3[i]) + (d5[i] - d6[i]))
-        out[i] = b[i] + v[:, None] * (c[i] - b[i])
-
-        i = on_face
-        denom = va[i] + vb[i] + vc[i]
-        v = vb[i] / denom
-        w = vc[i] / denom
-        out[i] = a[i] + v[:, None] * ab[i] + w[:, None] * ac[i]
+        v_ab = d1[on_ab] / (d1[on_ab] - d3[on_ab])
+        v_ac = d2[on_ac] / (d2[on_ac] - d6[on_ac])
+        d43 = d4[on_bc] - d3[on_bc]
+        v_bc = d43 / (d43 + (d5[on_bc] - d6[on_bc]))
+        denom = va[on_face] + vb[on_face] + vc[on_face]
+        v = vb[on_face] / denom
+        w = vc[on_face] / denom
+    out = np.empty_like(ap)
+    for o, ak, bk, ck, abk, ack in zip(out, a, b, c, ab, ac):
+        o[at_a] = ak[at_a]
+        o[at_b] = bk[at_b]
+        o[at_c] = ck[at_c]
+        o[on_ab] = ak[on_ab] + v_ab * abk[on_ab]
+        o[on_ac] = ak[on_ac] + v_ac * ack[on_ac]
+        b_bc = bk[on_bc]
+        o[on_bc] = b_bc + v_bc * (ck[on_bc] - b_bc)
+        o[on_face] = ak[on_face] + v * abk[on_face] + w * ack[on_face]
     return out
 
 
+def point_triangle_closest(points, tris):
+    """Closest points on paired triangles (Ericson region classification).
+
+    points is (n, 3) and tris is (n, 3, 3); element i is matched with
+    triangle i. Returns the (n, 3) closest points.
+    """
+    return _closest_rows(*_pair_rows(points, tris)).T
+
+
 def point_triangle_distance(points, tris):
-    return np.linalg.norm(np.asarray(points) - point_triangle_closest(points, tris), axis=1)
+    """Distances from points (n, 3) to their paired triangles (n, 3, 3),
+    scored PAIR_BLOCK pairs at a time; the squares are summed left to
+    right, as np.linalg.norm sums a row."""
+    p, t = _pair_rows(points, tris)
+    out = np.empty(p.shape[1])
+    for s in range(0, len(out), PAIR_BLOCK):
+        ps = p[:, s:s + PAIR_BLOCK]
+        r = ps - _closest_rows(ps, t[..., s:s + PAIR_BLOCK])
+        r *= r
+        np.sqrt((r[0] + r[1]) + r[2], out=out[s:s + PAIR_BLOCK])
+    return out
 
 
 class SurfaceDistanceIndex:
@@ -268,7 +314,9 @@ class SurfaceDistanceIndex:
                 slot = shift + np.arange(len(pair_pt))
                 near = _box_gap(coords, pair_pt, bvh.tri_lo, bvh.tri_hi, slot) < best[pair_pt]
                 pair_pt, slot = pair_pt[near], slot[near]
-                d = point_triangle_distance(p[pair_pt], bvh.tri_verts[bvh.order[slot]])
+                # Both gathers come out axis-major, as the kernel reads them.
+                d = point_triangle_distance(np.take(coords, pair_pt, axis=1).T,
+                                            np.take(bvh.slot_rows, slot, axis=2).transpose(2, 0, 1))
                 # fmin, like a `d < best` update, never lets a NaN distance in.
                 np.fmin.at(best, pair_pt, d)
             inner = node[~leaf]
@@ -282,12 +330,14 @@ def _box_gap(coords, pt, lo, hi, box):
     """Distance from each point coords[:, pt[i]] to box box[i] of the
     axis-major corner arrays lo and hi; the squares are summed left to right,
     as np.linalg.norm sums a row."""
-    g2 = 0.0
+    g2 = []
     for axis in range(3):
         q = coords[axis][pt]
-        g = np.maximum(lo[axis][box] - q, 0.0) + np.maximum(q - hi[axis][box], 0.0)
-        g2 = g2 + g * g
-    return np.sqrt(g2)
+        g = np.maximum(lo[axis][box] - q, 0.0)
+        g += np.maximum(q - hi[axis][box], 0.0)
+        g *= g
+        g2.append(g)
+    return np.sqrt((g2[0] + g2[1]) + g2[2])
 
 
 def p2s(points, mesh, seeds=None):

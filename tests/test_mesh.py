@@ -617,6 +617,73 @@ class TestObjWriter:
         assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
 
+def face_cross_by_np_cross(vertices, faces):
+    """The form _face_cross replaced: np.cross of the gathered corners and
+    np.linalg.norm of each row."""
+    v = np.asarray(vertices, dtype=np.float64)[faces]
+    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    return n, np.linalg.norm(n, axis=1)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def assert_face_kernels_match_np_cross(vertices, faces):
+    mesh = TriMesh(vertices, faces)
+    n, norm = face_cross_by_np_cross(mesh.vertices, mesh.faces)
+    assert_same_bits(mesh.face_areas(), 0.5 * norm)
+    ln = norm[:, None].copy()
+    ln[ln == 0.0] = 1.0
+    assert_same_bits(mesh.face_normals(), n / ln)
+    f = mesh.faces
+    distinct = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])
+    assert np.array_equal(drop_degenerate_faces(mesh.vertices, f), f[distinct & (norm > 0.0)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
+class TestFaceCross:
+    """face_areas, face_normals and drop_degenerate_faces equal the np.cross
+    and np.linalg.norm form bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e150])
+    def test_random_meshes(self, rng, scale):
+        vertices = rng.normal(size=(300, 3)) * rng.uniform(0.01, 10.0, size=(300, 3)) * scale
+        assert_face_kernels_match_np_cross(vertices, rng.integers(0, 300, size=(2000, 3)))
+
+    def test_zero_area_and_repeated_index_faces(self, rng):
+        vertices = rng.normal(size=(40, 3))
+        vertices[30:] = vertices[29]  # coincident vertices
+        vertices[20] = 2.0 * vertices[21] - vertices[22]  # collinear with 21 and 22
+        faces = np.array([[0, 0, 1], [2, 3, 2], [4, 5, 5], [6, 6, 6], [29, 30, 31],
+                          [20, 21, 22], [7, 8, 9]])
+        assert_face_kernels_match_np_cross(vertices, faces)
+        assert np.array_equal(drop_degenerate_faces(vertices, faces), [[7, 8, 9]])
+
+    def test_infinite_and_huge_coordinates(self, rng):
+        vertices = rng.normal(size=(60, 3))
+        vertices[:10] *= 1e300  # products overflow to inf
+        vertices[10:15, 1] = np.inf
+        vertices[15:20, 2] = -np.inf
+        faces = np.concatenate([rng.integers(0, 20, size=(200, 3)),
+                                rng.integers(0, 60, size=(200, 3))])
+        assert_face_kernels_match_np_cross(vertices, faces)
+
+    def test_underflowing_norm_is_dropped(self):
+        # The cross product is 1e-320, a subnormal, but its square underflows,
+        # so the norm is 0 and the face has no area.
+        vertices = np.array([[0.0, 0.0, 0.0], [1e-160, 0.0, 0.0], [0.0, 1e-160, 0.0],
+                             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        faces = np.array([[0, 1, 2], [0, 3, 4]])
+        n, norm = face_cross_by_np_cross(vertices, faces)
+        assert n[0, 2] > 0.0 and norm[0] == 0.0
+        assert_face_kernels_match_np_cross(vertices, faces)
+        assert np.array_equal(drop_degenerate_faces(vertices, faces), [[0, 3, 4]])
+
+
 class TestWatertight:
     def test_closed_icosphere(self):
         ok, boundary = check_watertight(make_sphere(0.6, 2))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -237,6 +238,98 @@ class TestKernelMatchesAllBranches:
 
     def test_no_pairs(self):
         assert_kernel_matches_reference(np.empty((0, 3)), np.empty((0, 3, 3)))
+
+
+def _div(x, y):
+    """x / y in IEEE doubles, where Python's float division raises on 0."""
+    if y != 0.0 or math.isnan(y):
+        return x / y
+    if x == 0.0 or math.isnan(x):
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def point_triangle_distance_scalar(p, tri):
+    """One pair's distance in Python floats, without numpy: Ericson's first
+    region that holds, each dot product summed as (x + z) + y and the
+    squared distance left to right."""
+    def sub(u, v):
+        return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
+
+    def dot(u, v):
+        return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+    def along(o, t, e):
+        return [o[0] + t * e[0], o[1] + t * e[1], o[2] + t * e[2]]
+
+    a, b, c = tri
+    ab, ac = sub(b, a), sub(c, a)
+    ap, bp, cp = sub(p, a), sub(p, b), sub(p, c)
+    d1, d2 = dot(ab, ap), dot(ac, ap)
+    d3, d4 = dot(ab, bp), dot(ac, bp)
+    d5, d6 = dot(ab, cp), dot(ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    if d1 <= 0 and d2 <= 0:
+        q = a
+    elif d3 >= 0 and d4 <= d3:
+        q = b
+    elif d6 >= 0 and d5 <= d6:
+        q = c
+    elif vc <= 0 and d1 >= 0 and d3 <= 0:
+        q = along(a, _div(d1, d1 - d3), ab)
+    elif vb <= 0 and d2 >= 0 and d6 <= 0:
+        q = along(a, _div(d2, d2 - d6), ac)
+    elif va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
+        q = along(b, _div(d4 - d3, (d4 - d3) + (d5 - d6)), sub(c, b))
+    else:
+        denom = va + vb + vc
+        q = along(along(a, _div(vb, denom), ab), _div(vc, denom), ac)
+    r = sub(p, q)
+    return math.sqrt((r[0] * r[0] + r[1] * r[1]) + r[2] * r[2])
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+class TestKernelMatchesScalarReference:
+    """The pair kernel's arithmetic, pinned without einsum or np.linalg.norm."""
+
+    @staticmethod
+    def check(points, tris):
+        want = [point_triangle_distance_scalar(p, t)
+                for p, t in zip(points.tolist(), tris.tolist())]
+        assert_same_bits(point_triangle_distance(points, tris), want)
+
+    def test_each_region(self, rng):
+        tris, groups = points_by_region(rng, 200)
+        for pts, _ in groups.values():
+            self.check(pts, tris)
+
+    @pytest.mark.parametrize("kind", ["zero_area", "repeated_vertex", "collinear",
+                                      "one_ulp_edge"])
+    def test_degenerate_triangles(self, rng, kind):
+        a, b = rng.normal(size=(2, 100, 3))
+        tris = {"zero_area": np.stack([a, a, a], axis=1),
+                "repeated_vertex": np.stack([a, a, b], axis=1),
+                "collinear": np.stack([a, b, a + 2.0 * (b - a)], axis=1),
+                "one_ulp_edge": np.stack([a, b, np.nextafter(b, np.inf)], axis=1)}[kind]
+        pts = np.concatenate([rng.normal(size=(100, 3)), a, b, 0.5 * (a + b)])
+        self.check(pts, np.tile(tris, (4, 1, 1)))
+
+    def test_axis_major_triangles(self, rng):
+        # The BVH hands the kernel transposed views of (3, 3, n) rows.
+        tris, groups = points_by_region(rng, 100)
+        rows = np.ascontiguousarray(tris.transpose(1, 2, 0))
+        for pts, _ in groups.values():
+            assert_same_bits(point_triangle_distance(pts, rows.transpose(2, 0, 1)),
+                             point_triangle_distance(pts, tris))
 
 
 class TestP2S:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -484,6 +486,24 @@ class TestReconstructFieldArguments:
     def test_numpy_integer_grid_res_accepted(self):
         field = mesh_to_fof(make_sphere(0.6, 1), OrthoFrame(16, 16), BasisConfig(3))
         assert isinstance(reconstruct_field(field, OrthoFrame(16, 16), np.int64(2)), TriMesh)
+
+
+class TestDepthResArgument:
+    @pytest.mark.parametrize("depth_res", [2.5, 16.0, 1, 0, -3, True, "16"])
+    def test_bad_depth_res_names_depth_res(self, depth_res):
+        # A non-integer used to pass the ">= 2" test and fail later with
+        # "depth z must lie in [-1, 1]".
+        field = mesh_to_fof(make_sphere(0.6, 1), OrthoFrame(16, 16), BasisConfig(3))
+        for call in (lambda: field_to_grid(field, OrthoFrame(16, 16), depth_res),
+                     lambda: decode_grid(field, depth_res)):
+            with pytest.raises(DomainError, match=r"^depth_res must be an integer >= 2, got "
+                                                  + re.escape(repr(depth_res)) + "$"):
+                call()
+
+    def test_numpy_integer_depth_res_accepted(self):
+        field = mesh_to_fof(make_sphere(0.6, 1), OrthoFrame(16, 16), BasisConfig(3))
+        assert field_to_grid(field, OrthoFrame(16, 16), np.int32(2)).values.shape[2] == 2
+        assert decode_grid(field, np.int64(3)).shape == (16, 16, 3)
 
 
 class TestTables:
