@@ -92,14 +92,19 @@ def _face_cross(vertices, faces):
     bit for bit.
     """
     rows = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64).T)
-    corners = np.take(rows, np.asarray(faces).T, axis=1)  # (axis, corner, face)
+    n = _corner_cross(np.take(rows, np.asarray(faces).T, axis=1))
+    return n, np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+
+
+def _corner_cross(corners):
+    """The cross products of _face_cross, from the corners as
+    (axis, corner, face) rows."""
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     u = b - a
     v = c - a
-    n = np.array([u[1] * v[2] - u[2] * v[1],
-                  u[2] * v[0] - u[0] * v[2],
-                  u[0] * v[1] - u[1] * v[0]])
-    return n, np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
 def drop_degenerate_faces(vertices, faces):
@@ -459,11 +464,29 @@ class BVH:
 
     A leaf holds the triangles order[node_start:node_start + node_count]; an
     inner node has node_start -1 and children node_left and node_right.
+    Nodes are numbered breadth first from the root, node 0.
     Boxes are stored axis-major, shape (3, n), so a box test reads one
     contiguous row per axis: node_lo and node_hi per node, tri_lo and tri_hi
     per slot of `order`. slot_rows, shape (3, 3, m), holds the vertices of
     each slot's triangle the same way: slot_rows[j, k] is coordinate k of
     corner j, so a leaf's triangles are one gather away.
+
+    Each node, and each slot's triangle, also has a slab {x : a <= n.x <= b}
+    (node_n, node_a, node_b and tri_n, tri_a, tri_b; the directions are
+    (3, n) rows). A node's n is the sum of its triangles' cross products
+    (v1 - v0) x (v2 - v0), its area-weighted normal, normalized; a
+    triangle's n is its own normal. A sum that is zero or not finite takes
+    the x axis instead. Each n is divided by its largest |component| before
+    it is normalized, so no square overflows or underflows, and its length
+    is within 4u of 1 (u = 2**-53). [a, b] is the range of the rounded n.v
+    over the corners v under the node or of the triangle, widened on each
+    side by 16u * scale (2**-49 * scale, at least 2**-1022), where scale is
+    the largest |coordinate| of any corner. A rounded 3-term dot product is
+    within 3.01u * sum|n_k v_k| <= 5.3u * scale of the exact one, and the
+    widening subtraction rounds by at most 1.8u * scale; so the exact n.x
+    of every point x of every triangle under the node lies in [a, b]. Any
+    direction gives a valid slab; the mean normal gives a thin one where the
+    surface under the node is nearly flat.
     """
 
     LEAF_SIZE = 8
@@ -473,55 +496,89 @@ class BVH:
         m = len(self.tri_verts)
         if m == 0:
             raise MeshError("cannot build a BVH over an empty mesh")
-        lo = self.tri_verts.min(axis=1)
-        hi = self.tri_verts.max(axis=1)
-        centroids = self.tri_verts.mean(axis=1)
+        rows = np.ascontiguousarray(self.tri_verts.transpose(1, 2, 0))
+        lo = np.minimum(np.minimum(rows[0], rows[1]), rows[2])
+        hi = np.maximum(np.maximum(rows[0], rows[1]), rows[2])
+        centroids = self.tri_verts.mean(axis=1).T
+        cross = _corner_cross(rows.transpose(1, 0, 2))
+        self.scale = float(np.abs(rows).max())
+        widen = max(np.ldexp(self.scale, -49), np.finfo(np.float64).tiny)
 
+        # Median splits, built one depth at a time. A node splits its slot
+        # range [start, start + count) at count // 2, after a stable sort of
+        # its triangles by centroid along its box's longest axis; a range of
+        # at most LEAF_SIZE triangles is a leaf. The nodes of one depth lie
+        # end to end in `slot`, so each of their boxes, normal sums and
+        # slabs is one reduceat.
         order = np.arange(m, dtype=np.int64)
-        node_lo, node_hi = [], []
-        node_left, node_right = [], []
-        node_start, node_count = [], []
+        start = np.zeros(1, dtype=np.int64)
+        count = np.array([m], dtype=np.int64)
+        levels = []
+        n_nodes = 0
+        while len(start):
+            k = len(start)
+            offset = np.cumsum(count) - count
+            owner = np.repeat(np.arange(k), count)
+            slot = np.repeat(start - offset, count) + np.arange(len(owner))
+            tri = order[slot]
+            box_lo = np.minimum.reduceat(np.take(lo, tri, axis=1), offset, axis=1)
+            box_hi = np.maximum.reduceat(np.take(hi, tri, axis=1), offset, axis=1)
+            normal = _unit_rows(np.add.reduceat(np.take(cross, tri, axis=1), offset, axis=1))
+            low, high = _corner_range(normal[:, owner], np.take(rows, tri, axis=2))
+            split = count > self.LEAF_SIZE
+            left = np.full(k, -1, dtype=np.int64)
+            left[split] = n_nodes + k + 2 * np.arange(np.count_nonzero(split))
+            levels.append((box_lo, box_hi, normal, left, np.where(split, -1, start),
+                           np.where(split, 0, count), np.minimum.reduceat(low, offset) - widen,
+                           np.maximum.reduceat(high, offset) + widen))
+            n_nodes += k
+            inner = split[owner]
+            sub, tri = owner[inner], tri[inner]
+            # The stable rank of each centroid key, offset by its node, sorts
+            # every node's triangles at once as a stable argsort per node would.
+            axis = np.argmax(box_hi - box_lo, axis=0)
+            rank = np.empty(len(tri), dtype=np.int64)
+            rank[np.argsort(centroids[axis[sub], tri], kind="stable")] = np.arange(len(tri))
+            order[slot[inner]] = tri[np.argsort(sub * len(tri) + rank)]
+            half = count[split] // 2
+            start = np.column_stack([start[split], start[split] + half]).ravel()
+            count = np.column_stack([half, count[split] - half]).ravel()
 
-        # Iterative median-split build.
-        stack = [(0, m, -1, False)]
-        while stack:
-            start, count, parent, is_right = stack.pop()
-            idx = len(node_lo)
-            seg = order[start:start + count]
-            node_lo.append(lo[seg].min(axis=0))
-            node_hi.append(hi[seg].max(axis=0))
-            node_left.append(-1)
-            node_right.append(-1)
-            if parent >= 0:
-                if is_right:
-                    node_right[parent] = idx
-                else:
-                    node_left[parent] = idx
-            if count <= self.LEAF_SIZE:
-                node_start.append(start)
-                node_count.append(count)
-                continue
-            node_start.append(-1)
-            node_count.append(0)
-            ext = node_hi[idx] - node_lo[idx]
-            axis = int(np.argmax(ext))
-            key = centroids[seg, axis]
-            half = count // 2
-            part = np.argsort(key, kind="stable")
-            order[start:start + count] = seg[part]
-            stack.append((start + half, count - half, idx, True))
-            stack.append((start, half, idx, False))
-
+        (self.node_lo, self.node_hi, self.node_n, self.node_left, self.node_start,
+         self.node_count, self.node_a, self.node_b) = (np.concatenate(c, axis=-1)
+                                                      for c in zip(*levels))
+        self.node_right = np.where(self.node_left >= 0, self.node_left + 1, -1)
         self.order = order
-        self.slot_rows = self.tri_verts[order].transpose(1, 2, 0).copy()
-        self.tri_lo = lo[order].T.copy()
-        self.tri_hi = hi[order].T.copy()
-        self.node_lo = np.asarray(node_lo).T.copy()
-        self.node_hi = np.asarray(node_hi).T.copy()
-        self.node_left = np.asarray(node_left, dtype=np.int64)
-        self.node_right = np.asarray(node_right, dtype=np.int64)
-        self.node_start = np.asarray(node_start, dtype=np.int64)
-        self.node_count = np.asarray(node_count, dtype=np.int64)
+        self.slot_rows = np.take(rows, order, axis=2)
+        self.tri_lo = np.take(lo, order, axis=1)
+        self.tri_hi = np.take(hi, order, axis=1)
+        self.tri_n = _unit_rows(np.take(cross, order, axis=1))
+        low, high = _corner_range(self.tri_n, self.slot_rows)
+        self.tri_a = low - widen
+        self.tri_b = high + widen
+
+
+def _unit_rows(v):
+    """The columns of the (3, n) rows v scaled to unit length; a column that
+    is zero or not finite becomes the x axis. Each column is first divided
+    by its largest |component|, so the squares neither overflow nor
+    underflow."""
+    top = np.abs(v).max(axis=0)
+    bad = ~(np.isfinite(top) & (top > 0.0))
+    top[bad] = 1.0
+    v = v / top
+    v[:, bad] = [[1.0], [0.0], [0.0]]
+    v /= np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
+    return v
+
+
+def _corner_range(n, corners):
+    """The least and the greatest rounded n.v over the three corners v of
+    each column, for directions n (3, k) and corners (3, 3, k) as in
+    slot_rows."""
+    proj = [(n[0] * v[0] + n[1] * v[1]) + n[2] * v[2] for v in corners]
+    return (np.minimum(np.minimum(proj[0], proj[1]), proj[2]),
+            np.maximum(np.maximum(proj[0], proj[1]), proj[2]))
 
 
 # ---------------------------------------------------------------------------

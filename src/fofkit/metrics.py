@@ -13,8 +13,16 @@ point-triangle distances (Ericson's face/edge/vertex region classification:
 each pair is classified first and only its own region's closed form is
 evaluated) through a BVH with branch-and-bound pruning, traversed breadth
 first over flat (point, node) pairs so that each BVH level costs a few array
-operations rather than a loop per triangle. Leaf pairs are scored only when
-the point is nearer than its best distance to the triangle's own box. Each
+operations rather than a loop per triangle. A (point, node) pair, and
+then a (point, triangle) pair, is kept only while the point is nearer than
+its best distance both to the box and to the slab {x : a <= n.x <= b}
+of that node or triangle, where n is the node's unit mean normal or the
+triangle's own normal (see mesh.BVH). A box keeps a tilted patch of shell
+within reach of a point far off it at every level; the slab of a nearly
+flat patch is thin, so the slab test drops it. Each slab gap is reduced by
+a margin that covers the rounding of both dot products, the length of the
+stored n, and the kernel's own rounding (`_slab_gap`), so a slab never
+drops a triangle whose computed distance could lower the minimum. Each
 point's best distance starts at its distance to one seed triangle: a given
 face (an evaluation passes the face of the point's Chamfer-nearest
 ground-truth sample) or else the triangle with the nearest centroid.
@@ -246,6 +254,7 @@ class SurfaceDistanceIndex:
     def __init__(self, mesh):
         if mesh.n_faces == 0:
             raise DomainError("cannot index an empty mesh")
+        _finite_points(mesh.vertices, "mesh vertices")
         self.bvh = BVH(mesh.vertices, mesh.faces)
         self._centroids = self.bvh.tri_verts.mean(axis=1)
         self._centroid_tree = _kdtree(self._centroids)
@@ -261,19 +270,20 @@ class SurfaceDistanceIndex:
 
         Points are traversed in blocks of QUERY_BLOCK. Each block starts from
         the seed distances and walks the BVH breadth first over flat
-        (point, node) pairs: a pair survives while the distance from the
-        point to the node's box is below the point's best distance, and
-        surviving internal pairs push both children.
-        Surviving leaf pairs expand into (point, triangle) pairs, which face
-        the same test against each triangle's own box; the pairs that pass
-        are scored by one point_triangle_distance call per level. A frontier
-        wider than MAX_FRONTIER pairs is split in halves and walked one half
-        at a time.
+        (point, node) pairs: a pair survives while the point's gap to the
+        node's slab (_slab_gap) and its distance to the node's box are both
+        below the point's best distance, and surviving internal pairs push
+        both children. Surviving leaf pairs expand into (point, triangle)
+        pairs, which face the same two tests against each triangle's own
+        slab and box; the pairs that pass are scored by one
+        point_triangle_distance call per level. A frontier wider than
+        MAX_FRONTIER pairs is split in halves and walked one half at a time.
 
         The result equals the exhaustive minimum bit for bit: each pair's
         distance is computed elementwise, so it does not depend on which
         other pairs share the call; a box's distance never exceeds the
-        distance to a triangle inside it, so both box tests only drop
+        distance to a triangle inside it, and a slab gap never exceeds the
+        computed distance to a triangle under it, so the tests only drop
         triangles that cannot lower the minimum; and the minimum does not
         depend on the order in which pairs are visited. The seed distance is
         the distance to a real triangle, so it never undercuts the minimum,
@@ -295,6 +305,7 @@ class SurfaceDistanceIndex:
         bvh = self.bvh
         best = point_triangle_distance(p, bvh.tri_verts[seeds])
         coords = p.T.copy()
+        margin = _slab_margin(bvh, p)
         frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64))]
         while frontier:
             pt, node = frontier.pop()
@@ -302,6 +313,9 @@ class SurfaceDistanceIndex:
                 half = len(pt) // 2
                 frontier += [(pt[half:], node[half:]), (pt[:half], node[:half])]
                 continue
+            keep = _below(_slab_gap(coords, pt, bvh.node_n, bvh.node_a, bvh.node_b, node, margin),
+                          best[pt])
+            pt, node = pt[keep], node[keep]
             keep = _box_gap(coords, pt, bvh.node_lo, bvh.node_hi, node) < best[pt]
             pt, node = pt[keep], node[keep]
             leaf = bvh.node_start[node] >= 0
@@ -312,6 +326,9 @@ class SurfaceDistanceIndex:
                 # triangle in slot start + j - o of the BVH order.
                 shift = np.repeat(bvh.node_start[node[leaf]] - (np.cumsum(count) - count), count)
                 slot = shift + np.arange(len(pair_pt))
+                near = _below(_slab_gap(coords, pair_pt, bvh.tri_n, bvh.tri_a, bvh.tri_b, slot,
+                                        margin), best[pair_pt])
+                pair_pt, slot = pair_pt[near], slot[near]
                 near = _box_gap(coords, pair_pt, bvh.tri_lo, bvh.tri_hi, slot) < best[pair_pt]
                 pair_pt, slot = pair_pt[near], slot[near]
                 # Both gathers come out axis-major, as the kernel reads them.
@@ -340,6 +357,61 @@ def _box_gap(coords, pt, lo, hi, box):
     return np.sqrt((g2[0] + g2[1]) + g2[2])
 
 
+def _slab_margin(bvh, p):
+    """The margin _slab_gap takes off every gap of the points p (n, 3):
+    max(2**-46 * R, 2**-1022), with R the largest |coordinate| of any point
+    of p or corner of the BVH."""
+    reach = max(bvh.scale, float(np.abs(p).max(initial=0.0)))
+    return max(np.ldexp(reach, -46), np.finfo(np.float64).tiny)
+
+
+def _slab_gap(coords, pt, normal, a, b, slab, margin):
+    """For each pair i, how far point coords[:, pt[i]] lies outside slab
+    slab[i] (normal[:, slab[i]], a[slab[i]], b[slab[i]]) less margin:
+    max(a - s, s - b) - margin with s the rounded n.p. It is negative inside
+    the slab.
+
+    With margin from _slab_margin, the result never exceeds the distance
+    point_triangle_distance computes from the point to any triangle T under
+    the slab. Forward error bound, with u = 2**-53, R as in _slab_margin,
+    S <= R the largest |corner coordinate| and ||n|| within 4u of 1 (BVH):
+    - the slab holds the exact n.x of every point x of T (BVH);
+    - the rounded s = (n0*p0 + n1*p1) + n2*p2 is within
+      3.01u * sum|n_k p_k| <= 5.3u * R of the exact n.p;
+    - the kernel's closest point q lies within 22u * S of some x in T: a
+      vertex region returns a corner; an edge region's parameter is a
+      ratio of same-signed terms, so it lies in [0, 1]; the face weights
+      vb / denom and vc / denom are non-negative with sum at most 1 + 3.1u
+      when va, vb, vc >= 0, as the region tests leave them in exact
+      arithmetic (and on every sliver, collinear and zero-area triangle
+      the tests try); and the two to four roundings of each coordinate add
+      at most 6.1u * S. Its rounded distance d satisfies
+      d >= (1 - 3.6u) ||p - q||;
+    - so, for s > b, the rounded s - b is at most
+      (1 + u)((1 + 4u)(||p - q|| + 22u S) + 5.3u R) <= d + 8.9u d + 28u R,
+      and d <= 2 sqrt(3) (1 + 4u) R turns 8.9u d into at most 31u R; the
+      case s < a is the same;
+    - the subtraction of margin >= 128u R rounds by at most u times the
+      gap, under 3.5u R; 28u R + 31u R + 3.5u R < 128u R.
+    Underflow adds at most 2**-1075 per rounding, far below the 2**-1022
+    floor. A gap that overflows or is NaN proves nothing, and _below keeps
+    its pair. The tests check the bound directly on rotated, scaled,
+    sliver, collinear and zero-area triangles.
+    """
+    s = coords[0][pt] * normal[0][slab]
+    s += coords[1][pt] * normal[1][slab]
+    s += coords[2][pt] * normal[2][slab]
+    gap = np.maximum(a[slab] - s, s - b[slab])
+    gap -= margin
+    return gap
+
+
+def _below(gap, best):
+    """Which pairs a lower bound gap keeps: those with gap < best, and those
+    whose gap is NaN or infinite, which prove nothing."""
+    return ~((gap >= best) & (gap < np.inf))
+
+
 def p2s(points, mesh, seeds=None):
     """Mean exact point-to-surface distance, x100 (BVH accelerated).
 
@@ -359,15 +431,17 @@ def p2s(points, mesh, seeds=None):
 def p2s_exhaustive(points, mesh):
     """Oracle point-to-surface distances scanning every triangle."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    tris = mesh.vertices[mesh.faces]
+    # Pairs are tiled as the kernel's axis-major rows, which it reads in place.
+    rows = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
+    m = rows.shape[2]
     best = np.full(len(pts), np.inf)
-    step = max(1, 4_000_000 // max(len(tris), 1))
+    step = max(1, 4_000_000 // max(m, 1))
     for s in range(0, len(pts), step):
-        block = pts[s:s + step]
-        n, m = len(block), len(tris)
-        pp = np.repeat(block, m, axis=0)
-        tt = np.tile(tris, (n, 1, 1))
-        d = point_triangle_distance(pp, tt).reshape(n, m)
+        block = pts[s:s + step].T
+        n = block.shape[1]
+        pp = np.repeat(block, m, axis=1)
+        tt = np.tile(rows, (1, 1, n))
+        d = point_triangle_distance(pp.T, tt.transpose(2, 0, 1)).reshape(n, m)
         best[s:s + step] = d.min(axis=1)
     return best
 
@@ -506,10 +580,10 @@ class EvalReference:
         self.frame = frame
         self.n_samples = n_samples
         self.seed = seed
+        self.index = SurfaceDistanceIndex(gt)
         self.uniforms = _sample_uniforms(n_samples, seed)
         self.sample_faces, samples = _sample_points(gt, self.uniforms)
         self.tree = _kdtree(samples)
-        self.index = SurfaceDistanceIndex(gt)
         self.front, self.back = render_normals(gt, frame, (FRONT, BACK))
 
     def evaluate(self, recon):

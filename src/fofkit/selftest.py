@@ -19,7 +19,8 @@ from .metrics import chamfer, chamfer_bruteforce, SurfaceDistanceIndex, p2s_exha
 from .occlusion import MaskPair, weight_map
 from .raster import OrthoFrame
 from .shapes import make_sphere, make_torus
-from .surface import OccupancyGrid, field_to_grid, marching_cubes, reconstruct_field
+from .surface import (OccupancyGrid, field_to_grid, marching_cubes, reconstruct_field,
+                      sample_surface)
 from .tensor_io import CrcMismatchError, read_tensor, write_tensor
 
 QUAD_SAMPLES = 100_000
@@ -166,8 +167,12 @@ def check_bvh_vs_exhaustive(n_instances=20, seed=4):
     rng = np.random.default_rng(seed)
     sphere = make_sphere(0.6, 2)
     ok = True
-    for mesh in [sphere] * n_instances + [make_torus()]:
-        pts = rng.normal(size=(50, 3)) * 0.5
+    for i, mesh in enumerate([sphere] * n_instances + [make_torus()]):
+        # Points 0.2-0.6 units inside or outside the surface, where the
+        # slab bounds prune, join the scattered ones.
+        shell, normals = sample_surface(mesh, 25, seed=seed + i)
+        off = rng.uniform(0.2, 0.6, size=(25, 1)) * rng.choice([-1.0, 1.0], size=(25, 1))
+        pts = np.concatenate([rng.normal(size=(50, 3)) * 0.5, shell + off * normals])
         index = SurfaceDistanceIndex(mesh)
         want = p2s_exhaustive(pts, mesh)
         # Adversarial seeds: each point starts from the face whose centroid
@@ -177,7 +182,7 @@ def check_bvh_vs_exhaustive(n_instances=20, seed=4):
         ok &= np.array_equal(index.query(pts, np.argmax(gap, axis=1)), want)
     return _check("BVH point-to-surface equals exhaustive scan", ok,
                   f"exact equality over {n_instances} sphere instances and a torus, "
-                  "with nearest-centroid and farthest-centroid seeds")
+                  "scattered and off-surface points, nearest- and farthest-centroid seeds")
 
 
 def finite_difference(fn, x, step=1e-5):

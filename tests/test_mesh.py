@@ -1,5 +1,6 @@
 import logging
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from fofkit.errors import DomainError, FofkitError, MeshError, ObjParseError
 from fofkit.fof import BasisConfig, intervals_to_coeffs
-from fofkit.mesh import (TriMesh, _numbers, _ObjBlock, check_watertight, drop_degenerate_faces,
+from fofkit.mesh import (BVH, TriMesh, _numbers, _ObjBlock, check_watertight, drop_degenerate_faces,
                          field_volume, fit_to_frame, load_obj, mesh_to_fof,
                          mesh_volume_divergence, normalize_mesh, ray_cast_all, ray_intervals,
                          save_obj)
@@ -682,6 +683,93 @@ class TestFaceCross:
         assert n[0, 2] > 0.0 and norm[0] == 0.0
         assert_face_kernels_match_np_cross(vertices, faces)
         assert np.array_equal(drop_degenerate_faces(vertices, faces), [[0, 3, 4]])
+
+
+def bvh_by_node(tri_verts, leaf_size=BVH.LEAF_SIZE):
+    """The per-node build that BVH's level-by-level build replaced: the slot
+    order, and the box of every node keyed by its slot range."""
+    lo, hi, centroids = tri_verts.min(axis=1), tri_verts.max(axis=1), tri_verts.mean(axis=1)
+    order = np.arange(len(tri_verts))
+    boxes = {}
+    stack = [(0, len(tri_verts))]
+    while stack:
+        start, count = stack.pop()
+        seg = order[start:start + count]
+        boxes[start, count] = (lo[seg].min(axis=0), hi[seg].max(axis=0))
+        if count <= leaf_size:
+            continue
+        axis = int(np.argmax(boxes[start, count][1] - boxes[start, count][0]))
+        order[start:start + count] = seg[np.argsort(centroids[seg, axis], kind="stable")]
+        stack += [(start + count // 2, count - count // 2), (start, count // 2)]
+    return order, boxes
+
+
+def node_ranges(bvh):
+    """Each node's slot range (start, count), from its leaves."""
+    n = len(bvh.node_left)
+    first, end = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for k in reversed(range(n)):  # children are numbered after their parent
+        if bvh.node_start[k] >= 0:
+            first[k], end[k] = bvh.node_start[k], bvh.node_start[k] + bvh.node_count[k]
+        else:
+            first[k], end[k] = first[bvh.node_left[k]], end[bvh.node_right[k]]
+    return list(zip(first.tolist(), (end - first).tolist()))
+
+
+def bvh_meshes():
+    rng = np.random.default_rng(5)
+    soup = rng.normal(size=(60, 3))
+    return {"sphere": make_sphere(0.6, 3),
+            # Coordinates on a 0.5 grid, so many centroids tie along an axis.
+            "ties": TriMesh(np.round(soup * 2.0) / 2.0, rng.integers(0, 60, size=(300, 3))),
+            "one": TriMesh(soup[:3], [[0, 1, 2]]),
+            "leaf": TriMesh(soup, rng.integers(0, 60, size=(BVH.LEAF_SIZE, 3))),
+            "leaf_plus_one": TriMesh(soup, rng.integers(0, 60, size=(BVH.LEAF_SIZE + 1, 3))),
+            "odd": TriMesh(soup, rng.integers(0, 60, size=(37, 3)))}
+
+
+class TestBVH:
+    @pytest.mark.parametrize("name", list(bvh_meshes()))
+    def test_same_tree_as_per_node_build(self, name):
+        mesh = bvh_meshes()[name]
+        bvh = BVH(mesh.vertices, mesh.faces)
+        order, boxes = bvh_by_node(mesh.vertices[mesh.faces])
+        assert np.array_equal(bvh.order, order)
+        ranges = node_ranges(bvh)
+        assert sorted(ranges) == sorted(boxes)
+        for k, key in enumerate(ranges):
+            assert np.array_equal(bvh.node_lo[:, k], boxes[key][0])
+            assert np.array_equal(bvh.node_hi[:, k], boxes[key][1])
+        leaves = bvh.node_start >= 0
+        assert np.all(bvh.node_count[leaves] <= BVH.LEAF_SIZE)
+        assert np.array_equal(bvh.node_right[~leaves], bvh.node_left[~leaves] + 1)
+        assert np.array_equal(bvh.slot_rows, mesh.vertices[mesh.faces][order].transpose(1, 2, 0))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    @pytest.mark.parametrize("name", ["ties", "odd"])
+    def test_slabs_hold_every_corner_exactly(self, name, scale):
+        # Exact rational n.v, so the check does not share the build's rounding.
+        mesh = bvh_meshes()[name]
+        mesh.vertices[:5] = mesh.vertices[0]  # zero-area and collinear faces
+        bvh = BVH(mesh.vertices * scale, mesh.faces)
+
+        def holds(n, a, b, corners):
+            proj = [sum(Fraction(x) * Fraction(y) for x, y in zip(n, v)) for v in corners]
+            return Fraction(a) <= min(proj) and max(proj) <= Fraction(b)
+
+        for k, (start, count) in enumerate(node_ranges(bvh)):
+            corners = bvh.slot_rows[:, :, start:start + count].transpose(2, 0, 1).reshape(-1, 3)
+            assert holds(bvh.node_n[:, k].tolist(), bvh.node_a[k], bvh.node_b[k],
+                         corners.tolist())
+            assert abs(np.linalg.norm(bvh.node_n[:, k]) - 1.0) <= 4 * 2.0 ** -53
+        for j in range(bvh.slot_rows.shape[2]):
+            assert holds(bvh.tri_n[:, j].tolist(), bvh.tri_a[j], bvh.tri_b[j],
+                         bvh.slot_rows[:, :, j].tolist())
+            assert abs(np.linalg.norm(bvh.tri_n[:, j]) - 1.0) <= 4 * 2.0 ** -53
+
+    def test_empty_mesh_rejected(self):
+        with pytest.raises(MeshError):
+            BVH(np.zeros((3, 3)), np.empty((0, 3), dtype=np.int64))
 
 
 class TestWatertight:

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from fofkit import metrics
 from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import BasisConfig
-from fofkit.mesh import TriMesh, mesh_to_fof
+from fofkit.mesh import BVH, TriMesh, mesh_to_fof
 from fofkit.metrics import (QUERY_BLOCK, UNIT_SCALE, EvalReference, MetricReport,
                             SurfaceDistanceIndex, chamfer, chamfer_bruteforce, config_hash,
                             evaluate_pair, nearest_bruteforce, p2s, p2s_exhaustive,
@@ -347,9 +349,20 @@ class TestP2S:
         index = SurfaceDistanceIndex(mesh)
         for _ in range(20):
             pts = rng.normal(size=(40, 3)) * 0.7
-            fast = index.query(pts)
-            slow = p2s_exhaustive(pts, mesh)
-            assert np.max(np.abs(fast - slow)) <= 1e-9
+            assert np.array_equal(index.query(pts), p2s_exhaustive(pts, mesh))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertices_rejected(self, sphere_mesh, bad):
+        vertices = sphere_mesh.vertices.copy()
+        vertices[7, 1] = bad
+        mesh = TriMesh(vertices, sphere_mesh.faces)
+        points = np.zeros((2, 3))
+        with pytest.raises(DomainError, match="mesh vertices contain non-finite"):
+            SurfaceDistanceIndex(mesh)
+        with pytest.raises(DomainError, match="mesh vertices contain non-finite"):
+            p2s(points, mesh)
+        with pytest.raises(DomainError, match="mesh vertices contain non-finite"):
+            evaluate_pair(sphere_mesh, mesh, OrthoFrame(32, 32), 100)
 
     def test_empty_inputs_rejected(self, sphere_mesh):
         with pytest.raises(DomainError):
@@ -448,6 +461,48 @@ class TestP2SFrontier:
         assert np.array_equal(SurfaceDistanceIndex(mesh).query(points),
                               p2s_exhaustive(points, mesh))
 
+    @pytest.mark.parametrize("tilt", [(1.0, 2.0, 3.0), (-3.0, 1.0, -0.5), (0.2, -1.0, 4.0)])
+    def test_near_tie_inside_a_face(self, tilt):
+        # The nearest triangle is large and tilted, and the point lies over
+        # its interior, so the distance is the height over its plane, which
+        # its slab gap also measures. A small triangle whose centroid is
+        # nearer seeds the bound 1e-12 farther: the nearest triangle survives
+        # only if neither slab, its own or its node's, overstates the gap.
+        normal = np.array(tilt) / np.linalg.norm(tilt)
+        e1 = np.cross(normal, [0.0, 0.0, 1.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(normal, e1)
+        foot = np.array([0.05, -0.02, 0.01])
+        big = [foot + 2.0 * (np.cos(t) * e1 + np.sin(t) * e2) for t in (0.3, 2.4, 4.5)]
+        p = foot + 0.1 * normal
+        d = p2s_exhaustive(p[None], TriMesh(big, [[0, 1, 2]]))[0]
+        centre = p + (d + 1e-12) * e1
+        ring = [0.01 * (np.cos(t) * normal + np.sin(t) * e2) for t in (0.0, 2.1, 4.2)]
+        mesh = TriMesh(big + [centre + r for r in ring], [[0, 1, 2], [3, 4, 5]])
+        index = SurfaceDistanceIndex(mesh)
+        assert index._centroid_tree.query(p)[1] == 1
+        want = p2s_exhaustive(p[None], mesh)
+        assert want[0] == d < point_triangle_distance(p[None], mesh.vertices[mesh.faces][1:])[0]
+        assert np.array_equal(index.query(p[None]), want)
+
+    @pytest.mark.parametrize("max_frontier", [None, 64])
+    def test_capsule_figure_off_surface(self, capsule_mesh, rng, monkeypatch, max_frontier):
+        if max_frontier is not None:
+            monkeypatch.setattr(metrics, "MAX_FRONTIER", max_frontier)
+        pts, nrm = sample_surface(capsule_mesh, 150, seed=10)
+        off = rng.uniform(0.2, 0.6, size=(150, 1)) * rng.choice([-1.0, 1.0], size=(150, 1))
+        points = pts + off * nrm
+        assert np.array_equal(SurfaceDistanceIndex(capsule_mesh).query(points),
+                              p2s_exhaustive(points, capsule_mesh))
+
+    def test_marching_cubes_reconstruction(self, sphere_recon, rng):
+        # Many small tilted faces of a reconstruction, and points 0-0.5 units
+        # off it on either side.
+        pts, nrm = sample_surface(sphere_recon, 150, seed=11)
+        points = pts + rng.uniform(-0.5, 0.5, size=(150, 1)) * nrm
+        assert np.array_equal(SurfaceDistanceIndex(sphere_recon).query(points),
+                              p2s_exhaustive(points, sphere_recon))
+
     def test_kernel_looked_up_in_module_namespace(self, mesh, index, monkeypatch):
         # Tracers count P2S work by wrapping metrics.point_triangle_distance.
         pts, _ = sample_surface(mesh, 300, seed=4)
@@ -461,6 +516,99 @@ class TestP2SFrontier:
         monkeypatch.setattr(metrics, "point_triangle_distance", counting)
         assert np.array_equal(index.query(pts), expected)
         assert pairs and sum(pairs) >= len(pts)
+
+
+def subtree_slots(bvh, node):
+    """The slots of the triangles under a BVH node."""
+    if bvh.node_start[node] >= 0:
+        return np.arange(bvh.node_start[node], bvh.node_start[node] + bvh.node_count[node])
+    return np.concatenate([subtree_slots(bvh, bvh.node_left[node]),
+                           subtree_slots(bvh, bvh.node_right[node])])
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def slab_cases(draw):
+    """Triangles, some of them slivers, collinear or of zero area, turned by
+    a random rotation and scaled by 1e-100 to 1e100; and points scattered
+    around them, on the planes of triangles or within 1e-12 of them (scaled
+    alike), far out along their normals, and at corners."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-100, 1e100])) * 10.0 ** draw(st.integers(-12, 12))
+    m = draw(st.integers(1, 40))
+    a, b, c = rng.normal(size=(3, m, 1, 3))
+    t = rng.uniform(-1.0, 2.0, size=(m, 1, 1))
+    kind = rng.integers(0, 4, size=(m, 1, 1))
+    c = np.where(kind == 1, a + t * (b - a) + rng.normal(size=(m, 1, 3)) * 1e-9, c)  # sliver
+    c = np.where(kind == 2, a + t * (b - a), c)  # collinear
+    b = np.where(kind == 3, a, b)  # zero area
+    c = np.where(kind == 3, a, c)
+    tris = np.concatenate([a, b, c], axis=1) @ random_rotation(rng).T * scale
+    j = rng.integers(0, m, size=30)
+    s, u = rng.uniform(-0.5, 1.5, size=(2, 30, 1))
+    ta, tb, tc = tris[j, 0], tris[j, 1], tris[j, 2]
+    on_plane = ta + s * (tb - ta) + u * (tc - ta)
+    lift = np.cross(tb - ta, tc - ta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lift /= np.linalg.norm(lift, axis=1, keepdims=True)
+    lift = np.nan_to_num(lift)
+    # Far out along a normal, the gap and the distance agree to rounding.
+    far = on_plane + lift * 10.0 ** rng.uniform(0.0, 8.0, size=(30, 1)) * scale
+    lift *= rng.choice([0.0, 1e-12, -1e-12, 1e-13], size=(30, 1)) * scale
+    points = np.concatenate([rng.normal(size=(30, 3)) * 2.0 * scale, on_plane, on_plane + lift,
+                             far, tris[j, rng.integers(0, 3, size=30)]])
+    return tris.reshape(-1, 3), np.arange(3 * m).reshape(m, 3), points
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the kernel overflows near 1e100
+class TestSlabBound:
+    """A slab gap, less its margin, never exceeds the computed kernel
+    distance to any triangle under that slab, so pruning by it is exact."""
+
+    @staticmethod
+    def check(vertices, faces, points):
+        bvh = BVH(vertices, faces)
+        m, n = bvh.slot_rows.shape[2], len(points)
+        tris = np.tile(bvh.slot_rows, (1, 1, n)).transpose(2, 0, 1)
+        d = point_triangle_distance(np.repeat(points, m, axis=0), tris).reshape(n, m)
+        pt = np.repeat(np.arange(n), m)
+        margin = metrics._slab_margin(bvh, points)
+
+        def overstated(gap, dist):
+            # A NaN distance never lowers a best distance, and _below keeps
+            # every pair whose gap is NaN or infinite.
+            return (gap > dist) & (gap < np.inf)
+
+        coords = points.T.copy()
+        gap = metrics._slab_gap(coords, pt, bvh.tri_n, bvh.tri_a, bvh.tri_b,
+                                np.tile(np.arange(m), n), margin)
+        assert not overstated(gap.reshape(n, m), d).any()
+        for node in range(len(bvh.node_a)):
+            gap = metrics._slab_gap(coords, np.arange(n), bvh.node_n, bvh.node_a, bvh.node_b,
+                                    np.full(n, node), margin)
+            assert not overstated(gap[:, None], d[:, subtree_slots(bvh, node)]).any()
+
+    def test_unprovable_gaps_keep_their_pairs(self):
+        gap = np.array([np.inf, np.nan, -np.inf, 1.0, 2.0, 0.5])
+        assert np.array_equal(metrics._below(gap, np.full(6, 1.0)),
+                              [True, True, True, False, False, True])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=slab_cases())
+    def test_gap_never_exceeds_kernel_distance(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_on_plane_points_of_a_sphere(self, rng, scale):
+        mesh = make_sphere(0.6, 2)
+        tris = mesh.vertices[mesh.faces]
+        s, u = rng.uniform(0.0, 0.5, size=(2, len(tris), 1))
+        points = tris[:, 0] + s * (tris[:, 1] - tris[:, 0]) + u * (tris[:, 2] - tris[:, 0])
+        self.check(mesh.vertices * scale, mesh.faces, points[::4] * scale)
 
 
 def farthest_faces(points, mesh):
