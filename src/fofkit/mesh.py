@@ -37,7 +37,10 @@ _OBJ_WRITE_ROWS = 4096  # records per formatted write in save_obj
 
 @dataclass
 class TriMesh:
-    """Indexed triangle mesh; normals are optional per-vertex unit vectors."""
+    """Indexed triangle mesh; normals are optional per-vertex unit vectors.
+
+    A non-finite vertex coordinate or normal component raises DomainError.
+    """
 
     vertices: np.ndarray  # (n, 3) float64
     faces: np.ndarray  # (m, 3) int64
@@ -45,6 +48,8 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
+        if not np.isfinite(self.vertices).all():
+            raise DomainError("mesh vertices contain non-finite coordinates")
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
@@ -52,6 +57,8 @@ class TriMesh:
             self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
             if len(self.normals) != len(self.vertices):
                 raise ShapeError("normals must be per-vertex")
+            if not np.isfinite(self.normals).all():
+                raise DomainError("mesh normals contain non-finite coordinates")
 
     @property
     def n_vertices(self):
@@ -365,7 +372,9 @@ def load_obj(path):
         vnorm = normals
     elif len(normals) and nids.size:
         vnorm = _vertex_normals(faces[has_n].ravel(), nids.ravel(), normals, len(verts))
-    return TriMesh(verts, drop_degenerate_faces(verts, faces), vnorm)
+    mesh = TriMesh(verts, faces, vnorm)  # rejects non-finite values before the area test
+    mesh.faces = drop_degenerate_faces(verts, faces)
+    return mesh
 
 
 def _vertex_normals(corner_v, corner_n, normals, n_vertices):
@@ -456,40 +465,37 @@ def fit_to_frame(mesh, frame=OrthoFrame(), margin=0.9):
 
 
 # ---------------------------------------------------------------------------
-# Bounding volume hierarchy (median split on the widest axis, small leaves).
+# Bounding volume hierarchy (median split on the widest axis, one triangle per leaf).
 
 
 class BVH:
-    """Static triangle BVH stored as flat arrays.
+    """Static triangle BVH stored as flat arrays, one triangle per leaf.
 
-    A leaf holds the triangles order[node_start:node_start + node_count]; an
-    inner node has node_start -1 and children node_left and node_right.
-    Nodes are numbered breadth first from the root, node 0.
+    A leaf holds the triangle in slot node_start of `order`; an inner node
+    has node_start -1 and children node_left and node_right. Nodes are
+    numbered breadth first from the root, node 0.
     Boxes are stored axis-major, shape (3, n), so a box test reads one
-    contiguous row per axis: node_lo and node_hi per node, tri_lo and tri_hi
-    per slot of `order`. slot_rows, shape (3, 3, m), holds the vertices of
-    each slot's triangle the same way: slot_rows[j, k] is coordinate k of
-    corner j, so a leaf's triangles are one gather away.
+    contiguous row per axis: node_lo and node_hi per node. slot_rows, shape
+    (3, 3, m), holds the vertices of each slot's triangle the same way:
+    slot_rows[j, k] is coordinate k of corner j, so a leaf's triangle is one
+    gather away.
 
-    Each node, and each slot's triangle, also has a slab {x : a <= n.x <= b}
-    (node_n, node_a, node_b and tri_n, tri_a, tri_b; the directions are
-    (3, n) rows). A node's n is the sum of its triangles' cross products
-    (v1 - v0) x (v2 - v0), its area-weighted normal, normalized; a
-    triangle's n is its own normal. A sum that is zero or not finite takes
-    the x axis instead. Each n is divided by its largest |component| before
-    it is normalized, so no square overflows or underflows, and its length
-    is within 4u of 1 (u = 2**-53). [a, b] is the range of the rounded n.v
-    over the corners v under the node or of the triangle, widened on each
-    side by 16u * scale (2**-49 * scale, at least 2**-1022), where scale is
-    the largest |coordinate| of any corner. A rounded 3-term dot product is
-    within 3.01u * sum|n_k v_k| <= 5.3u * scale of the exact one, and the
-    widening subtraction rounds by at most 1.8u * scale; so the exact n.x
-    of every point x of every triangle under the node lies in [a, b]. Any
-    direction gives a valid slab; the mean normal gives a thin one where the
-    surface under the node is nearly flat.
+    Each node also has a slab {x : a <= n.x <= b} (node_n, node_a, node_b;
+    the directions are (3, n) rows). A node's n is the sum of its triangles'
+    cross products (v1 - v0) x (v2 - v0), its area-weighted normal,
+    normalized, so a leaf's n is its triangle's own normal. A sum that is
+    zero or not finite takes the x axis instead. Each n is divided by its
+    largest |component| before it is normalized, so no square overflows or
+    underflows, and its length is within 4u of 1 (u = 2**-53). [a, b] is
+    the range of the rounded n.v over the corners v under the node, widened
+    on each side by 16u * scale (2**-49 * scale, at least 2**-1022), where
+    scale is the largest |coordinate| of any corner. A rounded 3-term dot
+    product is within 3.01u * sum|n_k v_k| <= 5.3u * scale of the exact
+    one, and the widening subtraction rounds by at most 1.8u * scale; so
+    the exact n.x of every point x of every triangle under the node lies in
+    [a, b]. Any direction gives a valid slab; the mean normal gives a thin
+    one where the surface under the node is nearly flat.
     """
-
-    LEAF_SIZE = 8
 
     def __init__(self, vertices, faces):
         self.tri_verts = np.asarray(vertices, dtype=np.float64)[np.asarray(faces, dtype=np.int64)]
@@ -507,9 +513,9 @@ class BVH:
         # Median splits, built one depth at a time. A node splits its slot
         # range [start, start + count) at count // 2, after a stable sort of
         # its triangles by centroid along its box's longest axis; a range of
-        # at most LEAF_SIZE triangles is a leaf. The nodes of one depth lie
-        # end to end in `slot`, so each of their boxes, normal sums and
-        # slabs is one reduceat.
+        # one triangle is a leaf. The nodes of one depth lie end to end in
+        # `slot`, so each of their boxes, normal sums and slabs is one
+        # reduceat.
         order = np.arange(m, dtype=np.int64)
         start = np.zeros(1, dtype=np.int64)
         count = np.array([m], dtype=np.int64)
@@ -525,11 +531,11 @@ class BVH:
             box_hi = np.maximum.reduceat(np.take(hi, tri, axis=1), offset, axis=1)
             normal = _unit_rows(np.add.reduceat(np.take(cross, tri, axis=1), offset, axis=1))
             low, high = _corner_range(normal[:, owner], np.take(rows, tri, axis=2))
-            split = count > self.LEAF_SIZE
+            split = count > 1
             left = np.full(k, -1, dtype=np.int64)
             left[split] = n_nodes + k + 2 * np.arange(np.count_nonzero(split))
             levels.append((box_lo, box_hi, normal, left, np.where(split, -1, start),
-                           np.where(split, 0, count), np.minimum.reduceat(low, offset) - widen,
+                           np.minimum.reduceat(low, offset) - widen,
                            np.maximum.reduceat(high, offset) + widen))
             n_nodes += k
             inner = split[owner]
@@ -545,17 +551,10 @@ class BVH:
             count = np.column_stack([half, count[split] - half]).ravel()
 
         (self.node_lo, self.node_hi, self.node_n, self.node_left, self.node_start,
-         self.node_count, self.node_a, self.node_b) = (np.concatenate(c, axis=-1)
-                                                      for c in zip(*levels))
+         self.node_a, self.node_b) = (np.concatenate(c, axis=-1) for c in zip(*levels))
         self.node_right = np.where(self.node_left >= 0, self.node_left + 1, -1)
         self.order = order
         self.slot_rows = np.take(rows, order, axis=2)
-        self.tri_lo = np.take(lo, order, axis=1)
-        self.tri_hi = np.take(hi, order, axis=1)
-        self.tri_n = _unit_rows(np.take(cross, order, axis=1))
-        low, high = _corner_range(self.tri_n, self.slot_rows)
-        self.tri_a = low - widen
-        self.tri_b = high + widen
 
 
 def _unit_rows(v):

@@ -11,21 +11,23 @@ off a sampled shell about twice as fast as median splits do; occluded or
 spurious geometry produces such points. Point-to-surface uses exact
 point-triangle distances (Ericson's face/edge/vertex region classification:
 each pair is classified first and only its own region's closed form is
-evaluated) through a BVH with branch-and-bound pruning, traversed breadth
-first over flat (point, node) pairs so that each BVH level costs a few array
-operations rather than a loop per triangle. A (point, node) pair, and
-then a (point, triangle) pair, is kept only while the point is nearer than
-its best distance both to the box and to the slab {x : a <= n.x <= b}
-of that node or triangle, where n is the node's unit mean normal or the
-triangle's own normal (see mesh.BVH). A box keeps a tilted patch of shell
-within reach of a point far off it at every level; the slab of a nearly
-flat patch is thin, so the slab test drops it. Each slab gap is reduced by
-a margin that covers the rounding of both dot products, the length of the
-stored n, and the kernel's own rounding (`_slab_gap`), so a slab never
-drops a triangle whose computed distance could lower the minimum. Each
-point's best distance starts at its distance to one seed triangle: a given
-face (an evaluation passes the face of the point's Chamfer-nearest
-ground-truth sample) or else the triangle with the nearest centroid.
+evaluated) through a BVH with one triangle per leaf and branch-and-bound
+pruning, traversed breadth first by all points at once over one frontier
+of flat (point, node) pairs, so that each BVH level costs a few array
+operations rather than a loop per triangle. A (point, node) pair is kept
+only while the point is nearer than its best distance both to the node's
+box and to its slab {x : a <= n.x <= b}, where n is the node's unit mean
+normal, a leaf's being its triangle's own normal (see mesh.BVH). A box
+keeps a tilted patch of shell within reach of a point far off it at every
+level; the slab of a nearly flat patch is thin, so the slab test drops it.
+A kept leaf pair is scored against the leaf's triangle. Each slab gap is
+reduced by a margin that covers the rounding of both dot products, the
+length of the stored n, and the kernel's own rounding (`_slab_gap`), so a
+slab never drops a triangle whose computed distance could lower the
+minimum. Each point's best distance starts at its distance to one seed
+triangle: a given face (an evaluation passes the face of the point's
+Chamfer-nearest ground-truth sample) or else the triangle with the nearest
+centroid.
 The pair kernel works on axis-major component rows: one row per coordinate
 of the points and of each triangle corner, which the BVH gathers in that
 layout from its slot-ordered copy of the triangles. Its summation order is
@@ -65,13 +67,12 @@ from .surface import _sample_points, _sample_uniforms
 UNIT_SCALE = 100.0  # scene units -> centi-units
 PSNR_CAP_DB = 99.0
 
-# P2S traversal: points per block, and the widest (point, node) frontier
-# expanded at once, which bounds the pair arrays when pruning is weak.
-QUERY_BLOCK = 2048
+# P2S traversal: the widest (point, node) frontier expanded at once, which
+# bounds the pair arrays when pruning is weak.
 MAX_FRONTIER = 1 << 16
 # Point-triangle pairs scored at once. It bounds the kernel's temporaries
-# to 64 KiB rows, which the allocator reuses; rows as long as a whole leaf
-# level (up to 8 * MAX_FRONTIER pairs, 4 MiB) are paged in afresh each call.
+# to 64 KiB rows, which the allocator reuses; rows as long as a whole
+# frontier (up to MAX_FRONTIER pairs, 512 KiB) are paged in afresh each call.
 PAIR_BLOCK = 8192
 
 SSIM_WINDOW = 11
@@ -256,8 +257,7 @@ class SurfaceDistanceIndex:
             raise DomainError("cannot index an empty mesh")
         _finite_points(mesh.vertices, "mesh vertices")
         self.bvh = BVH(mesh.vertices, mesh.faces)
-        self._centroids = self.bvh.tri_verts.mean(axis=1)
-        self._centroid_tree = _kdtree(self._centroids)
+        self._centroid_tree = _kdtree(self.bvh.tri_verts.mean(axis=1))
 
     def query(self, points, seeds=None):
         """Exact distances from points to the mesh surface.
@@ -268,16 +268,15 @@ class SurfaceDistanceIndex:
         tight start. Without seeds each point starts from the triangle with
         the nearest centroid. A NaN or infinite coordinate raises DomainError.
 
-        Points are traversed in blocks of QUERY_BLOCK. Each block starts from
-        the seed distances and walks the BVH breadth first over flat
-        (point, node) pairs: a pair survives while the point's gap to the
-        node's slab (_slab_gap) and its distance to the node's box are both
-        below the point's best distance, and surviving internal pairs push
-        both children. Surviving leaf pairs expand into (point, triangle)
-        pairs, which face the same two tests against each triangle's own
-        slab and box; the pairs that pass are scored by one
-        point_triangle_distance call per level. A frontier wider than
-        MAX_FRONTIER pairs is split in halves and walked one half at a time.
+        All points walk the BVH together, breadth first over one frontier
+        of flat (point, node) pairs that starts with every point at the
+        root and each point's best distance at its seed distance. A pair
+        survives while the point's gap to the node's slab (_slab_gap) and
+        its distance to the node's box are both below the point's best
+        distance. A surviving leaf pair scores the point against the leaf's
+        triangle, one point_triangle_distance call per step; a surviving
+        inner pair pushes both children. A frontier wider than MAX_FRONTIER
+        pairs is split in halves and walked one half at a time.
 
         The result equals the exhaustive minimum bit for bit: each pair's
         distance is computed elementwise, so it does not depend on which
@@ -295,13 +294,6 @@ class SurfaceDistanceIndex:
         seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
         if len(seeds) != len(p):
             raise ShapeError(f"need one seed face per point, got {len(seeds)} for {len(p)}")
-        best = np.empty(len(p))
-        for s in range(0, len(p), QUERY_BLOCK):
-            best[s:s + QUERY_BLOCK] = self._query_block(p[s:s + QUERY_BLOCK],
-                                                        seeds[s:s + QUERY_BLOCK])
-        return best
-
-    def _query_block(self, p, seeds):
         bvh = self.bvh
         best = point_triangle_distance(p, bvh.tri_verts[seeds])
         coords = p.T.copy()
@@ -313,24 +305,14 @@ class SurfaceDistanceIndex:
                 half = len(pt) // 2
                 frontier += [(pt[half:], node[half:]), (pt[:half], node[:half])]
                 continue
-            keep = _below(_slab_gap(coords, pt, bvh.node_n, bvh.node_a, bvh.node_b, node, margin),
-                          best[pt])
+            keep = _below(_slab_gap(coords, pt, bvh, node, margin), best[pt])
             pt, node = pt[keep], node[keep]
-            keep = _box_gap(coords, pt, bvh.node_lo, bvh.node_hi, node) < best[pt]
+            keep = _box_gap(coords, pt, bvh, node) < best[pt]
             pt, node = pt[keep], node[keep]
-            leaf = bvh.node_start[node] >= 0
+            slot = bvh.node_start[node]
+            leaf = slot >= 0
             if leaf.any():
-                count = bvh.node_count[node[leaf]]
-                pair_pt = np.repeat(pt[leaf], count)
-                # Pair j of a leaf whose pairs start at offset o scores the
-                # triangle in slot start + j - o of the BVH order.
-                shift = np.repeat(bvh.node_start[node[leaf]] - (np.cumsum(count) - count), count)
-                slot = shift + np.arange(len(pair_pt))
-                near = _below(_slab_gap(coords, pair_pt, bvh.tri_n, bvh.tri_a, bvh.tri_b, slot,
-                                        margin), best[pair_pt])
-                pair_pt, slot = pair_pt[near], slot[near]
-                near = _box_gap(coords, pair_pt, bvh.tri_lo, bvh.tri_hi, slot) < best[pair_pt]
-                pair_pt, slot = pair_pt[near], slot[near]
+                pair_pt, slot = pt[leaf], slot[leaf]
                 # Both gathers come out axis-major, as the kernel reads them.
                 d = point_triangle_distance(np.take(coords, pair_pt, axis=1).T,
                                             np.take(bvh.slot_rows, slot, axis=2).transpose(2, 0, 1))
@@ -343,15 +325,15 @@ class SurfaceDistanceIndex:
         return best
 
 
-def _box_gap(coords, pt, lo, hi, box):
-    """Distance from each point coords[:, pt[i]] to box box[i] of the
-    axis-major corner arrays lo and hi; the squares are summed left to right,
-    as np.linalg.norm sums a row."""
+def _box_gap(coords, pt, bvh, node):
+    """Distance from each point coords[:, pt[i]] to the box of BVH node
+    node[i]; the squares are summed left to right, as np.linalg.norm sums a
+    row."""
     g2 = []
     for axis in range(3):
         q = coords[axis][pt]
-        g = np.maximum(lo[axis][box] - q, 0.0)
-        g += np.maximum(q - hi[axis][box], 0.0)
+        g = np.maximum(bvh.node_lo[axis][node] - q, 0.0)
+        g += np.maximum(q - bvh.node_hi[axis][node], 0.0)
         g *= g
         g2.append(g)
     return np.sqrt((g2[0] + g2[1]) + g2[2])
@@ -365,15 +347,14 @@ def _slab_margin(bvh, p):
     return max(np.ldexp(reach, -46), np.finfo(np.float64).tiny)
 
 
-def _slab_gap(coords, pt, normal, a, b, slab, margin):
-    """For each pair i, how far point coords[:, pt[i]] lies outside slab
-    slab[i] (normal[:, slab[i]], a[slab[i]], b[slab[i]]) less margin:
-    max(a - s, s - b) - margin with s the rounded n.p. It is negative inside
-    the slab.
+def _slab_gap(coords, pt, bvh, node, margin):
+    """For each pair i, how far point coords[:, pt[i]] lies outside the slab
+    a <= n.x <= b of BVH node node[i], less margin: max(a - s, s - b) -
+    margin with s the rounded n.p. It is negative inside the slab.
 
     With margin from _slab_margin, the result never exceeds the distance
     point_triangle_distance computes from the point to any triangle T under
-    the slab. Forward error bound, with u = 2**-53, R as in _slab_margin,
+    the node. Forward error bound, with u = 2**-53, R as in _slab_margin,
     S <= R the largest |corner coordinate| and ||n|| within 4u of 1 (BVH):
     - the slab holds the exact n.x of every point x of T (BVH);
     - the rounded s = (n0*p0 + n1*p1) + n2*p2 is within
@@ -398,10 +379,11 @@ def _slab_gap(coords, pt, normal, a, b, slab, margin):
     its pair. The tests check the bound directly on rotated, scaled,
     sliver, collinear and zero-area triangles.
     """
-    s = coords[0][pt] * normal[0][slab]
-    s += coords[1][pt] * normal[1][slab]
-    s += coords[2][pt] * normal[2][slab]
-    gap = np.maximum(a[slab] - s, s - b[slab])
+    n = bvh.node_n
+    s = coords[0][pt] * n[0][node]
+    s += coords[1][pt] * n[1][node]
+    s += coords[2][pt] * n[2][node]
+    gap = np.maximum(bvh.node_a[node] - s, s - bvh.node_b[node])
     gap -= margin
     return gap
 

@@ -251,9 +251,11 @@ def check_tensor_roundtrip():
         write_tensor(path, arr)
         dims, back = read_tensor(path)
         ok = dims == (4, 5, 3) and np.array_equal(back, arr)
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
         blob[32 + 8] ^= 0x40  # flip a payload byte (header is 32 bytes for ndim=3)
-        open(path, "wb").write(bytes(blob))
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
         try:
             read_tensor(path)
             rejected = False

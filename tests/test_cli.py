@@ -192,6 +192,20 @@ class TestPipeline:
         assert run("encode", path, tmp_path / "x.oaht") == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_finite_vertex_is_data_error(self, tmp_path, capsys, caplog):
+        # The NaN vertex fails the mesh itself, before the degenerate-face
+        # filter would drop its faces and leave a mesh that is not watertight.
+        path = tmp_path / "s.obj"
+        assert run("shapes", "sphere", path) == 0
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = "v nan 0 0\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("encode", path, tmp_path / "x.oaht") == 3
+        err = capsys.readouterr().err
+        assert "mesh vertices contain non-finite coordinates" in err
+        assert "degenerate" not in err + caplog.text and "watertight" not in err
+
     @pytest.mark.parametrize("override", [
         "occlude.kind=bogus", "occlude.policy=bogus", "sweep.shape=bogus",
         "sweep.ratios=0.2,0.96", "sweep.ratios=-0.1", "extract.grid_res=1",

@@ -11,10 +11,10 @@ from fofkit import metrics
 from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import BasisConfig
 from fofkit.mesh import BVH, TriMesh, mesh_to_fof
-from fofkit.metrics import (QUERY_BLOCK, UNIT_SCALE, EvalReference, MetricReport,
-                            SurfaceDistanceIndex, chamfer, chamfer_bruteforce, config_hash,
-                            evaluate_pair, nearest_bruteforce, p2s, p2s_exhaustive,
-                            point_triangle_closest, point_triangle_distance, psnr, ssim)
+from fofkit.metrics import (UNIT_SCALE, EvalReference, MetricReport, SurfaceDistanceIndex,
+                            chamfer, chamfer_bruteforce, config_hash, evaluate_pair,
+                            nearest_bruteforce, p2s, p2s_exhaustive, point_triangle_closest,
+                            point_triangle_distance, psnr, ssim)
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.render import normal_map_error, render_normals, render_silhouette
@@ -353,9 +353,9 @@ class TestP2S:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertices_rejected(self, sphere_mesh, bad):
-        vertices = sphere_mesh.vertices.copy()
-        vertices[7, 1] = bad
-        mesh = TriMesh(vertices, sphere_mesh.faces)
+        # TriMesh rejects such vertices too, but its fields stay writable.
+        mesh = sphere_mesh.copy()
+        mesh.vertices[7, 1] = bad
         points = np.zeros((2, 3))
         with pytest.raises(DomainError, match="mesh vertices contain non-finite"):
             SurfaceDistanceIndex(mesh)
@@ -403,8 +403,9 @@ class TestP2SFrontier:
         assert np.array_equal(index.query(points), p2s_exhaustive(points, mesh))
 
     def test_blocks_concatenate(self, index, rng):
-        points = rng.normal(size=(QUERY_BLOCK + 300, 3)) * 0.7
-        cut = QUERY_BLOCK - 100
+        # A point's distance does not depend on the points queried with it.
+        points = rng.normal(size=(2348, 3)) * 0.7
+        cut = 1948
         split = np.concatenate([index.query(points[:cut]), index.query(points[cut:])])
         assert np.array_equal(index.query(points), split)
 
@@ -467,7 +468,7 @@ class TestP2SFrontier:
         # its interior, so the distance is the height over its plane, which
         # its slab gap also measures. A small triangle whose centroid is
         # nearer seeds the bound 1e-12 farther: the nearest triangle survives
-        # only if neither slab, its own or its node's, overstates the gap.
+        # only if no slab on its path, its leaf's included, overstates the gap.
         normal = np.array(tilt) / np.linalg.norm(tilt)
         e1 = np.cross(normal, [0.0, 0.0, 1.0])
         e1 /= np.linalg.norm(e1)
@@ -519,9 +520,9 @@ class TestP2SFrontier:
 
 
 def subtree_slots(bvh, node):
-    """The slots of the triangles under a BVH node."""
+    """The slots of the triangles under a BVH node; a leaf holds one."""
     if bvh.node_start[node] >= 0:
-        return np.arange(bvh.node_start[node], bvh.node_start[node] + bvh.node_count[node])
+        return bvh.node_start[node:node + 1]
     return np.concatenate([subtree_slots(bvh, bvh.node_left[node]),
                            subtree_slots(bvh, bvh.node_right[node])])
 
@@ -575,7 +576,6 @@ class TestSlabBound:
         m, n = bvh.slot_rows.shape[2], len(points)
         tris = np.tile(bvh.slot_rows, (1, 1, n)).transpose(2, 0, 1)
         d = point_triangle_distance(np.repeat(points, m, axis=0), tris).reshape(n, m)
-        pt = np.repeat(np.arange(n), m)
         margin = metrics._slab_margin(bvh, points)
 
         def overstated(gap, dist):
@@ -584,12 +584,8 @@ class TestSlabBound:
             return (gap > dist) & (gap < np.inf)
 
         coords = points.T.copy()
-        gap = metrics._slab_gap(coords, pt, bvh.tri_n, bvh.tri_a, bvh.tri_b,
-                                np.tile(np.arange(m), n), margin)
-        assert not overstated(gap.reshape(n, m), d).any()
         for node in range(len(bvh.node_a)):
-            gap = metrics._slab_gap(coords, np.arange(n), bvh.node_n, bvh.node_a, bvh.node_b,
-                                    np.full(n, node), margin)
+            gap = metrics._slab_gap(coords, np.arange(n), bvh, np.full(n, node), margin)
             assert not overstated(gap[:, None], d[:, subtree_slots(bvh, node)]).any()
 
     def test_unprovable_gaps_keep_their_pairs(self):
