@@ -380,7 +380,10 @@ def load_obj(path):
 def _vertex_normals(corner_v, corner_n, normals, n_vertices):
     """Per-vertex normals from face corners in file order, or None unless
     every vertex has a corner and each vertex's successive normals pass
-    np.allclose(previous, next); the last one is kept."""
+    np.allclose(previous, next); the last one is kept. A non-finite normal
+    that a corner references raises DomainError."""
+    if not np.isfinite(normals[corner_n]).all():
+        raise DomainError("mesh normals contain non-finite coordinates")
     order = np.argsort(corner_v, kind="stable")
     v, n = corner_v[order], corner_n[order]
     again = v[1:] == v[:-1]
@@ -472,13 +475,11 @@ class BVH:
     """Static triangle BVH stored as flat arrays, one triangle per leaf.
 
     A leaf holds the triangle in slot node_start of `order`; an inner node
-    has node_start -1 and children node_left and node_right. Nodes are
-    numbered breadth first from the root, node 0.
-    Boxes are stored axis-major, shape (3, n), so a box test reads one
-    contiguous row per axis: node_lo and node_hi per node. slot_rows, shape
-    (3, 3, m), holds the vertices of each slot's triangle the same way:
-    slot_rows[j, k] is coordinate k of corner j, so a leaf's triangle is one
-    gather away.
+    has node_start -1 and children node_left and node_left + 1. Nodes are
+    numbered breadth first from the root, node 0. Rows are axis-major: a
+    box test reads one contiguous row per axis of node_lo and node_hi
+    (3, n), and slot_rows[j, k] (3, 3, m) is coordinate k of corner j of
+    each slot's triangle, so a leaf's triangle is one gather away.
 
     Each node also has a slab {x : a <= n.x <= b} (node_n, node_a, node_b;
     the directions are (3, n) rows). A node's n is the sum of its triangles'
@@ -498,14 +499,14 @@ class BVH:
     """
 
     def __init__(self, vertices, faces):
-        self.tri_verts = np.asarray(vertices, dtype=np.float64)[np.asarray(faces, dtype=np.int64)]
-        m = len(self.tri_verts)
+        tris = np.asarray(vertices, dtype=np.float64)[np.asarray(faces, dtype=np.int64)]
+        m = len(tris)
         if m == 0:
             raise MeshError("cannot build a BVH over an empty mesh")
-        rows = np.ascontiguousarray(self.tri_verts.transpose(1, 2, 0))
+        rows = np.ascontiguousarray(tris.transpose(1, 2, 0))
         lo = np.minimum(np.minimum(rows[0], rows[1]), rows[2])
         hi = np.maximum(np.maximum(rows[0], rows[1]), rows[2])
-        centroids = self.tri_verts.mean(axis=1).T
+        centroids = tris.mean(axis=1).T
         cross = _corner_cross(rows.transpose(1, 0, 2))
         self.scale = float(np.abs(rows).max())
         widen = max(np.ldexp(self.scale, -49), np.finfo(np.float64).tiny)
@@ -552,7 +553,6 @@ class BVH:
 
         (self.node_lo, self.node_hi, self.node_n, self.node_left, self.node_start,
          self.node_a, self.node_b) = (np.concatenate(c, axis=-1) for c in zip(*levels))
-        self.node_right = np.where(self.node_left >= 0, self.node_left + 1, -1)
         self.order = order
         self.slot_rows = np.take(rows, order, axis=2)
 

@@ -20,14 +20,15 @@ box and to its slab {x : a <= n.x <= b}, where n is the node's unit mean
 normal, a leaf's being its triangle's own normal (see mesh.BVH). A box
 keeps a tilted patch of shell within reach of a point far off it at every
 level; the slab of a nearly flat patch is thin, so the slab test drops it.
-A kept leaf pair is scored against the leaf's triangle. Each slab gap is
+A kept leaf pair is scored against the leaf's triangle, and a kept inner
+pair moves on to the children node_left and node_left + 1. Each slab gap is
 reduced by a margin that covers the rounding of both dot products, the
 length of the stored n, and the kernel's own rounding (`_slab_gap`), so a
 slab never drops a triangle whose computed distance could lower the
-minimum. Each point's best distance starts at its distance to one seed
-triangle: a given face (an evaluation passes the face of the point's
-Chamfer-nearest ground-truth sample) or else the triangle with the nearest
-centroid.
+minimum. Best distances start at +inf, and the first frontier entries pair
+each point with the leaf of its seed: a given face (an evaluation passes
+the face of the point's Chamfer-nearest ground-truth sample) or else the
+triangle with the nearest centroid.
 The pair kernel works on axis-major component rows: one row per coordinate
 of the points and of each triangle corner, which the BVH gathers in that
 layout from its slot-ordered copy of the triangles. Its summation order is
@@ -35,8 +36,8 @@ written out and pinned: each 3-term dot product is (x*x' + z*z') + y*y',
 the order in which np.einsum summed these rows in the form it replaced, and
 each distance is sqrt((x*x + y*y) + z*z), as np.linalg.norm sums a row; so
 the distances do not depend on numpy's SIMD paths, and a scalar reference
-in the tests reproduces them bit for bit. Pairs are scored PAIR_BLOCK at a
-time, which keeps the kernel's temporaries small.
+in the tests reproduces them bit for bit. MAX_FRONTIER is the one bound on
+the working set: no frontier step, and so no kernel call, holds more pairs.
 Per-pair distances are elementwise and the pruning is conservative, so the
 result equals `p2s_exhaustive`, which scans every triangle and is the oracle
 the accelerated path is validated against, bit for bit, whatever the seed.
@@ -67,13 +68,9 @@ from .surface import _sample_points, _sample_uniforms
 UNIT_SCALE = 100.0  # scene units -> centi-units
 PSNR_CAP_DB = 99.0
 
-# P2S traversal: the widest (point, node) frontier expanded at once, which
-# bounds the pair arrays when pruning is weak.
+# P2S: the widest (point, node) frontier expanded at once, and so the most
+# pairs one point_triangle_distance call scores here.
 MAX_FRONTIER = 1 << 16
-# Point-triangle pairs scored at once. It bounds the kernel's temporaries
-# to 64 KiB rows, which the allocator reuses; rows as long as a whole
-# frontier (up to MAX_FRONTIER pairs, 512 KiB) are paged in afresh each call.
-PAIR_BLOCK = 8192
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -236,17 +233,13 @@ def point_triangle_closest(points, tris):
 
 
 def point_triangle_distance(points, tris):
-    """Distances from points (n, 3) to their paired triangles (n, 3, 3),
-    scored PAIR_BLOCK pairs at a time; the squares are summed left to
-    right, as np.linalg.norm sums a row."""
+    """Distances from points (n, 3) to their paired triangles (n, 3, 3); the
+    squares are summed left to right, as np.linalg.norm sums a row. Callers
+    here pass at most MAX_FRONTIER pairs, which bounds its temporaries."""
     p, t = _pair_rows(points, tris)
-    out = np.empty(p.shape[1])
-    for s in range(0, len(out), PAIR_BLOCK):
-        ps = p[:, s:s + PAIR_BLOCK]
-        r = ps - _closest_rows(ps, t[..., s:s + PAIR_BLOCK])
-        r *= r
-        np.sqrt((r[0] + r[1]) + r[2], out=out[s:s + PAIR_BLOCK])
-    return out
+    r = p - _closest_rows(p, t)
+    r *= r
+    return np.sqrt((r[0] + r[1]) + r[2])
 
 
 class SurfaceDistanceIndex:
@@ -255,50 +248,56 @@ class SurfaceDistanceIndex:
     def __init__(self, mesh):
         if mesh.n_faces == 0:
             raise DomainError("cannot index an empty mesh")
-        _finite_points(mesh.vertices, "mesh vertices")
-        self.bvh = BVH(mesh.vertices, mesh.faces)
-        self._centroid_tree = _kdtree(self.bvh.tri_verts.mean(axis=1))
+        v = _finite_points(mesh.vertices, "mesh vertices")
+        self.bvh = BVH(v, mesh.faces)
+        self._centroid_tree = _kdtree(v[mesh.faces].mean(axis=1))
+        leaves = np.flatnonzero(self.bvh.node_start >= 0)
+        self._leaf_of_face = leaves[np.argsort(self.bvh.order[self.bvh.node_start[leaves]])]
 
     def query(self, points, seeds=None):
         """Exact distances from points to the mesh surface.
 
-        seeds, when given, holds one face index per point; each point's
-        search starts from its distance to that face, so a face near the
-        point (such as the face of its nearest surface sample) makes for a
-        tight start. Without seeds each point starts from the triangle with
-        the nearest centroid. A NaN or infinite coordinate raises DomainError.
+        seeds, when given, holds one face index per point, scored first, so
+        a face near the point (such as the face of its nearest surface
+        sample) makes for a tight start. Without seeds each point starts
+        from the triangle with the nearest centroid. A NaN or infinite
+        coordinate, or a seed that is not an integer in [0, n_faces), raises
+        DomainError.
 
         All points walk the BVH together, breadth first over one frontier
-        of flat (point, node) pairs that starts with every point at the
-        root and each point's best distance at its seed distance. A pair
-        survives while the point's gap to the node's slab (_slab_gap) and
-        its distance to the node's box are both below the point's best
-        distance. A surviving leaf pair scores the point against the leaf's
-        triangle, one point_triangle_distance call per step; a surviving
-        inner pair pushes both children. A frontier wider than MAX_FRONTIER
-        pairs is split in halves and walked one half at a time.
+        of flat (point, node) pairs, with each point's best distance at
+        +inf. Its first entries pair each point with its seed face's leaf,
+        the rest with the root. A pair survives while the point's gap to the
+        node's slab (_slab_gap) and its distance to the node's box are both
+        below the point's best distance. A surviving leaf pair scores the
+        point against the leaf's triangle, one point_triangle_distance call
+        per step; a surviving inner pair pushes both children, node_left and
+        node_left + 1. A frontier wider than MAX_FRONTIER pairs is split in
+        halves and walked one half at a time.
 
-        The result equals the exhaustive minimum bit for bit: each pair's
-        distance is computed elementwise, so it does not depend on which
-        other pairs share the call; a box's distance never exceeds the
-        distance to a triangle inside it, and a slab gap never exceeds the
-        computed distance to a triangle under it, so the tests only drop
+        The result equals the exhaustive minimum bit for bit, for any seed:
+        each pair's distance is computed elementwise, so it does not depend
+        on which other pairs share the call; a box's distance never exceeds
+        the distance to a triangle inside it, and a slab gap never exceeds
+        the computed distance to a triangle under it, so the tests only drop
         triangles that cannot lower the minimum; and the minimum does not
-        depend on the order in which pairs are visited. The seed distance is
-        the distance to a real triangle, so it never undercuts the minimum,
-        and the result is the same for any seed.
+        depend on the order in which pairs are visited.
         """
         p = _finite_points(points, "query points")
         if seeds is None:
             _, seeds = self._centroid_tree.query(p)
-        seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
+        seeds = np.asarray(seeds).reshape(-1)
         if len(seeds) != len(p):
             raise ShapeError(f"need one seed face per point, got {len(seeds)} for {len(p)}")
+        m = len(self._leaf_of_face)
+        if len(seeds) and not (seeds.dtype.kind in "iu" and seeds.min() >= 0 and seeds.max() < m):
+            raise DomainError(f"seed faces must be integers in [0, {m})")
         bvh = self.bvh
-        best = point_triangle_distance(p, bvh.tri_verts[seeds])
+        best = np.full(len(p), np.inf)
         coords = p.T.copy()
         margin = _slab_margin(bvh, p)
-        frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64))]
+        frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64)),
+                    (np.arange(len(p)), self._leaf_of_face[seeds.astype(np.int64)])]
         while frontier:
             pt, node = frontier.pop()
             if len(pt) > MAX_FRONTIER:
@@ -320,7 +319,7 @@ class SurfaceDistanceIndex:
                 np.fmin.at(best, pair_pt, d)
             inner = node[~leaf]
             if len(inner):
-                children = np.column_stack([bvh.node_left[inner], bvh.node_right[inner]])
+                children = bvh.node_left[inner][:, None] + [0, 1]
                 frontier.append((np.repeat(pt[~leaf], 2), children.ravel()))
         return best
 
@@ -411,19 +410,19 @@ def p2s(points, mesh, seeds=None):
 
 
 def p2s_exhaustive(points, mesh):
-    """Oracle point-to-surface distances scanning every triangle."""
+    """Oracle point-to-surface distances scanning every triangle, at most
+    MAX_FRONTIER pairs (and at least one point's row) per kernel call."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     # Pairs are tiled as the kernel's axis-major rows, which it reads in place.
     rows = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
     m = rows.shape[2]
     best = np.full(len(pts), np.inf)
-    step = max(1, 4_000_000 // max(m, 1))
+    step = max(1, MAX_FRONTIER // max(m, 1))
     for s in range(0, len(pts), step):
         block = pts[s:s + step].T
         n = block.shape[1]
-        pp = np.repeat(block, m, axis=1)
-        tt = np.tile(rows, (1, 1, n))
-        d = point_triangle_distance(pp.T, tt.transpose(2, 0, 1)).reshape(n, m)
+        d = point_triangle_distance(np.repeat(block, m, axis=1).T,
+                                    np.tile(rows, (1, 1, n)).transpose(2, 0, 1)).reshape(n, m)
         best[s:s + step] = d.min(axis=1)
     return best
 

@@ -177,7 +177,7 @@ def check_bvh_vs_exhaustive(n_instances=20, seed=4):
         want = p2s_exhaustive(pts, mesh)
         # Adversarial seeds: each point starts from the face whose centroid
         # is farthest from it.
-        gap = ((pts[:, None, :] - index.bvh.tri_verts.mean(axis=1)[None]) ** 2).sum(axis=2)
+        gap = ((pts[:, None, :] - mesh.vertices[mesh.faces].mean(axis=1)[None]) ** 2).sum(axis=2)
         ok &= np.array_equal(index.query(pts), want)
         ok &= np.array_equal(index.query(pts, np.argmax(gap, axis=1)), want)
     return _check("BVH point-to-surface equals exhaustive scan", ok,

@@ -22,7 +22,7 @@ from fofkit.raster import OrthoFrame
 from fofkit.render import normal_map_error, render_normals, render_silhouette
 from fofkit.selftest import (coeffs_by_quadrature, finite_difference, quadrature_grid,
                              random_snapped_intervals)
-from fofkit.shapes import make_capsule_figure, make_sphere, make_torus
+from fofkit.shapes import make_sphere
 from fofkit.surface import marching_cubes, mesh_volume, reconstruct_field, \
     sample_surface, OccupancyGrid
 from fofkit.sweep import mean_by_ratio, run_sweep
@@ -43,12 +43,9 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def shapes():
-    return {
-        "sphere": make_sphere(0.6, 4),
-        "torus": make_torus(),
-        "capsule_figure": make_capsule_figure(),
-    }
+def shapes(sphere_mesh, torus_mesh, capsule_mesh):
+    """The session's sphere (r 0.6, 4 subdivisions), torus and capsule figure."""
+    return {"sphere": sphere_mesh, "torus": torus_mesh, "capsule_figure": capsule_mesh}
 
 
 @pytest.fixture(scope="module")

@@ -206,6 +206,16 @@ class TestPipeline:
         assert "mesh vertices contain non-finite coordinates" in err
         assert "degenerate" not in err + caplog.text and "watertight" not in err
 
+    def test_non_finite_shared_normal_is_data_error(self, tmp_path, capsys):
+        # A closed tetrahedron whose vertex 2 takes a NaN normal in one of
+        # its three corners.
+        path = tmp_path / "t.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nvn 0 0 1\nvn nan 0 1\n"
+                        "f 1//1 3//1 2//2\nf 1//1 2//1 4//1\nf 1//1 4//1 3//1\nf 2//1 3//1 4//1\n")
+        assert run("encode", path, tmp_path / "x.oaht") == 3
+        err = capsys.readouterr().err
+        assert "mesh normals contain non-finite coordinates" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("override", [
         "occlude.kind=bogus", "occlude.policy=bogus", "sweep.shape=bogus",
         "sweep.ratios=0.2,0.96", "sweep.ratios=-0.1", "extract.grid_res=1",

@@ -132,6 +132,16 @@ class TestObjIO:
         path.write_text(head + "f 1//2 2//2 3//2\nf 1//1 3//1 2//1\n")
         assert load_obj(path).normals is None
 
+    def test_non_finite_normal_of_a_shared_vertex_rejected(self, tmp_path):
+        # Vertex 2 takes `vn nan 0 1` in one corner and `vn 0 0 1` in two
+        # others. np.isclose fails against the NaN, which must not turn the
+        # error into normals=None.
+        path = tmp_path / "nan_vn.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nvn 0 0 1\nvn nan 0 1\n"
+                        "f 1//1 3//1 2//2\nf 1//1 2//1 4//1\nf 1//1 4//1 3//1\nf 2//1 3//1 4//1\n")
+        with pytest.raises(DomainError, match="mesh normals contain non-finite coordinates"):
+            load_obj(path)
+
     def test_ignored_records_warning_lists_tags(self, tmp_path, caplog):
         path = tmp_path / "tags.obj"
         path.write_text("o a\n# note\nvt 0 0\n\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\ns 1\n")
@@ -727,7 +737,7 @@ def node_ranges(bvh):
         if bvh.node_start[k] >= 0:
             first[k], end[k] = bvh.node_start[k], bvh.node_start[k] + 1
         else:
-            first[k], end[k] = first[bvh.node_left[k]], end[bvh.node_right[k]]
+            first[k], end[k] = first[bvh.node_left[k]], end[bvh.node_left[k] + 1]
     return list(zip(first.tolist(), (end - first).tolist()))
 
 
@@ -758,7 +768,10 @@ class TestBVH:
         leaves = bvh.node_start >= 0
         # Every leaf holds exactly one triangle, and every slot is a leaf.
         assert np.array_equal(np.sort(bvh.node_start[leaves]), np.arange(len(mesh.faces)))
-        assert np.array_equal(bvh.node_right[~leaves], bvh.node_left[~leaves] + 1)
+        # The children node_left and node_left + 1 of the inner nodes are
+        # every node but the root, each once.
+        children = bvh.node_left[~leaves][:, None] + [0, 1]
+        assert np.array_equal(np.sort(children.ravel()), np.arange(1, len(leaves)))
         assert np.array_equal(bvh.slot_rows, mesh.vertices[mesh.faces][order].transpose(1, 2, 0))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])

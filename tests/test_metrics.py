@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,20 @@ class TestP2S:
             pts = rng.normal(size=(40, 3)) * 0.7
             assert np.array_equal(index.query(pts), p2s_exhaustive(pts, mesh))
 
+    def test_exhaustive_scan_memory_is_bounded(self, sphere_mesh, rng):
+        # The oracle scores at most MAX_FRONTIER pairs per kernel call, so
+        # 800 points against 5 120 faces (4.1 M pairs) stay within a few
+        # MAX_FRONTIER-sized tiles of memory.
+        pts = rng.normal(size=(800, 3)) * 0.7
+        tracemalloc.start()
+        try:
+            want = p2s_exhaustive(pts, sphere_mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert np.array_equal(SurfaceDistanceIndex(sphere_mesh).query(pts), want)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertices_rejected(self, sphere_mesh, bad):
         # TriMesh rejects such vertices too, but its fields stay writable.
@@ -524,7 +539,7 @@ def subtree_slots(bvh, node):
     if bvh.node_start[node] >= 0:
         return bvh.node_start[node:node + 1]
     return np.concatenate([subtree_slots(bvh, bvh.node_left[node]),
-                           subtree_slots(bvh, bvh.node_right[node])])
+                           subtree_slots(bvh, bvh.node_left[node] + 1)])
 
 
 def random_rotation(rng):
@@ -687,6 +702,33 @@ class TestSeededQuery:
     def test_one_seed_per_point(self, mesh):
         with pytest.raises(ShapeError, match="one seed face per point"):
             SurfaceDistanceIndex(mesh).query(np.zeros((3, 3)), [0, 1])
+
+    def test_first_kernel_call_scores_the_seeds(self, mesh, rng, monkeypatch):
+        # Each point's seed face goes in through its leaf, ahead of the walk
+        # from the root.
+        points = self.points(mesh, rng, "off_surface")
+        seeds = farthest_faces(points, mesh)
+        calls = []
+
+        def recording(pts, tris):
+            calls.append((np.array(pts), np.array(tris)))
+            return point_triangle_distance(pts, tris)
+
+        monkeypatch.setattr(metrics, "point_triangle_distance", recording)
+        SurfaceDistanceIndex(mesh).query(points, seeds)
+        assert np.array_equal(calls[0][0], points)
+        assert np.array_equal(calls[0][1], mesh.vertices[mesh.faces][seeds])
+
+    @pytest.mark.parametrize("seeds", [[0, 10 ** 6], [-1, -2], [0.7, 1.2]],
+                             ids=["past_the_end", "negative", "fractional"])
+    def test_seed_outside_the_faces_rejected(self, seeds):
+        # A seed past the last face must not raise IndexError, a negative one
+        # must not wrap to the last faces, a fractional one must not be
+        # truncated to a face.
+        mesh = make_sphere(0.6, 2)
+        points = np.array([[0.1, 0.2, 0.3], [0.0, 0.7, 0.0]])
+        with pytest.raises(DomainError, match=r"seed faces must be integers in \[0, 320\)"):
+            p2s(points, mesh, seeds)
 
 
 class TestSSIM:
