@@ -27,15 +27,16 @@ import numpy as np
 
 from . import __version__
 from .completion import vgcc_blend
-from .config import RATIO, SETTINGS, HarnessConfig, default_seed, number, parse_checked
+from .config import SETTINGS, HarnessConfig, default_seed, parse_checked
 from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField, _check_frame
 from .mesh import load_obj, mesh_to_fof, normalize_mesh, save_obj, check_watertight
 from .metrics import evaluate_pair, MetricReport
-from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, MaskPair, OccluderSpec, \
+from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, RATIO, MaskPair, OccluderSpec, \
     occlude_field, synthesize_occlusion
 from .raster import OrthoFrame
 from .render import render_normals, render_silhouette
+from .rng import SEED
 from .selftest import run_selftest
 from .shapes import SHAPE_MAKERS, make_shape
 from .surface import reconstruct_field
@@ -75,10 +76,7 @@ def _add_frame_args(p):
 
 
 def _frame_from_args(args):
-    try:
-        return OrthoFrame(args.width, args.height, args.center, args.half_extent)
-    except DomainError as exc:
-        raise ConfigError(f"invalid frame: {exc}") from exc
+    return OrthoFrame(args.width, args.height, args.center, args.half_extent)
 
 
 def _seed_or_env(value):
@@ -157,9 +155,6 @@ def cmd_reconstruct(args):
 def cmd_occlude(args):
     field, frame = _read_field(args.field)
     body = read_pgm(args.body)
-    if body.shape != (field.height, field.width):
-        raise DomainError(f"body mask {body.shape} does not match field "
-                          f"{(field.height, field.width)}")
     seed = _seed_or_env(args.seed)
     pair = synthesize_occlusion(body, OccluderSpec(args.kind, seed, args.ratio))
     out = occlude_field(field, pair, args.policy, sigma=args.sigma, seed=seed)
@@ -275,8 +270,8 @@ def build_parser():
     p.add_argument("field")
     p.add_argument("body", help="body silhouette PGM")
     p.add_argument("out")
-    p.add_argument("--ratio", type=_checked_type("ratio", number, RATIO), required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--ratio", type=_checked_type("ratio", float, RATIO), required=True)
+    p.add_argument("--seed", type=_checked_type("seed", int, SEED), default=None)
     _add_setting(p, "--kind", "occlude.kind", choices=OCCLUDER_KINDS)
     _add_setting(p, "--policy", "occlude.policy", choices=OCCLUSION_POLICIES)
     _add_setting(p, "--sigma", "occlude.sigma")
@@ -315,7 +310,7 @@ def build_parser():
     p.add_argument("out")
     _add_frame_args(p)
     _add_setting(p, "--samples", "sweep.eval_samples")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_checked_type("seed", int, SEED), default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="occlusion-ratio experiment")

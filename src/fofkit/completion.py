@@ -12,13 +12,14 @@ linearly with the chamfer distance to the mask boundary over feather_px
 pixels. Background pixels copy the observation.
 """
 
-import math
-import numbers
-
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError, integer, real, require
 from .fof import FourierField
+
+ITERATIONS = integer(0)
+STRENGTH = real(0, 1)
+FEATHER = real()
 
 
 def degrade_prior(mesh, iterations=20, strength=0.5):
@@ -28,10 +29,8 @@ def degrade_prior(mesh, iterations=20, strength=0.5):
     mean of its edge neighbors; topology (and hence watertightness) is
     untouched. iterations=0 returns an identical copy.
     """
-    if not (0.0 <= strength <= 1.0):
-        raise DomainError(f"strength must be in [0, 1], got {strength}")
-    if not isinstance(iterations, numbers.Integral) or iterations < 0:
-        raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
+    require("iterations", iterations, ITERATIONS)
+    require("strength", strength, STRENGTH)
     out = mesh.copy()
     if iterations == 0 or mesh.n_faces == 0:
         return out
@@ -87,8 +86,7 @@ def chamfer_distance_transform(mask):
 
 def blend_alpha(pair, feather_px=3.0):
     """Observation weight per pixel: 1 on V and background, ramp inside M."""
-    if not math.isfinite(feather_px):
-        raise DomainError(f"feather_px must be finite, got {feather_px!r}")
+    require("feather_px", feather_px, FEATHER)
     alpha = np.ones(pair.M.shape, dtype=np.float64)
     if not pair.M.any():
         return alpha

@@ -5,33 +5,29 @@ configparser). Every value has a default, every default can be overridden by
 a ``--set section.key=value`` flag, and the fully resolved config is echoed
 into each output directory for provenance.
 
-Each setting is one row of SETTINGS. HarnessConfig parses and range-checks
+Each setting is one row of SETTINGS, whose range check is the object the
+library passes to errors.require for it. HarnessConfig parses and checks
 every row once, when it is built, so a malformed or out-of-range value raises
-ConfigError before any work starts or any output is written.
+ConfigError naming the setting before any work starts or output is written.
 """
 
 import configparser
 import io
-import math
 import os
 
-from .errors import ConfigError, DomainError
-from .occlusion import MAX_RATIO, OCCLUDER_KINDS, OCCLUSION_POLICIES
-from .raster import OrthoFrame
-from .shapes import SHAPE_MAKERS
-
-
-def number(text):
-    """A finite float: the parser of every real-valued setting and CLI flag."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
+from .completion import FEATHER, ITERATIONS, STRENGTH
+from .errors import ConfigError, require
+from .fof import DEPTH_RES, ORDER
+from .occlusion import KIND, POLICY, RATIO, SIGMA
+from .raster import CENTER, HALF_EXTENT, PIXELS, OrthoFrame
+from .rng import SEED
+from .shapes import SHAPE
+from .surface import ISO, SAMPLES
 
 
 def numbers(text):
-    """Comma-separated finite floats; empty items are skipped."""
-    return [number(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated floats; empty items are skipped."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def integers(text):
@@ -39,54 +35,44 @@ def integers(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-# A range check is (predicate, what a valid value is).
-def _at_least(lo):
-    return (lambda v: v >= lo), f">= {lo}"
-
-
-def _one_of(names):
-    return (lambda v: v in names), f"one of {list(names)}"
-
-
-_UNIT = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
-RATIO = (lambda v: 0.0 <= v <= MAX_RATIO), f"in [0, {MAX_RATIO}]"
-_RATIOS = (lambda v: v and all(map(RATIO[0], v))), f"one or more ratios in [0, {MAX_RATIO}]"
-_NON_EMPTY = bool, "non-empty"
-
 # The [frame] rows have no attribute: they are the OrthoFrame fields of frame().
 SETTINGS = (
     # section, key, default text, parser, range check, HarnessConfig attribute
-    ("frame", "width", "128", int, None, None),
-    ("frame", "height", "128", int, None, None),
-    ("frame", "center", "0,0,0", numbers, None, None),
-    ("frame", "half_extent", "1.0", number, None, None),
-    ("encode", "order", "15", int, _at_least(0), "order"),
-    ("extract", "grid_res", "128", int, _at_least(2), "grid_res"),
-    ("extract", "iso", "0.5", number, None, "iso"),
-    ("prior", "iterations", "20", int, _at_least(0), "prior_iterations"),
-    ("prior", "strength", "0.5", number, _UNIT, "prior_strength"),
-    ("occlude", "kind", "rectangle", str, _one_of(OCCLUDER_KINDS), "occluder_kind"),
-    ("occlude", "policy", "zero", str, _one_of(OCCLUSION_POLICIES), "occlusion_policy"),
-    ("occlude", "sigma", "0.1", number, None, "noise_sigma"),
-    ("occlude", "feather_px", "3.0", number, None, "feather_px"),
-    ("sweep", "shape", "sphere", str, _one_of(SHAPE_MAKERS), "sweep_shape"),
-    ("sweep", "ratios", "0.2,0.4,0.6,0.8", numbers, _RATIOS, "sweep_ratios"),
-    ("sweep", "seeds", "0,1,2,3,4", integers, _NON_EMPTY, "sweep_seeds"),
-    ("sweep", "eval_samples", "10000", int, _at_least(1), "eval_samples"),
-    ("sweep", "eval_seed", "0", int, None, "eval_seed"),
+    ("frame", "width", "128", int, PIXELS, None),
+    ("frame", "height", "128", int, PIXELS, None),
+    ("frame", "center", "0,0,0", lambda text: tuple(numbers(text)), CENTER, None),
+    ("frame", "half_extent", "1.0", float, HALF_EXTENT, None),
+    ("encode", "order", "15", int, ORDER, "order"),
+    ("extract", "grid_res", "128", int, DEPTH_RES, "grid_res"),
+    ("extract", "iso", "0.5", float, ISO, "iso"),
+    ("prior", "iterations", "20", int, ITERATIONS, "prior_iterations"),
+    ("prior", "strength", "0.5", float, STRENGTH, "prior_strength"),
+    ("occlude", "kind", "rectangle", str, KIND, "occluder_kind"),
+    ("occlude", "policy", "zero", str, POLICY, "occlusion_policy"),
+    ("occlude", "sigma", "0.1", float, SIGMA, "noise_sigma"),
+    ("occlude", "feather_px", "3.0", float, FEATHER, "feather_px"),
+    ("sweep", "shape", "sphere", str, SHAPE, "sweep_shape"),
+    ("sweep", "ratios", "0.2,0.4,0.6,0.8", numbers, RATIO, "sweep_ratios"),
+    ("sweep", "seeds", "0,1,2,3,4", integers, SEED, "sweep_seeds"),
+    ("sweep", "eval_samples", "10000", int, SAMPLES, "eval_samples"),
+    ("sweep", "eval_seed", "0", int, SEED, "eval_seed"),
     ("sweep", "jobs", "0", int, None, "jobs"),
 )
 
 
 def parse_checked(name, raw, parse, check):
-    """Parse raw text and apply a range check (None for none); ConfigError
-    names `name` when either fails."""
+    """Parse raw text and apply a range check (None for none) to the value,
+    or to each item of a non-empty list; ConfigError names `name` when
+    either fails."""
     try:
         value = parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{name} = {raw!r} is malformed: {exc}") from exc
-    if check is not None and not check[0](value):
-        raise ConfigError(f"{name} must be {check[1]}, got {raw!r}")
+    items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ConfigError(f"{name} = {raw!r} is malformed: no values")
+    for item in items if check is not None else ():
+        require(name, item, check, ConfigError)
     return value
 
 
@@ -96,10 +82,7 @@ DEFAULTS = {sec: {key: text for s, key, text, *_ in SETTINGS if s == sec}
 
 def default_seed():
     """Global seed fallback from the environment."""
-    try:
-        return int(os.environ.get("OAHUMAN_SEED", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"OAHUMAN_SEED must be an integer: {exc}") from exc
+    return parse_checked("OAHUMAN_SEED", os.environ.get("OAHUMAN_SEED", "0"), int, SEED)
 
 
 class HarnessConfig:
@@ -114,10 +97,7 @@ class HarnessConfig:
                 frame[key] = value
             else:
                 setattr(self, attr, value)
-        try:
-            self._frame = OrthoFrame(**frame)
-        except DomainError as exc:
-            raise ConfigError(f"invalid frame: {exc}") from exc
+        self._frame = OrthoFrame(**frame)
 
     @classmethod
     def load(cls, path=None, overrides=()):

@@ -31,14 +31,15 @@ such a pixel's sum starts at +0.0 and adds only signed zeros, and
 +0.0 + (+-0.0) is +0.0, so writing +0.0 there without decoding is exact.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, integer, require
 
 DEFAULT_ORDER = 15
+ORDER = integer(0)
+DEPTH_RES = integer(2)  # decode depths; surface's grid_res is one
 
 # Pixels decoded together by _decode_pixels; a (chunk, depth) buffer stays in cache.
 _DECODE_CHUNK = 512
@@ -51,8 +52,7 @@ class BasisConfig:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        if self.order < 0:
-            raise DomainError(f"order must be >= 0, got {self.order}")
+        require("order", self.order, ORDER)
 
     @property
     def channels(self):
@@ -112,15 +112,16 @@ class IntervalList:
     intervals: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
-        iv = np.asarray(self.intervals, dtype=np.float64).reshape(-1, 2)
-        if iv.size:
-            if iv.min() < -1.0 or iv.max() > 1.0:
-                raise DomainError("interval endpoints must lie in [-1, 1]")
-            if not np.all(iv[:, 0] < iv[:, 1]):
-                raise DomainError("intervals must satisfy z_in < z_out")
-            if not np.all(iv[1:, 0] >= iv[:-1, 1]):
-                raise DomainError("intervals must be disjoint and sorted ascending")
-        self.intervals = iv
+        iv = np.asarray(self.intervals)
+        if iv.ndim != 2 or iv.shape[1] != 2 or iv.dtype.kind not in "iuf":
+            raise ShapeError(f"intervals must be (n, 2) numbers, got {iv.dtype} {iv.shape}")
+        if not np.all((iv >= -1.0) & (iv <= 1.0)):
+            raise DomainError("interval endpoints must lie in [-1, 1]")
+        if not np.all(iv[:, 0] < iv[:, 1]):
+            raise DomainError("intervals must satisfy z_in < z_out")
+        if not np.all(iv[1:, 0] >= iv[:-1, 1]):
+            raise DomainError("intervals must be disjoint and sorted ascending")
+        self.intervals = iv.astype(np.float64)
 
     def __len__(self):
         return self.intervals.shape[0]
@@ -135,11 +136,11 @@ def basis_eval(z, cfg=BasisConfig()):
     """Evaluate [1, cos(pi z), sin(pi z), ..., cos(N pi z), sin(N pi z)].
 
     z may be a scalar or an array; one basis row of length K is produced per
-    depth. Out-of-range depths raise DomainError.
+    depth. A depth that is not a number in [-1, 1] raises DomainError.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z < -1.0) or np.any(z > 1.0):
-        raise DomainError("depth z must lie in [-1, 1]")
+    z = np.asarray(z)
+    if z.dtype.kind not in "iuf" or not np.all((z >= -1.0) & (z <= 1.0)):
+        raise DomainError(f"depth z must be numbers in [-1, 1], got {z!r}")
     out = np.empty(z.shape + (cfg.channels,), dtype=np.float64)
     out[..., 0] = 1.0
     args = z[..., None] * cfg.freqs()
@@ -178,10 +179,12 @@ def intervals_to_coeffs(iv, cfg=BasisConfig()):
 
 
 def decode_ray(coeffs, z, cfg=None):
-    """Occupancy O(z) = b(z) . coeffs for one ray; unclamped."""
+    """Occupancy O(z) = b(z) . coeffs at one depth z for one ray; unclamped."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1:
         raise ShapeError("coeffs must be one-dimensional")
+    if np.ndim(z) != 0:
+        raise ShapeError(f"depth z must be a scalar, got shape {np.shape(z)}")
     if cfg is None:
         if coeffs.shape[0] % 2 != 1:
             raise ShapeError(f"coefficient count must be odd, got {coeffs.shape[0]}")
@@ -198,8 +201,7 @@ def decode_ray(coeffs, z, cfg=None):
 def depth_samples(depth_res):
     """Uniform decode depths z_k = -1 + 2k/(depth_res - 1); depth_res is an
     integer >= 2."""
-    if not isinstance(depth_res, numbers.Integral) or depth_res < 2:
-        raise DomainError(f"depth_res must be an integer >= 2, got {depth_res!r}")
+    require("depth_res", depth_res, DEPTH_RES)
     k = np.arange(depth_res, dtype=np.float64)
     return -1.0 + 2.0 * k / (depth_res - 1)
 

@@ -20,9 +20,10 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, real, require
 
 PERCEPTUAL_LABEL = "SSIM-perceptual (LPIPS substituted)"
+WEIGHT = real(0)  # every loss weight
 
 
 @dataclass
@@ -45,14 +46,14 @@ class FeaturePyramid:
 
 @dataclass
 class LevelWeights:
-    """Strictly increasing non-negative per-level weights."""
+    """Strictly increasing finite non-negative per-level weights."""
 
     w: np.ndarray
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
-        if np.any(self.w < 0):
-            raise DomainError("level weights must be non-negative")
+        for k, w_k in enumerate(np.ravel(self.w)):
+            require(f"level weight {k}", w_k, WEIGHT)
+        self.w = np.ravel(self.w).astype(np.float64)
         if np.any(np.diff(self.w) <= 0):
             raise DomainError("level weights must be strictly increasing")
 
@@ -137,8 +138,7 @@ def geo_loss(c, c_gt, f, f_sup, weights=None, omega=None, lam=1.0):
     Returns (loss, grad wrt c, grads wrt pyramid levels). The weight map
     applies to the feature term only.
     """
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    require("lam", lam, WEIGHT)
     l_mse, g_mse = mse_coeff_loss(c, c_gt)
     l_feat, g_feat = feat_loss(f, f_sup, weights, omega)
     grads_feat = [lam * g for g in g_feat]
@@ -176,8 +176,8 @@ def image_loss(img, img_gt, lam1=1.0, lam2=1.0):
     """lam1 * L1 + lam2 * (1 - SSIM) on images in [0, 1]; symmetric."""
     from .metrics import ssim
 
-    if lam1 < 0 or lam2 < 0:
-        raise DomainError("loss weights must be non-negative")
+    require("lam1", lam1, WEIGHT)
+    require("lam2", lam2, WEIGHT)
     a = np.asarray(img, dtype=np.float64)
     b = np.asarray(img_gt, dtype=np.float64)
     if a.shape != b.shape:

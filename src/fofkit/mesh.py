@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, MeshError, ObjParseError, ShapeError
+from .errors import DomainError, MeshError, ObjParseError, ShapeError, require
 from .fof import BasisConfig, FourierField, IntervalList, _check_frame, interval_terms
-from .raster import OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
+from .raster import HALF_EXTENT, OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
 
 log = logging.getLogger(__name__)
 
@@ -35,11 +35,25 @@ _OBJ_BLOCK_CHARS = 1 << 18  # text parsed together by load_obj; bounds its tempo
 _OBJ_WRITE_ROWS = 4096  # records per formatted write in save_obj
 
 
+def check_points(points, what, limit=np.inf):
+    """points as an (n, 3) float64 array, or ShapeError for another shape or
+    non-numbers, DomainError for a coordinate whose magnitude is not below
+    limit (an infinite one, or NaN, by default)."""
+    p = np.asarray(points)
+    if p.ndim != 2 or p.shape[1] != 3 or p.dtype.kind not in "iuf":
+        raise ShapeError(f"{what} must be an (n, 3) array of numbers, got {p.dtype} {p.shape}")
+    p = p.astype(np.float64, copy=False)
+    if not (np.abs(p) < limit).all():
+        raise DomainError(f"{what} contain non-finite coordinates"
+                          + (f" or ones beyond {limit:g}" if limit < np.inf else ""))
+    return p
+
+
 @dataclass
 class TriMesh:
     """Indexed triangle mesh; normals are optional per-vertex unit vectors.
 
-    A non-finite vertex coordinate or normal component raises DomainError.
+    Vertices and normals pass check_points; faces are (m, 3) whole numbers.
     """
 
     vertices: np.ndarray  # (n, 3) float64
@@ -47,18 +61,21 @@ class TriMesh:
     normals: Optional[np.ndarray] = None  # (n, 3) float64
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        if not np.isfinite(self.vertices).all():
-            raise DomainError("mesh vertices contain non-finite coordinates")
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
+        self.vertices = check_points(self.vertices, "mesh vertices")
+        faces = np.asarray(self.faces)
+        if faces.dtype.kind not in "iu":
+            faces = check_points(faces, "mesh faces")
+            if not np.array_equal(faces, np.trunc(faces)):
+                raise DomainError("mesh faces must be whole vertex indices")
+        elif faces.ndim != 2 or faces.shape[1] != 3:
+            raise ShapeError(f"mesh faces must be an (m, 3) array, got shape {faces.shape}")
+        if faces.size and (faces.min() < 0 or faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
+        self.faces = faces.astype(np.int64, copy=False)
         if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
+            self.normals = check_points(self.normals, "mesh normals")
             if len(self.normals) != len(self.vertices):
                 raise ShapeError("normals must be per-vertex")
-            if not np.isfinite(self.normals).all():
-                raise DomainError("mesh normals contain non-finite coordinates")
 
     @property
     def n_vertices(self):
@@ -380,10 +397,9 @@ def load_obj(path):
 def _vertex_normals(corner_v, corner_n, normals, n_vertices):
     """Per-vertex normals from face corners in file order, or None unless
     every vertex has a corner and each vertex's successive normals pass
-    np.allclose(previous, next); the last one is kept. A non-finite normal
-    that a corner references raises DomainError."""
-    if not np.isfinite(normals[corner_n]).all():
-        raise DomainError("mesh normals contain non-finite coordinates")
+    np.allclose(previous, next); the last one is kept. The normals that
+    corners reference pass check_points."""
+    check_points(normals[corner_n], "mesh normals")
     order = np.argsort(corner_v, kind="stable")
     v, n = corner_v[order], corner_n[order]
     again = v[1:] == v[:-1]
@@ -445,6 +461,7 @@ def normalize_mesh(mesh, target_half_extent=0.9):
 
     Returns (mesh, scale, offset) with scene = scale * original + offset.
     """
+    require("target_half_extent", target_half_extent, HALF_EXTENT)
     lo, hi = mesh.bounds()
     center = (lo + hi) / 2.0
     half = float(np.max(hi - lo)) / 2.0
@@ -604,9 +621,9 @@ def ray_intervals(mesh, frame, pixel):
     pixel is (row, col). Depths are normalized through the frame; the result
     matches the batched encoder at the same pixel exactly.
     """
-    row, col = pixel
-    if not (0 <= row < frame.height and 0 <= col < frame.width):
-        raise DomainError(f"pixel {pixel} outside {frame.height}x{frame.width} frame")
+    inside = (lambda p: len(p) == 2 and all(int(i) == i for i in p)
+              and 0 <= p[0] < frame.height and 0 <= p[1] < frame.width)
+    require("pixel", pixel, (inside, f"a (row, col) of the {frame.height}x{frame.width} frame"))
     _require_watertight(mesh)
     return _cast_pixel(*frame.project_faces(mesh.vertices, mesh.faces), frame, pixel)
 

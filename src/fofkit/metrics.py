@@ -59,14 +59,18 @@ import numpy as np
 from scipy.ndimage import correlate1d
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, ShapeError
-from .mesh import BVH
+from .errors import DomainError, ShapeError, require
+from .mesh import BVH, check_points
 from .raster import OrthoFrame
 from .render import BACK, FRONT, normal_map_error, render_normals
-from .surface import _sample_points, _sample_uniforms
+from .surface import SAMPLES, _sample_points, _sample_uniforms
 
 UNIT_SCALE = 100.0  # scene units -> centi-units
 PSNR_CAP_DB = 99.0
+
+# P2S: the largest coordinate magnitude; beyond it the pair kernel's fourth
+# powers of coordinates overflow (ROADMAP item 9).
+MAX_COORD = 1e75
 
 # P2S: the widest (point, node) frontier expanded at once, and so the most
 # pairs one point_triangle_distance call scores here.
@@ -106,19 +110,12 @@ def _kdtree(points):
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
-def _finite_points(points, what):
-    """points as an (n, 3) float64 array; a NaN or infinite coordinate
-    raises DomainError."""
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if not np.all(np.isfinite(p)):
-        raise DomainError(f"{what} contain non-finite coordinates")
-    return p
-
-
 def _nearest(queries, tree):
     # Indices via kd-tree; distances recomputed from the tree's points so
     # they match brute force bit-for-bit.
     _, idx = tree.query(queries)
+    if np.any(idx == tree.n):  # no neighbor at a finite squared distance
+        raise DomainError("chamfer points too far apart: squared distances overflow")
     return np.linalg.norm(queries - tree.data[idx], axis=1), idx
 
 
@@ -127,12 +124,11 @@ def chamfer(a, b, return_index=False):
 
     b may also be a cKDTree over its points, which is then reused. With
     return_index, also returns the index into b of each point of a's
-    nearest neighbor. A NaN or infinite coordinate in either set raises
-    DomainError.
+    nearest neighbor. Both sets pass mesh.check_points.
     """
-    a = _finite_points(a, "chamfer points")
+    a = check_points(a, "chamfer points")
     if not isinstance(b, cKDTree):  # a cKDTree holds finite points only
-        b = _kdtree(_finite_points(b, "chamfer points"))
+        b = _kdtree(check_points(b, "chamfer points"))
     if len(a) == 0 or b.n == 0:
         raise DomainError("chamfer requires two non-empty point sets")
     d_ab, nearest = _nearest(a, b)
@@ -248,7 +244,7 @@ class SurfaceDistanceIndex:
     def __init__(self, mesh):
         if mesh.n_faces == 0:
             raise DomainError("cannot index an empty mesh")
-        v = _finite_points(mesh.vertices, "mesh vertices")
+        v = check_points(mesh.vertices, "mesh vertices", MAX_COORD)
         self.bvh = BVH(v, mesh.faces)
         self._centroid_tree = _kdtree(v[mesh.faces].mean(axis=1))
         leaves = np.flatnonzero(self.bvh.node_start >= 0)
@@ -260,9 +256,9 @@ class SurfaceDistanceIndex:
         seeds, when given, holds one face index per point, scored first, so
         a face near the point (such as the face of its nearest surface
         sample) makes for a tight start. Without seeds each point starts
-        from the triangle with the nearest centroid. A NaN or infinite
-        coordinate, or a seed that is not an integer in [0, n_faces), raises
-        DomainError.
+        from the triangle with the nearest centroid. points pass
+        check_points below MAX_COORD; a seed that is not an integer in
+        [0, n_faces) raises DomainError.
 
         All points walk the BVH together, breadth first over one frontier
         of flat (point, node) pairs, with each point's best distance at
@@ -283,7 +279,7 @@ class SurfaceDistanceIndex:
         triangles that cannot lower the minimum; and the minimum does not
         depend on the order in which pairs are visited.
         """
-        p = _finite_points(points, "query points")
+        p = check_points(points, "query points", MAX_COORD)
         if seeds is None:
             _, seeds = self._centroid_tree.query(p)
         seeds = np.asarray(seeds).reshape(-1)
@@ -398,10 +394,9 @@ def p2s(points, mesh, seeds=None):
 
     mesh may also be a SurfaceDistanceIndex over the mesh, which is then
     reused. seeds are optional start faces, one per point; see
-    SurfaceDistanceIndex.query. A NaN or infinite coordinate raises
-    DomainError.
+    SurfaceDistanceIndex.query. points pass mesh.check_points below MAX_COORD.
     """
-    pts = _finite_points(points, "p2s points")
+    pts = check_points(points, "p2s points", MAX_COORD)
     if len(pts) == 0:
         raise DomainError("p2s requires a non-empty point set")
     if not isinstance(mesh, SurfaceDistanceIndex):
@@ -558,11 +553,12 @@ class EvalReference:
     """
 
     def __init__(self, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
+        require("n_samples", n_samples, SAMPLES)
         self.frame = frame
         self.n_samples = n_samples
         self.seed = seed
-        self.index = SurfaceDistanceIndex(gt)
         self.uniforms = _sample_uniforms(n_samples, seed)
+        self.index = SurfaceDistanceIndex(gt)
         self.sample_faces, samples = _sample_points(gt, self.uniforms)
         self.tree = _kdtree(samples)
         self.front, self.back = render_normals(gt, frame, (FRONT, BACK))

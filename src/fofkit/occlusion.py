@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OcclusionError, ShapeError
+from .errors import DomainError, OcclusionError, ShapeError, one_of, real, require
 from .fof import FourierField
-from .rng import Xoshiro256StarStar
+from .rng import SEED, Xoshiro256StarStar
 
 RATIO_TOLERANCE = 0.02
 MAX_BISECT = 40
@@ -26,6 +26,10 @@ MAX_PLACEMENTS = 8
 OCCLUDER_KINDS = ("rectangle", "ellipse", "capsule")
 OCCLUSION_POLICIES = ("zero", "noise")
 MAX_RATIO = 0.95
+KIND = one_of(OCCLUDER_KINDS)
+POLICY = one_of(OCCLUSION_POLICIES)
+RATIO = real(0, MAX_RATIO)
+SIGMA = real(0)
 
 
 @dataclass(frozen=True)
@@ -37,10 +41,9 @@ class OccluderSpec:
     ratio: float = 0.4
 
     def __post_init__(self):
-        if self.kind not in OCCLUDER_KINDS:
-            raise DomainError(f"kind must be one of {OCCLUDER_KINDS}, got {self.kind!r}")
-        if not (0.0 <= self.ratio <= MAX_RATIO):
-            raise DomainError(f"ratio must be in [0, {MAX_RATIO}], got {self.ratio}")
+        require("kind", self.kind, KIND)
+        require("seed", self.seed, SEED)
+        require("ratio", self.ratio, RATIO)
 
 
 @dataclass
@@ -132,8 +135,8 @@ def synthesize_occlusion(body, spec):
 
 def weight_map(pair, lam_occ=2.0, lam_vis=1.0):
     """Per-pixel supervision weights: lam_occ on M, lam_vis on V\\M, else 0."""
-    if lam_vis < 0 or lam_occ < lam_vis:
-        raise DomainError("weights must satisfy lam_occ >= lam_vis >= 0")
+    require("lam_vis", lam_vis, real(0))
+    require("lam_occ", lam_occ, real(lam_vis))
     omega = np.zeros(pair.M.shape, dtype=np.float64)
     omega[pair.V & ~pair.M] = lam_vis
     omega[pair.M] = lam_occ
@@ -146,24 +149,27 @@ def occlude_field(fof, pair, policy="zero", sigma=0.1, seed=0):
     policy "zero" clears them; "noise" adds zero-mean Gaussian noise with
     deviation sigma drawn from the seeded generator.
     """
+    require("policy", policy, POLICY)
+    require("sigma", sigma, SIGMA)
+    require("seed", seed, SEED)
     if (fof.height, fof.width) != pair.M.shape:
         raise ShapeError(f"field {fof.height}x{fof.width} vs mask {pair.M.shape}")
     out = fof.data.copy()
     idx = np.nonzero(pair.M)
     if policy == "zero":
         out[idx] = 0.0
-    elif policy == "noise":
+    else:
         rng = Xoshiro256StarStar(seed, stream=1)
         count = len(idx[0]) * fof.channels
         noise = np.asarray(rng.normals(count), dtype=np.float64) * sigma
         out[idx] += noise.reshape(len(idx[0]), fof.channels)
-    else:
-        raise DomainError(f"unknown occlusion policy {policy!r}")
     return FourierField(out)
 
 
 def occlude_image(image, pair, fill="gray", seed=0):
     """Corrupt RGB pixels on occluded pixels: flat 0.5 gray or seeded pattern."""
+    require("fill", fill, one_of(("gray", "pattern")))
+    require("seed", seed, SEED)
     img = np.asarray(image, dtype=np.float64)
     if img.shape[:2] != pair.M.shape:
         raise ShapeError(f"image {img.shape[:2]} vs mask {pair.M.shape}")
@@ -171,10 +177,8 @@ def occlude_image(image, pair, fill="gray", seed=0):
     idx = np.nonzero(pair.M)
     if fill == "gray":
         out[idx] = 0.5
-    elif fill == "pattern":
+    else:
         rng = Xoshiro256StarStar(seed, stream=2)
         vals = np.asarray(rng.uniforms(len(idx[0]) * img.shape[2]), dtype=np.float64)
         out[idx] = vals.reshape(len(idx[0]), img.shape[2])
-    else:
-        raise DomainError(f"unknown fill {fill!r}")
     return out

@@ -31,10 +31,14 @@ from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import above, integer, require
 
 # Pixel tests per pass of rasterize_coverage (bounds its working arrays).
 _PASS_TESTS = 1 << 17
+
+PIXELS = integer(1)  # frame width and height
+CENTER = (lambda v: len(v) == 3 and all(map(math.isfinite, v))), "three finite numbers"
+HALF_EXTENT = above(0)
 
 
 @dataclass(frozen=True)
@@ -47,17 +51,11 @@ class OrthoFrame:
     half_extent: float = 1.0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise DomainError("frame must have positive pixel dimensions")
-        if not 0.0 < self.half_extent < math.inf:
-            raise DomainError(f"half_extent must be positive and finite, got {self.half_extent!r}")
-        try:
-            center = tuple(float(v) for v in self.center)
-        except (TypeError, ValueError):
-            center = ()
-        if len(center) != 3 or not all(map(math.isfinite, center)):
-            raise DomainError(f"center must be three finite numbers, got {self.center!r}")
-        object.__setattr__(self, "center", center)
+        require("width", self.width, PIXELS)
+        require("height", self.height, PIXELS)
+        require("center", self.center, CENTER)
+        require("half_extent", self.half_extent, HALF_EXTENT)
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
 
     def to_ndc(self, points):
         """Scene points (n, 3) -> normalized [-1, 1]^3 coordinates."""

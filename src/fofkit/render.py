@@ -16,7 +16,7 @@ records do not depend on the view, so render_normals(mesh, frame,
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError, one_of, require
 from .raster import OrthoFrame, bary_interp, rasterize_coverage
 
 from dataclasses import dataclass
@@ -70,8 +70,7 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     """
     views = view if isinstance(view, tuple) else (view,)
     for v in views:
-        if v not in (FRONT, BACK):
-            raise DomainError(f"view must be 'front' or 'back', got {v!r}")
+        require("view", v, one_of((FRONT, BACK)))
     H, W = frame.height, frame.width
     rec = None
     if mesh.n_faces:

@@ -16,6 +16,9 @@ are used for retry/reseed loops.
 
 import math
 
+from .errors import integer
+
+SEED = integer(0)  # the seed argument of every seeded library function
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

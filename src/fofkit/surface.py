@@ -24,16 +24,17 @@ cell on each side, clamped to the frame. Dead columns decode to exactly
 every cube with a live corner lies inside the box.
 """
 
-import numbers
-
 import numpy as np
 
-from .errors import DomainError, MeshError, ShapeError
-from .fof import FourierField, _check_frame, _decode_pixels, depth_samples
-from .mesh import TriMesh, check_watertight, mesh_volume_divergence
+from .errors import DomainError, MeshError, ShapeError, integer, real, require
+from .fof import DEPTH_RES, FourierField, _check_frame, _decode_pixels, depth_samples
+from .mesh import TriMesh, check_points, check_watertight, mesh_volume_divergence
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
-from .rng import Xoshiro256StarStar
+from .rng import SEED, Xoshiro256StarStar
+
+ISO = real()
+SAMPLES = integer(1)  # surface samples per mesh
 
 from dataclasses import dataclass, field as dc_field
 
@@ -55,13 +56,8 @@ class OccupancyGrid:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        for name in ("origin", "spacing"):
-            vec = np.asarray(getattr(self, name))
-            if vec.shape != (3,) or vec.dtype.kind not in "iuf":
-                raise ShapeError(f"{name} must be three numbers, got {getattr(self, name)!r}")
-            if not np.all(np.isfinite(vec)):
-                raise DomainError(f"{name} must be finite, got {vec!r}")
-            setattr(self, name, np.asarray(vec, dtype=np.float64))
+        for name in ("origin", "spacing"):  # each a set of one point
+            setattr(self, name, check_points(np.asarray(getattr(self, name))[None], name)[0])
         if np.any(self.spacing <= 0.0):
             raise DomainError(f"spacing must be positive, got {self.spacing!r}")
         offset = np.asarray(self.offset)
@@ -125,8 +121,7 @@ def marching_cubes(grid, iso=0.5):
     Faces are wound so normals point out of the high-occupancy region. A
     constant grid yields an empty mesh; a non-finite iso raises DomainError.
     """
-    if not np.isfinite(iso):
-        raise DomainError(f"iso must be finite, got {iso!r}")
+    require("iso", iso, ISO)
     v = grid.values
     below = v < iso
     cells = tuple(n - 1 for n in v.shape)
@@ -167,8 +162,7 @@ def marching_cubes(grid, iso=0.5):
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
     """field_to_grid + marching_cubes convenience wrapper; grid_res is
     field_to_grid's depth_res, an integer >= 2."""
-    if not isinstance(grid_res, numbers.Integral) or grid_res < 2:
-        raise DomainError(f"grid_res must be an integer >= 2, got {grid_res!r}")
+    require("grid_res", grid_res, DEPTH_RES)
     return marching_cubes(field_to_grid(fof, frame, grid_res), iso=iso)
 
 
@@ -180,12 +174,14 @@ def sample_surface(mesh, n, seed=0):
     seed. Returns (points (n, 3), normals (n, 3)) where normals are the face
     normals of the sampled faces.
     """
+    require("n", n, SAMPLES)
     face_idx, pts = _sample_points(mesh, _sample_uniforms(n, seed))
     return pts, mesh.face_normals()[face_idx]
 
 
 def _sample_uniforms(n, seed):
     """The 3n uniforms that sample_surface(mesh, n, seed) draws for any mesh."""
+    require("seed", seed, SEED)
     return np.asarray(Xoshiro256StarStar(seed).uniforms(3 * n), dtype=np.float64)
 
 
@@ -197,8 +193,6 @@ def _sample_points(mesh, u):
     if mesh.n_faces == 0:
         raise DomainError("cannot sample an empty mesh")
     n = len(u) // 3
-    if n < 1:
-        raise DomainError("need at least one sample")
     areas = mesh.face_areas()
     total = areas.sum()
     if total <= 0.0:

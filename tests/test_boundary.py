@@ -1,0 +1,244 @@
+"""The library boundary: each argument contract is written once, and no
+malformed argument turns into a number.
+
+* Each config.SETTINGS row's range check is the object that the library
+  function reading the setting passes to errors.require.
+* Arguments that were once accepted, turned into NaN or garbage, or raised
+  an untyped exception now raise a FofkitError that names the argument.
+* A Hypothesis property, in the style of QuickCheck (Claessen & Hughes, ICFP
+  2000) and Hypothesis (MacIver et al., JOSS 2019), feeds malformed scalars
+  and point sets to the public names that take them. Each call returns a
+  finite result or raises a FofkitError, never another exception.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+import fofkit
+from fofkit import (BasisConfig, EvalReference, IntervalList, LevelWeights, MaskPair,
+                    OccluderSpec, OccupancyGrid, OrthoFrame, TriMesh, basis_eval, chamfer,
+                    decode_grid, decode_ray, degrade_prior, evaluate_pair, geo_loss,
+                    image_loss, intervals_to_coeffs, marching_cubes, mesh_to_fof,
+                    normalize_mesh, occlude_field, occlude_image, p2s, ray_intervals,
+                    reconstruct_field, render_silhouette, sample_surface, vgcc_blend,
+                    weight_map)
+from fofkit import sweep
+from fofkit.config import SETTINGS, HarnessConfig
+from fofkit.errors import FofkitError
+from fofkit.losses import FeaturePyramid
+from fofkit.shapes import make_cube
+
+nan, inf = math.nan, math.inf
+
+CUBE = make_cube(1.0)
+FRAME = OrthoFrame(8, 8)
+FIELD = mesh_to_fof(CUBE, FRAME, BasisConfig(2))
+BODY = render_silhouette(CUBE, FRAME)
+M = BODY & (np.arange(8) < 4)[None, :]
+PAIR = MaskPair(BODY & ~M, M, BODY)
+GRID = OccupancyGrid(np.random.default_rng(0).random((4, 4, 4)))
+PYRAMID = FeaturePyramid([np.zeros((2, 2, 1))])
+PYRAMID_SUP = FeaturePyramid([np.full((2, 2, 1), 0.05)])
+IMAGE, IMAGE_GT = np.full((12, 12, 3), 0.25), np.full((12, 12, 3), 0.5)
+
+
+# -- settings reuse the library's checks --------------------------------------
+
+def test_each_setting_check_is_the_library_check(tmp_path, monkeypatch):
+    """Run a sweep cell and record every require call in the library; each
+    checked SETTINGS row's check must be among them, by identity, with the
+    configured value (or one item of a list value)."""
+    calls, real = [], fofkit.errors.require
+
+    def spy(name, value, check):
+        calls.append((name, value, check))
+        return real(name, value, check)
+
+    # config's own calls do not count: the library must pass the same object.
+    for module in list(vars(fofkit).values()):
+        if module is not fofkit.config and getattr(module, "require", None) is real:
+            monkeypatch.setattr(module, "require", spy)
+    cfg = HarnessConfig.load(overrides=[
+        "frame.width=24", "frame.height=24", "extract.grid_res=24", "sweep.ratios=0.4",
+        "sweep.seeds=3", "sweep.eval_samples=200", "sweep.eval_seed=2",
+        "occlude.policy=noise"])
+    sweep.run_sweep(cfg, str(tmp_path), jobs=1)
+    checked = [row for row in SETTINGS if row[4] is not None]
+    assert len(checked) == len(SETTINGS) - 1  # all but sweep.jobs
+    for sec, key, _, _, check, attr in checked:
+        value = getattr(cfg.frame() if attr is None else cfg, attr or key)
+        values = value if isinstance(value, list) else [value]
+        assert any(c is check and v in values for _, v, c in calls), f"{sec}.{key}"
+
+
+# -- probes that once leaked ---------------------------------------------------
+
+PROBES = {
+    "BasisConfig(2.5)": ("order", lambda: BasisConfig(2.5)),
+    "BasisConfig(nan)": ("order", lambda: BasisConfig(nan)),
+    "OrthoFrame(2.5, 4)": ("width", lambda: OrthoFrame(2.5, 4)),
+    "OrthoFrame(nan, 4)": ("width", lambda: OrthoFrame(nan, 4)),
+    "sample_surface(mesh, 2.5)": ("n", lambda: sample_surface(CUBE, 2.5)),
+    "evaluate_pair(r, g, frame, 2.5)": ("n_samples",
+                                        lambda: evaluate_pair(CUBE, CUBE, FRAME, 2.5)),
+    "OccluderSpec(kind, nan, 0.4)": ("seed", lambda: OccluderSpec("rectangle", nan, 0.4)),
+    "OccluderSpec(kind, 2.5, 0.4)": ("seed", lambda: OccluderSpec("rectangle", 2.5, 0.4)),
+    "weight_map(pair, nan, 1.0)": ("lam_occ", lambda: weight_map(PAIR, nan, 1.0)),
+    "LevelWeights([nan])": ("level weight", lambda: LevelWeights([nan])),
+    "geo_loss(lam=nan)": ("lam", lambda: geo_loss(FIELD, FIELD, PYRAMID, PYRAMID, lam=nan)),
+    "image_loss(a, b, nan, 1.0)": ("lam1", lambda: image_loss(IMAGE, IMAGE_GT, nan, 1.0)),
+    "occlude_field(sigma=nan)": ("sigma",
+                                 lambda: occlude_field(FIELD, PAIR, "noise", sigma=nan)),
+    "chamfer((6, 2) points)": ("chamfer points", lambda: chamfer(np.ones((6, 2)), CUBE.vertices)),
+    "p2s((6, 2) points)": ("p2s points", lambda: p2s(np.ones((6, 2)), CUBE)),
+    # Squared distances beyond about 1e308 overflow the kd-tree (IndexError
+    # at the parent), fourth powers beyond about 1e308 the P2S kernel (NaN).
+    "chamfer(1e200 point)": ("chamfer points too far apart",
+                             lambda: chamfer([[1e200, 0.0, 0.0]], CUBE.vertices)),
+    "p2s(1e80 cube)": ("mesh vertices", lambda: p2s(np.ones((2, 3)), TriMesh(
+        CUBE.vertices * 1e80, CUBE.faces))),
+    "TriMesh((6, 2) vertices)": ("mesh vertices", lambda: TriMesh(np.ones((6, 2)), [[0, 1, 2]])),
+    "TriMesh(face 2.5)": ("mesh faces", lambda: TriMesh(CUBE.vertices, [[0, 1, 2.5]])),
+    "decode_ray(c, nan)": ("depth z", lambda: decode_ray(np.zeros(5), nan)),
+    "decode_ray(c, [0.1, 0.2])": ("depth z", lambda: decode_ray(np.zeros(5), [0.1, 0.2])),
+    "IntervalList(flat)": ("intervals", lambda: IntervalList([-0.5, -0.2, 0.1, 0.4])),
+    "ray_intervals(pixel 3.5)": ("pixel", lambda: ray_intervals(CUBE, FRAME, (3.5, 4))),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_probe_raises_typed_error_naming_the_argument(probe):
+    name, call = PROBES[probe]
+    with pytest.raises(FofkitError, match=name):
+        call()
+
+
+# -- the property over the public names --------------------------------------
+
+# Malformed scalars. Positive integers are left out: for a count they are
+# valid, and a huge one is work, not a malformed argument.
+SCALARS = st.one_of(
+    st.sampled_from([nan, inf, -inf, 1e300, -1e300, 2.5, -0.5, -1, -3]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**9, -1),
+    st.text(max_size=3),
+    arrays(np.float64, array_shapes(max_dims=2, max_side=3), elements=st.floats(-2, 2)))
+
+# Malformed point sets: any shape, with NaN, infinities and huge values.
+COORDS = st.floats(-10, 10) | st.sampled_from([nan, inf, -inf, 1e75, -1e76, 1e300])
+POINTS = st.one_of(
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+           elements=COORDS),
+    arrays(np.int64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+           elements=st.integers(-2, 9)),
+    st.lists(st.lists(COORDS, min_size=3, max_size=3), max_size=4),
+    st.text(max_size=3), st.floats(allow_nan=True), st.integers(-10**9, 10**9))
+
+# Malformed interval lists: any shape, endpoints in and out of [-1, 1].
+INTERVALS = st.one_of(
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+           elements=st.floats(-1.5, 1.5) | st.sampled_from([nan, inf, -1.0, 1.0])),
+    st.text(max_size=3), st.floats(allow_nan=True))
+
+# Malformed pixels: a bad row, or the wrong number of indices.
+PIXELS = st.one_of(st.tuples(SCALARS, st.integers(0, 7)), SCALARS,
+                   st.lists(st.integers(0, 7), max_size=3).map(tuple))
+
+TARGETS = {
+    "BasisConfig.order": (SCALARS, lambda v: BasisConfig(v)),
+    "basis_eval.z": (SCALARS, lambda v: basis_eval(v, BasisConfig(2))),
+    "decode_ray.z": (SCALARS, lambda v: decode_ray(np.zeros(5), v)),
+    "decode_grid.depth_res": (SCALARS, lambda v: decode_grid(FIELD, v)),
+    "OrthoFrame.width": (SCALARS, lambda v: OrthoFrame(v, 8)),
+    "OrthoFrame.height": (SCALARS, lambda v: OrthoFrame(8, v)),
+    "OrthoFrame.center": (SCALARS, lambda v: OrthoFrame(8, 8, v)),
+    "OrthoFrame.half_extent": (SCALARS, lambda v: OrthoFrame(8, 8, (0, 0, 0), v)),
+    "IntervalList.intervals": (INTERVALS, lambda v: IntervalList(v)),
+    "intervals_to_coeffs.iv": (INTERVALS, lambda v: intervals_to_coeffs(v, BasisConfig(2))),
+    "ray_intervals.pixel": (PIXELS, lambda v: ray_intervals(CUBE, FRAME, v)),
+    "TriMesh.vertices": (POINTS, lambda v: TriMesh(v, [[0, 1, 2]])),
+    "TriMesh.faces": (POINTS, lambda v: TriMesh(CUBE.vertices, v)),
+    "TriMesh.normals": (POINTS, lambda v: TriMesh(CUBE.vertices, CUBE.faces, v)),
+    "normalize_mesh.target_half_extent": (SCALARS, lambda v: normalize_mesh(CUBE, v)),
+    "OccupancyGrid.origin": (SCALARS, lambda v: OccupancyGrid(GRID.values, origin=v)),
+    "OccupancyGrid.spacing": (SCALARS, lambda v: OccupancyGrid(GRID.values, spacing=v)),
+    "marching_cubes.iso": (SCALARS, lambda v: marching_cubes(GRID, v)),
+    "reconstruct_field.grid_res": (SCALARS, lambda v: reconstruct_field(FIELD, FRAME, v)),
+    "reconstruct_field.iso": (SCALARS, lambda v: reconstruct_field(FIELD, FRAME, 4, v)),
+    "sample_surface.n": (SCALARS, lambda v: sample_surface(CUBE, v)),
+    "sample_surface.seed": (SCALARS, lambda v: sample_surface(CUBE, 4, v)),
+    "OccluderSpec.kind": (SCALARS, lambda v: OccluderSpec(v)),
+    "OccluderSpec.seed": (SCALARS, lambda v: OccluderSpec("rectangle", v)),
+    "OccluderSpec.ratio": (SCALARS, lambda v: OccluderSpec("rectangle", 0, v)),
+    "occlude_field.policy": (SCALARS, lambda v: occlude_field(FIELD, PAIR, v)),
+    "occlude_field.sigma": (SCALARS, lambda v: occlude_field(FIELD, PAIR, "noise", v)),
+    "occlude_field.seed": (SCALARS, lambda v: occlude_field(FIELD, PAIR, "noise", 0.1, v)),
+    "occlude_image.fill": (SCALARS, lambda v: occlude_image(np.zeros((8, 8, 3)), PAIR, v)),
+    "occlude_image.seed": (SCALARS,
+                           lambda v: occlude_image(np.zeros((8, 8, 3)), PAIR, "pattern", v)),
+    "weight_map.lam_occ": (SCALARS, lambda v: weight_map(PAIR, v)),
+    "weight_map.lam_vis": (SCALARS, lambda v: weight_map(PAIR, 2.0, v)),
+    "degrade_prior.iterations": (SCALARS, lambda v: degrade_prior(CUBE, v)),
+    "degrade_prior.strength": (SCALARS, lambda v: degrade_prior(CUBE, 2, v)),
+    "vgcc_blend.feather_px": (SCALARS, lambda v: vgcc_blend(FIELD, FIELD, PAIR, v)),
+    "LevelWeights.w": (SCALARS, lambda v: LevelWeights(v)),
+    "geo_loss.lam": (SCALARS,
+                     lambda v: geo_loss(FIELD, FIELD, PYRAMID, PYRAMID_SUP, lam=v)),
+    "image_loss.lam1": (SCALARS, lambda v: image_loss(IMAGE, IMAGE_GT, v)),
+    "image_loss.lam2": (SCALARS, lambda v: image_loss(IMAGE, IMAGE_GT, 1.0, v)),
+    "EvalReference.n_samples": (SCALARS, lambda v: EvalReference(CUBE, FRAME, v)),
+    "EvalReference.seed": (SCALARS, lambda v: EvalReference(CUBE, FRAME, 10, v)),
+    "evaluate_pair.n_samples": (SCALARS, lambda v: evaluate_pair(CUBE, CUBE, FRAME, v)),
+    "evaluate_pair.seed": (SCALARS, lambda v: evaluate_pair(CUBE, CUBE, FRAME, 10, v)),
+    "chamfer.a": (POINTS, lambda v: chamfer(v, CUBE.vertices)),
+    "chamfer.b": (POINTS, lambda v: chamfer(CUBE.vertices, v)),
+    "p2s.points": (POINTS, lambda v: p2s(v, CUBE)),
+}
+
+
+def _finite(out):
+    """No NaN or infinity in a result: its floats, arrays, tuples and the
+    fields of the objects it returns."""
+    if isinstance(out, (tuple, list)):
+        return all(map(_finite, out))
+    if isinstance(out, (float, np.floating)):
+        return math.isfinite(out)
+    if isinstance(out, np.ndarray):
+        return out.dtype.kind != "f" or bool(np.isfinite(out).all())
+    if hasattr(out, "__dataclass_fields__"):
+        return all(_finite(getattr(out, f)) for f in out.__dataclass_fields__)
+    return True
+
+
+def test_targets_cover_the_public_names():
+    # The names that take a scalar or a point set, and those left out with
+    # their reason.
+    covered = {target.split(".")[0] for target in TARGETS}
+    left_out = {
+        "FourierField", "MaskPair", "FeaturePyramid", "NormalMap",
+        "MetricReport", "parseval_energy", "mse_coeff_loss",
+        "feat_loss", "normal_loss", "normal_map_error", "psnr", "ssim",  # arrays and maps
+        "mesh_to_fof", "render_normals", "render_silhouette", "synthesize_occlusion",
+        "check_watertight", "mesh_volume",  # a mesh, frame, spec or mask only
+        "load_obj", "save_obj",  # file paths: the file readers have their own fuzz tests
+    }
+    assert covered | left_out == set(fofkit.__all__)
+    assert not covered & left_out
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_argument_fails_typed_or_gives_a_finite_result(target, data):
+    values, call = TARGETS[target]
+    value = data.draw(values, label="value")
+    try:
+        out = call(value)
+    except FofkitError:
+        return
+    assert _finite(out), f"{target}({value!r}) returned {out!r}"

@@ -172,6 +172,17 @@ class TestDecodeRay:
         with pytest.raises(ShapeError):
             decode_ray(np.zeros(5), 0.0, BasisConfig(15))
 
+    def test_nan_depth_rejected(self):
+        # NaN fails every comparison, so the range test asks for z inside.
+        with pytest.raises(DomainError, match=r"depth z must be numbers in \[-1, 1\]"):
+            decode_ray(np.zeros(5), float("nan"))
+        with pytest.raises(DomainError, match="depth z"):
+            basis_eval([0.0, float("nan")])
+
+    def test_non_scalar_depth_rejected(self):
+        with pytest.raises(ShapeError, match="depth z must be a scalar"):
+            decode_ray(np.zeros(5), [0.1, 0.2])
+
     def test_interval_sign(self):
         # Brute-force series summation oracle for [(0, 0.5)] at N=15.
         c = intervals_to_coeffs(IntervalList([(0.0, 0.5)]), BasisConfig(15))
