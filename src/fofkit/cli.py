@@ -97,7 +97,7 @@ def _read_field(path):
     dims, data = read_tensor(path)
     if len(dims) != 3:
         raise DomainError(f"{path}: expected a (H, W, K) field tensor, got dims {dims}")
-    field = FourierField(np.asarray(data, dtype=np.float64))
+    field = FourierField(data)
     meta_path = path + ".meta"
     frame = None
     if os.path.exists(meta_path):

@@ -103,8 +103,11 @@ def vgcc_blend(c_obs, c_prior, pair, feather_px=3.0):
     """Fuse observed and prior coefficient stacks under the visibility masks.
 
     Output = alpha * C_obs + (1 - alpha) * C_prior per pixel and channel;
-    equals C_obs exactly wherever V = 1 or outside the body.
+    equals C_obs exactly wherever V = 1 or outside the body. Either field
+    may be an (H, W, K) array.
     """
+    c_obs, c_prior = (c if isinstance(c, FourierField) else FourierField(c)
+                      for c in (c_obs, c_prior))
     if c_obs.data.shape != c_prior.data.shape:
         raise ShapeError(f"field shapes differ: {c_obs.data.shape} vs {c_prior.data.shape}")
     if (c_obs.height, c_obs.width) != pair.M.shape:

@@ -3,10 +3,16 @@
 A check is (predicate, what a valid value is). The library defines the check
 of each setting next to the code that reads it and passes it to require, and
 config.SETTINGS rows reuse those objects. The constructors below reject NaN.
+
+Every array argument (point sets, fields, grids, maps, masks, images,
+feature levels) passes check_array: ShapeError for one that is not numbers
+or has the wrong shape, DomainError for a non-finite value.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FofkitError(Exception):
@@ -15,12 +21,13 @@ class FofkitError(Exception):
 
 class DomainError(FofkitError, ValueError):
     """An argument is outside the mathematical domain of the operation: an
-    out-of-range or non-finite scalar, or an unknown name."""
+    out-of-range or non-finite scalar, an array with a non-finite value, or
+    an unknown name."""
 
 
 class ShapeError(FofkitError, ValueError):
-    """An array has the wrong shape, such as a point set that is not (n, 3),
-    or the dimensions of the inputs do not agree."""
+    """An array argument has the wrong shape, such as a point set that is not
+    (n, 3), or is not numbers; or the dimensions of the inputs do not agree."""
 
 
 class MeshError(FofkitError, ValueError):
@@ -101,3 +108,39 @@ def above(lo):
 
 def one_of(names):
     return (lambda v: v in names), f"one of {list(names)}"
+
+
+# Array element kinds accepted for each target dtype kind; bool counts as
+# numbers only when the target is bool.
+_KINDS = {"b": "biuf", "i": "iu", "f": "iuf"}
+
+
+def check_array(value, what, shape, limit=math.inf, dtype=np.float64):
+    """value as an array of dtype, or ShapeError if it is not numbers or its
+    shape differs from shape (None matches any length; shape None any
+    shape), DomainError if a value's magnitude is not below limit (NaN or
+    infinite by default). The array is not copied when it already has dtype."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ShapeError(f"{what} must be {_describe(shape, dtype)}, "
+                         "got a ragged sequence") from None
+    if a.dtype.kind not in _KINDS[np.dtype(dtype).kind] or shape is not None and (
+            a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))):
+        raise ShapeError(f"{what} must be {_describe(shape, dtype)}, got {a.dtype} {a.shape}")
+    if limit < math.inf:
+        if not (np.abs(a) < limit).all():
+            raise DomainError(f"{what} contain non-finite values or ones beyond {limit:g}")
+    elif a.dtype.kind == "f" and not np.isfinite(a).all():
+        raise DomainError(f"{what} contain non-finite values")
+    return a.astype(dtype, copy=False)
+
+
+def _describe(shape, dtype):
+    """An expected array as text, such as "an array of numbers of shape (h, w, 3)"."""
+    what = "an array of " + ("integers" if np.dtype(dtype).kind == "i" else "numbers")
+    if shape is None:
+        return what
+    names = iter("n" if shape.count(None) == 1 else "hwk")
+    dims = ", ".join(next(names) if n is None else str(n) for n in shape)
+    return f"{what} of shape ({dims}{',' * (len(shape) == 1)})"

@@ -35,11 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, integer, require
+from .errors import DomainError, ShapeError, check_array, integer, require
 
 DEFAULT_ORDER = 15
 ORDER = integer(0)
 DEPTH_RES = integer(2)  # decode depths; surface's grid_res is one
+# check_array's limit for depths: the magnitudes below it are those <= 1.
+_DEPTH_LIMIT = np.nextafter(1.0, 2.0)
 
 # Pixels decoded together by _decode_pixels; a (chunk, depth) buffer stays in cache.
 _DECODE_CHUNK = 512
@@ -70,11 +72,7 @@ class FourierField:
     data: np.ndarray  # (H, W, K) float64
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ShapeError(f"field data must be (H, W, K), got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise DomainError("field contains non-finite coefficients")
+        self.data = check_array(self.data, "field coefficients", (None, None, None))
         if self.data.shape[2] % 2 != 1:
             raise ShapeError(f"channel count must be odd, got {self.data.shape[2]}")
 
@@ -112,16 +110,11 @@ class IntervalList:
     intervals: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def __post_init__(self):
-        iv = np.asarray(self.intervals)
-        if iv.ndim != 2 or iv.shape[1] != 2 or iv.dtype.kind not in "iuf":
-            raise ShapeError(f"intervals must be (n, 2) numbers, got {iv.dtype} {iv.shape}")
-        if not np.all((iv >= -1.0) & (iv <= 1.0)):
-            raise DomainError("interval endpoints must lie in [-1, 1]")
+        iv = self.intervals = check_array(self.intervals, "intervals", (None, 2), _DEPTH_LIMIT)
         if not np.all(iv[:, 0] < iv[:, 1]):
             raise DomainError("intervals must satisfy z_in < z_out")
         if not np.all(iv[1:, 0] >= iv[:-1, 1]):
             raise DomainError("intervals must be disjoint and sorted ascending")
-        self.intervals = iv.astype(np.float64)
 
     def __len__(self):
         return self.intervals.shape[0]
@@ -136,11 +129,10 @@ def basis_eval(z, cfg=BasisConfig()):
     """Evaluate [1, cos(pi z), sin(pi z), ..., cos(N pi z), sin(N pi z)].
 
     z may be a scalar or an array; one basis row of length K is produced per
-    depth. A depth that is not a number in [-1, 1] raises DomainError.
+    depth. A depth that is not a number raises ShapeError, one outside
+    [-1, 1] DomainError.
     """
-    z = np.asarray(z)
-    if z.dtype.kind not in "iuf" or not np.all((z >= -1.0) & (z <= 1.0)):
-        raise DomainError(f"depth z must be numbers in [-1, 1], got {z!r}")
+    z = check_array(z, "depth z", None, _DEPTH_LIMIT)
     out = np.empty(z.shape + (cfg.channels,), dtype=np.float64)
     out[..., 0] = 1.0
     args = z[..., None] * cfg.freqs()
@@ -180,9 +172,7 @@ def intervals_to_coeffs(iv, cfg=BasisConfig()):
 
 def decode_ray(coeffs, z, cfg=None):
     """Occupancy O(z) = b(z) . coeffs at one depth z for one ray; unclamped."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1:
-        raise ShapeError("coeffs must be one-dimensional")
+    coeffs = check_array(coeffs, "coeffs", (None,))
     if np.ndim(z) != 0:
         raise ShapeError(f"depth z must be a scalar, got shape {np.shape(z)}")
     if cfg is None:
@@ -253,7 +243,7 @@ def parseval_energy(coeffs):
     Equals the L2 norm of the truncated series on [-1, 1]; bounded by the
     occupied length of the encoded interval list (Bessel).
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1 or coeffs.shape[0] % 2 != 1:
-        raise ShapeError("coeffs must be a flat odd-length array")
+    coeffs = check_array(coeffs, "coeffs", (None,))
+    if coeffs.shape[0] % 2 != 1:
+        raise ShapeError(f"coeffs must be odd in length, got {coeffs.shape[0]}")
     return float(2.0 * coeffs[0] ** 2 + np.sum(coeffs[1:] ** 2))

@@ -20,7 +20,8 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ShapeError, real, require
+from .errors import DomainError, ShapeError, check_array, real, require
+from .fof import FourierField
 
 PERCEPTUAL_LABEL = "SSIM-perceptual (LPIPS substituted)"
 WEIGHT = real(0)  # every loss weight
@@ -33,12 +34,8 @@ class FeaturePyramid:
     levels: list
 
     def __post_init__(self):
-        self.levels = [np.asarray(level, dtype=np.float64) for level in self.levels]
-        for k, level in enumerate(self.levels):
-            if level.ndim != 3:
-                raise ShapeError(f"level {k} must be (h, w, c), got {level.shape}")
-            if not np.all(np.isfinite(level)):
-                raise DomainError(f"level {k} contains non-finite values")
+        self.levels = [check_array(level, f"feature level {k}", (None, None, None))
+                       for k, level in enumerate(self.levels)]
 
     def __len__(self):
         return len(self.levels)
@@ -63,24 +60,23 @@ class LevelWeights:
         return cls(np.arange(1, n_levels + 1, dtype=np.float64) / n_levels)
 
 
-def _as_field_array(x):
-    data = x.data if hasattr(x, "data") else x
-    return np.asarray(data, dtype=np.float64)
+def _as_field_array(x, what, shape):
+    return check_array(x.data if isinstance(x, FourierField) else x, what, shape)
 
 
 def mse_coeff_loss(c, c_gt):
     """Summed squared coefficient error; returns (loss, gradient wrt c)."""
-    a = _as_field_array(c)
-    b = _as_field_array(c_gt)
-    if a.shape != b.shape:
-        raise ShapeError(f"field shapes differ: {a.shape} vs {b.shape}")
+    a = _as_field_array(c, "c", (None, None, None))
+    b = _as_field_array(c_gt, "c_gt", a.shape)
     diff = a - b
     return float(np.sum(diff * diff)), 2.0 * diff
 
 
 def resample_nearest(omega, height, width):
-    """Nearest-neighbor resample of a 2D map, preserving case structure."""
-    omega = np.asarray(omega, dtype=np.float64)
+    """Nearest-neighbor resample of a non-empty 2D map, preserving case structure."""
+    omega = check_array(omega, "weight map", (None, None))
+    if not omega.size:
+        raise ShapeError("weight map must not be empty")
     src_h, src_w = omega.shape
     rows = np.minimum((np.arange(height) * src_h) // height, src_h - 1)
     cols = np.minimum((np.arange(width) * src_w) // width, src_w - 1)
@@ -93,12 +89,8 @@ def _omega_per_level(omega, pyramid):
     if isinstance(omega, (list, tuple)):
         if len(omega) != len(pyramid):
             raise ShapeError(f"{len(omega)} weight maps for {len(pyramid)} levels")
-        maps = [np.asarray(m, dtype=np.float64) for m in omega]
-        for k, (m, level) in enumerate(zip(maps, pyramid.levels)):
-            if m.shape != level.shape[:2]:
-                raise ShapeError(f"weight map {k} is {m.shape}, level is {level.shape[:2]}")
-        return maps
-    omega = np.asarray(omega, dtype=np.float64)
+        return [check_array(m, f"weight map {k}", level.shape[:2])
+                for k, (m, level) in enumerate(zip(omega, pyramid.levels))]
     return [resample_nearest(omega, lv.shape[0], lv.shape[1]) for lv in pyramid.levels]
 
 
@@ -174,14 +166,11 @@ def normal_loss(n, n_gt):
 
 def image_loss(img, img_gt, lam1=1.0, lam2=1.0):
     """lam1 * L1 + lam2 * (1 - SSIM) on images in [0, 1]; symmetric."""
-    from .metrics import ssim
+    from .metrics import _check_image_pair, ssim
 
     require("lam1", lam1, WEIGHT)
     require("lam2", lam2, WEIGHT)
-    a = np.asarray(img, dtype=np.float64)
-    b = np.asarray(img_gt, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
+    a, b = _check_image_pair(img, img_gt)
     l1 = float(np.mean(np.abs(a - b)))
     structural = 0.0
     if lam2 != 0.0:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, MeshError, ObjParseError, ShapeError, require
+from .errors import DomainError, MeshError, ObjParseError, ShapeError, check_array, require
 from .fof import BasisConfig, FourierField, IntervalList, _check_frame, interval_terms
 from .raster import HALF_EXTENT, OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
 
@@ -35,25 +35,12 @@ _OBJ_BLOCK_CHARS = 1 << 18  # text parsed together by load_obj; bounds its tempo
 _OBJ_WRITE_ROWS = 4096  # records per formatted write in save_obj
 
 
-def check_points(points, what, limit=np.inf):
-    """points as an (n, 3) float64 array, or ShapeError for another shape or
-    non-numbers, DomainError for a coordinate whose magnitude is not below
-    limit (an infinite one, or NaN, by default)."""
-    p = np.asarray(points)
-    if p.ndim != 2 or p.shape[1] != 3 or p.dtype.kind not in "iuf":
-        raise ShapeError(f"{what} must be an (n, 3) array of numbers, got {p.dtype} {p.shape}")
-    p = p.astype(np.float64, copy=False)
-    if not (np.abs(p) < limit).all():
-        raise DomainError(f"{what} contain non-finite coordinates"
-                          + (f" or ones beyond {limit:g}" if limit < np.inf else ""))
-    return p
-
-
 @dataclass
 class TriMesh:
     """Indexed triangle mesh; normals are optional per-vertex unit vectors.
 
-    Vertices and normals pass check_points; faces are (m, 3) whole numbers.
+    Vertices and normals are (n, 3) finite numbers; faces are (m, 3) whole
+    numbers, not copied when they are already int64.
     """
 
     vertices: np.ndarray  # (n, 3) float64
@@ -61,19 +48,19 @@ class TriMesh:
     normals: Optional[np.ndarray] = None  # (n, 3) float64
 
     def __post_init__(self):
-        self.vertices = check_points(self.vertices, "mesh vertices")
+        self.vertices = check_array(self.vertices, "mesh vertices", (None, 3))
         faces = np.asarray(self.faces)
-        if faces.dtype.kind not in "iu":
-            faces = check_points(faces, "mesh faces")
+        if faces.dtype.kind == "f":
+            faces = check_array(faces, "mesh faces", (None, 3))
             if not np.array_equal(faces, np.trunc(faces)):
                 raise DomainError("mesh faces must be whole vertex indices")
-        elif faces.ndim != 2 or faces.shape[1] != 3:
-            raise ShapeError(f"mesh faces must be an (m, 3) array, got shape {faces.shape}")
+        else:
+            faces = check_array(faces, "mesh faces", (None, 3), dtype=np.int64)
         if faces.size and (faces.min() < 0 or faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
         self.faces = faces.astype(np.int64, copy=False)
         if self.normals is not None:
-            self.normals = check_points(self.normals, "mesh normals")
+            self.normals = check_array(self.normals, "mesh normals", (None, 3))
             if len(self.normals) != len(self.vertices):
                 raise ShapeError("normals must be per-vertex")
 
@@ -99,7 +86,7 @@ class TriMesh:
         return 0.5 * _face_cross(self.vertices, self.faces)[1]
 
     def translated(self, offset):
-        return TriMesh(self.vertices + np.asarray(offset, dtype=np.float64),
+        return TriMesh(self.vertices + check_array(offset, "offset", (3,)),
                        self.faces.copy(),
                        None if self.normals is None else self.normals.copy())
 
@@ -398,8 +385,8 @@ def _vertex_normals(corner_v, corner_n, normals, n_vertices):
     """Per-vertex normals from face corners in file order, or None unless
     every vertex has a corner and each vertex's successive normals pass
     np.allclose(previous, next); the last one is kept. The normals that
-    corners reference pass check_points."""
-    check_points(normals[corner_n], "mesh normals")
+    corners reference must be finite."""
+    check_array(normals[corner_n], "mesh normals", (None, 3))
     order = np.argsort(corner_v, kind="stable")
     v, n = corner_v[order], corner_n[order]
     again = v[1:] == v[:-1]

@@ -59,8 +59,8 @@ import numpy as np
 from scipy.ndimage import correlate1d
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, ShapeError, require
-from .mesh import BVH, check_points
+from .errors import DomainError, ShapeError, check_array, require
+from .mesh import BVH
 from .raster import OrthoFrame
 from .render import BACK, FRONT, normal_map_error, render_normals
 from .surface import SAMPLES, _sample_points, _sample_uniforms
@@ -84,8 +84,8 @@ SSIM_C2 = 0.03 ** 2
 
 def nearest_bruteforce(queries, points):
     """Exhaustive nearest-neighbor distances (oracle for the kd-tree path)."""
-    q = np.asarray(queries, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)
+    q = check_array(queries, "query points", (None, 3))
+    p = check_array(points, "points", (None, 3))
     out = np.empty(len(q), dtype=np.float64)
     step = max(1, 2_000_000 // max(len(p), 1))
     for s in range(0, len(q), step):
@@ -124,11 +124,11 @@ def chamfer(a, b, return_index=False):
 
     b may also be a cKDTree over its points, which is then reused. With
     return_index, also returns the index into b of each point of a's
-    nearest neighbor. Both sets pass mesh.check_points.
+    nearest neighbor. Both sets must be (n, 3) finite numbers.
     """
-    a = check_points(a, "chamfer points")
+    a = check_array(a, "chamfer points", (None, 3))
     if not isinstance(b, cKDTree):  # a cKDTree holds finite points only
-        b = _kdtree(check_points(b, "chamfer points"))
+        b = _kdtree(check_array(b, "chamfer points", (None, 3)))
     if len(a) == 0 or b.n == 0:
         raise DomainError("chamfer requires two non-empty point sets")
     d_ab, nearest = _nearest(a, b)
@@ -244,7 +244,7 @@ class SurfaceDistanceIndex:
     def __init__(self, mesh):
         if mesh.n_faces == 0:
             raise DomainError("cannot index an empty mesh")
-        v = check_points(mesh.vertices, "mesh vertices", MAX_COORD)
+        v = check_array(mesh.vertices, "mesh vertices", (None, 3), MAX_COORD)
         self.bvh = BVH(v, mesh.faces)
         self._centroid_tree = _kdtree(v[mesh.faces].mean(axis=1))
         leaves = np.flatnonzero(self.bvh.node_start >= 0)
@@ -256,9 +256,9 @@ class SurfaceDistanceIndex:
         seeds, when given, holds one face index per point, scored first, so
         a face near the point (such as the face of its nearest surface
         sample) makes for a tight start. Without seeds each point starts
-        from the triangle with the nearest centroid. points pass
-        check_points below MAX_COORD; a seed that is not an integer in
-        [0, n_faces) raises DomainError.
+        from the triangle with the nearest centroid. points are (n, 3)
+        numbers below MAX_COORD in magnitude; a seed that is not an integer
+        in [0, n_faces) raises DomainError.
 
         All points walk the BVH together, breadth first over one frontier
         of flat (point, node) pairs, with each point's best distance at
@@ -279,7 +279,7 @@ class SurfaceDistanceIndex:
         triangles that cannot lower the minimum; and the minimum does not
         depend on the order in which pairs are visited.
         """
-        p = check_points(points, "query points", MAX_COORD)
+        p = check_array(points, "query points", (None, 3), MAX_COORD)
         if seeds is None:
             _, seeds = self._centroid_tree.query(p)
         seeds = np.asarray(seeds).reshape(-1)
@@ -394,9 +394,10 @@ def p2s(points, mesh, seeds=None):
 
     mesh may also be a SurfaceDistanceIndex over the mesh, which is then
     reused. seeds are optional start faces, one per point; see
-    SurfaceDistanceIndex.query. points pass mesh.check_points below MAX_COORD.
+    SurfaceDistanceIndex.query. points are (n, 3) numbers below MAX_COORD
+    in magnitude.
     """
-    pts = check_points(points, "p2s points", MAX_COORD)
+    pts = check_array(points, "p2s points", (None, 3), MAX_COORD)
     if len(pts) == 0:
         raise DomainError("p2s requires a non-empty point set")
     if not isinstance(mesh, SurfaceDistanceIndex):
@@ -407,7 +408,7 @@ def p2s(points, mesh, seeds=None):
 def p2s_exhaustive(points, mesh):
     """Oracle point-to-surface distances scanning every triangle, at most
     MAX_FRONTIER pairs (and at least one point's row) per kernel call."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = check_array(points, "p2s points", (None, 3))
     # Pairs are tiled as the kernel's axis-major rows, which it reads in place.
     rows = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
     m = rows.shape[2]
@@ -444,13 +445,11 @@ def _filter_valid(img):
 
 
 def _check_image_pair(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    # Written so that a NaN, which fails every comparison, fails the test.
-    if not (a.min() >= 0.0 and a.max() <= 1.0 and b.min() >= 0.0 and b.max() <= 1.0):
-        raise DomainError("image values must lie in [0, 1]")
+    """a and b as non-empty float64 images of one shape with values in [0, 1]."""
+    a = check_array(a, "image a", None)
+    b = check_array(b, "image b", a.shape)
+    if not (a.size and a.min() >= 0.0 and a.max() <= 1.0 and b.min() >= 0.0 and b.max() <= 1.0):
+        raise DomainError("images must be non-empty, with values in [0, 1]")
     return a, b
 
 
@@ -458,10 +457,7 @@ def ssim(a, b):
     """Structural similarity: 11x11 Gaussian window (sigma 1.5), stabilizers
     (0.01 L)^2 and (0.03 L)^2 with L = 1, mean over valid windows, averaged
     over channels."""
-    a, b = _check_image_pair(a, b)
-    if a.ndim == 2:
-        a = a[:, :, None]
-        b = b[:, :, None]
+    a, b = np.atleast_3d(*_check_image_pair(a, b))
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
         raise DomainError(f"images must be at least {SSIM_WINDOW} pixels per side")
     vals = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OcclusionError, ShapeError, one_of, real, require
+from .errors import DomainError, OcclusionError, ShapeError, check_array, one_of, real, require
 from .fof import FourierField
 from .rng import SEED, Xoshiro256StarStar
 
@@ -55,11 +55,9 @@ class MaskPair:
     body: np.ndarray
 
     def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=bool)
-        self.M = np.asarray(self.M, dtype=bool)
-        self.body = np.asarray(self.body, dtype=bool)
-        if not (self.V.shape == self.M.shape == self.body.shape):
-            raise ShapeError("V, M and body must share dimensions")
+        self.body = check_array(self.body, "body", (None, None), dtype=bool)
+        self.V = check_array(self.V, "V", self.body.shape, dtype=bool)
+        self.M = check_array(self.M, "M", self.body.shape, dtype=bool)
 
     def check_partition(self):
         """True iff V and M are disjoint and together cover exactly the body."""
@@ -89,7 +87,7 @@ def synthesize_occlusion(body, spec):
     Deterministic in (body, spec). Raises OcclusionError when no reseeded
     placement reaches the target within +-2 percentage points.
     """
-    body = np.asarray(body, dtype=bool)
+    body = check_array(body, "body", (None, None), dtype=bool)
     n_body = int(body.sum())
     if n_body == 0:
         raise DomainError("body mask is empty")
@@ -147,11 +145,14 @@ def occlude_field(fof, pair, policy="zero", sigma=0.1, seed=0):
     """Corrupt field coefficients on occluded pixels.
 
     policy "zero" clears them; "noise" adds zero-mean Gaussian noise with
-    deviation sigma drawn from the seeded generator.
+    deviation sigma drawn from the seeded generator. fof may be an (H, W, K)
+    array.
     """
     require("policy", policy, POLICY)
     require("sigma", sigma, SIGMA)
     require("seed", seed, SEED)
+    if not isinstance(fof, FourierField):
+        fof = FourierField(fof)
     if (fof.height, fof.width) != pair.M.shape:
         raise ShapeError(f"field {fof.height}x{fof.width} vs mask {pair.M.shape}")
     out = fof.data.copy()
@@ -170,9 +171,7 @@ def occlude_image(image, pair, fill="gray", seed=0):
     """Corrupt RGB pixels on occluded pixels: flat 0.5 gray or seeded pattern."""
     require("fill", fill, one_of(("gray", "pattern")))
     require("seed", seed, SEED)
-    img = np.asarray(image, dtype=np.float64)
-    if img.shape[:2] != pair.M.shape:
-        raise ShapeError(f"image {img.shape[:2]} vs mask {pair.M.shape}")
+    img = check_array(image, "image", pair.M.shape + (None,))
     out = img.copy()
     idx = np.nonzero(pair.M)
     if fill == "gray":

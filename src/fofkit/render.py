@@ -16,7 +16,7 @@ records do not depend on the view, so render_normals(mesh, frame,
 
 import numpy as np
 
-from .errors import ShapeError, one_of, require
+from .errors import ShapeError, check_array, one_of, require
 from .raster import OrthoFrame, bary_interp, rasterize_coverage
 
 from dataclasses import dataclass
@@ -33,12 +33,8 @@ class NormalMap:
     mask: np.ndarray  # (H, W) bool
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.data.ndim != 3 or self.data.shape[2] != 3:
-            raise ShapeError(f"normal map must be (H, W, 3), got {self.data.shape}")
-        if self.mask.shape != self.data.shape[:2]:
-            raise ShapeError("mask shape must match map shape")
+        self.data = check_array(self.data, "normal map data", (None, None, 3))
+        self.mask = check_array(self.mask, "normal map mask", self.data.shape[:2], dtype=bool)
 
     @property
     def height(self):
@@ -51,7 +47,7 @@ class NormalMap:
     @classmethod
     def from_array(cls, data):
         """Rebuild a map from raw pixels; foreground = non-zero vectors."""
-        data = np.asarray(data, dtype=np.float64)
+        data = check_array(data, "normal map data", (None, None, 3))
         mask = np.linalg.norm(data, axis=2) > 0.5
         out = data.copy()
         out[~mask] = 0.0

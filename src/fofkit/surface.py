@@ -26,9 +26,9 @@ every cube with a live corner lies inside the box.
 
 import numpy as np
 
-from .errors import DomainError, MeshError, ShapeError, integer, real, require
+from .errors import DomainError, MeshError, ShapeError, check_array, integer, real, require
 from .fof import DEPTH_RES, FourierField, _check_frame, _decode_pixels, depth_samples
-from .mesh import TriMesh, check_points, check_watertight, mesh_volume_divergence
+from .mesh import TriMesh, check_watertight, mesh_volume_divergence
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
 from .rng import SEED, Xoshiro256StarStar
@@ -55,20 +55,16 @@ class OccupancyGrid:
     offset: np.ndarray = dc_field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        for name in ("origin", "spacing"):  # each a set of one point
-            setattr(self, name, check_points(np.asarray(getattr(self, name))[None], name)[0])
+        self.values = check_array(self.values, "grid values", (None, None, None))
+        if min(self.values.shape) < 2:
+            raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got {self.values.shape}")
+        self.origin = check_array(self.origin, "origin", (3,))
+        self.spacing = check_array(self.spacing, "spacing", (3,))
         if np.any(self.spacing <= 0.0):
             raise DomainError(f"spacing must be positive, got {self.spacing!r}")
-        offset = np.asarray(self.offset)
-        if (offset.shape != (3,) or not np.issubdtype(offset.dtype, np.integer)
-                or np.any(offset < 0)):
+        self.offset = check_array(self.offset, "offset", (3,), dtype=np.int64)
+        if np.any(self.offset < 0):
             raise ShapeError(f"offset must be three non-negative integers, got {self.offset!r}")
-        self.offset = offset.astype(np.int64)
-        if self.values.ndim != 3 or min(self.values.shape) < 2:
-            raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("grid contains non-finite values")
 
 
 def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):

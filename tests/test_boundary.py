@@ -6,9 +6,9 @@ malformed argument turns into a number.
 * Arguments that were once accepted, turned into NaN or garbage, or raised
   an untyped exception now raise a FofkitError that names the argument.
 * A Hypothesis property, in the style of QuickCheck (Claessen & Hughes, ICFP
-  2000) and Hypothesis (MacIver et al., JOSS 2019), feeds malformed scalars
-  and point sets to the public names that take them. Each call returns a
-  finite result or raises a FofkitError, never another exception.
+  2000) and Hypothesis (MacIver et al., JOSS 2019), feeds malformed scalars,
+  point sets and arrays to the public names that take them. Each call
+  returns a finite result or raises a FofkitError, never another exception.
 """
 
 import math
@@ -20,17 +20,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import fofkit
-from fofkit import (BasisConfig, EvalReference, IntervalList, LevelWeights, MaskPair,
-                    OccluderSpec, OccupancyGrid, OrthoFrame, TriMesh, basis_eval, chamfer,
-                    decode_grid, decode_ray, degrade_prior, evaluate_pair, geo_loss,
-                    image_loss, intervals_to_coeffs, marching_cubes, mesh_to_fof,
-                    normalize_mesh, occlude_field, occlude_image, p2s, ray_intervals,
-                    reconstruct_field, render_silhouette, sample_surface, vgcc_blend,
+from fofkit import (BasisConfig, EvalReference, FeaturePyramid, FourierField, IntervalList,
+                    LevelWeights, MaskPair, NormalMap, OccluderSpec, OccupancyGrid, OrthoFrame,
+                    TriMesh, basis_eval, chamfer, decode_grid, decode_ray, degrade_prior,
+                    evaluate_pair, feat_loss, geo_loss, image_loss, intervals_to_coeffs,
+                    marching_cubes, mesh_to_fof, mse_coeff_loss, normalize_mesh, occlude_field,
+                    occlude_image, p2s, parseval_energy, psnr, ray_intervals, reconstruct_field,
+                    render_silhouette, sample_surface, ssim, synthesize_occlusion, vgcc_blend,
                     weight_map)
 from fofkit import sweep
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import FofkitError
-from fofkit.losses import FeaturePyramid
+from fofkit.metrics import p2s_exhaustive
 from fofkit.shapes import make_cube
 
 nan, inf = math.nan, math.inf
@@ -108,6 +109,44 @@ PROBES = {
     "decode_ray(c, [0.1, 0.2])": ("depth z", lambda: decode_ray(np.zeros(5), [0.1, 0.2])),
     "IntervalList(flat)": ("intervals", lambda: IntervalList([-0.5, -0.2, 0.1, 0.4])),
     "ray_intervals(pixel 3.5)": ("pixel", lambda: ray_intervals(CUBE, FRAME, (3.5, 4))),
+    # Whole arrays that once raised an untyped ValueError, read as all-True
+    # masks or returned NaN.
+    "FourierField('ab')": ("field coefficients", lambda: FourierField("ab")),
+    "FourierField(ragged)": ("field coefficients",
+                             lambda: FourierField([[[0.5]], [[0.5, 0.5]]])),
+    "TriMesh(ragged vertices)": ("mesh vertices", lambda: TriMesh([[0, 0, 0], [1, 1]], [])),
+    "MaskPair('a', 'b', 'c')": ("body", lambda: MaskPair("a", "b", "c")),
+    "MaskPair(NaN mask)": ("^M contain non-finite",
+                           lambda: MaskPair(BODY, np.where(M, nan, 0.0), BODY)),
+    "NormalMap(NaN)": ("normal map data",
+                       lambda: NormalMap(np.full((2, 2, 3), nan), np.ones((2, 2), bool))),
+    "OccupancyGrid('a')": ("grid values", lambda: OccupancyGrid("a")),
+    "FeaturePyramid(['a'])": ("feature level 0", lambda: FeaturePyramid(["a"])),
+    "ssim('a', 'b')": ("image a", lambda: ssim("a", "b")),
+    "psnr(zeros, 'b')": ("image b", lambda: psnr(np.zeros((12, 12)), "b")),
+    "psnr(empty images)": ("images must be non-empty",
+                           lambda: psnr(np.zeros((0, 3)), np.zeros((0, 3)))),
+    "image_loss('a', 'b')": ("image a", lambda: image_loss("a", "b")),
+    "parseval_energy('ab')": ("coeffs", lambda: parseval_energy("ab")),
+    "parseval_energy([nan, 0, 0])": ("coeffs", lambda: parseval_energy([nan, 0, 0])),
+    "decode_ray([nan, 0, 0], 0)": ("coeffs", lambda: decode_ray([nan, 0, 0], 0)),
+    "mse_coeff_loss('a', 1)": ("^c must", lambda: mse_coeff_loss("a", 1)),
+    "mse_coeff_loss(NaN field)": ("^c contain non-finite",
+                                  lambda: mse_coeff_loss(np.full((2, 2, 3), nan), FIELD)),
+    "feat_loss(omega 'a')": ("weight map",
+                             lambda: feat_loss(PYRAMID, PYRAMID_SUP, omega="a")),
+    "feat_loss(NaN omega)": ("weight map", lambda: feat_loss(PYRAMID, PYRAMID_SUP,
+                                                             omega=np.full((2, 2), nan))),
+    "feat_loss(empty omega)": ("weight map", lambda: feat_loss(PYRAMID, PYRAMID_SUP,
+                                                               omega=np.zeros((0, 2)))),
+    "synthesize_occlusion('a')": ("body", lambda: synthesize_occlusion("a", OccluderSpec())),
+    "synthesize_occlusion(NaN body)": ("body", lambda: synthesize_occlusion(
+        np.full((8, 8), nan), OccluderSpec())),
+    "occlude_image('a')": ("image", lambda: occlude_image("a", PAIR)),
+    "occlude_image(NaN image)": ("image",
+                                 lambda: occlude_image(np.full((8, 8, 3), nan), PAIR)),
+    "p2s_exhaustive((6, 2) points)": ("p2s points",
+                                      lambda: p2s_exhaustive(np.ones((6, 2)), CUBE)),
 }
 
 
@@ -144,6 +183,15 @@ INTERVALS = st.one_of(
     arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
            elements=st.floats(-1.5, 1.5) | st.sampled_from([nan, inf, -1.0, 1.0])),
     st.text(max_size=3), st.floats(allow_nan=True))
+
+# Malformed arrays: strings, NaN and infinities, any number of dimensions,
+# bool, empty arrays and ragged sequences.
+ARRAYS = st.one_of(
+    st.text(max_size=3), st.sampled_from([nan, inf, -inf, [[0.5], [0.5, 0.5]]]),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+           elements=st.floats(0, 1) | st.sampled_from([nan, inf, -inf])),
+    arrays(np.bool_, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+    st.lists(st.text(max_size=2), max_size=2))
 
 # Malformed pixels: a bad row, or the wrong number of indices.
 PIXELS = st.one_of(st.tuples(SCALARS, st.integers(0, 7)), SCALARS,
@@ -198,6 +246,23 @@ TARGETS = {
     "chamfer.a": (POINTS, lambda v: chamfer(v, CUBE.vertices)),
     "chamfer.b": (POINTS, lambda v: chamfer(CUBE.vertices, v)),
     "p2s.points": (POINTS, lambda v: p2s(v, CUBE)),
+    "FourierField.data": (ARRAYS, lambda v: FourierField(v)),
+    "MaskPair.V_M_body": (ARRAYS, lambda v: MaskPair(v, v, v)),
+    "FeaturePyramid.levels": (ARRAYS, lambda v: FeaturePyramid([v])),
+    "NormalMap.data": (ARRAYS, lambda v: NormalMap(v, np.ones((2, 2), bool))),
+    "NormalMap.from_array": (ARRAYS, lambda v: NormalMap.from_array(v)),
+    "OccupancyGrid.values": (ARRAYS, lambda v: OccupancyGrid(v)),
+    "decode_ray.coeffs": (ARRAYS, lambda v: decode_ray(v, 0.5)),
+    "parseval_energy.coeffs": (ARRAYS, lambda v: parseval_energy(v)),
+    "mse_coeff_loss.c": (ARRAYS, lambda v: mse_coeff_loss(v, v)),
+    "feat_loss.omega": (ARRAYS, lambda v: feat_loss(PYRAMID, PYRAMID_SUP, omega=v)),
+    "ssim.a_b": (ARRAYS, lambda v: ssim(v, v)),
+    "psnr.a_b": (ARRAYS, lambda v: psnr(v, v)),
+    "image_loss.img_img_gt": (ARRAYS, lambda v: image_loss(v, v)),
+    "synthesize_occlusion.body": (ARRAYS, lambda v: synthesize_occlusion(v, OccluderSpec())),
+    "occlude_image.image": (ARRAYS, lambda v: occlude_image(v, PAIR)),
+    "occlude_field.fof": (ARRAYS, lambda v: occlude_field(v, PAIR)),
+    "vgcc_blend.c_obs": (ARRAYS, lambda v: vgcc_blend(v, FIELD, PAIR)),
 }
 
 
@@ -216,15 +281,14 @@ def _finite(out):
 
 
 def test_targets_cover_the_public_names():
-    # The names that take a scalar or a point set, and those left out with
-    # their reason.
+    # The names that take a scalar, a point set or an array, and those left
+    # out with their reason.
     covered = {target.split(".")[0] for target in TARGETS}
     left_out = {
-        "FourierField", "MaskPair", "FeaturePyramid", "NormalMap",
-        "MetricReport", "parseval_energy", "mse_coeff_loss",
-        "feat_loss", "normal_loss", "normal_map_error", "psnr", "ssim",  # arrays and maps
-        "mesh_to_fof", "render_normals", "render_silhouette", "synthesize_occlusion",
-        "check_watertight", "mesh_volume",  # a mesh, frame, spec or mask only
+        "MetricReport",  # a result record that the metrics fill in
+        "normal_loss", "normal_map_error",  # NormalMap objects only
+        "mesh_to_fof", "render_normals", "render_silhouette",  # a mesh and a frame only
+        "check_watertight", "mesh_volume",  # a mesh only
         "load_obj", "save_obj",  # file paths: the file readers have their own fuzz tests
     }
     assert covered | left_out == set(fofkit.__all__)

@@ -203,7 +203,7 @@ class TestPipeline:
         capsys.readouterr()
         assert run("encode", path, tmp_path / "x.oaht") == 3
         err = capsys.readouterr().err
-        assert "mesh vertices contain non-finite coordinates" in err
+        assert "mesh vertices contain non-finite values" in err
         assert "degenerate" not in err + caplog.text and "watertight" not in err
 
     def test_non_finite_shared_normal_is_data_error(self, tmp_path, capsys):
@@ -214,7 +214,7 @@ class TestPipeline:
                         "f 1//1 3//1 2//2\nf 1//1 2//1 4//1\nf 1//1 4//1 3//1\nf 2//1 3//1 4//1\n")
         assert run("encode", path, tmp_path / "x.oaht") == 3
         err = capsys.readouterr().err
-        assert "mesh normals contain non-finite coordinates" in err and "Traceback" not in err
+        assert "mesh normals contain non-finite values" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", [
         "occlude.kind=bogus", "occlude.policy=bogus", "sweep.shape=bogus",

@@ -124,6 +124,14 @@ class TestBlend:
         with pytest.raises(ShapeError):
             vgcc_blend(c_obs, c_prior, MaskPair(small, small, small))
 
+    def test_raw_arrays_taken_as_fields(self, setup):
+        # decode_grid and field_to_grid take an (H, W, K) array too.
+        gt, body, c_obs, c_prior = setup
+        pair = synthesize_occlusion(body, OccluderSpec("ellipse", 5, 0.6))
+        want = vgcc_blend(c_obs, c_prior, pair)
+        got = vgcc_blend(c_obs.data.tolist(), c_prior.data, pair)
+        assert np.array_equal(got.data, want.data)
+
     @pytest.mark.parametrize("feather", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("occluded", [True, False])
     def test_non_finite_feather(self, setup, feather, occluded):

@@ -32,7 +32,7 @@ class TestTriMesh:
         sphere = make_sphere(0.6, 1)
         values = {"vertices": sphere.vertices.copy(), "normals": sphere.normals.copy()}
         values[field][4, 2] = bad
-        with pytest.raises(DomainError, match=f"mesh {field} contain non-finite coordinates"):
+        with pytest.raises(DomainError, match=f"mesh {field} contain non-finite values"):
             TriMesh(values["vertices"], sphere.faces, values["normals"])
 
 
@@ -139,7 +139,7 @@ class TestObjIO:
         path = tmp_path / "nan_vn.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nvn 0 0 1\nvn nan 0 1\n"
                         "f 1//1 3//1 2//2\nf 1//1 2//1 4//1\nf 1//1 4//1 3//1\nf 2//1 3//1 4//1\n")
-        with pytest.raises(DomainError, match="mesh normals contain non-finite coordinates"):
+        with pytest.raises(DomainError, match="mesh normals contain non-finite values"):
             load_obj(path)
 
     def test_ignored_records_warning_lists_tags(self, tmp_path, caplog):
@@ -861,7 +861,9 @@ class TestWatertightDefinition:
                     faces.append(list(faces[i]))
                 else:
                     faces[i] = faces[i][::-1]
-        got = check_watertight(TriMesh(mesh.vertices, np.array(faces, dtype=np.int64)))
+        # reshape: with every face dropped, np.array([]) is (0,), not (0, 3).
+        got = check_watertight(TriMesh(mesh.vertices,
+                                       np.array(faces, dtype=np.int64).reshape(-1, 3)))
         assert got == watertight_by_counter(faces)
 
     def test_cases_of_both_kinds(self):

@@ -399,6 +399,20 @@ class TestP2S:
             index.query(points, np.zeros(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("oracle", [nearest_bruteforce, chamfer_bruteforce, p2s_exhaustive])
+def test_oracles_reject_planar_points(oracle, sphere_mesh):
+    # p2s_exhaustive used to read six 2-D points as four 3-D ones.
+    planar = np.ones((6, 2))
+    calls = [lambda: oracle(planar, sphere_mesh if oracle is p2s_exhaustive
+                            else sphere_mesh.vertices)]
+    if oracle is not p2s_exhaustive:
+        calls.append(lambda: oracle(sphere_mesh.vertices, planar))
+    for call in calls:
+        with pytest.raises(ShapeError, match=r"points must be an array of numbers "
+                                             r"of shape \(n, 3\)"):
+            call()
+
+
 class TestP2SFrontier:
     """The frontier traversal returns the exhaustive minimum bit for bit."""
 
@@ -793,8 +807,8 @@ def test_non_finite_image_rejected(fn, bad, rng):
     a = rng.random((16, 16))
     b = a.copy()
     b[3, 5] = bad
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+    for x, y, name in ((a, b, "image b"), (b, a, "image a")):
+        with pytest.raises(DomainError, match=f"{name} contain non-finite values"):
             fn(x, y)
 
 

@@ -121,6 +121,14 @@ class TestOccludeField:
         with pytest.raises(ShapeError):
             occlude_field(sphere_field, MaskPair(small, small, small))
 
+    @pytest.mark.parametrize("policy", ["zero", "noise"])
+    def test_raw_array_taken_as_a_field(self, sphere_field, body, policy):
+        # decode_grid and field_to_grid take an (H, W, K) array too.
+        pair = MaskPair(np.zeros_like(body), body, body)
+        want = occlude_field(sphere_field, pair, policy)
+        got = occlude_field(sphere_field.data.tolist(), pair, policy)
+        assert np.array_equal(got.data, want.data)
+
 
 class TestOccludeImage:
     def test_empty_mask_identity(self, body, rng):
