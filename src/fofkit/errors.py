@@ -6,7 +6,9 @@ config.SETTINGS rows reuse those objects. The constructors below reject NaN.
 
 Every array argument (point sets, fields, grids, maps, masks, images,
 feature levels) passes check_array: ShapeError for one that is not numbers
-or has the wrong shape, DomainError for a non-finite value.
+or has the wrong shape, DomainError for a non-finite value. An argument that
+must be a library object (a mesh, frame, grid or normal map) passes
+check_type: ShapeError for anything else.
 """
 
 import math
@@ -134,6 +136,13 @@ def check_array(value, what, shape, limit=math.inf, dtype=np.float64):
     elif a.dtype.kind == "f" and not np.isfinite(a).all():
         raise DomainError(f"{what} contain non-finite values")
     return a.astype(dtype, copy=False)
+
+
+def check_type(value, what, cls):
+    """value, or ShapeError naming what and cls if it is not a cls."""
+    if not isinstance(value, cls):
+        raise ShapeError(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _describe(shape, dtype):

@@ -20,7 +20,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ShapeError, check_array, real, require
+from .errors import DomainError, ShapeError, check_array, check_type, real, require
 from .fof import FourierField
 
 PERCEPTUAL_LABEL = "SSIM-perceptual (LPIPS substituted)"
@@ -150,7 +150,10 @@ def normal_loss(n, n_gt):
     as n * 0.5 + 0.5 images.
     """
     from .metrics import ssim
+    from .render import NormalMap
 
+    check_type(n, "normal map n", NormalMap)
+    check_type(n_gt, "normal map n_gt", NormalMap)
     if n.data.shape != n_gt.data.shape:
         raise ShapeError(f"normal map shapes differ: {n.data.shape} vs {n_gt.data.shape}")
     union = n.mask | n_gt.mask

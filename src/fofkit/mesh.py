@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, MeshError, ObjParseError, ShapeError, check_array, require
+from .errors import (DomainError, MeshError, ObjParseError, ShapeError, check_array,
+                     check_type, require)
 from .fof import BasisConfig, FourierField, IntervalList, _check_frame, interval_terms
 from .raster import HALF_EXTENT, OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
 
@@ -424,7 +425,7 @@ def check_watertight(mesh):
     directed edges are distinct and are the same set as their reverses.
     boundary_edges lists offending (a, b) vertex pairs.
     """
-    f = mesh.faces
+    f = check_type(mesh, "mesh", TriMesh).faces
     if not len(f):
         return True, []
     edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
@@ -672,7 +673,7 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
     interval_terms rows of every interval are added to their pixels in
     ascending depth order, the order intervals_to_coeffs adds them in.
     """
-    pix, z = ray_cast_all(mesh, frame)
+    pix, z = ray_cast_all(mesh, check_type(frame, "frame", OrthoFrame))
     H, W, K = frame.height, frame.width, cfg.channels
     data = np.zeros((H * W, K), dtype=np.float64)
     if len(pix):

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, ShapeError, check_array, require
+from .errors import DomainError, check_array, require
 from .mesh import BVH
 from .raster import OrthoFrame
 from .render import BACK, FRONT, normal_map_error, render_normals
@@ -257,8 +257,8 @@ class SurfaceDistanceIndex:
         a face near the point (such as the face of its nearest surface
         sample) makes for a tight start. Without seeds each point starts
         from the triangle with the nearest centroid. points are (n, 3)
-        numbers below MAX_COORD in magnitude; a seed that is not an integer
-        in [0, n_faces) raises DomainError.
+        numbers below MAX_COORD in magnitude. seeds that are not n integers
+        raise ShapeError, a seed outside [0, n_faces) DomainError.
 
         All points walk the BVH together, breadth first over one frontier
         of flat (point, node) pairs, with each point's best distance at
@@ -282,18 +282,16 @@ class SurfaceDistanceIndex:
         p = check_array(points, "query points", (None, 3), MAX_COORD)
         if seeds is None:
             _, seeds = self._centroid_tree.query(p)
-        seeds = np.asarray(seeds).reshape(-1)
-        if len(seeds) != len(p):
-            raise ShapeError(f"need one seed face per point, got {len(seeds)} for {len(p)}")
+        seeds = check_array(seeds, "seed faces", (len(p),), dtype=np.int64)
         m = len(self._leaf_of_face)
-        if len(seeds) and not (seeds.dtype.kind in "iu" and seeds.min() >= 0 and seeds.max() < m):
+        if len(seeds) and not (seeds.min() >= 0 and seeds.max() < m):
             raise DomainError(f"seed faces must be integers in [0, {m})")
         bvh = self.bvh
         best = np.full(len(p), np.inf)
         coords = p.T.copy()
         margin = _slab_margin(bvh, p)
         frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64)),
-                    (np.arange(len(p)), self._leaf_of_face[seeds.astype(np.int64)])]
+                    (np.arange(len(p)), self._leaf_of_face[seeds])]
         while frontier:
             pt, node = frontier.pop()
             if len(pt) > MAX_FRONTIER:

@@ -16,7 +16,8 @@ records do not depend on the view, so render_normals(mesh, frame,
 
 import numpy as np
 
-from .errors import ShapeError, check_array, one_of, require
+from .errors import ShapeError, check_array, check_type, one_of, require
+from .mesh import TriMesh
 from .raster import OrthoFrame, bary_interp, rasterize_coverage
 
 from dataclasses import dataclass
@@ -64,6 +65,7 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     mesh carries them, otherwise flat face normals. An empty mesh renders to
     all-background maps.
     """
+    check_type(mesh, "mesh", TriMesh)
     views = view if isinstance(view, tuple) else (view,)
     for v in views:
         require("view", v, one_of((FRONT, BACK)))
@@ -129,6 +131,8 @@ def normal_map_error(a, b):
     Pixels where exactly one map has foreground contribute distance 1, so
     silhouette mismatches are penalized; symmetric in its arguments.
     """
+    check_type(a, "normal map a", NormalMap)
+    check_type(b, "normal map b", NormalMap)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"normal map shapes differ: {a.data.shape} vs {b.data.shape}")
     union = a.mask | b.mask

@@ -3,8 +3,13 @@
 Each check validates an optimized path against a slower, obviously-correct
 oracle: trapezoid quadrature for the closed-form encoding, exhaustive search
 for the kd-tree and the BVH, central finite differences for the loss
-gradients, the literal case table for the visibility weights, and
-extraction from the full-frame grid for the cropped reconstruction.
+gradients, the literal case table for the visibility weights, the CRC for
+the tensor container, and extraction from the full-frame grid for the
+cropped reconstruction.
+
+Each oracle property has one driver loop here. `fofkit selftest` runs the
+checks with their default counts and seeds; the acceptance criteria and the
+unit tests call the same checks with their own.
 """
 
 import os
@@ -82,18 +87,21 @@ def _check(name, ok, detail=""):
 
 
 def check_closed_form_vs_quadrature(n_lists=200, seed=0):
+    """Orders 1, 5 and 15 against the prefix of one order-15 quadrature."""
     rng = np.random.default_rng(seed)
     z = quadrature_grid()
-    cfg = BasisConfig(15)
+    configs = [BasisConfig(n) for n in (1, 5, 15)]
     worst = 0.0
     for _ in range(n_lists):
         idx = random_snapped_intervals(rng, z)
         iv = IntervalList(z[idx])
-        exact = intervals_to_coeffs(iv, cfg)
-        quad = coeffs_by_quadrature(idx, cfg, z)
-        worst = max(worst, float(np.max(np.abs(exact - quad))))
+        quad = coeffs_by_quadrature(idx, configs[-1], z)
+        for cfg in configs:
+            exact = intervals_to_coeffs(iv, cfg)
+            worst = max(worst, float(np.max(np.abs(exact - quad[:cfg.channels]))))
     return _check("closed-form encoding vs trapezoid quadrature", worst <= 1e-6,
-                  f"worst coefficient error {worst:.2e} over {n_lists} lists (bound 1e-6)")
+                  f"worst coefficient error {worst:.2e} over {n_lists} lists, "
+                  "N in (1, 5, 15) (bound 1e-6)")
 
 
 def check_bessel_bound(n_lists=100, seed=1):
@@ -148,8 +156,8 @@ def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(n_clouds):
-        a = rng.normal(size=(int(rng.integers(2, 500)), 3))
-        b = rng.normal(size=(int(rng.integers(2, 500)), 3))
+        a = rng.normal(size=(int(rng.integers(1, 501)), 3))
+        b = rng.normal(size=(int(rng.integers(1, 501)), 3))
         ok &= chamfer(a, b) == chamfer_bruteforce(a, b)
     # Samples on a sphere shell against shell points mixed with points well
     # inside it, as an occluded reconstruction scored against its ground
@@ -165,15 +173,15 @@ def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):
 
 def check_bvh_vs_exhaustive(n_instances=20, seed=4):
     rng = np.random.default_rng(seed)
-    sphere = make_sphere(0.6, 2)
+    sphere, torus = make_sphere(0.6, 2), make_torus()
+    meshes = [(sphere, SurfaceDistanceIndex(sphere))] * n_instances
     ok = True
-    for i, mesh in enumerate([sphere] * n_instances + [make_torus()]):
+    for i, (mesh, index) in enumerate(meshes + [(torus, SurfaceDistanceIndex(torus))]):
         # Points 0.2-0.6 units inside or outside the surface, where the
         # slab bounds prune, join the scattered ones.
         shell, normals = sample_surface(mesh, 25, seed=seed + i)
         off = rng.uniform(0.2, 0.6, size=(25, 1)) * rng.choice([-1.0, 1.0], size=(25, 1))
         pts = np.concatenate([rng.normal(size=(50, 3)) * 0.5, shell + off * normals])
-        index = SurfaceDistanceIndex(mesh)
         want = p2s_exhaustive(pts, mesh)
         # Adversarial seeds: each point starts from the face whose centroid
         # is farthest from it.
@@ -198,18 +206,18 @@ def finite_difference(fn, x, step=1e-5):
     return grad
 
 
-def _rel_grad_err(analytic, fd):
+def rel_grad_err(analytic, fd):
     return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12))
 
 
 def check_gradients(n_instances=10, seed=5):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = {"mse": 0.0, "feat": 0.0, "geo": 0.0}
     for _ in range(n_instances):
         c = rng.normal(size=(3, 4, 5))
         c_gt = rng.normal(size=(3, 4, 5))
         _, g = mse_coeff_loss(c, c_gt)
-        worst = max(worst, _rel_grad_err(g, finite_difference(
+        worst["mse"] = max(worst["mse"], rel_grad_err(g, finite_difference(
             lambda x: mse_coeff_loss(x, c_gt)[0], c)))
 
         f = FeaturePyramid([rng.normal(size=(4, 4, 2)), rng.normal(size=(2, 2, 3))])
@@ -222,14 +230,18 @@ def check_gradients(n_instances=10, seed=5):
                 levels = [lv.copy() for lv in f.levels]
                 levels[k] = x
                 return feat_loss(FeaturePyramid(levels), f_sup, w, om)[0]
-            worst = max(worst, _rel_grad_err(gs[k], finite_difference(fn, f.levels[k])))
+            worst["feat"] = max(worst["feat"], rel_grad_err(gs[k], finite_difference(
+                fn, f.levels[k])))
 
-        lam = float(rng.random() + 0.5)
+        lam = float(rng.random() + 0.25)
         _, g_mse, _ = geo_loss(c, c_gt, f, f_sup, w, om, lam)
-        worst = max(worst, _rel_grad_err(g_mse, finite_difference(
+        worst["geo"] = max(worst["geo"], rel_grad_err(g_mse, finite_difference(
             lambda x: geo_loss(x, c_gt, f, f_sup, w, om, lam)[0], c)))
-    return _check("analytic gradients vs central finite differences", worst <= 1e-4,
-                  f"worst relative error {worst:.2e} (bound 1e-4)")
+    return _check("analytic gradients vs central finite differences",
+                  all(v <= 1e-4 for v in worst.values()),
+                  "worst relative error "
+                  + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
+                  + f" over {n_instances} instances (bound 1e-4)")
 
 
 def check_weight_truth_table():
@@ -243,17 +255,18 @@ def check_weight_truth_table():
     return _check("visibility weight case table", ok, "exhaustive 8 bit combinations")
 
 
-def check_tensor_roundtrip():
-    rng = np.random.default_rng(6)
-    arr = rng.normal(size=(4, 5, 3)).astype(np.float32)
+def check_tensor_roundtrip(seed=6, shape=(4, 5, 3)):
+    """float64 data reads back as its float32 cast; a flipped payload bit
+    fails the CRC."""
+    arr = np.random.default_rng(seed).normal(size=shape)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.oaht")
         write_tensor(path, arr)
         dims, back = read_tensor(path)
-        ok = dims == (4, 5, 3) and np.array_equal(back, arr)
+        ok = dims == shape and np.array_equal(back, arr.astype(np.float32))
         with open(path, "rb") as fh:
             blob = bytearray(fh.read())
-        blob[32 + 8] ^= 0x40  # flip a payload byte (header is 32 bytes for ndim=3)
+        blob[8 + 8 * len(shape) + 8] ^= 0x40  # the header is 8 + 8 * ndim bytes
         with open(path, "wb") as fh:
             fh.write(bytes(blob))
         try:
@@ -262,7 +275,7 @@ def check_tensor_roundtrip():
         except CrcMismatchError:
             rejected = True
     return _check("tensor container round trip and CRC rejection", ok and rejected,
-                  "byte-exact payload, corrupt byte rejected")
+                  f"byte-exact {shape} payload, corrupt bit rejected")
 
 
 ALL_CHECKS = (

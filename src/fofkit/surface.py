@@ -26,7 +26,8 @@ every cube with a live corner lies inside the box.
 
 import numpy as np
 
-from .errors import DomainError, MeshError, ShapeError, check_array, integer, real, require
+from .errors import (DomainError, MeshError, ShapeError, check_array, check_type, integer,
+                     real, require)
 from .fof import DEPTH_RES, FourierField, _check_frame, _decode_pixels, depth_samples
 from .mesh import TriMesh, check_watertight, mesh_volume_divergence
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
@@ -118,7 +119,7 @@ def marching_cubes(grid, iso=0.5):
     constant grid yields an empty mesh; a non-finite iso raises DomainError.
     """
     require("iso", iso, ISO)
-    v = grid.values
+    v = check_type(grid, "grid", OccupancyGrid).values
     below = v < iso
     cells = tuple(n - 1 for n in v.shape)
 

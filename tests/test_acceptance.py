@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module is also exercised by a plain ``pytest`` run.
+Criteria 1, 4, 5, 6 and 10 run fofkit.selftest's oracle checks with their
+own counts and seeds; the last test shows that each such check can fail.
 """
 
 import os
@@ -11,26 +13,24 @@ import numpy as np
 import pytest
 
 import fofkit.sweep as sweep_mod
+from fofkit import selftest
 from fofkit.completion import degrade_prior
 from fofkit.config import HarnessConfig
-from fofkit.fof import BasisConfig, IntervalList, intervals_to_coeffs
+from fofkit.fof import BasisConfig
 from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
-from fofkit.metrics import (SurfaceDistanceIndex, chamfer, chamfer_bruteforce,
-                            p2s_exhaustive, psnr, ssim)
-from fofkit.occlusion import MaskPair, OccluderSpec, synthesize_occlusion, weight_map
+from fofkit.metrics import chamfer, psnr, ssim
+from fofkit.occlusion import OccluderSpec, synthesize_occlusion, weight_map
 from fofkit.raster import OrthoFrame
 from fofkit.render import normal_map_error, render_normals, render_silhouette
-from fofkit.selftest import (coeffs_by_quadrature, finite_difference, quadrature_grid,
-                             random_snapped_intervals)
+from fofkit.selftest import (check_bvh_vs_exhaustive, check_closed_form_vs_quadrature,
+                             check_gradients, check_kdtree_vs_bruteforce,
+                             check_tensor_roundtrip, check_weight_truth_table)
 from fofkit.shapes import make_sphere
 from fofkit.surface import marching_cubes, mesh_volume, reconstruct_field, \
     sample_surface, OccupancyGrid
 from fofkit.sweep import mean_by_ratio, run_sweep
-from fofkit.losses import FeaturePyramid, LevelWeights, feat_loss, geo_loss, \
-    mse_coeff_loss
-from fofkit.tensor_io import (CrcMismatchError, read_pfm, read_pgm, read_png16,
-                              read_ppm, read_tensor, write_pfm, write_pgm,
-                              write_png16, write_ppm, write_tensor)
+from fofkit.tensor_io import (CrcMismatchError, read_pfm, read_pgm, read_png16, read_ppm,
+                              write_pfm, write_pgm, write_png16, write_ppm)
 
 FRAME = OrthoFrame(128, 128)
 SPHERE_AREA = 4.0 * np.pi * 0.6 ** 2
@@ -88,26 +88,11 @@ def sweeps(tmp_path_factory):
 
 
 def test_criterion_1_closed_form_encoding():
-    rng = np.random.default_rng(100)
-    z = quadrature_grid()
-    configs = {n: BasisConfig(n) for n in (1, 5, 15)}
     t0 = time.perf_counter()
-    worst = 0.0
-    bw = {}
-    h = z[1] - z[0]
-    w = np.full(len(z), h)
-    w[0] = w[-1] = h / 2.0
-    for _ in range(1000):
-        idx = random_snapped_intervals(rng, z)
-        iv = IntervalList(z[idx])
-        quad15 = coeffs_by_quadrature(idx, configs[15], z)
-        for n, cfg in configs.items():
-            exact = intervals_to_coeffs(iv, cfg)
-            worst = max(worst, float(np.max(np.abs(exact - quad15[:cfg.channels]))))
+    check = check_closed_form_vs_quadrature(1000, 100)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 10.0
-    report(1, ok, f"1000 interval lists, N in (1, 5, 15): worst coefficient error "
-                  f"{worst:.2e} (bound 1e-6), runtime {elapsed:.1f}s (bound 10s)")
+    ok = check["ok"] and elapsed < 10.0
+    report(1, ok, f"{check['detail']}, runtime {elapsed:.1f}s (bound 10s)")
 
 
 def test_criterion_2_round_trip(roundtrips):
@@ -143,13 +128,7 @@ def test_criterion_3_marching_cubes(roundtrips):
 
 
 def test_criterion_4_weight_truth_table():
-    bits = [(v, m, b) for v in (0, 1) for m in (0, 1) for b in (0, 1)]
-    pair = MaskPair(np.array([[v for v, _, _ in bits]], dtype=bool),
-                    np.array([[m for _, m, _ in bits]], dtype=bool),
-                    np.array([[b for _, _, b in bits]], dtype=bool))
-    omega = weight_map(pair, 2.0, 1.0)
-    expected = np.array([[2.0 if m else (1.0 if v else 0.0) for v, m, _ in bits]])
-    table_ok = np.array_equal(omega, expected)
+    table_ok = check_weight_truth_table()["ok"]
 
     body = render_silhouette(make_sphere(0.6, 3), FRAME)
     rng = np.random.default_rng(4)
@@ -164,57 +143,14 @@ def test_criterion_4_weight_truth_table():
 
 
 def test_criterion_5_gradient_suite():
-    rng = np.random.default_rng(5)
-    worst = {"mse": 0.0, "feat": 0.0, "geo": 0.0}
-
-    def rel(analytic, fd):
-        return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12))
-
-    for _ in range(100):
-        c = rng.normal(size=(3, 4, 5))
-        c_gt = rng.normal(size=(3, 4, 5))
-        _, g = mse_coeff_loss(c, c_gt)
-        worst["mse"] = max(worst["mse"], rel(g, finite_difference(
-            lambda x: mse_coeff_loss(x, c_gt)[0], c)))
-
-        f = FeaturePyramid([rng.normal(size=(4, 4, 2)), rng.normal(size=(2, 2, 3))])
-        f_sup = FeaturePyramid([lv + rng.normal(size=lv.shape) for lv in f.levels])
-        w = LevelWeights([0.5, 1.0])
-        om = rng.random((4, 4))
-        _, gs = feat_loss(f, f_sup, w, om)
-        for k in range(2):
-            def fn(x, k=k):
-                levels = [lv.copy() for lv in f.levels]
-                levels[k] = x
-                return feat_loss(FeaturePyramid(levels), f_sup, w, om)[0]
-            worst["feat"] = max(worst["feat"], rel(gs[k], finite_difference(fn, f.levels[k])))
-
-        lam = float(rng.random() + 0.25)
-        _, g_mse, _ = geo_loss(c, c_gt, f, f_sup, w, om, lam)
-        worst["geo"] = max(worst["geo"], rel(g_mse, finite_difference(
-            lambda x: geo_loss(x, c_gt, f, f_sup, w, om, lam)[0], c)))
-    ok = all(v <= 1e-4 for v in worst.values())
-    report(5, ok, "worst relative error over 100 instances each: "
-                  + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()) + " (bound 1e-4)")
+    check = check_gradients(100, 5)
+    report(5, check["ok"], check["detail"])
 
 
 def test_criterion_6_oracle_equivalence():
-    rng = np.random.default_rng(6)
-    kd_exact = True
-    for _ in range(100):
-        a = rng.normal(size=(int(rng.integers(1, 501)), 3))
-        b = rng.normal(size=(int(rng.integers(1, 501)), 3))
-        kd_exact &= chamfer(a, b) == chamfer_bruteforce(a, b)
-
-    mesh = make_sphere(0.6, 2)
-    index = SurfaceDistanceIndex(mesh)
-    bvh_exact = True
-    for _ in range(100):
-        pts = rng.normal(size=(50, 3)) * 0.7
-        bvh_exact &= np.array_equal(index.query(pts), p2s_exhaustive(pts, mesh))
-    ok = kd_exact and bvh_exact
-    report(6, ok, f"kd-tree == brute force on 100 clouds: {kd_exact}; BVH == exhaustive "
-                  f"on 100 clouds: {bvh_exact}")
+    checks = check_kdtree_vs_bruteforce(100, 6), check_bvh_vs_exhaustive(100, 6)
+    report(6, all(c["ok"] for c in checks),
+           "; ".join(f"{c['name']}: {c['ok']} ({c['detail']})" for c in checks))
 
 
 def test_criterion_7_occlusion_sweep(sweeps):
@@ -288,23 +224,9 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     ok = True
     details = []
 
-    arr = rng.normal(size=(16, 16, 7))
-    path = str(tmp_path / "t.oaht")
-    write_tensor(path, arr)
-    dims, back = read_tensor(path)
-    tensor_ok = dims == (16, 16, 7) and np.array_equal(back, arr.astype(np.float32))
-    with open(path, "rb") as fh:
-        blob = bytearray(fh.read())
-    blob[40] ^= 0x10
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    try:
-        read_tensor(path)
-        crc_ok = False
-    except CrcMismatchError:
-        crc_ok = True
-    details.append(f"tensor exact+CRC: {tensor_ok and crc_ok}")
-    ok &= tensor_ok and crc_ok
+    tensor_ok = check_tensor_roundtrip(10, (16, 16, 7))["ok"]
+    details.append(f"tensor exact+CRC: {tensor_ok}")
+    ok &= tensor_ok
 
     img = rng.normal(size=(5, 4, 3)).astype(np.float32).astype(np.float64)
     write_pfm(tmp_path / "t.pfm", img)
@@ -333,3 +255,61 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     details.append(f"sweep rerun byte-identical (jobs 1 vs 2): {same}")
     ok &= same
     report(10, ok, "; ".join(details))
+
+
+# -- each oracle check can fail ------------------------------------------------
+
+def _last_up(a, by=0.0):
+    """A float64 copy of a with its last entry one ulp higher, plus by."""
+    a = np.array(a, dtype=np.float64)
+    a.flat[-1] = np.nextafter(a.flat[-1], np.inf) + by
+    return a
+
+
+def _gradient_off(real):
+    def mutant(c, c_gt):
+        loss, grad = real(c, c_gt)
+        return loss, grad * (1.0 + 2e-4)  # twice the 1e-4 bound
+    return mutant
+
+
+def _mesh_off(real):
+    def mutant(*args):
+        mesh = real(*args)
+        return TriMesh(_last_up(mesh.vertices), mesh.faces)
+    return mutant
+
+
+def _crc_skipped(real):
+    def mutant(path):
+        try:
+            return real(path)
+        except CrcMismatchError:
+            return None
+    return mutant
+
+
+# For each check, the name it calls in the selftest module and a mutant of
+# that name: one ulp off where the check demands equality, just past the
+# bound where it allows an error.
+MUTANTS = {
+    "check_closed_form_vs_quadrature": (
+        "intervals_to_coeffs", lambda real: lambda iv, cfg: _last_up(real(iv, cfg), 2e-6)),
+    "check_bessel_bound": (  # c0 weighted 3, not 2
+        "parseval_energy", lambda real: lambda c: real(c) + c[0] ** 2),
+    "check_decode_consistency": ("decode_ray", lambda real: lambda c, z: _last_up(real(c, z))),
+    "check_cropped_reconstruction": ("reconstruct_field", _mesh_off),
+    "check_kdtree_vs_bruteforce": ("chamfer", lambda real: lambda a, b: _last_up(real(a, b))),
+    "check_bvh_vs_exhaustive": ("SurfaceDistanceIndex", lambda real: type(
+        "Mutant", (real,), {"query": lambda self, *a: _last_up(real.query(self, *a))})),
+    "check_gradients": ("mse_coeff_loss", _gradient_off),
+    "check_weight_truth_table": ("weight_map", lambda real: lambda *a: _last_up(real(*a))),
+    "check_tensor_roundtrip": ("read_tensor", _crc_skipped),
+}
+
+
+@pytest.mark.parametrize("check", selftest.ALL_CHECKS, ids=lambda check: check.__name__)
+def test_each_check_fails_on_a_mutant(check, monkeypatch):
+    name, mutate = MUTANTS[check.__name__]
+    monkeypatch.setattr(selftest, name, mutate(getattr(selftest, name)))
+    assert not check()["ok"]

@@ -7,7 +7,7 @@ malformed argument turns into a number.
   an untyped exception now raise a FofkitError that names the argument.
 * A Hypothesis property, in the style of QuickCheck (Claessen & Hughes, ICFP
   2000) and Hypothesis (MacIver et al., JOSS 2019), feeds malformed scalars,
-  point sets and arrays to the public names that take them. Each call
+  point sets, arrays and objects to the public names that take them. Each call
   returns a finite result or raises a FofkitError, never another exception.
 """
 
@@ -22,12 +22,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import fofkit
 from fofkit import (BasisConfig, EvalReference, FeaturePyramid, FourierField, IntervalList,
                     LevelWeights, MaskPair, NormalMap, OccluderSpec, OccupancyGrid, OrthoFrame,
-                    TriMesh, basis_eval, chamfer, decode_grid, decode_ray, degrade_prior,
-                    evaluate_pair, feat_loss, geo_loss, image_loss, intervals_to_coeffs,
-                    marching_cubes, mesh_to_fof, mse_coeff_loss, normalize_mesh, occlude_field,
+                    TriMesh, basis_eval, chamfer, check_watertight, decode_grid, decode_ray,
+                    degrade_prior, evaluate_pair, feat_loss, geo_loss, image_loss,
+                    intervals_to_coeffs, marching_cubes, mesh_to_fof, mesh_volume,
+                    mse_coeff_loss, normal_loss, normal_map_error, normalize_mesh, occlude_field,
                     occlude_image, p2s, parseval_energy, psnr, ray_intervals, reconstruct_field,
-                    render_silhouette, sample_surface, ssim, synthesize_occlusion, vgcc_blend,
-                    weight_map)
+                    render_normals, render_silhouette, sample_surface, ssim,
+                    synthesize_occlusion, vgcc_blend, weight_map)
 from fofkit import sweep
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import FofkitError
@@ -46,6 +47,7 @@ GRID = OccupancyGrid(np.random.default_rng(0).random((4, 4, 4)))
 PYRAMID = FeaturePyramid([np.zeros((2, 2, 1))])
 PYRAMID_SUP = FeaturePyramid([np.full((2, 2, 1), 0.05)])
 IMAGE, IMAGE_GT = np.full((12, 12, 3), 0.25), np.full((12, 12, 3), 0.5)
+NORMALS = render_normals(CUBE, FRAME)
 
 
 # -- settings reuse the library's checks --------------------------------------
@@ -147,6 +149,17 @@ PROBES = {
                                  lambda: occlude_image(np.full((8, 8, 3), nan), PAIR)),
     "p2s_exhaustive((6, 2) points)": ("p2s points",
                                       lambda: p2s_exhaustive(np.ones((6, 2)), CUBE)),
+    # Objects that once raised AttributeError.
+    "marching_cubes('a')": ("^grid must be of type OccupancyGrid", lambda: marching_cubes("a")),
+    "normal_map_error('a', b)": ("^normal map a must be of type NormalMap",
+                                 lambda: normal_map_error("a", NORMALS)),
+    "normal_loss(n, 'b')": ("^normal map n_gt must be of type NormalMap",
+                            lambda: normal_loss(NORMALS, "b")),
+    "render_normals('a')": ("^mesh must be of type TriMesh", lambda: render_normals("a")),
+    "check_watertight('a')": ("^mesh must be of type TriMesh", lambda: check_watertight("a")),
+    "mesh_volume('a')": ("^mesh must be of type TriMesh", lambda: mesh_volume("a")),
+    "mesh_to_fof(mesh, 'a')": ("^frame must be of type OrthoFrame",
+                               lambda: mesh_to_fof(CUBE, "a")),
 }
 
 
@@ -192,6 +205,9 @@ ARRAYS = st.one_of(
            elements=st.floats(0, 1) | st.sampled_from([nan, inf, -inf])),
     arrays(np.bool_, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
     st.lists(st.text(max_size=2), max_size=2))
+
+# Malformed objects: anything but the library object an argument names.
+OBJECTS = st.one_of(SCALARS, ARRAYS)
 
 # Malformed pixels: a bad row, or the wrong number of indices.
 PIXELS = st.one_of(st.tuples(SCALARS, st.integers(0, 7)), SCALARS,
@@ -263,6 +279,14 @@ TARGETS = {
     "occlude_image.image": (ARRAYS, lambda v: occlude_image(v, PAIR)),
     "occlude_field.fof": (ARRAYS, lambda v: occlude_field(v, PAIR)),
     "vgcc_blend.c_obs": (ARRAYS, lambda v: vgcc_blend(v, FIELD, PAIR)),
+    "marching_cubes.grid": (OBJECTS, lambda v: marching_cubes(v)),
+    "normal_map_error.b": (OBJECTS, lambda v: normal_map_error(NORMALS, v)),
+    "normal_loss.n": (OBJECTS, lambda v: normal_loss(v, NORMALS)),
+    "render_normals.mesh": (OBJECTS, lambda v: render_normals(v)),
+    "render_silhouette.mesh": (OBJECTS, lambda v: render_silhouette(v)),
+    "check_watertight.mesh": (OBJECTS, lambda v: check_watertight(v)),
+    "mesh_volume.mesh": (OBJECTS, lambda v: mesh_volume(v)),
+    "mesh_to_fof.frame": (OBJECTS, lambda v: mesh_to_fof(CUBE, v)),
 }
 
 
@@ -281,14 +305,11 @@ def _finite(out):
 
 
 def test_targets_cover_the_public_names():
-    # The names that take a scalar, a point set or an array, and those left
-    # out with their reason.
+    # The names that take a scalar, a point set, an array or an object, and
+    # those left out with their reason.
     covered = {target.split(".")[0] for target in TARGETS}
     left_out = {
         "MetricReport",  # a result record that the metrics fill in
-        "normal_loss", "normal_map_error",  # NormalMap objects only
-        "mesh_to_fof", "render_normals", "render_silhouette",  # a mesh and a frame only
-        "check_watertight", "mesh_volume",  # a mesh only
         "load_obj", "save_obj",  # file paths: the file readers have their own fuzz tests
     }
     assert covered | left_out == set(fofkit.__all__)

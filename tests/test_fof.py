@@ -7,8 +7,7 @@ from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import (BasisConfig, FourierField, IntervalList, basis_eval,
                         decode_grid, decode_ray, depth_samples, interval_terms,
                         intervals_to_coeffs, parseval_energy)
-from fofkit.selftest import (coeffs_by_quadrature, quadrature_grid,
-                             random_snapped_intervals)
+from fofkit.selftest import check_closed_form_vs_quadrature
 
 
 class TestBasisConfig:
@@ -92,15 +91,10 @@ class TestIntervalsToCoeffs:
         assert c[1] == pytest.approx(1.0 / np.pi, abs=1e-12)
         assert c[2] == pytest.approx(1.0 / np.pi, abs=1e-12)
 
-    def test_against_quadrature_oracle(self, rng):
+    def test_against_quadrature_oracle(self):
         # Endpoint-snapped trapezoid quadrature of the indicator (oracle).
-        z = quadrature_grid()
-        cfg = BasisConfig(15)
-        for _ in range(50):
-            idx = random_snapped_intervals(rng, z)
-            exact = intervals_to_coeffs(IntervalList(z[idx]), cfg)
-            quad = coeffs_by_quadrature(idx, cfg, z)
-            assert np.max(np.abs(exact - quad)) <= 1e-6
+        check = check_closed_form_vs_quadrature(50, 0)
+        assert check["ok"], check["detail"]
 
     def test_linearity_disjoint_union(self, rng):
         cfg = BasisConfig(15)

@@ -6,11 +6,7 @@ from fofkit.losses import (PERCEPTUAL_LABEL, FeaturePyramid, LevelWeights, feat_
                            geo_loss, image_loss, mse_coeff_loss, normal_loss,
                            resample_nearest)
 from fofkit.render import NormalMap
-from fofkit.selftest import finite_difference
-
-
-def rel_err(analytic, fd):
-    return np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
+from fofkit.selftest import finite_difference, rel_grad_err
 
 
 def random_pyramids(rng, n_levels=2):
@@ -57,7 +53,7 @@ class TestMseCoeffLoss:
             c_gt = rng.normal(size=(8, 8, 31))
             loss, grad = mse_coeff_loss(c, c_gt)
             fd = finite_difference(lambda x: mse_coeff_loss(x, c_gt)[0], c)
-            assert rel_err(grad, fd) <= 1e-6
+            assert rel_grad_err(grad, fd) <= 1e-6
 
 
 class TestFeatLoss:
@@ -120,7 +116,7 @@ class TestFeatLoss:
                     levels = [lv.copy() for lv in f.levels]
                     levels[k] = x
                     return feat_loss(FeaturePyramid(levels), f_sup, w, om)[0]
-                assert rel_err(grads[k], finite_difference(fn, f.levels[k])) <= 1e-4
+                assert rel_grad_err(grads[k], finite_difference(fn, f.levels[k])) <= 1e-4
 
 
 class TestResample:
@@ -176,7 +172,7 @@ class TestGeoLoss:
             lam = 0.8
             _, g_mse, _ = geo_loss(c, c_gt, f, f_sup, lam=lam)
             fd = finite_difference(lambda x: geo_loss(x, c_gt, f, f_sup, lam=lam)[0], c)
-            assert rel_err(g_mse, fd) <= 1e-4
+            assert rel_grad_err(g_mse, fd) <= 1e-4
 
 
 def _normal_map_pair(rng, h=24, w=24):

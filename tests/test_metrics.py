@@ -19,6 +19,7 @@ from fofkit.metrics import (UNIT_SCALE, EvalReference, MetricReport, SurfaceDist
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.render import normal_map_error, render_normals, render_silhouette
+from fofkit.selftest import check_bvh_vs_exhaustive, check_kdtree_vs_bruteforce
 from fofkit.shapes import make_sphere
 from fofkit.surface import _sample_points, _sample_uniforms, reconstruct_field, sample_surface
 
@@ -51,12 +52,10 @@ class TestChamfer:
             with pytest.raises(DomainError, match="non-finite"):
                 chamfer(a, b, return_index=True)
 
-    def test_kdtree_equals_bruteforce(self, rng):
-        # oracle equivalence on random clouds up to 500 points
-        for _ in range(30):
-            a = rng.normal(size=(int(rng.integers(1, 500)), 3))
-            b = rng.normal(size=(int(rng.integers(1, 500)), 3))
-            assert chamfer(a, b) == chamfer_bruteforce(a, b)
+    def test_kdtree_equals_bruteforce(self):
+        # oracle equivalence on random clouds of 1 to 500 points
+        check = check_kdtree_vs_bruteforce(30, 0)
+        assert check["ok"], check["detail"]
 
     def test_kdtree_equals_bruteforce_on_a_shell(self, rng):
         # Samples on a sphere shell against other shell points mixed with
@@ -344,13 +343,10 @@ class TestP2S:
         mesh = TriMesh([[0, 0, 0], [10, 0, 0], [0, 10, 0]], [[0, 1, 2]])
         assert p2s([[2.0, 2.0, 0.05]], mesh) == pytest.approx(5.0, abs=1e-9)
 
-    def test_bvh_equals_exhaustive(self, rng):
+    def test_bvh_equals_exhaustive(self):
         # oracle equivalence against the all-triangles scan
-        mesh = make_sphere(0.6, 2)  # 320 faces
-        index = SurfaceDistanceIndex(mesh)
-        for _ in range(20):
-            pts = rng.normal(size=(40, 3)) * 0.7
-            assert np.array_equal(index.query(pts), p2s_exhaustive(pts, mesh))
+        check = check_bvh_vs_exhaustive(20, 0)
+        assert check["ok"], check["detail"]
 
     def test_exhaustive_scan_memory_is_bounded(self, sphere_mesh, rng):
         # The oracle scores at most MAX_FRONTIER pairs per kernel call, so
@@ -714,8 +710,11 @@ class TestSeededQuery:
         assert p2s(points, mesh, seeds) == p2s(points, mesh)
 
     def test_one_seed_per_point(self, mesh):
-        with pytest.raises(ShapeError, match="one seed face per point"):
-            SurfaceDistanceIndex(mesh).query(np.zeros((3, 3)), [0, 1])
+        # A (2, 2) array for four points is not four seeds.
+        for n, seeds in ((3, [0, 1]), (4, [[0, 1], [2, 3]])):
+            with pytest.raises(ShapeError, match=r"seed faces must be an array of integers "
+                                                 rf"of shape \({n},\)"):
+                SurfaceDistanceIndex(mesh).query(np.zeros((n, 3)), seeds)
 
     def test_first_kernel_call_scores_the_seeds(self, mesh, rng, monkeypatch):
         # Each point's seed face goes in through its leaf, ahead of the walk
@@ -733,15 +732,18 @@ class TestSeededQuery:
         assert np.array_equal(calls[0][0], points)
         assert np.array_equal(calls[0][1], mesh.vertices[mesh.faces][seeds])
 
-    @pytest.mark.parametrize("seeds", [[0, 10 ** 6], [-1, -2], [0.7, 1.2]],
-                             ids=["past_the_end", "negative", "fractional"])
-    def test_seed_outside_the_faces_rejected(self, seeds):
+    @pytest.mark.parametrize("seeds, error, match", [
+        ([0, 10 ** 6], DomainError, r"seed faces must be integers in \[0, 320\)"),
+        ([-1, -2], DomainError, r"seed faces must be integers in \[0, 320\)"),
+        ([0.7, 1.2], ShapeError, r"seed faces must be an array of integers of shape \(2,\)")],
+        ids=["past_the_end", "negative", "fractional"])
+    def test_seed_outside_the_faces_rejected(self, seeds, error, match):
         # A seed past the last face must not raise IndexError, a negative one
         # must not wrap to the last faces, a fractional one must not be
         # truncated to a face.
         mesh = make_sphere(0.6, 2)
         points = np.array([[0.1, 0.2, 0.3], [0.0, 0.7, 0.0]])
-        with pytest.raises(DomainError, match=r"seed faces must be integers in \[0, 320\)"):
+        with pytest.raises(error, match=match):
             p2s(points, mesh, seeds)
 
 
