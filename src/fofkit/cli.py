@@ -30,7 +30,7 @@ from .completion import vgcc_blend
 from .config import SETTINGS, HarnessConfig, default_seed, parse_checked
 from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField, _check_frame
-from .mesh import load_obj, mesh_to_fof, normalize_mesh, save_obj, check_watertight
+from .mesh import _require_watertight, load_obj, mesh_to_fof, normalize_mesh, save_obj
 from .metrics import evaluate_pair, MetricReport
 from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, RATIO, MaskPair, OccluderSpec, \
     occlude_field, synthesize_occlusion
@@ -128,9 +128,7 @@ def cmd_shapes(args):
         raise ConfigError(f"invalid shape: {exc}") from exc
     if mesh.n_faces == 0:
         raise FofkitError("generated mesh has no faces")
-    ok, boundary = check_watertight(mesh)
-    if not ok:
-        raise FofkitError(f"generated mesh is not watertight ({len(boundary)} boundary edges)")
+    _require_watertight(mesh)
     save_obj(mesh, args.out)
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
 

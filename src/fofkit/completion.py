@@ -14,8 +14,10 @@ pixels. Background pixels copy the observation.
 
 import numpy as np
 
-from .errors import ShapeError, integer, real, require
+from .errors import ShapeError, check_type, integer, real, require
 from .fof import FourierField
+from .mesh import TriMesh
+from .occlusion import MaskPair
 
 ITERATIONS = integer(0)
 STRENGTH = real(0, 1)
@@ -31,7 +33,7 @@ def degrade_prior(mesh, iterations=20, strength=0.5):
     """
     require("iterations", iterations, ITERATIONS)
     require("strength", strength, STRENGTH)
-    out = mesh.copy()
+    out = check_type(mesh, "mesh", TriMesh).copy()
     if iterations == 0 or mesh.n_faces == 0:
         return out
     f = mesh.faces
@@ -87,7 +89,7 @@ def chamfer_distance_transform(mask):
 def blend_alpha(pair, feather_px=3.0):
     """Observation weight per pixel: 1 on V and background, ramp inside M."""
     require("feather_px", feather_px, FEATHER)
-    alpha = np.ones(pair.M.shape, dtype=np.float64)
+    alpha = np.ones(check_type(pair, "pair", MaskPair).M.shape, dtype=np.float64)
     if not pair.M.any():
         return alpha
     if feather_px <= 0.0:
@@ -110,9 +112,9 @@ def vgcc_blend(c_obs, c_prior, pair, feather_px=3.0):
                       for c in (c_obs, c_prior))
     if c_obs.data.shape != c_prior.data.shape:
         raise ShapeError(f"field shapes differ: {c_obs.data.shape} vs {c_prior.data.shape}")
+    alpha = blend_alpha(pair, feather_px)
     if (c_obs.height, c_obs.width) != pair.M.shape:
         raise ShapeError(f"field {c_obs.height}x{c_obs.width} vs mask {pair.M.shape}")
-    alpha = blend_alpha(pair, feather_px)
     out = c_obs.data.copy()
     mixed = pair.M
     a = alpha[mixed][:, None]

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_array, integer, require
+from .errors import DomainError, ShapeError, check_array, check_type, integer, require
+from .raster import OrthoFrame
 
 DEFAULT_ORDER = 15
 ORDER = integer(0)
@@ -97,7 +98,9 @@ class FourierField:
 
 
 def _check_frame(field, frame):
-    """ShapeError unless the field has one pixel per pixel of the frame."""
+    """ShapeError unless frame is an OrthoFrame with one pixel per pixel of
+    the field."""
+    check_type(frame, "frame", OrthoFrame)
     if (field.height, field.width) != (frame.height, frame.width):
         raise ShapeError(f"field {field.height}x{field.width} does not match "
                          f"frame {frame.height}x{frame.width}")

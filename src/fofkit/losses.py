@@ -83,23 +83,13 @@ def resample_nearest(omega, height, width):
     return omega[np.ix_(rows, cols)]
 
 
-def _omega_per_level(omega, pyramid):
-    if omega is None:
-        return [None] * len(pyramid)
-    if isinstance(omega, (list, tuple)):
-        if len(omega) != len(pyramid):
-            raise ShapeError(f"{len(omega)} weight maps for {len(pyramid)} levels")
-        return [check_array(m, f"weight map {k}", level.shape[:2])
-                for k, (m, level) in enumerate(zip(omega, pyramid.levels))]
-    return [resample_nearest(omega, lv.shape[0], lv.shape[1]) for lv in pyramid.levels]
-
-
 def feat_loss(f, f_sup, weights=None, omega=None):
     """Level-weighted squared feature distance to the supervisor pyramid.
 
     loss = sum_k w_k sum_x omega_k(x) ||F_k(x) - F_k_sup(x)||^2, gradients
-    2 w_k omega_k (F_k - F_k_sup) per level. With omega None every pixel
-    counts with weight one.
+    2 w_k omega_k (F_k - F_k_sup) per level. omega is one 2D weight map,
+    resampled to each level with resample_nearest; with omega None every
+    pixel counts with weight one.
     """
     if len(f) != len(f_sup):
         raise ShapeError(f"pyramids have {len(f)} vs {len(f_sup)} levels")
@@ -107,7 +97,8 @@ def feat_loss(f, f_sup, weights=None, omega=None):
         weights = LevelWeights.linear(len(f))
     if len(weights.w) != len(f):
         raise ShapeError(f"{len(weights.w)} weights for {len(f)} levels")
-    maps = _omega_per_level(omega, f)
+    maps = ([None] * len(f) if omega is None else
+            [resample_nearest(omega, lv.shape[0], lv.shape[1]) for lv in f.levels])
     loss = 0.0
     grads = []
     for level, level_sup, w_k, om in zip(f.levels, f_sup.levels, weights.w, maps):

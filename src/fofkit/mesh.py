@@ -450,7 +450,7 @@ def normalize_mesh(mesh, target_half_extent=0.9):
     Returns (mesh, scale, offset) with scene = scale * original + offset.
     """
     require("target_half_extent", target_half_extent, HALF_EXTENT)
-    lo, hi = mesh.bounds()
+    lo, hi = check_type(mesh, "mesh", TriMesh).bounds()
     center = (lo + hi) / 2.0
     half = float(np.max(hi - lo)) / 2.0
     if half == 0.0:
@@ -673,6 +673,7 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
     interval_terms rows of every interval are added to their pixels in
     ascending depth order, the order intervals_to_coeffs adds them in.
     """
+    check_type(cfg, "cfg", BasisConfig)
     pix, z = ray_cast_all(mesh, check_type(frame, "frame", OrthoFrame))
     H, W, K = frame.height, frame.width, cfg.channels
     data = np.zeros((H * W, K), dtype=np.float64)
@@ -700,9 +701,3 @@ def field_volume(fof, frame=OrthoFrame()):
     _check_frame(fof, frame)
     pixel_area = (2.0 * frame.half_extent / frame.width) * (2.0 * frame.half_extent / frame.height)
     return float(np.sum(2.0 * fof.data[:, :, 0]) * frame.half_extent * pixel_area)
-
-
-def mesh_volume_divergence(mesh):
-    """Signed volume via the divergence theorem (tetrahedra to the origin)."""
-    v = mesh.vertices[mesh.faces]
-    return float(np.einsum("ij,ij->", v[:, 0], np.cross(v[:, 1], v[:, 2])) / 6.0)

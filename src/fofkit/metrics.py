@@ -59,8 +59,8 @@ import numpy as np
 from scipy.ndimage import correlate1d
 from scipy.spatial import cKDTree
 
-from .errors import DomainError, check_array, require
-from .mesh import BVH
+from .errors import DomainError, check_array, check_type, require
+from .mesh import BVH, TriMesh
 from .raster import OrthoFrame
 from .render import BACK, FRONT, normal_map_error, render_normals
 from .surface import SAMPLES, _sample_points, _sample_uniforms
@@ -242,7 +242,7 @@ class SurfaceDistanceIndex:
     """BVH-accelerated exact point-to-surface distance queries."""
 
     def __init__(self, mesh):
-        if mesh.n_faces == 0:
+        if check_type(mesh, "mesh", TriMesh).n_faces == 0:
             raise DomainError("cannot index an empty mesh")
         v = check_array(mesh.vertices, "mesh vertices", (None, 3), MAX_COORD)
         self.bvh = BVH(v, mesh.faces)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OcclusionError, ShapeError, check_array, one_of, real, require
+from .errors import (DomainError, OcclusionError, ShapeError, check_array, check_type, one_of,
+                     real, require)
 from .fof import FourierField
 from .rng import SEED, Xoshiro256StarStar
 
@@ -88,6 +89,7 @@ def synthesize_occlusion(body, spec):
     placement reaches the target within +-2 percentage points.
     """
     body = check_array(body, "body", (None, None), dtype=bool)
+    check_type(spec, "spec", OccluderSpec)
     n_body = int(body.sum())
     if n_body == 0:
         raise DomainError("body mask is empty")
@@ -135,7 +137,7 @@ def weight_map(pair, lam_occ=2.0, lam_vis=1.0):
     """Per-pixel supervision weights: lam_occ on M, lam_vis on V\\M, else 0."""
     require("lam_vis", lam_vis, real(0))
     require("lam_occ", lam_occ, real(lam_vis))
-    omega = np.zeros(pair.M.shape, dtype=np.float64)
+    omega = np.zeros(check_type(pair, "pair", MaskPair).M.shape, dtype=np.float64)
     omega[pair.V & ~pair.M] = lam_vis
     omega[pair.M] = lam_occ
     return omega
@@ -153,7 +155,7 @@ def occlude_field(fof, pair, policy="zero", sigma=0.1, seed=0):
     require("seed", seed, SEED)
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
-    if (fof.height, fof.width) != pair.M.shape:
+    if (fof.height, fof.width) != check_type(pair, "pair", MaskPair).M.shape:
         raise ShapeError(f"field {fof.height}x{fof.width} vs mask {pair.M.shape}")
     out = fof.data.copy()
     idx = np.nonzero(pair.M)
@@ -171,7 +173,7 @@ def occlude_image(image, pair, fill="gray", seed=0):
     """Corrupt RGB pixels on occluded pixels: flat 0.5 gray or seeded pattern."""
     require("fill", fill, one_of(("gray", "pattern")))
     require("seed", seed, SEED)
-    img = check_array(image, "image", pair.M.shape + (None,))
+    img = check_array(image, "image", check_type(pair, "pair", MaskPair).M.shape + (None,))
     out = img.copy()
     idx = np.nonzero(pair.M)
     if fill == "gray":

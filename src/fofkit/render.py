@@ -66,6 +66,7 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     all-background maps.
     """
     check_type(mesh, "mesh", TriMesh)
+    check_type(frame, "frame", OrthoFrame)
     views = view if isinstance(view, tuple) else (view,)
     for v in views:
         require("view", v, one_of((FRONT, BACK)))

@@ -26,10 +26,9 @@ every cube with a live corner lies inside the box.
 
 import numpy as np
 
-from .errors import (DomainError, MeshError, ShapeError, check_array, check_type, integer,
-                     real, require)
+from .errors import DomainError, ShapeError, check_array, check_type, integer, real, require
 from .fof import DEPTH_RES, FourierField, _check_frame, _decode_pixels, depth_samples
-from .mesh import TriMesh, check_watertight, mesh_volume_divergence
+from .mesh import TriMesh, _require_watertight
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
 from .rng import SEED, Xoshiro256StarStar
@@ -187,7 +186,7 @@ def _sample_points(mesh, u):
 
     u holds 3n uniforms: n choose faces, 2n place the barycentric points.
     """
-    if mesh.n_faces == 0:
+    if check_type(mesh, "mesh", TriMesh).n_faces == 0:
         raise DomainError("cannot sample an empty mesh")
     n = len(u) // 3
     areas = mesh.face_areas()
@@ -213,9 +212,9 @@ def mesh_volume(mesh):
     Returns (volume, orientation) where orientation is +1 for outward
     winding and -1 when the signed divergence sum is negative.
     """
-    ok, boundary = check_watertight(mesh)
-    if not ok:
-        raise MeshError(f"mesh_volume requires a watertight mesh ({len(boundary)} boundary edges)")
-    signed = mesh_volume_divergence(mesh)
+    _require_watertight(mesh)
+    # Divergence theorem: signed volumes of the tetrahedra to the origin.
+    v = mesh.vertices[mesh.faces]
+    signed = float(np.einsum("ij,ij->", v[:, 0], np.cross(v[:, 1], v[:, 2])) / 6.0)
     orientation = 1 if signed >= 0 else -1
     return abs(signed), orientation

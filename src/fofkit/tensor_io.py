@@ -26,8 +26,12 @@ exceptions and never return partial data.
 
 Image formats: PFM is the 3-channel float map "PF\\n{W} {H}\\n-1.0\\n" with
 rows stored bottom-to-top in little-endian float32; PGM (P5, maxval 255)
-stores binary masks as 0/255; PPM (P6) stores 8-bit RGB. Normal maps can
-also be quantized to 16-bit RGB PNG with the n*0.5+0.5 encoding.
+stores binary masks as 0/255; PPM (P6) stores 8-bit RGB. The three share
+one header writer and one reader (_write_netpbm, _read_netpbm): magic,
+width, height and a third field (PFM's scale, the maxval), separated by
+whitespace and # comments, then exactly one whitespace byte and the raster.
+Normal maps can also be quantized to 16-bit RGB PNG with the n*0.5+0.5
+encoding.
 """
 
 import functools
@@ -187,54 +191,17 @@ def read_tensor(path):
 
 
 # ---------------------------------------------------------------------------
-# Netpbm family.
+# Netpbm family: one header reader and one header writer for PF, P5 and P6.
 
 
-def write_pfm(path, data):
-    """Write (H, W, 3) float data as little-endian PFM."""
-    arr = np.asarray(data, dtype="<f4")
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ShapeError(f"PFM writer expects (H, W, 3), got {arr.shape}")
-    h, w, _ = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"PF\n{w} {h}\n-1.0\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(arr[::-1]).tobytes())
-
-
-def read_pfm(path):
+def _read_netpbm(path, magic, channels, dtype_of):
+    """The (H, W, channels) raster of a file that starts with magic, then
+    width, height and a third field (PFM's scale, P5/P6's maxval), with
+    whitespace and # comments between fields and exactly one whitespace byte
+    after the third. dtype_of(third) gives the raster's element type, or
+    raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    tokens, offset = [], 0
-    while len(tokens) < 4:
-        end = blob.find(b"\n", offset)
-        if end < 0:
-            raise ImageFormatError(path, offset, "incomplete PFM header")
-        tokens.extend(blob[offset:end].split())
-        offset = end + 1
-    if tokens[0] != b"PF":
-        raise ImageFormatError(path, 0, f"expected color PFM magic, got {tokens[0]!r}")
-    try:
-        w, h = int(tokens[1]), int(tokens[2])
-        scale = float(tokens[3])
-    except ValueError as exc:
-        raise ImageFormatError(path, offset, f"bad PFM header: {exc}") from exc
-    _check_size(path, offset, w, h)
-    count = w * h * 3
-    if len(blob) - offset < 4 * count:
-        raise ImageFormatError(path, offset, "PFM payload truncated")
-    dt = "<f4" if scale < 0 else ">f4"
-    arr = np.frombuffer(blob, dtype=dt, count=count, offset=offset).reshape(h, w, 3)
-    return arr[::-1].astype(np.float64)
-
-
-def _check_size(path, offset, w, h):
-    # 2**31 - 1 is PNG's limit; a larger side of an empty image can overflow
-    # numpy's shape arithmetic.
-    if not (0 <= w < 2**31 and 0 <= h < 2**31):
-        raise ImageFormatError(path, offset, f"image size {w}x{h} out of range")
-
-
-def _read_pnm_header(path, blob, magic):
     if not blob.startswith(magic):
         raise ImageFormatError(path, 0, f"expected {magic!r} magic")
     fields, offset = [], len(magic)
@@ -255,15 +222,48 @@ def _read_pnm_header(path, blob, magic):
                 end += 1
             fields.append(blob[offset:end])
             offset = end
-    offset += 1  # single whitespace after maxval
+    offset += 1  # single whitespace after the third field
     try:
-        w, h, maxval = (int(f) for f in fields)
+        w, h = int(fields[0]), int(fields[1])
+        dtype = np.dtype(dtype_of(fields[2]))
     except ValueError as exc:
         raise ImageFormatError(path, offset, f"bad header field: {exc}") from exc
-    if maxval != 255:
-        raise ImageFormatError(path, offset, f"only maxval 255 supported, got {maxval}")
-    _check_size(path, offset, w, h)
-    return w, h, offset
+    # 2**31 - 1 is PNG's limit; a larger side of an empty image can overflow
+    # numpy's shape arithmetic.
+    if not (0 <= w < 2**31 and 0 <= h < 2**31):
+        raise ImageFormatError(path, offset, f"image size {w}x{h} out of range")
+    count = w * h * channels
+    if len(blob) - offset < count * dtype.itemsize:
+        raise ImageFormatError(path, offset, "payload truncated")
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(h, w, channels)
+
+
+def _write_netpbm(path, magic, third, raster):
+    """Write the header "{magic}\\n{W} {H}\\n{third}\\n", then the raster's bytes."""
+    h, w = raster.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n{third}\n".encode("ascii"))
+        fh.write(raster.tobytes())
+
+
+def _maxval_255(maxval):
+    if int(maxval) != 255:
+        raise ValueError(f"only maxval 255 supported, got {int(maxval)}")
+    return np.uint8
+
+
+def write_pfm(path, data):
+    """Write (H, W, 3) float data as little-endian PFM."""
+    arr = np.asarray(data, dtype="<f4")
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ShapeError(f"PFM writer expects (H, W, 3), got {arr.shape}")
+    _write_netpbm(path, "PF", "-1.0", arr[::-1])
+
+
+def read_pfm(path):
+    """Read a 3-channel PFM, little- or big-endian by the scale's sign."""
+    raster = _read_netpbm(path, b"PF", 3, lambda scale: "<f4" if float(scale) < 0 else ">f4")
+    return raster[::-1].astype(np.float64)
 
 
 def write_pgm(path, mask):
@@ -271,20 +271,11 @@ def write_pgm(path, mask):
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ShapeError(f"PGM writer expects (H, W), got {m.shape}")
-    data = np.where(m.astype(bool), 255, 0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_netpbm(path, "P5", 255, np.where(m.astype(bool), 255, 0).astype(np.uint8))
 
 
 def read_pgm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, offset = _read_pnm_header(path, blob, b"P5")
-    if len(blob) - offset < w * h:
-        raise ImageFormatError(path, offset, "PGM payload truncated")
-    arr = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=offset).reshape(h, w)
-    return arr >= 128
+    return _read_netpbm(path, b"P5", 1, _maxval_255)[..., 0] >= 128
 
 
 def write_ppm(path, image):
@@ -292,20 +283,11 @@ def write_ppm(path, image):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ShapeError(f"PPM writer expects (H, W, 3), got {img.shape}")
-    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_netpbm(path, "P6", 255, np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8))
 
 
 def read_ppm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, offset = _read_pnm_header(path, blob, b"P6")
-    if len(blob) - offset < 3 * w * h:
-        raise ImageFormatError(path, offset, "PPM payload truncated")
-    arr = np.frombuffer(blob, dtype=np.uint8, count=3 * w * h, offset=offset)
-    return arr.reshape(h, w, 3).astype(np.float64) / 255.0
+    return _read_netpbm(path, b"P6", 3, _maxval_255).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,31 @@ PROBES = {
     "mesh_volume('a')": ("^mesh must be of type TriMesh", lambda: mesh_volume("a")),
     "mesh_to_fof(mesh, 'a')": ("^frame must be of type OrthoFrame",
                                lambda: mesh_to_fof(CUBE, "a")),
+    "mesh_to_fof(mesh, frame, 'a')": ("^cfg must be of type BasisConfig",
+                                      lambda: mesh_to_fof(CUBE, FRAME, "a")),
+    "render_normals(mesh, 'a')": ("^frame must be of type OrthoFrame",
+                                  lambda: render_normals(CUBE, "a")),
+    "reconstruct_field(field, 'a')": ("^frame must be of type OrthoFrame",
+                                      lambda: reconstruct_field(FIELD, "a")),
+    "EvalReference(gt, 'a')": ("^frame must be of type OrthoFrame",
+                               lambda: EvalReference(CUBE, "a")),
+    "evaluate_pair('a', gt, frame)": ("^mesh must be of type TriMesh",
+                                      lambda: evaluate_pair("a", CUBE, FRAME)),
+    "evaluate_pair(recon, 'a', frame)": ("^mesh must be of type TriMesh",
+                                         lambda: evaluate_pair(CUBE, "a", FRAME)),
+    "sample_surface('a', 4)": ("^mesh must be of type TriMesh", lambda: sample_surface("a", 4)),
+    "p2s(points, 'a')": ("^mesh must be of type TriMesh", lambda: p2s(CUBE.vertices, "a")),
+    "degrade_prior('a')": ("^mesh must be of type TriMesh", lambda: degrade_prior("a")),
+    "normalize_mesh('a')": ("^mesh must be of type TriMesh", lambda: normalize_mesh("a")),
+    "weight_map('a')": ("^pair must be of type MaskPair", lambda: weight_map("a")),
+    "occlude_field(field, 'a')": ("^pair must be of type MaskPair",
+                                  lambda: occlude_field(FIELD, "a")),
+    "occlude_image(image, 'a')": ("^pair must be of type MaskPair",
+                                  lambda: occlude_image(np.zeros((8, 8, 3)), "a")),
+    "vgcc_blend(field, field, 'a')": ("^pair must be of type MaskPair",
+                                      lambda: vgcc_blend(FIELD, FIELD, "a")),
+    "synthesize_occlusion(body, 'a')": ("^spec must be of type OccluderSpec",
+                                        lambda: synthesize_occlusion(BODY, "a")),
 }
 
 
@@ -287,6 +312,21 @@ TARGETS = {
     "check_watertight.mesh": (OBJECTS, lambda v: check_watertight(v)),
     "mesh_volume.mesh": (OBJECTS, lambda v: mesh_volume(v)),
     "mesh_to_fof.frame": (OBJECTS, lambda v: mesh_to_fof(CUBE, v)),
+    "mesh_to_fof.cfg": (OBJECTS, lambda v: mesh_to_fof(CUBE, FRAME, v)),
+    "render_normals.frame": (OBJECTS, lambda v: render_normals(CUBE, v)),
+    "reconstruct_field.frame": (OBJECTS, lambda v: reconstruct_field(FIELD, v)),
+    "EvalReference.frame": (OBJECTS, lambda v: EvalReference(CUBE, v, 10)),
+    "evaluate_pair.recon": (OBJECTS, lambda v: evaluate_pair(v, CUBE, FRAME, 10)),
+    "evaluate_pair.gt": (OBJECTS, lambda v: evaluate_pair(CUBE, v, FRAME, 10)),
+    "sample_surface.mesh": (OBJECTS, lambda v: sample_surface(v, 4)),
+    "p2s.mesh": (OBJECTS, lambda v: p2s(CUBE.vertices, v)),
+    "degrade_prior.mesh": (OBJECTS, lambda v: degrade_prior(v)),
+    "normalize_mesh.mesh": (OBJECTS, lambda v: normalize_mesh(v)),
+    "weight_map.pair": (OBJECTS, lambda v: weight_map(v)),
+    "occlude_field.pair": (OBJECTS, lambda v: occlude_field(FIELD, v)),
+    "occlude_image.pair": (OBJECTS, lambda v: occlude_image(np.zeros((8, 8, 3)), v)),
+    "vgcc_blend.pair": (OBJECTS, lambda v: vgcc_blend(FIELD, FIELD, v)),
+    "synthesize_occlusion.spec": (OBJECTS, lambda v: synthesize_occlusion(BODY, v)),
 }
 
 

@@ -12,11 +12,11 @@ from fofkit.errors import DomainError, FofkitError, MeshError, ObjParseError
 from fofkit.fof import BasisConfig, intervals_to_coeffs
 from fofkit.mesh import (BVH, TriMesh, _numbers, _ObjBlock, check_watertight, drop_degenerate_faces,
                          field_volume, fit_to_frame, load_obj, mesh_to_fof,
-                         mesh_volume_divergence, normalize_mesh, ray_cast_all, ray_intervals,
-                         save_obj)
+                         normalize_mesh, ray_cast_all, ray_intervals, save_obj)
 from fofkit.metrics import chamfer
 from fofkit.raster import CoverageRecords, OrthoFrame, rasterize_coverage, ray_hits_at_point
 from fofkit.shapes import make_cube, make_sphere
+from fofkit.surface import mesh_volume
 
 
 def tetrahedron():
@@ -335,130 +335,92 @@ def shared_normal_obj_text(draw):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
-class TestObjReaderAgainstLineParser:
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=valid_obj_text())
-    def test_valid_files_load_identically(self, tmp_path, text):
-        path = tmp_path / "gen.obj"
-        path.write_bytes(text.encode("utf-8"))
-        assert_same_mesh(load_obj(path), load_obj_by_line(path))
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=shared_normal_obj_text())
-    def test_per_vertex_normals_match(self, tmp_path, text):
-        path = tmp_path / "normals.obj"
-        path.write_text(text)
-        assert_same_mesh(load_obj(path), load_obj_by_line(path))
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=st.lists(st.one_of(
-        st.text(alphabet="vnf/#-+.0123456789eE \t\r\x0b\x85é", max_size=24),
-        st.builds(" ".join, st.lists(st.sampled_from(
-            ["v", "vn", "f", "1", "-1", "2/3/1", "1//1", "0", "x", "nan", "3//", "/1",
-             "99999999999999999999", "-4"]), max_size=6))), max_size=12).map("\n".join))
-    def test_random_text_fails_typed_or_as_before(self, tmp_path, text):
-        path = tmp_path / "fuzz.obj"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            got = load_obj(path)
-        except FofkitError as exc:
-            got = exc
-        try:
-            want = load_obj_by_line(path)
-        except ObjParseError as exc:
-            # A per-line error names the same line with the same message.
-            assert isinstance(got, ObjParseError) and str(got) == str(exc)
-            return
-        except Exception:  # the old reader's leaks (IndexError, OverflowError, ...)
-            return
-        if isinstance(got, TriMesh):
-            assert_same_mesh(got, want)
-
-
-def random_obj_text():
-    """TestObjReaderAgainstLineParser's fuzz text."""
-    return st.lists(st.one_of(
-        st.text(alphabet="vnf/#-+.0123456789eE \t\r\x0b\x85é", max_size=24),
-        st.builds(" ".join, st.lists(st.sampled_from(
-            ["v", "vn", "f", "1", "-1", "2/3/1", "1//1", "0", "x", "nan", "3//", "/1",
-             "99999999999999999999", "-4"]), max_size=6))), max_size=12).map("\n".join)
-
-
-def assert_fails_typed_or_as_before(path):
-    """TestObjReaderAgainstLineParser's fuzz oracle."""
-    try:
-        got = load_obj(path)
-    except FofkitError as exc:
-        got = exc
-    try:
-        want = load_obj_by_line(path)
-    except ObjParseError as exc:
-        # A per-line error names the same line with the same message.
-        assert isinstance(got, ObjParseError) and str(got) == str(exc)
-        return
-    except Exception:  # the old reader's leaks (IndexError, OverflowError, ...)
-        return
-    if isinstance(got, TriMesh):
-        assert_same_mesh(got, want)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
-class TestObjReaderAcrossBlocks:
-    """TestObjReaderAgainstLineParser's properties with blocks of a few
-    characters, so nearly every line is a block of its own: negative
-    indices reach back into earlier blocks, and the first error may lie in
-    any block."""
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", 8)
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=valid_obj_text())
-    def test_valid_files_load_identically(self, tmp_path, text):
-        path = tmp_path / "gen.obj"
-        path.write_bytes(text.encode("utf-8"))
-        assert_same_mesh(load_obj(path), load_obj_by_line(path))
-
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=shared_normal_obj_text())
-    def test_per_vertex_normals_match(self, tmp_path, text):
-        path = tmp_path / "normals.obj"
-        path.write_text(text)
-        assert_same_mesh(load_obj(path), load_obj_by_line(path))
-
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=random_obj_text())
-    def test_random_text_fails_typed_or_as_before(self, tmp_path, text):
-        path = tmp_path / "fuzz.obj"
-        path.write_bytes(text.encode("utf-8"))
-        assert_fails_typed_or_as_before(path)
+# Random text: characters OBJ records are made of, and records built from
+# tokens either reader can trip on.
+_RANDOM_OBJ_TEXT = st.lists(st.one_of(
+    st.text(alphabet="vnf/#-+.0123456789eE \t\r\x0b\x85é", max_size=24),
+    st.builds(" ".join, st.lists(st.sampled_from(
+        ["v", "vn", "f", "1", "-1", "2/3/1", "1//1", "0", "x", "nan", "3//", "/1",
+         "99999999999999999999", "-4"]), max_size=6))), max_size=12).map("\n".join)
 
 
 def assert_same_outcome(path):
     """load_obj loads what load_obj_by_line loads, bit for bit, or raises its
     ObjParseError or DomainError (a non-finite value) text; where the line
     parser leaks OverflowError (an index past int64), load_obj raises
-    ObjParseError."""
+    ObjParseError, and where it leaks anything else, a FofkitError. Returns
+    the line parser's mesh, or None."""
     try:
         want = load_obj_by_line(path)
     except (ObjParseError, DomainError) as exc:
-        with pytest.raises(type(exc)) as got:
-            load_obj(path)
-        assert str(got.value) == str(exc)
-        return
+        want = type(exc), str(exc)
     except OverflowError:
-        with pytest.raises(ObjParseError, match="face references a missing vertex"):
-            load_obj(path)
-        return
-    assert_same_mesh(load_obj(path), want)
+        want = ObjParseError, f"{path}:0: face references a missing vertex"
+    except Exception:  # the line parser's other leaks (IndexError, ...)
+        want = FofkitError, None
+    if isinstance(want, TriMesh):
+        assert_same_mesh(load_obj(path), want)
+        return want
+    with pytest.raises(want[0]) as got:
+        load_obj(path)
+    assert want[1] in (None, str(got.value))
+    return None
+
+
+_OBJ_FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def drawn_obj(tmp_path, text):
+    """A file holding the drawn text, UTF-8 encoded."""
+    path = tmp_path / "drawn.obj"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
+class TestObjReaderAgainstLineParser:
+    """Drawn files, read at the default block size, meet assert_same_outcome."""
+
+    @settings(_OBJ_FUZZ, max_examples=300)
+    @given(text=valid_obj_text())
+    def test_valid_files_load_identically(self, tmp_path, text):
+        assert assert_same_outcome(drawn_obj(tmp_path, text)) is not None
+
+    @settings(_OBJ_FUZZ, max_examples=200)
+    @given(text=shared_normal_obj_text())
+    def test_per_vertex_normals_match(self, tmp_path, text):
+        assert assert_same_outcome(drawn_obj(tmp_path, text)) is not None
+
+    @settings(_OBJ_FUZZ, max_examples=300)
+    @given(text=_RANDOM_OBJ_TEXT)
+    def test_random_text_fails_typed_or_as_before(self, tmp_path, text):
+        assert_same_outcome(drawn_obj(tmp_path, text))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
+class TestObjReaderAcrossBlocks:
+    """TestObjReaderAgainstLineParser's properties in blocks of 8 characters,
+    where nearly every line is a block of its own: negative indices reach
+    back into earlier blocks, and the first error may lie in any block."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", 8)
+
+    @settings(_OBJ_FUZZ, max_examples=300)
+    @given(text=valid_obj_text())
+    def test_valid_files_load_identically(self, tmp_path, text):
+        assert assert_same_outcome(drawn_obj(tmp_path, text)) is not None
+
+    @settings(_OBJ_FUZZ, max_examples=200)
+    @given(text=shared_normal_obj_text())
+    def test_per_vertex_normals_match(self, tmp_path, text):
+        assert assert_same_outcome(drawn_obj(tmp_path, text)) is not None
+
+    @settings(_OBJ_FUZZ, max_examples=300)
+    @given(text=_RANDOM_OBJ_TEXT)
+    def test_random_text_fails_typed_or_as_before(self, tmp_path, text):
+        assert_same_outcome(drawn_obj(tmp_path, text))
 
 
 def pad_to(text, size):
@@ -1016,7 +978,7 @@ class TestMeshToFof:
         assert vol == pytest.approx(4 / 3 * np.pi * 0.6 ** 3, rel=0.01)
 
     def test_volume_matches_divergence_theorem(self, sphere_mesh, sphere_field, frame128):
-        mesh_vol = mesh_volume_divergence(sphere_mesh)
+        mesh_vol, _ = mesh_volume(sphere_mesh)
         assert field_volume(sphere_field, frame128) == pytest.approx(mesh_vol, rel=0.01)
 
     def test_rejects_open_mesh(self, frame128):
