@@ -30,6 +30,10 @@ def degrade_prior(mesh, iterations=20, strength=0.5):
     Each iteration moves every vertex by ``strength`` of the way toward the
     mean of its edge neighbors; topology (and hence watertightness) is
     untouched. iterations=0 returns an identical copy.
+
+    The neighbor sums come from one ``np.bincount`` per coordinate. Like a
+    per-edge loop, it adds each vertex's neighbors in edge order starting
+    from +0.0, so every sum, and hence every output bit, is the loop's.
     """
     require("iterations", iterations, ITERATIONS)
     require("strength", strength, STRENGTH)
@@ -40,14 +44,14 @@ def degrade_prior(mesh, iterations=20, strength=0.5):
     edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    deg = np.bincount(src, minlength=mesh.n_vertices).astype(np.float64)
+    n = mesh.n_vertices
+    deg = np.bincount(src, minlength=n).astype(np.float64)
     deg[deg == 0.0] = 1.0
-    verts = out.vertices
+    rows = out.vertices.T.copy()  # one contiguous row per coordinate
     for _ in range(iterations):
-        acc = np.zeros_like(verts)
-        np.add.at(acc, src, verts[dst])
-        verts = verts + strength * (acc / deg[:, None] - verts)
-    out.vertices = verts
+        acc = np.stack([np.bincount(src, weights=row[dst], minlength=n) for row in rows])
+        rows = rows + strength * (acc / deg - rows)
+    out.vertices = np.ascontiguousarray(rows.T)
     if out.normals is not None:
         out.normals = None  # analytic normals no longer valid after smoothing
     return out

@@ -463,8 +463,9 @@ def normalize_mesh(mesh, target_half_extent=0.9):
 
 def fit_to_frame(mesh, frame=OrthoFrame(), margin=0.9):
     """Normalize only when the mesh does not already fit the frame volume."""
-    lo, hi = mesh.bounds()
-    c = np.asarray(frame.center)
+    require("margin", margin, HALF_EXTENT)
+    lo, hi = check_type(mesh, "mesh", TriMesh).bounds()
+    c = np.asarray(check_type(frame, "frame", OrthoFrame).center)
     half = max(np.max(np.abs(lo - c)), np.max(np.abs(hi - c)))
     if half <= margin * frame.half_extent:
         return mesh

@@ -5,6 +5,14 @@ cube is the plain 12-triangle box. The capsule figure (a humanoid stand-in:
 torso, head, two arms, two legs) is built by extracting the iso-surface of a
 union-of-capsules distance field, which fuses the overlapping parts into one
 watertight manifold. All defaults fit inside [-0.9, 0.9]^3.
+
+Every builder is array code that does only the work its output reads, and
+each reproduces a per-element build bit for bit: the icosphere numbers its
+edge midpoints in the order a per-edge dict would and rounds each midpoint
+as a lone 3-vector would; the torus faces come from one grid of vertex
+ids; and the capsule figure evaluates its distance field exactly only in
+the narrow band marching cubes reads (see make_capsule_figure for the
+bound). tests/test_shapes.py keeps those per-element builds as oracles.
 """
 
 import numpy as np
@@ -59,26 +67,27 @@ def make_sphere(radius=0.6, subdivisions=4):
 
 
 def _subdivide_unit(verts, faces):
-    """One 4-way subdivision with midpoints projected to the unit sphere."""
-    edge_mid = {}
-    verts = list(map(tuple, verts))
+    """One 4-way subdivision with midpoints projected to the unit sphere.
 
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in edge_mid:
-            p = (np.asarray(verts[a]) + np.asarray(verts[b])) / 2.0
-            p /= np.linalg.norm(p)
-            edge_mid[key] = len(verts)
-            verts.append(tuple(p))
-        return edge_mid[key]
-
-    out = []
-    for a, b, c in faces:
-        ab = midpoint(a, b)
-        bc = midpoint(b, c)
-        ca = midpoint(c, a)
-        out.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.asarray(verts, dtype=np.float64), np.asarray(out, dtype=np.int64)
+    Each face's edges (ab, bc, ca) get one midpoint vertex per undirected
+    edge, numbered after the old vertices in the order the edges first
+    appear in that (face, edge) sequence. The midpoint sum is commutative,
+    so it does not matter which end of an edge comes first.
+    """
+    n = len(verts)
+    ends = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, edge = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct edges in order of first appearance
+    rank = np.argsort(order)
+    a, b = ends[first[order]].T
+    p = (verts[a] + verts[b]) / 2.0
+    # np.linalg.norm of one 3-vector is sqrt(p.dot(p)); vecdot runs that
+    # same dot kernel row by row, so every midpoint rounds as it did alone.
+    p = p / np.sqrt(np.vecdot(p, p))[:, None]
+    ab, bc, ca = (n + rank[edge]).reshape(-1, 3).T
+    a, b, c = faces.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, p]), out.reshape(-1, 3)
 
 
 def make_torus(major_radius=0.45, minor_radius=0.2, major_segments=96, minor_segments=48):
@@ -96,19 +105,19 @@ def make_torus(major_radius=0.45, minor_radius=0.2, major_segments=96, minor_seg
     verts = np.stack([ring * cx, ring * sx, minor_radius * np.sin(vv)], axis=-1).reshape(-1, 3)
     normals = np.stack([np.cos(vv) * cx, np.cos(vv) * sx, np.sin(vv)], axis=-1).reshape(-1, 3)
 
-    faces = []
-    for i in range(major_segments):
-        i2 = (i + 1) % major_segments
-        for j in range(minor_segments):
-            j2 = (j + 1) % minor_segments
-            a = i * minor_segments + j
-            b = i2 * minor_segments + j
-            c = i2 * minor_segments + j2
-            d = i * minor_segments + j2
-            faces.append([a, b, c])
-            faces.append([a, c, d])
-    return TriMesh(verts, np.asarray(faces, dtype=np.int64), normals)
+    # Quad (i, j) joins grid ids a = (i, j), b = (i + 1, j),
+    # c = (i + 1, j + 1) and d = (i, j + 1), both indices wrapping around.
+    a = np.arange(major_segments * minor_segments, dtype=np.int64)
+    a = a.reshape(major_segments, minor_segments)
+    b = np.roll(a, -1, axis=0)
+    c = np.roll(b, -1, axis=1)
+    d = np.roll(a, -1, axis=1)
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return TriMesh(verts, faces, normals)
 
+
+# Edge, in grid points, of make_capsule_figure's narrow-band blocks.
+BLOCK = 8
 
 # Capsule figure: segments (p0, p1, radius) in scene units.
 FIGURE_CAPSULES = (
@@ -144,6 +153,36 @@ def figure_sdf(points, capsules=FIGURE_CAPSULES):
 def make_capsule_figure(grid_res=160, capsules=FIGURE_CAPSULES):
     """Humanoid capsule union, meshed from its distance field.
 
+    The grid holds occupancy 0.5 - d / spacing for the union's signed
+    distance d, so the 0.5 iso-surface is d's zero level set. Marching cubes
+    reads every grid value only for its side of 0.5, and reads the value
+    itself only at the two ends of a crossing edge, one whose ends lie on
+    opposite sides. So d is evaluated exactly only in a narrow band:
+
+    - The grid is cut into blocks of up to 8^3 points, and d is evaluated at
+      each block's center c.
+    - d is 1-Lipschitz (Hart, "Sphere Tracing", 1996): |d(y) - d(c)| is at
+      most |y - c|. A block's points, and each grid neighbor of them, lie
+      within h + spacing of c, where h is the block's half-diagonal.
+    - So when |d(c)| > h + spacing + margin, all of them lie on c's side,
+      and no edge with an end in the block crosses. Such a far block gets
+      occupancy 1 inside and 0 outside, without evaluating d.
+    - Every other block gets 0.5 - d / spacing from the same points and the
+      same float operations as a dense evaluation. So the crossing edges,
+      the values at their ends, and hence the mesh and its normals, are the
+      dense grid's bit for bit.
+
+    margin covers rounding. Let S bound every grid bound, capsule
+    coordinate and radius in magnitude, and u = 2^-53. capsule_sdf's dozen
+    rounded operations put its result within 64 u S of the exact distance
+    (the dot product's error moves the clipped segment parameter by at most
+    11 u S / |p1 - p0|, and so the closest point by at most 11 u S). The
+    center, h and each grid step round by a few u S more. margin =
+    2^-30 S exceeds the sum by a factor over 10^5. A point y near a far
+    block then has |computed d(y)| > margin / 2, so 0.5 - d(y) / spacing
+    stays strictly on its side of 0.5; and margin is under 10^-7 spacing at
+    the default grid, so it widens the band by a negligible amount.
+
     Vertex normals come from central differences of the analytic field.
     """
     from .surface import OccupancyGrid, marching_cubes
@@ -152,11 +191,28 @@ def make_capsule_figure(grid_res=160, capsules=FIGURE_CAPSULES):
     lo, hi = -0.95, 0.95
     axis = np.linspace(lo, hi, grid_res)
     spacing = axis[1] - axis[0]
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    d = figure_sdf(pts, capsules).reshape(grid_res, grid_res, grid_res)
+    first = np.arange(0, grid_res, BLOCK)
+    # Grid indices of each block along one axis; a short last block repeats its end.
+    idx = np.minimum(first[:, None] + np.arange(BLOCK), grid_res - 1)
+    nb = len(first)
+    mid = (axis[idx[:, 0]] + axis[idx[:, -1]]) / 2.0
+    half = (axis[idx[:, -1]] - axis[idx[:, 0]]) / 2.0
+    centers = np.stack(np.meshgrid(mid, mid, mid, indexing="ij"), axis=-1).reshape(-1, 3)
+    half_sq = np.stack(np.meshgrid(half, half, half, indexing="ij"), axis=-1).reshape(-1, 3) ** 2
+    half_diag = np.sqrt(half_sq.sum(axis=1))
+    d_center = figure_sdf(centers, capsules)
+    scale = max([hi] + [abs(x) for p0, p1, r in capsules for x in (*p0, *p1, r)])
+    near = np.abs(d_center) <= half_diag + spacing + 2.0 ** -30 * scale
+
     # Occupancy = 1 inside; iso at 0.5 lands on the zero level set.
-    occ = 0.5 - d / spacing
+    inside = (d_center < 0.0).reshape(nb, nb, nb).astype(np.float64)
+    occ = inside.repeat(BLOCK, 0).repeat(BLOCK, 1).repeat(BLOCK, 2)
+    occ = occ[:grid_res, :grid_res, :grid_res]
+    bi, bj, bk = np.unravel_index(np.flatnonzero(near), (nb, nb, nb))
+    i, j, k = np.broadcast_arrays(idx[bi][:, :, None, None], idx[bj][:, None, :, None],
+                                  idx[bk][:, None, None, :])
+    pts = np.stack([axis[i], axis[j], axis[k]], axis=-1).reshape(-1, 3)
+    occ[i, j, k] = (0.5 - figure_sdf(pts, capsules) / spacing).reshape(i.shape)
     grid = OccupancyGrid(occ, origin=np.array([lo, lo, lo]), spacing=np.full(3, spacing))
     mesh = marching_cubes(grid, iso=0.5)
 

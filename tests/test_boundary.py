@@ -32,6 +32,7 @@ from fofkit import (BasisConfig, EvalReference, FeaturePyramid, FourierField, In
 from fofkit import sweep
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import FofkitError
+from fofkit.mesh import fit_to_frame
 from fofkit.metrics import p2s_exhaustive
 from fofkit.shapes import make_cube
 
@@ -176,6 +177,10 @@ PROBES = {
     "p2s(points, 'a')": ("^mesh must be of type TriMesh", lambda: p2s(CUBE.vertices, "a")),
     "degrade_prior('a')": ("^mesh must be of type TriMesh", lambda: degrade_prior("a")),
     "normalize_mesh('a')": ("^mesh must be of type TriMesh", lambda: normalize_mesh("a")),
+    "fit_to_frame('a')": ("^mesh must be of type TriMesh", lambda: fit_to_frame("a")),
+    "fit_to_frame(mesh, 'a')": ("^frame must be of type OrthoFrame",
+                                lambda: fit_to_frame(CUBE, "a")),
+    "fit_to_frame(mesh, frame, 'a')": ("^margin must be", lambda: fit_to_frame(CUBE, FRAME, "a")),
     "weight_map('a')": ("^pair must be of type MaskPair", lambda: weight_map("a")),
     "occlude_field(field, 'a')": ("^pair must be of type MaskPair",
                                   lambda: occlude_field(FIELD, "a")),

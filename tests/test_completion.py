@@ -5,15 +5,51 @@ from fofkit.completion import (blend_alpha, chamfer_distance_transform, degrade_
                                vgcc_blend)
 from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import BasisConfig, FourierField
-from fofkit.mesh import check_watertight, mesh_to_fof
+from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
 from fofkit.metrics import chamfer
 from fofkit.occlusion import MaskPair, OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.render import render_silhouette
-from fofkit.shapes import make_sphere
+from fofkit.shapes import make_cube, make_sphere
 from fofkit.surface import reconstruct_field, sample_surface
 
 
+def degrade_prior_by_add_at(mesh, iterations, strength):
+    """Reference Laplacian smoothing: neighbor sums by np.add.at."""
+    f = mesh.faces
+    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    deg = np.bincount(src, minlength=mesh.n_vertices).astype(np.float64)
+    deg[deg == 0.0] = 1.0
+    verts = mesh.vertices.copy()
+    for _ in range(iterations):
+        acc = np.zeros_like(verts)
+        np.add.at(acc, src, verts[dst])
+        verts = verts + strength * (acc / deg[:, None] - verts)
+    return verts
+
+
+@pytest.fixture()
+def cube_mesh():
+    return make_cube(1.0)
+
+
+@pytest.fixture()
+def loose_vertex_mesh(cube_mesh):
+    """The cube plus one vertex that no face uses."""
+    return TriMesh(np.vstack([cube_mesh.vertices, [[0.3, -0.2, 0.1]]]), cube_mesh.faces)
+
+
 class TestDegradePrior:
+    @pytest.mark.parametrize("shape", ["sphere_mesh", "torus_mesh", "cube_mesh", "capsule_mesh",
+                                       "loose_vertex_mesh"])
+    @pytest.mark.parametrize("iterations, strength", [(20, 0.5), (3, 0.8)])
+    def test_matches_add_at_smoothing(self, request, shape, iterations, strength):
+        mesh = request.getfixturevalue(shape)
+        out = degrade_prior(mesh, iterations, strength)
+        assert np.array_equal(out.vertices, degrade_prior_by_add_at(mesh, iterations, strength))
+        assert np.array_equal(out.faces, mesh.faces) and out.normals is None
+
     def test_zero_iterations_identity(self, sphere_mesh):
         out = degrade_prior(sphere_mesh, 0, 0.5)
         assert np.array_equal(out.vertices, sphere_mesh.vertices)

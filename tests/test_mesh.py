@@ -152,7 +152,11 @@ class TestObjIO:
 
 def load_obj_by_line(path):
     """Reference OBJ reader: the line-by-line parser that load_obj replaced,
-    kept as it was (the IndexError and OverflowError it can leak included)."""
+    kept as it was (the IndexError and OverflowError it can leak included),
+    except that a vertex index before the first record is a missing vertex,
+    as the README's OBJ rules say and as for normals. The original let such
+    a face through when a repeated corner made it degenerate, so it was
+    dropped, and otherwise failed in TriMesh."""
     vertices, normals, faces, face_normal_ids = [], [], [], []
     ignored = set()
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -206,7 +210,7 @@ def load_obj_by_line(path):
                                                  sorted(ignored))
     verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces_arr = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    if faces_arr.size and faces_arr.max() >= len(verts):
+    if faces_arr.size and (faces_arr.min() < 0 or faces_arr.max() >= len(verts)):
         raise ObjParseError(path, 0, "face references a missing vertex")
     with_normals = [nf for nf in face_normal_ids if nf is not None]
     nids = np.asarray(with_normals, dtype=np.int64)
@@ -335,13 +339,18 @@ def shared_normal_obj_text(draw):
     return "\n".join(lines) + "\n"
 
 
-# Random text: characters OBJ records are made of, and records built from
-# tokens either reader can trip on.
+# Random text: characters OBJ records are made of, records built from
+# tokens either reader can trip on, and well-formed vertex and face records,
+# so that some drawn files load a mesh with vertices.
+_FACE_INDEX = st.sampled_from(["1", "2", "3", "-1", "-2", "-3"])
 _RANDOM_OBJ_TEXT = st.lists(st.one_of(
     st.text(alphabet="vnf/#-+.0123456789eE \t\r\x0b\x85é", max_size=24),
     st.builds(" ".join, st.lists(st.sampled_from(
         ["v", "vn", "f", "1", "-1", "2/3/1", "1//1", "0", "x", "nan", "3//", "/1",
-         "99999999999999999999", "-4"]), max_size=6))), max_size=12).map("\n".join)
+         "99999999999999999999", "-4"]), max_size=6)),
+    st.builds("v {} {} {}".format, _FLOAT_TEXT, _FLOAT_TEXT, _FLOAT_TEXT),
+    st.builds("f {} {} {}".format, _FACE_INDEX, _FACE_INDEX, _FACE_INDEX)),
+    max_size=12).map("\n".join)
 
 
 def assert_same_outcome(path):

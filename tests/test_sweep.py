@@ -63,13 +63,13 @@ def test_ratio_zero_cell_reconstructs_once(monkeypatch):
     assert naive[:2] == blend[:2] == (0.0, 1)
 
 
-# The config matrix: a small frame, every shape but the capsule figure (its
-# marching-cubes build is slow) x every occluder kind x both policies.
+# The config matrix: a small frame, every shape x every occluder kind x both
+# policies.
 MATRIX = ["frame.width=48", "frame.height=48", "extract.grid_res=48",
           "sweep.eval_samples=2000", "sweep.ratios=0.4,0.8", "sweep.seeds=0"]
 
 
-@pytest.mark.parametrize("shape", ["sphere", "torus", "cube"])
+@pytest.mark.parametrize("shape", ["sphere", "torus", "cube", "capsule_figure"])
 @pytest.mark.parametrize("kind", OCCLUDER_KINDS)
 @pytest.mark.parametrize("policy", OCCLUSION_POLICIES)
 def test_config_matrix_runs_every_cell(tmp_path, shape, kind, policy):
