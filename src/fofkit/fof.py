@@ -208,25 +208,31 @@ def decode_grid(fof, depth_res):
     """
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
+    require("depth_res", depth_res, DEPTH_RES)
     live = np.flatnonzero(np.any(fof.data != 0.0, axis=2))
-    out = _decode_pixels(fof, live, live, fof.height * fof.width, depth_res)
+    out = np.zeros((fof.height * fof.width, depth_res))
+    _decode_pixels(fof, live, out, live)
     return out.reshape(fof.height, fof.width, depth_res)
 
 
-def _decode_pixels(fof, pixels, rows, n_rows, depth_res):
-    """Decode the pixels with flat indices `pixels` at the uniform depths.
+def _decode_pixels(fof, pixels, out, rows):
+    """Decode the pixels with flat indices `pixels` into rows of `out`.
 
-    Returns an (n_rows, depth_res) array whose row rows[i] holds pixel
-    pixels[i]; every other row is +0.0. That is exact for a pixel whose
-    coefficients are all zero: its sum starts at +0.0 and each term is a
-    signed zero, and +0.0 + (+-0.0) is +0.0. Pixels are decoded in chunks,
-    accumulating channel by channel into a zeroed buffer, so every sample
-    equals decode_ray at the same depth bit for bit.
+    out is an (n, depth_res) float64 array; row rows[i] receives pixel
+    pixels[i] at the depth_res uniform depths, and no other row is written.
+    Callers leave +0.0 in the rows of pixels whose coefficients are all
+    zero, which is exact: such a sum starts at +0.0 and each term is a
+    signed zero, and +0.0 + (+-0.0) is +0.0. The accumulator is therefore
+    never -0.0, so a +-0.0 coefficient adds nothing to any sum, and two
+    pixels whose coefficients compare equal with == decode to the same
+    samples bit for bit. Pixels are decoded in chunks, accumulating channel
+    by channel into a zeroed buffer, so every sample equals decode_ray at
+    the same depth bit for bit.
     """
     cfg = BasisConfig(fof.order)
+    depth_res = out.shape[1]
     basis = basis_eval(depth_samples(depth_res), cfg)  # (D, K)
     coeffs = np.ascontiguousarray(fof.data.reshape(-1, cfg.channels)[pixels].T)  # (K, n)
-    out = np.zeros((n_rows, depth_res), dtype=np.float64)
     acc = np.empty((min(_DECODE_CHUNK, len(pixels)), depth_res), dtype=np.float64)
     term = np.empty_like(acc)
     for s in range(0, len(pixels), _DECODE_CHUNK):
@@ -237,7 +243,6 @@ def _decode_pixels(fof, pixels, rows, n_rows, depth_res):
             np.multiply(coeffs[c, s:s + n, None], basis[:, c], out=t)
             a += t
         out[rows[s:s + n]] = a
-    return out
 
 
 def parseval_energy(coeffs):

@@ -78,8 +78,10 @@ class TriMesh:
             raise MeshError("empty mesh has no bounds")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def face_normals(self):
-        n, ln = _face_cross(self.vertices, self.faces)
+    def face_normals(self, index=None):
+        """Unit normals of the faces, or of faces[index]; a face of zero
+        area gets a zero normal."""
+        n, ln = _face_cross(self.vertices, self.faces if index is None else self.faces[index])
         ln[ln == 0.0] = 1.0
         return (n / ln).T
 

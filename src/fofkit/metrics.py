@@ -119,6 +119,15 @@ def _nearest(queries, tree):
     return np.linalg.norm(queries - tree.data[idx], axis=1), idx
 
 
+def _unpermute(order, *arrays):
+    """Arrays whose entry i belongs to item order[i], put in item order."""
+    out = []
+    for a in arrays:
+        out.append(np.empty_like(a))
+        out[-1][order] = a
+    return out
+
+
 def chamfer(a, b, return_index=False):
     """Symmetric mean nearest-neighbor distance between point sets, x100.
 
@@ -131,8 +140,13 @@ def chamfer(a, b, return_index=False):
         b = _kdtree(check_array(b, "chamfer points", (None, 3)))
     if len(a) == 0 or b.n == 0:
         raise DomainError("chamfer requires two non-empty point sets")
-    d_ab, nearest = _nearest(a, b)
-    d_ba, _ = _nearest(b.data, _kdtree(a))
+    tree_a = _kdtree(a)
+    # Each set is queried in its own tree's leaf order, so that consecutive
+    # queries are near each other, and the results are put back in input
+    # order. Every query is answered on its own, so the order changes no
+    # value.
+    d_ab, nearest = _unpermute(tree_a.indices, *_nearest(a[tree_a.indices], b))
+    d_ba, _ = _unpermute(b.indices, *_nearest(b.data[b.indices], tree_a))
     cd = float((0.5 * d_ab.mean() + 0.5 * d_ba.mean()) * UNIT_SCALE)
     return (cd, nearest) if return_index else cd
 
@@ -557,13 +571,21 @@ class EvalReference:
         self.tree = _kdtree(samples)
         self.front, self.back = render_normals(gt, frame, (FRONT, BACK))
 
-    def evaluate(self, recon):
+    def evaluate(self, recon, normals=None):
         """Chamfer, P2S from reconstruction samples to the ground-truth
-        surface, and the mean of the front and back normal-map errors."""
+        surface, and the mean of the front and back normal-map errors.
+
+        normals, when given, is the (front, back) pair of NormalMaps that
+        render_normals draws of recon on the reference's frame (as
+        surface.ReconstructionReference.reconstruct returns them); they are
+        then not rendered again.
+        """
         _, pts = _sample_points(recon, self.uniforms)
         cd, nearest = chamfer(pts, self.tree, return_index=True)
         p2s_val = p2s(pts, self.index, self.sample_faces[nearest])
-        front, back = render_normals(recon, self.frame, (FRONT, BACK))
+        if normals is None:
+            normals = render_normals(recon, self.frame, (FRONT, BACK))
+        front, back = normals
         err_front = normal_map_error(front, self.front)
         err_back = normal_map_error(back, self.back)
         return MetricReport(

@@ -139,7 +139,7 @@ class CoverageRecords:
     bary: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 3)))  # w / sum(w)
 
 
-def rasterize_coverage(tris_raster, width, height):
+def rasterize_coverage(tris_raster, width, height, mask=None):
     """All (pixel, triangle) coverage records for raster-space triangles.
 
     Parameters
@@ -148,6 +148,9 @@ def rasterize_coverage(tris_raster, width, height):
         Triangle vertices in raster pixel units.
     width, height : int
         Pixel grid bounds; pixels outside are discarded.
+    mask : (height, width) bool, optional
+        The pixels to cover; records of other pixels are discarded, and only
+        the triangles whose clamped pixel box holds a mask pixel are tested.
 
     Returns CoverageRecords with normalized barycentric weights per record,
     in no particular order.
@@ -163,6 +166,12 @@ def rasterize_coverage(tris_raster, width, height):
     iy1 = np.minimum(np.floor(ymax - 0.5), height - 1).astype(np.int64)
 
     live = np.flatnonzero((t.area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0))
+    if mask is not None:
+        # Mask pixels per box from a summed-area table.
+        sat = np.zeros((height + 1, width + 1), dtype=np.int64)
+        sat[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+        x0, x1, y0, y1 = ix0[live], ix1[live] + 1, iy0[live], iy1[live] + 1
+        live = live[sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0] > 0]
     bw = (ix1 - ix0 + 1)[live]
     n_tests = bw * (iy1 - iy0 + 1)[live]
     start, total = np.cumsum(n_tests) - n_tests, int(n_tests.sum())
@@ -174,8 +183,10 @@ def rasterize_coverage(tris_raster, width, height):
         dy, dx = np.divmod(j - start[k], bw[k])
         tri = live[k]
         col, row = ix0[tri] + dx, iy0[tri] + dy
-        inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[tri] for f in t)), True)
-        out.append((row[inside] * width + col[inside], tri[inside], bary))
+        pixel = row * width + col
+        inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[tri] for f in t)),
+                                True if mask is None else mask.ravel()[pixel])
+        out.append((pixel[inside], tri[inside], bary))
     return CoverageRecords(*map(np.concatenate, zip(*out)))
 
 

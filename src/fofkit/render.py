@@ -55,7 +55,7 @@ class NormalMap:
         return cls(out, mask)
 
 
-def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
+def render_normals(mesh, frame=OrthoFrame(), view=FRONT, mask=None):
     """Rasterize interpolated surface normals into a NormalMap.
 
     view is FRONT, BACK or a tuple of them; a tuple returns a tuple with one
@@ -63,7 +63,10 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     records do not depend on the view: only the depth sign, the nearest-
     surface sort and the normal flip do. Uses per-vertex normals when the
     mesh carries them, otherwise flat face normals. An empty mesh renders to
-    all-background maps.
+    all-background maps. With a (height, width) bool mask, only the mask's
+    pixels are rendered, each as it is without one, and every other pixel
+    is background; only the faces whose clamped pixel box meets the mask
+    are rasterized.
     """
     check_type(mesh, "mesh", TriMesh)
     check_type(frame, "frame", OrthoFrame)
@@ -71,21 +74,22 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     for v in views:
         require("view", v, one_of((FRONT, BACK)))
     H, W = frame.height, frame.width
+    if mask is not None:
+        mask = check_array(mask, "mask", (H, W), dtype=bool)
     rec = None
     if mesh.n_faces:
         tris, depth = frame.project_faces(mesh.vertices, mesh.faces)
-        rec = rasterize_coverage(tris, W, H)
+        rec = rasterize_coverage(tris, W, H, mask)
     if rec is None or len(rec.pixel) == 0:
         maps = tuple(NormalMap(np.zeros((H, W, 3)), np.zeros((H, W), dtype=bool))
                      for _ in views)
     else:
         z = bary_interp(rec.bary, depth[rec.tri])
-        face_normals = mesh.face_normals() if mesh.normals is None else None
-        maps = tuple(_nearest_normals(mesh, face_normals, rec, z, v, H, W) for v in views)
+        maps = tuple(_nearest_normals(mesh, rec, z, v, H, W) for v in views)
     return maps if isinstance(view, tuple) else maps[0]
 
 
-def _nearest_normals(mesh, face_normals, rec, z, view, H, W):
+def _nearest_normals(mesh, rec, z, view, H, W):
     """The NormalMap of one view from the coverage records rec and their
     front-view depths z; the back view sees depth -z."""
     # Nearest surface per pixel: sort by (pixel, -view depth, tri) and keep
@@ -100,11 +104,11 @@ def _nearest_normals(mesh, face_normals, rec, z, view, H, W):
     win_tri = rec.tri[win]
     win_bary = rec.bary[win]
 
-    if face_normals is None:
+    if mesh.normals is None:
+        n = mesh.face_normals(win_tri)
+    else:
         vn = mesh.normals[mesh.faces[win_tri]]  # (k, 3, 3)
         n = np.einsum("ij,ijk->ik", win_bary, vn)
-    else:
-        n = face_normals[win_tri]
     if view == BACK:
         n = n * np.array([-1.0, 1.0, -1.0])
     # Renormalize and face the viewer.

@@ -4,8 +4,9 @@ Each check validates an optimized path against a slower, obviously-correct
 oracle: trapezoid quadrature for the closed-form encoding, exhaustive search
 for the kd-tree and the BVH, central finite differences for the loss
 gradients, the literal case table for the visibility weights, the CRC for
-the tensor container, and extraction from the full-frame grid for the
-cropped reconstruction.
+the tensor container, extraction from the full-frame grid for the
+cropped reconstruction, and full extraction and rendering for the spliced
+one.
 
 Each oracle property has one driver loop here. `fofkit selftest` runs the
 checks with their default counts and seeds; the acceptance criteria and the
@@ -24,8 +25,9 @@ from .metrics import chamfer, chamfer_bruteforce, SurfaceDistanceIndex, p2s_exha
 from .occlusion import MaskPair, weight_map
 from .raster import OrthoFrame
 from .shapes import make_sphere, make_torus
-from .surface import (OccupancyGrid, field_to_grid, marching_cubes, reconstruct_field,
-                      sample_surface)
+from .render import BACK, FRONT, render_normals
+from .surface import (OccupancyGrid, ReconstructionReference, field_to_grid, marching_cubes,
+                      reconstruct_field, sample_surface)
 from .tensor_io import CrcMismatchError, read_tensor, write_tensor
 
 QUAD_SAMPLES = 100_000
@@ -150,6 +152,81 @@ def check_cropped_reconstruction(seed=7):
                   and np.array_equal(got.faces, want.faces))
     return _check("cropped reconstruction equals dense extraction", exact,
                   "bitwise at iso 0.5, 0 and -0.1 on a 12x10 field")
+
+
+def same_reconstruction(reference, field):
+    """True when reference.reconstruct(field) gives the mesh that
+    reconstruct_field extracts and the front and back maps, data and mask,
+    that render_normals draws of it, bit for bit."""
+    got = reference.reconstruct(field)
+    mesh = reconstruct_field(field, reference.frame, reference.grid_res, reference.iso)
+    want = (mesh,) + render_normals(mesh, reference.frame, (FRONT, BACK))
+
+    def same(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+            a.view(np.int64) if a.dtype == np.float64 else a,
+            b.view(np.int64) if b.dtype == np.float64 else b)
+
+    return (same(got[0].vertices, want[0].vertices) and same(got[0].faces, want[0].faces)
+            and all(same(g.data, w.data) and same(g.mask, w.mask)
+                    for g, w in zip(got[1:], want[1:])))
+
+
+def check_spliced_reconstruction(n_fields=30, seed=8):
+    """ReconstructionReference against reconstruct_field + render_normals.
+
+    Two random source fields A and B, with some zero coefficients, live on
+    boxes that touch the frame's top, left and right edges. Each field is
+    painted from A, B, zero, copies of A or B with their zeros negated, and
+    random columns on the sources' columns: a base, a few 3 x 3 patches and
+    a few single columns. Every fifth field also has a live column on the
+    bottom row, beyond the reference's box, and so falls back. Every field
+    must reconstruct bit for bit, and only the live columns that match no
+    source with == may be decoded, or all live columns in a fallback.
+    """
+    rng = np.random.default_rng(seed)
+    H, W, K, depth = 11, 13, 7, 9
+    frame = OrthoFrame(W, H)
+
+    def random_columns(n):
+        data = rng.normal(size=(n, K)) * 0.4
+        data[:, 0] += 0.5
+        return data
+
+    sources = []
+    for rows, cols in ((slice(0, 7), slice(0, 9)), (slice(1, 9), slice(2, 13))):
+        data = np.zeros((H, W, K))
+        data[rows, cols] = random_columns(H * W).reshape(H, W, K)[rows, cols]
+        data[rng.random(data.shape) < 0.3] = 0.0
+        sources.append(data)
+    a, b = sources
+    body = np.any(a != 0.0, axis=2) | np.any(b != 0.0, axis=2)
+    noise = np.zeros((H, W, K))
+    noise[body] = random_columns(int(body.sum()))
+    painters = (a, b, np.zeros((H, W, K)), np.where(a == 0.0, -0.0, a),
+                np.where(b == 0.0, -0.0, b), noise)
+    references = [ReconstructionReference(sources, frame, depth, iso) for iso in (0.5, -0.1)]
+    ok = True
+    for i in range(n_fields):
+        data = painters[rng.integers(len(painters))].copy()
+        for size in [3] * int(rng.integers(0, 4)) + [1] * int(rng.integers(0, 5)):
+            r0, c0 = rng.integers(0, H - size + 1), rng.integers(0, W - size + 1)
+            data[r0:r0 + size, c0:c0 + size] = \
+                painters[rng.integers(len(painters))][r0:r0 + size, c0:c0 + size]
+        if i % 5 == 4:
+            data[H - 1, rng.integers(W)] = random_columns(1)[0]
+        live = np.any(data != 0.0, axis=2)
+        # The rows of the sources reach row 8, so the box holds rows up to 9,
+        # and a field falls back when a live column lies below row 8.
+        fallback = live[9:].any()
+        unmatched = live & ~np.any([np.all(data == s, axis=2) for s in sources], axis=0)
+        for reference in references:
+            before = reference.decoded_columns
+            ok &= same_reconstruction(reference, FourierField(data))
+            ok &= reference.decoded_columns - before == (live if fallback else unmatched).sum()
+    return _check("spliced reconstruction equals full extraction and rendering", ok,
+                  f"bitwise mesh and maps, and no needless decode, over {n_fields} painted "
+                  f"{H}x{W} fields at iso 0.5 and -0.1")
 
 
 def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):
@@ -283,6 +360,7 @@ ALL_CHECKS = (
     check_bessel_bound,
     check_decode_consistency,
     check_cropped_reconstruction,
+    check_spliced_reconstruction,
     check_kdtree_vs_bruteforce,
     check_bvh_vs_exhaustive,
     check_gradients,

@@ -22,7 +22,34 @@ the live columns of the field (those with a non-zero coefficient) plus one
 cell on each side, clamped to the frame. Dead columns decode to exactly
 +0.0, so a cube whose corners are all dead has no crossing at any iso, and
 every cube with a live corner lies inside the box.
+
+marching_cubes is two steps: _cube_faces finds the faces of the active
+cubes in some columns of cubes, as cube ids and corner edge keys, and the
+distinct keys, sorted, number the vertices, each interpolated on its own
+edge. A ReconstructionReference uses both to rebuild only what a field
+changes against some source fields, such as a sweep's ground truth and
+prior, and it gives the same mesh and normal maps bit for bit:
+- Decoding is per column (fof._decode_pixels), and its accumulator starts
+  at +0.0 and is never -0.0, so a +-0.0 coefficient adds nothing. A column
+  whose coefficients equal a source's with == therefore decodes to the
+  source's samples, and is copied from the source's grid; only the others
+  are decoded.
+- Marching cubes is cube-local (Lorensen & Cline, 1987): a cube's faces
+  depend only on the samples of its own four columns, and a vertex only on
+  its edge's two samples. A cube whose four columns match one source takes
+  that source's faces and vertices; the other cubes are extracted from the
+  assembled grid. Faces are merged in cube order with a stable sort, the
+  order marching_cubes visits them in.
+- A face lies within its cube's column footprint, and rounding moves no
+  vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
+  can cover the center of pixel column (c, r): a 3 x 3 radius of columns.
+  A pixel whose 3 x 3 columns all match one source (columns off the frame
+  match) is covered by the source's faces in the source's relative order,
+  and depth ties keep face order, so it takes the source's map pixels.
+  The other pixels are rendered from the faces that can cover them.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,6 +58,7 @@ from .fof import DEPTH_RES, FourierField, _check_frame, _decode_pixels, depth_sa
 from .mesh import TriMesh, _require_watertight
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from .raster import OrthoFrame
+from .render import BACK, FRONT, render_normals
 from .rng import SEED, Xoshiro256StarStar
 
 ISO = real()
@@ -83,18 +111,36 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
     _check_frame(fof, frame)
-    live = np.any(fof.data != 0.0, axis=2)[::-1].T  # (x, y), y bottom-up
+    require("depth_res", depth_res, DEPTH_RES)
+    live = _live_columns(fof)
     # x-major order, so decoded rows are written in sequence.
     xs, ys = np.nonzero(live)
-    if len(xs):
-        lo = np.maximum([xs.min() - 1, ys.min() - 1], 0)
-        hi = np.minimum([xs.max() + 2, ys.max() + 2], live.shape)
-    else:
-        lo, hi = np.zeros(2, dtype=np.int64), np.full(2, 2)
+    lo, hi = _live_box(xs, ys, live.shape)
     box = tuple(hi - lo)
-    pixels = (fof.height - 1 - ys) * fof.width + xs
-    rows = (xs - lo[0]) * box[1] + (ys - lo[1])
-    values = _decode_pixels(fof, pixels, rows, box[0] * box[1], depth_res)
+    values = np.zeros((box[0] * box[1], depth_res))
+    _decode_pixels(fof, (fof.height - 1 - ys) * fof.width + xs,
+                   values, (xs - lo[0]) * box[1] + (ys - lo[1]))
+    return OccupancyGrid(values.reshape(box + (depth_res,)), *_grid_map(frame, depth_res),
+                         np.array([lo[0], lo[1], 0]))
+
+
+def _live_columns(fof):
+    """The (x, y) mask of a field's columns with a non-zero coefficient; y
+    runs bottom-up."""
+    return np.any(fof.data != 0.0, axis=2)[::-1].T
+
+
+def _live_box(xs, ys, shape):
+    """The box [lo, hi) of the columns (xs, ys) plus one cell on each side,
+    clamped to shape; [0, 2) x [0, 2) when there are none."""
+    if not len(xs):
+        return np.zeros(2, dtype=np.int64), np.full(2, 2)
+    return (np.maximum([xs.min() - 1, ys.min() - 1], 0),
+            np.minimum([xs.max() + 2, ys.max() + 2], shape))
+
+
+def _grid_map(frame, depth_res):
+    """The origin and spacing of the full (width, height, depth_res) grid."""
     h = frame.half_extent
     cx, cy, cz = frame.center
     origin = np.array([
@@ -107,8 +153,7 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
         2.0 * h / frame.height,
         2.0 * h / (depth_res - 1),
     ])
-    return OccupancyGrid(values.reshape(box + (depth_res,)), origin, spacing,
-                         np.array([lo[0], lo[1], 0]))
+    return origin, spacing
 
 
 def marching_cubes(grid, iso=0.5):
@@ -118,31 +163,56 @@ def marching_cubes(grid, iso=0.5):
     constant grid yields an empty mesh; a non-finite iso raises DomainError.
     """
     require("iso", iso, ISO)
-    v = check_type(grid, "grid", OccupancyGrid).values
-    below = v < iso
-    cells = tuple(n - 1 for n in v.shape)
+    return _marching_cubes(check_type(grid, "grid", OccupancyGrid), iso)[0]
 
+
+def _marching_cubes(grid, iso):
+    """marching_cubes' mesh, each face's cube id and each vertex's edge key."""
+    cubes, keys = _cube_faces(grid.values, None, iso)
+    # One vertex per distinct key, in sorted order. TRI_TABLE[case] names
+    # exactly the edges whose two corners differ in case's bits (the
+    # invariant that tests/test_surface.py::TestTables pins), and every
+    # crossing edge lies in a cube with that crossing, an active one. So the
+    # sorted distinct keys are the crossing edges, axis-major and then in C
+    # order.
+    keys, faces = np.unique(keys.ravel(), return_inverse=True)
+    return TriMesh(_edge_vertices(grid, keys, iso), faces.reshape(-1, 3)), cubes, keys
+
+
+def _cube_faces(values, columns, iso):
+    """The faces of the cubes in some columns of a grid of samples.
+
+    columns is an (X - 1, Y - 1) mask of cube columns, or None for all of
+    them. Returns each face's cube, its flat index among the (X - 1, Y - 1,
+    Z - 1) cubes, in ascending order, and an (n, 3) array of its corners'
+    edge keys; a cube's faces keep TRI_TABLE's order.
+    """
+    X, Y, Z = values.shape
+    ci, cj = np.nonzero(np.ones((X - 1, Y - 1), dtype=bool) if columns is None else columns)
+    below = values < iso
     # Case index per cube: bit c is set when corner c is below iso.
-    case = np.zeros(cells, dtype=np.uint8)
-    for bit, offset in enumerate(CORNER_OFFSETS):
-        corner = below[tuple(slice(o, o + n) for o, n in zip(offset, cells))]
-        case |= corner.view(np.uint8) << bit
-    ci, cj, ck = np.nonzero((case != 0) & (case != 255))
-    if not len(ci):
-        return TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+    case = np.zeros((len(ci), Z - 1), dtype=np.uint8)
+    corner_columns = {}
+    for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
+        if (ox, oy) not in corner_columns:
+            corner_columns[ox, oy] = below[ci + ox, cj + oy]
+        case |= corner_columns[ox, oy][:, oz:oz + Z - 1].view(np.uint8) << bit
+    n, k = np.nonzero((case != 0) & (case != 255))
 
     # Each face corner is a cube edge named by TRI_TABLE; key it by its grid
-    # edge, axis * v.size + the flat index of its lower grid point.
-    edge_offset = EDGE_AXIS * v.size + np.ravel_multi_index(EDGE_ORIGIN.T, v.shape)
-    rows = TRI_TABLE[case[ci, cj, ck]]  # (n_active, 16), -1 padded in trailing triples
+    # edge, axis * values.size + the flat index of its lower grid point.
+    edge_offset = EDGE_AXIS * values.size + np.ravel_multi_index(EDGE_ORIGIN.T, values.shape)
+    rows = TRI_TABLE[case[n, k]]  # (n_active, 16), -1 padded in trailing triples
     cube, slot = np.nonzero(rows >= 0)
-    point = np.ravel_multi_index((ci[cube], cj[cube], ck[cube]), v.shape)
-    # One vertex per distinct key. TRI_TABLE[case] names exactly the edges
-    # whose two corners differ in case's bits (the invariant that
-    # tests/test_surface.py::TestTables pins), and every crossing edge lies
-    # in a cube with that crossing, an active one. So the sorted distinct
-    # keys are the crossing edges, axis-major and then in C order.
-    keys, faces = np.unique(point + edge_offset[rows[cube, slot]], return_inverse=True)
+    n, k = n[cube], k[cube]
+    keys = (ci[n] * Y + cj[n]) * Z + k + edge_offset[rows[cube, slot]]
+    return ((ci[n] * (Y - 1) + cj[n]) * (Z - 1) + k)[::3], keys.reshape(-1, 3)
+
+
+def _edge_vertices(grid, keys, iso):
+    """The iso crossings on the grid edges named by keys, in scene
+    coordinates; each is interpolated on its own edge alone."""
+    v = grid.values
     axis, flat = np.divmod(keys, v.size)
     lo = np.stack(np.unravel_index(flat, v.shape), axis=1)
     step = np.eye(3, dtype=np.int64)[axis]
@@ -152,7 +222,7 @@ def marching_cubes(grid, iso=0.5):
     base[np.arange(len(keys)), axis] += (iso - va) / (vb - va)
     # The table's winding already points out of the high-occupancy region
     # under this corner layout (verified by signed volume on spheres).
-    return TriMesh(grid.origin + grid.spacing * base, faces.reshape(-1, 3))
+    return grid.origin + grid.spacing * base
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -160,6 +230,194 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
     field_to_grid's depth_res, an integer >= 2."""
     require("grid_res", grid_res, DEPTH_RES)
     return marching_cubes(field_to_grid(fof, frame, grid_res), iso=iso)
+
+
+# What a ReconstructionReference holds of one source field: its decoded grid
+# over the shared box as (X * Y, depth) rows, its mesh, each face's cube id
+# and cube column, each vertex's edge key, and its front and back maps.
+_Source = namedtuple("_Source", "field values mesh cubes columns keys maps")
+
+
+class ReconstructionReference:
+    """Reconstructions of fields that mostly hold some source fields'
+    coefficients, built from what the sources share.
+
+    Holds, for each source field (a sweep passes c_gt and c_prior), its
+    decoded grid over one box shared by all sources, that grid's
+    marching-cubes mesh with each face's cube id and each vertex's edge key,
+    and the front and back normal maps of the mesh. The all-zero field is an
+    implicit last source, with a zero grid, no faces and background maps.
+    The box is the sources' live columns plus one cell on each side,
+    clamped to the frame.
+
+    reconstruct(field) returns the mesh of reconstruct_field(field, frame,
+    grid_res, iso) and the front and back maps that render_normals draws of
+    it, bit for bit (see the module docstring). A column of the field
+    matches a source when its coefficients equal the source's with ==; the
+    first source it matches serves it. decoded_columns counts the columns
+    that reconstruct has decoded.
+    """
+
+    def __init__(self, sources, frame=OrthoFrame(), grid_res=128, iso=0.5):
+        check_type(frame, "frame", OrthoFrame)
+        require("grid_res", grid_res, DEPTH_RES)
+        require("iso", iso, ISO)
+        fields = [s if isinstance(s, FourierField) else FourierField(s) for s in sources]
+        for f in fields:
+            _check_frame(f, frame)
+            if f.data.shape != fields[0].data.shape:
+                raise ShapeError(f"source fields differ: {f.data.shape} vs {fields[0].data.shape}")
+        self.frame, self.grid_res, self.iso = frame, grid_res, iso
+        self.decoded_columns = 0
+        live = np.zeros((frame.width, frame.height), dtype=bool)
+        for f in fields:
+            live |= _live_columns(f)
+        self.lo, self.hi = _live_box(*np.nonzero(live), live.shape)
+        self.channels = fields[0].channels if fields else None
+        if min(live.shape) < 2:  # no grid fits the frame: reconstruct falls back
+            self.sources = None
+            return
+        self.sources = []
+        for f in fields:
+            values = np.zeros(((self.hi - self.lo).prod(), grid_res))
+            self._decode(f, values, self._in_box(_live_columns(f)))
+            mesh, cubes, keys = _marching_cubes(self._grid(values), iso)
+            self.sources.append(_Source(f, values, mesh, cubes, cubes // (grid_res - 1), keys,
+                                        render_normals(mesh, frame, (FRONT, BACK))))
+
+    def _in_box(self, columns):
+        """The box's part of an (x, y) column mask, flattened x-major."""
+        return columns[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]].ravel()
+
+    def _grid(self, values):
+        box = tuple(self.hi - self.lo) + (self.grid_res,)
+        return OccupancyGrid(values.reshape(box), *_grid_map(self.frame, self.grid_res),
+                             np.array([self.lo[0], self.lo[1], 0]))
+
+    def _decode(self, field, values, rows):
+        """Decode the box columns marked in rows into those rows of values."""
+        rows = np.flatnonzero(rows)
+        xs, ys = np.divmod(rows, self.hi[1] - self.lo[1])
+        xs, ys = xs + self.lo[0], ys + self.lo[1]
+        _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, values, rows)
+        return len(rows)
+
+    def reconstruct(self, field):
+        """(mesh, front map, back map) of a field on the reference's frame.
+
+        A field with a live column that the reference's box does not hold
+        one cell deep, or with another channel count, takes reconstruct_field
+        and render_normals.
+        """
+        if not isinstance(field, FourierField):
+            field = FourierField(field)
+        _check_frame(field, self.frame)
+        live = np.any(field.data != 0.0, axis=2)  # per pixel, rows top-down
+        columns = live[::-1].T  # per (x, y) column, as _live_columns has it
+        lo, hi = _live_box(*np.nonzero(columns), columns.shape)
+        if (self.sources is None or np.any(lo < self.lo) or np.any(hi > self.hi)
+                or self.sources and field.channels != self.channels):
+            self.decoded_columns += int(live.sum())
+            mesh = reconstruct_field(field, self.frame, self.grid_res, self.iso)
+            return (mesh,) + render_normals(mesh, self.frame, (FRONT, BACK))
+        # Whether each pixel matches each source, the zero field last. Off
+        # the box the field and every source are zero.
+        box = slice(field.height - self.hi[1], field.height - self.lo[1]), \
+            slice(self.lo[0], self.hi[0])
+        match = []
+        for source in self.sources:
+            match.append(np.ones(live.shape, dtype=bool))
+            match[-1][box] = np.all(field.data[box] == source.field.data[box], axis=2)
+        match.append(~live)
+        mesh, cubes = self._extract(field, [m[::-1].T for m in match])
+        return (mesh,) + self._render(mesh, cubes, match)
+
+    def _extract(self, field, match):
+        """The mesh of field and each face's cube id, given its (x, y) column
+        masks per source."""
+        X, Y = self.hi - self.lo
+        match = [m[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]] for m in match]
+        # Decode: a column takes its first matching source's grid column.
+        sources = self.sources + [None]
+        values = np.zeros((X * Y, self.grid_res)) if sources[0] is None \
+            else sources[0].values.copy()
+        todo = ~match[0].ravel()
+        for m, source in zip(match[1:], sources[1:]):
+            take = m.ravel() & todo
+            values[take] = 0.0 if source is None else source.values[take]
+            todo &= ~take
+        self.decoded_columns += self._decode(field, values, todo)
+        grid = self._grid(values)
+
+        # Marching cubes: a cube whose four columns match one source takes
+        # that source's faces; the zero field has none. The other cubes are
+        # extracted here.
+        todo = np.ones((X - 1, Y - 1), dtype=bool)
+        served, cubes, faces, used = [], [], [], []
+        for m, source in zip(match, sources):
+            take = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:] & todo
+            todo &= ~take
+            if source is not None and take.any():
+                keep = take.ravel()[source.columns]
+                served.append(source)
+                cubes.append(source.cubes[keep])
+                faces.append(source.mesh.faces[keep])
+                used.append(np.zeros(source.mesh.n_vertices, dtype=bool))
+                used[-1][faces[-1]] = True
+        fresh_cubes, fresh_keys = _cube_faces(grid.values, todo, self.iso)
+
+        # Vertices: the distinct keys in sorted order, as marching_cubes
+        # numbers them. A source face's vertex lies on an edge whose columns
+        # match the source, so it is the source's vertex bit for bit.
+        distinct, number = np.unique(np.concatenate(
+            [source.keys[u] for source, u in zip(served, used)] + [fresh_keys.ravel()]),
+            return_inverse=True)
+        vertices = np.empty((len(distinct), 3))
+        start = 0
+        for i, (source, u) in enumerate(zip(served, used)):
+            at = number[start:start + np.count_nonzero(u)]
+            start += len(at)
+            vertices[at] = source.mesh.vertices[u]
+            renumber = np.empty(len(u), dtype=np.int64)
+            renumber[u] = at
+            faces[i] = renumber[faces[i]]
+        faces.append(number[start:].reshape(-1, 3))
+        fresh = np.zeros(len(distinct), dtype=bool)
+        fresh[faces[-1]] = True
+        vertices[fresh] = _edge_vertices(grid, distinct[fresh], self.iso)
+        # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it.
+        cubes = np.concatenate(cubes + [fresh_cubes])
+        order = np.argsort(cubes, kind="stable")
+        return TriMesh(vertices, np.concatenate(faces)[order]), cubes[order]
+
+    def _render(self, mesh, cubes, match):
+        """Front and back maps of mesh, given each face's cube id and the
+        field's pixel masks per source."""
+        H, W = match[0].shape
+        todo = np.ones((H, W), dtype=bool)
+        copies = []
+        for m in match:
+            # A pixel whose 3 x 3 columns all match the source; columns off
+            # the frame match.
+            padded = np.pad(m, 1, constant_values=True)
+            take = todo.copy()
+            for dr in range(3):
+                for dc in range(3):
+                    take &= padded[dr:dr + H, dc:dc + W]
+            todo &= ~take
+            copies.append(take)
+        # Only a face of a cube with a corner column at a pixel can cover
+        # its center; render those faces, in their order, at those pixels.
+        rendered = todo[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]
+        near = rendered[:-1, :-1] | rendered[1:, :-1] | rendered[:-1, 1:] | rendered[1:, 1:]
+        near_faces = mesh.faces[near.ravel()[cubes // (self.grid_res - 1)]]
+        maps = render_normals(TriMesh(mesh.vertices, near_faces), self.frame, (FRONT, BACK),
+                              todo)
+        for take, source in zip(copies, self.sources):  # the zero field's stay background
+            for out, src in zip(maps, source.maps):
+                out.data[take] = src.data[take]
+                out.mask[take] = src.mask[take]
+        return maps
 
 
 def sample_surface(mesh, n, seed=0):

@@ -11,6 +11,18 @@ normal maps) is the same in every cell, so run_sweep builds one
 metrics.EvalReference per run, before any cell starts, and the cells score
 their reconstructions against it.
 
+Occlusion changes only the occluded columns. Outside M both methods' fields
+hold c_gt's coefficients bit for bit; under policy=zero the naive field's M
+columns are zero, and the blend's deep M columns equal c_prior's with ==
+once the feather ramp reaches 0. So run_sweep also builds one
+surface.ReconstructionReference over c_gt and c_prior per run, after
+prepare_context, and each cell's reconstruct(field) copies those sources'
+decoded columns (exact: the decode accumulator is never -0.0, so +-0.0
+coefficients add nothing), their marching-cubes faces for cubes whose four
+columns match, and their normal-map pixels whose 3 x 3 columns match. Only
+the columns the occluder changed are decoded, extracted and rendered, and
+every mesh and map equals the full path's bit for bit.
+
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
 so reruns with the same config are byte-identical.
@@ -30,7 +42,7 @@ from .metrics import EvalReference
 from .occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from .render import render_silhouette
 from .shapes import make_shape
-from .surface import reconstruct_field
+from .surface import ReconstructionReference
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +59,7 @@ def _run_cell(cell):
     cfg = ctx["cfg"]
     rows = []
     try:
+        reference, reconstruction = _reference(ctx)
         if ratio == 0.0:
             pair = None
             c_obs = ctx["c_gt"]
@@ -63,8 +76,8 @@ def _run_cell(cell):
             field = c_obs
             if method == "blend":
                 field = vgcc_blend(c_obs, ctx["c_prior"], pair, cfg.feather_px)
-            recon = reconstruct_field(field, ctx["frame"], cfg.grid_res, iso=cfg.iso)
-            rep = _reference(ctx).evaluate(recon)
+            recon, front, back = reconstruction.reconstruct(field)
+            rep = reference.evaluate(recon, (front, back))
             rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
     except FofkitError as exc:
         log.error("cell ratio=%s seed=%s failed: %s", ratio, seed, exc)
@@ -76,13 +89,16 @@ def _run_cell(cell):
 
 
 def _reference(ctx):
-    """The context's ground-truth EvalReference, built on first use, so that
-    a context made by prepare_context alone also runs cells."""
+    """The context's ground-truth EvalReference and its
+    ReconstructionReference over c_gt and c_prior, built on first use, so
+    that a context made by prepare_context alone also runs cells."""
     if "reference" not in ctx:
         cfg = ctx["cfg"]
         ctx["reference"] = EvalReference(ctx["gt"], ctx["frame"], cfg.eval_samples,
                                          cfg.eval_seed)
-    return ctx["reference"]
+        ctx["reconstruction"] = ReconstructionReference(
+            (ctx["c_gt"], ctx["c_prior"]), ctx["frame"], cfg.grid_res, cfg.iso)
+    return ctx["reference"], ctx["reconstruction"]
 
 
 def prepare_context(cfg):

@@ -6,6 +6,7 @@ Criteria 1, 4, 5, 6 and 10 run fofkit.selftest's oracle checks with their
 own counts and seeds; the last test shows that each such check can fail.
 """
 
+import hashlib
 import os
 import time
 
@@ -21,7 +22,7 @@ from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
 from fofkit.metrics import chamfer, psnr, ssim
 from fofkit.occlusion import OccluderSpec, synthesize_occlusion, weight_map
 from fofkit.raster import OrthoFrame
-from fofkit.render import normal_map_error, render_normals, render_silhouette
+from fofkit.render import NormalMap, normal_map_error, render_normals, render_silhouette
 from fofkit.selftest import (check_bvh_vs_exhaustive, check_closed_form_vs_quadrature,
                              check_gradients, check_kdtree_vs_bruteforce,
                              check_tensor_roundtrip, check_weight_truth_table)
@@ -177,6 +178,21 @@ def test_criterion_7_occlusion_sweep(sweeps):
     report(7, ok, "; ".join(details))
 
 
+# The sha256 of the default sweep's curves.csv per shape. Performance work
+# must leave these bytes alone; a change that moves the numbers on purpose
+# pins the new digests and says why.
+DEFAULT_CURVES_SHA256 = {
+    "sphere": "fdc4efa15b5018bfb390a0f3ef2d03366d37d8f7840f82bd15f6150642b7982a",
+    "capsule_figure": "1b5f6a10a93943cc299093c6cd56a7434dbc8261d8ffd03f14a48c72fcccca86",
+}
+
+
+def test_default_curves_are_byte_identical(sweeps):
+    for shape, digest in DEFAULT_CURVES_SHA256.items():
+        with open(os.path.join(sweeps[shape]["out_dir"], "curves.csv"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, shape
+
+
 def test_criterion_8_normal_rendering(shapes):
     quad = TriMesh(
         [[-0.5, -0.5, 0], [0.5, -0.5, 0], [0.5, 0.5, 0], [-0.5, 0.5, 0]],
@@ -280,6 +296,12 @@ def _mesh_off(real):
     return mutant
 
 
+def _maps_off(real):
+    def mutant(*args):
+        return tuple(NormalMap(_last_up(m.data), m.mask) for m in real(*args))
+    return mutant
+
+
 def _crc_skipped(real):
     def mutant(path):
         try:
@@ -299,6 +321,7 @@ MUTANTS = {
         "parseval_energy", lambda real: lambda c: real(c) + c[0] ** 2),
     "check_decode_consistency": ("decode_ray", lambda real: lambda c, z: _last_up(real(c, z))),
     "check_cropped_reconstruction": ("reconstruct_field", _mesh_off),
+    "check_spliced_reconstruction": ("render_normals", _maps_off),
     "check_kdtree_vs_bruteforce": ("chamfer", lambda real: lambda a, b: _last_up(real(a, b))),
     "check_bvh_vs_exhaustive": ("SurfaceDistanceIndex", lambda real: type(
         "Mutant", (real,), {"query": lambda self, *a: _last_up(real.query(self, *a))})),

@@ -636,6 +636,8 @@ def assert_face_kernels_match_np_cross(vertices, faces):
     ln = norm[:, None].copy()
     ln[ln == 0.0] = 1.0
     assert_same_bits(mesh.face_normals(), n / ln)
+    index = np.arange(len(faces))[::-3]  # any subset, in any order
+    assert_same_bits(mesh.face_normals(index), (n / ln)[index])
     f = mesh.faces
     distinct = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])
     assert np.array_equal(drop_degenerate_faces(mesh.vertices, f), f[distinct & (norm > 0.0)])

@@ -69,6 +69,28 @@ class TestChamfer:
         assert cd == chamfer(a, b)
         assert np.array_equal(np.linalg.norm(a - b[nearest], axis=1), nearest_bruteforce(a, b))
 
+    def test_chamfer_in_any_input_order(self, rng):
+        # chamfer queries each set in its tree's leaf order and puts the
+        # results back, so under any order of either set it returns what
+        # querying in input order returns, bit for bit.
+        def in_input_order(a, b):
+            _, ia = metrics._kdtree(b).query(a)
+            _, ib = metrics._kdtree(a).query(b)
+            d_ab = np.linalg.norm(a - b[ia], axis=1)
+            d_ba = np.linalg.norm(b - a[ib], axis=1)
+            return float((0.5 * d_ab.mean() + 0.5 * d_ba.mean()) * 100.0), ia
+
+        b = _unit(rng.normal(size=(1500, 3))) * 0.6
+        a = np.concatenate([_unit(rng.normal(size=(700, 3))) * 0.6,
+                            _unit(rng.normal(size=(500, 3))) * rng.uniform(0.05, 0.55, (500, 1))])
+        for _ in range(6):
+            pa, pb = rng.permutation(len(a)), rng.permutation(len(b))
+            cd, nearest = chamfer(a[pa], b[pb], return_index=True)
+            want_cd, want_nearest = in_input_order(a[pa], b[pb])
+            assert np.float64(cd).tobytes() == np.float64(want_cd).tobytes()
+            assert np.array_equal(nearest, want_nearest)
+            assert np.array_equal(pb[nearest], chamfer(a, b, return_index=True)[1][pa])
+
     def test_triangle_inequality_diagnostic(self, rng):
         # mean-NN chamfer is not a metric; audit and count, don't assert
         violations = 0
@@ -867,6 +889,14 @@ class TestEvalReference:
             want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
             assert ref.evaluate(recon) == want
             assert evaluate_pair(recon, sphere_mesh, frame128, 2000, seed=5) == want
+
+    def test_given_maps_are_not_rendered_again(self, sphere_mesh, frame128, monkeypatch):
+        ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
+        recon = sphere_mesh.translated([0.01, 0, 0])
+        maps = render_normals(recon, frame128, ("front", "back"))
+        want = ref.evaluate(recon)
+        monkeypatch.setattr(metrics, "render_normals", None)
+        assert ref.evaluate(recon, maps) == want
 
     def test_equals_exhaustive_pieces_on_an_occluded_sphere(self):
         # Many reconstruction samples lie far inside the ground truth here,

@@ -16,8 +16,9 @@ from fofkit.metrics import chamfer
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.shapes import make_cube, make_sphere
-from fofkit.surface import (OccupancyGrid, field_to_grid, marching_cubes,
-                            mesh_volume, reconstruct_field, sample_surface)
+from fofkit.selftest import check_spliced_reconstruction, same_reconstruction
+from fofkit.surface import (OccupancyGrid, ReconstructionReference, field_to_grid,
+                            marching_cubes, mesh_volume, reconstruct_field, sample_surface)
 from fofkit.sweep import prepare_context
 
 SPHERE_AREA = 4 * np.pi * 0.6 ** 2
@@ -207,7 +208,8 @@ def sweep_fields():
     naive = occlude_field(ctx["c_gt"], pair, "zero", sigma=cfg.noise_sigma, seed=0)
     noisy = occlude_field(ctx["c_gt"], pair, "noise", sigma=cfg.noise_sigma, seed=0)
     blend = vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)
-    return ctx["frame"], cfg.grid_res, {"naive": naive, "blend": blend, "noise": noisy}
+    return ctx["frame"], cfg.grid_res, {"naive": naive, "blend": blend, "noise": noisy,
+                                        "gt": ctx["c_gt"], "prior": ctx["c_prior"]}
 
 
 class TestCubeLayout:
@@ -504,6 +506,77 @@ class TestDepthResArgument:
         field = mesh_to_fof(make_sphere(0.6, 1), OrthoFrame(16, 16), BasisConfig(3))
         assert field_to_grid(field, OrthoFrame(16, 16), np.int32(2)).values.shape[2] == 2
         assert decode_grid(field, np.int64(3)).shape == (16, 16, 3)
+
+
+class TestReconstructionReference:
+    """reconstruct(field) equals reconstruct_field + render_normals bit for
+    bit (selftest.same_reconstruction), and decodes only the columns that
+    match no source."""
+
+    def test_painted_fields(self):
+        check = check_spliced_reconstruction(60, 11)
+        assert check["ok"], check["detail"]
+
+    @pytest.fixture(scope="class")
+    def reference(self, sweep_fields):
+        frame, grid_res, fields = sweep_fields
+        return ReconstructionReference((fields["gt"], fields["prior"]), frame, grid_res)
+
+    @pytest.mark.parametrize("method", ["naive", "blend", "noise", "gt", "prior"])
+    def test_sweep_fields(self, sweep_fields, reference, method):
+        field = sweep_fields[2][method]
+        before = reference.decoded_columns
+        assert same_reconstruction(reference, field)
+        decoded = reference.decoded_columns - before
+        live = np.any(field.data != 0.0, axis=2).sum()
+        if method in ("naive", "gt", "prior"):  # naive: M's columns are zero
+            assert decoded == 0
+        elif method == "blend":  # only the feather ramp matches no source
+            assert 0 < decoded < live / 10
+
+    def test_all_zero_and_array_fields(self, reference, sweep_fields):
+        assert same_reconstruction(reference, np.zeros_like(sweep_fields[2]["gt"].data))
+        assert same_reconstruction(reference, -sweep_fields[2]["gt"].data * 0.0)
+        assert reference.reconstruct(sweep_fields[2]["naive"].data)[0].n_faces > 0
+
+    def test_other_channel_count_falls_back(self, sweep_fields, reference):
+        field = FourierField(sweep_fields[2]["gt"].data[..., :7])
+        before = reference.decoded_columns
+        assert same_reconstruction(reference, field)
+        assert reference.decoded_columns - before == np.any(field.data != 0.0, axis=2).sum()
+
+    @pytest.mark.parametrize("size", [(1, 6), (6, 1), (1, 1)])
+    def test_frame_without_a_grid_falls_back(self, size):
+        frame = OrthoFrame(*size)
+        source = np.zeros((size[1], size[0], 3))
+        reference = ReconstructionReference((source,), frame, 5)
+        assert reference.sources is None
+        assert same_reconstruction(reference, source)
+        with pytest.raises(ShapeError):
+            reference.reconstruct(source + 0.5)
+
+    def test_no_sources(self):
+        reference = ReconstructionReference((), OrthoFrame(6, 5), 5)
+        live = np.zeros((5, 6), dtype=bool)
+        live[0, 0] = True
+        field = random_support_field(live, seed=3)
+        assert same_reconstruction(reference, field)
+        assert reference.decoded_columns == 1
+        assert same_reconstruction(reference, np.zeros((5, 6, 7)))
+
+    def test_bad_arguments(self, sweep_fields):
+        frame, grid_res, fields = sweep_fields
+        with pytest.raises(ShapeError, match="source fields differ"):
+            ReconstructionReference((fields["gt"], fields["gt"].data[..., :5]), frame)
+        with pytest.raises(ShapeError, match="does not match frame"):
+            ReconstructionReference((fields["gt"],), OrthoFrame(64, 64))
+        with pytest.raises(DomainError, match="grid_res"):
+            ReconstructionReference((fields["gt"],), frame, 1)
+        with pytest.raises(DomainError, match="iso"):
+            ReconstructionReference((fields["gt"],), frame, grid_res, np.nan)
+        reference = ReconstructionReference((), frame, 4)
+        with pytest.raises(ShapeError, match="does not match frame"):
+            reference.reconstruct(np.zeros((4, 4, 3)))
 
 
 class TestTables:

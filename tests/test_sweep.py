@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from fofkit import metrics, sweep
+from fofkit import metrics, surface, sweep
 from fofkit.config import HarnessConfig
-from fofkit.occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES
+from fofkit.completion import vgcc_blend
+from fofkit.occlusion import (OCCLUDER_KINDS, OCCLUSION_POLICIES, OccluderSpec, occlude_field,
+                              synthesize_occlusion)
+from fofkit.selftest import same_reconstruction
 
 TINY = ["sweep.ratios=0.0,0.4", "sweep.seeds=1", "sweep.eval_samples=500",
         "extract.grid_res=48", "frame.width=48", "frame.height=48"]
@@ -49,18 +52,61 @@ def test_ratio_zero_cell_reconstructs_once(monkeypatch):
     # With no occluder the blend row is the naive one, so one reconstruction
     # and one evaluation serve both rows.
     calls = []
-    orig = sweep.reconstruct_field
+    orig = surface.ReconstructionReference.reconstruct
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
+    def counting(self, field):
+        calls.append(field)
+        return orig(self, field)
 
-    monkeypatch.setattr(sweep, "reconstruct_field", counting)
+    monkeypatch.setattr(surface.ReconstructionReference, "reconstruct", counting)
     monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(HarnessConfig.load(overrides=TINY)))
     naive, blend = sweep._run_cell((0.0, 1))
     assert len(calls) == 1
     assert naive[2:] == ("naive",) + blend[3:] and blend[2] == "blend"
     assert naive[:2] == blend[:2] == (0.0, 1)
+
+
+def test_one_reconstruction_reference_per_run(tmp_path, monkeypatch):
+    # Built once per run from c_gt and c_prior: after prepare_context, whose
+    # time the benchmark reports as set-up, and before the first cell.
+    events = []
+
+    class CountingReference(surface.ReconstructionReference):
+        def __init__(self, sources, *args):
+            events.append(("built", sources))
+            super().__init__(sources, *args)
+
+    orig_prepare, orig_cell = sweep.prepare_context, sweep._run_cell
+
+    def prepare(cfg):
+        ctx = orig_prepare(cfg)
+        events.append("prepared")
+        return ctx
+
+    def cell(c):
+        events.append("cell")
+        return orig_cell(c)
+
+    monkeypatch.setattr(sweep, "ReconstructionReference", CountingReference)
+    monkeypatch.setattr(sweep, "prepare_context", prepare)
+    monkeypatch.setattr(sweep, "_run_cell", cell)
+    sweep.run_sweep(HarnessConfig.load(overrides=TINY), str(tmp_path), jobs=1)
+    assert [e if isinstance(e, str) else e[0] for e in events] == [
+        "prepared", "built", "cell", "cell"]
+    assert events[1][1] == (sweep._CTX["c_gt"], sweep._CTX["c_prior"])
+    assert isinstance(sweep._CTX["reconstruction"], CountingReference)
+
+
+def test_cell_runs_on_a_bare_context(monkeypatch, tmp_path):
+    # A context from prepare_context alone builds both references on first
+    # use, and its cells write the rows a run writes.
+    cfg = HarnessConfig.load(overrides=TINY)
+    rows = sweep.run_sweep(cfg, str(tmp_path), jobs=1)
+    ctx = sweep.prepare_context(cfg)
+    monkeypatch.setattr(sweep, "_CTX", ctx)
+    assert "reference" not in ctx and "reconstruction" not in ctx
+    assert sorted(sweep._run_cell((0.4, 1))) == [r for r in rows if r[0] == 0.4]
+    assert isinstance(ctx["reconstruction"], surface.ReconstructionReference)
 
 
 # The config matrix: a small frame, every shape x every occluder kind x both
@@ -81,6 +127,13 @@ def test_config_matrix_runs_every_cell(tmp_path, shape, kind, policy):
         f"sweep.shape={shape}", f"occlude.kind={kind}", f"occlude.policy={policy}"])
     rows = sweep.run_sweep(cfg, str(tmp_path / "jobs1"), jobs=1)
     assert len(rows) == 4 and np.isfinite([r[3:] for r in rows]).all()
+    # Every cell's spliced reconstructions equal the full path's.
+    ctx = sweep._CTX
+    for ratio in cfg.sweep_ratios:
+        pair = synthesize_occlusion(ctx["body"], OccluderSpec(kind, 0, ratio))
+        naive = occlude_field(ctx["c_gt"], pair, policy, sigma=cfg.noise_sigma, seed=0)
+        for field in (naive, vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)):
+            assert same_reconstruction(ctx["reconstruction"], field)
     if shape == "sphere":
         sweep.run_sweep(cfg, str(tmp_path / "jobs2"), jobs=2)
         assert ((tmp_path / "jobs1" / "curves.csv").read_bytes()
