@@ -8,11 +8,14 @@ Every array argument (point sets, fields, grids, maps, masks, images,
 feature levels) passes check_array: ShapeError for one that is not numbers
 or has the wrong shape, DomainError for a non-finite value. An argument that
 must be a library object (a mesh, frame, grid or normal map) passes
-check_type: ShapeError for anything else.
+check_type: ShapeError for anything else. A file path passes check_path
+before anything is opened: ShapeError for anything but str, bytes or
+os.PathLike.
 """
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -143,6 +146,14 @@ def check_type(value, what, cls):
     if not isinstance(value, cls):
         raise ShapeError(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def check_path(path):
+    """path, or ShapeError unless it is a str, bytes or os.PathLike; open()
+    would take an integer as a file descriptor, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ShapeError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
+    return path
 
 
 def _describe(shape, dtype):

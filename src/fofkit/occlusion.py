@@ -180,6 +180,6 @@ def occlude_image(image, pair, fill="gray", seed=0):
         out[idx] = 0.5
     else:
         rng = Xoshiro256StarStar(seed, stream=2)
-        vals = np.asarray(rng.uniforms(len(idx[0]) * img.shape[2]), dtype=np.float64)
+        vals = rng.uniforms(len(idx[0]) * img.shape[2])
         out[idx] = vals.reshape(len(idx[0]), img.shape[2])
     return out

@@ -12,15 +12,29 @@ instead of a library default whose stream may change between versions:
 
 Distinct ``stream`` values give decorrelated generators for the same seed and
 are used for retry/reseed loops.
+
+``uniforms(n)`` draws the same n floats as n calls of ``random()``, and
+leaves the generator where those calls would, but steps up to ``_LANES``
+copies of the generator side by side as numpy uint64 lanes. Lane j starts
+j * m draws ahead (m = ceil(n / _LANES)) and makes draws j * m .. j * m + m - 1.
+The state update is linear over GF(2) (Haramoto et al., "Efficient Jump
+Ahead for F2-Linear Random Number Generators", 2008): the jump by m draws
+is the 256 x 256 bit matrix whose column k is unit state k stepped m times,
+found by stepping the 256 unit states as lanes, and each lane's start is
+that matrix applied to the previous lane's start. The scalar ``next_u64``
+is the oracle the lanes are checked against (``selftest.check_uniform_lanes``).
 """
 
 import math
+
+import numpy as np
 
 from .errors import integer
 
 SEED = integer(0)  # the seed argument of every seeded library function
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LANES = 256  # generators that uniforms steps side by side
 
 
 def _splitmix_next(state):
@@ -65,7 +79,25 @@ class Xoshiro256StarStar:
         return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def uniforms(self, n):
-        return [self.random() for _ in range(n)]
+        """[self.random() for _ in range(n)] as a float64 array, drawn in
+        lanes (see the module docstring)."""
+        if n <= 0:
+            return np.zeros(0)
+        m = -(-n // _LANES)  # draws per lane
+        lanes = -(-n // m)
+        s = list(_lane_starts(self._s, m, lanes).T)
+        tail = n - (lanes - 1) * m  # the draws of the last lane that are kept
+        s1 = np.empty((m, lanes), dtype=np.uint64)
+        for i in range(m):
+            s1[i] = s[1]
+            _step(s)
+            if i + 1 == tail:
+                self._s = [int(w[-1]) for w in s]
+        x = s1.T.ravel()[:n]  # draw j * m + i is lane j's i-th
+        x *= 5
+        x = (x << 7) | (x >> 57)
+        x *= 9
+        return (x >> 11) * 1.1102230246251565e-16  # 2**-53
 
     def below(self, n):
         """Integer in [0, n). Negligible modulo bias for n << 2**53."""
@@ -85,3 +117,40 @@ class Xoshiro256StarStar:
 
     def normals(self, n):
         return [self.normal() for _ in range(n)]
+
+
+def _step(s):
+    """One xoshiro256** state update of every lane: s holds the four state
+    words as uint64 arrays, which wrap as the masked ints of next_u64 do."""
+    s0, s1, s2, s3 = s
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s[3] = (s3 << 45) | (s3 >> 19)
+
+
+def _lane_starts(state, m, lanes):
+    """(lanes, 4) uint64: the state words of lane j, state stepped j * m times."""
+    k = np.arange(256)
+    unit = np.zeros((4, 256), dtype=np.uint64)  # unit[:, k] is the state with only bit k set
+    unit[k // 64, k] = np.left_shift(np.uint64(1), (k % 64).astype(np.uint64))
+    unit = list(unit)
+    for _ in range(m):
+        _step(unit)
+    # The jump by m draws, a byte at a time: jump[b, v] is the XOR of the
+    # stepped unit states of the set bits of value v at byte b, and bit i of
+    # byte b (of the little-endian words) is unit state 8b + i.
+    images = np.stack(unit, axis=1).reshape(32, 8, 4)
+    jump = np.zeros((32, 256, 4), dtype=np.uint64)
+    for i in range(8):
+        jump[:, 1 << i:2 << i] = jump[:, :1 << i] ^ images[:, i, None]
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = state
+    byte = np.arange(32)
+    for j in range(1, lanes):
+        octets = starts[j - 1].astype("<u8").view(np.uint8)
+        starts[j] = np.bitwise_xor.reduce(jump[byte, octets], axis=0)
+    return starts

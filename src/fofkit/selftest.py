@@ -5,8 +5,8 @@ oracle: trapezoid quadrature for the closed-form encoding, exhaustive search
 for the kd-tree and the BVH, central finite differences for the loss
 gradients, the literal case table for the visibility weights, the CRC for
 the tensor container, extraction from the full-frame grid for the
-cropped reconstruction, and full extraction and rendering for the spliced
-one.
+cropped reconstruction, full extraction and rendering for the spliced
+one, and the scalar xoshiro256** stream for the uniforms drawn in lanes.
 
 Each oracle property has one driver loop here. `fofkit selftest` runs the
 checks with their default counts and seeds; the acceptance criteria and the
@@ -26,6 +26,7 @@ from .occlusion import MaskPair, weight_map
 from .raster import OrthoFrame
 from .shapes import make_sphere, make_torus
 from .render import BACK, FRONT, render_normals
+from .rng import _LANES, Xoshiro256StarStar
 from .surface import (OccupancyGrid, ReconstructionReference, field_to_grid, marching_cubes,
                       reconstruct_field, sample_surface)
 from .tensor_io import CrcMismatchError, read_tensor, write_tensor
@@ -355,6 +356,21 @@ def check_tensor_roundtrip(seed=6, shape=(4, 5, 3)):
                   f"byte-exact {shape} payload, corrupt bit rejected")
 
 
+def check_uniform_lanes(seed=9):
+    """uniforms(n) equals n scalar random() draws bit for bit, and leaves the
+    generator in the same state, for sizes on and next to lane boundaries."""
+    sizes = (0, 1, 2, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES - 1, 2 * _LANES,
+             2 * _LANES + 1, 7 * _LANES + 3, 30000)
+    ok = True
+    for stream, n in enumerate(sizes):
+        drawn, scalar = Xoshiro256StarStar(seed, stream), Xoshiro256StarStar(seed, stream)
+        got = drawn.uniforms(n)
+        want = np.array([scalar.random() for _ in range(n)], dtype=np.float64)
+        ok &= np.array_equal(got.view(np.uint64), want.view(np.uint64)) and drawn._s == scalar._s
+    return _check("uniforms in lanes vs the scalar stream", ok,
+                  f"{len(sizes)} sizes up to {max(sizes)} draws, and the state after")
+
+
 ALL_CHECKS = (
     check_closed_form_vs_quadrature,
     check_bessel_bound,
@@ -366,6 +382,7 @@ ALL_CHECKS = (
     check_gradients,
     check_weight_truth_table,
     check_tensor_roundtrip,
+    check_uniform_lanes,
 )
 
 

@@ -436,7 +436,7 @@ def sample_surface(mesh, n, seed=0):
 def _sample_uniforms(n, seed):
     """The 3n uniforms that sample_surface(mesh, n, seed) draws for any mesh."""
     require("seed", seed, SEED)
-    return np.asarray(Xoshiro256StarStar(seed).uniforms(3 * n), dtype=np.float64)
+    return Xoshiro256StarStar(seed).uniforms(3 * n)
 
 
 def _sample_points(mesh, u):

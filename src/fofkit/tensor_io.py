@@ -42,7 +42,8 @@ import zlib
 import numpy as np
 
 from .errors import (BadMagicError, CrcMismatchError, ImageFormatError, ShapeError,
-                     TensorFormatError, TruncatedPayloadError, UnsupportedVersionError)
+                     TensorFormatError, TruncatedPayloadError, UnsupportedVersionError,
+                     check_path)
 
 MAGIC = b"OAHT"
 VERSION = 2
@@ -150,7 +151,7 @@ def write_tensor(path, data, dims=None):
     arr = np.ascontiguousarray(arr, dtype="<f4").reshape(arr.shape)  # keeps 0-d as 0-d
     header = MAGIC + struct.pack(f"<HBB{arr.ndim}Q", VERSION, DTYPE_F32, arr.ndim, *arr.shape)
     payload = arr.tobytes()
-    with open(path, "wb") as fh:
+    with open(check_path(path), "wb") as fh:
         fh.write(header)
         fh.write(payload)
         fh.write(struct.pack("<Q", crc64(payload, crc64(header))))
@@ -158,7 +159,7 @@ def write_tensor(path, data, dims=None):
 
 def read_tensor(path):
     """Read a tensor container; returns (dims, float32 ndarray)."""
-    with open(path, "rb") as fh:
+    with open(check_path(path), "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: not a tensor container (bad magic)")
@@ -200,7 +201,7 @@ def _read_netpbm(path, magic, channels, dtype_of):
     whitespace and # comments between fields and exactly one whitespace byte
     after the third. dtype_of(third) gives the raster's element type, or
     raises ValueError."""
-    with open(path, "rb") as fh:
+    with open(check_path(path), "rb") as fh:
         blob = fh.read()
     if not blob.startswith(magic):
         raise ImageFormatError(path, 0, f"expected {magic!r} magic")
@@ -241,7 +242,7 @@ def _read_netpbm(path, magic, channels, dtype_of):
 def _write_netpbm(path, magic, third, raster):
     """Write the header "{magic}\\n{W} {H}\\n{third}\\n", then the raster's bytes."""
     h, w = raster.shape[:2]
-    with open(path, "wb") as fh:
+    with open(check_path(path), "wb") as fh:
         fh.write(f"{magic}\n{w} {h}\n{third}\n".encode("ascii"))
         fh.write(raster.tobytes())
 
@@ -309,7 +310,7 @@ def write_png16(path, normals):
     raw = enc.tobytes()
     stride = w * 6
     scanlines = b"".join(b"\x00" + raw[y * stride:(y + 1) * stride] for y in range(h))
-    with open(path, "wb") as fh:
+    with open(check_path(path), "wb") as fh:
         fh.write(b"\x89PNG\r\n\x1a\n")
         fh.write(_png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 16, 2, 0, 0, 0)))
         fh.write(_png_chunk(b"IDAT", zlib.compress(scanlines, 6)))
@@ -318,7 +319,7 @@ def write_png16(path, normals):
 
 def read_png16(path):
     """Read a 16-bit RGB PNG written by write_png16; returns normals (H, W, 3)."""
-    with open(path, "rb") as fh:
+    with open(check_path(path), "rb") as fh:
         blob = fh.read()
     if blob[:8] != b"\x89PNG\r\n\x1a\n":
         raise ImageFormatError(path, 0, "not a PNG file")

@@ -328,6 +328,8 @@ MUTANTS = {
     "check_gradients": ("mse_coeff_loss", _gradient_off),
     "check_weight_truth_table": ("weight_map", lambda real: lambda *a: _last_up(real(*a))),
     "check_tensor_roundtrip": ("read_tensor", _crc_skipped),
+    "check_uniform_lanes": ("Xoshiro256StarStar", lambda real: type("Mutant", (real,), {
+        "uniforms": lambda self, n: _last_up(real.uniforms(self, n)) if n else np.zeros(0)})),
 }
 
 

@@ -24,10 +24,10 @@ from fofkit import (BasisConfig, EvalReference, FeaturePyramid, FourierField, In
                     LevelWeights, MaskPair, NormalMap, OccluderSpec, OccupancyGrid, OrthoFrame,
                     TriMesh, basis_eval, chamfer, check_watertight, decode_grid, decode_ray,
                     degrade_prior, evaluate_pair, feat_loss, geo_loss, image_loss,
-                    intervals_to_coeffs, marching_cubes, mesh_to_fof, mesh_volume,
+                    intervals_to_coeffs, load_obj, marching_cubes, mesh_to_fof, mesh_volume,
                     mse_coeff_loss, normal_loss, normal_map_error, normalize_mesh, occlude_field,
                     occlude_image, p2s, parseval_energy, psnr, ray_intervals, reconstruct_field,
-                    render_normals, render_silhouette, sample_surface, ssim,
+                    render_normals, render_silhouette, sample_surface, save_obj, ssim,
                     synthesize_occlusion, vgcc_blend, weight_map)
 from fofkit import sweep
 from fofkit.config import SETTINGS, HarnessConfig
@@ -35,6 +35,7 @@ from fofkit.errors import FofkitError
 from fofkit.mesh import fit_to_frame
 from fofkit.metrics import p2s_exhaustive
 from fofkit.shapes import make_cube
+from fofkit.tensor_io import read_pgm, read_png16, read_tensor, write_pfm, write_png16, write_tensor
 
 nan, inf = math.nan, math.inf
 
@@ -190,6 +191,17 @@ PROBES = {
                                       lambda: vgcc_blend(FIELD, FIELD, "a")),
     "synthesize_occlusion(body, 'a')": ("^spec must be of type OccluderSpec",
                                         lambda: synthesize_occlusion(BODY, "a")),
+    # File entry points: swapped arguments raised AttributeError, and an
+    # integer path made open() read stdin or write stdout, and close it.
+    "save_obj(path, mesh)": ("^mesh must be of type TriMesh", lambda: save_obj("m.obj", CUBE)),
+    "save_obj(mesh, True)": ("^path must be", lambda: save_obj(CUBE, True)),
+    "load_obj(0)": ("^path must be", lambda: load_obj(0)),
+    "read_tensor(0)": ("^path must be", lambda: read_tensor(0)),
+    "write_tensor(1, data)": ("^path must be", lambda: write_tensor(1, np.zeros(2))),
+    "read_pgm(0)": ("^path must be", lambda: read_pgm(0)),
+    "write_pfm(1, data)": ("^path must be", lambda: write_pfm(1, np.zeros((1, 1, 3)))),
+    "read_png16(0)": ("^path must be", lambda: read_png16(0)),
+    "write_png16(1, normals)": ("^path must be", lambda: write_png16(1, np.zeros((1, 1, 3)))),
 }
 
 
@@ -356,7 +368,9 @@ def test_targets_cover_the_public_names():
     covered = {target.split(".")[0] for target in TARGETS}
     left_out = {
         "MetricReport",  # a result record that the metrics fill in
-        "load_obj", "save_obj",  # file paths: the file readers have their own fuzz tests
+        # Files: PROBES check their path and mesh arguments; the OBJ reader and
+        # writer have their own fuzz tests.
+        "load_obj", "save_obj",
     }
     assert covered | left_out == set(fofkit.__all__)
     assert not covered & left_out

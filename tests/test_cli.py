@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import inspect
 import os
 import subprocess
@@ -10,9 +11,10 @@ import pytest
 
 import fofkit
 from fofkit.cli import build_parser, main
+from fofkit.completion import degrade_prior
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import ConfigError, DomainError, OcclusionError
-from fofkit.mesh import load_obj
+from fofkit.mesh import load_obj, save_obj
 from fofkit.shapes import SHAPE_MAKERS, make_shape
 from fofkit.surface import mesh_volume
 from fofkit.tensor_io import read_pfm, read_pgm, read_tensor
@@ -401,3 +403,53 @@ class TestRenderPng16:
         pfm = read_pfm(workdir / "pf.pfm")
         png = read_png16(str(workdir / "pf.pfm") + ".png")
         assert np.max(np.abs(png - pfm)) <= 2.0 / 65535
+
+
+# sha256 of each file the README chain below writes, pinned before the OBJ
+# reader and writer, and the sampler's uniforms, were vectorized further.
+CHAIN_SHA256 = {
+    "back.pfm": "5260ae2c70aa9c437de6235a3717f50b4599e4151d24b09ce9981dd4d42db7f7",
+    "body.pgm": "a369bc2ed66717d237be307699f5ccd34c8505905ef7c879a7bf6ca67df80101",
+    "done.oaht": "91f66bd58e55ddb0cc88e4d235fb4671fb806a2b8689b88ec5d63be62c9cb484",
+    "done.oaht.meta": "de3a423bc2a441fc383cc74cc404f7293e5be5e8fcbfc3437c5f28f45eb09f9c",
+    "front.pfm": "cb21e5b85ec9eaa52d36a0dfeb55566be6aa0cc880ca1ff5315e00ee660bc5e3",
+    "gt.oaht": "4c680bcaf28f7ca757c1840fd496817dd92d7366f07e4410c6cf78aa0202fc82",
+    "gt.oaht.meta": "de3a423bc2a441fc383cc74cc404f7293e5be5e8fcbfc3437c5f28f45eb09f9c",
+    "gt.obj": "764f04830e71610f193149a83ee4767e29b5bedbac5922331b1d11a3bcc893f6",
+    "metrics.csv": "5b5cdb9f8a9a60b8bc1eea0fe7fbfa166ed8d862782b125b3cc139247e5b5cca",
+    "metrics.csv.txt": "cee43d701383adbad628e0cefe076db1bd5b324c5138e39ff84740da175caaa0",
+    "occ.oaht": "fd8d54229b6d3bc9495bd018436b7b5fb2cc85b3db3924f165a58473d677e04f",
+    "occ.oaht.M.pgm": "1ff0bfea842f032748ef604bd9d474247cd443cf6515553956fbaeb46d6a2902",
+    "occ.oaht.V.pgm": "a73ba85485801a00411bc25e1f08b702a7a74e7e4636f9a0f04dd0b553c04b7b",
+    "occ.oaht.meta": "de3a423bc2a441fc383cc74cc404f7293e5be5e8fcbfc3437c5f28f45eb09f9c",
+    "prior.oaht": "5f68be76dab44841361a135a07e66917c009f6dfc49e1d52c84377269b3febb9",
+    "prior.oaht.meta": "de3a423bc2a441fc383cc74cc404f7293e5be5e8fcbfc3437c5f28f45eb09f9c",
+    "prior.obj": "1e85df4dfd73055ead1bf9388a32779e26ee95af8523cfdd0a28c678e01f0dd2",
+    "recon.obj": "f72063278b72f0bc6ef56a9a88fcdbaacdde32dc243a16210a51df1b28ceed27",
+}
+
+
+def test_readme_chain_files_are_byte_identical(tmp_path):
+    # The README walkthrough on a 64x64 frame, prior.obj made as the README's
+    # Python example makes it; every file any step writes is pinned.
+    d = tmp_path
+    frame = ("--width", 64, "--height", 64)
+    assert run("shapes", "sphere", d / "gt.obj", "--subdivisions", 3) == 0
+    save_obj(degrade_prior(load_obj(d / "gt.obj"), 20, 0.5), d / "prior.obj")
+    steps = [
+        ("encode", d / "gt.obj", d / "gt.oaht", "--order", 15, *frame),
+        ("silhouette", d / "gt.obj", d / "body.pgm", *frame),
+        ("occlude", d / "gt.oaht", d / "body.pgm", d / "occ.oaht", "--ratio", 0.4,
+         "--seed", 7),
+        ("encode", d / "prior.obj", d / "prior.oaht", *frame),
+        ("blend", d / "occ.oaht", d / "prior.oaht", d / "occ.oaht.V.pgm",
+         d / "occ.oaht.M.pgm", d / "done.oaht"),
+        ("reconstruct", d / "done.oaht", d / "recon.obj", "--grid-res", 64),
+        ("render-normals", d / "recon.obj", d / "front.pfm", d / "back.pfm", *frame),
+        ("eval", d / "recon.obj", d / "gt.obj", d / "metrics.csv", "--samples", 2000,
+         "--seed", 3, *frame),
+    ]
+    for argv in steps:
+        assert run(*argv) == 0, argv[0]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(d.iterdir())}
+    assert got == CHAIN_SHA256

@@ -1,3 +1,4 @@
+import io
 import logging
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from fofkit.errors import DomainError, FofkitError, MeshError, ObjParseError
 from fofkit.fof import BasisConfig, intervals_to_coeffs
-from fofkit.mesh import (BVH, TriMesh, _numbers, _ObjBlock, check_watertight, drop_degenerate_faces,
+from fofkit.mesh import (BVH, TriMesh, _index_array, _line_blocks, _numbers, _ObjBlock,
+                         check_watertight, drop_degenerate_faces,
                          field_volume, fit_to_frame, load_obj, mesh_to_fof,
                          normalize_mesh, ray_cast_all, ray_intervals, save_obj)
 from fofkit.metrics import chamfer
@@ -432,6 +434,11 @@ class TestObjReaderAcrossBlocks:
         assert_same_outcome(drawn_obj(tmp_path, text))
 
 
+def raw_lines(data):
+    """The lines text mode reads from the bytes data, their line ends kept."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline="").readlines()
+
+
 def pad_to(text, size):
     """text followed by one comment line, size characters in all."""
     assert size - len(text) >= 2
@@ -454,12 +461,12 @@ class TestObjReaderBlocks:
         size = max(map(len, [verts, faces, "".join(shifted), later])) + 2
         blocks = [pad_to(verts, size), pad_to(faces, size), pad_to("".join(shifted), size),
                   pad_to(later, size)]
-        # readlines(hint) stops after the line that takes it past hint.
-        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", size - 1)
+        # Each read of `size` bytes ends at a line end, so it is a block.
+        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", size)
         path = tmp_path / "blocks.obj"
         path.write_text("".join(blocks))
-        with open(path) as fh:  # load_obj reads these four blocks
-            assert ["".join(fh.readlines(size - 1)) for _ in range(5)] == blocks + [""]
+        with open(path, "rb") as fh:  # load_obj reads these four blocks
+            assert [block.decode() for block in _line_blocks(fh)] == blocks
         assert_same_outcome(path)
         got = load_obj(path)
         assert got.n_vertices == 2 * n and got.n_faces == 2 * sphere.n_faces + 2
@@ -474,10 +481,36 @@ class TestObjReaderBlocks:
         with pytest.raises(ObjParseError, match=f"^{path}:{line_no}: bad vertex: could not "):
             load_obj(path)
 
-    # numpy's C reader rejects the first two coordinates, and the digit sum
-    # the indices past int64, with an underscore, a "+" or a non-ASCII digit,
-    # so Python's float or int reads their block; the other coordinates the
-    # C reader reads as float does, sign of a NaN and subnormals included.
+    @settings(_OBJ_FUZZ, max_examples=300)
+    @given(pieces=st.lists(st.sampled_from([b"v", b"1", b" ", b"\r", b"\n", b"\r\n"]),
+                           max_size=40),
+           size=st.integers(1, 9))
+    @example(pieces=[b"v", b"\r", b"\r\n", b"1"], size=3)  # a read ends inside "\r\r\n"
+    def test_blocks_are_whole_lines(self, monkeypatch, pieces, size):
+        raw = b"".join(pieces)
+        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", size)
+        blocks = list(_line_blocks(io.BytesIO(raw)))
+        assert b"".join(blocks) == raw
+        assert sum(map(raw_lines, blocks), []) == raw_lines(raw)  # no line or "\r\n" is split
+        for block in blocks:
+            assert len(block) <= size + 1 + sum(map(len, raw_lines(block)[:2]))
+
+    def test_lone_cr_files_keep_their_block_size(self, tmp_path, monkeypatch):
+        # Old Mac line ends: the blocks end at "\r" as they do at "\n".
+        save_obj(make_sphere(0.6, 2), tmp_path / "lf.obj")
+        raw = (tmp_path / "lf.obj").read_bytes()
+        path = tmp_path / "cr.obj"
+        path.write_bytes(raw.replace(b"\n", b"\r"))
+        monkeypatch.setattr("fofkit.mesh._OBJ_BLOCK_CHARS", 512)
+        with open(path, "rb") as fh:
+            sizes = [len(block) for block in _line_blocks(fh)]
+        assert len(sizes) > 10 and max(sizes) <= 512 + 2 * max(map(len, raw_lines(raw)))
+        assert_same_mesh(assert_same_outcome(path), load_obj(tmp_path / "lf.obj"))
+
+    # Python's float or int reads each of these among plain decimals that
+    # numpy converts: an underscore, a non-ASCII digit, a NaN's sign, a
+    # subnormal, an infinity, an index past int64 and a "+". "007" is plain,
+    # leading zeros and all.
     ODD_COORDINATES = ["1_0.5", "١.٥", "-nan", "nan", "1e-320", "Infinity", "-inf", "1e999"]
     ODD_INDICES = ["99999999999999999999", "-99999999999999999999", "1_0", "٣", "+2", "007"]
 
@@ -514,7 +547,7 @@ class TestObjReaderBlocks:
         assert_same_outcome(path)
 
     def test_well_formed_file_is_read_in_bulk(self, tmp_path, monkeypatch):
-        # Python's float and int are for a block with an odd token only.
+        # Python's float and int read odd tokens only.
         path = tmp_path / "sphere.obj"
         save_obj(make_sphere(0.6, 2), path)
         want = load_obj(path)
@@ -540,53 +573,77 @@ _SEPARATORS = " \t\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
 _NUMBER_TEXT = "0123456789+-.eExXinfatyINFATY_\x00\x7f²½é١٣１"
 
 
+def _with_point(m, k):
+    """m / 10**k written with k digits after a point."""
+    digits = str(abs(m)).zfill(k + 1)
+    return "-" * (m < 0) + digits[:len(digits) - k] + "." + digits[len(digits) - k:]
+
+
 class TestObjBlock:
-    """The pieces load_obj builds on: its tokens are str.split()'s, and its
-    bulk conversions read a token only as float or int read it."""
+    """The pieces load_obj builds on: its lines are text mode's lines, its
+    tokens are str.split()'s, and its bulk conversions read a token only as
+    float or int read it."""
 
     @settings(max_examples=300, deadline=None)
     @given(parts=st.lists(st.text(alphabet=_SEPARATORS + "vf/#1é\u0663", max_size=12),
                           min_size=1, max_size=6))
     def test_tokens_are_str_split_tokens(self, parts):
         lines = [part + "\n" for part in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
-        block = _ObjBlock(lines or ["\n"])
+        block = _ObjBlock("".join(lines or ["\n"]).encode("utf-8"))
         tokens = [block.text[a:b] for a, b in zip(block.starts.tolist(), block.ends.tolist())]
         assert tokens == "".join(lines).split()
         assert block.counts.tolist() == [len(line.split()) for line in lines or ["\n"]]
         assert [tokens[i] for i in block.first[block.counts > 0]] == \
             [line.split()[0] for line in lines if line.split()]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=40).map(lambda b: b.replace(b"\x00", b"\r")),
+           ends=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n", b" "]), max_size=6))
+    @example(data=b"v 1\r\r\nf\xe2\x82", ends=[b"\r"])
+    def test_lines_are_text_mode_lines(self, data, ends):
+        # Raw bytes with every kind of line end and bytes that are not UTF-8.
+        raw = data + b"".join(ends)
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace").readlines()
+        block = _ObjBlock(raw or b"\n")
+        assert block.counts.tolist() == [len(line.split()) for line in lines or ["\n"]]
+        tokens = [block.text[a:b] for a, b in zip(block.starts.tolist(), block.ends.tolist())]
+        assert tokens == "".join(lines).split()
+
     @settings(max_examples=500, deadline=None)
     @given(tokens=st.lists(st.one_of(
         st.text(alphabet=_NUMBER_TEXT, min_size=1, max_size=22),
         st.integers(-10**20, 10**20).map(str),
         st.floats(width=64).map(repr),
+        st.floats(-1e3, 1e3).map(lambda x: f"{x:.9g}"),
+        st.builds(_with_point, st.integers(-10**17, 10**17), st.integers(0, 17)),
         st.sampled_from(["-nan", "Infinity", "1e-320", "1e999", "1_0", "\u0663", "+7", "007",
                          "999999999999999999", "-999999999999999999", "9999999999999999999",
-                         "9223372036854775807", "-9223372036854775808"])),
+                         "9223372036854775807", "-9223372036854775808", "1.", ".5", "-.5",
+                         ".", "-", "1.2.3", "0.300000000000000044", "123456789012345.6"])),
         min_size=1, max_size=9), kind=st.sampled_from([float, int]))
     @example(tokens=["9999999999999999999"], kind=int)  # past int64 by 19 digits
     @example(tokens=["999999999999999999", "-9223372036854775808", "-0", "+5"], kind=int)
     @example(tokens=["-nan", "1e-320", "Infinity", "1e999", "-0", "\u0661.\u0665"], kind=float)
+    @example(tokens=["999999999999999.9", "99999999999999.99", "-0.0", "0.000000000000001"],
+             kind=float)
     def test_numbers_read_as_python_does(self, tokens, kind):
-        if kind is float:  # coordinates come three to a record
-            tokens = (tokens * 3)[:len(tokens) * 3]
-        block = _ObjBlock(["x " + " ".join(tokens) + "\n"])
+        block = _ObjBlock(("x " + " ".join(tokens) + "\n").encode("utf-8"))
         lo, hi = block.starts[1:], block.ends[1:]
         want, want_bad = _numbers(tokens, kind)
-        bulk = block._floats(lo, hi) if kind is float else block._ints(lo, hi)
-        if bulk is not None:  # it accepts only what Python accepts, equal bit for bit
-            assert want_bad is None
-            dtype = np.float64 if kind is float else np.int64
-            assert np.array_equal(bulk.view(np.int64), np.array(want, dtype=dtype).view(np.int64))
+        bulk, plain = block._decimals(lo, hi, kind)
+        # The bulk conversion accepts only what Python accepts, equal bit for bit.
+        accepted = [kind(t) for t, p in zip(tokens, plain.tolist()) if p]
+        dtype = np.float64 if kind is float else np.int64
+        assert np.array_equal(bulk[plain].view(np.int64),
+                              np.array(accepted, dtype=dtype).view(np.int64))
         got, bad = block.numbers(lo, hi, kind)
         if want_bad:
             assert bad[0] == want_bad[0] and str(bad[1]) == str(want_bad[1])
-        elif kind is int:
-            assert bad is None and [int(v) for v in got] == want
+            want = want[:bad[0]]
         else:
             assert bad is None
-            assert np.array_equal(np.asarray(got).view(np.int64), np.array(want).view(np.int64))
+        want = np.asarray(want, dtype=np.float64) if kind is float else _index_array(want)
+        assert np.array_equal(got[:len(want)].view(np.int64), want.view(np.int64))
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cross products of inf/huge coordinates
 class TestObjWriter:
@@ -605,7 +662,8 @@ class TestObjWriter:
         save_obj_by_line(mesh, tmp_path / "b.obj")
         assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
-    def test_many_blocks(self, tmp_path):
+    def test_many_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("fofkit.mesh._OBJ_WRITE_ROWS", 1000)
         mesh = make_sphere(0.6, 4)  # 2562 vertices, 5120 faces
         big = TriMesh(np.concatenate([mesh.vertices] * 2), mesh.faces, None)
         save_obj(big, tmp_path / "a.obj")
