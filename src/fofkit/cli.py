@@ -39,7 +39,7 @@ from .render import render_normals, render_silhouette
 from .rng import SEED
 from .selftest import run_selftest
 from .shapes import SHAPE_MAKERS, make_shape
-from .surface import reconstruct_field
+from .surface import field_to_grid, marching_cubes
 from .sweep import METHODS, run_sweep
 from .tensor_io import read_pgm, read_tensor, write_pfm, write_pgm, write_png16, \
     write_tensor
@@ -144,8 +144,10 @@ def cmd_encode(args):
 
 
 def cmd_reconstruct(args):
-    field, frame = _read_field(args.field)
-    mesh = reconstruct_field(field, frame, args.grid_res, iso=args.iso)
+    # reconstruct_field's two steps, written out so that the field is freed
+    # once decoded and the grid once extracted: neither is live beside
+    # marching cubes' temporaries or save_obj's.
+    mesh = marching_cubes(field_to_grid(*_read_field(args.field), args.grid_res), args.iso)
     save_obj(mesh, args.out)
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_faces} faces")
 

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (DomainError, MeshError, ObjParseError, ShapeError, check_array,
                      check_path, check_type, require)
 from .fof import BasisConfig, FourierField, IntervalList, _check_frame, interval_terms
-from .raster import HALF_EXTENT, OrthoFrame, bary_interp, rasterize_coverage, ray_hits_at_point
+from .raster import (HALF_EXTENT, OrthoFrame, _face_blocks, bary_interp, rasterize_coverage,
+                     ray_hits_at_point)
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +88,7 @@ class TriMesh:
         return (n / ln).T
 
     def face_areas(self):
-        return 0.5 * _face_cross(self.vertices, self.faces)[1]
+        return 0.5 * _face_norms(self.vertices, self.faces)
 
     def translated(self, offset):
         return TriMesh(self.vertices + check_array(offset, "offset", (3,)),
@@ -111,6 +112,15 @@ def _face_cross(vertices, faces):
     return n, np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
 
 
+def _face_norms(vertices, faces):
+    """The norms of _face_cross, one raster face block at a time, so no
+    per-face temporary spans the mesh."""
+    out = np.empty(len(faces))
+    for block in _face_blocks(len(faces)):
+        out[block] = _face_cross(vertices, faces[block])[1]
+    return out
+
+
 def _corner_cross(corners):
     """The cross products of _face_cross, from the corners as
     (axis, corner, face) rows."""
@@ -129,7 +139,7 @@ def drop_degenerate_faces(vertices, faces):
         return faces
     distinct = (faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2]) \
         & (faces[:, 0] != faces[:, 2])
-    area2 = _face_cross(vertices, faces)[1]
+    area2 = _face_norms(vertices, faces)
     keep = distinct & (area2 > 0.0)
     if keep.all():
         return faces

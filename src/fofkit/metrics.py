@@ -53,6 +53,7 @@ renders both normal maps from one coverage pass.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -73,8 +74,12 @@ PSNR_CAP_DB = 99.0
 MAX_COORD = 1e75
 
 # P2S: the widest (point, node) frontier expanded at once, and so the most
-# pairs one point_triangle_distance call scores here.
+# pairs one point_triangle_distance call of the BVH walk scores.
 MAX_FRONTIER = 1 << 16
+
+# p2s_exhaustive: the pairs per kernel call, a cache-sized tile, at which the
+# kernel costs least per pair.
+_EXHAUSTIVE_PAIRS = 1 << 13
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -245,7 +250,8 @@ def point_triangle_closest(points, tris):
 def point_triangle_distance(points, tris):
     """Distances from points (n, 3) to their paired triangles (n, 3, 3); the
     squares are summed left to right, as np.linalg.norm sums a row. Callers
-    here pass at most MAX_FRONTIER pairs, which bounds its temporaries."""
+    here pass at most MAX_FRONTIER pairs, or one point's row of
+    p2s_exhaustive, which bounds its temporaries."""
     p, t = _pair_rows(points, tris)
     r = p - _closest_rows(p, t)
     r *= r
@@ -260,9 +266,15 @@ class SurfaceDistanceIndex:
             raise DomainError("cannot index an empty mesh")
         v = check_array(mesh.vertices, "mesh vertices", (None, 3), MAX_COORD)
         self.bvh = BVH(v, mesh.faces)
-        self._centroid_tree = _kdtree(v[mesh.faces].mean(axis=1))
+        self._vertices, self._faces = v, mesh.faces
         leaves = np.flatnonzero(self.bvh.node_start >= 0)
         self._leaf_of_face = leaves[np.argsort(self.bvh.order[self.bvh.node_start[leaves]])]
+
+    @cached_property
+    def _centroid_tree(self):
+        """A kd-tree over the face centroids, built for the first unseeded
+        query; evaluations pass seeds and never build it."""
+        return _kdtree(self._vertices[self._faces].mean(axis=1))
 
     def query(self, points, seeds=None):
         """Exact distances from points to the mesh surface.
@@ -419,13 +431,13 @@ def p2s(points, mesh, seeds=None):
 
 def p2s_exhaustive(points, mesh):
     """Oracle point-to-surface distances scanning every triangle, at most
-    MAX_FRONTIER pairs (and at least one point's row) per kernel call."""
+    _EXHAUSTIVE_PAIRS pairs (and at least one point's row) per kernel call."""
     pts = check_array(points, "p2s points", (None, 3))
     # Pairs are tiled as the kernel's axis-major rows, which it reads in place.
     rows = np.ascontiguousarray(mesh.vertices[mesh.faces].transpose(1, 2, 0))
     m = rows.shape[2]
     best = np.full(len(pts), np.inf)
-    step = max(1, MAX_FRONTIER // max(m, 1))
+    step = max(1, _EXHAUSTIVE_PAIRS // max(m, 1))
     for s in range(0, len(pts), step):
         block = pts[s:s + step].T
         n = block.shape[1]

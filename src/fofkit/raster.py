@@ -16,13 +16,17 @@ even on watertight meshes. Triangles whose projection has exactly zero area
 are skipped.
 
 The per-triangle setup and the inside test are written once (_setup,
-_covered) and used by both coverage paths. The batched path numbers the
-tests of every live triangle against each pixel center of its clamped
-bounding box in one flat sequence and runs them _PASS_TESTS at a time. The
-pass size bounds only the working memory, about 25 MB per pass whatever the
-sizes of the triangles; the records do not depend on it, so it is a constant
-and not a setting. The single-ray path tests the triangles whose bounding
-box holds the point. Both therefore produce identical hits.
+_covered) and used by both coverage paths. The batched path takes the
+triangles _FACE_BLOCK at a time: it sets up one block, numbers the tests of
+its live triangles against each pixel center of their clamped bounding
+boxes in one flat sequence, and runs them _PASS_TESTS at a time. The two
+constants bound the working memory, about 3 MB per block of setup and boxes
+and about 4 MB per pass, whatever the sizes of the mesh and its triangles
+(blocked loops in the sense of Lam, Rothberg & Wolf, 1991). The records do
+not depend on either, not even in their order, which is by triangle and
+then by pixel; so they are constants and not settings. The single-ray path
+tests the triangles whose bounding box holds the point. Both therefore
+produce identical hits.
 """
 
 import math
@@ -33,8 +37,11 @@ import numpy as np
 
 from .errors import above, integer, require
 
-# Pixel tests per pass of rasterize_coverage (bounds its working arrays).
-_PASS_TESTS = 1 << 17
+# Triangles per block and pixel tests per pass of rasterize_coverage; they
+# bound its working arrays. render_normals and TriMesh.face_areas take faces
+# in the same blocks.
+_FACE_BLOCK = 1 << 14
+_PASS_TESTS = 1 << 14
 
 PIXELS = integer(1)  # frame width and height
 CENTER = (lambda v: len(v) == 3 and all(map(math.isfinite, v))), "three finite numbers"
@@ -70,10 +77,15 @@ class OrthoFrame:
         out[..., 1] = (1.0 - xy[..., 1]) * (self.height / 2.0)
         return out
 
+    def project(self, vertices):
+        """Per-vertex raster xy (n, 2) and NDC depths (n,)."""
+        ndc = self.to_ndc(vertices)
+        return self.raster_xy(ndc[:, :2]), ndc[:, 2]
+
     def project_faces(self, vertices, faces):
         """Per-face raster xy vertices (m, 3, 2) and NDC depths (m, 3)."""
-        ndc = self.to_ndc(vertices)
-        return self.raster_xy(ndc[:, :2])[faces], ndc[:, 2][faces]
+        xy, depth = self.project(vertices)
+        return xy[faces], depth[faces]
 
     def pixel_center_raster(self, row, col):
         return float(col) + 0.5, float(row) + 0.5
@@ -139,6 +151,11 @@ class CoverageRecords:
     bary: np.ndarray = dc_field(default_factory=lambda: np.empty((0, 3)))  # w / sum(w)
 
 
+def _face_blocks(n):
+    """Slices that cover n faces in order, _FACE_BLOCK faces at a time."""
+    return [slice(lo, lo + _FACE_BLOCK) for lo in range(0, n, _FACE_BLOCK)]
+
+
 def rasterize_coverage(tris_raster, width, height, mask=None):
     """All (pixel, triangle) coverage records for raster-space triangles.
 
@@ -156,6 +173,20 @@ def rasterize_coverage(tris_raster, width, height, mask=None):
     in no particular order.
     """
     tris = np.asarray(tris_raster, dtype=np.float64)
+    sat = None
+    if mask is not None:
+        # Mask pixels per box from a summed-area table.
+        sat = np.zeros((height + 1, width + 1), dtype=np.int64)
+        sat[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+    out = [astuple(CoverageRecords())]
+    for block in _face_blocks(len(tris)):
+        out += _block_coverage(tris[block], block.start, width, height, mask, sat)
+    return CoverageRecords(*map(np.concatenate, zip(*out)))
+
+
+def _block_coverage(tris, first, width, height, mask, sat):
+    """The (pixel, tri, bary) records of one block of triangles, numbered
+    from first, one tuple per pass; sat is the mask's summed-area table."""
     t = _setup(tris)
 
     # Pixel index ranges whose centers (i + 0.5) can fall inside the bbox.
@@ -167,16 +198,13 @@ def rasterize_coverage(tris_raster, width, height, mask=None):
 
     live = np.flatnonzero((t.area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0))
     if mask is not None:
-        # Mask pixels per box from a summed-area table.
-        sat = np.zeros((height + 1, width + 1), dtype=np.int64)
-        sat[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
         x0, x1, y0, y1 = ix0[live], ix1[live] + 1, iy0[live], iy1[live] + 1
         live = live[sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0] > 0]
     bw = (ix1 - ix0 + 1)[live]
     n_tests = bw * (iy1 - iy0 + 1)[live]
     start, total = np.cumsum(n_tests) - n_tests, int(n_tests.sum())
     # Test j is pixel j - start[k] of live triangle k's box, in row-major order.
-    out = [astuple(CoverageRecords())]
+    out = []
     for lo in range(0, total, _PASS_TESTS):
         j = np.arange(lo, min(lo + _PASS_TESTS, total))
         k = np.searchsorted(start, j, side="right") - 1
@@ -186,8 +214,8 @@ def rasterize_coverage(tris_raster, width, height, mask=None):
         pixel = row * width + col
         inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[tri] for f in t)),
                                 True if mask is None else mask.ravel()[pixel])
-        out.append((pixel[inside], tri[inside], bary))
-    return CoverageRecords(*map(np.concatenate, zip(*out)))
+        out.append((pixel[inside], first + tri[inside], bary))
+    return out
 
 
 def bary_interp(bary, vals):

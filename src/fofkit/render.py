@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError, check_array, check_type, one_of, require
 from .mesh import TriMesh
-from .raster import OrthoFrame, bary_interp, rasterize_coverage
+from .raster import CoverageRecords, OrthoFrame, _face_blocks, bary_interp, rasterize_coverage
 
 from dataclasses import dataclass
 
@@ -76,15 +76,22 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT, mask=None):
     H, W = frame.height, frame.width
     if mask is not None:
         mask = check_array(mask, "mask", (H, W), dtype=bool)
-    rec = None
-    if mesh.n_faces:
-        tris, depth = frame.project_faces(mesh.vertices, mesh.faces)
-        rec = rasterize_coverage(tris, W, H, mask)
-    if rec is None or len(rec.pixel) == 0:
+    # Vertices are projected once; faces are gathered and rasterized one
+    # raster block at a time, so no per-face array spans the mesh. Each
+    # record's depth is interpolated from its own face's corners.
+    out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 3)), np.empty(0))]
+    xy, depth = frame.project(mesh.vertices)
+    for block in _face_blocks(mesh.n_faces):
+        faces = mesh.faces[block]
+        rec = rasterize_coverage(xy[faces], W, H, mask)
+        out.append((rec.pixel, rec.tri + block.start, rec.bary,
+                    bary_interp(rec.bary, depth[faces[rec.tri]])))
+    *rec, z = map(np.concatenate, zip(*out))
+    if len(z) == 0:
         maps = tuple(NormalMap(np.zeros((H, W, 3)), np.zeros((H, W), dtype=bool))
                      for _ in views)
     else:
-        z = bary_interp(rec.bary, depth[rec.tri])
+        rec = CoverageRecords(*rec)
         maps = tuple(_nearest_normals(mesh, rec, z, v, H, W) for v in views)
     return maps if isinstance(view, tuple) else maps[0]
 

@@ -371,9 +371,10 @@ class TestP2S:
         assert check["ok"], check["detail"]
 
     def test_exhaustive_scan_memory_is_bounded(self, sphere_mesh, rng):
-        # The oracle scores at most MAX_FRONTIER pairs per kernel call, so
-        # 800 points against 5 120 faces (4.1 M pairs) stay within a few
-        # MAX_FRONTIER-sized tiles of memory.
+        # The oracle scores one point's row of 5 120 pairs per kernel call
+        # here (its tiles hold _EXHAUSTIVE_PAIRS = 8 192 pairs, and at least
+        # one row), so 800 points against 5 120 faces (4.1 M pairs) peak at
+        # 2.0 MiB; tiles of 61 440 pairs took 19.9 MiB.
         pts = rng.normal(size=(800, 3)) * 0.7
         tracemalloc.start()
         try:
@@ -381,7 +382,7 @@ class TestP2S:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 4 * 2 ** 20
         assert np.array_equal(SurfaceDistanceIndex(sphere_mesh).query(pts), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -726,6 +727,15 @@ class TestSeededQuery:
         assert np.array_equal(SurfaceDistanceIndex(torus_mesh).query(points, seeds),
                               p2s_exhaustive(points, torus_mesh))
 
+    def test_centroid_tree_built_on_first_unseeded_query(self, mesh, rng):
+        points = self.points(mesh, rng, "off_surface")
+        index = SurfaceDistanceIndex(mesh)
+        seeded = index.query(points, farthest_faces(points, mesh))
+        assert "_centroid_tree" not in vars(index)
+        assert np.array_equal(index.query(points), seeded)
+        tree = index._centroid_tree
+        assert np.array_equal(index.query(points), seeded) and index._centroid_tree is tree
+
     def test_p2s_passes_seeds(self, mesh, rng):
         points = self.points(mesh, rng, "off_surface")
         seeds = farthest_faces(points, mesh)
@@ -889,6 +899,8 @@ class TestEvalReference:
             want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
             assert ref.evaluate(recon) == want
             assert evaluate_pair(recon, sphere_mesh, frame128, 2000, seed=5) == want
+        # Every P2S query of an evaluation is seeded.
+        assert "_centroid_tree" not in vars(ref.index)
 
     def test_given_maps_are_not_rendered_again(self, sphere_mesh, frame128, monkeypatch):
         ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
