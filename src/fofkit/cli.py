@@ -18,6 +18,7 @@ when --seed is omitted.
 """
 
 import argparse
+import functools
 import inspect
 import logging
 import os
@@ -231,7 +232,10 @@ def cmd_selftest(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The fofkit argument parser, built once per process since main may run
+    many times in one; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="fofkit",
         description="Fourier occupancy field pipeline and occlusion experiment harness")

@@ -13,7 +13,7 @@ boundary point iff the edge vector has dy > 0, or dy == 0 and dx < 0, after
 normalizing the triangle to positive signed area). For two triangles sharing
 an edge the rule admits exactly one of them, which keeps parity ray counts
 even on watertight meshes. Triangles whose projection has exactly zero area
-are skipped.
+cover nothing.
 
 The per-triangle setup and the inside test are written once (_setup,
 _covered) and used by both coverage paths. The batched path takes the
@@ -123,12 +123,12 @@ def _box(tris):
             np.maximum(np.maximum(y[:, 0], y[:, 1]), y[:, 2]))
 
 
-def _covered(px, py, t, within):
+def _covered(px, py, t):
     """Tie-rule coverage of points (px, py) by the triangles of setup t.
 
-    All arguments broadcast; `within` masks the (triangle, point) pairs to
-    test. Returns the inside mask and the normalized barycentric weights of
-    its True entries in row-major order.
+    All arguments broadcast; a triangle of zero area covers nothing. Returns
+    the inside mask and the normalized barycentric weights of its True
+    entries in row-major order.
     """
     # Edge functions: w0 pairs with edge b->c, w1 with c->a, w2 with a->b.
     w0 = ((t.cx - t.bx) * (py - t.by) - (t.cy - t.by) * (px - t.bx)) * t.sgn
@@ -137,7 +137,7 @@ def _covered(px, py, t, within):
     inside = ((w0 > 0) | ((w0 == 0) & t.e0)) \
         & ((w1 > 0) | ((w1 == 0) & t.e1)) \
         & ((w2 > 0) | ((w2 == 0) & t.e2)) \
-        & within
+        & (t.area2 != 0.0)
     w0, w1, w2 = w0[inside], w1[inside], w2[inside]
     return inside, np.stack([w0, w1, w2], axis=1) / (w0 + w1 + w2)[:, None]
 
@@ -156,7 +156,7 @@ def _face_blocks(n):
     return [slice(lo, lo + _FACE_BLOCK) for lo in range(0, n, _FACE_BLOCK)]
 
 
-def rasterize_coverage(tris_raster, width, height, mask=None):
+def rasterize_coverage(tris_raster, width, height):
     """All (pixel, triangle) coverage records for raster-space triangles.
 
     Parameters
@@ -165,28 +165,20 @@ def rasterize_coverage(tris_raster, width, height, mask=None):
         Triangle vertices in raster pixel units.
     width, height : int
         Pixel grid bounds; pixels outside are discarded.
-    mask : (height, width) bool, optional
-        The pixels to cover; records of other pixels are discarded, and only
-        the triangles whose clamped pixel box holds a mask pixel are tested.
 
     Returns CoverageRecords with normalized barycentric weights per record,
     in no particular order.
     """
     tris = np.asarray(tris_raster, dtype=np.float64)
-    sat = None
-    if mask is not None:
-        # Mask pixels per box from a summed-area table.
-        sat = np.zeros((height + 1, width + 1), dtype=np.int64)
-        sat[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
     out = [astuple(CoverageRecords())]
     for block in _face_blocks(len(tris)):
-        out += _block_coverage(tris[block], block.start, width, height, mask, sat)
+        out += _block_coverage(tris[block], block.start, width, height)
     return CoverageRecords(*map(np.concatenate, zip(*out)))
 
 
-def _block_coverage(tris, first, width, height, mask, sat):
+def _block_coverage(tris, first, width, height):
     """The (pixel, tri, bary) records of one block of triangles, numbered
-    from first, one tuple per pass; sat is the mask's summed-area table."""
+    from first, one tuple per pass."""
     t = _setup(tris)
 
     # Pixel index ranges whose centers (i + 0.5) can fall inside the bbox.
@@ -197,9 +189,6 @@ def _block_coverage(tris, first, width, height, mask, sat):
     iy1 = np.minimum(np.floor(ymax - 0.5), height - 1).astype(np.int64)
 
     live = np.flatnonzero((t.area2 != 0.0) & (ix1 >= ix0) & (iy1 >= iy0))
-    if mask is not None:
-        x0, x1, y0, y1 = ix0[live], ix1[live] + 1, iy0[live], iy1[live] + 1
-        live = live[sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0] > 0]
     bw = (ix1 - ix0 + 1)[live]
     n_tests = bw * (iy1 - iy0 + 1)[live]
     start, total = np.cumsum(n_tests) - n_tests, int(n_tests.sum())
@@ -211,10 +200,8 @@ def _block_coverage(tris, first, width, height, mask, sat):
         dy, dx = np.divmod(j - start[k], bw[k])
         tri = live[k]
         col, row = ix0[tri] + dx, iy0[tri] + dy
-        pixel = row * width + col
-        inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[tri] for f in t)),
-                                True if mask is None else mask.ravel()[pixel])
-        out.append((pixel[inside], first + tri[inside], bary))
+        inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[tri] for f in t)))
+        out.append(((row * width + col)[inside], first + tri[inside], bary))
     return out
 
 
@@ -234,7 +221,6 @@ def ray_hits_at_point(px, py, tris_raster, tri_z):
     tris = np.asarray(tris_raster, dtype=np.float64).reshape(-1, 3, 2)
     xmin, xmax, ymin, ymax = _box(tris)
     near = np.flatnonzero((xmin <= px) & (px <= xmax) & (ymin <= py) & (py <= ymax))
-    t = _setup(tris[near])
-    inside, bary = _covered(px, py, t, t.area2 != 0.0)
+    inside, bary = _covered(px, py, _setup(tris[near]))
     zs = np.asarray(tri_z, dtype=np.float64).reshape(-1, 3)[near[inside]]
     return np.sort(bary_interp(bary, zs))

@@ -55,7 +55,7 @@ class NormalMap:
         return cls(out, mask)
 
 
-def render_normals(mesh, frame=OrthoFrame(), view=FRONT, mask=None):
+def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     """Rasterize interpolated surface normals into a NormalMap.
 
     view is FRONT, BACK or a tuple of them; a tuple returns a tuple with one
@@ -63,10 +63,7 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT, mask=None):
     records do not depend on the view: only the depth sign, the nearest-
     surface sort and the normal flip do. Uses per-vertex normals when the
     mesh carries them, otherwise flat face normals. An empty mesh renders to
-    all-background maps. With a (height, width) bool mask, only the mask's
-    pixels are rendered, each as it is without one, and every other pixel
-    is background; only the faces whose clamped pixel box meets the mask
-    are rasterized.
+    all-background maps.
     """
     check_type(mesh, "mesh", TriMesh)
     check_type(frame, "frame", OrthoFrame)
@@ -74,8 +71,6 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT, mask=None):
     for v in views:
         require("view", v, one_of((FRONT, BACK)))
     H, W = frame.height, frame.width
-    if mask is not None:
-        mask = check_array(mask, "mask", (H, W), dtype=bool)
     # Vertices are projected once; faces are gathered and rasterized one
     # raster block at a time, so no per-face array spans the mesh. Each
     # record's depth is interpolated from its own face's corners.
@@ -83,7 +78,7 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT, mask=None):
     xy, depth = frame.project(mesh.vertices)
     for block in _face_blocks(mesh.n_faces):
         faces = mesh.faces[block]
-        rec = rasterize_coverage(xy[faces], W, H, mask)
+        rec = rasterize_coverage(xy[faces], W, H)
         out.append((rec.pixel, rec.tri + block.start, rec.bary,
                     bary_interp(rec.bary, depth[faces[rec.tri]])))
     *rec, z = map(np.concatenate, zip(*out))

@@ -173,18 +173,9 @@ def same_reconstruction(reference, field):
                     for g, w in zip(got[1:], want[1:])))
 
 
-def check_spliced_reconstruction(n_fields=30, seed=8):
-    """ReconstructionReference against reconstruct_field + render_normals.
-
-    Two random source fields A and B, with some zero coefficients, live on
-    boxes that touch the frame's top, left and right edges. Each field is
-    painted from A, B, zero, copies of A or B with their zeros negated, and
-    random columns on the sources' columns: a base, a few 3 x 3 patches and
-    a few single columns. Every fifth field also has a live column on the
-    bottom row, beyond the reference's box, and so falls back. Every field
-    must reconstruct bit for bit, and only the live columns that match no
-    source with == may be decoded, or all live columns in a fallback.
-    """
+def painted_fields(n_fields, seed):
+    """The frame, grid depth, source fields and painted fields, as data
+    arrays, of check_spliced_reconstruction(n_fields, seed)."""
     rng = np.random.default_rng(seed)
     H, W, K, depth = 11, 13, 7, 9
     frame = OrthoFrame(W, H)
@@ -206,8 +197,7 @@ def check_spliced_reconstruction(n_fields=30, seed=8):
     noise[body] = random_columns(int(body.sum()))
     painters = (a, b, np.zeros((H, W, K)), np.where(a == 0.0, -0.0, a),
                 np.where(b == 0.0, -0.0, b), noise)
-    references = [ReconstructionReference(sources, frame, depth, iso) for iso in (0.5, -0.1)]
-    ok = True
+    fields = []
     for i in range(n_fields):
         data = painters[rng.integers(len(painters))].copy()
         for size in [3] * int(rng.integers(0, 4)) + [1] * int(rng.integers(0, 5)):
@@ -216,6 +206,26 @@ def check_spliced_reconstruction(n_fields=30, seed=8):
                 painters[rng.integers(len(painters))][r0:r0 + size, c0:c0 + size]
         if i % 5 == 4:
             data[H - 1, rng.integers(W)] = random_columns(1)[0]
+        fields.append(data)
+    return frame, depth, sources, fields
+
+
+def check_spliced_reconstruction(n_fields=30, seed=8):
+    """ReconstructionReference against reconstruct_field + render_normals.
+
+    Two random source fields A and B, with some zero coefficients, live on
+    boxes that touch the frame's top, left and right edges. Each field is
+    painted from A, B, zero, copies of A or B with their zeros negated, and
+    random columns on the sources' columns: a base, a few 3 x 3 patches and
+    a few single columns. Every fifth field also has a live column on the
+    bottom row, beyond the reference's box, and so falls back. Every field
+    must reconstruct bit for bit, and only the live columns that match no
+    source with == may be decoded, or all live columns in a fallback.
+    """
+    frame, depth, sources, fields = painted_fields(n_fields, seed)
+    references = [ReconstructionReference(sources, frame, depth, iso) for iso in (0.5, -0.1)]
+    ok = True
+    for data in fields:
         live = np.any(data != 0.0, axis=2)
         # The rows of the sources reach row 8, so the box holds rows up to 9,
         # and a field falls back when a live column lies below row 8.
@@ -227,7 +237,7 @@ def check_spliced_reconstruction(n_fields=30, seed=8):
             ok &= reference.decoded_columns - before == (live if fallback else unmatched).sum()
     return _check("spliced reconstruction equals full extraction and rendering", ok,
                   f"bitwise mesh and maps, and no needless decode, over {n_fields} painted "
-                  f"{H}x{W} fields at iso 0.5 and -0.1")
+                  f"{frame.height}x{frame.width} fields at iso 0.5 and -0.1")
 
 
 def check_kdtree_vs_bruteforce(n_clouds=20, seed=3):

@@ -53,7 +53,9 @@ prior, and it gives the same mesh and normal maps bit for bit:
   A pixel whose 3 x 3 columns all match one source (columns off the frame
   match) is covered by the source's faces in the source's relative order,
   and depth ties keep face order, so it takes the source's map pixels.
-  The other pixels are rendered from the faces that can cover them.
+  The faces of the cubes at the other pixels are rendered whole, in mesh
+  order, and the sources' pixels copied over the maps; a pixel whose 3 x 3
+  columns are all dead stays background, as a constant cube has no faces.
 """
 
 from collections import namedtuple
@@ -121,15 +123,9 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     _check_frame(fof, frame)
     require("depth_res", depth_res, DEPTH_RES)
     live = _live_columns(fof)
-    # x-major order, so decoded rows are written in sequence.
-    xs, ys = np.nonzero(live)
-    lo, hi = _live_box(xs, ys, live.shape)
-    box = tuple(hi - lo)
-    values = np.zeros((box[0] * box[1], depth_res))
-    _decode_pixels(fof, (fof.height - 1 - ys) * fof.width + xs,
-                   values, (xs - lo[0]) * box[1] + (ys - lo[1]))
-    return OccupancyGrid(values.reshape(box + (depth_res,)), *_grid_map(frame, depth_res),
-                         np.array([lo[0], lo[1], 0]))
+    lo, hi = _live_box(*np.nonzero(live), live.shape)
+    values = np.zeros(((hi - lo).prod(), depth_res))
+    return _box_grid(fof, frame, lo, hi, values, live[lo[0]:hi[0], lo[1]:hi[1]].ravel())
 
 
 def _live_columns(fof):
@@ -145,6 +141,19 @@ def _live_box(xs, ys, shape):
         return np.zeros(2, dtype=np.int64), np.full(2, 2)
     return (np.maximum([xs.min() - 1, ys.min() - 1], 0),
             np.minimum([xs.max() + 2, ys.max() + 2], shape))
+
+
+def _box_grid(field, frame, lo, hi, values, rows):
+    """The OccupancyGrid of the box [lo, hi) of field's full grid, held in
+    values as (X * Y, depth) rows, x-major with y bottom-up; the columns
+    that the bool mask rows marks, in that order, are decoded into theirs."""
+    rows = np.flatnonzero(rows)
+    xs, ys = np.divmod(rows, hi[1] - lo[1])
+    xs, ys = xs + lo[0], ys + lo[1]
+    _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, values, rows)
+    box = tuple(hi - lo) + values.shape[1:]
+    return OccupancyGrid(values.reshape(box), *_grid_map(frame, box[2]),
+                         np.array([lo[0], lo[1], 0]))
 
 
 def _grid_map(frame, depth_res):
@@ -313,29 +322,14 @@ class ReconstructionReference:
             self.sources = None
             return
         self.sources = []
+        (x0, y0), (x1, y1) = self.lo, self.hi
         for f in fields:
             values = np.zeros(((self.hi - self.lo).prod(), grid_res))
-            self._decode(f, values, self._in_box(_live_columns(f)))
-            mesh, cubes, keys = _marching_cubes(self._grid(values), iso)
+            grid = _box_grid(f, frame, self.lo, self.hi, values,
+                             _live_columns(f)[x0:x1, y0:y1].ravel())
+            mesh, cubes, keys = _marching_cubes(grid, iso)
             self.sources.append(_Source(f, values, mesh, cubes, cubes // (grid_res - 1), keys,
                                         render_normals(mesh, frame, (FRONT, BACK))))
-
-    def _in_box(self, columns):
-        """The box's part of an (x, y) column mask, flattened x-major."""
-        return columns[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]].ravel()
-
-    def _grid(self, values):
-        box = tuple(self.hi - self.lo) + (self.grid_res,)
-        return OccupancyGrid(values.reshape(box), *_grid_map(self.frame, self.grid_res),
-                             np.array([self.lo[0], self.lo[1], 0]))
-
-    def _decode(self, field, values, rows):
-        """Decode the box columns marked in rows into those rows of values."""
-        rows = np.flatnonzero(rows)
-        xs, ys = np.divmod(rows, self.hi[1] - self.lo[1])
-        xs, ys = xs + self.lo[0], ys + self.lo[1]
-        _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, values, rows)
-        return len(rows)
 
     def reconstruct(self, field):
         """(mesh, front map, back map) of a field on the reference's frame.
@@ -381,8 +375,8 @@ class ReconstructionReference:
             take = m.ravel() & todo
             values[take] = 0.0 if source is None else source.values[take]
             todo &= ~take
-        self.decoded_columns += self._decode(field, values, todo)
-        grid = self._grid(values)
+        self.decoded_columns += int(np.count_nonzero(todo))
+        grid = _box_grid(field, self.frame, self.lo, self.hi, values, todo)
 
         # Marching cubes: a cube whose four columns match one source takes
         # that source's faces; the zero field has none. The other cubes are
@@ -430,7 +424,7 @@ class ReconstructionReference:
         H, W = match[0].shape
         todo = np.ones((H, W), dtype=bool)
         copies = []
-        for m in match:
+        for m in match[:-1]:  # the zero field, last, has no pixels to copy
             # A pixel whose 3 x 3 columns all match the source; columns off
             # the frame match.
             padded = np.pad(m, 1, constant_values=True)
@@ -441,13 +435,13 @@ class ReconstructionReference:
             todo &= ~take
             copies.append(take)
         # Only a face of a cube with a corner column at a pixel can cover
-        # its center; render those faces, in their order, at those pixels.
+        # its center; those faces of the todo pixels, rendered whole and in
+        # mesh order, cover each todo pixel as the whole mesh does.
         rendered = todo[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]
         near = rendered[:-1, :-1] | rendered[1:, :-1] | rendered[:-1, 1:] | rendered[1:, 1:]
         near_faces = mesh.faces[near.ravel()[cubes // (self.grid_res - 1)]]
-        maps = render_normals(TriMesh(mesh.vertices, near_faces), self.frame, (FRONT, BACK),
-                              todo)
-        for take, source in zip(copies, self.sources):  # the zero field's stay background
+        maps = render_normals(TriMesh(mesh.vertices, near_faces), self.frame, (FRONT, BACK))
+        for take, source in zip(copies, self.sources):
             for out, src in zip(maps, source.maps):
                 out.data[take] = src.data[take]
                 out.mask[take] = src.mask[take]

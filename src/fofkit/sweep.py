@@ -160,21 +160,22 @@ def run_sweep(cfg, out_dir, jobs=None):
     return rows
 
 
-def mean_by_ratio(rows, method, column=3):
-    """Mean metric per ratio for one method; skips failed (nan) cells."""
+def mean_by_ratio(rows, method):
+    """Mean Chamfer distance per ratio for one method; skips nan cells."""
     acc = {}
-    for row in rows:
-        if row[2] != method or not np.isfinite(row[column]):
+    for ratio, _, row_method, cd, *_ in rows:
+        if row_method != method or not np.isfinite(cd):
             continue
-        acc.setdefault(row[0], []).append(row[column])
+        acc.setdefault(ratio, []).append(cd)
     return {ratio: float(np.mean(vals)) for ratio, vals in sorted(acc.items())}
 
 
 _PALETTE = {"naive": "#d62728", "blend": "#1f77b4"}
 
 
-def render_sweep_svg(rows, width=800, height=500):
+def render_sweep_svg(rows):
     """Hand-emitted SVG line chart: occlusion ratio vs mean Chamfer distance."""
+    width, height = 800, 500
     margin_l, margin_r, margin_t, margin_b = 70, 30, 40, 60
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -331,7 +331,6 @@ TARGETS = {
     "mesh_to_fof.frame": (OBJECTS, lambda v: mesh_to_fof(CUBE, v)),
     "mesh_to_fof.cfg": (OBJECTS, lambda v: mesh_to_fof(CUBE, FRAME, v)),
     "render_normals.frame": (OBJECTS, lambda v: render_normals(CUBE, v)),
-    "render_normals.mask": (ARRAYS, lambda v: render_normals(CUBE, FRAME, "front", v)),
     "reconstruct_field.frame": (OBJECTS, lambda v: reconstruct_field(FIELD, v)),
     "EvalReference.frame": (OBJECTS, lambda v: EvalReference(CUBE, v, 10)),
     "evaluate_pair.recon": (OBJECTS, lambda v: evaluate_pair(v, CUBE, FRAME, 10)),

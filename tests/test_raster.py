@@ -35,8 +35,7 @@ def every_pixel_records(tris, width, height):
     """Records of testing every triangle against every pixel centre."""
     row, col = np.divmod(np.arange(width * height), width)
     t = _setup(tris)
-    inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[:, None] for f in t)),
-                            (t.area2 != 0.0)[:, None])
+    inside, bary = _covered(col + 0.5, row + 0.5, _Setup(*(f[:, None] for f in t)))
     tri, pixel = np.nonzero(inside)
     return pixel, tri, bary
 
@@ -71,23 +70,6 @@ class TestCoverageOracle:
         want = sorted_records(*every_pixel_records(tris, width, height))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-
-    @pytest.mark.parametrize("width,height", FRAMES)
-    @pytest.mark.parametrize("seed", range(3))
-    def test_mask_keeps_the_records_of_its_pixels(self, seed, width, height):
-        tris = triangle_set(seed, width, height)
-        mask = np.random.default_rng(seed).random((height, width)) < 0.2
-        mask[height // 2, :] = True
-        rec = rasterize_coverage(tris, width, height, mask)
-        pixel, tri, bary = every_pixel_records(tris, width, height)
-        keep = mask.ravel()[pixel]
-        got = sorted_records(rec.pixel, rec.tri, rec.bary)
-        want = sorted_records(pixel[keep], tri[keep], bary[keep])
-        assert len(want[0]) > 0
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        rec = rasterize_coverage(tris, width, height, np.zeros((height, width), dtype=bool))
-        assert rec.pixel.shape == (0,) and rec.bary.shape == (0, 3)
 
     def test_no_live_triangle(self):
         tris = triangle_set(0, 8, 8)[-6:]  # the zero-area and outside ones

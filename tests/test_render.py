@@ -134,27 +134,6 @@ class TestSharedCoveragePass:
             render_normals(sphere_mesh, frame128, ("front", "side"))
 
 
-class TestMaskedRender:
-    """With a pixel mask, each mask pixel renders as it does without one, and
-    every other pixel is background."""
-
-    @pytest.mark.parametrize("kind", ["vertex_normals", "face_normals", "empty", "outside"])
-    def test_mask_pixels_as_without_it(self, sphere_mesh, frame128, kind):
-        mesh = TestSharedCoveragePass.mesh(sphere_mesh, kind)
-        mask = np.random.default_rng(0).random((128, 128)) < 0.1
-        mask[40:80, 60:70] = True
-        views = ("front", "back")
-        for got, want in zip(render_normals(mesh, frame128, views, mask),
-                             render_normals(mesh, frame128, views)):
-            assert got.data[mask].tobytes() == want.data[mask].tobytes()
-            assert np.array_equal(got.mask, want.mask & mask)
-            assert not got.data[~mask].any()
-
-    def test_mask_shape(self, sphere_mesh, frame128):
-        with pytest.raises(ShapeError, match="mask"):
-            render_normals(sphere_mesh, frame128, "front", np.ones((128, 127), dtype=bool))
-
-
 class TestSilhouette:
     def test_empty(self, frame128):
         empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))

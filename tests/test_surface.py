@@ -16,7 +16,8 @@ from fofkit.metrics import chamfer
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.shapes import make_cube, make_sphere
-from fofkit.selftest import check_spliced_reconstruction, same_reconstruction
+from fofkit.render import BACK, FRONT, render_normals
+from fofkit.selftest import check_spliced_reconstruction, painted_fields, same_reconstruction
 from fofkit.surface import (OccupancyGrid, ReconstructionReference, field_to_grid,
                             marching_cubes, mesh_volume, reconstruct_field, sample_surface)
 from fofkit.sweep import prepare_context
@@ -516,6 +517,24 @@ class TestReconstructionReference:
     def test_painted_fields(self):
         check = check_spliced_reconstruction(60, 11)
         assert check["ok"], check["detail"]
+
+    def test_pixels_with_dead_neighbourhoods_are_background(self):
+        # reconstruct renders its near faces with no pixel mask: a pixel
+        # whose 3 x 3 columns are all zero must be covered by no face.
+        frame, depth, _, fields = painted_fields(30, 8)
+        H, W = frame.height, frame.width
+        dead_pixels = drawn = 0
+        for data in fields:
+            live = np.pad(np.any(data != 0.0, axis=2), 1)
+            dead = ~np.any([live[r:r + H, c:c + W] for r in range(3) for c in range(3)], axis=0)
+            dead_pixels += dead.sum()
+            for iso in (0.5, 0.0, -0.1):
+                mesh = reconstruct_field(FourierField(data), frame, depth, iso)
+                drawn += mesh.n_faces > 0
+                for normal_map in render_normals(mesh, frame, (FRONT, BACK)):
+                    assert not normal_map.mask[dead].any()
+                    assert not normal_map.data[dead].any()
+        assert dead_pixels > 0 and drawn > 0
 
     @pytest.fixture(scope="class")
     def reference(self, sweep_fields):
