@@ -171,9 +171,10 @@ def cmd_blend(args):
     prior, _ = _read_field(args.prior)
     v = read_pgm(args.visible)
     m = read_pgm(args.mask)
-    pair = MaskPair(v, m, v | m)
-    out = vgcc_blend(obs, prior, pair, args.feather)
-    _write_field(args.out, out, frame, obs.order)
+    order = obs.order
+    out = vgcc_blend(obs, prior, MaskPair(v, m, v | m), args.feather)
+    del obs, prior  # the inputs are not live while the output is written
+    _write_field(args.out, out, frame, order)
     print(f"wrote {args.out}")
 
 

@@ -26,27 +26,35 @@ every cube with a live corner lies inside the box.
 marching_cubes is two steps: _cube_faces finds the faces of the active
 cubes in some columns of cubes, as cube ids and corner edge keys, and the
 distinct keys, sorted, number the vertices, each interpolated on its own
-edge. Extraction is blocked: _cube_faces takes _CUBE_ROWS rows of cube
-columns (x values) at a time, so its case, corner and table temporaries
-span a slab of the grid, not the grid. Cube-locality makes each block's
-faces its own cubes' faces, and cube ids ascend from block to block, so the
-concatenated blocks are the unblocked result bit for bit. The vertices are
-numbered by _distinct, np.unique's inverse with one key-sized temporary
-fewer.
+edge by _edge_vertices. Both read the samples through one addressing path,
+a column store: column (x, y) of the grid holds the samples
+store[index[x, y]], store being (n, Z) rows and index an (X, Y) array of
+row numbers. An OccupancyGrid passes its values as an (X * Y, Z) view with
+the identity index. Extraction is blocked: _cube_faces takes _CUBE_ROWS
+rows of cube columns (x values) at a time, so its case, corner and table
+temporaries span a slab of the grid, not the grid; only its below-iso mask,
+one byte per stored sample, spans the store. Cube-locality makes each
+block's faces its own cubes' faces, and cube ids ascend from block to
+block, so the concatenated blocks are the unblocked result bit for bit.
+The vertices are numbered by _distinct, np.unique's inverse with one
+key-sized temporary fewer.
 A ReconstructionReference uses both steps to rebuild only what a field
 changes against some source fields, such as a sweep's ground truth and
 prior, and it gives the same mesh and normal maps bit for bit:
-- Decoding is per column (fof._decode_pixels), and its accumulator starts
-  at +0.0 and is never -0.0, so a +-0.0 coefficient adds nothing. A column
-  whose coefficients equal a source's with == therefore decodes to the
-  source's samples, and is copied from the source's grid; only the others
-  are decoded.
 - Marching cubes is cube-local (Lorensen & Cline, 1987): a cube's faces
   depend only on the samples of its own four columns, and a vertex only on
   its edge's two samples. A cube whose four columns match one source takes
-  that source's faces and vertices; the other cubes are extracted from the
-  assembled grid. Faces are merged in cube order with a stable sort, the
-  order marching_cubes visits them in.
+  that source's faces and vertices. Faces are merged in cube order with a
+  stable sort, the order marching_cubes visits them in.
+- Decoding is per column (fof._decode_pixels), and its accumulator starts
+  at +0.0 and is never -0.0, so a +-0.0 coefficient adds nothing. A column
+  whose coefficients equal a source's with == therefore decodes to the
+  source's samples, so a served cube's faces and vertices are the ones its
+  own columns would give. The other cubes are extracted from a column
+  store of just their corner columns: the live ones are decoded from the
+  field, and the dead ones share one row of +0.0 samples, which is what
+  they decode to. No grid of the box is assembled, and the reference keeps
+  none of the sources' grids.
 - A face lies within its cube's column footprint, and rounding moves no
   vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
   can cover the center of pixel column (c, r): a 3 x 3 radius of columns.
@@ -124,8 +132,7 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     require("depth_res", depth_res, DEPTH_RES)
     live = _live_columns(fof)
     lo, hi = _live_box(*np.nonzero(live), live.shape)
-    values = np.zeros(((hi - lo).prod(), depth_res))
-    return _box_grid(fof, frame, lo, hi, values, live[lo[0]:hi[0], lo[1]:hi[1]].ravel())
+    return _box_grid(fof, frame, lo, hi, depth_res, live[lo[0]:hi[0], lo[1]:hi[1]])
 
 
 def _live_columns(fof):
@@ -143,17 +150,23 @@ def _live_box(xs, ys, shape):
             np.minimum([xs.max() + 2, ys.max() + 2], shape))
 
 
-def _box_grid(field, frame, lo, hi, values, rows):
-    """The OccupancyGrid of the box [lo, hi) of field's full grid, held in
-    values as (X * Y, depth) rows, x-major with y bottom-up; the columns
-    that the bool mask rows marks, in that order, are decoded into theirs."""
-    rows = np.flatnonzero(rows)
-    xs, ys = np.divmod(rows, hi[1] - lo[1])
+def _box_grid(field, frame, lo, hi, depth_res, live):
+    """The OccupancyGrid of the box [lo, hi) of field's full grid; the
+    columns that the (X, Y) bool mask live marks are decoded, and the rest
+    are +0.0."""
+    columns = np.flatnonzero(live)
+    values = np.zeros(((hi - lo).prod(), depth_res))
+    _decode_box(field, lo, hi, columns, values, columns)
+    return OccupancyGrid(values.reshape(tuple(hi - lo) + (depth_res,)),
+                         *_grid_map(frame, depth_res), np.array([lo[0], lo[1], 0]))
+
+
+def _decode_box(field, lo, hi, columns, out, rows):
+    """Decode the columns of the box [lo, hi) of field's full grid with flat
+    indices columns, x-major with y bottom-up, into the rows rows of out."""
+    xs, ys = np.divmod(columns, hi[1] - lo[1])
     xs, ys = xs + lo[0], ys + lo[1]
-    _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, values, rows)
-    box = tuple(hi - lo) + values.shape[1:]
-    return OccupancyGrid(values.reshape(box), *_grid_map(frame, box[2]),
-                         np.array([lo[0], lo[1], 0]))
+    _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, out, rows)
 
 
 def _grid_map(frame, depth_res):
@@ -185,7 +198,8 @@ def marching_cubes(grid, iso=0.5):
 
 def _marching_cubes(grid, iso):
     """marching_cubes' mesh, each face's cube id and each vertex's edge key."""
-    cubes, keys = _cube_faces(grid.values, None, iso)
+    store, index = _grid_store(grid.values)
+    cubes, keys = _cube_faces(store, index, None, iso)
     # One vertex per distinct key, in sorted order. TRI_TABLE[case] names
     # exactly the edges whose two corners differ in case's bits (the
     # invariant that tests/test_surface.py::TestTables pins), and every
@@ -193,7 +207,15 @@ def _marching_cubes(grid, iso):
     # sorted distinct keys are the crossing edges, axis-major and then in C
     # order.
     keys, faces = _distinct(keys)
-    return TriMesh(_edge_vertices(grid, keys, iso), faces), cubes, keys
+    vertices = _edge_vertices(store, index, keys, iso, grid.origin, grid.spacing, grid.offset)
+    return TriMesh(vertices, faces), cubes, keys
+
+
+def _grid_store(values):
+    """An (X, Y, Z) array of samples as a column store: its (X * Y, Z) rows,
+    a view when values is C-contiguous, and the identity row index."""
+    X, Y, Z = values.shape
+    return values.reshape(X * Y, Z), np.arange(X * Y).reshape(X, Y)
 
 
 def _distinct(keys):
@@ -214,59 +236,64 @@ def _distinct(keys):
     return distinct, index
 
 
-def _cube_faces(values, columns, iso):
+def _cube_faces(store, index, columns, iso):
     """The faces of the cubes in some columns of a grid of samples.
 
-    columns is an (X - 1, Y - 1) mask of cube columns, or None for all of
-    them. Returns each face's cube, its flat index among the (X - 1, Y - 1,
-    Z - 1) cubes, in ascending order, and an (n, 3) array of its corners'
-    edge keys; a cube's faces keep TRI_TABLE's order. The cubes are taken
-    _CUBE_ROWS rows of columns (x values) at a time, and cube ids ascend
-    from one block to the next, so the blocks bound the temporaries without
-    changing the result.
+    The grid's column (x, y) holds the samples store[index[x, y]]: store is
+    an (n, Z) array and index an (X, Y) array of its rows. columns is an
+    (X - 1, Y - 1) mask of cube columns, or None for all of them; only the
+    rows of their corner columns are read. Returns each face's cube, its
+    flat index among the (X - 1, Y - 1, Z - 1) cubes, in ascending order,
+    and an (n, 3) array of its corners' edge keys; a cube's faces keep
+    TRI_TABLE's order. The cubes are taken _CUBE_ROWS rows of columns (x
+    values) at a time, and cube ids ascend from one block to the next, so
+    the blocks bound the temporaries without changing the result.
     """
-    X, Y, Z = values.shape
+    (X, Y), Z = index.shape, store.shape[1]
     if columns is None:
         columns = np.ones((X - 1, Y - 1), dtype=bool)
     # Each face corner is a cube edge named by TRI_TABLE; key it by its grid
-    # edge, axis * values.size + the flat index of its lower grid point.
-    edge_offset = EDGE_AXIS * values.size + np.ravel_multi_index(EDGE_ORIGIN.T, values.shape)
+    # edge, axis * X * Y * Z + the flat index of its lower grid point.
+    edge_offset = EDGE_AXIS * (X * Y * Z) + np.ravel_multi_index(EDGE_ORIGIN.T, (X, Y, Z))
+    below = store < iso
     cubes, keys = [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
     for x0 in range(0, X - 1, _CUBE_ROWS):
         ci, cj = np.nonzero(columns[x0:x0 + _CUBE_ROWS])
-        below = values[x0:x0 + _CUBE_ROWS + 1] < iso
+        ci += x0
         # Case index per cube: bit c is set when corner c is below iso.
         case = np.zeros((len(ci), Z - 1), dtype=np.uint8)
         corner_columns = {}
         for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
             if (ox, oy) not in corner_columns:
-                corner_columns[ox, oy] = below[ci + ox, cj + oy]
+                corner_columns[ox, oy] = below[index[ci + ox, cj + oy]]
             case |= corner_columns[ox, oy][:, oz:oz + Z - 1].view(np.uint8) << bit
         n, k = np.nonzero((case != 0) & (case != 255))
         rows = TRI_TABLE[case[n, k]]  # (n_active, 16), -1 padded in trailing triples
         cube, slot = np.nonzero(rows >= 0)
         n, k = n[cube], k[cube]
-        ci = ci[n] + x0
-        cj = cj[n]
+        ci, cj = ci[n], cj[n]
         keys.append(((ci * Y + cj) * Z + k + edge_offset[rows[cube, slot]]).reshape(-1, 3))
         cubes.append(((ci * (Y - 1) + cj) * (Z - 1) + k)[::3])
     return np.concatenate(cubes), np.concatenate(keys)
 
 
-def _edge_vertices(grid, keys, iso):
+def _edge_vertices(store, index, keys, iso, origin, spacing, offset):
     """The iso crossings on the grid edges named by keys, in scene
-    coordinates; each is interpolated on its own edge alone."""
-    v = grid.values
-    axis, flat = np.divmod(keys, v.size)
-    lo = np.stack(np.unravel_index(flat, v.shape), axis=1)
-    step = np.eye(3, dtype=np.int64)[axis]
-    va, vb = v[tuple(lo.T)], v[tuple((lo + step).T)]
+    coordinates; each is interpolated on its own edge alone. store and index
+    hold the grid's samples as _cube_faces reads them, and origin, spacing
+    and offset place them as an OccupancyGrid does."""
+    shape = index.shape + store.shape[1:]
+    axis, flat = np.divmod(keys, np.prod(shape))
+    lo = np.stack(np.unravel_index(flat, shape), axis=1)
+    hi = lo + np.eye(3, dtype=np.int64)[axis]
+    va = store[index[lo[:, 0], lo[:, 1]], lo[:, 2]]
+    vb = store[index[hi[:, 0], hi[:, 1]], hi[:, 2]]
     # Full-grid indices, so a box extracts its full grid's vertices.
-    base = (lo + grid.offset).astype(np.float64)
+    base = (lo + offset).astype(np.float64)
     base[np.arange(len(keys)), axis] += (iso - va) / (vb - va)
     # The table's winding already points out of the high-occupancy region
     # under this corner layout (verified by signed volume on spheres).
-    return grid.origin + grid.spacing * base
+    return origin + spacing * base
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -276,30 +303,31 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
     return marching_cubes(field_to_grid(fof, frame, grid_res), iso=iso)
 
 
-# What a ReconstructionReference holds of one source field: its decoded grid
-# over the shared box as (X * Y, depth) rows, its mesh, each face's cube id
-# and cube column, each vertex's edge key, and its front and back maps.
-_Source = namedtuple("_Source", "field values mesh cubes columns keys maps")
+# What a ReconstructionReference holds of one source field: its mesh over
+# the shared box, each face's cube id and cube column, each vertex's edge key,
+# and its front and back maps. The grid they were built from is released.
+_Source = namedtuple("_Source", "field mesh cubes columns keys maps")
 
 
 class ReconstructionReference:
     """Reconstructions of fields that mostly hold some source fields'
     coefficients, built from what the sources share.
 
-    Holds, for each source field (a sweep passes c_gt and c_prior), its
-    decoded grid over one box shared by all sources, that grid's
-    marching-cubes mesh with each face's cube id and each vertex's edge key,
-    and the front and back normal maps of the mesh. The all-zero field is an
-    implicit last source, with a zero grid, no faces and background maps.
-    The box is the sources' live columns plus one cell on each side,
-    clamped to the frame.
+    Holds, for each source field (a sweep passes c_gt and c_prior), the
+    marching-cubes mesh of its decoded grid over one box shared by all
+    sources, with each face's cube id and each vertex's edge key, and the
+    front and back normal maps of the mesh; the grid itself is released
+    once these are built. The all-zero field is an implicit last source,
+    with no faces and background maps. The box is the sources' live
+    columns plus one cell on each side, clamped to the frame.
 
     reconstruct(field) returns the mesh of reconstruct_field(field, frame,
     grid_res, iso) and the front and back maps that render_normals draws of
     it, bit for bit (see the module docstring). A column of the field
     matches a source when its coefficients equal the source's with ==; the
     first source it matches serves it. decoded_columns counts the columns
-    that reconstruct has decoded.
+    that reconstruct has decoded: the live corner columns of the cubes that
+    no source serves, or every live column of a field that falls back.
     """
 
     def __init__(self, sources, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -324,11 +352,9 @@ class ReconstructionReference:
         self.sources = []
         (x0, y0), (x1, y1) = self.lo, self.hi
         for f in fields:
-            values = np.zeros(((self.hi - self.lo).prod(), grid_res))
-            grid = _box_grid(f, frame, self.lo, self.hi, values,
-                             _live_columns(f)[x0:x1, y0:y1].ravel())
+            grid = _box_grid(f, frame, self.lo, self.hi, grid_res, _live_columns(f)[x0:x1, y0:y1])
             mesh, cubes, keys = _marching_cubes(grid, iso)
-            self.sources.append(_Source(f, values, mesh, cubes, cubes // (grid_res - 1), keys,
+            self.sources.append(_Source(f, mesh, cubes, cubes // (grid_res - 1), keys,
                                         render_normals(mesh, frame, (FRONT, BACK))))
 
     def reconstruct(self, field):
@@ -366,24 +392,12 @@ class ReconstructionReference:
         masks per source."""
         X, Y = self.hi - self.lo
         match = [m[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]] for m in match]
-        # Decode: a column takes its first matching source's grid column.
-        sources = self.sources + [None]
-        values = np.zeros((X * Y, self.grid_res)) if sources[0] is None \
-            else sources[0].values.copy()
-        todo = ~match[0].ravel()
-        for m, source in zip(match[1:], sources[1:]):
-            take = m.ravel() & todo
-            values[take] = 0.0 if source is None else source.values[take]
-            todo &= ~take
-        self.decoded_columns += int(np.count_nonzero(todo))
-        grid = _box_grid(field, self.frame, self.lo, self.hi, values, todo)
 
         # Marching cubes: a cube whose four columns match one source takes
-        # that source's faces; the zero field has none. The other cubes are
-        # extracted here.
+        # that source's faces; the zero field, last, has none.
         todo = np.ones((X - 1, Y - 1), dtype=bool)
         served, cubes, faces, used = [], [], [], []
-        for m, source in zip(match, sources):
+        for m, source in zip(match, self.sources + [None]):
             take = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:] & todo
             todo &= ~take
             if source is not None and take.any():
@@ -393,7 +407,21 @@ class ReconstructionReference:
                 faces.append(source.mesh.faces[keep])
                 used.append(np.zeros(source.mesh.n_vertices, dtype=bool))
                 used[-1][faces[-1]] = True
-        fresh_cubes, fresh_keys = _cube_faces(grid.values, todo, self.iso)
+
+        # Decode: the other cubes read only their corner columns. The live
+        # ones are decoded into rows 1.. of a column store; the dead ones
+        # all read row 0, which holds their +0.0 samples.
+        corner = np.zeros((X, Y), dtype=bool)
+        for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            corner[ox:ox + X - 1, oy:oy + Y - 1] |= todo
+        columns = np.flatnonzero(corner & ~match[-1])
+        store = np.zeros((len(columns) + 1, self.grid_res))
+        index = np.zeros(X * Y, dtype=np.int64)
+        index[columns] = np.arange(1, len(columns) + 1)
+        _decode_box(field, self.lo, self.hi, columns, store, index[columns])
+        self.decoded_columns += len(columns)
+        index = index.reshape(X, Y)
+        fresh_cubes, fresh_keys = _cube_faces(store, index, todo, self.iso)
 
         # Vertices: the distinct keys in sorted order, as marching_cubes
         # numbers them. A source face's vertex lies on an edge whose columns
@@ -412,11 +440,15 @@ class ReconstructionReference:
         faces.append(number[start:].reshape(-1, 3))
         fresh = np.zeros(len(distinct), dtype=bool)
         fresh[faces[-1]] = True
-        vertices[fresh] = _edge_vertices(grid, distinct[fresh], self.iso)
+        origin, spacing = _grid_map(self.frame, self.grid_res)
+        vertices[fresh] = _edge_vertices(store, index, distinct[fresh], self.iso, origin, spacing,
+                                         np.array([self.lo[0], self.lo[1], 0]))
         # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it.
+        # The parts are dropped as they are joined, so fewer copies are live.
         cubes = np.concatenate(cubes + [fresh_cubes])
         order = np.argsort(cubes, kind="stable")
-        return TriMesh(vertices, np.concatenate(faces)[order]), cubes[order]
+        faces = np.concatenate(faces)
+        return TriMesh(vertices, faces[order]), cubes[order]
 
     def _render(self, mesh, cubes, match):
         """Front and back maps of mesh, given each face's cube id and the

@@ -17,11 +17,14 @@ columns are zero, and the blend's deep M columns equal c_prior's with ==
 once the feather ramp reaches 0. So run_sweep also builds one
 surface.ReconstructionReference over c_gt and c_prior per run, after
 prepare_context, and each cell's reconstruct(field) copies those sources'
-decoded columns (exact: the decode accumulator is never -0.0, so +-0.0
-coefficients add nothing), their marching-cubes faces for cubes whose four
-columns match, and their normal-map pixels whose 3 x 3 columns match. Only
-the columns the occluder changed are decoded, extracted and rendered, and
-every mesh and map equals the full path's bit for bit.
+marching-cubes faces for cubes whose four columns match (exact: the decode
+accumulator is never -0.0, so +-0.0 coefficients add nothing) and their
+normal-map pixels whose 3 x 3 columns match. Only the cubes the occluder
+changed are extracted, from their live corner columns alone, decoded into
+a small column store; the reference keeps no decoded grid. Every mesh and
+map equals the full path's bit for bit. Each cell logs at DEBUG how many
+columns its reconstructions decoded, so `fofkit -v sweep` shows it for any
+--jobs.
 
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
@@ -60,6 +63,7 @@ def _run_cell(cell):
     rows = []
     try:
         reference, reconstruction = _reference(ctx)
+        decoded = reconstruction.decoded_columns
         if ratio == 0.0:
             pair = None
             c_obs = ctx["c_gt"]
@@ -79,6 +83,8 @@ def _run_cell(cell):
             recon, front, back = reconstruction.reconstruct(field)
             rep = reference.evaluate(recon, (front, back))
             rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
+        log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
+                  reconstruction.decoded_columns - decoded)
     except FofkitError as exc:
         log.error("cell ratio=%s seed=%s failed: %s", ratio, seed, exc)
         done = {r[2] for r in rows}

@@ -1,10 +1,13 @@
-"""Blocked per-face and per-cube temporaries.
+"""Blocked per-face and per-cube temporaries, and the working memory of
+the reconstruction splice.
 
 Rasterization, face areas, marching cubes and the exhaustive P2S oracle work
 through fixed-size blocks. On the README chain's reconstruction each blocked
 layer stays within a fixed working memory, and no block size changes a bit
 of any result: each block constant is patched to a tiny value and the
-outputs are compared with those of the default blocks.
+outputs are compared with those of the default blocks. The default sweep's
+ReconstructionReference keeps no decoded grid, and its reconstructions
+decode into column stores of the columns they read.
 """
 
 import tracemalloc
@@ -14,7 +17,8 @@ import pytest
 
 from fofkit import metrics, raster, surface
 from fofkit.cli import main
-from fofkit.completion import degrade_prior
+from fofkit.completion import degrade_prior, vgcc_blend
+from fofkit.config import HarnessConfig
 from fofkit.fof import BasisConfig, FourierField
 from fofkit.mesh import TriMesh, drop_degenerate_faces, load_obj, mesh_to_fof, save_obj
 from fofkit.metrics import p2s_exhaustive
@@ -22,16 +26,18 @@ from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame, rasterize_coverage
 from fofkit.render import BACK, FRONT, render_normals, render_silhouette
 from fofkit.shapes import make_sphere
-from fofkit.surface import (ReconstructionReference, _cube_faces, _sample_points,
-                            _sample_uniforms, field_to_grid, marching_cubes, reconstruct_field,
-                            sample_surface)
+from fofkit.surface import (ReconstructionReference, _cube_faces, _distinct, _edge_vertices,
+                            _grid_store, _sample_points, _sample_uniforms, field_to_grid,
+                            marching_cubes, reconstruct_field, sample_surface)
+from fofkit.sweep import prepare_context
 from fofkit.tensor_io import read_tensor
 
 
 @pytest.fixture(scope="module")
 def readme_chain(tmp_path_factory):
-    """The README walkthrough's reconstruction (82 136 faces) and the
-    grid it was extracted from, on the default 128 x 128 frame."""
+    """The README walkthrough's reconstruction (82 136 faces), the grid it
+    was extracted from, on the default 128 x 128 frame, and the directory of
+    the chain's files."""
     d = tmp_path_factory.mktemp("readme_chain")
     assert main(["shapes", "sphere", str(d / "gt.obj"), "--subdivisions", "4"]) == 0
     save_obj(degrade_prior(load_obj(d / "gt.obj"), 20, 0.5), d / "prior.obj")
@@ -40,8 +46,7 @@ def readme_chain(tmp_path_factory):
         ("silhouette", d / "gt.obj", d / "body.pgm"),
         ("occlude", d / "gt.oaht", d / "body.pgm", d / "occ.oaht", "--ratio", 0.4, "--seed", 7),
         ("encode", d / "prior.obj", d / "prior.oaht"),
-        ("blend", d / "occ.oaht", d / "prior.oaht", d / "occ.oaht.V.pgm", d / "occ.oaht.M.pgm",
-         d / "done.oaht"),
+        blend_step(d, d / "done.oaht"),
         ("reconstruct", d / "done.oaht", d / "recon.obj", "--grid-res", 128),
     ]
     for argv in steps:
@@ -49,15 +54,31 @@ def readme_chain(tmp_path_factory):
     grid = field_to_grid(FourierField(read_tensor(str(d / "done.oaht"))[1]), OrthoFrame(), 128)
     recon = load_obj(d / "recon.obj")
     assert recon.n_faces > 60_000
-    return recon, grid
+    return recon, grid, d
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes that tracemalloc saw it allocate."""
+def blend_step(d, out):
+    """The README chain's blend command, writing out."""
+    return ("blend", d / "occ.oaht", d / "prior.oaht", d / "occ.oaht.V.pgm", d / "occ.oaht.M.pgm",
+            out)
+
+
+@pytest.fixture(scope="module")
+def default_sweep():
+    """The default sweep's config, its context and its ReconstructionReference."""
+    cfg = HarnessConfig.load()
+    ctx = prepare_context(cfg)
+    return cfg, ctx, ReconstructionReference((ctx["c_gt"], ctx["c_prior"]), ctx["frame"],
+                                             cfg.grid_res, cfg.iso)
+
+
+def traced(fn, *args):
+    """fn(*args), and the bytes that tracemalloc saw it leave allocated and
+    allocate at the peak."""
     tracemalloc.start()
     try:
         out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
+        return (out,) + tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -66,25 +87,87 @@ class TestWorkingMemory:
     """Peaks on the 82 136-face reconstruction, outputs included: with
     whole-mesh temporaries they were 30.3 MB (render_normals), 23.7 MB
     (marching_cubes) and 14.8 MB (the samples' face areas); blocked, 7.8,
-    10.1 and 4.4 MB."""
+    10.1 and 4.4 MB. The default sweep's reference kept both sources' box
+    grids, 20.1 MB in all, and each reconstruct copied one, peaking at
+    14.5-16.9 MB on a blend field; without them, 7.7 MB and 8.4-10.8 MB."""
 
     def test_render_normals(self, readme_chain):
-        recon, _ = readme_chain
-        maps, peak = traced_peak(render_normals, recon, OrthoFrame(), (FRONT, BACK))
+        recon, _, _ = readme_chain
+        maps, _, peak = traced(render_normals, recon, OrthoFrame(), (FRONT, BACK))
         assert maps[0].mask.sum() > 4000
         assert peak < 12e6
 
     def test_marching_cubes(self, readme_chain):
-        recon, grid = readme_chain
-        mesh, peak = traced_peak(marching_cubes, grid)
+        recon, grid, _ = readme_chain
+        mesh, _, peak = traced(marching_cubes, grid)
         assert np.array_equal(mesh.faces, recon.faces)
         assert peak < 14e6
 
     def test_sample_points(self, readme_chain):
-        recon, _ = readme_chain
-        (faces, _), peak = traced_peak(_sample_points, recon, _sample_uniforms(10_000, 0))
+        recon, _, _ = readme_chain
+        (faces, _), _, peak = traced(_sample_points, recon, _sample_uniforms(10_000, 0))
         assert len(faces) == 10_000
         assert peak < 7e6
+
+    def test_blend_command(self, readme_chain):
+        # The three 4 MB fields are live while blending, not while writing.
+        _, _, d = readme_chain
+        code, _, peak = traced(main, [str(a) for a in blend_step(d, d / "again.oaht")])
+        assert code == 0
+        assert (d / "again.oaht").read_bytes() == (d / "done.oaht").read_bytes()
+        assert peak < 15e6
+
+    def test_reconstruction_reference_keeps_no_grid(self, default_sweep):
+        cfg, ctx, _ = default_sweep
+        reference, retained, _ = traced(ReconstructionReference, (ctx["c_gt"], ctx["c_prior"]),
+                                        ctx["frame"], cfg.grid_res, cfg.iso)
+        assert len(reference.sources) == 2
+        assert retained < 10e6
+
+    def test_spliced_reconstructions(self, default_sweep):
+        cfg, ctx, reference = default_sweep
+        peaks = []
+        for ratio in cfg.sweep_ratios:
+            for seed in cfg.sweep_seeds:
+                pair = synthesize_occlusion(ctx["body"],
+                                            OccluderSpec(cfg.occluder_kind, seed, ratio))
+                naive = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
+                                      sigma=cfg.noise_sigma, seed=seed)
+                blend = vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)
+                for field in (naive, blend):
+                    (mesh, _, _), _, peak = traced(reference.reconstruct, field)
+                    assert mesh.n_faces > 0
+                    peaks.append(peak)
+        assert len(peaks) == 40 and max(peaks) < 12e6
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_column_store(self, readme_chain, monkeypatch, rows):
+        # A store of only the corner columns of some cubes, the others all
+        # reading one shared zero row, gives the dense grid's faces and
+        # vertices for those cubes.
+        _, grid, _ = readme_chain
+        store, index = _grid_store(grid.values)
+        X, Y = index.shape
+        cubes = np.random.default_rng(rows).random((X - 1, Y - 1)) < 0.05
+        corner = np.zeros((X, Y), dtype=bool)
+        for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            corner[ox:ox + X - 1, oy:oy + Y - 1] |= cubes
+        held = np.flatnonzero(corner)
+        assert 0 < len(held) < X * Y / 2
+        compact = np.zeros((len(held) + 1, store.shape[1]))
+        compact[1:] = store[held]
+        rows_of = np.zeros(X * Y, dtype=np.int64)
+        rows_of[held] = np.arange(1, len(held) + 1)
+        rows_of = rows_of.reshape(X, Y)
+        want = _cube_faces(store, index, cubes, 0.5)
+        monkeypatch.setattr(surface, "_CUBE_ROWS", rows)
+        got = _cube_faces(compact, rows_of, cubes, 0.5)
+        assert len(want[0]) > 1000
+        assert bits(*got) == bits(*want)
+        keys = _distinct(want[1])[0]
+        place = (grid.origin, grid.spacing, grid.offset)
+        assert bits(_edge_vertices(compact, rows_of, keys, 0.5, *place)) == \
+            bits(_edge_vertices(store, index, keys, 0.5, *place))
 
 
 @pytest.fixture(scope="module")
@@ -157,14 +240,15 @@ class TestCubeRows:
     def test_meshes_and_faces(self, fields, monkeypatch, rows):
         frame, gt, _, occluded = fields
         grid = field_to_grid(occluded, frame, 24)
-        columns = np.random.default_rng(rows).random((grid.values.shape[0] - 1,
-                                                      grid.values.shape[1] - 1)) < 0.5
-        want = [_cube_faces(grid.values, c, 0.5) for c in (None, columns)]
+        store, index = _grid_store(grid.values)
+        columns = np.random.default_rng(rows).random((index.shape[0] - 1,
+                                                      index.shape[1] - 1)) < 0.5
+        want = [_cube_faces(store, index, c, 0.5) for c in (None, columns)]
         mesh = marching_cubes(grid)
         monkeypatch.setattr(surface, "_CUBE_ROWS", rows)
         for c, w in zip((None, columns), want):
             assert len(w[0]) > 0
-            assert bits(*_cube_faces(grid.values, c, 0.5)) == bits(*w)
+            assert bits(*_cube_faces(store, index, c, 0.5)) == bits(*w)
         got = marching_cubes(grid)
         assert bits(got.vertices, got.faces) == bits(mesh.vertices, mesh.faces)
 

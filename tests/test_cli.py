@@ -293,6 +293,23 @@ def test_python_m_fofkit_runs_the_cli():
     assert done.stdout.startswith("usage: fofkit")
 
 
+def test_verbose_sweep_logs_each_cell_from_its_worker(tmp_path):
+    src = os.path.dirname(os.path.dirname(fofkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "fofkit", "-v", "sweep", "--out", str(tmp_path),
+         "--set", "sweep.ratios=0.0,0.4", "--set", "sweep.seeds=1",
+         "--set", "sweep.eval_samples=500", "--set", "extract.grid_res=32",
+         "--set", "frame.width=32", "--set", "frame.height=32", "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    cells = sorted(line.split(": ", 1)[1] for line in done.stderr.splitlines()
+                   if line.startswith("DEBUG fofkit.sweep: cell ratio="))
+    assert [c.split(":")[0] for c in cells] == ["cell ratio=0.0 seed=1", "cell ratio=0.4 seed=1"]
+    assert cells[0].endswith(": decoded 0 columns")
+
+
 class TestSweepCommand:
     def test_tiny_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"

@@ -17,7 +17,8 @@ from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.shapes import make_cube, make_sphere
 from fofkit.render import BACK, FRONT, render_normals
-from fofkit.selftest import check_spliced_reconstruction, painted_fields, same_reconstruction
+from fofkit.selftest import (check_spliced_reconstruction, painted_fields, same_reconstruction,
+                             spliced_columns)
 from fofkit.surface import (OccupancyGrid, ReconstructionReference, field_to_grid,
                             marching_cubes, mesh_volume, reconstruct_field, sample_surface)
 from fofkit.sweep import prepare_context
@@ -511,8 +512,8 @@ class TestDepthResArgument:
 
 class TestReconstructionReference:
     """reconstruct(field) equals reconstruct_field + render_normals bit for
-    bit (selftest.same_reconstruction), and decodes only the columns that
-    match no source."""
+    bit (selftest.same_reconstruction), and decodes exactly the live corner
+    columns of the cubes that no source serves (selftest.spliced_columns)."""
 
     def test_painted_fields(self):
         check = check_spliced_reconstruction(60, 11)
@@ -547,11 +548,11 @@ class TestReconstructionReference:
         before = reference.decoded_columns
         assert same_reconstruction(reference, field)
         decoded = reference.decoded_columns - before
-        live = np.any(field.data != 0.0, axis=2).sum()
-        if method in ("naive", "gt", "prior"):  # naive: M's columns are zero
-            assert decoded == 0
-        elif method == "blend":  # only the feather ramp matches no source
-            assert 0 < decoded < live / 10
+        sources = [source.field.data for source in reference.sources]
+        assert decoded == spliced_columns(field.data, sources)
+        # naive: the cubes across M's edge; blend: those and the feather
+        # ramp's; noise: every cube with a column in M.
+        assert decoded == {"naive": 129, "blend": 578, "noise": 2000, "gt": 0, "prior": 0}[method]
 
     def test_all_zero_and_array_fields(self, reference, sweep_fields):
         assert same_reconstruction(reference, np.zeros_like(sweep_fields[2]["gt"].data))

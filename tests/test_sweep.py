@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from fofkit.config import HarnessConfig
 from fofkit.completion import vgcc_blend
 from fofkit.occlusion import (OCCLUDER_KINDS, OCCLUSION_POLICIES, OccluderSpec, occlude_field,
                               synthesize_occlusion)
-from fofkit.selftest import same_reconstruction
+from fofkit.selftest import same_reconstruction, spliced_columns
 
 TINY = ["sweep.ratios=0.0,0.4", "sweep.seeds=1", "sweep.eval_samples=500",
         "extract.grid_res=48", "frame.width=48", "frame.height=48"]
@@ -46,6 +48,22 @@ def test_run_sweep_hooks(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "_run_cell", cell)
     sweep.run_sweep(HarnessConfig.load(overrides=TINY), str(tmp_path), jobs=1)
     assert calls == ["prepare", (0.0, 1), (0.4, 1)]
+
+
+def test_cells_log_their_decoded_columns(tmp_path, caplog):
+    cfg = HarnessConfig.load(overrides=TINY)
+    with caplog.at_level(logging.DEBUG, logger="fofkit.sweep"):
+        sweep.run_sweep(cfg, str(tmp_path), jobs=1)
+    ctx = sweep._CTX
+    pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, 1, 0.4))
+    naive = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy, sigma=cfg.noise_sigma, seed=1)
+    blend = vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)
+    sources = [ctx["c_gt"].data, ctx["c_prior"].data]
+    decoded = sum(spliced_columns(f.data, sources) for f in (naive, blend))
+    assert decoded > 0
+    assert [m for m in caplog.messages if "decoded" in m] == [
+        "cell ratio=0.0 seed=1: decoded 0 columns",
+        f"cell ratio=0.4 seed=1: decoded {decoded} columns"]
 
 
 def test_ratio_zero_cell_reconstructs_once(monkeypatch):
