@@ -25,10 +25,11 @@ pair moves on to the children node_left and node_left + 1. Each slab gap is
 reduced by a margin that covers the rounding of both dot products, the
 length of the stored n, and the kernel's own rounding (`_slab_gap`), so a
 slab never drops a triangle whose computed distance could lower the
-minimum. Best distances start at +inf, and the first frontier entries pair
-each point with the leaf of its seed: a given face (an evaluation passes
+minimum. Each point's best distance starts at its distance to its seed
+triangle, scored once before the walk: a given face (an evaluation passes
 the face of the point's Chamfer-nearest ground-truth sample) or else the
-triangle with the nearest centroid.
+triangle with the nearest centroid. The walk starts at the root and skips
+each point's seed leaf.
 The pair kernel works on axis-major component rows: one row per coordinate
 of the points and of each triangle corner, which the BVH gathers in that
 layout from its slot-ordered copy of the triangles. Its summation order is
@@ -57,7 +58,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.ndimage import correlate1d
 from scipy.spatial import cKDTree
 
 from .errors import DomainError, check_array, check_type, require
@@ -70,7 +70,7 @@ UNIT_SCALE = 100.0  # scene units -> centi-units
 PSNR_CAP_DB = 99.0
 
 # P2S: the largest coordinate magnitude; beyond it the pair kernel's fourth
-# powers of coordinates overflow (ROADMAP item 9).
+# powers of coordinates overflow (ROADMAP item 10).
 MAX_COORD = 1e75
 
 # P2S: the widest (point, node) frontier expanded at once, and so the most
@@ -286,24 +286,28 @@ class SurfaceDistanceIndex:
         numbers below MAX_COORD in magnitude. seeds that are not n integers
         raise ShapeError, a seed outside [0, n_faces) DomainError.
 
-        All points walk the BVH together, breadth first over one frontier
-        of flat (point, node) pairs, with each point's best distance at
-        +inf. Its first entries pair each point with its seed face's leaf,
-        the rest with the root. A pair survives while the point's gap to the
+        Each point is first scored against its seed triangle, MAX_FRONTIER
+        points per point_triangle_distance call, and its best distance
+        starts there (+inf for a NaN distance). Then all points walk the
+        BVH together from the root, breadth first over one frontier of flat
+        (point, node) pairs. A pair survives while the point's gap to the
         node's slab (_slab_gap) and its distance to the node's box are both
         below the point's best distance. A surviving leaf pair scores the
         point against the leaf's triangle, one point_triangle_distance call
-        per step; a surviving inner pair pushes both children, node_left and
-        node_left + 1. A frontier wider than MAX_FRONTIER pairs is split in
-        halves and walked one half at a time.
+        per step, unless the leaf is the point's seed leaf, which is
+        already scored; a surviving inner pair pushes both children,
+        node_left and node_left + 1. A frontier wider than MAX_FRONTIER
+        pairs is split in halves and walked one half at a time. So each
+        (point, triangle) pair is scored at most once.
 
         The result equals the exhaustive minimum bit for bit, for any seed:
         each pair's distance is computed elementwise, so it does not depend
         on which other pairs share the call; a box's distance never exceeds
         the distance to a triangle inside it, and a slab gap never exceeds
         the computed distance to a triangle under it, so the tests only drop
-        triangles that cannot lower the minimum; and the minimum does not
-        depend on the order in which pairs are visited.
+        triangles that cannot lower the minimum, and the seed leaf's pair
+        would only score the seed's distance again; and the minimum does
+        not depend on the order in which pairs are visited.
         """
         p = check_array(points, "query points", (None, 3), MAX_COORD)
         if seeds is None:
@@ -313,11 +317,16 @@ class SurfaceDistanceIndex:
         if len(seeds) and not (seeds.min() >= 0 and seeds.max() < m):
             raise DomainError(f"seed faces must be integers in [0, {m})")
         bvh = self.bvh
-        best = np.full(len(p), np.inf)
         coords = p.T.copy()
+        seed_leaf = self._leaf_of_face[seeds]
+        best = np.empty(len(p))
+        for lo in range(0, len(p), MAX_FRONTIER):
+            pt = np.arange(lo, min(lo + MAX_FRONTIER, len(p)))
+            best[pt] = _score(coords, pt, bvh, bvh.node_start[seed_leaf[pt]])
+        # fmin, like a `d < best` update, never lets a NaN distance in.
+        np.fmin(best, np.inf, out=best)
         margin = _slab_margin(bvh, p)
-        frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64)),
-                    (np.arange(len(p)), self._leaf_of_face[seeds])]
+        frontier = [(np.arange(len(p)), np.zeros(len(p), dtype=np.int64))]
         while frontier:
             pt, node = frontier.pop()
             if len(pt) > MAX_FRONTIER:
@@ -332,16 +341,22 @@ class SurfaceDistanceIndex:
             leaf = slot >= 0
             if leaf.any():
                 pair_pt, slot = pt[leaf], slot[leaf]
-                # Both gathers come out axis-major, as the kernel reads them.
-                d = point_triangle_distance(np.take(coords, pair_pt, axis=1).T,
-                                            np.take(bvh.slot_rows, slot, axis=2).transpose(2, 0, 1))
-                # fmin, like a `d < best` update, never lets a NaN distance in.
-                np.fmin.at(best, pair_pt, d)
+                fresh = node[leaf] != seed_leaf[pair_pt]
+                pair_pt, slot = pair_pt[fresh], slot[fresh]
+                np.fmin.at(best, pair_pt, _score(coords, pair_pt, bvh, slot))
             inner = node[~leaf]
             if len(inner):
                 children = bvh.node_left[inner][:, None] + [0, 1]
                 frontier.append((np.repeat(pt[~leaf], 2), children.ravel()))
         return best
+
+
+def _score(coords, pt, bvh, slot):
+    """Distances from the points coords[:, pt] to the BVH's triangles in
+    slots slot."""
+    # Both gathers come out axis-major, as the kernel reads them.
+    return point_triangle_distance(np.take(coords, pt, axis=1).T,
+                                   np.take(bvh.slot_rows, slot, axis=2).transpose(2, 0, 1))
 
 
 def _box_gap(coords, pt, bvh, node):
@@ -462,6 +477,10 @@ _SSIM_KERNEL = _gaussian_kernel()
 
 
 def _filter_valid(img):
+    # Only ssim filters, so scipy.ndimage (about 1.7 MiB resident) is loaded
+    # on its first call, not with fofkit.
+    from scipy.ndimage import correlate1d
+
     t = correlate1d(img, _SSIM_KERNEL, axis=0, mode="constant")
     t = correlate1d(t, _SSIM_KERNEL, axis=1, mode="constant")
     r = SSIM_WINDOW // 2

@@ -316,8 +316,9 @@ class ReconstructionReference:
     Holds, for each source field (a sweep passes c_gt and c_prior), the
     marching-cubes mesh of its decoded grid over one box shared by all
     sources, with each face's cube id and each vertex's edge key, and the
-    front and back normal maps of the mesh; the grid itself is released
-    once these are built. The all-zero field is an implicit last source,
+    front and back normal maps of the mesh. The sources are built one at a
+    time, and each grid is released once its mesh is extracted, so one
+    source grid is live at a time and none is kept. The all-zero field is an implicit last source,
     with no faces and background maps. The box is the sources' live
     columns plus one cell on each side, clamped to the frame.
 
@@ -349,13 +350,18 @@ class ReconstructionReference:
         if min(live.shape) < 2:  # no grid fits the frame: reconstruct falls back
             self.sources = None
             return
-        self.sources = []
+        self.sources = [self._source(f) for f in fields]
+
+    def _source(self, field):
+        """The _Source of a field over the reference's box. Its grid is
+        released once its mesh is extracted, so one source grid is live at a
+        time."""
         (x0, y0), (x1, y1) = self.lo, self.hi
-        for f in fields:
-            grid = _box_grid(f, frame, self.lo, self.hi, grid_res, _live_columns(f)[x0:x1, y0:y1])
-            mesh, cubes, keys = _marching_cubes(grid, iso)
-            self.sources.append(_Source(f, mesh, cubes, cubes // (grid_res - 1), keys,
-                                        render_normals(mesh, frame, (FRONT, BACK))))
+        mesh, cubes, keys = _marching_cubes(
+            _box_grid(field, self.frame, self.lo, self.hi, self.grid_res,
+                      _live_columns(field)[x0:x1, y0:y1]), self.iso)
+        return _Source(field, mesh, cubes, cubes // (self.grid_res - 1), keys,
+                       render_normals(mesh, self.frame, (FRONT, BACK)))
 
     def reconstruct(self, field):
         """(mesh, front map, back map) of a field on the reference's frame.
@@ -428,6 +434,7 @@ class ReconstructionReference:
         # match the source, so it is the source's vertex bit for bit.
         distinct, number = _distinct(np.concatenate(
             [source.keys[u] for source, u in zip(served, used)] + [fresh_keys.ravel()]))
+        del fresh_keys
         vertices = np.empty((len(distinct), 3))
         start = 0
         for i, (source, u) in enumerate(zip(served, used)):
@@ -444,8 +451,11 @@ class ReconstructionReference:
         vertices[fresh] = _edge_vertices(store, index, distinct[fresh], self.iso, origin, spacing,
                                          np.array([self.lo[0], self.lo[1], 0]))
         # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it.
-        # The parts are dropped as they are joined, so fewer copies are live.
+        # The store, the keys and their numbers are dropped first, and the
+        # parts as they are joined, so fewer copies are live.
+        del store, index, distinct, number
         cubes = np.concatenate(cubes + [fresh_cubes])
+        del fresh_cubes
         order = np.argsort(cubes, kind="stable")
         faces = np.concatenate(faces)
         return TriMesh(vertices, faces[order]), cubes[order]

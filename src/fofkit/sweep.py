@@ -26,6 +26,13 @@ map equals the full path's bit for bit. Each cell logs at DEBUG how many
 columns its reconstructions decoded, so `fofkit -v sweep` shows it for any
 --jobs.
 
+A cell holds at most one field and one reconstruction. It scores the
+naive field's reconstruction and drops the mesh and maps with the report;
+it builds the blend field from c_obs and drops c_obs; it drops the blend
+field once it is reconstructed, before that reconstruction is scored. So
+while the blend field is reconstructed, neither c_obs nor the naive
+reconstruction is live.
+
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
 so reruns with the same config are byte-identical.
@@ -65,24 +72,21 @@ def _run_cell(cell):
         reference, reconstruction = _reference(ctx)
         decoded = reconstruction.decoded_columns
         if ratio == 0.0:
-            pair = None
-            c_obs = ctx["c_gt"]
+            # No occluder: the blend field is c_gt itself, so the blend row
+            # is the naive one.
+            scores = _scores(reference, reconstruction.reconstruct(ctx["c_gt"]))
+            rows += [(ratio, seed, method) + scores for method in METHODS]
         else:
             pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
             c_obs = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
                                   sigma=cfg.noise_sigma, seed=seed)
-        for method in METHODS:
-            if method == "blend" and pair is None:
-                # No occluder: the blend field is c_obs itself, so the blend
-                # row is the naive one.
-                rows.append((ratio, seed, method) + rows[0][3:])
-                continue
-            field = c_obs
-            if method == "blend":
-                field = vgcc_blend(c_obs, ctx["c_prior"], pair, cfg.feather_px)
-            recon, front, back = reconstruction.reconstruct(field)
-            rep = reference.evaluate(recon, (front, back))
-            rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
+            rows.append((ratio, seed, "naive")
+                        + _scores(reference, reconstruction.reconstruct(c_obs)))
+            field = vgcc_blend(c_obs, ctx["c_prior"], pair, cfg.feather_px)
+            del c_obs
+            recon = reconstruction.reconstruct(field)
+            del field
+            rows.append((ratio, seed, "blend") + _scores(reference, recon))
         log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
                   reconstruction.decoded_columns - decoded)
     except FofkitError as exc:
@@ -92,6 +96,14 @@ def _run_cell(cell):
             if method not in done:
                 rows.append((ratio, seed, method, float("nan"), float("nan"), float("nan")))
     return rows
+
+
+def _scores(reference, reconstruction):
+    """The (cd, p2s, normal_err) of a (mesh, front map, back map)
+    reconstruction against the EvalReference."""
+    mesh, front, back = reconstruction
+    rep = reference.evaluate(mesh, (front, back))
+    return rep.cd, rep.p2s, rep.normal_err
 
 
 def _reference(ctx):

@@ -7,7 +7,8 @@ layer stays within a fixed working memory, and no block size changes a bit
 of any result: each block constant is patched to a tiny value and the
 outputs are compared with those of the default blocks. The default sweep's
 ReconstructionReference keeps no decoded grid, and its reconstructions
-decode into column stores of the columns they read.
+decode into column stores of the columns they read; a sweep cell holds at
+most one field and one reconstruction.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fofkit import metrics, raster, surface
+from fofkit import metrics, raster, surface, sweep
 from fofkit.cli import main
 from fofkit.completion import degrade_prior, vgcc_blend
 from fofkit.config import HarnessConfig
@@ -86,10 +87,15 @@ def traced(fn, *args):
 class TestWorkingMemory:
     """Peaks on the 82 136-face reconstruction, outputs included: with
     whole-mesh temporaries they were 30.3 MB (render_normals), 23.7 MB
-    (marching_cubes) and 14.8 MB (the samples' face areas); blocked, 7.8,
-    10.1 and 4.4 MB. The default sweep's reference kept both sources' box
-    grids, 20.1 MB in all, and each reconstruct copied one, peaking at
-    14.5-16.9 MB on a blend field; without them, 7.7 MB and 8.4-10.8 MB."""
+    (marching_cubes) and 14.8 MB (the samples' face areas); blocked, 7.6,
+    9.5 (10.8 with an int64 triangle table) and 4.4 MB. The default sweep's
+    reference kept both sources' box grids, 20.1 MB in all, and each
+    reconstruct copied one, peaking at 14.5-16.9 MB on a blend field;
+    without them, 7.7 MB and 8.4-10.1 MB. Its build peaked at 20.1 MB while
+    one source's grid was still bound as the next was decoded; with one
+    grid live at a time, 17.1 MB. A default-sweep cell peaked at
+    18.8-21.8 MB while it kept c_obs, the naive reconstruction and each
+    field to its end; dropping each at its last reader, 13.2-14.2 MB."""
 
     def test_render_normals(self, readme_chain):
         recon, _, _ = readme_chain
@@ -123,6 +129,28 @@ class TestWorkingMemory:
                                         ctx["frame"], cfg.grid_res, cfg.iso)
         assert len(reference.sources) == 2
         assert retained < 10e6
+
+    def test_reconstruction_reference_build(self, default_sweep):
+        # One source's box grid is live at a time.
+        cfg, ctx, _ = default_sweep
+        _, _, peak = traced(ReconstructionReference, (ctx["c_gt"], ctx["c_prior"]),
+                            ctx["frame"], cfg.grid_res, cfg.iso)
+        assert peak < 19e6
+
+    def test_sweep_cell(self, default_sweep, monkeypatch):
+        # A cell holds at most one field and one reconstruction.
+        cfg, ctx, _ = default_sweep
+        ctx = dict(ctx)
+        monkeypatch.setattr(sweep, "_CTX", ctx)
+        sweep._reference(ctx)
+        peaks = []
+        for ratio in cfg.sweep_ratios:
+            for seed in cfg.sweep_seeds:
+                rows, _, peak = traced(sweep._run_cell, (float(ratio), int(seed)))
+                assert [r[2] for r in rows] == list(sweep.METHODS)
+                assert np.isfinite([r[3:] for r in rows]).all()
+                peaks.append(peak)
+        assert len(peaks) == 20 and max(peaks) < 16e6
 
     def test_spliced_reconstructions(self, default_sweep):
         cfg, ctx, reference = default_sweep

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import fofkit
 from fofkit import metrics
 from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import BasisConfig
@@ -764,6 +768,30 @@ class TestSeededQuery:
         assert np.array_equal(calls[0][0], points)
         assert np.array_equal(calls[0][1], mesh.vertices[mesh.faces][seeds])
 
+    @pytest.mark.parametrize("seeding", ["nearest_sample", "farthest"])
+    @pytest.mark.parametrize("max_frontier", [None, 64])
+    def test_each_pair_scored_once(self, mesh, rng, monkeypatch, seeding, max_frontier):
+        # The walk skips each point's seed leaf, which was scored before it.
+        if max_frontier is not None:
+            monkeypatch.setattr(metrics, "MAX_FRONTIER", max_frontier)
+        points = np.unique(self.points(mesh, rng, "off_surface"), axis=0)
+        seeds = {"nearest_sample": nearest_sample_faces,
+                 "farthest": farthest_faces}[seeding](points, mesh)
+        want = p2s_exhaustive(points, mesh)
+        pairs = []
+
+        def recording(pts, tris):
+            pairs.append(np.concatenate([np.reshape(pts, (-1, 3)), np.reshape(tris, (-1, 9))],
+                                        axis=1))
+            return point_triangle_distance(pts, tris)
+
+        monkeypatch.setattr(metrics, "point_triangle_distance", recording)
+        got = SurfaceDistanceIndex(mesh).query(points, seeds)
+        pairs = np.concatenate(pairs)
+        assert len(pairs) > 2 * len(points)
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("seeds, error, match", [
         ([0, 10 ** 6], DomainError, r"seed faces must be integers in \[0, 320\)"),
         ([-1, -2], DomainError, r"seed faces must be integers in \[0, 320\)"),
@@ -810,6 +838,31 @@ class TestSSIM:
             ssim(a, a)
         with pytest.raises(ShapeError):
             ssim(np.zeros((16, 16)), np.zeros((16, 17)))
+
+
+def test_ssim_loads_scipy_ndimage_on_first_call():
+    # fofkit imports without scipy.ndimage, which only ssim uses; ssim loads
+    # it and returns the values pinned here.
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import fofkit, fofkit.cli\n"
+        "assert 'scipy.ndimage' not in sys.modules\n"
+        "i, j = np.indices((24, 20))\n"
+        "a = (np.sin(0.3 * i + 0.2 * j) + 1.0) / 2.0\n"
+        "b = (np.cos(0.25 * i - 0.1 * j) + 1.0) / 2.0\n"
+        "print(fofkit.ssim(a, b), fofkit.ssim(a, a * 0.5),\n"
+        "      fofkit.ssim(np.dstack([a, b]), np.dstack([b, a * a])))\n"
+        "assert 'scipy.ndimage' in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fofkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    values = [float(v) for v in done.stdout.split()]
+    assert values == pytest.approx([-0.006746799533856647, 0.6457132396616454,
+                                    -0.008591832136500445], rel=1e-12, abs=1e-15)
 
 
 class TestPSNR:
