@@ -12,9 +12,9 @@ Subcommands:
     sweep           full occlusion-ratio experiment (CSV + SVG + config echo)
     selftest        embedded oracle suite
 
-Exit codes: 0 success, 2 configuration error, 3 data error or a sweep with
-failed cells, 4 selftest invariant failure. OAHUMAN_SEED provides the seed
-when --seed is omitted.
+Exit codes: 0 success, 2 configuration error, 3 data error, a sweep with
+failed cells or a run out of memory, 4 selftest invariant failure.
+OAHUMAN_SEED provides the seed when --seed is omitted.
 """
 
 import argparse
@@ -347,6 +347,9 @@ def main(argv=None):
         return 2
     except (FofkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"fofkit: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -54,7 +54,9 @@ prior, and it gives the same mesh and normal maps bit for bit:
   store of just their corner columns: the live ones are decoded from the
   field, and the dead ones share one row of +0.0 samples, which is what
   they decode to. No grid of the box is assembled, and the reference keeps
-  none of the sources' grids.
+  none of the sources' grids: a source keeps its vertices, and its faces,
+  cube ids and edge keys as the narrowest integer type that holds the
+  box's 3 * X * Y * Z edge keys (int32 at every default size).
 - A face lies within its cube's column footprint, and rounding moves no
   vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
   can cover the center of pixel column (c, r): a 3 x 3 radius of columns.
@@ -64,6 +66,9 @@ prior, and it gives the same mesh and normal maps bit for bit:
   The faces of the cubes at the other pixels are rendered whole, in mesh
   order, and the sources' pixels copied over the maps; a pixel whose 3 x 3
   columns are all dead stays background, as a constant cube has no faces.
+- reconstruct is extract, which builds the mesh and is the field's last
+  reader, then render, which draws the maps; a caller may drop the field
+  between the two.
 """
 
 from collections import namedtuple
@@ -303,10 +308,27 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
     return marching_cubes(field_to_grid(fof, frame, grid_res), iso=iso)
 
 
-# What a ReconstructionReference holds of one source field: its mesh over
-# the shared box, each face's cube id and cube column, each vertex's edge key,
-# and its front and back maps. The grid they were built from is released.
-_Source = namedtuple("_Source", "field mesh cubes columns keys maps")
+# What a ReconstructionReference holds of one source field: its mesh's
+# vertices and faces over the shared box, each face's cube id, each vertex's
+# edge key, and its front and back maps. Faces, cube ids and keys are kept as
+# the box's index type (_index_dtype), int32 at every default size; a face's
+# cube column is its cube id // (grid_res - 1), recomputed where it is read.
+# The grid they were built from is released.
+_Source = namedtuple("_Source", "field vertices faces cubes keys maps")
+
+# What ReconstructionReference.extract(field) hands to render: the field's
+# mesh, and for a spliced extraction each face's cube id and the field's
+# (H, W) pixel masks per source, the zero field last; both are None for a
+# field that falls back.
+Extraction = namedtuple("Extraction", "mesh cubes match")
+
+
+def _index_dtype(shape):
+    """The narrowest of int32 and int64 that holds every edge key of an
+    (X, Y, Z) grid of samples, 0 to 3 * X * Y * Z - 1, and so every cube id
+    and vertex number of it."""
+    X, Y, Z = (int(n) for n in shape)
+    return np.int32 if 3 * X * Y * Z < 2 ** 31 else np.int64
 
 
 class ReconstructionReference:
@@ -316,18 +338,23 @@ class ReconstructionReference:
     Holds, for each source field (a sweep passes c_gt and c_prior), the
     marching-cubes mesh of its decoded grid over one box shared by all
     sources, with each face's cube id and each vertex's edge key, and the
-    front and back normal maps of the mesh. The sources are built one at a
-    time, and each grid is released once its mesh is extracted, so one
-    source grid is live at a time and none is kept. The all-zero field is an implicit last source,
-    with no faces and background maps. The box is the sources' live
-    columns plus one cell on each side, clamped to the frame.
+    front and back normal maps of the mesh. Faces, cube ids and keys are
+    kept as the narrowest integer type that holds the box's 3 * X * Y * Z
+    edge keys: int32 at every default size, int64 from 2**31 up. The sources
+    are built one at a time, and each grid is released once its mesh is
+    extracted, so one source grid is live at a time and none is kept. The
+    all-zero field is an implicit last source, with no faces and background
+    maps. The box is the sources' live columns plus one cell on each side,
+    clamped to the frame.
 
     reconstruct(field) returns the mesh of reconstruct_field(field, frame,
     grid_res, iso) and the front and back maps that render_normals draws of
-    it, bit for bit (see the module docstring). A column of the field
+    it, bit for bit (see the module docstring). It is two steps,
+    render(extract(field)): extract is the field's last reader, so a caller
+    that holds the field can drop it before render. A column of the field
     matches a source when its coefficients equal the source's with ==; the
     first source it matches serves it. decoded_columns counts the columns
-    that reconstruct has decoded: the live corner columns of the cubes that
+    that extract has decoded: the live corner columns of the cubes that
     no source serves, or every live column of a field that falls back.
     """
 
@@ -360,16 +387,25 @@ class ReconstructionReference:
         mesh, cubes, keys = _marching_cubes(
             _box_grid(field, self.frame, self.lo, self.hi, self.grid_res,
                       _live_columns(field)[x0:x1, y0:y1]), self.iso)
-        return _Source(field, mesh, cubes, cubes // (self.grid_res - 1), keys,
-                       render_normals(mesh, self.frame, (FRONT, BACK)))
+        maps = render_normals(mesh, self.frame, (FRONT, BACK))
+        index = _index_dtype((x1 - x0, y1 - y0, self.grid_res))
+        return _Source(field, mesh.vertices, mesh.faces.astype(index), cubes.astype(index),
+                       keys.astype(index), maps)
 
     def reconstruct(self, field):
-        """(mesh, front map, back map) of a field on the reference's frame.
+        """(mesh, front map, back map) of a field on the reference's frame:
+        render(extract(field)).
 
         A field with a live column that the reference's box does not hold
         one cell deep, or with another channel count, takes reconstruct_field
         and render_normals.
         """
+        return self.render(self.extract(field))
+
+    def extract(self, field):
+        """The Extraction of a field on the reference's frame: its mesh and
+        what render needs to draw the mesh's maps. The field is not read
+        after this step."""
         if not isinstance(field, FourierField):
             field = FourierField(field)
         _check_frame(field, self.frame)
@@ -379,8 +415,8 @@ class ReconstructionReference:
         if (self.sources is None or np.any(lo < self.lo) or np.any(hi > self.hi)
                 or self.sources and field.channels != self.channels):
             self.decoded_columns += int(live.sum())
-            mesh = reconstruct_field(field, self.frame, self.grid_res, self.iso)
-            return (mesh,) + render_normals(mesh, self.frame, (FRONT, BACK))
+            return Extraction(reconstruct_field(field, self.frame, self.grid_res, self.iso),
+                              None, None)
         # Whether each pixel matches each source, the zero field last. Off
         # the box the field and every source are zero.
         box = slice(field.height - self.hi[1], field.height - self.lo[1]), \
@@ -390,8 +426,7 @@ class ReconstructionReference:
             match.append(np.ones(live.shape, dtype=bool))
             match[-1][box] = np.all(field.data[box] == source.field.data[box], axis=2)
         match.append(~live)
-        mesh, cubes = self._extract(field, [m[::-1].T for m in match])
-        return (mesh,) + self._render(mesh, cubes, match)
+        return Extraction(*self._extract(field, [m[::-1].T for m in match]), match)
 
     def _extract(self, field, match):
         """The mesh of field and each face's cube id, given its (x, y) column
@@ -407,11 +442,11 @@ class ReconstructionReference:
             take = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:] & todo
             todo &= ~take
             if source is not None and take.any():
-                keep = take.ravel()[source.columns]
+                keep = take.ravel()[source.cubes // (self.grid_res - 1)]
                 served.append(source)
                 cubes.append(source.cubes[keep])
-                faces.append(source.mesh.faces[keep])
-                used.append(np.zeros(source.mesh.n_vertices, dtype=bool))
+                faces.append(source.faces[keep])
+                used.append(np.zeros(len(source.vertices), dtype=bool))
                 used[-1][faces[-1]] = True
 
         # Decode: the other cubes read only their corner columns. The live
@@ -440,7 +475,7 @@ class ReconstructionReference:
         for i, (source, u) in enumerate(zip(served, used)):
             at = number[start:start + np.count_nonzero(u)]
             start += len(at)
-            vertices[at] = source.mesh.vertices[u]
+            vertices[at] = source.vertices[u]
             renumber = np.empty(len(u), dtype=np.int64)
             renumber[u] = at
             faces[i] = renumber[faces[i]]
@@ -460,9 +495,13 @@ class ReconstructionReference:
         faces = np.concatenate(faces)
         return TriMesh(vertices, faces[order]), cubes[order]
 
-    def _render(self, mesh, cubes, match):
-        """Front and back maps of mesh, given each face's cube id and the
-        field's pixel masks per source."""
+    def render(self, extraction):
+        """(mesh, front map, back map) of an Extraction that extract made:
+        the maps of a spliced mesh are drawn from each face's cube id and
+        the field's pixel masks per source."""
+        mesh, cubes, match = extraction
+        if cubes is None:
+            return (mesh,) + render_normals(mesh, self.frame, (FRONT, BACK))
         H, W = match[0].shape
         todo = np.ones((H, W), dtype=bool)
         copies = []
@@ -487,7 +526,7 @@ class ReconstructionReference:
             for out, src in zip(maps, source.maps):
                 out.data[take] = src.data[take]
                 out.mask[take] = src.mask[take]
-        return maps
+        return (mesh,) + maps
 
 
 def sample_surface(mesh, n, seed=0):

@@ -29,9 +29,10 @@ columns its reconstructions decoded, so `fofkit -v sweep` shows it for any
 A cell holds at most one field and one reconstruction. It scores the
 naive field's reconstruction and drops the mesh and maps with the report;
 it builds the blend field from c_obs and drops c_obs; it drops the blend
-field once it is reconstructed, before that reconstruction is scored. So
-while the blend field is reconstructed, neither c_obs nor the naive
-reconstruction is live.
+field once its mesh is extracted (ReconstructionReference.extract), before
+the splice renders the mesh's maps (render) and the reconstruction is
+scored. So while the blend field is reconstructed, neither c_obs nor the
+naive reconstruction is live, and while it is rendered the field is not.
 
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
@@ -84,8 +85,10 @@ def _run_cell(cell):
                         + _scores(reference, reconstruction.reconstruct(c_obs)))
             field = vgcc_blend(c_obs, ctx["c_prior"], pair, cfg.feather_px)
             del c_obs
-            recon = reconstruction.reconstruct(field)
+            extraction = reconstruction.extract(field)
             del field
+            recon = reconstruction.render(extraction)
+            del extraction
             rows.append((ratio, seed, "blend") + _scores(reference, recon))
         log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
                   reconstruction.decoded_columns - decoded)
@@ -140,9 +143,10 @@ def run_sweep(cfg, out_dir, jobs=None):
     """Execute the sweep; writes curves.csv, curves.svg and config.ini.
 
     Returns the list of result rows in deterministic order. ``cfg`` was
-    checked when it was built, so no output is written for a bad config.
+    checked when it was built, so no output is written for a bad config;
+    out_dir is created only once every cell has run, so a run that raises
+    (out of memory, say) leaves none behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if jobs is None:
         jobs = cfg.jobs
     if jobs <= 0:
@@ -163,6 +167,7 @@ def run_sweep(cfg, out_dir, jobs=None):
             results = pool.map(_run_cell, cells)
     rows = sorted(r for group in results for r in group)
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "curves.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -310,6 +310,30 @@ def test_verbose_sweep_logs_each_cell_from_its_worker(tmp_path):
     assert cells[0].endswith(": decoded 0 columns")
 
 
+def test_sweep_out_of_memory_is_one_line_and_exit_3(tmp_path):
+    # Order 10**8 asks for a 381 GiB field, which a 2 GiB address-space
+    # limit refuses at once; the run must print one line, exit 3 and leave
+    # no output directory.
+    src = os.path.dirname(os.path.dirname(fofkit.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "sweep"
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from fofkit.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", child, "sweep", "--out", str(out), "--jobs", "1",
+         "--set", "encode.order=100000000", "--set", "frame.width=16",
+         "--set", "frame.height=16", "--set", "sweep.ratios=0.4", "--set", "sweep.seeds=0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("fofkit: out of memory: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestSweepCommand:
     def test_tiny_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"

@@ -19,7 +19,8 @@ from fofkit.shapes import make_cube, make_sphere
 from fofkit.render import BACK, FRONT, render_normals
 from fofkit.selftest import (check_spliced_reconstruction, painted_fields, same_reconstruction,
                              spliced_columns)
-from fofkit.surface import (OccupancyGrid, ReconstructionReference, field_to_grid,
+from fofkit import surface
+from fofkit.surface import (OccupancyGrid, ReconstructionReference, _index_dtype, field_to_grid,
                             marching_cubes, mesh_volume, reconstruct_field, sample_surface)
 from fofkit.sweep import prepare_context
 
@@ -278,6 +279,13 @@ def random_support_field(live, order=3, seed=0):
     data[..., 0] += 0.5
     data[~live] = 0.0
     return FourierField(data)
+
+
+def reconstruction_bits(reconstruction):
+    """The dtypes and bytes of a (mesh, front map, back map) reconstruction."""
+    mesh, *maps = reconstruction
+    arrays = [mesh.vertices, mesh.faces] + [a for m in maps for a in (m.data, m.mask)]
+    return [(a.dtype, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
 
 
 class TestCroppedExtraction:
@@ -583,6 +591,51 @@ class TestReconstructionReference:
         assert same_reconstruction(reference, field)
         assert reference.decoded_columns == 1
         assert same_reconstruction(reference, np.zeros((5, 6, 7)))
+
+    def test_two_steps_are_reconstruct(self, sweep_fields, reference):
+        # render(extract(f)) equals reconstruct(f) bit for bit; a field that
+        # falls back (another channel count; the zero field, whose empty box
+        # [0, 2) x [0, 2) lies outside the sources') carries no cube ids.
+        fields = dict(sweep_fields[2], zero=np.zeros_like(sweep_fields[2]["gt"].data),
+                      channels=FourierField(sweep_fields[2]["gt"].data[..., :7]))
+        for name, field in fields.items():
+            extraction = reference.extract(field)
+            assert (extraction.cubes is None) == (name in ("zero", "channels"))
+            assert reconstruction_bits(reference.render(extraction)) == \
+                reconstruction_bits(reference.reconstruct(field)), name
+        live = np.zeros((5, 6), dtype=bool)
+        live[0, 0] = True
+        for fallback, field in [  # a live column off the box; a frame with no grid
+                (ReconstructionReference((), OrthoFrame(6, 5), 5), random_support_field(live)),
+                (ReconstructionReference((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5),
+                 np.zeros((6, 1, 3)))]:
+            extraction = fallback.extract(field)
+            assert extraction.cubes is None
+            assert reconstruction_bits(fallback.render(extraction)) == \
+                reconstruction_bits(fallback.reconstruct(field))
+
+    def test_sources_keep_the_box_index_type(self, reference):
+        for source in reference.sources:
+            assert source.faces.dtype == source.cubes.dtype == source.keys.dtype == np.int32
+            assert source.vertices.dtype == np.float64
+
+    def test_index_dtype_widens_at_2_31(self):
+        # 3 * X * Y * Z edge keys: 2 145 386 496 fit int32, 2 148 532 224
+        # do not. The product is taken in Python integers, so no size wraps.
+        assert _index_dtype((1024, 1024, 682)) is np.int32
+        assert _index_dtype((1024, 1024, 683)) is np.int64
+        assert _index_dtype(np.array([2 ** 21] * 3)) is np.int64
+
+    def test_int64_sources_reconstruct_alike(self, sweep_fields, reference, monkeypatch):
+        # The index type is a storage choice: sources kept as int64 give
+        # the same reconstructions bit for bit.
+        frame, grid_res, fields = sweep_fields
+        monkeypatch.setattr(surface, "_index_dtype", lambda shape: np.int64)
+        wide = ReconstructionReference((fields["gt"], fields["prior"]), frame, grid_res)
+        assert wide.sources[0].faces.dtype == np.int64
+        for method in ("naive", "blend", "noise"):
+            assert reconstruction_bits(wide.reconstruct(fields[method])) == \
+                reconstruction_bits(reference.reconstruct(fields[method])), method
 
     def test_bad_arguments(self, sweep_fields):
         frame, grid_res, fields = sweep_fields
