@@ -345,11 +345,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # errors.SizeError too
+        print(f"fofkit: out of memory: {exc}", file=sys.stderr)
+        return 3
     except (FofkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"fofkit: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

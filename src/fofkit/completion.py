@@ -22,6 +22,7 @@ from .occlusion import MaskPair
 ITERATIONS = integer(0)
 STRENGTH = real(0, 1)
 FEATHER = real()
+_BLEND_PIXELS = 1 << 8  # occluded pixels per block of vgcc_blend; bounds its temporaries
 
 
 def degrade_prior(mesh, iterations=20, strength=0.5):
@@ -105,12 +106,19 @@ def blend_alpha(pair, feather_px=3.0):
     return alpha
 
 
-def vgcc_blend(c_obs, c_prior, pair, feather_px=3.0):
+def vgcc_blend(c_obs, c_prior, pair, feather_px=3.0, overwrite_obs=False):
     """Fuse observed and prior coefficient stacks under the visibility masks.
 
     Output = alpha * C_obs + (1 - alpha) * C_prior per pixel and channel;
     equals C_obs exactly wherever V = 1 or outside the body. Either field
     may be an (H, W, K) array.
+
+    The output is a copy of C_obs whose M pixels are mixed _BLEND_PIXELS at
+    a time, in row-major order, so the temporaries span a block of M, not
+    M; each pixel's mix is the same expression whatever the block. With
+    overwrite_obs, C_obs's own coefficients are mixed instead of a copy and
+    the output holds them, as scipy's overwrite_a does: a caller done with
+    C_obs saves a field, with the same values bit for bit.
     """
     c_obs, c_prior = (c if isinstance(c, FourierField) else FourierField(c)
                       for c in (c_obs, c_prior))
@@ -119,8 +127,10 @@ def vgcc_blend(c_obs, c_prior, pair, feather_px=3.0):
     alpha = blend_alpha(pair, feather_px)
     if (c_obs.height, c_obs.width) != pair.M.shape:
         raise ShapeError(f"field {c_obs.height}x{c_obs.width} vs mask {pair.M.shape}")
-    out = c_obs.data.copy()
-    mixed = pair.M
-    a = alpha[mixed][:, None]
-    out[mixed] = a * c_obs.data[mixed] + (1.0 - a) * c_prior.data[mixed]
+    out = c_obs.data if overwrite_obs else c_obs.data.copy()
+    rows, cols = np.nonzero(pair.M)
+    for lo in range(0, len(rows), _BLEND_PIXELS):
+        at = rows[lo:lo + _BLEND_PIXELS], cols[lo:lo + _BLEND_PIXELS]
+        a = alpha[at][:, None]
+        out[at] = a * c_obs.data[at] + (1.0 - a) * c_prior.data[at]
     return FourierField(out)

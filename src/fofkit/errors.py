@@ -77,6 +77,12 @@ class CrcMismatchError(TensorFormatError):
     """Payload checksum does not match the stored CRC64."""
 
 
+class SizeError(FofkitError, MemoryError):
+    """An array the operation needs is larger than numpy can make: its size
+    in bytes does not fit numpy's index type. A MemoryError, as an array
+    that the allocator refuses is."""
+
+
 class ImageFormatError(FofkitError, ValueError):
     """Malformed PFM/PGM/PPM/PNG input."""
 
@@ -139,6 +145,17 @@ def check_array(value, what, shape, limit=math.inf, dtype=np.float64):
     elif a.dtype.kind == "f" and not np.isfinite(a).all():
         raise DomainError(f"{what} contain non-finite values")
     return a.astype(dtype, copy=False)
+
+
+def zeros(shape, what, dtype=np.float64):
+    """np.zeros(shape, dtype), or SizeError naming what when the array is
+    larger than numpy can make, which numpy reports as a ValueError. An
+    array it can make but the allocator refuses raises numpy's MemoryError,
+    also before any work."""
+    try:
+        return np.zeros(shape, dtype)
+    except ValueError:
+        raise SizeError(f"{what} of shape {shape} is larger than numpy can make") from None
 
 
 def check_type(value, what, cls):

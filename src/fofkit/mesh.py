@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DomainError, MeshError, ObjParseError, ShapeError, check_array,
-                     check_path, check_type, require)
+                     check_path, check_type, require, zeros)
 from .fof import BasisConfig, FourierField, IntervalList, _check_frame, interval_terms
 from .raster import (HALF_EXTENT, OrthoFrame, _face_blocks, bary_interp, rasterize_coverage,
                      ray_hits_at_point)
@@ -775,11 +775,15 @@ def mesh_to_fof(mesh, frame=OrthoFrame(), cfg=BasisConfig()):
     all pixel hits come from one vectorized coverage pass, and the
     interval_terms rows of every interval are added to their pixels in
     ascending depth order, the order intervals_to_coeffs adds them in.
+    The (H * W, K) field is sized before the ray cast, so a frame or order
+    whose field cannot be held fails at once (SizeError or MemoryError),
+    not after the cast's coverage records have grown.
     """
     check_type(cfg, "cfg", BasisConfig)
-    pix, z = ray_cast_all(mesh, check_type(frame, "frame", OrthoFrame))
+    check_type(frame, "frame", OrthoFrame)
     H, W, K = frame.height, frame.width, cfg.channels
-    data = np.zeros((H * W, K), dtype=np.float64)
+    data = zeros((H * W, K), "encoded field")
+    pix, z = ray_cast_all(mesh, frame)
     if len(pix):
         a = z[0::2]
         b = z[1::2]

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import integer
+from .errors import integer, zeros
 
 SEED = integer(0)  # the seed argument of every seeded library function
 _MASK = (1 << 64) - 1
@@ -80,14 +80,16 @@ class Xoshiro256StarStar:
 
     def uniforms(self, n):
         """[self.random() for _ in range(n)] as a float64 array, drawn in
-        lanes (see the module docstring)."""
+        lanes (see the module docstring). The draws' buffer is made before
+        the lanes' starts, whose loop takes m steps, so an n whose draws
+        cannot be held fails at once (SizeError or MemoryError)."""
         if n <= 0:
             return np.zeros(0)
         m = -(-n // _LANES)  # draws per lane
         lanes = -(-n // m)
+        s1 = zeros((m, lanes), "uniforms' draw buffer", np.uint64)
         s = list(_lane_starts(self._s, m, lanes).T)
         tail = n - (lanes - 1) * m  # the draws of the last lane that are kept
-        s1 = np.empty((m, lanes), dtype=np.uint64)
         for i in range(m):
             s1[i] = s[1]
             _step(s)

@@ -44,8 +44,11 @@ prior, and it gives the same mesh and normal maps bit for bit:
 - Marching cubes is cube-local (Lorensen & Cline, 1987): a cube's faces
   depend only on the samples of its own four columns, and a vertex only on
   its edge's two samples. A cube whose four columns match one source takes
-  that source's faces and vertices. Faces are merged in cube order with a
-  stable sort, the order marching_cubes visits them in.
+  that source's faces and vertices. Faces are merged in cube order, the
+  order marching_cubes visits them in: each part (a source's faces, the
+  fresh ones) is in cube order and no cube is in two parts, so a face's
+  place is its index in its part plus the other parts' faces in lower
+  cubes.
 - Decoding is per column (fof._decode_pixels), and its accumulator starts
   at +0.0 and is never -0.0, so a +-0.0 coefficient adds nothing. A column
   whose coefficients equal a source's with == therefore decodes to the
@@ -66,9 +69,10 @@ prior, and it gives the same mesh and normal maps bit for bit:
   The faces of the cubes at the other pixels are rendered whole, in mesh
   order, and the sources' pixels copied over the maps; a pixel whose 3 x 3
   columns are all dead stays background, as a constant cube has no faces.
-- reconstruct is extract, which builds the mesh and is the field's last
-  reader, then render, which draws the maps; a caller may drop the field
-  between the two.
+- reconstruct is extract, which builds the mesh, then render, which draws
+  the maps. extract reads the field only until the fresh corner columns
+  are in the column store, and drops it there, so a field passed to it as
+  a temporary is freed before the cubes are extracted and merged.
 """
 
 from collections import namedtuple
@@ -350,12 +354,13 @@ class ReconstructionReference:
     reconstruct(field) returns the mesh of reconstruct_field(field, frame,
     grid_res, iso) and the front and back maps that render_normals draws of
     it, bit for bit (see the module docstring). It is two steps,
-    render(extract(field)): extract is the field's last reader, so a caller
-    that holds the field can drop it before render. A column of the field
-    matches a source when its coefficients equal the source's with ==; the
-    first source it matches serves it. decoded_columns counts the columns
-    that extract has decoded: the live corner columns of the cubes that
-    no source serves, or every live column of a field that falls back.
+    render(extract(field)): extract is the field's last reader, and frees a
+    field passed to it as a temporary once it has decoded it. A column of
+    the field matches a source when its coefficients equal the source's
+    with ==; the first source it matches serves it. decoded_columns counts
+    the columns that extract has decoded: the live corner columns of the
+    cubes that no source serves, or every live column of a field that
+    falls back.
     """
 
     def __init__(self, sources, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -404,8 +409,15 @@ class ReconstructionReference:
 
     def extract(self, field):
         """The Extraction of a field on the reference's frame: its mesh and
-        what render needs to draw the mesh's maps. The field is not read
-        after this step."""
+        what render needs to draw the mesh's maps.
+
+        The field is not read after its fresh cubes' corner columns are
+        decoded (or, on the fallback, its grid), and extract drops its
+        reference to it there, before the cubes are extracted and the
+        faces merged. So a field passed as a temporary, extract(make()),
+        is freed at that point: CPython 3.11 and later hand a call's
+        arguments over to the callee's frame.
+        """
         if not isinstance(field, FourierField):
             field = FourierField(field)
         _check_frame(field, self.frame)
@@ -415,8 +427,9 @@ class ReconstructionReference:
         if (self.sources is None or np.any(lo < self.lo) or np.any(hi > self.hi)
                 or self.sources and field.channels != self.channels):
             self.decoded_columns += int(live.sum())
-            return Extraction(reconstruct_field(field, self.frame, self.grid_res, self.iso),
-                              None, None)
+            grid = field_to_grid(field, self.frame, self.grid_res)
+            del field
+            return Extraction(marching_cubes(grid, self.iso), None, None)
         # Whether each pixel matches each source, the zero field last. Off
         # the box the field and every source are zero.
         box = slice(field.height - self.hi[1], field.height - self.lo[1]), \
@@ -426,74 +439,95 @@ class ReconstructionReference:
             match.append(np.ones(live.shape, dtype=bool))
             match[-1][box] = np.all(field.data[box] == source.field.data[box], axis=2)
         match.append(~live)
-        return Extraction(*self._extract(field, [m[::-1].T for m in match]), match)
+        # The same masks per (x, y) column of the box.
+        columns = [m[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]] for m in match]
+        todo, served = self._serve(columns)
+        store, index = self._store(field, todo, columns[-1])
+        del field
+        return Extraction(*self._merge(todo, served, store, index), match)
 
-    def _extract(self, field, match):
-        """The mesh of field and each face's cube id, given its (x, y) column
-        masks per source."""
+    def _serve(self, match):
+        """The cubes of the box that no source serves, an (X - 1, Y - 1)
+        mask, and (source, face mask) for each source that serves some,
+        given the box's (x, y) column masks per source.
+
+        A cube whose four columns match one source takes that source's
+        faces; the zero field, last, has none.
+        """
         X, Y = self.hi - self.lo
-        match = [m[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]] for m in match]
-
-        # Marching cubes: a cube whose four columns match one source takes
-        # that source's faces; the zero field, last, has none.
         todo = np.ones((X - 1, Y - 1), dtype=bool)
-        served, cubes, faces, used = [], [], [], []
+        served = []
         for m, source in zip(match, self.sources + [None]):
             take = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:] & todo
             todo &= ~take
             if source is not None and take.any():
-                keep = take.ravel()[source.cubes // (self.grid_res - 1)]
-                served.append(source)
-                cubes.append(source.cubes[keep])
-                faces.append(source.faces[keep])
-                used.append(np.zeros(len(source.vertices), dtype=bool))
-                used[-1][faces[-1]] = True
+                served.append((source, take.ravel()[source.cubes // (self.grid_res - 1)]))
+        return todo, served
 
-        # Decode: the other cubes read only their corner columns. The live
-        # ones are decoded into rows 1.. of a column store; the dead ones
-        # all read row 0, which holds their +0.0 samples.
+    def _store(self, field, todo, dead):
+        """The column store of the todo cubes' corner columns, and its (X, Y)
+        row index; dead is the box's (x, y) mask of dead columns. The live
+        corner columns are decoded from field into rows 1.., and the dead
+        ones all read row 0, which holds their +0.0 samples."""
+        X, Y = self.hi - self.lo
         corner = np.zeros((X, Y), dtype=bool)
         for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1)):
             corner[ox:ox + X - 1, oy:oy + Y - 1] |= todo
-        columns = np.flatnonzero(corner & ~match[-1])
+        columns = np.flatnonzero(corner & ~dead)
         store = np.zeros((len(columns) + 1, self.grid_res))
         index = np.zeros(X * Y, dtype=np.int64)
         index[columns] = np.arange(1, len(columns) + 1)
         _decode_box(field, self.lo, self.hi, columns, store, index[columns])
         self.decoded_columns += len(columns)
-        index = index.reshape(X, Y)
+        return store, index.reshape(X, Y)
+
+    def _merge(self, todo, served, store, index):
+        """The mesh of the served sources' faces and the todo cubes' faces,
+        extracted from the column store, and each face's cube id."""
         fresh_cubes, fresh_keys = _cube_faces(store, index, todo, self.iso)
 
         # Vertices: the distinct keys in sorted order, as marching_cubes
         # numbers them. A source face's vertex lies on an edge whose columns
         # match the source, so it is the source's vertex bit for bit.
+        used = []
+        for source, keep in served:
+            used.append(np.zeros(len(source.vertices), dtype=bool))
+            used[-1][source.faces[keep]] = True
         distinct, number = _distinct(np.concatenate(
-            [source.keys[u] for source, u in zip(served, used)] + [fresh_keys.ravel()]))
+            [source.keys[u] for (source, _), u in zip(served, used)] + [fresh_keys.ravel()]))
         del fresh_keys
         vertices = np.empty((len(distinct), 3))
-        start = 0
-        for i, (source, u) in enumerate(zip(served, used)):
+        cubes, faces, start = [], [], 0
+        for (source, keep), u in zip(served, used):
             at = number[start:start + np.count_nonzero(u)]
             start += len(at)
             vertices[at] = source.vertices[u]
             renumber = np.empty(len(u), dtype=np.int64)
             renumber[u] = at
-            faces[i] = renumber[faces[i]]
+            cubes.append(source.cubes[keep])
+            faces.append(renumber[source.faces[keep]])
         faces.append(number[start:].reshape(-1, 3))
         fresh = np.zeros(len(distinct), dtype=bool)
         fresh[faces[-1]] = True
         origin, spacing = _grid_map(self.frame, self.grid_res)
         vertices[fresh] = _edge_vertices(store, index, distinct[fresh], self.iso, origin, spacing,
                                          np.array([self.lo[0], self.lo[1], 0]))
-        # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it.
-        # The store, the keys and their numbers are dropped first, and the
-        # parts as they are joined, so fewer copies are live.
-        del store, index, distinct, number
-        cubes = np.concatenate(cubes + [fresh_cubes])
+        # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it
+        # (see the module docstring). The keys are dropped first, and each
+        # part once it is placed, so no joined copy of the faces is made.
+        del distinct, number
+        cubes.append(fresh_cubes)
         del fresh_cubes
-        order = np.argsort(cubes, kind="stable")
-        faces = np.concatenate(faces)
-        return TriMesh(vertices, faces[order]), cubes[order]
+        n = sum(map(len, cubes))
+        out_faces, out_cubes = np.empty((n, 3), dtype=np.int64), np.empty(n, dtype=np.int64)
+        for i in range(len(cubes)):
+            at = np.arange(len(cubes[i]))
+            for j, other in enumerate(cubes):
+                if j != i:
+                    at += np.searchsorted(other, cubes[i])
+            out_faces[at], out_cubes[at] = faces[i], cubes[i]
+            faces[i] = None
+        return TriMesh(vertices, out_faces), out_cubes
 
     def render(self, extraction):
         """(mesh, front map, back map) of an Extraction that extract made:

@@ -26,13 +26,26 @@ map equals the full path's bit for bit. Each cell logs at DEBUG how many
 columns its reconstructions decoded, so `fofkit -v sweep` shows it for any
 --jobs.
 
-A cell holds at most one field and one reconstruction. It scores the
-naive field's reconstruction and drops the mesh and maps with the report;
-it builds the blend field from c_obs and drops c_obs; it drops the blend
-field once its mesh is extracted (ReconstructionReference.extract), before
-the splice renders the mesh's maps (render) and the reconstruction is
-scored. So while the blend field is reconstructed, neither c_obs nor the
-naive reconstruction is live, and while it is rendered the field is not.
+Every full-size array of a cell dies at its last reader, so a cell holds
+one field at a time beside one step's working set. Each field is made as a
+temporary argument of ReconstructionReference.extract, which drops it once
+it has decoded the fresh cubes' corner columns, before the cubes are
+extracted and merged; CPython 3.11 and later hand a call's arguments over
+to the callee, so the field is then freed. A cell:
+- makes c_obs (occlude_field) and extracts its mesh, freeing c_obs; renders
+  and scores the naive reconstruction, and drops its mesh and maps with
+  the report;
+- makes c_obs again, as occlude_field is a pure function of c_gt, the mask
+  pair, the policy, sigma and the seed; vgcc_blend mixes c_prior into
+  c_obs's own coefficients (overwrite_obs), a block of occluded pixels at a
+  time, so the blend field is c_obs's memory and no second field is made;
+- extracts the blend field's mesh, freeing the field, then renders and
+  scores it.
+The 20 default cells peak at 7.9-8.7 MB under tracemalloc, above what the
+run holds, in the splice's face merge (11.2-12.8 MB when the naive field
+was kept through its scoring and the blend field through the merge).
+Mixing in place also matters to the process's peak RSS: with c_obs and a
+blend copy live together, the malloc heap often had to grow by a field.
 
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
@@ -79,17 +92,18 @@ def _run_cell(cell):
             rows += [(ratio, seed, method) + scores for method in METHODS]
         else:
             pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
-            c_obs = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
-                                  sigma=cfg.noise_sigma, seed=seed)
-            rows.append((ratio, seed, "naive")
-                        + _scores(reference, reconstruction.reconstruct(c_obs)))
-            field = vgcc_blend(c_obs, ctx["c_prior"], pair, cfg.feather_px)
-            del c_obs
-            extraction = reconstruction.extract(field)
-            del field
-            recon = reconstruction.render(extraction)
-            del extraction
-            rows.append((ratio, seed, "blend") + _scores(reference, recon))
+
+            def observed():
+                return occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
+                                     sigma=cfg.noise_sigma, seed=seed)
+
+            # Each field is a temporary that extract frees once it has
+            # decoded it (see the module docstring).
+            rows.append((ratio, seed, "naive") + _scores(reference, reconstruction.render(
+                reconstruction.extract(observed()))))
+            rows.append((ratio, seed, "blend") + _scores(reference, reconstruction.render(
+                reconstruction.extract(vgcc_blend(observed(), ctx["c_prior"], pair,
+                                                  cfg.feather_px, overwrite_obs=True)))))
         log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
                   reconstruction.decoded_columns - decoded)
     except FofkitError as exc:
@@ -112,13 +126,15 @@ def _scores(reference, reconstruction):
 def _reference(ctx):
     """The context's ground-truth EvalReference and its
     ReconstructionReference over c_gt and c_prior, built on first use, so
-    that a context made by prepare_context alone also runs cells."""
+    that a context made by prepare_context alone also runs cells. The
+    ReconstructionReference is built first, so that its build's source grid
+    is not live beside the EvalReference."""
     if "reference" not in ctx:
         cfg = ctx["cfg"]
-        ctx["reference"] = EvalReference(ctx["gt"], ctx["frame"], cfg.eval_samples,
-                                         cfg.eval_seed)
         ctx["reconstruction"] = ReconstructionReference(
             (ctx["c_gt"], ctx["c_prior"]), ctx["frame"], cfg.grid_res, cfg.iso)
+        ctx["reference"] = EvalReference(ctx["gt"], ctx["frame"], cfg.eval_samples,
+                                         cfg.eval_seed)
     return ctx["reference"], ctx["reconstruction"]
 
 

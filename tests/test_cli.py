@@ -310,28 +310,64 @@ def test_verbose_sweep_logs_each_cell_from_its_worker(tmp_path):
     assert cells[0].endswith(": decoded 0 columns")
 
 
-def test_sweep_out_of_memory_is_one_line_and_exit_3(tmp_path):
-    # Order 10**8 asks for a 381 GiB field, which a 2 GiB address-space
-    # limit refuses at once; the run must print one line, exit 3 and leave
-    # no output directory.
+def sweep_under_limit(tmp_path, limit, *settings, timeout=120):
+    """Run `fofkit sweep --jobs 1` on one cell of a 16 x 16 frame with
+    settings, in a child process whose address space is limited to limit
+    bytes, for at most timeout seconds. Returns the completed process, the
+    child's peak RSS in KiB (None if it printed none), and the output
+    directory."""
     src = os.path.dirname(os.path.dirname(fofkit.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = tmp_path / "sweep"
     child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
              "from fofkit.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n")
-    done = subprocess.run(
-        [sys.executable, "-c", child, "sweep", "--out", str(out), "--jobs", "1",
-         "--set", "encode.order=100000000", "--set", "frame.width=16",
-         "--set", "frame.height=16", "--set", "sweep.ratios=0.4", "--set", "sweep.seeds=0"],
-        env=env, capture_output=True, text=True, timeout=120)
+             "code = main(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+             "sys.exit(code)\n")
+    argv = ["sweep", "--out", str(out), "--jobs", "1", "--set", "frame.width=16",
+            "--set", "frame.height=16", "--set", "sweep.ratios=0.4", "--set", "sweep.seeds=0"]
+    for setting in settings:
+        argv += ["--set", setting]
+    done = subprocess.run([sys.executable, "-c", child] + argv, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    return done, int(done.stdout.split()[-1]) if done.stdout.strip() else None, out
+
+
+def test_sweep_out_of_memory_is_one_line_and_exit_3(tmp_path):
+    # Order 10**8 asks for a 381 GiB field, which a 2 GiB address-space
+    # limit refuses at once; the run must print one line, exit 3 and leave
+    # no output directory.
+    done, _, out = sweep_under_limit(tmp_path, 2 << 30, "encode.order=100000000")
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("fofkit: out of memory: ")
     assert len(done.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    # A field larger than numpy can make: a SizeError, not a ValueError.
+    "encode.order=1000000000000000000",
+    # A 100 000 x 100 000 field is sized before the ray cast, so its
+    # coverage records never grow.
+    "frame.width=100000,frame.height=100000",
+    # The draws' buffer is sized before the lanes' starts are stepped.
+    "sweep.eval_samples=100000000000",
+    "sweep.eval_samples=1000000000000000000000000000000",
+], ids=["order", "frame", "samples", "samples_beyond_numpy"])
+def test_oversized_sweep_fails_before_any_work(tmp_path, setting):
+    # Each size is refused at once under a 2 GiB address-space limit: exit
+    # 3 within seconds, one line, no output directory, and the child stays
+    # far below the limit, so no work grew towards it first.
+    done, peak_kib, out = sweep_under_limit(tmp_path, 2 << 30, *setting.split(","), timeout=30)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("fofkit: out of memory: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert not out.exists()
+    assert peak_kib < 512 << 10
 
 
 class TestSweepCommand:

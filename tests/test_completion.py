@@ -168,6 +168,20 @@ class TestBlend:
         got = vgcc_blend(c_obs.data.tolist(), c_prior.data, pair)
         assert np.array_equal(got.data, want.data)
 
+    def test_overwrite_obs(self, setup):
+        # Mixing into C_obs's own coefficients gives the copy's values bit
+        # for bit and holds C_obs's memory; without the flag C_obs is kept.
+        gt, body, c_obs, c_prior = setup
+        pair = synthesize_occlusion(body, OccluderSpec("ellipse", 5, 0.6))
+        before = c_obs.data.copy()
+        want = vgcc_blend(c_obs, c_prior, pair)
+        assert np.array_equal(c_obs.data, before)
+        obs = c_obs.copy()
+        got = vgcc_blend(obs, c_prior, pair, overwrite_obs=True)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.shares_memory(got.data, obs.data)
+        assert not np.array_equal(want.data, before)
+
     @pytest.mark.parametrize("feather", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("occluded", [True, False])
     def test_non_finite_feather(self, setup, feather, occluded):

@@ -1,4 +1,6 @@
 import re
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -613,6 +615,34 @@ class TestReconstructionReference:
             assert extraction.cubes is None
             assert reconstruction_bits(fallback.render(extraction)) == \
                 reconstruction_bits(fallback.reconstruct(field))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+    def test_a_temporary_field_is_freed_before_the_cubes(self, sweep_fields, reference,
+                                                          monkeypatch):
+        # extract drops the field once it has decoded it: the fresh cubes'
+        # corner columns of a spliced field, the grid of one that falls
+        # back. So a field passed as a temporary, as a sweep cell passes
+        # each, is freed before any cube is extracted.
+        fields = sweep_fields[2]
+        refs, freed = [], []
+
+        def temporary(data):
+            field = FourierField(data.copy())
+            refs.append(weakref.ref(field.data))
+            return field
+
+        def cube_faces(*args):
+            freed.append(refs[-1]() is None)
+            return surface_cube_faces(*args)
+
+        surface_cube_faces = surface._cube_faces
+        monkeypatch.setattr(surface, "_cube_faces", cube_faces)
+        for name, data in [("naive", fields["naive"].data), ("blend", fields["blend"].data),
+                           ("channels", fields["gt"].data[..., :7])]:
+            extraction = reference.extract(temporary(data))
+            assert (extraction.cubes is None) == (name == "channels")
+            assert len(freed) == len(refs) and freed[-1], name
 
     def test_sources_keep_the_box_index_type(self, reference):
         for source in reference.sources:
