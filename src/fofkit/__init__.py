@@ -5,37 +5,50 @@ stacks, reconstructs surfaces from them, synthesizes seeded occlusions,
 completes occluded fields from a prior, and measures the results with the
 standard geometry and image metrics. The cli module drives the reproducible
 experiment harness.
+
+The public names below are resolved on first use (PEP 562 module
+__getattr__ and __dir__): `fofkit.chamfer` or `from fofkit import chamfer`
+imports fofkit.metrics then, and not before. So a command that needs no
+metric, such as `fofkit encode`, never loads fofkit.metrics or the
+scipy.spatial kd-tree it imports.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .fof import (BasisConfig, FourierField, IntervalList, basis_eval, decode_grid,
-                  decode_ray, intervals_to_coeffs, parseval_energy)
-from .raster import OrthoFrame
-from .mesh import (TriMesh, check_watertight, load_obj, mesh_to_fof, normalize_mesh,
-                   ray_intervals, save_obj)
-from .surface import OccupancyGrid, marching_cubes, mesh_volume, reconstruct_field, \
-    sample_surface
-from .render import NormalMap, normal_map_error, render_normals, render_silhouette
-from .occlusion import (MaskPair, OccluderSpec, occlude_field, occlude_image,
-                        synthesize_occlusion, weight_map)
-from .completion import degrade_prior, vgcc_blend
-from .losses import (FeaturePyramid, LevelWeights, feat_loss, geo_loss, image_loss,
-                     mse_coeff_loss, normal_loss)
-from .metrics import EvalReference, MetricReport, chamfer, evaluate_pair, p2s, psnr, ssim
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "fof": ["BasisConfig", "FourierField", "IntervalList", "basis_eval", "decode_grid",
+            "decode_ray", "intervals_to_coeffs", "parseval_energy"],
+    "raster": ["OrthoFrame"],
+    "mesh": ["TriMesh", "check_watertight", "load_obj", "mesh_to_fof", "normalize_mesh",
+             "ray_intervals", "save_obj"],
+    "surface": ["OccupancyGrid", "marching_cubes", "mesh_volume", "reconstruct_field",
+                "sample_surface"],
+    "render": ["NormalMap", "normal_map_error", "render_normals", "render_silhouette"],
+    "occlusion": ["MaskPair", "OccluderSpec", "occlude_field", "occlude_image",
+                  "synthesize_occlusion", "weight_map"],
+    "completion": ["degrade_prior", "vgcc_blend"],
+    "losses": ["FeaturePyramid", "LevelWeights", "feat_loss", "geo_loss", "image_loss",
+               "mse_coeff_loss", "normal_loss"],
+    "metrics": ["EvalReference", "MetricReport", "chamfer", "evaluate_pair", "p2s", "psnr",
+                "ssim"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BasisConfig", "FourierField", "IntervalList", "basis_eval", "decode_grid",
-    "decode_ray", "intervals_to_coeffs", "parseval_energy",
-    "OrthoFrame", "TriMesh", "check_watertight", "load_obj", "mesh_to_fof",
-    "normalize_mesh", "ray_intervals", "save_obj",
-    "OccupancyGrid", "marching_cubes", "mesh_volume", "reconstruct_field",
-    "sample_surface",
-    "NormalMap", "normal_map_error", "render_normals", "render_silhouette",
-    "MaskPair", "OccluderSpec", "occlude_field", "occlude_image",
-    "synthesize_occlusion", "weight_map",
-    "degrade_prior", "vgcc_blend",
-    "FeaturePyramid", "LevelWeights", "feat_loss", "geo_loss", "image_loss",
-    "mse_coeff_loss", "normal_loss",
-    "EvalReference", "MetricReport", "chamfer", "evaluate_pair", "p2s", "psnr", "ssim",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    """A public name, imported from its module on first use and then kept
+    in the package's namespace."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,10 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 data error, a sweep with
 failed cells or a run out of memory, 4 selftest invariant failure.
 OAHUMAN_SEED provides the seed when --seed is omitted.
+
+eval, sweep and selftest import the modules they run (fofkit.metrics, and
+with it scipy.spatial; fofkit.sweep; fofkit.selftest) when they start, so
+the other commands never load them.
 """
 
 import argparse
@@ -32,16 +36,13 @@ from .config import SETTINGS, HarnessConfig, default_seed, parse_checked
 from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField, _check_frame
 from .mesh import _require_watertight, load_obj, mesh_to_fof, normalize_mesh, save_obj
-from .metrics import evaluate_pair, MetricReport
 from .occlusion import OCCLUDER_KINDS, OCCLUSION_POLICIES, RATIO, MaskPair, OccluderSpec, \
     occlude_field, synthesize_occlusion
 from .raster import OrthoFrame
 from .render import render_normals, render_silhouette
 from .rng import SEED
-from .selftest import run_selftest
 from .shapes import SHAPE_MAKERS, make_shape
 from .surface import field_to_grid, marching_cubes
-from .sweep import METHODS, run_sweep
 from .tensor_io import read_pgm, read_tensor, write_pfm, write_pgm, write_png16, \
     write_tensor
 
@@ -172,8 +173,10 @@ def cmd_blend(args):
     v = read_pgm(args.visible)
     m = read_pgm(args.mask)
     order = obs.order
-    out = vgcc_blend(obs, prior, MaskPair(v, m, v | m), args.feather)
-    del obs, prior  # the inputs are not live while the output is written
+    # The prior is mixed into the observed field's own coefficients, so two
+    # fields are live while blending, not three.
+    out = vgcc_blend(obs, prior, MaskPair(v, m, v | m), args.feather, overwrite_obs=True)
+    del obs, prior  # the prior is not live while the output is written
     _write_field(args.out, out, frame, order)
     print(f"wrote {args.out}")
 
@@ -193,6 +196,8 @@ def cmd_render_normals(args):
 
 
 def cmd_eval(args):
+    from .metrics import MetricReport, evaluate_pair
+
     recon = load_obj(args.recon)
     gt = load_obj(args.gt)
     frame = _frame_from_args(args)
@@ -214,6 +219,8 @@ def cmd_silhouette(args):
 
 
 def cmd_sweep(args):
+    from .sweep import METHODS, run_sweep
+
     cfg = HarnessConfig.load(args.config, args.set or ())
     rows = run_sweep(cfg, args.out, jobs=args.jobs)
     n_bad = len({r[:2] for r in rows if not np.isfinite(r[3:]).all()})
@@ -226,6 +233,8 @@ def cmd_sweep(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     ok = run_selftest()
     if not ok:
         return 4

@@ -219,30 +219,34 @@ def _decode_pixels(fof, pixels, out, rows):
     """Decode the pixels with flat indices `pixels` into rows of `out`.
 
     out is an (n, depth_res) float64 array; row rows[i] receives pixel
-    pixels[i] at the depth_res uniform depths, and no other row is written.
-    Callers leave +0.0 in the rows of pixels whose coefficients are all
-    zero, which is exact: such a sum starts at +0.0 and each term is a
-    signed zero, and +0.0 + (+-0.0) is +0.0. The accumulator is therefore
-    never -0.0, so a +-0.0 coefficient adds nothing to any sum, and two
-    pixels whose coefficients compare equal with == decode to the same
-    samples bit for bit. Pixels are decoded in chunks, accumulating channel
-    by channel into a zeroed buffer, so every sample equals decode_ray at
-    the same depth bit for bit.
+    pixels[i] at the depth_res uniform depths, and no other row is written;
+    rows None stands for rows 0, 1, ... Callers leave +0.0 in the rows of
+    pixels whose coefficients are all zero, which is exact: such a sum
+    starts at +0.0 and each term is a signed zero, and +0.0 + (+-0.0) is
+    +0.0. The accumulator is therefore never -0.0, so a +-0.0 coefficient
+    adds nothing to any sum, and two pixels whose coefficients compare
+    equal with == decode to the same samples bit for bit. Pixels are
+    decoded in chunks, accumulating channel by channel into a zeroed
+    buffer (out's own rows when rows is None), so every sample equals
+    decode_ray at the same depth bit for bit; each chunk gathers its own
+    coefficients, so no temporary spans the pixels.
     """
     cfg = BasisConfig(fof.order)
     depth_res = out.shape[1]
     basis = basis_eval(depth_samples(depth_res), cfg)  # (D, K)
-    coeffs = np.ascontiguousarray(fof.data.reshape(-1, cfg.channels)[pixels].T)  # (K, n)
-    acc = np.empty((min(_DECODE_CHUNK, len(pixels)), depth_res), dtype=np.float64)
-    term = np.empty_like(acc)
+    data = fof.data.reshape(-1, cfg.channels)
+    term = np.empty((min(_DECODE_CHUNK, len(pixels)), depth_res), dtype=np.float64)
+    acc = None if rows is None else np.empty_like(term)
     for s in range(0, len(pixels), _DECODE_CHUNK):
-        n = min(_DECODE_CHUNK, len(pixels) - s)
-        a, t = acc[:n], term[:n]
+        coeffs = np.ascontiguousarray(data[pixels[s:s + _DECODE_CHUNK]].T)  # (K, n)
+        n = coeffs.shape[1]
+        a, t = (out[s:s + n] if rows is None else acc[:n]), term[:n]
         a.fill(0.0)
         for c in range(cfg.channels):
-            np.multiply(coeffs[c, s:s + n, None], basis[:, c], out=t)
+            np.multiply(coeffs[c, :, None], basis[:, c], out=t)
             a += t
-        out[rows[s:s + n]] = a
+        if rows is not None:
+            out[rows[s:s + n]] = a
 
 
 def parseval_energy(coeffs):

@@ -105,10 +105,13 @@ def _face_cross(vertices, faces):
 
     The components follow np.cross's formula and the norm sums the squares
     left to right, as np.linalg.norm sums a row, so both equal that form
-    bit for bit.
+    bit for bit. The corners are gathered one coordinate at a time, into
+    contiguous rows, so a call copies nothing of the mesh but the faces'
+    corners.
     """
-    rows = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64).T)
-    n = _corner_cross(np.take(rows, np.asarray(faces).T, axis=1))
+    v = np.asarray(vertices, dtype=np.float64)
+    n = _corner_cross(*(np.stack([v[corner, k] for k in range(3)])
+                        for corner in np.asarray(faces).T))
     return n, np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
 
 
@@ -121,10 +124,9 @@ def _face_norms(vertices, faces):
     return out
 
 
-def _corner_cross(corners):
-    """The cross products of _face_cross, from the corners as
-    (axis, corner, face) rows."""
-    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+def _corner_cross(a, b, c):
+    """The cross products of _face_cross, from the corners a, b and c as
+    (axis, face) rows."""
     u = b - a
     v = c - a
     return np.array([u[1] * v[2] - u[2] * v[1],
@@ -615,7 +617,7 @@ class BVH:
         lo = np.minimum(np.minimum(rows[0], rows[1]), rows[2])
         hi = np.maximum(np.maximum(rows[0], rows[1]), rows[2])
         centroids = tris.mean(axis=1).T
-        cross = _corner_cross(rows.transpose(1, 0, 2))
+        cross = _corner_cross(*rows)
         self.scale = float(np.abs(rows).max())
         widen = max(np.ldexp(self.scale, -49), np.finfo(np.float64).tiny)
 

@@ -591,11 +591,16 @@ class EvalReference:
     uniforms, the face of each ground-truth sample, a kd-tree over the
     samples, the ground-truth SurfaceDistanceIndex and the front and back
     normal maps. Both surfaces are sampled with the same (n, seed), so
-    evaluate(recon) samples the reconstruction with the same uniforms. Its
+    sample(recon) samples the reconstruction with the same uniforms. Its
     one kd-tree query per reconstruction sample serves Chamfer and seeds
     P2S with the face of the nearest ground-truth sample, which is no
     farther than the sample itself. Every reconstruction scored against one
     reference gets the same report as a one-shot comparison, bit for bit.
+
+    evaluate(recon, normals) is score(sample(recon), normals): a caller that
+    holds the reconstruction's normal maps, as a sweep cell does, samples
+    the mesh, drops it and then scores the samples, so the mesh is not live
+    beside the Chamfer and P2S working sets.
     """
 
     def __init__(self, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
@@ -609,20 +614,18 @@ class EvalReference:
         self.tree = _kdtree(samples)
         self.front, self.back = render_normals(gt, frame, (FRONT, BACK))
 
-    def evaluate(self, recon, normals=None):
-        """Chamfer, P2S from reconstruction samples to the ground-truth
-        surface, and the mean of the front and back normal-map errors.
+    def sample(self, recon):
+        """The reference's n_samples area-weighted samples of a
+        reconstruction mesh, (n, 3), drawn with the reference's uniforms."""
+        return _sample_points(recon, self.uniforms)[1]
 
-        normals, when given, is the (front, back) pair of NormalMaps that
-        render_normals draws of recon on the reference's frame (as
-        surface.ReconstructionReference.reconstruct returns them); they are
-        then not rendered again.
-        """
-        _, pts = _sample_points(recon, self.uniforms)
-        cd, nearest = chamfer(pts, self.tree, return_index=True)
-        p2s_val = p2s(pts, self.index, self.sample_faces[nearest])
-        if normals is None:
-            normals = render_normals(recon, self.frame, (FRONT, BACK))
+    def score(self, points, normals):
+        """Chamfer and P2S of a reconstruction's samples (as sample returns
+        them) against the ground truth, and the mean of the front and back
+        normal-map errors of its (front, back) pair of NormalMaps, as
+        render_normals draws them on the reference's frame."""
+        cd, nearest = chamfer(points, self.tree, return_index=True)
+        p2s_val = p2s(points, self.index, self.sample_faces[nearest])
         front, back = normals
         err_front = normal_map_error(front, self.front)
         err_back = normal_map_error(back, self.back)
@@ -634,6 +637,21 @@ class EvalReference:
             seed=self.seed,
             config_hash=config_hash(self.frame, self.n_samples, self.seed),
         )
+
+    def evaluate(self, recon, normals=None):
+        """Chamfer, P2S from reconstruction samples to the ground-truth
+        surface, and the mean of the front and back normal-map errors:
+        score(sample(recon), normals).
+
+        normals, when given, is the (front, back) pair of NormalMaps that
+        render_normals draws of recon on the reference's frame (as
+        surface.ReconstructionReference.reconstruct returns them); they are
+        then not rendered again.
+        """
+        points = self.sample(recon)
+        if normals is None:
+            normals = render_normals(recon, self.frame, (FRONT, BACK))
+        return self.score(points, normals)
 
 
 def evaluate_pair(recon, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):

@@ -67,28 +67,31 @@ class OrthoFrame:
         require("half_extent", self.half_extent, HALF_EXTENT)
         object.__setattr__(self, "center", tuple(map(float, self.center)))
 
-    def to_ndc(self, points):
-        """Scene points (n, 3) -> normalized [-1, 1]^3 coordinates."""
-        p = np.asarray(points, dtype=np.float64)
-        return (p - np.asarray(self.center)) / self.half_extent
-
-    def raster_xy(self, ndc_xy):
-        """NDC (x, y) -> raster pixel units (x right, y down)."""
-        xy = np.asarray(ndc_xy, dtype=np.float64)
-        out = np.empty_like(xy)
-        out[..., 0] = (xy[..., 0] + 1.0) * (self.width / 2.0)
-        out[..., 1] = (1.0 - xy[..., 1]) * (self.height / 2.0)
-        return out
-
-    def project(self, vertices):
-        """Per-vertex raster xy (n, 2) and NDC depths (n,)."""
-        ndc = self.to_ndc(vertices)
-        return self.raster_xy(ndc[:, :2]), ndc[:, 2]
-
     def project_faces(self, vertices, faces):
-        """Per-face raster xy vertices (m, 3, 2) and NDC depths (m, 3)."""
-        xy, depth = self.project(vertices)
-        return xy[faces], depth[faces]
+        """Per-face raster xy vertices (m, 3, 2) and NDC depths (m, 3) of
+        faces (m, 3) of vertices (n, 3): NDC is (p - center) / half_extent,
+        and raster x and y are (x_ndc + 1) W / 2 and (1 - y_ndc) H / 2.
+
+        Each coordinate of the corners is gathered and mapped as one
+        contiguous (m, 3) row, so no per-vertex array is made, and a face
+        block costs less than a gather from a projection of every vertex;
+        xy is a view of (2, m, 3) rows.
+        """
+        v = np.asarray(vertices, dtype=np.float64)
+        xy = np.empty((2,) + np.shape(faces))
+        x, y = xy
+        np.subtract(v[faces, 0], self.center[0], out=x)
+        x /= self.half_extent
+        x += 1.0
+        x *= self.width / 2.0
+        np.subtract(v[faces, 1], self.center[1], out=y)
+        y /= self.half_extent
+        np.subtract(1.0, y, out=y)
+        y *= self.height / 2.0
+        depth = v[faces, 2]
+        depth -= self.center[2]
+        depth /= self.half_extent
+        return xy.transpose(1, 2, 0), depth
 
     def pixel_center_raster(self, row, col):
         return float(col) + 0.5, float(row) + 0.5

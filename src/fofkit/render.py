@@ -71,16 +71,16 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     for v in views:
         require("view", v, one_of((FRONT, BACK)))
     H, W = frame.height, frame.width
-    # Vertices are projected once; faces are gathered and rasterized one
-    # raster block at a time, so no per-face array spans the mesh. Each
-    # record's depth is interpolated from its own face's corners.
+    # Faces are projected and rasterized one raster block at a time, each
+    # block's own corners only, so no per-face or per-vertex array spans
+    # the mesh. Each record's depth is interpolated from its own face's
+    # corners.
     out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 3)), np.empty(0))]
-    xy, depth = frame.project(mesh.vertices)
     for block in _face_blocks(mesh.n_faces):
-        faces = mesh.faces[block]
-        rec = rasterize_coverage(xy[faces], W, H)
+        xy, depth = frame.project_faces(mesh.vertices, mesh.faces[block])
+        rec = rasterize_coverage(xy, W, H)
         out.append((rec.pixel, rec.tri + block.start, rec.bary,
-                    bary_interp(rec.bary, depth[faces[rec.tri]])))
+                    bary_interp(rec.bary, depth[rec.tri])))
     *rec, z = map(np.concatenate, zip(*out))
     if len(z) == 0:
         maps = tuple(NormalMap(np.zeros((H, W, 3)), np.zeros((H, W), dtype=bool))

@@ -23,21 +23,25 @@ cell on each side, clamped to the frame. Dead columns decode to exactly
 +0.0, so a cube whose corners are all dead has no crossing at any iso, and
 every cube with a live corner lies inside the box.
 
-marching_cubes is two steps: _cube_faces finds the faces of the active
-cubes in some columns of cubes, as cube ids and corner edge keys, and the
-distinct keys, sorted, number the vertices, each interpolated on its own
-edge by _edge_vertices. Both read the samples through one addressing path,
-a column store: column (x, y) of the grid holds the samples
-store[index[x, y]], store being (n, Z) rows and index an (X, Y) array of
-row numbers. An OccupancyGrid passes its values as an (X * Y, Z) view with
-the identity index. Extraction is blocked: _cube_faces takes _CUBE_ROWS
+Every extraction goes through one path, _cube_mesh, in two steps:
+_cube_faces finds the faces of the active cubes in some columns of cubes,
+as cube ids and corner edge keys, and the distinct keys, sorted, number the
+vertices, each interpolated on its own edge by _edge_vertices. Both read
+the samples through one addressing path, a column store: column (x, y) of
+the grid holds the samples store[index[x, y]], store being (n, Z) rows and
+index an (X, Y) array of row numbers. marching_cubes passes an
+OccupancyGrid's values as an (X * Y, Z) view with the identity index; a
+ReconstructionReference passes a store of only the columns it reads.
+Cube ids, keys and vertex numbers are kept as the grid's _index_dtype, the
+narrowest integer type that holds its 3 * X * Y * Z edge keys (int32 at
+every default size). Extraction is blocked: _cube_faces takes _CUBE_ROWS
 rows of cube columns (x values) at a time, so its case, corner and table
 temporaries span a slab of the grid, not the grid; only its below-iso mask,
-one byte per stored sample, spans the store. Cube-locality makes each
-block's faces its own cubes' faces, and cube ids ascend from block to
-block, so the concatenated blocks are the unblocked result bit for bit.
-The vertices are numbered by _distinct, np.unique's inverse with one
-key-sized temporary fewer.
+one byte per stored sample, spans the store; and _edge_vertices takes
+_EDGE_KEYS keys at a time. Cube-locality makes each block's faces its own
+cubes' faces, and cube ids ascend from block to block, so the concatenated
+blocks are the unblocked result bit for bit. The vertices are numbered by
+_distinct, np.unique's inverse with one key-sized temporary fewer.
 A ReconstructionReference uses both steps to rebuild only what a field
 changes against some source fields, such as a sweep's ground truth and
 prior, and it gives the same mesh and normal maps bit for bit:
@@ -56,10 +60,12 @@ prior, and it gives the same mesh and normal maps bit for bit:
   own columns would give. The other cubes are extracted from a column
   store of just their corner columns: the live ones are decoded from the
   field, and the dead ones share one row of +0.0 samples, which is what
-  they decode to. No grid of the box is assembled, and the reference keeps
-  none of the sources' grids: a source keeps its vertices, and its faces,
-  cube ids and edge keys as the narrowest integer type that holds the
-  box's 3 * X * Y * Z edge keys (int32 at every default size).
+  they decode to. The sources are built the same way, from stores of
+  their live columns, a slab of rows of cube columns at a time, each slab
+  merged with the ones before it as fresh cubes are merged with a
+  source's; so no grid of the box is ever assembled. A source keeps its
+  vertices, and its faces, cube ids and edge keys as the box's
+  _index_dtype.
 - A face lies within its cube's column footprint, and rounding moves no
   vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
   can cover the center of pixel column (c, r): a 3 x 3 radius of columns.
@@ -72,7 +78,9 @@ prior, and it gives the same mesh and normal maps bit for bit:
 - reconstruct is extract, which builds the mesh, then render, which draws
   the maps. extract reads the field only until the fresh corner columns
   are in the column store, and drops it there, so a field passed to it as
-  a temporary is freed before the cubes are extracted and merged.
+  a temporary is freed before the cubes are extracted. The merge frees the
+  column store in turn once the fresh vertices are placed, before the
+  faces are merged.
 """
 
 from collections import namedtuple
@@ -83,13 +91,20 @@ from .errors import DomainError, ShapeError, check_array, check_type, integer, r
 from .fof import DEPTH_RES, FourierField, _check_frame, _decode_pixels, depth_samples
 from .mesh import TriMesh, _require_watertight
 from .mc_tables import CORNER_OFFSETS, EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
-from .raster import OrthoFrame
+from .raster import OrthoFrame, _face_blocks
 from .render import BACK, FRONT, render_normals
 from .rng import SEED, Xoshiro256StarStar
 
 ISO = real()
 SAMPLES = integer(1)  # surface samples per mesh
 _CUBE_ROWS = 16  # rows of cube columns per block of _cube_faces; bounds its temporaries
+_EDGE_KEYS = 1 << 12  # edge keys per block of _edge_vertices; bounds its temporaries
+# Samples per column store of a ReconstructionReference source build, in
+# bytes. It bounds the build's working memory, and it keeps each store below
+# 4 MiB, from which numpy advises the kernel to back an array with huge
+# pages: after such a store is freed, whole 2 MiB pages of it could stay in
+# the process's resident set.
+_STORE_BYTES = 7 << 19
 
 from dataclasses import dataclass, field as dc_field
 
@@ -172,7 +187,8 @@ def _box_grid(field, frame, lo, hi, depth_res, live):
 
 def _decode_box(field, lo, hi, columns, out, rows):
     """Decode the columns of the box [lo, hi) of field's full grid with flat
-    indices columns, x-major with y bottom-up, into the rows rows of out."""
+    indices columns, x-major with y bottom-up, into the rows rows of out
+    (rows 0, 1, ... when rows is None)."""
     xs, ys = np.divmod(columns, hi[1] - lo[1])
     xs, ys = xs + lo[0], ys + lo[1]
     _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, out, rows)
@@ -207,8 +223,18 @@ def marching_cubes(grid, iso=0.5):
 
 def _marching_cubes(grid, iso):
     """marching_cubes' mesh, each face's cube id and each vertex's edge key."""
-    store, index = _grid_store(grid.values)
-    cubes, keys = _cube_faces(store, index, None, iso)
+    vertices, faces, cubes, keys = _cube_mesh(*_grid_store(grid.values), None, iso, grid.origin,
+                                              grid.spacing, grid.offset)
+    return TriMesh(vertices, faces), cubes, keys
+
+
+def _cube_mesh(store, index, columns, iso, origin, spacing, offset):
+    """The mesh of the cubes in some columns of a grid of samples, read
+    through a column store as _cube_faces reads it and placed as
+    _edge_vertices places it: its vertices, its faces, each face's cube id
+    and each vertex's edge key, all in the grid's _index_dtype but the
+    vertices."""
+    cubes, keys = _cube_faces(store, index, columns, iso)
     # One vertex per distinct key, in sorted order. TRI_TABLE[case] names
     # exactly the edges whose two corners differ in case's bits (the
     # invariant that tests/test_surface.py::TestTables pins), and every
@@ -216,8 +242,7 @@ def _marching_cubes(grid, iso):
     # sorted distinct keys are the crossing edges, axis-major and then in C
     # order.
     keys, faces = _distinct(keys)
-    vertices = _edge_vertices(store, index, keys, iso, grid.origin, grid.spacing, grid.offset)
-    return TriMesh(vertices, faces), cubes, keys
+    return _edge_vertices(store, index, keys, iso, origin, spacing, offset), faces, cubes, keys
 
 
 def _grid_store(values):
@@ -229,10 +254,11 @@ def _grid_store(values):
 
 def _distinct(keys):
     """The sorted distinct values of an integer array, and the index of each
-    entry among them, in the array's shape: np.unique(keys,
+    entry among them, in the array's shape and type: np.unique(keys,
     return_inverse=True), with each sorted entry's rank written over the
     sorted copy, so one key-sized temporary fewer is live (6.0 against
-    9.7 MB on 229 000 keys)."""
+    9.7 MB on 229 000 int64 keys). Every rank is below the number of
+    distinct keys, so it fits the keys' type."""
     order = np.argsort(keys, axis=None)
     s = keys.ravel()[order]
     first = np.ones(len(s), dtype=bool)
@@ -240,7 +266,7 @@ def _distinct(keys):
     distinct = s[first]
     np.cumsum(first, out=s)
     s -= 1
-    index = np.empty(keys.shape, dtype=np.int64)
+    index = np.empty(keys.shape, dtype=keys.dtype)
     index.ravel()[order] = s
     return distinct, index
 
@@ -253,10 +279,11 @@ def _cube_faces(store, index, columns, iso):
     (X - 1, Y - 1) mask of cube columns, or None for all of them; only the
     rows of their corner columns are read. Returns each face's cube, its
     flat index among the (X - 1, Y - 1, Z - 1) cubes, in ascending order,
-    and an (n, 3) array of its corners' edge keys; a cube's faces keep
-    TRI_TABLE's order. The cubes are taken _CUBE_ROWS rows of columns (x
-    values) at a time, and cube ids ascend from one block to the next, so
-    the blocks bound the temporaries without changing the result.
+    and an (n, 3) array of its corners' edge keys, both in the grid's
+    _index_dtype; a cube's faces keep TRI_TABLE's order. The cubes are
+    taken _CUBE_ROWS rows of columns (x values) at a time, and cube ids
+    ascend from one block to the next, so the blocks bound the temporaries
+    without changing the result.
     """
     (X, Y), Z = index.shape, store.shape[1]
     if columns is None:
@@ -264,8 +291,9 @@ def _cube_faces(store, index, columns, iso):
     # Each face corner is a cube edge named by TRI_TABLE; key it by its grid
     # edge, axis * X * Y * Z + the flat index of its lower grid point.
     edge_offset = EDGE_AXIS * (X * Y * Z) + np.ravel_multi_index(EDGE_ORIGIN.T, (X, Y, Z))
+    dtype = _index_dtype((X, Y, Z))
     below = store < iso
-    cubes, keys = [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
+    cubes, keys = [np.empty(0, dtype)], [np.empty((0, 3), dtype)]
     for x0 in range(0, X - 1, _CUBE_ROWS):
         ci, cj = np.nonzero(columns[x0:x0 + _CUBE_ROWS])
         ci += x0
@@ -281,8 +309,9 @@ def _cube_faces(store, index, columns, iso):
         cube, slot = np.nonzero(rows >= 0)
         n, k = n[cube], k[cube]
         ci, cj = ci[n], cj[n]
-        keys.append(((ci * Y + cj) * Z + k + edge_offset[rows[cube, slot]]).reshape(-1, 3))
-        cubes.append(((ci * (Y - 1) + cj) * (Z - 1) + k)[::3])
+        keys.append(((ci * Y + cj) * Z + k + edge_offset[rows[cube, slot]])
+                    .astype(dtype).reshape(-1, 3))
+        cubes.append(((ci * (Y - 1) + cj) * (Z - 1) + k)[::3].astype(dtype))
     return np.concatenate(cubes), np.concatenate(keys)
 
 
@@ -290,19 +319,24 @@ def _edge_vertices(store, index, keys, iso, origin, spacing, offset):
     """The iso crossings on the grid edges named by keys, in scene
     coordinates; each is interpolated on its own edge alone. store and index
     hold the grid's samples as _cube_faces reads them, and origin, spacing
-    and offset place them as an OccupancyGrid does."""
+    and offset place them as an OccupancyGrid does. The keys are taken
+    _EDGE_KEYS at a time, so only the output spans them."""
     shape = index.shape + store.shape[1:]
-    axis, flat = np.divmod(keys, np.prod(shape))
-    lo = np.stack(np.unravel_index(flat, shape), axis=1)
-    hi = lo + np.eye(3, dtype=np.int64)[axis]
-    va = store[index[lo[:, 0], lo[:, 1]], lo[:, 2]]
-    vb = store[index[hi[:, 0], hi[:, 1]], hi[:, 2]]
-    # Full-grid indices, so a box extracts its full grid's vertices.
-    base = (lo + offset).astype(np.float64)
-    base[np.arange(len(keys)), axis] += (iso - va) / (vb - va)
-    # The table's winding already points out of the high-occupancy region
-    # under this corner layout (verified by signed volume on spheres).
-    return origin + spacing * base
+    out = np.empty((len(keys), 3))
+    for start in range(0, len(keys), _EDGE_KEYS):
+        axis, flat = np.divmod(keys[start:start + _EDGE_KEYS], np.prod(shape))
+        lo = np.stack(np.unravel_index(flat, shape), axis=1)
+        hi = lo + np.eye(3, dtype=np.int64)[axis]
+        va = store[index[lo[:, 0], lo[:, 1]], lo[:, 2]]
+        vb = store[index[hi[:, 0], hi[:, 1]], hi[:, 2]]
+        # Full-grid indices, so a box extracts its full grid's vertices.
+        base = (lo + offset).astype(np.float64)
+        base[np.arange(len(base)), axis] += (iso - va) / (vb - va)
+        # The table's winding already points out of the high-occupancy
+        # region under this corner layout (verified by signed volume on
+        # spheres).
+        out[start:start + len(base)] = origin + spacing * base
+    return out
 
 
 def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -317,7 +351,7 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
 # edge key, and its front and back maps. Faces, cube ids and keys are kept as
 # the box's index type (_index_dtype), int32 at every default size; a face's
 # cube column is its cube id // (grid_res - 1), recomputed where it is read.
-# The grid they were built from is released.
+# The column store they were extracted from is released.
 _Source = namedtuple("_Source", "field vertices faces cubes keys maps")
 
 # What ReconstructionReference.extract(field) hands to render: the field's
@@ -340,16 +374,17 @@ class ReconstructionReference:
     coefficients, built from what the sources share.
 
     Holds, for each source field (a sweep passes c_gt and c_prior), the
-    marching-cubes mesh of its decoded grid over one box shared by all
-    sources, with each face's cube id and each vertex's edge key, and the
-    front and back normal maps of the mesh. Faces, cube ids and keys are
-    kept as the narrowest integer type that holds the box's 3 * X * Y * Z
-    edge keys: int32 at every default size, int64 from 2**31 up. The sources
-    are built one at a time, and each grid is released once its mesh is
-    extracted, so one source grid is live at a time and none is kept. The
-    all-zero field is an implicit last source, with no faces and background
-    maps. The box is the sources' live columns plus one cell on each side,
-    clamped to the frame.
+    marching-cubes mesh of its samples over one box shared by all sources,
+    with each face's cube id and each vertex's edge key, and the front and
+    back normal maps of the mesh. Faces, cube ids and keys are kept as the
+    narrowest integer type that holds the box's 3 * X * Y * Z edge keys:
+    int32 at every default size, int64 from 2**31 up. Each source is
+    extracted as extract extracts fresh cubes, from column stores of its
+    live columns, a slab of cube rows at a time, so no grid of the box is
+    made; the sources are built one at a time, and each store is released
+    once its vertices are placed. The all-zero field is an implicit last source,
+    with no faces and background maps. The box is the sources' live columns
+    plus one cell on each side, clamped to the frame.
 
     reconstruct(field) returns the mesh of reconstruct_field(field, frame,
     grid_res, iso) and the front and back maps that render_normals draws of
@@ -360,7 +395,7 @@ class ReconstructionReference:
     with ==; the first source it matches serves it. decoded_columns counts
     the columns that extract has decoded: the live corner columns of the
     cubes that no source serves, or every live column of a field that
-    falls back.
+    falls back; building the sources counts none.
     """
 
     def __init__(self, sources, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -382,20 +417,32 @@ class ReconstructionReference:
         if min(live.shape) < 2:  # no grid fits the frame: reconstruct falls back
             self.sources = None
             return
+        # The origin, spacing and offset that place the box's samples.
+        self.place = _grid_map(frame, grid_res) + (np.array([self.lo[0], self.lo[1], 0]),)
         self.sources = [self._source(f) for f in fields]
 
     def _source(self, field):
-        """The _Source of a field over the reference's box. Its grid is
-        released once its mesh is extracted, so one source grid is live at a
-        time."""
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        mesh, cubes, keys = _marching_cubes(
-            _box_grid(field, self.frame, self.lo, self.hi, self.grid_res,
-                      _live_columns(field)[x0:x1, y0:y1]), self.iso)
-        maps = render_normals(mesh, self.frame, (FRONT, BACK))
-        index = _index_dtype((x1 - x0, y1 - y0, self.grid_res))
-        return _Source(field, mesh.vertices, mesh.faces.astype(index), cubes.astype(index),
-                       keys.astype(index), maps)
+        """The _Source of a field over the reference's box, extracted as
+        extract extracts fresh cubes: a slab of rows of cube columns at a
+        time is extracted from a column store of its live corner columns
+        and merged with the slabs before it, as extract merges fresh cubes
+        with a source's. So no grid of the box is made, and no store holds
+        more than _STORE_BYTES of samples but for a slab of one row."""
+        X, Y = self.hi - self.lo
+        dead = ~_live_columns(field)[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]
+        dtype = _index_dtype((X, Y, self.grid_res))
+        source = _Source(field, np.empty((0, 3)), np.empty((0, 3), dtype), np.empty(0, dtype),
+                         np.empty(0, dtype), None)
+        rows = max(1, _STORE_BYTES // (Y * self.grid_res * 8) - 1)  # rows + 1 columns
+        for x0 in range(0, X - 1, rows):
+            todo = np.zeros((X - 1, Y - 1), dtype=bool)
+            todo[x0:x0 + rows] = True
+            vertices, faces, cubes, keys = self._merge(
+                [(source, np.ones(len(source.faces), dtype=bool))], todo,
+                [self._store(field, todo, dead)])
+            source = _Source(field, vertices, faces.astype(dtype), cubes, keys, None)
+        return source._replace(maps=render_normals(TriMesh(source.vertices, source.faces),
+                                                   self.frame, (FRONT, BACK)))
 
     def reconstruct(self, field):
         """(mesh, front map, back map) of a field on the reference's frame:
@@ -413,10 +460,12 @@ class ReconstructionReference:
 
         The field is not read after its fresh cubes' corner columns are
         decoded (or, on the fallback, its grid), and extract drops its
-        reference to it there, before the cubes are extracted and the
-        faces merged. So a field passed as a temporary, extract(make()),
-        is freed at that point: CPython 3.11 and later hand a call's
-        arguments over to the callee's frame.
+        reference to it there, before the cubes are extracted. So a field
+        passed as a temporary, extract(make()), is freed at that point:
+        CPython 3.11 and later hand a call's arguments over to the callee's
+        frame. The column store is dropped in turn once the fresh cubes'
+        vertices are placed, before their faces are merged with the
+        sources'.
         """
         if not isinstance(field, FourierField):
             field = FourierField(field)
@@ -442,9 +491,13 @@ class ReconstructionReference:
         # The same masks per (x, y) column of the box.
         columns = [m[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]] for m in match]
         todo, served = self._serve(columns)
-        store, index = self._store(field, todo, columns[-1])
+        # The column store goes to _merge in a list that _merge empties, so
+        # that no frame here keeps it once _merge is done with it.
+        store = [self._store(field, todo, columns[-1])]
         del field
-        return Extraction(*self._merge(todo, served, store, index), match)
+        self.decoded_columns += len(store[0][0]) - 1
+        vertices, faces, cubes, _ = self._merge(served, todo, store)
+        return Extraction(TriMesh(vertices, faces), cubes, match)
 
     def _serve(self, match):
         """The cubes of the box that no source serves, an (X - 1, Y - 1)
@@ -477,57 +530,74 @@ class ReconstructionReference:
         store = np.zeros((len(columns) + 1, self.grid_res))
         index = np.zeros(X * Y, dtype=np.int64)
         index[columns] = np.arange(1, len(columns) + 1)
-        _decode_box(field, self.lo, self.hi, columns, store, index[columns])
-        self.decoded_columns += len(columns)
+        _decode_box(field, self.lo, self.hi, columns, store[1:], None)
         return store, index.reshape(X, Y)
 
-    def _merge(self, todo, served, store, index):
+    def _merge(self, served, todo, store):
         """The mesh of the served sources' faces and the todo cubes' faces,
-        extracted from the column store, and each face's cube id."""
-        fresh_cubes, fresh_keys = _cube_faces(store, index, todo, self.iso)
+        as _cube_mesh gives a mesh: its vertices, its faces (int64, as
+        TriMesh keeps them), each face's cube id and each vertex's edge key.
 
-        # Vertices: the distinct keys in sorted order, as marching_cubes
-        # numbers them. A source face's vertex lies on an edge whose columns
-        # match the source, so it is the source's vertex bit for bit.
+        served holds (source, faces) pairs, faces the mask of the source's
+        faces that it serves. store is a list that holds the todo
+        cubes' column store and its row index, as _store gives them; _merge
+        takes them out of it and frees them once the todo cubes' vertices
+        are placed, before any face is merged.
+
+        Vertices are the distinct keys in sorted order, as marching_cubes
+        numbers them, and are numbered in the box's _index_dtype. A source
+        face's vertex lies on an edge whose columns match the source, so it
+        is the source's vertex bit for bit, and a vertex that a source face
+        and a fresh face share is the same from either.
+        """
+        store, index = store.pop()
+        fresh_vertices, fresh_faces, fresh_cubes, fresh_keys = _cube_mesh(
+            store, index, todo, self.iso, *self.place)
+        del store, index
         used = []
         for source, keep in served:
             used.append(np.zeros(len(source.vertices), dtype=bool))
             used[-1][source.faces[keep]] = True
         distinct, number = _distinct(np.concatenate(
-            [source.keys[u] for (source, _), u in zip(served, used)] + [fresh_keys.ravel()]))
-        del fresh_keys
+            [source.keys[u] for (source, _), u in zip(served, used)] + [fresh_keys]))
         vertices = np.empty((len(distinct), 3))
-        cubes, faces, start = [], [], 0
+        del fresh_keys
+        # Each part's cube ids, faces and the numbers of its vertices: the
+        # served sources' parts, then the fresh one.
+        parts, start = [], 0
         for (source, keep), u in zip(served, used):
             at = number[start:start + np.count_nonzero(u)]
             start += len(at)
             vertices[at] = source.vertices[u]
-            renumber = np.empty(len(u), dtype=np.int64)
+            renumber = np.empty(len(u), dtype=number.dtype)
             renumber[u] = at
-            cubes.append(source.cubes[keep])
-            faces.append(renumber[source.faces[keep]])
-        faces.append(number[start:].reshape(-1, 3))
-        fresh = np.zeros(len(distinct), dtype=bool)
-        fresh[faces[-1]] = True
-        origin, spacing = _grid_map(self.frame, self.grid_res)
-        vertices[fresh] = _edge_vertices(store, index, distinct[fresh], self.iso, origin, spacing,
-                                         np.array([self.lo[0], self.lo[1], 0]))
+            parts.append((source.cubes[keep], source.faces, keep, renumber))
+        at = number[start:]
+        vertices[at] = fresh_vertices
+        parts.append((fresh_cubes, fresh_faces, np.ones(len(fresh_faces), dtype=bool), at))
+        del used, number, at, fresh_vertices, fresh_cubes, fresh_faces
         # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it
-        # (see the module docstring). The keys are dropped first, and each
-        # part once it is placed, so no joined copy of the faces is made.
-        del distinct, number
-        cubes.append(fresh_cubes)
-        del fresh_cubes
+        # (see the module docstring). Each part's faces are renumbered and
+        # placed a raster face block of its own faces at a time, so no
+        # joined copy of them is made and no temporary spans a part.
+        cubes = [part[0] for part in parts]
         n = sum(map(len, cubes))
-        out_faces, out_cubes = np.empty((n, 3), dtype=np.int64), np.empty(n, dtype=np.int64)
-        for i in range(len(cubes)):
-            at = np.arange(len(cubes[i]))
-            for j, other in enumerate(cubes):
-                if j != i:
-                    at += np.searchsorted(other, cubes[i])
-            out_faces[at], out_cubes[at] = faces[i], cubes[i]
-            faces[i] = None
-        return TriMesh(vertices, out_faces), out_cubes
+        out_faces, out_cubes = np.empty((n, 3), dtype=np.int64), np.empty(n, dtype=cubes[-1].dtype)
+        for i in range(len(parts)):
+            part_cubes, faces, keep, renumber = parts[i]
+            parts[i] = None
+            done = 0
+            for block in _face_blocks(len(faces)):
+                placed = faces[block][keep[block]]
+                block_cubes = part_cubes[done:done + len(placed)]
+                at = np.arange(done, done + len(placed))
+                for j, other in enumerate(cubes):
+                    if j != i:
+                        at += np.searchsorted(other, block_cubes)
+                out_cubes[at] = block_cubes
+                out_faces[at] = renumber[placed]
+                done += len(placed)
+        return vertices, out_faces, out_cubes, distinct
 
     def render(self, extraction):
         """(mesh, front map, back map) of an Extraction that extract made:
@@ -586,24 +656,37 @@ def _sample_points(mesh, u):
     """Face indices and points of the area-weighted samples for uniforms u.
 
     u holds 3n uniforms: n choose faces, 2n place the barycentric points.
+    The cumulative areas are summed over the areas in place, and the
+    sampled faces' corners are gathered one corner at a time, so the only
+    per-face array is the areas.
     """
     if check_type(mesh, "mesh", TriMesh).n_faces == 0:
         raise DomainError("cannot sample an empty mesh")
     n = len(u) // 3
-    areas = mesh.face_areas()
-    total = areas.sum()
+    cum = mesh.face_areas()
+    total = cum.sum()
     if total <= 0.0:
         raise DomainError("mesh has zero surface area")
-    cum = np.cumsum(areas)
+    np.cumsum(cum, out=cum)
     face_idx = np.searchsorted(cum, u[:n] * total, side="right")
-    face_idx = np.minimum(face_idx, mesh.n_faces - 1)
+    del cum
+    np.minimum(face_idx, mesh.n_faces - 1, out=face_idx)
     r1 = u[n:2 * n]
     r2 = u[2 * n:]
     flip = r1 + r2 > 1.0
-    r1 = np.where(flip, 1.0 - r1, r1)
-    r2 = np.where(flip, 1.0 - r2, r2)
-    tri = mesh.vertices[mesh.faces[face_idx]]
-    pts = tri[:, 0] + r1[:, None] * (tri[:, 1] - tri[:, 0]) + r2[:, None] * (tri[:, 2] - tri[:, 0])
+    r1 = np.where(flip, 1.0 - r1, r1)[:, None]
+    r2 = np.where(flip, 1.0 - r2, r2)[:, None]
+    # a + r1 (b - a) + r2 (c - a), each product and sum as the one
+    # expression over (n, 3, 3) corners rounds it.
+    corners = mesh.faces[face_idx]
+    a = mesh.vertices[corners[:, 0]]
+    pts = mesh.vertices[corners[:, 1]]
+    pts -= a
+    pts *= r1
+    pts += a
+    a = np.subtract(mesh.vertices[corners[:, 2]], a, out=a)
+    a *= r2
+    pts += a
     return face_idx, pts
 
 

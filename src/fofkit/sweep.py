@@ -21,31 +21,39 @@ marching-cubes faces for cubes whose four columns match (exact: the decode
 accumulator is never -0.0, so +-0.0 coefficients add nothing) and their
 normal-map pixels whose 3 x 3 columns match. Only the cubes the occluder
 changed are extracted, from their live corner columns alone, decoded into
-a small column store; the reference keeps no decoded grid. Every mesh and
-map equals the full path's bit for bit. Each cell logs at DEBUG how many
-columns its reconstructions decoded, so `fofkit -v sweep` shows it for any
---jobs.
+a small column store; the reference's sources are extracted the same way,
+so no decoded grid is built or kept. Every mesh and map equals the full
+path's bit for bit. Each cell logs at DEBUG how many columns its
+reconstructions decoded, so `fofkit -v sweep` shows it for any --jobs.
 
 Every full-size array of a cell dies at its last reader, so a cell holds
-one field at a time beside one step's working set. Each field is made as a
-temporary argument of ReconstructionReference.extract, which drops it once
-it has decoded the fresh cubes' corner columns, before the cubes are
-extracted and merged; CPython 3.11 and later hand a call's arguments over
-to the callee, so the field is then freed. A cell:
-- makes c_obs (occlude_field) and extracts its mesh, freeing c_obs; renders
-  and scores the naive reconstruction, and drops its mesh and maps with
-  the report;
+one field or one mesh at a time beside one step's working set. Each field
+is made as a temporary argument of ReconstructionReference.extract, which
+drops it once it has decoded the fresh cubes' corner columns, before the
+cubes are extracted; CPython 3.11 and later hand a call's arguments over
+to the callee, so the field is then freed. The column store of those
+columns is freed once the fresh vertices are placed, before the faces are
+merged. Each mesh lives through render and sampling only: _scores takes
+the reconstruction as a temporary, samples the mesh with the
+EvalReference's uniforms, drops it, and then scores the samples and the
+maps. A cell:
+- makes c_obs (occlude_field) and extracts its mesh, freeing c_obs;
+  renders the naive reconstruction, samples and drops its mesh, and scores
+  it;
 - makes c_obs again, as occlude_field is a pure function of c_gt, the mask
   pair, the policy, sigma and the seed; vgcc_blend mixes c_prior into
   c_obs's own coefficients (overwrite_obs), a block of occluded pixels at a
   time, so the blend field is c_obs's memory and no second field is made;
-- extracts the blend field's mesh, freeing the field, then renders and
-  scores it.
-The 20 default cells peak at 7.9-8.7 MB under tracemalloc, above what the
-run holds, in the splice's face merge (11.2-12.8 MB when the naive field
-was kept through its scoring and the blend field through the merge).
-Mixing in place also matters to the process's peak RSS: with c_obs and a
-blend copy live together, the malloc heap often had to grow by a field.
+- extracts the blend field's mesh, freeing the field, then renders,
+  samples and scores it the same way.
+The 20 default cells peak at 5.4-5.9 MB under tracemalloc, above what the
+run holds, while the column store is decoded beside its field or the
+splice renders (7.9-8.7 MB when the merge kept the store and the mesh
+lived through scoring,
+11.2-12.8 MB when the naive field was kept through its scoring and the
+blend field through the merge). Mixing in place also matters to the
+process's peak RSS: with c_obs and a blend copy live together, the malloc
+heap often had to grow by a field.
 
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
@@ -117,9 +125,14 @@ def _run_cell(cell):
 
 def _scores(reference, reconstruction):
     """The (cd, p2s, normal_err) of a (mesh, front map, back map)
-    reconstruction against the EvalReference."""
+    reconstruction against the EvalReference. The mesh is sampled and then
+    dropped, so the mesh of a reconstruction passed as a temporary is freed
+    before the samples are scored."""
     mesh, front, back = reconstruction
-    rep = reference.evaluate(mesh, (front, back))
+    del reconstruction
+    points = reference.sample(mesh)
+    del mesh
+    rep = reference.score(points, (front, back))
     return rep.cd, rep.p2s, rep.normal_err
 
 
@@ -127,8 +140,8 @@ def _reference(ctx):
     """The context's ground-truth EvalReference and its
     ReconstructionReference over c_gt and c_prior, built on first use, so
     that a context made by prepare_context alone also runs cells. The
-    ReconstructionReference is built first, so that its build's source grid
-    is not live beside the EvalReference."""
+    ReconstructionReference is built first, so that its build's column
+    stores are not live beside the EvalReference."""
     if "reference" not in ctx:
         cfg = ctx["cfg"]
         ctx["reconstruction"] = ReconstructionReference(

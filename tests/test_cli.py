@@ -293,6 +293,40 @@ def test_python_m_fofkit_runs_the_cli():
     assert done.stdout.startswith("usage: fofkit")
 
 
+def test_only_eval_loads_scipy_spatial(tmp_path):
+    # Each README command runs in a process of its own, as a user runs it;
+    # only eval builds a kd-tree, so only eval may load scipy.spatial.
+    src = os.path.dirname(os.path.dirname(fofkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = ("import sys\n"
+             "from fofkit.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print('scipy.spatial' in sys.modules)\n"
+             "sys.exit(code)\n")
+    frame = ["--width", "32", "--height", "32"]
+    d = str(tmp_path)
+    steps = [
+        ["shapes", "sphere", f"{d}/gt.obj", "--subdivisions", "2"],
+        ["encode", f"{d}/gt.obj", f"{d}/gt.oaht", "--order", "7"] + frame,
+        ["silhouette", f"{d}/gt.obj", f"{d}/body.pgm"] + frame,
+        ["occlude", f"{d}/gt.oaht", f"{d}/body.pgm", f"{d}/occ.oaht", "--ratio", "0.4",
+         "--seed", "7"],
+        ["blend", f"{d}/occ.oaht", f"{d}/gt.oaht", f"{d}/occ.oaht.V.pgm", f"{d}/occ.oaht.M.pgm",
+         f"{d}/done.oaht"],
+        ["reconstruct", f"{d}/done.oaht", f"{d}/recon.obj", "--grid-res", "32"],
+        ["render-normals", f"{d}/recon.obj", f"{d}/front.pfm", f"{d}/back.pfm"] + frame,
+        ["eval", f"{d}/recon.obj", f"{d}/gt.obj", f"{d}/metrics.csv", "--samples", "500"] + frame,
+    ]
+    loaded = {}
+    for argv in steps:
+        done = subprocess.run([sys.executable, "-c", child] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv[0], done.stderr)
+        loaded[argv[0]] = done.stdout.split()[-1]
+    assert loaded == {step[0]: str(step[0] == "eval") for step in steps}
+
+
 def test_verbose_sweep_logs_each_cell_from_its_worker(tmp_path):
     src = os.path.dirname(os.path.dirname(fofkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

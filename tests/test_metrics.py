@@ -963,6 +963,18 @@ class TestEvalReference:
         monkeypatch.setattr(metrics, "render_normals", None)
         assert ref.evaluate(recon, maps) == want
 
+    def test_evaluate_is_score_of_sample(self, sphere_mesh, frame128):
+        # A sweep cell samples its mesh, drops it and scores the samples;
+        # that must give evaluate's report bit for bit.
+        ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
+        for recon in (sphere_mesh, sphere_mesh.translated([0.01, 0, 0])):
+            points = ref.sample(recon)
+            assert points.tobytes() == _sample_points(recon, ref.uniforms)[1].tobytes()
+            want = ref.evaluate(recon)
+            got = ref.score(points, render_normals(recon, frame128, ("front", "back")))
+            assert [repr(getattr(got, f)) for f in vars(want)] == \
+                [repr(getattr(want, f)) for f in vars(want)]
+
     def test_equals_exhaustive_pieces_on_an_occluded_sphere(self):
         # Many reconstruction samples lie far inside the ground truth here,
         # where the P2S seed and the kd-tree layout matter most; the report

@@ -48,6 +48,22 @@ def sorted_records(pixel, tri, bary):
 FRAMES = [(17, 9), (5, 23), (1, 12), (32, 20)]
 
 
+def test_project_faces_maps_each_corner_by_the_camera_formulas():
+    # Raster xy and NDC depth of each face corner, as the module docstring
+    # defines them, applied to every vertex and then gathered: bit for bit.
+    rng = np.random.default_rng(3)
+    frame = OrthoFrame(48, 40, (0.02, -0.01, 0.3), 0.8)
+    vertices = rng.normal(size=(50, 3))
+    faces = rng.integers(0, 50, size=(70, 3))
+    ndc = (vertices - np.asarray(frame.center)) / frame.half_extent
+    want_xy = np.stack([(ndc[:, 0] + 1.0) * (frame.width / 2.0),
+                        (1.0 - ndc[:, 1]) * (frame.height / 2.0)], axis=1)[faces]
+    xy, depth = frame.project_faces(vertices, faces)
+    assert xy.shape == (70, 3, 2) and depth.shape == (70, 3)
+    assert np.ascontiguousarray(xy).tobytes() == want_xy.tobytes()
+    assert depth.tobytes() == np.ascontiguousarray(ndc[:, 2][faces]).tobytes()
+
+
 class TestCoverageOracle:
     @pytest.mark.parametrize("width,height", FRAMES)
     @pytest.mark.parametrize("seed", range(4))

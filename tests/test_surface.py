@@ -283,11 +283,15 @@ def random_support_field(live, order=3, seed=0):
     return FourierField(data)
 
 
+def bits(*arrays):
+    """The dtypes, shapes and bytes of arrays."""
+    return [(a.dtype, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
 def reconstruction_bits(reconstruction):
     """The dtypes and bytes of a (mesh, front map, back map) reconstruction."""
     mesh, *maps = reconstruction
-    arrays = [mesh.vertices, mesh.faces] + [a for m in maps for a in (m.data, m.mask)]
-    return [(a.dtype, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+    return bits(mesh.vertices, mesh.faces, *[a for m in maps for a in (m.data, m.mask)])
 
 
 class TestCroppedExtraction:
@@ -643,6 +647,38 @@ class TestReconstructionReference:
             extraction = reference.extract(temporary(data))
             assert (extraction.cubes is None) == (name == "channels")
             assert len(freed) == len(refs) and freed[-1], name
+
+    @pytest.mark.parametrize("store_bytes", [None, 1], ids=["default slabs", "one-row slabs"])
+    @pytest.mark.parametrize("fields", ["sweep", "random support"])
+    def test_sources_are_the_box_grids_meshes(self, sweep_fields, monkeypatch, fields,
+                                              store_bytes):
+        # A source is extracted from column stores of its live columns, a
+        # slab of cube rows at a time (two slabs of the sweep's box by
+        # default; one row each with a 1-byte budget), and counts no
+        # decoded column; it must be the marching-cubes mesh of its box
+        # grid, cube ids, edge keys and maps included, bit for bit.
+        if store_bytes is not None:
+            monkeypatch.setattr(surface, "_STORE_BYTES", store_bytes)
+        if fields == "sweep":
+            frame, grid_res, sources = sweep_fields[0], sweep_fields[1], \
+                (sweep_fields[2]["gt"], sweep_fields[2]["prior"])
+        else:
+            frame, grid_res = OrthoFrame(10, 12), 9
+            rng = np.random.default_rng(4)
+            sources = [random_support_field(rng.random((12, 10)) < p, seed=s)
+                       for s, p in ((5, 0.3), (6, 0.6))]
+        reference = ReconstructionReference(sources, frame, grid_res)
+        assert reference.decoded_columns == 0
+        (x0, y0), (x1, y1) = reference.lo, reference.hi
+        for source, field in zip(reference.sources, sources):
+            grid = surface._box_grid(field, frame, reference.lo, reference.hi, grid_res,
+                                     surface._live_columns(field)[x0:x1, y0:y1])
+            mesh, cubes, keys = surface._marching_cubes(grid, 0.5)
+            assert mesh.n_faces > 0
+            assert bits(source.vertices, source.faces, source.cubes, source.keys) == \
+                bits(mesh.vertices, mesh.faces.astype(source.faces.dtype), cubes, keys)
+            for got, want in zip(source.maps, render_normals(mesh, frame, (FRONT, BACK))):
+                assert bits(got.data, got.mask) == bits(want.data, want.mask)
 
     def test_sources_keep_the_box_index_type(self, reference):
         for source in reference.sources:

@@ -1,4 +1,6 @@
 import logging
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +84,32 @@ def test_ratio_zero_cell_reconstructs_once(monkeypatch):
     assert len(calls) == 1
     assert naive[2:] == ("naive",) + blend[3:] and blend[2] == "blend"
     assert naive[:2] == blend[:2] == (0.0, 1)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_a_cells_mesh_is_freed_before_it_is_scored(monkeypatch):
+    # A cell samples each reconstruction mesh and drops it before Chamfer,
+    # P2S and the normal-map errors run, so no mesh is live beside their
+    # working sets.
+    meshes, dead = [], []
+    orig_render, orig_chamfer = surface.ReconstructionReference.render, metrics.chamfer
+
+    def render(self, extraction):
+        out = orig_render(self, extraction)
+        meshes.append(weakref.ref(out[0]))
+        return out
+
+    def chamfer(*args, **kwargs):
+        dead.append(meshes[-1]() is None)
+        return orig_chamfer(*args, **kwargs)
+
+    monkeypatch.setattr(surface.ReconstructionReference, "render", render)
+    monkeypatch.setattr(metrics, "chamfer", chamfer)
+    monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(HarnessConfig.load(overrides=TINY)))
+    for cell in ((0.0, 1), (0.4, 1)):
+        assert np.isfinite([row[3:] for row in sweep._run_cell(cell)]).all()
+    assert len(meshes) == len(dead) == 3 and all(dead)
 
 
 def test_one_reconstruction_reference_per_run(tmp_path, monkeypatch):
