@@ -597,10 +597,10 @@ class EvalReference:
     farther than the sample itself. Every reconstruction scored against one
     reference gets the same report as a one-shot comparison, bit for bit.
 
-    evaluate(recon, normals) is score(sample(recon), normals): a caller that
-    holds the reconstruction's normal maps, as a sweep cell does, samples
-    the mesh, drops it and then scores the samples, so the mesh is not live
-    beside the Chamfer and P2S working sets.
+    evaluate((mesh, front, back)) is score(sample(mesh), (front, back)): it
+    takes a reconstruction with its normal maps, as a sweep cell renders
+    them, samples the mesh, drops it and then scores the samples, so the
+    mesh is not live beside the Chamfer and P2S working sets.
     """
 
     def __init__(self, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
@@ -638,20 +638,21 @@ class EvalReference:
             config_hash=config_hash(self.frame, self.n_samples, self.seed),
         )
 
-    def evaluate(self, recon, normals=None):
+    def evaluate(self, reconstruction):
         """Chamfer, P2S from reconstruction samples to the ground-truth
-        surface, and the mean of the front and back normal-map errors:
-        score(sample(recon), normals).
-
-        normals, when given, is the (front, back) pair of NormalMaps that
-        render_normals draws of recon on the reference's frame (as
-        surface.ReconstructionReference.reconstruct returns them); they are
-        then not rendered again.
+        surface, and the mean of the front and back normal-map errors of a
+        (mesh, front map, back map) reconstruction, the maps as
+        render_normals draws them on the reference's frame (as
+        surface.ReconstructionReference.reconstruct returns it):
+        score(sample(mesh), (front, back)). The mesh is sampled and then
+        dropped, so the mesh of a reconstruction passed as a temporary is
+        freed before the samples are scored.
         """
-        points = self.sample(recon)
-        if normals is None:
-            normals = render_normals(recon, self.frame, (FRONT, BACK))
-        return self.score(points, normals)
+        mesh, front, back = reconstruction
+        del reconstruction
+        points = self.sample(mesh)
+        del mesh
+        return self.score(points, (front, back))
 
 
 def evaluate_pair(recon, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
@@ -661,4 +662,5 @@ def evaluate_pair(recon, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
     the ground-truth half once when many reconstructions share one ground
     truth.
     """
-    return EvalReference(gt, frame, n_samples, seed).evaluate(recon)
+    return EvalReference(gt, frame, n_samples, seed).evaluate(
+        (recon,) + render_normals(recon, frame, (FRONT, BACK)))

@@ -60,13 +60,19 @@ prior, and it gives the same mesh and normal maps bit for bit:
   own columns would give. The other cubes are extracted from a column
   store of just their corner columns: the live ones are decoded from the
   field, and the dead ones share one row of +0.0 samples, which is what
-  they decode to. The sources are built the same way, from stores of
-  their live columns, a slab of rows of cube columns at a time, each slab
-  merged with the ones before it as fresh cubes are merged with a
-  source's; so no grid of the box is ever assembled. A source keeps its
-  vertices, and its faces, cube ids and edge keys as the box's
-  _index_dtype. reconstruct_field is a reference with no sources, which
-  extracts a field over its own box the way a source is extracted.
+  they decode to.
+- Every mesh a reference makes comes from one slab loop, _extract: a
+  box's todo cubes are taken a slab of rows of cube columns at a time,
+  each slab extracted from the column store of its own corner columns and
+  merged with the served sources' faces and the slabs before it, as fresh
+  cubes are merged with a source's; so no grid of a box is ever
+  assembled. A slab takes as many rows as keep its store within
+  _STORE_BYTES. Its callers: the build, which extracts each source over
+  the reference's box with every cube todo and keeps its vertices, and
+  its faces, cube ids and edge keys as the box's _index_dtype; extract,
+  which splices a field into the sources, or extracts a field that it
+  cannot splice over the field's own box with no sources; and
+  reconstruct_field, a reference with no sources.
 - A face lies within its cube's column footprint, and rounding moves no
   vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
   can cover the center of pixel column (c, r): a 3 x 3 radius of columns.
@@ -77,11 +83,11 @@ prior, and it gives the same mesh and normal maps bit for bit:
   order, and the sources' pixels copied over the maps; a pixel whose 3 x 3
   columns are all dead stays background, as a constant cube has no faces.
 - reconstruct is extract, which builds the mesh, then render, which draws
-  the maps. extract reads the field only until the fresh corner columns
-  are in the column store, and drops it there, so a field passed to it as
-  a temporary is freed before the cubes are extracted. The merge frees the
-  column store in turn once the fresh vertices are placed, before the
-  faces are merged.
+  the maps. extract reads the field only until the last slab's corner
+  columns are in its column store, and drops it there; a sweep cell's
+  fresh cubes are one slab, so a field passed to extract as a temporary is
+  freed before any cube is extracted. Each merge frees its column store in
+  turn once the fresh vertices are placed, before the faces are merged.
 
 A field may hold a window of its frame (fof.FourierField's window): every
 column off the window is zero, and so dead. Boxes, grid offsets and vertex
@@ -92,7 +98,8 @@ mask of the window's columns, the columns off the window dead. So a box
 may reach past a window whose edge holds live columns, and a field on a
 window extracts the mesh of the whole frame's field bit for bit; a field
 of the whole frame is the window of every pixel. A reference's sources
-share one window, and a field on another one falls back.
+share one window, and a field on another one is extracted over its own
+box.
 """
 
 from collections import namedtuple
@@ -111,11 +118,12 @@ ISO = real()
 SAMPLES = integer(1)  # surface samples per mesh
 _CUBE_ROWS = 16  # rows of cube columns per block of _cube_faces; bounds its temporaries
 _EDGE_KEYS = 1 << 12  # edge keys per block of _edge_vertices; bounds its temporaries
-# Samples per column store of a ReconstructionReference source build, in
-# bytes. It bounds the build's working memory, and it keeps each store below
-# 4 MiB, from which numpy advises the kernel to back an array with huge
-# pages: after such a store is freed, whole 2 MiB pages of it could stay in
-# the process's resident set.
+# Samples per column store of a ReconstructionReference slab, in bytes: a
+# slab takes as many rows of cubes as have at most this many bytes of
+# corner columns, and one row at least. It bounds the working memory of
+# every extraction, and it keeps each store below 4 MiB, from which numpy
+# advises the kernel to back an array with huge pages: after such a store is
+# freed, whole 2 MiB pages of it could stay in the process's resident set.
 _STORE_BYTES = 7 << 19
 
 from dataclasses import dataclass, field as dc_field
@@ -262,14 +270,10 @@ def marching_cubes(grid, iso=0.5):
     constant grid yields an empty mesh; a non-finite iso raises DomainError.
     """
     require("iso", iso, ISO)
-    return _marching_cubes(check_type(grid, "grid", OccupancyGrid), iso)[0]
-
-
-def _marching_cubes(grid, iso):
-    """marching_cubes' mesh, each face's cube id and each vertex's edge key."""
-    vertices, faces, cubes, keys = _cube_mesh(*_grid_store(grid.values), None, iso, grid.origin,
-                                              grid.spacing, grid.offset)
-    return TriMesh(vertices, faces), cubes, keys
+    grid = check_type(grid, "grid", OccupancyGrid)
+    vertices, faces, _, _ = _cube_mesh(*_grid_store(grid.values), None, iso, grid.origin,
+                                       grid.spacing, grid.offset)
+    return TriMesh(vertices, faces)
 
 
 def _cube_mesh(store, index, columns, iso, origin, spacing, offset):
@@ -333,8 +337,9 @@ def _cube_faces(store, index, columns, iso):
     if columns is None:
         columns = np.ones((X - 1, Y - 1), dtype=bool)
     # Each face corner is a cube edge named by TRI_TABLE; key it by its grid
-    # edge, axis * X * Y * Z + the flat index of its lower grid point.
-    edge_offset = EDGE_AXIS * (X * Y * Z) + np.ravel_multi_index(EDGE_ORIGIN.T, (X, Y, Z))
+    # edge, axis * X * Y * Z + the flat index of its lower grid point (a
+    # grid under 2 samples wide holds no cube, and takes no key).
+    edge_offset = EDGE_AXIS * (X * Y * Z) + EDGE_ORIGIN @ np.array([Y * Z, Z, 1])
     dtype = _index_dtype((X, Y, Z))
     below = store < iso
     cubes, keys = [np.empty(0, dtype)], [np.empty((0, 3), dtype)]
@@ -388,23 +393,13 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
     marching_cubes(field_to_grid(fof, frame, grid_res), iso) bit for bit;
     grid_res is field_to_grid's depth_res, an integer >= 2.
 
-    It is a ReconstructionReference with no sources, extracting the field
-    over the box of its live columns as a reference extracts a source: from
-    column stores of its live corner columns, a slab of cube rows at a time,
-    each merged with the slabs before it. So no grid of the box is made and
-    no store holds more than _STORE_BYTES of samples but for a slab of one
-    row. A frame too narrow for a grid raises ShapeError, as field_to_grid
-    does, unless no column is live.
+    It is what a ReconstructionReference with no sources extracts: the
+    field over the box of its live columns, a slab of cube rows at a time,
+    from column stores of their live corner columns, so no grid of the box
+    is made. A frame too narrow for a grid raises ShapeError, as
+    field_to_grid does, unless no column is live.
     """
-    reference = ReconstructionReference((), frame, grid_res, iso)
-    if not isinstance(fof, FourierField):
-        fof = FourierField(fof)
-    live, corner = _live_columns(fof), _window_corner(fof, frame)
-    lo, hi = _frame_box(live, corner, frame)
-    if min(hi - lo) < 2:
-        raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got {tuple(hi - lo) + (grid_res,)}")
-    source = reference._slabs(fof, lo, hi, ~_box_part(live, corner, lo, hi))
-    return TriMesh(source.vertices, source.faces)
+    return ReconstructionReference((), frame, grid_res, iso).extract(fof).mesh
 
 
 # What a ReconstructionReference holds of one source field: its mesh's
@@ -412,13 +407,13 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
 # edge key, and its front and back maps. Faces, cube ids and keys are kept as
 # the box's index type (_index_dtype), int32 at every default size; a face's
 # cube column is its cube id // (grid_res - 1), recomputed where it is read.
-# The column store they were extracted from is released.
+# The column stores they were extracted from are released.
 _Source = namedtuple("_Source", "field vertices faces cubes keys maps")
 
 # What ReconstructionReference.extract(field) hands to render: the field's
 # mesh, and for a spliced extraction each face's cube id and the field's
 # (H, W) pixel masks per source, the zero field last; both are None for a
-# field that falls back.
+# field extracted over its own box.
 Extraction = namedtuple("Extraction", "mesh cubes match")
 
 
@@ -430,6 +425,16 @@ def _index_dtype(shape):
     return np.int32 if 3 * X * Y * Z < 2 ** 31 else np.int64
 
 
+def _corner_columns(cubes):
+    """The (X, Y) mask of the corner columns of the cubes that an
+    (X - 1, Y - 1) mask marks."""
+    X, Y = cubes.shape[0] + 1, cubes.shape[1] + 1
+    corner = np.zeros((X, Y), dtype=bool)
+    for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        corner[ox:ox + X - 1, oy:oy + Y - 1] |= cubes
+    return corner
+
+
 class ReconstructionReference:
     """Reconstructions of fields that mostly hold some source fields'
     coefficients, built from what the sources share.
@@ -439,27 +444,28 @@ class ReconstructionReference:
     with each face's cube id and each vertex's edge key, and the front and
     back normal maps of the mesh. Faces, cube ids and keys are kept as the
     narrowest integer type that holds the box's 3 * X * Y * Z edge keys:
-    int32 at every default size, int64 from 2**31 up. Each source is
-    extracted as extract extracts fresh cubes, from column stores of its
-    live columns, a slab of cube rows at a time, so no grid of the box is
-    made; the sources are built one at a time, and each store is released
-    once its vertices are placed. The all-zero field is an implicit last
-    source, with no faces and background maps. The box is the sources' live
-    columns plus one cell on each side, clamped to the frame. The sources
-    share one window of the frame (window, the frame's (rows, cols) slices;
-    None with no source), as a sweep's fields do, and the fields it splices
-    lie on the same window; masks and maps are the frame's.
+    int32 at every default size, int64 from 2**31 up. The all-zero field is
+    an implicit last source, with no faces and background maps. The box is
+    the sources' live columns plus one cell on each side, clamped to the
+    frame. The sources share one window of the frame (window, the frame's
+    (rows, cols) slices; None with no source), as a sweep's fields do, and
+    the fields it splices lie on the same window; masks and maps are the
+    frame's.
+
+    Every mesh comes from one slab loop (_extract), so no grid of a box is
+    made: the build extracts each source over the reference's box, and
+    extract splices a field into the sources, or extracts a field that it
+    cannot splice over the field's own box with no sources.
 
     reconstruct(field) returns the mesh of reconstruct_field(field, frame,
     grid_res, iso) and the front and back maps that render_normals draws of
     it, bit for bit (see the module docstring). It is two steps,
-    render(extract(field)): extract is the field's last reader, and frees a
-    field passed to it as a temporary once it has decoded it. A column of
-    the field matches a source when its coefficients equal the source's
-    with ==; the first source it matches serves it. decoded_columns counts
-    the columns that extract has decoded: the live corner columns of the
-    cubes that no source serves, or every live column of a field that
-    falls back; building the sources counts none.
+    render(extract(field)). A column of the field matches a source when its
+    coefficients equal the source's with ==; the first source it matches
+    serves it. decoded_columns counts the distinct columns that extract has
+    decoded: the live corner columns of the cubes that no source serves, or
+    every live column of a field extracted over its own box; building the
+    sources counts none.
     """
 
     def __init__(self, sources, frame=OrthoFrame(), grid_res=128, iso=0.5):
@@ -473,129 +479,140 @@ class ReconstructionReference:
                 raise ShapeError(f"source fields differ: {f.data.shape} on window {f.window} "
                                  f"vs {fields[0].data.shape} on window {fields[0].window}")
         self.frame, self.grid_res, self.iso = frame, grid_res, iso
-        self.decoded_columns = 0
         # The sources' window of the frame; None when there is no source.
         self.window = _check_frame(fields[0], frame) if fields else None
-        live = np.zeros((fields[0].width, fields[0].height) if fields else (0, 0), dtype=bool)
-        for f in fields:
-            live |= _live_columns(f)
-        corner = _window_corner(fields[0], frame) if fields else np.zeros(2, dtype=np.int64)
-        self.lo, self.hi = _frame_box(live, corner, frame)
         self.channels = fields[0].channels if fields else None
-        if min(frame.width, frame.height) < 2:  # no grid fits the frame: reconstruct falls back
-            self.sources = None
-            return
-        self.sources = [self._source(f) for f in fields]
-
-    def _place(self, lo):
-        """The origin, spacing and offset that place the samples of a box
-        whose lower corner is the frame's column lo."""
-        return _grid_map(self.frame, self.grid_res) + (np.array([lo[0], lo[1], 0]),)
-
-    def _source(self, field):
-        """The _Source of a field over the reference's box, extracted by
-        _slabs, with its maps."""
-        dead = ~_box_part(_live_columns(field), _window_corner(field, self.frame), self.lo,
-                          self.hi)
-        source = self._slabs(field, self.lo, self.hi, dead)
-        return source._replace(maps=render_normals(TriMesh(source.vertices, source.faces),
-                                                   self.frame, (FRONT, BACK)))
-
-    def _slabs(self, field, lo, hi, dead):
-        """The _Source of a field over the box [lo, hi) of the frame's
-        columns, without maps; dead is the box's (x, y) mask of dead
-        columns. It is extracted as extract extracts fresh cubes: a slab of
-        rows of cube columns at a time is extracted from a column store of
-        its live corner columns and merged with the slabs before it, as
-        extract merges fresh cubes with a source's. So no grid of the box
-        is made, and no store holds more than _STORE_BYTES of samples but
-        for a slab of one row."""
-        X, Y = hi - lo
-        dtype = _index_dtype((X, Y, self.grid_res))
-        source = _Source(field, np.empty((0, 3)), np.empty((0, 3), dtype), np.empty(0, dtype),
-                         np.empty(0, dtype), None)
-        place = self._place(lo)
-        rows = max(1, _STORE_BYTES // (Y * self.grid_res * 8) - 1)  # rows + 1 columns
-        for x0 in range(0, X - 1, rows):
-            todo = np.zeros((X - 1, Y - 1), dtype=bool)
-            todo[x0:x0 + rows] = True
-            vertices, faces, cubes, keys = self._merge(
-                [(source, np.ones(len(source.faces), dtype=bool))], todo,
-                [self._store(field, lo, hi, todo, dead)], place)
-            source = _Source(field, vertices, faces.astype(dtype), cubes, keys, None)
-        return source
+        live = [_live_columns(f) for f in fields]
+        corner = _window_corner(fields[0], frame) if fields else np.zeros(2, dtype=np.int64)
+        self.lo, self.hi = _frame_box(np.any(live, axis=0) if fields else np.zeros((0, 0)),
+                                      corner, frame)
+        # The box [0, 2) x [0, 2) of no live column overhangs a frame under
+        # 2 px wide or tall; clamped, it holds no cube there.
+        self.hi = np.minimum(self.hi, (frame.width, frame.height))
+        self.decoded_columns = 0  # _extract counts what it decodes
+        self.sources = []
+        dtype = _index_dtype(tuple(self.hi - self.lo) + (grid_res,))
+        for f, f_live in zip(fields, live):
+            vertices, faces, cubes, keys = self._extract([f], f_live, self.lo, self.hi, None, [],
+                                                         dtype)
+            self.sources.append(_Source(f, vertices, faces, cubes, keys, render_normals(
+                TriMesh(vertices, faces), frame, (FRONT, BACK))))
+        self.decoded_columns = 0  # building the sources counts none
 
     def reconstruct(self, field):
         """(mesh, front map, back map) of a field on the reference's frame:
-        render(extract(field)).
-
-        A field with a live column that the reference's box does not hold
-        one cell deep, on another window than the sources', or with another
-        channel count, takes field_to_grid, marching_cubes and
-        render_normals.
-        """
+        render(extract(field))."""
         return self.render(self.extract(field))
 
     def extract(self, field):
         """The Extraction of a field on the reference's frame: its mesh and
         what render needs to draw the mesh's maps.
 
-        The field is not read after its fresh cubes' corner columns are
-        decoded (or, on the fallback, its grid), and extract drops its
-        reference to it there, before the cubes are extracted. So a field
-        passed as a temporary, extract(make()), is freed at that point:
-        CPython 3.11 and later hand a call's arguments over to the callee's
-        frame. The column store is dropped in turn once the fresh cubes'
-        vertices are placed, before their faces are merged with the
-        sources'.
+        A field on the sources' window, with their channel count and every
+        live column one cell inside the reference's box, is spliced into
+        the sources: the cubes that no source serves are extracted and
+        merged with the served sources' faces. Any other field is extracted
+        over its own box with no sources, and its Extraction carries no
+        cube ids.
+
+        extract drops its reference to the field once the last slab's
+        column store is decoded (_extract); a sweep cell's field is one
+        slab, so a field passed as a temporary, extract(make()), is freed
+        before any cube is extracted: CPython 3.11 and later hand a call's
+        arguments over to the callee's frame.
         """
         if not isinstance(field, FourierField):
             field = FourierField(field)
         window = _check_frame(field, self.frame)
-        live = np.any(field.data != 0.0, axis=2)  # per pixel of the window, rows top-down
-        lo, hi = _frame_box(live[::-1].T, _window_corner(field, self.frame), self.frame)
-        if (self.sources is None or window != self.window or np.any(lo < self.lo)
-                or np.any(hi > self.hi) or self.sources and field.channels != self.channels):
-            self.decoded_columns += int(live.sum())
-            grid = field_to_grid(field, self.frame, self.grid_res)
-            del field
-            return Extraction(marching_cubes(grid, self.iso), None, None)
-        # Whether each pixel of the frame matches each source, the zero
-        # field last. Off the window the field and every source are zero.
+        live = _live_columns(field)
+        lo, hi = _frame_box(live, _window_corner(field, self.frame), self.frame)
+        match, todo, served = None, None, []
+        if (window == self.window and field.channels == self.channels
+                and np.all(lo >= self.lo) and np.all(hi <= self.hi)):
+            lo, hi = self.lo, self.hi
+            match, todo, served = self._serve(field, live)
+        # The field goes to _extract in a list that _extract empties, so
+        # that no frame here keeps it once its last store is decoded.
+        fields = [field]
+        del field
+        vertices, faces, cubes, _ = self._extract(fields, live, lo, hi, todo, served, np.int64)
+        return Extraction(TriMesh(vertices, faces), None if match is None else cubes, match)
+
+    def _serve(self, field, live):
+        """The field's (H, W) pixel masks per source, the zero field last;
+        the cubes of the reference's box that no source serves, an
+        (X - 1, Y - 1) mask; and (source, face mask) for each source that
+        serves some. live is the field's (x, y) mask of live columns.
+
+        Off the window the field and every source are zero, and so match. A
+        cube whose four columns match one source takes that source's faces;
+        the zero field, last, has none.
+        """
         match = []
         for source in self.sources:
             match.append(np.ones((self.frame.height, self.frame.width), dtype=bool))
-            match[-1][window] = np.all(field.data == source.field.data, axis=2)
+            match[-1][self.window] = np.all(field.data == source.field.data, axis=2)
         match.append(np.ones((self.frame.height, self.frame.width), dtype=bool))
-        match[-1][window] = ~live
-        # The same masks per (x, y) column of the box.
-        columns = [m[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]] for m in match]
-        todo, served = self._serve(columns)
-        # The column store goes to _merge in a list that _merge empties, so
-        # that no frame here keeps it once _merge is done with it.
-        store = [self._store(field, self.lo, self.hi, todo, columns[-1])]
-        del field
-        self.decoded_columns += len(store[0][0]) - 1
-        vertices, faces, cubes, _ = self._merge(served, todo, store, self._place(self.lo))
-        return Extraction(TriMesh(vertices, faces), cubes, match)
-
-    def _serve(self, match):
-        """The cubes of the box that no source serves, an (X - 1, Y - 1)
-        mask, and (source, face mask) for each source that serves some,
-        given the box's (x, y) column masks per source.
-
-        A cube whose four columns match one source takes that source's
-        faces; the zero field, last, has none.
-        """
+        match[-1][self.window] = ~live.T[::-1]
         X, Y = self.hi - self.lo
         todo = np.ones((X - 1, Y - 1), dtype=bool)
         served = []
         for m, source in zip(match, self.sources + [None]):
+            m = m[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]  # per (x, y) column
             take = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:] & todo
             todo &= ~take
             if source is not None and take.any():
                 served.append((source, take.ravel()[source.cubes // (self.grid_res - 1)]))
-        return todo, served
+        return match, todo, served
+
+    def _extract(self, fields, live, lo, hi, todo, served, dtype):
+        """The mesh of the box [lo, hi) of the frame's columns: its todo
+        cubes, an (X - 1, Y - 1) mask or None for all, extracted from the
+        field that the list fields holds, and its other cubes' faces taken
+        from served, (source, face mask) pairs as _serve gives them. Returns
+        _merge's vertices, faces as dtype, cube ids and edge keys. live is
+        the field's (x, y) mask of live columns.
+
+        A slab of rows of cube columns at a time is extracted from a column
+        store of its live corner columns and merged with the served faces
+        and the slabs before it. A slab takes as many rows as keep the todo
+        cubes' corner columns in its rows of columns, live or dead, within
+        _STORE_BYTES of samples, and one row at least. fields is emptied,
+        and the field dropped once the last slab's store is decoded.
+        decoded_columns counts each live corner column of the todo cubes
+        once, though two slabs decode the row of columns they share. A box
+        under 2 columns wide or tall holds no cube, and raises ShapeError if
+        it holds a live column.
+        """
+        field = fields.pop()
+        X, Y = hi - lo
+        dead = ~_box_part(live, _window_corner(field, self.frame), lo, hi)
+        if min(X, Y) < 2 and not dead.all():
+            raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got "
+                             f"{(int(X), int(Y), self.grid_res)}")
+        if todo is None:
+            todo = np.ones((X - 1, Y - 1), dtype=bool)
+        corner = _corner_columns(todo)
+        self.decoded_columns += int(np.count_nonzero(corner & ~dead))
+        # The corner columns in the box's rows of columns below each x.
+        below = np.concatenate([[0], np.cumsum(np.count_nonzero(corner, axis=1))])
+        place = _grid_map(self.frame, self.grid_res) + (np.array([lo[0], lo[1], 0]),)
+        parts, start = served, 0
+        while True:
+            # Cube rows [start, stop) read the rows of columns start..stop.
+            stop = np.searchsorted(below, below[start] + _STORE_BYTES // (8 * self.grid_res),
+                                   "right") - 2
+            stop = min(max(stop, start + 1), X - 1)
+            slab = np.zeros_like(todo)
+            slab[start:stop] = todo[start:stop]
+            # The store goes to _merge in a list that _merge empties, so
+            # that no frame here keeps it once _merge is done with it.
+            store = [self._store(field, lo, hi, slab, dead)]
+            if stop == X - 1:
+                del field
+                return self._merge(parts, slab, store, place, dtype)
+            mesh = self._merge(parts, slab, store, place, _index_dtype((X, Y, self.grid_res)))
+            parts, start = [(_Source(None, *mesh, None), np.ones(len(mesh[1]), dtype=bool))], stop
 
     def _store(self, field, lo, hi, todo, dead):
         """The column store of the todo cubes' corner columns of the box
@@ -604,27 +621,24 @@ class ReconstructionReference:
         rows 1.., and the dead ones all read row 0, which holds their +0.0
         samples."""
         X, Y = hi - lo
-        corner = np.zeros((X, Y), dtype=bool)
-        for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            corner[ox:ox + X - 1, oy:oy + Y - 1] |= todo
-        columns = np.flatnonzero(corner & ~dead)
+        columns = np.flatnonzero(_corner_columns(todo) & ~dead)
         store = np.zeros((len(columns) + 1, self.grid_res))
         index = np.zeros(X * Y, dtype=np.int64)
         index[columns] = np.arange(1, len(columns) + 1)
         _decode_box(field, self.frame, lo, hi, columns, store[1:], None)
         return store, index.reshape(X, Y)
 
-    def _merge(self, served, todo, store, place):
+    def _merge(self, served, todo, store, place, dtype):
         """The mesh of the served sources' faces and the todo cubes' faces,
-        as _cube_mesh gives a mesh: its vertices, its faces (int64, as
-        TriMesh keeps them), each face's cube id and each vertex's edge key.
+        as _cube_mesh gives a mesh: its vertices, its faces as dtype, each
+        face's cube id and each vertex's edge key.
 
         served holds (source, faces) pairs, faces the mask of the source's
         faces that it serves. store is a list that holds the todo
         cubes' column store and its row index, as _store gives them; _merge
         takes them out of it and frees them once the todo cubes' vertices
         are placed, before any face is merged. place is the box's origin,
-        spacing and offset (_place).
+        spacing and offset.
 
         Vertices are the distinct keys in sorted order, as marching_cubes
         numbers them, and are numbered in the box's _index_dtype. A source
@@ -664,7 +678,7 @@ class ReconstructionReference:
         # joined copy of them is made and no temporary spans a part.
         cubes = [part[0] for part in parts]
         n = sum(map(len, cubes))
-        out_faces, out_cubes = np.empty((n, 3), dtype=np.int64), np.empty(n, dtype=cubes[-1].dtype)
+        out_faces, out_cubes = np.empty((n, 3), dtype=dtype), np.empty(n, dtype=cubes[-1].dtype)
         for i in range(len(parts)):
             part_cubes, faces, keep, renumber = parts[i]
             parts[i] = None

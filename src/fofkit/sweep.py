@@ -32,22 +32,22 @@ marching-cubes faces for cubes whose four columns match (exact: the decode
 accumulator is never -0.0, so +-0.0 coefficients add nothing) and their
 normal-map pixels whose 3 x 3 columns match. Only the cubes the occluder
 changed are extracted, from their live corner columns alone, decoded into
-a small column store; the reference's sources are extracted the same way,
-so no decoded grid is built or kept. Every mesh and map equals the full
-path's bit for bit. Each cell logs at DEBUG how many columns its
+a small column store; the reference's sources are extracted by the same
+slab loop, so no decoded grid is built or kept. Every mesh and map equals
+the full path's bit for bit. Each cell logs at DEBUG how many columns its
 reconstructions decoded, so `fofkit -v sweep` shows it for any --jobs.
 
 Every field-sized array of a cell dies at its last reader, so a cell holds
 one window field or one mesh at a time beside one step's working set. Each
-field is made as a temporary argument of ReconstructionReference.extract, which
-drops it once it has decoded the fresh cubes' corner columns, before the
-cubes are extracted; CPython 3.11 and later hand a call's arguments over
-to the callee, so the field is then freed. The column store of those
-columns is freed once the fresh vertices are placed, before the faces are
-merged. Each mesh lives through render and sampling only: _scores takes
-the reconstruction as a temporary, samples the mesh with the
-EvalReference's uniforms, drops it, and then scores the samples and the
-maps. A cell:
+field is made as a temporary argument of ReconstructionReference.extract,
+which drops it once it has decoded the fresh cubes' corner columns, before
+the cubes are extracted: a cell's fresh cubes fit one column store. CPython
+3.11 and later hand a call's arguments over to the callee, so the field is
+then freed. The column store of those columns is freed once the fresh
+vertices are placed, before the faces are merged. Each mesh lives through
+render and sampling only: EvalReference.evaluate takes the (mesh, front,
+back) reconstruction as a temporary, samples the mesh with its uniforms,
+drops it, and then scores the samples and the maps. A cell:
 - makes c_obs (occlude_field) and extracts its mesh, freeing c_obs;
   renders the naive reconstruction, samples and drops its mesh, and scores
   it;
@@ -57,15 +57,13 @@ maps. A cell:
   time, so the blend field is c_obs's memory and no second field is made;
 - extracts the blend field's mesh, freeing the field, then renders,
   samples and scores it the same way.
-The 20 default cells peak at 5.4-5.9 MB under tracemalloc, above what the
-run holds, while the splice renders; with whole-frame fields, decoding the
-column store beside its field peaked as high (7.9-8.7 MB when the merge
-kept the store and the mesh lived through scoring, 11.2-12.8 MB when the
-naive field was kept through its scoring and the blend field through the
-merge). A run holds the context, 3.3 MB (8.4 MB with whole-frame fields),
-the ReconstructionReference's 4.9 MB and the EvalReference. Mixing in
-place also matters to the process's peak RSS: with c_obs and a blend copy
-live together, the malloc heap often had to grow by a field.
+At ratio 0 the occluder mask is empty, so both fields are c_gt, both rows
+are equal, and every cube is served by c_gt. The 20 default cells peak at
+5.4-5.9 MB under tracemalloc, above what the run holds, while the splice
+renders. A run holds the context, 3.3 MB, the ReconstructionReference's
+4.9 MB and the EvalReference. Mixing in place also matters to the
+process's peak RSS: with c_obs and a blend copy live together, the malloc
+heap often had to grow by a field.
 
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
@@ -105,25 +103,22 @@ def _run_cell(cell):
     try:
         reference, reconstruction = _reference(ctx)
         decoded = reconstruction.decoded_columns
-        if ratio == 0.0:
-            # No occluder: the blend field is c_gt itself, so the blend row
-            # is the naive one.
-            scores = _scores(reference, reconstruction.reconstruct(ctx["c_gt"]))
-            rows += [(ratio, seed, method) + scores for method in METHODS]
-        else:
-            pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
+        pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
 
-            def observed():
-                return occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
-                                     sigma=cfg.noise_sigma, seed=seed)
+        def observed():
+            return occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
+                                 sigma=cfg.noise_sigma, seed=seed)
 
-            # Each field is a temporary that extract frees once it has
-            # decoded it (see the module docstring).
-            rows.append((ratio, seed, "naive") + _scores(reference, reconstruction.render(
-                reconstruction.extract(observed()))))
-            rows.append((ratio, seed, "blend") + _scores(reference, reconstruction.render(
-                reconstruction.extract(vgcc_blend(observed(), ctx["c_prior"], pair,
-                                                  cfg.feather_px, overwrite_obs=True)))))
+        def blended():
+            return vgcc_blend(observed(), ctx["c_prior"], pair, cfg.feather_px,
+                              overwrite_obs=True)
+
+        # Each field is a temporary that extract frees once it has decoded
+        # it, and each reconstruction one whose mesh evaluate frees once it
+        # has sampled it (see the module docstring).
+        for method, field in zip(METHODS, (observed, blended)):
+            rep = reference.evaluate(reconstruction.render(reconstruction.extract(field())))
+            rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
         log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
                   reconstruction.decoded_columns - decoded)
     except FofkitError as exc:
@@ -133,19 +128,6 @@ def _run_cell(cell):
             if method not in done:
                 rows.append((ratio, seed, method, float("nan"), float("nan"), float("nan")))
     return rows
-
-
-def _scores(reference, reconstruction):
-    """The (cd, p2s, normal_err) of a (mesh, front map, back map)
-    reconstruction against the EvalReference. The mesh is sampled and then
-    dropped, so the mesh of a reconstruction passed as a temporary is freed
-    before the samples are scored."""
-    mesh, front, back = reconstruction
-    del reconstruction
-    points = reference.sample(mesh)
-    del mesh
-    rep = reference.score(points, (front, back))
-    return rep.cd, rep.p2s, rep.normal_err
 
 
 def _reference(ctx):

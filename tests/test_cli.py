@@ -15,6 +15,7 @@ from fofkit.completion import degrade_prior
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import ConfigError, DomainError, OcclusionError
 from fofkit.mesh import load_obj, save_obj
+from fofkit.occlusion import synthesize_occlusion
 from fofkit.shapes import SHAPE_MAKERS, make_shape
 from fofkit.surface import mesh_volume
 from fofkit.tensor_io import read_pfm, read_pgm, read_tensor
@@ -438,8 +439,12 @@ class TestSweepCommand:
         assert (a / "curves.svg").read_bytes() == (b / "curves.svg").read_bytes()
 
     def test_failed_cell_exits_3_after_writing(self, tmp_path, monkeypatch, capsys):
+        # Every occluded cell fails to place its occluder; the ratio-0 cell,
+        # whose occluder is empty, runs.
         def no_occluder(body, spec):
-            raise OcclusionError("no placement reaches the ratio")
+            if spec.ratio > 0.0:
+                raise OcclusionError("no placement reaches the ratio")
+            return synthesize_occlusion(body, spec)
 
         monkeypatch.setattr("fofkit.sweep.synthesize_occlusion", no_occluder)
         out = tmp_path / "o"

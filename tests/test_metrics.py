@@ -942,6 +942,12 @@ def oneshot_report(recon, gt, frame, n, seed):
                         config_hash=config_hash(frame, n, seed))
 
 
+def with_maps(mesh, frame):
+    """A (mesh, front map, back map) reconstruction, as EvalReference.evaluate
+    takes it."""
+    return (mesh,) + render_normals(mesh, frame, ("front", "back"))
+
+
 class TestEvalReference:
     def test_equals_oneshot_for_every_recon(self, sphere_mesh, sphere_field, frame128):
         pair = synthesize_occlusion(render_silhouette(sphere_mesh, frame128),
@@ -950,7 +956,7 @@ class TestEvalReference:
         ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
         for recon in (sphere_mesh, sphere_mesh.translated([0.01, 0, 0]), occluded):
             want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
-            assert ref.evaluate(recon) == want
+            assert ref.evaluate(with_maps(recon, frame128)) == want
             assert evaluate_pair(recon, sphere_mesh, frame128, 2000, seed=5) == want
         # Every P2S query of an evaluation is seeded.
         assert "_centroid_tree" not in vars(ref.index)
@@ -958,10 +964,10 @@ class TestEvalReference:
     def test_given_maps_are_not_rendered_again(self, sphere_mesh, frame128, monkeypatch):
         ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
         recon = sphere_mesh.translated([0.01, 0, 0])
-        maps = render_normals(recon, frame128, ("front", "back"))
-        want = ref.evaluate(recon)
+        reconstruction = with_maps(recon, frame128)
+        want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
         monkeypatch.setattr(metrics, "render_normals", None)
-        assert ref.evaluate(recon, maps) == want
+        assert ref.evaluate(reconstruction) == want
 
     def test_evaluate_is_score_of_sample(self, sphere_mesh, frame128):
         # A sweep cell samples its mesh, drops it and scores the samples;
@@ -970,7 +976,7 @@ class TestEvalReference:
         for recon in (sphere_mesh, sphere_mesh.translated([0.01, 0, 0])):
             points = ref.sample(recon)
             assert points.tobytes() == _sample_points(recon, ref.uniforms)[1].tobytes()
-            want = ref.evaluate(recon)
+            want = ref.evaluate(with_maps(recon, frame128))
             got = ref.score(points, render_normals(recon, frame128, ("front", "back")))
             assert [repr(getattr(got, f)) for f in vars(want)] == \
                 [repr(getattr(want, f)) for f in vars(want)]
@@ -995,11 +1001,11 @@ class TestEvalReference:
         want = MetricReport(cd=chamfer(pts, gt_pts), p2s=float(dist.mean() * UNIT_SCALE),
                             normal_err=0.5 * (err[0] + err[1]), n_samples=n, seed=seed,
                             config_hash=config_hash(frame, n, seed))
-        assert EvalReference(gt, frame, n, seed).evaluate(recon) == want
+        assert EvalReference(gt, frame, n, seed).evaluate(with_maps(recon, frame)) == want
 
     def test_empty_recon_raises_like_evaluate_pair(self, sphere_mesh, frame128):
         empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
         with pytest.raises(DomainError, match="cannot sample an empty mesh"):
-            EvalReference(sphere_mesh, frame128, 100).evaluate(empty)
+            EvalReference(sphere_mesh, frame128, 100).evaluate(with_maps(empty, frame128))
         with pytest.raises(DomainError, match="cannot sample an empty mesh"):
             evaluate_pair(empty, sphere_mesh, frame128, 100)

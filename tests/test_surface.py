@@ -601,13 +601,21 @@ class TestReconstructionReference:
 
     @pytest.mark.parametrize("size", [(1, 6), (6, 1), (1, 1)])
     def test_frame_without_a_grid_falls_back(self, size):
+        # A frame under 2 px wide or tall holds no cube: a zero field is
+        # extracted over its own box, empty with background maps, and a
+        # live field or source raises ShapeError.
         frame = OrthoFrame(*size)
         source = np.zeros((size[1], size[0], 3))
         reference = ReconstructionReference((source,), frame, 5)
-        assert reference.sources is None
+        assert reference.sources[0].faces.shape == (0, 3)
+        assert reference.extract(source).cubes is None
         assert same_reconstruction(reference, source)
+        mesh, front, back = reference.reconstruct(source)
+        assert mesh.n_faces == 0 and not front.mask.any() and not back.mask.any()
         with pytest.raises(ShapeError):
             reference.reconstruct(source + 0.5)
+        with pytest.raises(ShapeError):
+            ReconstructionReference((source + 0.5,), frame, 5)
 
     def test_no_sources(self):
         reference = ReconstructionReference((), OrthoFrame(6, 5), 5)
@@ -644,20 +652,22 @@ class TestReconstructionReference:
                         reason="CPython 3.10 keeps a call's arguments on the caller's stack")
     def test_a_temporary_field_is_freed_before_the_cubes(self, sweep_fields, reference,
                                                           monkeypatch):
-        # extract drops the field once it has decoded it: the fresh cubes'
-        # corner columns of a spliced field, the grid of one that falls
-        # back. So a field passed as a temporary, as a sweep cell passes
-        # each, is freed before any cube is extracted.
+        # extract drops the field once the last slab's column store is
+        # decoded. A spliced cell field is one slab, so a field passed as a
+        # temporary, as a sweep cell passes each, is freed before any cube
+        # is extracted; a whole field extracted over its own box takes two
+        # slabs, and is freed before the second slab's cubes.
         fields = sweep_fields[2]
         refs, freed = [], []
 
         def temporary(data):
             field = FourierField(data.copy())
             refs.append(weakref.ref(field.data))
+            freed.append([])
             return field
 
         def cube_faces(*args):
-            freed.append(refs[-1]() is None)
+            freed[-1].append(refs[-1]() is None)
             return surface_cube_faces(*args)
 
         surface_cube_faces = surface._cube_faces
@@ -666,7 +676,7 @@ class TestReconstructionReference:
                            ("channels", fields["gt"].data[..., :7])]:
             extraction = reference.extract(temporary(data))
             assert (extraction.cubes is None) == (name == "channels")
-            assert len(freed) == len(refs) and freed[-1], name
+            assert freed[-1] == ([False, True] if name == "channels" else [True]), name
 
     @pytest.mark.parametrize("store_bytes", [None, 1], ids=["default slabs", "one-row slabs"])
     @pytest.mark.parametrize("fields", ["sweep", "random support"])
@@ -693,12 +703,36 @@ class TestReconstructionReference:
         for source, field in zip(reference.sources, sources):
             grid = surface._box_grid(field, frame, reference.lo, reference.hi, grid_res,
                                      surface._live_columns(field)[x0:x1, y0:y1])
-            mesh, cubes, keys = surface._marching_cubes(grid, 0.5)
+            vertices, faces, cubes, keys = surface._cube_mesh(
+                *surface._grid_store(grid.values), None, 0.5, grid.origin, grid.spacing,
+                grid.offset)
+            mesh = TriMesh(vertices, faces)
             assert mesh.n_faces > 0
             assert bits(source.vertices, source.faces, source.cubes, source.keys) == \
                 bits(mesh.vertices, mesh.faces.astype(source.faces.dtype), cubes, keys)
             for got, want in zip(source.maps, render_normals(mesh, frame, (FRONT, BACK))):
                 assert bits(got.data, got.mask) == bits(want.data, want.mask)
+
+    def test_one_row_slabs(self, sweep_fields, reference, monkeypatch):
+        # With a 1-byte store budget every slab is one row of cubes: spliced
+        # fields and fields extracted over their own box still give the
+        # full path's mesh and maps, and decode each live corner column once.
+        frame, grid_res, fields = sweep_fields
+        monkeypatch.setattr(surface, "_STORE_BYTES", 1)
+        sources = [source.field.data for source in reference.sources]
+        cases = [(reference, fields[m], spliced_columns(fields[m].data, sources))
+                 for m in ("naive", "blend", "noise", "gt", "prior")]
+        for data in (np.zeros_like(fields["gt"].data), fields["gt"].data[..., :7]):
+            cases.append((reference, data, np.any(data != 0.0, axis=2).sum()))
+        live = np.zeros((5, 6), dtype=bool)
+        live[0, 0] = True
+        cases += [(ReconstructionReference((), OrthoFrame(6, 5), 5), random_support_field(live), 1),
+                  (ReconstructionReference((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5),
+                   np.zeros((6, 1, 3)), 0)]
+        for one, field, decoded in cases:
+            before = one.decoded_columns
+            assert same_reconstruction(one, field)
+            assert one.decoded_columns - before == decoded
 
     def test_sources_keep_the_box_index_type(self, reference):
         for source in reference.sources:
@@ -818,14 +852,48 @@ class TestWindowFields:
         assert same_reconstruction(reference, painted)
         assert reference.extract(painted).cubes is not None
 
-    def test_reconstruct_field_makes_no_grid(self, sweep_fields, monkeypatch):
-        # reconstruct_field extracts from column stores, a slab at a time:
-        # it decodes no box grid, and gives field_to_grid's mesh.
+    def test_reconstruct_field_makes_no_grid(self, sweep_context, sweep_fields, monkeypatch):
+        # No reference and no reconstruct_field decodes a box grid or runs
+        # marching_cubes: not the build, not a spliced field, and not a
+        # field extracted over its own box (another channel count, another
+        # window, a live column off the box, the zero field, a 1-px frame).
+        # Each still gives field_to_grid's mesh and maps, bit for bit.
+        cfg, ctx = sweep_context
         frame, grid_res, whole = sweep_fields
-        want = marching_cubes(field_to_grid(whole["blend"], frame, grid_res))
+        on, window = cell_fields(ctx, cfg), ctx["c_gt"].window
+        off_box = on["naive"].copy()
+        off_box.data[0, 0] = on["gt"].data[39, 39]
+        rows, cols = window
+        live = np.zeros((5, 6), dtype=bool)
+        live[0, 0] = True
+        cases = [  # sources, frame, grid_res, {field: spliced}
+            ((on["gt"], on["prior"]), frame, grid_res, [
+                (on["blend"], True), (FourierField(on["gt"].data[..., :7], window), False),
+                (whole["naive"], False), (off_box, False),
+                (FourierField(whole["naive"].data[rows.start - 1:rows.stop - 1, cols],
+                              (slice(rows.start - 1, rows.stop - 1), cols)), False),
+                (FourierField(np.zeros_like(on["gt"].data), window), False)]),
+            ((), OrthoFrame(6, 5), 5, [(random_support_field(live), False)]),
+            ((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5, [(np.zeros((6, 1, 3)), False)])]
+        wants = []
+        for _, case_frame, depth, fields in cases:
+            for field, _ in fields:
+                mesh = marching_cubes(field_to_grid(field, case_frame, depth))
+                wants.append(reconstruction_bits(
+                    (mesh,) + render_normals(mesh, case_frame, (FRONT, BACK))))
 
         def no_grid(*args):
             raise AssertionError("a box grid was decoded")
 
-        monkeypatch.setattr(surface, "_box_grid", no_grid)
-        assert_same_mesh(reconstruct_field(whole["blend"], frame, grid_res), want)
+        for name in ("field_to_grid", "_box_grid", "marching_cubes"):
+            monkeypatch.setattr(surface, name, no_grid)
+        wants = iter(wants)
+        for sources, case_frame, depth, fields in cases:
+            reference = ReconstructionReference(sources, case_frame, depth)
+            for field, spliced in fields:
+                want = next(wants)
+                extraction = reference.extract(field)
+                assert (extraction.cubes is not None) == spliced
+                assert reconstruction_bits(reference.render(extraction)) == want
+                assert reconstruction_bits((reconstruct_field(field, case_frame, depth),)) == \
+                    want[:2]

@@ -116,20 +116,13 @@ def test_cells_log_their_decoded_columns(tmp_path, caplog):
         f"cell ratio=0.4 seed=1: decoded {decoded} columns"]
 
 
-def test_ratio_zero_cell_reconstructs_once(monkeypatch):
-    # With no occluder the blend row is the naive one, so one reconstruction
-    # and one evaluation serve both rows.
-    calls = []
-    orig = surface.ReconstructionReference.reconstruct
-
-    def counting(self, field):
-        calls.append(field)
-        return orig(self, field)
-
-    monkeypatch.setattr(surface.ReconstructionReference, "reconstruct", counting)
-    monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(HarnessConfig.load(overrides=TINY)))
+@pytest.mark.parametrize("policy", OCCLUSION_POLICIES)
+def test_ratio_zero_cell_rows_are_equal(monkeypatch, policy):
+    # With no occluder M is empty, so both fields are c_gt and the blend
+    # row is the naive one.
+    cfg = HarnessConfig.load(overrides=TINY + [f"occlude.policy={policy}"])
+    monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(cfg))
     naive, blend = sweep._run_cell((0.0, 1))
-    assert len(calls) == 1
     assert naive[2:] == ("naive",) + blend[3:] and blend[2] == "blend"
     assert naive[:2] == blend[:2] == (0.0, 1)
 
@@ -157,7 +150,22 @@ def test_a_cells_mesh_is_freed_before_it_is_scored(monkeypatch):
     monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(HarnessConfig.load(overrides=TINY)))
     for cell in ((0.0, 1), (0.4, 1)):
         assert np.isfinite([row[3:] for row in sweep._run_cell(cell)]).all()
-    assert len(meshes) == len(dead) == 3 and all(dead)
+    assert len(meshes) == len(dead) == 4 and all(dead)
+
+
+def test_no_default_cell_falls_back(default_context):
+    # Every field of the default sweep's cells is spliced into c_gt and
+    # c_prior: none is extracted over its own box.
+    cfg, ctx = default_context
+    ctx = dict(ctx)
+    _, reconstruction = sweep._reference(ctx)
+    for ratio in cfg.sweep_ratios:
+        for seed in cfg.sweep_seeds:
+            pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
+            naive = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
+                                  sigma=cfg.noise_sigma, seed=seed)
+            for field in (naive, vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)):
+                assert reconstruction.extract(field).cubes is not None, (ratio, seed)
 
 
 def test_one_reconstruction_reference_per_run(tmp_path, monkeypatch):
@@ -228,6 +236,8 @@ def test_config_matrix_runs_every_cell(tmp_path, shape, kind, policy):
         naive = occlude_field(ctx["c_gt"], pair, policy, sigma=cfg.noise_sigma, seed=0)
         for field in (naive, vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)):
             assert same_reconstruction(ctx["reconstruction"], field)
+            # No cell field falls back to an extraction over its own box.
+            assert ctx["reconstruction"].extract(field).cubes is not None
     if shape == "sphere":
         sweep.run_sweep(cfg, str(tmp_path / "jobs2"), jobs=2)
         assert ((tmp_path / "jobs1" / "curves.csv").read_bytes()
