@@ -21,11 +21,8 @@ triangles _FACE_BLOCK at a time: it sets up one block, numbers the tests of
 its live triangles against each pixel center of their clamped bounding
 boxes in one flat sequence, and runs them _PASS_TESTS at a time. The two
 constants bound the working memory, whatever the sizes of the mesh and its
-triangles (blocked loops in the sense of Lam, Rothberg & Wolf, 1991): about
-0.8 MB per block of 4 096 triangles, their setup and boxes included, and
-about 4 MB per pass. With blocks of 16 384, render_normals' per-block setup
-was the largest step of a default sweep cell (a 10.1 MB cell peak under
-tracemalloc, against 8.7 MB with blocks of 4 096). The records do
+triangles (blocked loops in the sense of Lam, Rothberg & Wolf, 1991), to one
+block's setup and boxes and one pass's tests. The records do
 not depend on either, not even in their order, which is by triangle and
 then by pixel; so they are constants and not settings. The single-ray path
 tests the triangles whose bounding box holds the point. Both therefore

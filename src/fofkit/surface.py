@@ -49,10 +49,10 @@ prior, and it gives the same mesh and normal maps bit for bit:
   depend only on the samples of its own four columns, and a vertex only on
   its edge's two samples. A cube whose four columns match one source takes
   that source's faces and vertices. Faces are merged in cube order, the
-  order marching_cubes visits them in: each part (a source's faces, the
-  fresh ones) is in cube order and no cube is in two parts, so a face's
-  place is its index in its part plus the other parts' faces in lower
-  cubes.
+  order marching_cubes visits them in: each part (a source's faces, a
+  slab's fresh ones) is in cube order and no cube is in two parts, so a
+  face's place is its index in its part plus the other parts' faces in
+  lower cubes.
 - Decoding is per column (fof._decode_pixels), and its accumulator starts
   at +0.0 and is never -0.0, so a +-0.0 coefficient adds nothing. A column
   whose coefficients equal a source's with == therefore decodes to the
@@ -63,15 +63,15 @@ prior, and it gives the same mesh and normal maps bit for bit:
   they decode to.
 - Every mesh a reference makes comes from one slab loop, _extract: a
   box's todo cubes are taken a slab of rows of cube columns at a time,
-  each slab extracted from the column store of its own corner columns and
-  merged with the served sources' faces and the slabs before it, as fresh
-  cubes are merged with a source's; so no grid of a box is ever
-  assembled. A slab takes as many rows as keep its store within
-  _STORE_BYTES. Its callers: the build, which extracts each source over
-  the reference's box with every cube todo and keeps its vertices, and
-  its faces, cube ids and edge keys as the box's _index_dtype; extract,
-  which splices a field into the sources, or extracts a field that it
-  cannot splice over the field's own box with no sources; and
+  each slab extracted from the column store of its own corner columns,
+  which is then freed; so no grid of a box is ever assembled. A slab takes
+  as many rows as keep its store within _STORE_BYTES. The served sources'
+  faces and every slab's mesh are then merged once, by _merge. Its
+  callers: the build, which extracts each source over the reference's box
+  with every cube todo and keeps its vertices, and its faces, cube ids and
+  edge keys as the box's _index_dtype; extract, which splices a field
+  into the sources, or extracts a field that it cannot splice over the
+  field's own box with every cube todo and no sources; and
   reconstruct_field, a reference with no sources.
 - A face lies within its cube's column footprint, and rounding moves no
   vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
@@ -82,12 +82,14 @@ prior, and it gives the same mesh and normal maps bit for bit:
   The faces of the cubes at the other pixels are rendered whole, in mesh
   order, and the sources' pixels copied over the maps; a pixel whose 3 x 3
   columns are all dead stays background, as a constant cube has no faces.
+  A field extracted over its own box matches no source, so every pixel's
+  faces are rendered: render draws every extraction one way.
 - reconstruct is extract, which builds the mesh, then render, which draws
   the maps. extract reads the field only until the last slab's corner
   columns are in its column store, and drops it there; a sweep cell's
   fresh cubes are one slab, so a field passed to extract as a temporary is
-  freed before any cube is extracted. Each merge frees its column store in
-  turn once the fresh vertices are placed, before the faces are merged.
+  freed before any cube is extracted. Each slab's column store is freed
+  once its cubes are extracted, before the next store is decoded.
 
 A field may hold a window of its frame (fof.FourierField's window): every
 column off the window is zero, and so dead. Boxes, grid offsets and vertex
@@ -304,9 +306,8 @@ def _distinct(keys):
     """The sorted distinct values of an integer array, and the index of each
     entry among them, in the array's shape and type: np.unique(keys,
     return_inverse=True), with each sorted entry's rank written over the
-    sorted copy, so one key-sized temporary fewer is live (6.0 against
-    9.7 MB on 229 000 int64 keys). Every rank is below the number of
-    distinct keys, so it fits the keys' type."""
+    sorted copy, so one key-sized temporary fewer is live. Every rank is
+    below the number of distinct keys, so it fits the keys' type."""
     order = np.argsort(keys, axis=None)
     s = keys.ravel()[order]
     first = np.ones(len(s), dtype=bool)
@@ -411,10 +412,10 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
 _Source = namedtuple("_Source", "field vertices faces cubes keys maps")
 
 # What ReconstructionReference.extract(field) hands to render: the field's
-# mesh, and for a spliced extraction each face's cube id and the field's
-# (H, W) pixel masks per source, the zero field last; both are None for a
-# field extracted over its own box.
-Extraction = namedtuple("Extraction", "mesh cubes match")
+# mesh, each face's cube id in the box it was extracted over, that box
+# (lo, hi) of the frame's columns, and the field's (H, W) pixel masks per
+# source, the zero field last; a field extracted over its own box has none.
+Extraction = namedtuple("Extraction", "mesh cubes box match")
 
 
 def _index_dtype(shape):
@@ -435,6 +436,70 @@ def _corner_columns(cubes):
     return corner
 
 
+def _merge(parts, dtype):
+    """The mesh of some parts of a box's mesh, as _cube_mesh gives a mesh:
+    its vertices, its faces as dtype, each face's cube id and each vertex's
+    edge key.
+
+    parts is a list of (vertices, faces, cubes, keys, keep) tuples: a mesh
+    as _cube_mesh gives it over the box, and keep the mask of its faces to
+    take, or None for all of them, which copies none of them. No cube has
+    faces in two parts. _merge empties the list, each part as it is placed.
+
+    Vertices are the distinct keys in sorted order, as marching_cubes
+    numbers them, and are numbered in the keys' type. A vertex lies on an
+    edge whose two samples every part that uses it reads alike, so it is
+    the same from any of them, bit for bit.
+    """
+    used = []  # each part's vertices of the faces it keeps; None for all
+    for vertices, faces, _, _, keep in parts:
+        used.append(None if keep is None else np.zeros(len(vertices), dtype=bool))
+        if keep is not None:
+            used[-1][faces[keep]] = True
+    distinct, number = _distinct(np.concatenate(
+        [keys if u is None else keys[u] for (*_, keys, _), u in zip(parts, used)]))
+    vertices = np.empty((len(distinct), 3))
+    # Each part's kept cube ids, its faces, their mask and the numbers of
+    # its vertices.
+    placed, start = [], 0
+    for i, u in enumerate(used):
+        part_vertices, faces, cubes, _, keep = parts[i]
+        parts[i] = None
+        at = number[start:start + (len(part_vertices) if u is None else np.count_nonzero(u))]
+        start += len(at)
+        if u is None:
+            vertices[at] = part_vertices
+            placed.append((cubes, faces, keep, at))
+        else:
+            vertices[at] = part_vertices[u]
+            renumber = np.empty(len(u), dtype=number.dtype)
+            renumber[u] = at
+            placed.append((cubes[keep], faces, keep, renumber))
+    del used, number, part_vertices, faces, cubes, at
+    # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it
+    # (see the module docstring). Each part's faces are renumbered and
+    # placed a raster face block of its own faces at a time, so no joined
+    # copy of them is made and no temporary spans a part.
+    cubes = [part[0] for part in placed]
+    n = sum(map(len, cubes))
+    out_faces, out_cubes = np.empty((n, 3), dtype=dtype), np.empty(n, dtype=cubes[-1].dtype)
+    for i in range(len(placed)):
+        part_cubes, faces, keep, renumber = placed[i]
+        placed[i] = None
+        done = 0
+        for block in _face_blocks(len(faces)):
+            kept = faces[block] if keep is None else faces[block][keep[block]]
+            block_cubes = part_cubes[done:done + len(kept)]
+            at = np.arange(done, done + len(kept))
+            for j, other in enumerate(cubes):
+                if j != i:
+                    at += np.searchsorted(other, block_cubes)
+            out_cubes[at] = block_cubes
+            out_faces[at] = renumber[kept]
+            done += len(kept)
+    return vertices, out_faces, out_cubes, distinct
+
+
 class ReconstructionReference:
     """Reconstructions of fields that mostly hold some source fields'
     coefficients, built from what the sources share.
@@ -452,10 +517,11 @@ class ReconstructionReference:
     the fields it splices lie on the same window; masks and maps are the
     frame's.
 
-    Every mesh comes from one slab loop (_extract), so no grid of a box is
-    made: the build extracts each source over the reference's box, and
-    extract splices a field into the sources, or extracts a field that it
-    cannot splice over the field's own box with no sources.
+    Every mesh comes from one slab loop (_extract) and one merge (_merge),
+    so no grid of a box is made: the build extracts each source over the
+    reference's box, and extract splices a field into the sources, or
+    extracts a field that it cannot splice over the field's own box with
+    no sources.
 
     reconstruct(field) returns the mesh of reconstruct_field(field, frame,
     grid_res, iso) and the front and back maps that render_normals draws of
@@ -492,8 +558,9 @@ class ReconstructionReference:
         self.decoded_columns = 0  # _extract counts what it decodes
         self.sources = []
         dtype = _index_dtype(tuple(self.hi - self.lo) + (grid_res,))
+        every = np.ones(tuple(self.hi - self.lo - 1), dtype=bool)
         for f, f_live in zip(fields, live):
-            vertices, faces, cubes, keys = self._extract([f], f_live, self.lo, self.hi, None, [],
+            vertices, faces, cubes, keys = self._extract([f], f_live, self.lo, self.hi, every, [],
                                                          dtype)
             self.sources.append(_Source(f, vertices, faces, cubes, keys, render_normals(
                 TriMesh(vertices, faces), frame, (FRONT, BACK))))
@@ -512,8 +579,8 @@ class ReconstructionReference:
         live column one cell inside the reference's box, is spliced into
         the sources: the cubes that no source serves are extracted and
         merged with the served sources' faces. Any other field is extracted
-        over its own box with no sources, and its Extraction carries no
-        cube ids.
+        over its own box, every cube fresh, and its Extraction's match is
+        empty.
 
         extract drops its reference to the field once the last slab's
         column store is decoded (_extract); a sweep cell's field is one
@@ -526,7 +593,7 @@ class ReconstructionReference:
         window = _check_frame(field, self.frame)
         live = _live_columns(field)
         lo, hi = _frame_box(live, _window_corner(field, self.frame), self.frame)
-        match, todo, served = None, None, []
+        match, todo, served = [], np.ones(tuple(hi - lo - 1), dtype=bool), []
         if (window == self.window and field.channels == self.channels
                 and np.all(lo >= self.lo) and np.all(hi <= self.hi)):
             lo, hi = self.lo, self.hi
@@ -536,7 +603,7 @@ class ReconstructionReference:
         fields = [field]
         del field
         vertices, faces, cubes, _ = self._extract(fields, live, lo, hi, todo, served, np.int64)
-        return Extraction(TriMesh(vertices, faces), None if match is None else cubes, match)
+        return Extraction(TriMesh(vertices, faces), cubes, (lo, hi), match)
 
     def _serve(self, field, live):
         """The field's (H, W) pixel masks per source, the zero field last;
@@ -567,37 +634,34 @@ class ReconstructionReference:
 
     def _extract(self, fields, live, lo, hi, todo, served, dtype):
         """The mesh of the box [lo, hi) of the frame's columns: its todo
-        cubes, an (X - 1, Y - 1) mask or None for all, extracted from the
-        field that the list fields holds, and its other cubes' faces taken
-        from served, (source, face mask) pairs as _serve gives them. Returns
-        _merge's vertices, faces as dtype, cube ids and edge keys. live is
-        the field's (x, y) mask of live columns.
+        cubes, an (X - 1, Y - 1) mask, extracted from the field that the
+        list fields holds, and its other cubes' faces taken from served,
+        (source, face mask) pairs as _serve gives them. Returns _merge's
+        vertices, faces as dtype, cube ids and edge keys. live is the
+        field's (x, y) mask of live columns.
 
         A slab of rows of cube columns at a time is extracted from a column
-        store of its live corner columns and merged with the served faces
-        and the slabs before it. A slab takes as many rows as keep the todo
-        cubes' corner columns in its rows of columns, live or dead, within
-        _STORE_BYTES of samples, and one row at least. fields is emptied,
-        and the field dropped once the last slab's store is decoded.
-        decoded_columns counts each live corner column of the todo cubes
-        once, though two slabs decode the row of columns they share. A box
-        under 2 columns wide or tall holds no cube, and raises ShapeError if
-        it holds a live column.
+        store of its live corner columns, and the store freed; the served
+        faces and every slab's mesh are then merged once. A slab takes as
+        many rows as keep the todo cubes' corner columns in its rows of
+        columns, live or dead, within _STORE_BYTES of samples, and one row
+        at least. fields is emptied, and the field dropped once the last
+        slab's store is decoded. decoded_columns counts each live corner
+        column of the todo cubes once, though two slabs decode the row of
+        columns they share. A box under 2 columns wide or tall holds no
+        cube, and raises ShapeError if it holds a live column.
         """
-        field = fields.pop()
         X, Y = hi - lo
-        dead = ~_box_part(live, _window_corner(field, self.frame), lo, hi)
+        dead = ~_box_part(live, _window_corner(fields[0], self.frame), lo, hi)
         if min(X, Y) < 2 and not dead.all():
             raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got "
                              f"{(int(X), int(Y), self.grid_res)}")
-        if todo is None:
-            todo = np.ones((X - 1, Y - 1), dtype=bool)
         corner = _corner_columns(todo)
         self.decoded_columns += int(np.count_nonzero(corner & ~dead))
         # The corner columns in the box's rows of columns below each x.
         below = np.concatenate([[0], np.cumsum(np.count_nonzero(corner, axis=1))])
         place = _grid_map(self.frame, self.grid_res) + (np.array([lo[0], lo[1], 0]),)
-        parts, start = served, 0
+        parts, start = [(s.vertices, s.faces, s.cubes, s.keys, keep) for s, keep in served], 0
         while True:
             # Cube rows [start, stop) read the rows of columns start..stop.
             stop = np.searchsorted(below, below[start] + _STORE_BYTES // (8 * self.grid_res),
@@ -605,14 +669,14 @@ class ReconstructionReference:
             stop = min(max(stop, start + 1), X - 1)
             slab = np.zeros_like(todo)
             slab[start:stop] = todo[start:stop]
-            # The store goes to _merge in a list that _merge empties, so
-            # that no frame here keeps it once _merge is done with it.
-            store = [self._store(field, lo, hi, slab, dead)]
+            # The store is a temporary, freed once its cubes are extracted;
+            # the last slab takes the field out of fields, so that it is
+            # freed once the store is decoded.
+            parts.append(_cube_mesh(*self._store(fields.pop() if stop == X - 1 else fields[0], lo,
+                                                 hi, slab, dead), slab, self.iso, *place) + (None,))
             if stop == X - 1:
-                del field
-                return self._merge(parts, slab, store, place, dtype)
-            mesh = self._merge(parts, slab, store, place, _index_dtype((X, Y, self.grid_res)))
-            parts, start = [(_Source(None, *mesh, None), np.ones(len(mesh[1]), dtype=bool))], stop
+                return _merge(parts, dtype)
+            start = stop
 
     def _store(self, field, lo, hi, todo, dead):
         """The column store of the todo cubes' corner columns of the box
@@ -628,81 +692,14 @@ class ReconstructionReference:
         _decode_box(field, self.frame, lo, hi, columns, store[1:], None)
         return store, index.reshape(X, Y)
 
-    def _merge(self, served, todo, store, place, dtype):
-        """The mesh of the served sources' faces and the todo cubes' faces,
-        as _cube_mesh gives a mesh: its vertices, its faces as dtype, each
-        face's cube id and each vertex's edge key.
-
-        served holds (source, faces) pairs, faces the mask of the source's
-        faces that it serves. store is a list that holds the todo
-        cubes' column store and its row index, as _store gives them; _merge
-        takes them out of it and frees them once the todo cubes' vertices
-        are placed, before any face is merged. place is the box's origin,
-        spacing and offset.
-
-        Vertices are the distinct keys in sorted order, as marching_cubes
-        numbers them, and are numbered in the box's _index_dtype. A source
-        face's vertex lies on an edge whose columns match the source, so it
-        is the source's vertex bit for bit, and a vertex that a source face
-        and a fresh face share is the same from either.
-        """
-        store, index = store.pop()
-        fresh_vertices, fresh_faces, fresh_cubes, fresh_keys = _cube_mesh(
-            store, index, todo, self.iso, *place)
-        del store, index
-        used = []
-        for source, keep in served:
-            used.append(np.zeros(len(source.vertices), dtype=bool))
-            used[-1][source.faces[keep]] = True
-        distinct, number = _distinct(np.concatenate(
-            [source.keys[u] for (source, _), u in zip(served, used)] + [fresh_keys]))
-        vertices = np.empty((len(distinct), 3))
-        del fresh_keys
-        # Each part's cube ids, faces and the numbers of its vertices: the
-        # served sources' parts, then the fresh one.
-        parts, start = [], 0
-        for (source, keep), u in zip(served, used):
-            at = number[start:start + np.count_nonzero(u)]
-            start += len(at)
-            vertices[at] = source.vertices[u]
-            renumber = np.empty(len(u), dtype=number.dtype)
-            renumber[u] = at
-            parts.append((source.cubes[keep], source.faces, keep, renumber))
-        at = number[start:]
-        vertices[at] = fresh_vertices
-        parts.append((fresh_cubes, fresh_faces, np.ones(len(fresh_faces), dtype=bool), at))
-        del used, number, at, fresh_vertices, fresh_cubes, fresh_faces
-        # Cube order, and within a cube TRI_TABLE's, as marching_cubes has it
-        # (see the module docstring). Each part's faces are renumbered and
-        # placed a raster face block of its own faces at a time, so no
-        # joined copy of them is made and no temporary spans a part.
-        cubes = [part[0] for part in parts]
-        n = sum(map(len, cubes))
-        out_faces, out_cubes = np.empty((n, 3), dtype=dtype), np.empty(n, dtype=cubes[-1].dtype)
-        for i in range(len(parts)):
-            part_cubes, faces, keep, renumber = parts[i]
-            parts[i] = None
-            done = 0
-            for block in _face_blocks(len(faces)):
-                placed = faces[block][keep[block]]
-                block_cubes = part_cubes[done:done + len(placed)]
-                at = np.arange(done, done + len(placed))
-                for j, other in enumerate(cubes):
-                    if j != i:
-                        at += np.searchsorted(other, block_cubes)
-                out_cubes[at] = block_cubes
-                out_faces[at] = renumber[placed]
-                done += len(placed)
-        return vertices, out_faces, out_cubes, distinct
-
     def render(self, extraction):
-        """(mesh, front map, back map) of an Extraction that extract made:
-        the maps of a spliced mesh are drawn from each face's cube id and
-        the field's pixel masks per source."""
-        mesh, cubes, match = extraction
-        if cubes is None:
-            return (mesh,) + render_normals(mesh, self.frame, (FRONT, BACK))
-        H, W = match[0].shape
+        """(mesh, front map, back map) of an Extraction that extract made,
+        drawn from each face's cube id, the extraction's box and the
+        field's pixel masks per source: a pixel that a source serves takes
+        the source's map pixels, and the faces near the others are
+        rendered."""
+        mesh, cubes, (lo, hi), match = extraction
+        H, W = self.frame.height, self.frame.width
         todo = np.ones((H, W), dtype=bool)
         copies = []
         for m in match[:-1]:  # the zero field, last, has no pixels to copy
@@ -718,7 +715,7 @@ class ReconstructionReference:
         # Only a face of a cube with a corner column at a pixel can cover
         # its center; those faces of the todo pixels, rendered whole and in
         # mesh order, cover each todo pixel as the whole mesh does.
-        rendered = todo[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]
+        rendered = todo[::-1].T[lo[0]:hi[0], lo[1]:hi[1]]
         near = rendered[:-1, :-1] | rendered[1:, :-1] | rendered[:-1, 1:] | rendered[1:, 1:]
         near_faces = mesh.faces[near.ravel()[cubes // (self.grid_res - 1)]]
         maps = render_normals(TriMesh(mesh.vertices, near_faces), self.frame, (FRONT, BACK))

@@ -9,18 +9,19 @@ point-to-surface and normal-map error against the ground truth.
 The ground-truth half of every evaluation (samples, kd-tree, distance index,
 normal maps) is the same in every cell, so run_sweep builds one
 metrics.EvalReference per run, before any cell starts, and the cells score
-their reconstructions against it.
+their reconstructions against it. Its front map's foreground is the body
+silhouette that each cell's occluder is placed on, render_silhouette(gt,
+frame) bit for bit, so the ground truth is rendered once per run.
 
 Every coefficient field of a run lies on one window of the frame: the
 columns that the ground truth's and the prior's projected vertices bound,
 plus one pixel on each side, clamped (mesh.encoding_window), which holds
 every live column and so the reconstruction box. prepare_context encodes
-c_gt and c_prior on it (78 x 78 of the default 128 x 128 frame, 1.51 MB
-each instead of 4.06 MB), and occlude_field and vgcc_blend keep their
-inputs' window, taking the frame's masks cropped to it. Blend weights are
-computed on the frame's masks and then cropped, so every field is the
-whole frame's field cropped, bit for bit. The masks and the normal maps
-stay frame-sized, as the meshes are.
+c_gt and c_prior on it (78 x 78 of the default 128 x 128 frame), and
+occlude_field and vgcc_blend keep their inputs' window, taking the frame's
+masks cropped to it. Blend weights are computed on the frame's masks and
+then cropped, so every field is the whole frame's field cropped, bit for
+bit. The masks and the normal maps stay frame-sized, as the meshes are.
 
 Occlusion changes only the occluded columns. Outside M both methods' fields
 hold c_gt's coefficients bit for bit; under policy=zero the naive field's M
@@ -43,8 +44,8 @@ field is made as a temporary argument of ReconstructionReference.extract,
 which drops it once it has decoded the fresh cubes' corner columns, before
 the cubes are extracted: a cell's fresh cubes fit one column store. CPython
 3.11 and later hand a call's arguments over to the callee, so the field is
-then freed. The column store of those columns is freed once the fresh
-vertices are placed, before the faces are merged. Each mesh lives through
+then freed. The column store of those columns is freed once their cubes
+are extracted, before the faces are merged. Each mesh lives through
 render and sampling only: EvalReference.evaluate takes the (mesh, front,
 back) reconstruction as a temporary, samples the mesh with its uniforms,
 drops it, and then scores the samples and the maps. A cell:
@@ -58,12 +59,11 @@ drops it, and then scores the samples and the maps. A cell:
 - extracts the blend field's mesh, freeing the field, then renders,
   samples and scores it the same way.
 At ratio 0 the occluder mask is empty, so both fields are c_gt, both rows
-are equal, and every cube is served by c_gt. The 20 default cells peak at
-5.4-5.9 MB under tracemalloc, above what the run holds, while the splice
-renders. A run holds the context, 3.3 MB, the ReconstructionReference's
-4.9 MB and the EvalReference. Mixing in place also matters to the
-process's peak RSS: with c_obs and a blend copy live together, the malloc
-heap often had to grow by a field.
+are equal, and every cube is served by c_gt. A cell peaks while the
+splice renders, above what the run holds: the context, the
+ReconstructionReference and the EvalReference. Mixing in place also
+matters to the process's peak RSS: with c_obs and a blend copy live
+together, the malloc heap may have to grow by a field.
 
 Cells are independent and run in a fork-based worker pool; rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
@@ -82,7 +82,6 @@ from .fof import BasisConfig
 from .mesh import encoding_window, fit_to_frame, mesh_to_fof
 from .metrics import EvalReference
 from .occlusion import OccluderSpec, occlude_field, synthesize_occlusion
-from .render import render_silhouette
 from .shapes import make_shape
 from .surface import ReconstructionReference
 
@@ -103,7 +102,10 @@ def _run_cell(cell):
     try:
         reference, reconstruction = _reference(ctx)
         decoded = reconstruction.decoded_columns
-        pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
+        # The body is the ground truth's front-map foreground, which is
+        # render_silhouette(gt, frame): one coverage pass of the same mesh.
+        pair = synthesize_occlusion(reference.front.mask,
+                                    OccluderSpec(cfg.occluder_kind, seed, ratio))
 
         def observed():
             return occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
@@ -161,7 +163,6 @@ def prepare_context(cfg):
         "gt": gt,
         "c_gt": mesh_to_fof(gt, frame, basis, window),
         "c_prior": mesh_to_fof(prior, frame, basis, window),
-        "body": render_silhouette(gt, frame),
     }
 
 

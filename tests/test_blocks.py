@@ -108,9 +108,9 @@ class TestWorkingMemory:
     live columns, a slab of at most 3.5 MiB of samples at a time), the
     build peaks at 9.6 MB. A cell then peaks at 5.4-5.9 MB, set by the
     column store's decode and the splice's render: its mesh is dropped
-    after sampling, before scoring; the merge frees the column store once
-    the fresh vertices are placed, numbers vertices in int32 and places
-    4 096 faces at a time; the store is decoded in its own rows, a chunk
+    after sampling, before scoring; the slab loop frees each column store
+    once its cubes are extracted; the merge numbers vertices in int32 and
+    places 4 096 faces at a time; the store is decoded in its own rows, a chunk
     of coefficients at a time; _edge_vertices takes 4 096 keys at a time;
     render_normals projects each block's corners, not every vertex; face
     areas and normals gather their corners without copying the vertices;
@@ -225,9 +225,10 @@ class TestWorkingMemory:
     def test_spliced_reconstructions(self, default_sweep):
         cfg, ctx, reference = default_sweep
         peaks = []
+        body = render_silhouette(ctx["gt"], ctx["frame"])
         for ratio in cfg.sweep_ratios:
             for seed in cfg.sweep_seeds:
-                pair = synthesize_occlusion(ctx["body"],
+                pair = synthesize_occlusion(body,
                                             OccluderSpec(cfg.occluder_kind, seed, ratio))
                 naive = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
                                       sigma=cfg.noise_sigma, seed=seed)

@@ -18,7 +18,7 @@ from fofkit.metrics import chamfer
 from fofkit.occlusion import OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.raster import OrthoFrame
 from fofkit.shapes import make_cube, make_sphere
-from fofkit.render import BACK, FRONT, render_normals
+from fofkit.render import BACK, FRONT, render_normals, render_silhouette
 from fofkit.selftest import (check_spliced_reconstruction, painted_fields, same_reconstruction,
                              spliced_columns)
 from fofkit import surface
@@ -213,7 +213,8 @@ def whole_frame(field, frame):
 def cell_fields(ctx, cfg):
     """The naive and blend fields of one occluded default-sweep cell, and its
     naive field under the noise policy, on the context's fields' window."""
-    pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, 0, 0.4))
+    pair = synthesize_occlusion(render_silhouette(ctx["gt"], ctx["frame"]),
+                                OccluderSpec(cfg.occluder_kind, 0, 0.4))
     naive = occlude_field(ctx["c_gt"], pair, "zero", sigma=cfg.noise_sigma, seed=0)
     noisy = occlude_field(ctx["c_gt"], pair, "noise", sigma=cfg.noise_sigma, seed=0)
     blend = vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)
@@ -608,7 +609,7 @@ class TestReconstructionReference:
         source = np.zeros((size[1], size[0], 3))
         reference = ReconstructionReference((source,), frame, 5)
         assert reference.sources[0].faces.shape == (0, 3)
-        assert reference.extract(source).cubes is None
+        assert reference.extract(source).match == []
         assert same_reconstruction(reference, source)
         mesh, front, back = reference.reconstruct(source)
         assert mesh.n_faces == 0 and not front.mask.any() and not back.mask.any()
@@ -629,12 +630,12 @@ class TestReconstructionReference:
     def test_two_steps_are_reconstruct(self, sweep_fields, reference):
         # render(extract(f)) equals reconstruct(f) bit for bit; a field that
         # falls back (another channel count; the zero field, whose empty box
-        # [0, 2) x [0, 2) lies outside the sources') carries no cube ids.
+        # [0, 2) x [0, 2) lies outside the sources') carries no source masks.
         fields = dict(sweep_fields[2], zero=np.zeros_like(sweep_fields[2]["gt"].data),
                       channels=FourierField(sweep_fields[2]["gt"].data[..., :7]))
         for name, field in fields.items():
             extraction = reference.extract(field)
-            assert (extraction.cubes is None) == (name in ("zero", "channels"))
+            assert (extraction.match == []) == (name in ("zero", "channels"))
             assert reconstruction_bits(reference.render(extraction)) == \
                 reconstruction_bits(reference.reconstruct(field)), name
         live = np.zeros((5, 6), dtype=bool)
@@ -644,7 +645,7 @@ class TestReconstructionReference:
                 (ReconstructionReference((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5),
                  np.zeros((6, 1, 3)))]:
             extraction = fallback.extract(field)
-            assert extraction.cubes is None
+            assert extraction.match == []
             assert reconstruction_bits(fallback.render(extraction)) == \
                 reconstruction_bits(fallback.reconstruct(field))
 
@@ -675,7 +676,7 @@ class TestReconstructionReference:
         for name, data in [("naive", fields["naive"].data), ("blend", fields["blend"].data),
                            ("channels", fields["gt"].data[..., :7])]:
             extraction = reference.extract(temporary(data))
-            assert (extraction.cubes is None) == (name == "channels")
+            assert (extraction.match == []) == (name == "channels")
             assert freed[-1] == ([False, True] if name == "channels" else [True]), name
 
     @pytest.mark.parametrize("store_bytes", [None, 1], ids=["default slabs", "one-row slabs"])
@@ -733,6 +734,52 @@ class TestReconstructionReference:
             before = one.decoded_columns
             assert same_reconstruction(one, field)
             assert one.decoded_columns - before == decoded
+
+    def test_one_merge_per_extraction(self, sweep_fields, reference, monkeypatch):
+        # The served sources' faces and every slab's mesh are merged in one
+        # _merge call: once per source when a reference is built, once for
+        # a whole-frame reconstruct_field of two slabs, and once per
+        # extraction when every slab is one row of cubes. Every extraction,
+        # spliced or over its own box, carries its box and each face's cube
+        # id, in ascending order.
+        frame, grid_res, fields = sweep_fields
+        merges, slabs = [], []
+
+        def merge(parts, dtype):
+            merges.append(len(parts))
+            return surface_merge(parts, dtype)
+
+        def cube_mesh(*args):
+            slabs.append(1)
+            return surface_cube_mesh(*args)
+
+        surface_merge, surface_cube_mesh = surface._merge, surface._cube_mesh
+        monkeypatch.setattr(surface, "_merge", merge)
+        monkeypatch.setattr(surface, "_cube_mesh", cube_mesh)
+        ReconstructionReference((fields["gt"], fields["prior"]), frame, grid_res)
+        assert merges == [2, 2]
+        del merges[:]
+        assert reconstruct_field(fields["naive"], frame, grid_res).n_faces > 0
+        assert merges == [2]
+        monkeypatch.setattr(surface, "_STORE_BYTES", 1)
+        channels = FourierField(fields["gt"].data[..., :7])
+        for field in (fields["naive"], fields["blend"], channels):
+            del merges[:], slabs[:]
+            extraction = reference.extract(field)
+            # One part per slab and per serving source.
+            assert len(merges) == 1 and len(slabs) > 2
+            assert len(slabs) <= merges[0] <= len(slabs) + len(reference.sources)
+            assert extraction.cubes.shape == (extraction.mesh.n_faces,)
+            assert np.all(np.diff(extraction.cubes) >= 0)
+            lo, hi = extraction.box
+            if field is channels:
+                assert extraction.match == []
+                assert bits(lo, hi) == bits(*surface._frame_box(
+                    surface._live_columns(field), np.zeros(2, dtype=np.int64), frame))
+            else:
+                assert len(extraction.match) == 3 and bits(lo, hi) == bits(reference.lo,
+                                                                            reference.hi)
+            assert same_reconstruction(reference, field)
 
     def test_sources_keep_the_box_index_type(self, reference):
         for source in reference.sources:
@@ -808,7 +855,7 @@ class TestWindowFields:
             assert bits(on[method].data) == bits(whole[method].data[window])
             decoded = windowed.decoded_columns, reference.decoded_columns
             extraction = windowed.extract(on[method])
-            assert extraction.cubes is not None, method
+            assert extraction.match != [], method
             assert reconstruction_bits(windowed.render(extraction)) == \
                 reconstruction_bits(reference.reconstruct(whole[method])), method
             assert windowed.decoded_columns - decoded[0] == \
@@ -824,7 +871,7 @@ class TestWindowFields:
         shifted = (slice(rows.start - 1, rows.stop - 1), cols)
         for field in (whole["naive"], FourierField(whole["naive"].data[shifted], shifted)):
             before = windowed.decoded_columns
-            assert windowed.extract(field).cubes is None
+            assert windowed.extract(field).match == []
             assert windowed.decoded_columns - before == np.any(field.data != 0.0, axis=2).sum()
             assert same_reconstruction(windowed, field)
 
@@ -850,7 +897,7 @@ class TestWindowFields:
         painted = field.copy()
         painted.data[1:3, 1:3] = 0.0
         assert same_reconstruction(reference, painted)
-        assert reference.extract(painted).cubes is not None
+        assert reference.extract(painted).match != []
 
     def test_reconstruct_field_makes_no_grid(self, sweep_context, sweep_fields, monkeypatch):
         # No reference and no reconstruct_field decodes a box grid or runs
@@ -893,7 +940,7 @@ class TestWindowFields:
             for field, spliced in fields:
                 want = next(wants)
                 extraction = reference.extract(field)
-                assert (extraction.cubes is not None) == spliced
+                assert (extraction.match != []) == spliced
                 assert reconstruction_bits(reference.render(extraction)) == want
                 assert reconstruction_bits((reconstruct_field(field, case_frame, depth),)) == \
                     want[:2]

@@ -12,6 +12,7 @@ from fofkit.fof import FourierField
 from fofkit.mesh import encoding_window
 from fofkit.occlusion import (OCCLUDER_KINDS, OCCLUSION_POLICIES, MaskPair, OccluderSpec,
                               occlude_field, synthesize_occlusion)
+from fofkit.render import render_silhouette
 from fofkit.selftest import same_reconstruction, spliced_columns
 
 TINY = ["sweep.ratios=0.0,0.4", "sweep.seeds=1", "sweep.eval_samples=500",
@@ -48,9 +49,20 @@ def test_context_fields_lie_on_the_window(default_context):
     assert window == (slice(25, 103), slice(25, 103))
     for name in ("c_gt", "c_prior"):
         assert ctx[name].window == window and ctx[name].data.shape == (78, 78, 31)
-    inner = np.zeros_like(ctx["body"])
+    body = render_silhouette(ctx["gt"], ctx["frame"])
+    inner = np.zeros_like(body)
     inner[26:102, 26:102] = True
-    assert ctx["body"].any() and not (ctx["body"] & ~inner).any()
+    assert body.any() and not (body & ~inner).any()
+
+
+def test_cells_take_the_body_from_the_eval_reference(default_context):
+    # A cell places its occluder on the ground truth's front-map
+    # foreground, which must be render_silhouette(gt, frame) bit for bit.
+    _, ctx = default_context
+    reference, _ = sweep._reference(dict(ctx))
+    body = reference.front.mask
+    assert body.dtype == bool and body.any()
+    assert np.array_equal(body, render_silhouette(ctx["gt"], ctx["frame"]))
 
 
 @pytest.mark.parametrize("policy", OCCLUSION_POLICIES)
@@ -60,7 +72,8 @@ def test_cell_fields_are_the_whole_frame_fields_cropped(default_context, policy)
     # be the whole frame's fields cropped, bit for bit.
     cfg, ctx = default_context
     window, frame = ctx["c_gt"].window, ctx["frame"]
-    pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, 0, 0.6))
+    pair = synthesize_occlusion(render_silhouette(ctx["gt"], ctx["frame"]),
+                                OccluderSpec(cfg.occluder_kind, 0, 0.6))
     cropped = MaskPair(pair.V[window], pair.M[window], pair.body[window])
     assert not np.array_equal(blend_alpha(cropped, cfg.feather_px),
                               blend_alpha(pair, cfg.feather_px)[window])
@@ -105,7 +118,8 @@ def test_cells_log_their_decoded_columns(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG, logger="fofkit.sweep"):
         sweep.run_sweep(cfg, str(tmp_path), jobs=1)
     ctx = sweep._CTX
-    pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, 1, 0.4))
+    pair = synthesize_occlusion(render_silhouette(ctx["gt"], ctx["frame"]),
+                                OccluderSpec(cfg.occluder_kind, 1, 0.4))
     naive = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy, sigma=cfg.noise_sigma, seed=1)
     blend = vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)
     sources = [ctx["c_gt"].data, ctx["c_prior"].data]
@@ -159,13 +173,14 @@ def test_no_default_cell_falls_back(default_context):
     cfg, ctx = default_context
     ctx = dict(ctx)
     _, reconstruction = sweep._reference(ctx)
+    body = render_silhouette(ctx["gt"], ctx["frame"])
     for ratio in cfg.sweep_ratios:
         for seed in cfg.sweep_seeds:
-            pair = synthesize_occlusion(ctx["body"], OccluderSpec(cfg.occluder_kind, seed, ratio))
+            pair = synthesize_occlusion(body, OccluderSpec(cfg.occluder_kind, seed, ratio))
             naive = occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
                                   sigma=cfg.noise_sigma, seed=seed)
             for field in (naive, vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)):
-                assert reconstruction.extract(field).cubes is not None, (ratio, seed)
+                assert reconstruction.extract(field).match != [], (ratio, seed)
 
 
 def test_one_reconstruction_reference_per_run(tmp_path, monkeypatch):
@@ -231,13 +246,14 @@ def test_config_matrix_runs_every_cell(tmp_path, shape, kind, policy):
     assert len(rows) == 4 and np.isfinite([r[3:] for r in rows]).all()
     # Every cell's spliced reconstructions equal the full path's.
     ctx = sweep._CTX
+    body = render_silhouette(ctx["gt"], ctx["frame"])
     for ratio in cfg.sweep_ratios:
-        pair = synthesize_occlusion(ctx["body"], OccluderSpec(kind, 0, ratio))
+        pair = synthesize_occlusion(body, OccluderSpec(kind, 0, ratio))
         naive = occlude_field(ctx["c_gt"], pair, policy, sigma=cfg.noise_sigma, seed=0)
         for field in (naive, vgcc_blend(naive, ctx["c_prior"], pair, cfg.feather_px)):
             assert same_reconstruction(ctx["reconstruction"], field)
             # No cell field falls back to an extraction over its own box.
-            assert ctx["reconstruction"].extract(field).cubes is not None
+            assert ctx["reconstruction"].extract(field).match != []
     if shape == "sphere":
         sweep.run_sweep(cfg, str(tmp_path / "jobs2"), jobs=2)
         assert ((tmp_path / "jobs1" / "curves.csv").read_bytes()
