@@ -104,16 +104,21 @@ class HarnessConfig:
         table = {sec: dict(keys) for sec, keys in DEFAULTS.items()}
         if path is not None:
             parser = configparser.ConfigParser()
-            read = parser.read(path)
-            if not read:
-                raise ConfigError(f"cannot read config file {path!r}")
-            for sec in parser.sections():
-                if sec not in table:
-                    raise ConfigError(f"unknown config section [{sec}]")
-                for key, value in parser[sec].items():
-                    if key not in table[sec]:
-                        raise ConfigError(f"unknown config key {sec}.{key}")
-                    table[sec][key] = value
+            # Interpolation errors are raised as the values are read, so the
+            # loop over them lies inside the try too.
+            try:
+                if not parser.read(path):
+                    raise ConfigError(f"cannot read config file {path!r}")
+                for sec in parser.sections():
+                    if sec not in table:
+                        raise ConfigError(f"unknown config section [{sec}]")
+                    for key, value in parser[sec].items():
+                        if key not in table[sec]:
+                            raise ConfigError(f"unknown config key {sec}.{key}")
+                        table[sec][key] = value
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                detail = " ".join(str(exc).split())  # one line
+                raise ConfigError(f"malformed config file {path!r}: {detail}") from exc
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"override must be section.key=value, got {item!r}")

@@ -5,11 +5,12 @@ hit depths by parity into inside intervals, and feeds them to the closed-form
 coefficient terms of fof.interval_terms. Hits are produced by 2D triangle coverage in raster
 space (see raster.py), which is exact for orthographic rays and gives the
 deterministic shared-edge ownership a watertight count needs. The batched
-encoder and the single-ray caster use the same coverage rule; a single ray
-tests the triangles whose raster bounding box holds its point. Numerically
-degenerate rays (odd hit count, e.g. a pixel center meeting a projected
-vertex) are recast with a tiny fixed diagonal jitter up to three times, then
-dropped with a warning. The encoder can fill a window of the frame alone
+encoder takes its hits from raster.face_coverage, the pass the normal
+renderer takes too, and the single-ray caster uses the same coverage rule;
+a single ray tests the triangles whose raster bounding box holds its
+point. Numerically degenerate rays (odd hit count, e.g. a pixel center
+meeting a projected vertex) are recast with a tiny fixed diagonal jitter
+up to three times, then dropped with a warning. The encoder can fill a window of the frame alone
 (encoding_window gives the window that holds a mesh's live pixels), and
 gives the whole frame's field cropped to it, bit for bit.
 
@@ -27,8 +28,7 @@ from .errors import (DomainError, MeshError, ObjParseError, ShapeError, check_ar
                      check_path, check_type, require, zeros)
 from .fof import (BasisConfig, FourierField, IntervalList, _check_frame, _window_on, check_window,
                   interval_terms)
-from .raster import (HALF_EXTENT, OrthoFrame, _face_blocks, bary_interp, rasterize_coverage,
-                     ray_hits_at_point)
+from .raster import HALF_EXTENT, OrthoFrame, _face_blocks, face_coverage, ray_hits_at_point
 
 log = logging.getLogger(__name__)
 
@@ -744,21 +744,20 @@ def ray_cast_all(mesh, frame):
     """Sorted hit depth lists for every pixel, parity-repaired.
 
     Returns (pixel_index, z) arrays sorted by (pixel, z); consumers pair by
-    parity. Shared by mesh_to_fof and diagnostics.
+    parity. The hits are raster.face_coverage's records, the pass the normal
+    renderer takes too; the whole mesh is projected only when some pixel's
+    count is odd, for that pixel's recasts by the single-ray caster.
+    mesh_to_fof encodes from it.
     """
     _require_watertight(mesh)
-    tris, tri_z = frame.project_faces(mesh.vertices, mesh.faces)
-    rec = rasterize_coverage(tris, frame.width, frame.height)
-    if len(rec.pixel) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    z = bary_interp(rec.bary, tri_z[rec.tri])
-    order = np.lexsort((z, rec.pixel))
-    pix = rec.pixel[order]
-    z = z[order]
+    pix, z = face_coverage(mesh.vertices, mesh.faces, frame)[::3]  # pixel and depth
+    order = np.lexsort((z, pix))
+    pix, z = pix[order], z[order]
 
     counts = np.bincount(pix, minlength=frame.width * frame.height)
     odd = np.nonzero(counts % 2 == 1)[0]
     if len(odd):
+        tris, tri_z = frame.project_faces(mesh.vertices, mesh.faces)
         keep = ~np.isin(pix, odd)
         fixed_pix, fixed_z = [pix[keep]], [z[keep]]
         for flat in odd:

@@ -16,10 +16,11 @@ even on watertight meshes. Triangles whose projection has exactly zero area
 cover nothing.
 
 The per-triangle setup and the inside test are written once (_setup,
-_covered) and used by both coverage paths. The batched path takes the
-triangles _FACE_BLOCK at a time: it sets up one block, numbers the tests of
-its live triangles against each pixel center of their clamped bounding
-boxes in one flat sequence, and runs them _PASS_TESTS at a time. The two
+_covered) and used by the batched path and the single-ray path alike. The
+batched path, rasterize_coverage, takes the triangles _FACE_BLOCK at a
+time: it sets up one block, numbers the tests of its live triangles
+against each pixel center of their clamped bounding boxes in one flat
+sequence, and runs them _PASS_TESTS at a time. The two
 constants bound the working memory, whatever the sizes of the mesh and its
 triangles (blocked loops in the sense of Lam, Rothberg & Wolf, 1991), to one
 block's setup and boxes and one pass's tests. The records do
@@ -27,6 +28,11 @@ not depend on either, not even in their order, which is by triangle and
 then by pixel; so they are constants and not settings. The single-ray path
 tests the triangles whose bounding box holds the point. Both therefore
 produce identical hits.
+
+face_coverage is the one coverage pass over a mesh: it projects and
+rasterizes the faces one block at a time and interpolates each record's
+depth. The encoder (mesh.ray_cast_all) and the normal renderer
+(render.render_normals) both take their records from it.
 """
 
 import math
@@ -38,7 +44,7 @@ import numpy as np
 from .errors import above, integer, require
 
 # Triangles per block and pixel tests per pass of rasterize_coverage; they
-# bound its working arrays. render_normals and TriMesh.face_areas take faces
+# bound its working arrays. face_coverage and TriMesh.face_areas take faces
 # in the same blocks.
 _FACE_BLOCK = 1 << 12
 _PASS_TESTS = 1 << 14
@@ -170,7 +176,8 @@ def rasterize_coverage(tris_raster, width, height):
         Pixel grid bounds; pixels outside are discarded.
 
     Returns CoverageRecords with normalized barycentric weights per record,
-    in no particular order.
+    ordered by triangle and then by pixel. face_coverage calls it once per
+    face block of a mesh; ray_hits_at_point tests one point instead.
     """
     tris = np.asarray(tris_raster, dtype=np.float64)
     out = [astuple(CoverageRecords())]
@@ -208,9 +215,28 @@ def _block_coverage(tris, first, width, height):
     return out
 
 
+def face_coverage(vertices, faces, frame):
+    """The coverage records of a mesh's faces in the frame, with depths.
+
+    Returns (pixel, face, bary, z): the records of rasterize_coverage over
+    the whole projected mesh, in its order, and each record's NDC depth
+    z = bary_interp(bary, the face's corner depths). The faces are
+    projected and rasterized _FACE_BLOCK at a time, each block's own
+    corners only, so no per-face or per-vertex array spans the mesh.
+    """
+    out = [astuple(CoverageRecords()) + (np.empty(0),)]
+    for block in _face_blocks(len(faces)):
+        xy, depth = frame.project_faces(vertices, faces[block])
+        rec = rasterize_coverage(xy, frame.width, frame.height)
+        out.append((rec.pixel, rec.tri + block.start, rec.bary,
+                    bary_interp(rec.bary, depth[rec.tri])))
+    return tuple(map(np.concatenate, zip(*out)))
+
+
 def bary_interp(bary, vals):
-    """Per-row dot product with explicit order; identical expression in the
-    batch and single-ray paths so their results match bitwise."""
+    """Per-row dot product with explicit order; the same expression gives
+    the depths of face_coverage and of ray_hits_at_point, so a recast and
+    the coverage pass agree bitwise."""
     return bary[:, 0] * vals[:, 0] + bary[:, 1] * vals[:, 1] + bary[:, 2] * vals[:, 2]
 
 

@@ -10,15 +10,16 @@ behind) is negated so foreground normals always face the viewer.
 
 Per pixel the nearest surface wins; depth ties keep the lowest triangle
 index, so output is deterministic and independent of batching. The coverage
-records do not depend on the view, so render_normals(mesh, frame,
-(FRONT, BACK)) rasterizes once for both maps.
+records and their depths come from raster.face_coverage, the pass the
+encoder takes too. They do not depend on the view, so render_normals(mesh,
+frame, (FRONT, BACK)) rasterizes once for both maps.
 """
 
 import numpy as np
 
 from .errors import ShapeError, check_array, check_type, one_of, require
 from .mesh import TriMesh
-from .raster import CoverageRecords, OrthoFrame, _face_blocks, bary_interp, rasterize_coverage
+from .raster import OrthoFrame, face_coverage
 
 from dataclasses import dataclass
 
@@ -59,52 +60,37 @@ def render_normals(mesh, frame=OrthoFrame(), view=FRONT):
     """Rasterize interpolated surface normals into a NormalMap.
 
     view is FRONT, BACK or a tuple of them; a tuple returns a tuple with one
-    map per entry, all resolved from one coverage pass, since the coverage
-    records do not depend on the view: only the depth sign, the nearest-
-    surface sort and the normal flip do. Uses per-vertex normals when the
-    mesh carries them, otherwise flat face normals. An empty mesh renders to
-    all-background maps.
+    map per entry, all resolved from one face_coverage pass, since the
+    coverage records do not depend on the view: only the depth sign, the
+    nearest-surface sort and the normal flip do. Uses per-vertex normals
+    when the mesh carries them, otherwise flat face normals. A mesh that
+    covers no pixel center, an empty one too, renders to all-background
+    maps.
     """
     check_type(mesh, "mesh", TriMesh)
     check_type(frame, "frame", OrthoFrame)
     views = view if isinstance(view, tuple) else (view,)
     for v in views:
         require("view", v, one_of((FRONT, BACK)))
-    H, W = frame.height, frame.width
-    # Faces are projected and rasterized one raster block at a time, each
-    # block's own corners only, so no per-face or per-vertex array spans
-    # the mesh. Each record's depth is interpolated from its own face's
-    # corners.
-    out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 3)), np.empty(0))]
-    for block in _face_blocks(mesh.n_faces):
-        xy, depth = frame.project_faces(mesh.vertices, mesh.faces[block])
-        rec = rasterize_coverage(xy, W, H)
-        out.append((rec.pixel, rec.tri + block.start, rec.bary,
-                    bary_interp(rec.bary, depth[rec.tri])))
-    *rec, z = map(np.concatenate, zip(*out))
-    if len(z) == 0:
-        maps = tuple(NormalMap(np.zeros((H, W, 3)), np.zeros((H, W), dtype=bool))
-                     for _ in views)
-    else:
-        rec = CoverageRecords(*rec)
-        maps = tuple(_nearest_normals(mesh, rec, z, v, H, W) for v in views)
+    rec = face_coverage(mesh.vertices, mesh.faces, frame)
+    maps = tuple(_nearest_normals(mesh, *rec, v, frame.height, frame.width) for v in views)
     return maps if isinstance(view, tuple) else maps[0]
 
 
-def _nearest_normals(mesh, rec, z, view, H, W):
-    """The NormalMap of one view from the coverage records rec and their
+def _nearest_normals(mesh, pixel, tri, bary, z, view, H, W):
+    """The NormalMap of one view from face_coverage's records and their
     front-view depths z; the back view sees depth -z."""
     # Nearest surface per pixel: sort by (pixel, -view depth, tri) and keep
     # the first record of each pixel run. Negation is exact, so the back
     # view's key z equals the negated back depth.
-    order = np.lexsort((rec.tri, z if view == BACK else -z, rec.pixel))
-    pix = rec.pixel[order]
+    order = np.lexsort((tri, z if view == BACK else -z, pixel))
+    pix = pixel[order]
     first = np.ones(len(pix), dtype=bool)
     first[1:] = pix[1:] != pix[:-1]
     win = order[first]
-    win_pix = rec.pixel[win]
-    win_tri = rec.tri[win]
-    win_bary = rec.bary[win]
+    win_pix = pixel[win]
+    win_tri = tri[win]
+    win_bary = bary[win]
 
     if mesh.normals is None:
         n = mesh.face_normals(win_tri)

@@ -187,6 +187,25 @@ class TestPipeline:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         assert run("sweep", "--out", tmp_path / "o", "--set", "bogus.key=1") == 2
 
+    @pytest.mark.parametrize("text", [
+        b"width = 64\n",  # no section header
+        b"[frame]\nwidth = 64\nwidth = 32\n",  # duplicate option
+        b"[frame]\nwidth = 64\n[frame]\nheight = 64\n",  # duplicate section
+        b"[frame]\n  width\n",  # indented continuation with no option before it
+        b"[frame]\nwidth = %(x)s\n",  # interpolation of an unknown key
+        b"[frame]\nwidth = 64\xff\xfe\n",  # not UTF-8
+    ], ids=["no_section", "duplicate_option", "duplicate_section", "continuation",
+            "interpolation", "undecodable"])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(text)
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", ["vn x y z\nf 1//1 2//1 3//1\n",
                                       "vn 0 0 1\nf 1//a 2//b 3//c\n"])
     def test_malformed_obj_normal_is_data_error(self, tmp_path, capsys, text):

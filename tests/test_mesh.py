@@ -1115,24 +1115,24 @@ class TestDegenerateRayPolicy:
     def test_parity_repair_recasts_odd_pixels(self, monkeypatch, caplog):
         # drop one coverage record: its pixel's count turns odd, and the
         # repair recasts that pixel through the single-ray caster
-        import fofkit.mesh as mesh_mod
+        import fofkit.raster as raster_mod
 
         frame = OrthoFrame(16, 16)
         cube = make_cube(1.0)
         want_pix, want_z = ray_cast_all(cube, frame)
-        real = mesh_mod.rasterize_coverage
+        real = raster_mod.rasterize_coverage
 
         def drop_first(tris, width, height):
             rec = real(tris, width, height)
             return CoverageRecords(rec.pixel[1:], rec.tri[1:], rec.bary[1:])
 
-        monkeypatch.setattr(mesh_mod, "rasterize_coverage", drop_first)
+        monkeypatch.setattr(raster_mod, "rasterize_coverage", drop_first)
         with caplog.at_level(logging.WARNING, logger="fofkit.mesh"):
             pix, z = ray_cast_all(cube, frame)
         assert np.array_equal(pix, want_pix) and np.array_equal(z, want_z)
         assert not caplog.records  # the unjittered recast is already even
 
-    def test_jitter_retries_then_empty(self, monkeypatch, frame128):
+    def test_jitter_retries_then_empty(self, monkeypatch, frame128, caplog):
         # force odd hit counts: the caster must recast with the fixed diagonal
         # jitter up to three times, then give the ray up as empty
         import fofkit.mesh as mesh_mod
@@ -1144,15 +1144,19 @@ class TestDegenerateRayPolicy:
             return np.array([0.0])
 
         monkeypatch.setattr(mesh_mod, "ray_hits_at_point", always_odd)
-        iv = ray_intervals(make_cube(1.0), frame128, (64, 64))
+        with caplog.at_level(logging.WARNING, logger="fofkit.mesh"):
+            iv = ray_intervals(make_cube(1.0), frame128, (64, 64))
         assert len(iv) == 0
+        # The benchmark's tracer counts dropped rays by this message's prefix.
+        assert [r.msg for r in caplog.records] == \
+            ["pixel %s degenerate after %d recasts; treated as empty"]
         assert len(calls) == 4  # initial cast + 3 jittered recasts
         base = calls[0]
         for k, (px, py) in enumerate(calls):
             assert px == pytest.approx(base[0] + k * 1e-4)
             assert py == pytest.approx(base[1] + k * 1e-4)
 
-    def test_jitter_recovers_even_count(self, monkeypatch, frame128):
+    def test_jitter_recovers_even_count(self, monkeypatch, frame128, caplog):
         import fofkit.mesh as mesh_mod
 
         state = {"n": 0}
@@ -1165,8 +1169,11 @@ class TestDegenerateRayPolicy:
             return real(px, py, tris, tri_z)
 
         monkeypatch.setattr(mesh_mod, "ray_hits_at_point", odd_once)
-        iv = ray_intervals(make_cube(1.0), frame128, (64, 64))
+        with caplog.at_level(logging.WARNING, logger="fofkit.mesh"):
+            iv = ray_intervals(make_cube(1.0), frame128, (64, 64))
         assert len(iv) == 1  # second attempt hits the true cube interval
+        # The benchmark's tracer counts recasts by this message's prefix.
+        assert [r.msg for r in caplog.records] == ["pixel %s recast with jitter %d"]
 
 
 class TestEncodingWindow:
@@ -1213,9 +1220,10 @@ class TestEncodingWindow:
         # turns odd, and parity repair recasts it, for the window's field
         # as for the whole frame's.
         import fofkit.mesh as mesh_mod
+        import fofkit.raster as raster_mod
 
         frame, cube = OrthoFrame(16, 16), make_cube(1.0)
-        real_coverage, real_cast = mesh_mod.rasterize_coverage, mesh_mod._cast_pixel
+        real_coverage, real_cast = raster_mod.rasterize_coverage, mesh_mod._cast_pixel
         recast = []
 
         def drop_first(tris, width, height):
@@ -1226,7 +1234,7 @@ class TestEncodingWindow:
             recast.append(pixel)
             return real_cast(tris, tri_z, frame, pixel)
 
-        monkeypatch.setattr(mesh_mod, "rasterize_coverage", drop_first)
+        monkeypatch.setattr(raster_mod, "rasterize_coverage", drop_first)
         monkeypatch.setattr(mesh_mod, "_cast_pixel", cast)
         rows, cols = window = encoding_window((cube,), frame)
         self.assert_window_is_the_crop(cube, frame, BasisConfig(3), window)

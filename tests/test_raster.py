@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fofkit import raster
+from fofkit import mesh as mesh_mod, raster
 from fofkit.fof import BasisConfig, intervals_to_coeffs
-from fofkit.mesh import mesh_to_fof, ray_intervals
-from fofkit.raster import OrthoFrame, _covered, _setup, _Setup, rasterize_coverage
+from fofkit.mesh import TriMesh, mesh_to_fof, ray_cast_all, ray_intervals
+from fofkit.raster import (OrthoFrame, _covered, _setup, _Setup, bary_interp, face_coverage,
+                           rasterize_coverage)
 from fofkit.render import render_silhouette
 from fofkit.shapes import make_cube
 
@@ -93,6 +94,46 @@ class TestCoverageOracle:
         assert rec.pixel.shape == rec.tri.shape == (0,) and rec.bary.shape == (0, 3)
         rec = rasterize_coverage(np.empty((0, 3, 2)), 8, 8)
         assert rec.pixel.shape == (0,) and rec.bary.shape == (0, 3)
+
+
+class TestFaceCoverage:
+    """face_coverage, one face block at a time, is rasterize_coverage of the
+    whole projected mesh, record for record, with each record's depth."""
+
+    @pytest.fixture(params=["capsule_figure", "sphere", "empty"])
+    def mesh(self, request, capsule_mesh, sphere_mesh):
+        return {"capsule_figure": capsule_mesh, "sphere": sphere_mesh,
+                "empty": TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))}[request.param]
+
+    def test_equals_the_whole_mesh_pass(self, mesh, frame128):
+        got = face_coverage(mesh.vertices, mesh.faces, frame128)
+        tris, tri_z = frame128.project_faces(mesh.vertices, mesh.faces)
+        rec = rasterize_coverage(tris, frame128.width, frame128.height)
+        want = rec.pixel, rec.tri, rec.bary, bary_interp(rec.bary, tri_z[rec.tri])
+        assert len(got) == 4 and (len(want[0]) > 0) == (mesh.n_faces > 0)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_encoder_takes_one_pass(self, capsule_mesh, frame128, monkeypatch):
+        # One rasterize_coverage call per face block, each on that block's
+        # faces, and no pixel needs a recast.
+        sizes, real = [], raster.rasterize_coverage
+
+        def counting(tris, width, height):
+            sizes.append(len(tris))
+            return real(tris, width, height)
+
+        def no_recast(*args):
+            raise AssertionError("a pixel was recast")
+
+        monkeypatch.setattr(raster, "rasterize_coverage", counting)
+        monkeypatch.setattr(mesh_mod, "_cast_pixel", no_recast)
+        pix, _ = ray_cast_all(capsule_mesh, frame128)
+        blocks = raster._face_blocks(capsule_mesh.n_faces)
+        assert len(blocks) == 9
+        assert sizes == [len(range(capsule_mesh.n_faces)[b]) for b in blocks]
+        assert len(pix) > 0
 
 
 class TestTallFrame:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fofkit import raster, render
+from fofkit import raster
 from fofkit.errors import DomainError, ShapeError
 from fofkit.mesh import TriMesh
 from fofkit.raster import OrthoFrame
@@ -117,13 +117,13 @@ class TestSharedCoveragePass:
 
     def test_one_coverage_pass(self, sphere_mesh, frame128, monkeypatch):
         calls = []
-        rasterize = render.rasterize_coverage
+        rasterize = raster.rasterize_coverage
 
         def counting(*args):
             calls.append(1)
             return rasterize(*args)
 
-        monkeypatch.setattr(render, "rasterize_coverage", counting)
+        monkeypatch.setattr(raster, "rasterize_coverage", counting)
         back, front, back_again = render_normals(sphere_mesh, frame128, ("back", "front", "back"))
         # One call per block of faces for the three views together.
         assert len(calls) == len(raster._face_blocks(sphere_mesh.n_faces))
