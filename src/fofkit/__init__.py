@@ -3,8 +3,8 @@
 Encodes watertight meshes into per-pixel depth-axis Fourier coefficient
 stacks, reconstructs surfaces from them, synthesizes seeded occlusions,
 completes occluded fields from a prior, and measures the results with the
-standard geometry and image metrics. The cli module drives the reproducible
-experiment harness.
+standard geometry metrics. The cli module drives the reproducible experiment
+harness.
 
 The public names below are resolved on first use (PEP 562 module
 __getattr__ and __dir__): `fofkit.chamfer` or `from fofkit import chamfer`
@@ -27,13 +27,9 @@ _EXPORTS = {
     "surface": ["OccupancyGrid", "marching_cubes", "mesh_volume", "reconstruct_field",
                 "sample_surface"],
     "render": ["NormalMap", "normal_map_error", "render_normals", "render_silhouette"],
-    "occlusion": ["MaskPair", "OccluderSpec", "occlude_field", "occlude_image",
-                  "synthesize_occlusion", "weight_map"],
+    "occlusion": ["MaskPair", "OccluderSpec", "occlude_field", "synthesize_occlusion"],
     "completion": ["degrade_prior", "vgcc_blend"],
-    "losses": ["FeaturePyramid", "LevelWeights", "feat_loss", "geo_loss", "image_loss",
-               "mse_coeff_loss", "normal_loss"],
-    "metrics": ["EvalReference", "MetricReport", "chamfer", "evaluate_pair", "p2s", "psnr",
-                "ssim"],
+    "metrics": ["EvalReference", "MetricReport", "chamfer", "evaluate_pair", "p2s"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

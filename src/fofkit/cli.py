@@ -114,6 +114,9 @@ def _read_field(path):
                                tuple(float(t) for t in meta["center"].split(",")),
                                float(meta["half_extent"]))
             _check_frame(field, frame)
+            if int(meta["order"]) != field.order:
+                raise ValueError(f"order {meta['order']} does not match "
+                                 f"{field.channels} channels")
         except (KeyError, ValueError) as exc:  # UnicodeDecodeError and ShapeError too
             raise ConfigError(f"{meta_path}: bad field metadata: {exc}") from exc
     if frame is None:
@@ -175,10 +178,15 @@ def cmd_blend(args):
     prior, _ = _read_field(args.prior)
     v = read_pgm(args.visible)
     m = read_pgm(args.mask)
+    pair = MaskPair(v, m, v | m)
+    if not pair.check_partition():
+        raise DomainError(f"{args.visible} and {args.mask} overlap on "
+                          f"{np.count_nonzero(pair.V & pair.M)} pixels; "
+                          "V and M must be disjoint")
     order = obs.order
     # The prior is mixed into the observed field's own coefficients, so two
     # fields are live while blending, not three.
-    out = vgcc_blend(obs, prior, MaskPair(v, m, v | m), args.feather, overwrite_obs=True)
+    out = vgcc_blend(obs, prior, pair, args.feather, overwrite_obs=True)
     del obs, prior  # the prior is not live while the output is written
     _write_field(args.out, out, frame, order)
     print(f"wrote {args.out}")

@@ -62,8 +62,8 @@ SETTINGS = (
 
 def parse_checked(name, raw, parse, check):
     """Parse raw text and apply a range check (None for none) to the value,
-    or to each item of a non-empty list; ConfigError names `name` when
-    either fails."""
+    or to each item of a non-empty list of distinct values; ConfigError
+    names `name` when either fails."""
     try:
         value = parse(raw)
     except ValueError as exc:
@@ -73,6 +73,8 @@ def parse_checked(name, raw, parse, check):
         raise ConfigError(f"{name} = {raw!r} is malformed: no values")
     for item in items if check is not None else ():
         require(name, item, check, ConfigError)
+    if len(set(items)) < len(items):  # a repeated ratio or seed would run its cells twice
+        raise ConfigError(f"{name} = {raw!r} repeats a value")
     return value
 
 

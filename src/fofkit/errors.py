@@ -4,13 +4,12 @@ A check is (predicate, what a valid value is). The library defines the check
 of each setting next to the code that reads it and passes it to require, and
 config.SETTINGS rows reuse those objects. The constructors below reject NaN.
 
-Every array argument (point sets, fields, grids, maps, masks, images,
-feature levels) passes check_array: ShapeError for one that is not numbers
-or has the wrong shape, DomainError for a non-finite value. An argument that
-must be a library object (a mesh, frame, grid or normal map) passes
-check_type: ShapeError for anything else. A file path passes check_path
-before anything is opened: ShapeError for anything but str, bytes or
-os.PathLike.
+Every array argument (point sets, fields, grids, maps, masks) passes
+check_array: ShapeError for one that is not numbers or has the wrong shape,
+DomainError for a non-finite value. An argument that must be a library
+object (a mesh, frame, grid or normal map) passes check_type: ShapeError for
+anything else. A file path passes check_path before anything is opened:
+ShapeError for anything but str, bytes or os.PathLike.
 """
 
 import math

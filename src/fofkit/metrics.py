@@ -1,4 +1,4 @@
-"""Geometry and image metrics, with exhaustive oracles for the spatial indexes.
+"""Geometry metrics, with exhaustive oracles for the spatial indexes.
 
 Distances are reported in centi-units: meshes live in the normalized
 [-1, 1]^3 scene and values are scaled by 100 so magnitudes match the usual
@@ -67,7 +67,6 @@ from .render import BACK, FRONT, normal_map_error, render_normals
 from .surface import SAMPLES, _sample_points, _sample_uniforms
 
 UNIT_SCALE = 100.0  # scene units -> centi-units
-PSNR_CAP_DB = 99.0
 
 # P2S: the largest coordinate magnitude; beyond it the pair kernel's fourth
 # powers of coordinates overflow (ROADMAP item 10).
@@ -83,11 +82,6 @@ _LEAF_SIZE = 64
 # p2s_exhaustive: the pairs per kernel call, a cache-sized tile, at which the
 # kernel costs least per pair.
 _EXHAUSTIVE_PAIRS = 1 << 13
-
-SSIM_WINDOW = 11
-SSIM_SIGMA = 1.5
-SSIM_C1 = 0.01 ** 2
-SSIM_C2 = 0.03 ** 2
 
 
 def nearest_bruteforce(queries, points):
@@ -470,74 +464,11 @@ def p2s_exhaustive(points, mesh):
 
 
 # ---------------------------------------------------------------------------
-# Image metrics.
-
-
-def _gaussian_kernel():
-    r = SSIM_WINDOW // 2
-    x = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-(x ** 2) / (2.0 * SSIM_SIGMA ** 2))
-    return k / k.sum()
-
-
-_SSIM_KERNEL = _gaussian_kernel()
-
-
-def _filter_valid(img):
-    # Only ssim filters, so scipy.ndimage (about 1.7 MiB resident) is loaded
-    # on its first call, not with fofkit.
-    from scipy.ndimage import correlate1d
-
-    t = correlate1d(img, _SSIM_KERNEL, axis=0, mode="constant")
-    t = correlate1d(t, _SSIM_KERNEL, axis=1, mode="constant")
-    r = SSIM_WINDOW // 2
-    return t[r:-r, r:-r]
-
-
-def _check_image_pair(a, b):
-    """a and b as non-empty float64 images of one shape with values in [0, 1]."""
-    a = check_array(a, "image a", None)
-    b = check_array(b, "image b", a.shape)
-    if not (a.size and a.min() >= 0.0 and a.max() <= 1.0 and b.min() >= 0.0 and b.max() <= 1.0):
-        raise DomainError("images must be non-empty, with values in [0, 1]")
-    return a, b
-
-
-def ssim(a, b):
-    """Structural similarity: 11x11 Gaussian window (sigma 1.5), stabilizers
-    (0.01 L)^2 and (0.03 L)^2 with L = 1, mean over valid windows, averaged
-    over channels."""
-    a, b = np.atleast_3d(*_check_image_pair(a, b))
-    if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
-        raise DomainError(f"images must be at least {SSIM_WINDOW} pixels per side")
-    vals = []
-    for ch in range(a.shape[2]):
-        x = a[:, :, ch]
-        y = b[:, :, ch]
-        mu_x = _filter_valid(x)
-        mu_y = _filter_valid(y)
-        var_x = _filter_valid(x * x) - mu_x * mu_x
-        var_y = _filter_valid(y * y) - mu_y * mu_y
-        cov = _filter_valid(x * y) - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
-        den = (mu_x ** 2 + mu_y ** 2 + SSIM_C1) * (var_x + var_y + SSIM_C2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
-
-
-def psnr(a, b):
-    """Peak signal-to-noise ratio in dB for [0, 1] images; identical images
-    report the 99 dB cap."""
-    a, b = _check_image_pair(a, b)
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return float(10.0 * np.log10(1.0 / mse))
-
-
-# ---------------------------------------------------------------------------
 # Mesh pair evaluation.
 
+# The ssim and psnr columns are always empty: fofkit scores geometry only.
+# They stay until the pinned metrics.csv digests are re-blessed (ROADMAP
+# item 24).
 CSV_COLUMNS = ("cd", "p2s", "normal_err", "ssim", "psnr", "n_samples", "seed", "config_hash")
 
 

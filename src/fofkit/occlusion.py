@@ -1,13 +1,9 @@
-"""Seeded occluder synthesis, visibility weighting, and field corruption.
+"""Seeded occluder synthesis and field corruption.
 
 An occluder of the requested kind is anchored at a random body pixel and its
 scale is bisected until the occluded body fraction |M|/|body| lands within
 two percentage points of the target. The visibility map V and occlusion mask
 M partition the body silhouette: V and M are disjoint and V | M = body.
-
-The supervision weight map follows the three-case table: lambda_occ on
-occluded body pixels, lambda_vis on visible body pixels, zero elsewhere, so
-no weight ever falls on background.
 """
 
 import math
@@ -15,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, OcclusionError, ShapeError, check_array, check_type, one_of,
-                     real, require)
+from .errors import (DomainError, OcclusionError, check_array, check_type, one_of, real,
+                     require)
 from .fof import FourierField, _frame_pixels
 from .rng import SEED, Xoshiro256StarStar
 
@@ -133,16 +129,6 @@ def synthesize_occlusion(body, spec):
         f"after {MAX_PLACEMENTS} placements (seed {spec.seed})")
 
 
-def weight_map(pair, lam_occ=2.0, lam_vis=1.0):
-    """Per-pixel supervision weights: lam_occ on M, lam_vis on V\\M, else 0."""
-    require("lam_vis", lam_vis, real(0))
-    require("lam_occ", lam_occ, real(lam_vis))
-    omega = np.zeros(check_type(pair, "pair", MaskPair).M.shape, dtype=np.float64)
-    omega[pair.V & ~pair.M] = lam_vis
-    omega[pair.M] = lam_occ
-    return omega
-
-
 def occlude_field(fof, pair, policy="zero", sigma=0.1, seed=0, overwrite_fof=False):
     """Corrupt field coefficients on occluded pixels.
 
@@ -175,18 +161,3 @@ def occlude_field(fof, pair, policy="zero", sigma=0.1, seed=0, overwrite_fof=Fal
         out[idx] += noise.reshape(len(r), fof.channels)[on]
     return FourierField(out, fof.window)
 
-
-def occlude_image(image, pair, fill="gray", seed=0):
-    """Corrupt RGB pixels on occluded pixels: flat 0.5 gray or seeded pattern."""
-    require("fill", fill, one_of(("gray", "pattern")))
-    require("seed", seed, SEED)
-    img = check_array(image, "image", check_type(pair, "pair", MaskPair).M.shape + (None,))
-    out = img.copy()
-    idx = np.nonzero(pair.M)
-    if fill == "gray":
-        out[idx] = 0.5
-    else:
-        rng = Xoshiro256StarStar(seed, stream=2)
-        vals = rng.uniforms(len(idx[0]) * img.shape[2])
-        out[idx] = vals.reshape(len(idx[0]), img.shape[2])
-    return out

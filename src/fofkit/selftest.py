@@ -2,12 +2,11 @@
 
 Each check validates an optimized path against a slower, obviously-correct
 oracle: trapezoid quadrature for the closed-form encoding, exhaustive search
-for the kd-tree and the BVH, central finite differences for the loss
-gradients, the literal case table for the visibility weights, the CRC for
-the tensor container, extraction from the full-frame grid for the
-cropped reconstruction, full extraction and rendering for the spliced
-one, single-ray casting for the encoding on a window of the frame, and the
-scalar xoshiro256** stream for the uniforms drawn in lanes.
+for the kd-tree and the BVH, the CRC for the tensor container, extraction
+from the full-frame grid for the cropped reconstruction, full extraction and
+rendering for the spliced one, single-ray casting for the encoding on a
+window of the frame, and the scalar xoshiro256** stream for the uniforms
+drawn in lanes.
 
 Each oracle property has one driver loop here. `fofkit selftest` runs the
 checks with their default counts and seeds; the acceptance criteria and the
@@ -22,9 +21,7 @@ import numpy as np
 from .fof import BasisConfig, IntervalList, basis_eval, decode_grid, decode_ray, \
     FourierField, intervals_to_coeffs, parseval_energy
 from .mesh import encoding_window, mesh_to_fof, ray_intervals
-from .losses import FeaturePyramid, LevelWeights, feat_loss, geo_loss, mse_coeff_loss
 from .metrics import chamfer, chamfer_bruteforce, SurfaceDistanceIndex, p2s_exhaustive
-from .occlusion import MaskPair, weight_map
 from .raster import OrthoFrame
 from .shapes import make_sphere, make_torus
 from .render import BACK, FRONT, render_normals
@@ -342,68 +339,6 @@ def check_bvh_vs_exhaustive(n_instances=20, seed=4):
                   "scattered and off-surface points, nearest- and farthest-centroid seeds")
 
 
-def finite_difference(fn, x, step=1e-5):
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
-    return grad
-
-
-def rel_grad_err(analytic, fd):
-    return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12))
-
-
-def check_gradients(n_instances=10, seed=5):
-    rng = np.random.default_rng(seed)
-    worst = {"mse": 0.0, "feat": 0.0, "geo": 0.0}
-    for _ in range(n_instances):
-        c = rng.normal(size=(3, 4, 5))
-        c_gt = rng.normal(size=(3, 4, 5))
-        _, g = mse_coeff_loss(c, c_gt)
-        worst["mse"] = max(worst["mse"], rel_grad_err(g, finite_difference(
-            lambda x: mse_coeff_loss(x, c_gt)[0], c)))
-
-        f = FeaturePyramid([rng.normal(size=(4, 4, 2)), rng.normal(size=(2, 2, 3))])
-        f_sup = FeaturePyramid([lv + rng.normal(size=lv.shape) for lv in f.levels])
-        w = LevelWeights([0.5, 1.0])
-        om = rng.random((4, 4))
-        _, gs = feat_loss(f, f_sup, w, om)
-        for k in range(2):
-            def fn(x, k=k):
-                levels = [lv.copy() for lv in f.levels]
-                levels[k] = x
-                return feat_loss(FeaturePyramid(levels), f_sup, w, om)[0]
-            worst["feat"] = max(worst["feat"], rel_grad_err(gs[k], finite_difference(
-                fn, f.levels[k])))
-
-        lam = float(rng.random() + 0.25)
-        _, g_mse, _ = geo_loss(c, c_gt, f, f_sup, w, om, lam)
-        worst["geo"] = max(worst["geo"], rel_grad_err(g_mse, finite_difference(
-            lambda x: geo_loss(x, c_gt, f, f_sup, w, om, lam)[0], c)))
-    return _check("analytic gradients vs central finite differences",
-                  all(v <= 1e-4 for v in worst.values()),
-                  "worst relative error "
-                  + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
-                  + f" over {n_instances} instances (bound 1e-4)")
-
-
-def check_weight_truth_table():
-    bits = [(v, m, b) for v in (0, 1) for m in (0, 1) for b in (0, 1)]
-    V = np.array([[v for v, _, _ in bits]], dtype=bool)
-    M = np.array([[m for _, m, _ in bits]], dtype=bool)
-    body = np.array([[b for _, _, b in bits]], dtype=bool)
-    omega = weight_map(MaskPair(V, M, body), 2.0, 1.0)
-    expected = np.array([[2.0 if m else (1.0 if v else 0.0) for v, m, _ in bits]])
-    ok = np.array_equal(omega, expected)
-    return _check("visibility weight case table", ok, "exhaustive 8 bit combinations")
-
-
 def check_tensor_roundtrip(seed=6, shape=(4, 5, 3)):
     """float64 data reads back as its float32 cast; a flipped payload bit
     fails the CRC."""
@@ -451,8 +386,6 @@ ALL_CHECKS = (
     check_window_encoding,
     check_kdtree_vs_bruteforce,
     check_bvh_vs_exhaustive,
-    check_gradients,
-    check_weight_truth_table,
     check_tensor_roundtrip,
     check_uniform_lanes,
 )

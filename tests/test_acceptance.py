@@ -2,8 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module is also exercised by a plain ``pytest`` run.
-Criteria 1, 4, 5, 6 and 10 run fofkit.selftest's oracle checks with their
-own counts and seeds; the last test shows that each such check can fail.
+Criteria 1, 6 and 10 run fofkit.selftest's oracle checks with their own
+counts and seeds; the last test shows that each such check can fail.
+Criteria 4, 5 and 9 are retired with the texture-side code they checked
+(the visibility weight map, the training-loss gradients and the image
+metrics); the others keep their numbers.
 """
 
 import hashlib
@@ -19,14 +22,11 @@ from fofkit.completion import degrade_prior
 from fofkit.config import HarnessConfig
 from fofkit.fof import BasisConfig
 from fofkit.mesh import TriMesh, check_watertight, mesh_to_fof
-from fofkit.metrics import chamfer, psnr, ssim
-from fofkit.occlusion import OccluderSpec, synthesize_occlusion, weight_map
+from fofkit.metrics import chamfer
 from fofkit.raster import OrthoFrame
-from fofkit.render import NormalMap, normal_map_error, render_normals, render_silhouette
+from fofkit.render import NormalMap, normal_map_error, render_normals
 from fofkit.selftest import (check_bvh_vs_exhaustive, check_closed_form_vs_quadrature,
-                             check_gradients, check_kdtree_vs_bruteforce,
-                             check_tensor_roundtrip, check_weight_truth_table)
-from fofkit.shapes import make_sphere
+                             check_kdtree_vs_bruteforce, check_tensor_roundtrip)
 from fofkit.surface import marching_cubes, mesh_volume, reconstruct_field, \
     sample_surface, OccupancyGrid
 from fofkit.sweep import mean_by_ratio, run_sweep
@@ -128,26 +128,6 @@ def test_criterion_3_marching_cubes(roundtrips):
                   f"{watertight_ok}")
 
 
-def test_criterion_4_weight_truth_table():
-    table_ok = check_weight_truth_table()["ok"]
-
-    body = render_silhouette(make_sphere(0.6, 3), FRAME)
-    rng = np.random.default_rng(4)
-    leak = 0.0
-    for seed in range(100):
-        p = synthesize_occlusion(body, OccluderSpec("rectangle", seed,
-                                                    float(rng.uniform(0.05, 0.9))))
-        leak += weight_map(p, 2.0, 1.0)[~p.body].sum()
-    ok = table_ok and leak == 0.0
-    report(4, ok, f"exhaustive 2x2x2 case table exact: {table_ok}; background weight "
-                  f"over 100 random mask pairs: {leak}")
-
-
-def test_criterion_5_gradient_suite():
-    check = check_gradients(100, 5)
-    report(5, check["ok"], check["detail"])
-
-
 def test_criterion_6_oracle_equivalence():
     checks = check_kdtree_vs_bruteforce(100, 6), check_bvh_vs_exhaustive(100, 6)
     report(6, all(c["ok"] for c in checks),
@@ -218,23 +198,6 @@ def test_criterion_8_normal_rendering(shapes):
                   f"{errs[0]:.3f} -> {errs[1]:.3f} decreasing={errs[0] > errs[1]}")
 
 
-def test_criterion_9_image_metrics():
-    rng = np.random.default_rng(9)
-    x = rng.random((32, 32, 3))
-    ssim_id = ssim(x, x)
-    psnr_id = psnr(x, x)
-    offset = psnr(np.zeros((16, 16)), np.full((16, 16), 0.1))
-    sym = True
-    for _ in range(50):
-        a = rng.random((16, 16))
-        b = rng.random((16, 16))
-        sym &= ssim(a, b) == ssim(b, a)
-        sym &= psnr(a, b) == psnr(b, a)
-    ok = ssim_id == 1.0 and psnr_id == 99.0 and abs(offset - 20.0) <= 1e-12 and sym
-    report(9, ok, f"ssim(x,x)={ssim_id}, psnr(x,x)={psnr_id}, psnr(+0.1)={offset!r} "
-                  f"(20.0 at f64 rounding), symmetric over 50 pairs: {sym}")
-
-
 def test_criterion_10_determinism_and_formats(tmp_path):
     rng = np.random.default_rng(10)
     ok = True
@@ -282,13 +245,6 @@ def _last_up(a, by=0.0):
     return a
 
 
-def _gradient_off(real):
-    def mutant(c, c_gt):
-        loss, grad = real(c, c_gt)
-        return loss, grad * (1.0 + 2e-4)  # twice the 1e-4 bound
-    return mutant
-
-
 def _mesh_off(real):
     def mutant(*args):
         mesh = real(*args)
@@ -333,8 +289,6 @@ MUTANTS = {
     "check_kdtree_vs_bruteforce": ("chamfer", lambda real: lambda a, b: _last_up(real(a, b))),
     "check_bvh_vs_exhaustive": ("SurfaceDistanceIndex", lambda real: type(
         "Mutant", (real,), {"query": lambda self, *a: _last_up(real.query(self, *a))})),
-    "check_gradients": ("mse_coeff_loss", _gradient_off),
-    "check_weight_truth_table": ("weight_map", lambda real: lambda *a: _last_up(real(*a))),
     "check_tensor_roundtrip": ("read_tensor", _crc_skipped),
     "check_uniform_lanes": ("Xoshiro256StarStar", lambda real: type("Mutant", (real,), {
         "uniforms": lambda self, n: _last_up(real.uniforms(self, n)) if n else np.zeros(0)})),

@@ -20,15 +20,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import fofkit
-from fofkit import (BasisConfig, EvalReference, FeaturePyramid, FourierField, IntervalList,
-                    LevelWeights, MaskPair, NormalMap, OccluderSpec, OccupancyGrid, OrthoFrame,
-                    TriMesh, basis_eval, chamfer, check_watertight, decode_grid, decode_ray,
-                    degrade_prior, evaluate_pair, feat_loss, geo_loss, image_loss,
+from fofkit import (BasisConfig, EvalReference, FourierField, IntervalList, MaskPair, NormalMap,
+                    OccluderSpec, OccupancyGrid, OrthoFrame, TriMesh, basis_eval, chamfer,
+                    check_watertight, decode_grid, decode_ray, degrade_prior, evaluate_pair,
                     intervals_to_coeffs, load_obj, marching_cubes, mesh_to_fof, mesh_volume,
-                    mse_coeff_loss, normal_loss, normal_map_error, normalize_mesh, occlude_field,
-                    occlude_image, p2s, parseval_energy, psnr, ray_intervals, reconstruct_field,
-                    render_normals, render_silhouette, sample_surface, save_obj, ssim,
-                    synthesize_occlusion, vgcc_blend, weight_map)
+                    normal_map_error, normalize_mesh, occlude_field, p2s, parseval_energy,
+                    ray_intervals, reconstruct_field, render_normals, render_silhouette,
+                    sample_surface, save_obj, synthesize_occlusion, vgcc_blend)
 from fofkit import sweep
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import FofkitError
@@ -46,9 +44,6 @@ BODY = render_silhouette(CUBE, FRAME)
 M = BODY & (np.arange(8) < 4)[None, :]
 PAIR = MaskPair(BODY & ~M, M, BODY)
 GRID = OccupancyGrid(np.random.default_rng(0).random((4, 4, 4)))
-PYRAMID = FeaturePyramid([np.zeros((2, 2, 1))])
-PYRAMID_SUP = FeaturePyramid([np.full((2, 2, 1), 0.05)])
-IMAGE, IMAGE_GT = np.full((12, 12, 3), 0.25), np.full((12, 12, 3), 0.5)
 NORMALS = render_normals(CUBE, FRAME)
 
 
@@ -93,10 +88,6 @@ PROBES = {
                                         lambda: evaluate_pair(CUBE, CUBE, FRAME, 2.5)),
     "OccluderSpec(kind, nan, 0.4)": ("seed", lambda: OccluderSpec("rectangle", nan, 0.4)),
     "OccluderSpec(kind, 2.5, 0.4)": ("seed", lambda: OccluderSpec("rectangle", 2.5, 0.4)),
-    "weight_map(pair, nan, 1.0)": ("lam_occ", lambda: weight_map(PAIR, nan, 1.0)),
-    "LevelWeights([nan])": ("level weight", lambda: LevelWeights([nan])),
-    "geo_loss(lam=nan)": ("lam", lambda: geo_loss(FIELD, FIELD, PYRAMID, PYRAMID, lam=nan)),
-    "image_loss(a, b, nan, 1.0)": ("lam1", lambda: image_loss(IMAGE, IMAGE_GT, nan, 1.0)),
     "occlude_field(sigma=nan)": ("sigma",
                                  lambda: occlude_field(FIELD, PAIR, "noise", sigma=nan)),
     "chamfer((6, 2) points)": ("chamfer points", lambda: chamfer(np.ones((6, 2)), CUBE.vertices)),
@@ -125,38 +116,18 @@ PROBES = {
     "NormalMap(NaN)": ("normal map data",
                        lambda: NormalMap(np.full((2, 2, 3), nan), np.ones((2, 2), bool))),
     "OccupancyGrid('a')": ("grid values", lambda: OccupancyGrid("a")),
-    "FeaturePyramid(['a'])": ("feature level 0", lambda: FeaturePyramid(["a"])),
-    "ssim('a', 'b')": ("image a", lambda: ssim("a", "b")),
-    "psnr(zeros, 'b')": ("image b", lambda: psnr(np.zeros((12, 12)), "b")),
-    "psnr(empty images)": ("images must be non-empty",
-                           lambda: psnr(np.zeros((0, 3)), np.zeros((0, 3)))),
-    "image_loss('a', 'b')": ("image a", lambda: image_loss("a", "b")),
     "parseval_energy('ab')": ("coeffs", lambda: parseval_energy("ab")),
     "parseval_energy([nan, 0, 0])": ("coeffs", lambda: parseval_energy([nan, 0, 0])),
     "decode_ray([nan, 0, 0], 0)": ("coeffs", lambda: decode_ray([nan, 0, 0], 0)),
-    "mse_coeff_loss('a', 1)": ("^c must", lambda: mse_coeff_loss("a", 1)),
-    "mse_coeff_loss(NaN field)": ("^c contain non-finite",
-                                  lambda: mse_coeff_loss(np.full((2, 2, 3), nan), FIELD)),
-    "feat_loss(omega 'a')": ("weight map",
-                             lambda: feat_loss(PYRAMID, PYRAMID_SUP, omega="a")),
-    "feat_loss(NaN omega)": ("weight map", lambda: feat_loss(PYRAMID, PYRAMID_SUP,
-                                                             omega=np.full((2, 2), nan))),
-    "feat_loss(empty omega)": ("weight map", lambda: feat_loss(PYRAMID, PYRAMID_SUP,
-                                                               omega=np.zeros((0, 2)))),
     "synthesize_occlusion('a')": ("body", lambda: synthesize_occlusion("a", OccluderSpec())),
     "synthesize_occlusion(NaN body)": ("body", lambda: synthesize_occlusion(
         np.full((8, 8), nan), OccluderSpec())),
-    "occlude_image('a')": ("image", lambda: occlude_image("a", PAIR)),
-    "occlude_image(NaN image)": ("image",
-                                 lambda: occlude_image(np.full((8, 8, 3), nan), PAIR)),
     "p2s_exhaustive((6, 2) points)": ("p2s points",
                                       lambda: p2s_exhaustive(np.ones((6, 2)), CUBE)),
     # Objects that once raised AttributeError.
     "marching_cubes('a')": ("^grid must be of type OccupancyGrid", lambda: marching_cubes("a")),
     "normal_map_error('a', b)": ("^normal map a must be of type NormalMap",
                                  lambda: normal_map_error("a", NORMALS)),
-    "normal_loss(n, 'b')": ("^normal map n_gt must be of type NormalMap",
-                            lambda: normal_loss(NORMALS, "b")),
     "render_normals('a')": ("^mesh must be of type TriMesh", lambda: render_normals("a")),
     "check_watertight('a')": ("^mesh must be of type TriMesh", lambda: check_watertight("a")),
     "mesh_volume('a')": ("^mesh must be of type TriMesh", lambda: mesh_volume("a")),
@@ -182,11 +153,8 @@ PROBES = {
     "fit_to_frame(mesh, 'a')": ("^frame must be of type OrthoFrame",
                                 lambda: fit_to_frame(CUBE, "a")),
     "fit_to_frame(mesh, frame, 'a')": ("^margin must be", lambda: fit_to_frame(CUBE, FRAME, "a")),
-    "weight_map('a')": ("^pair must be of type MaskPair", lambda: weight_map("a")),
     "occlude_field(field, 'a')": ("^pair must be of type MaskPair",
                                   lambda: occlude_field(FIELD, "a")),
-    "occlude_image(image, 'a')": ("^pair must be of type MaskPair",
-                                  lambda: occlude_image(np.zeros((8, 8, 3)), "a")),
     "vgcc_blend(field, field, 'a')": ("^pair must be of type MaskPair",
                                       lambda: vgcc_blend(FIELD, FIELD, "a")),
     "synthesize_occlusion(body, 'a')": ("^spec must be of type OccluderSpec",
@@ -284,19 +252,9 @@ TARGETS = {
     "occlude_field.policy": (SCALARS, lambda v: occlude_field(FIELD, PAIR, v)),
     "occlude_field.sigma": (SCALARS, lambda v: occlude_field(FIELD, PAIR, "noise", v)),
     "occlude_field.seed": (SCALARS, lambda v: occlude_field(FIELD, PAIR, "noise", 0.1, v)),
-    "occlude_image.fill": (SCALARS, lambda v: occlude_image(np.zeros((8, 8, 3)), PAIR, v)),
-    "occlude_image.seed": (SCALARS,
-                           lambda v: occlude_image(np.zeros((8, 8, 3)), PAIR, "pattern", v)),
-    "weight_map.lam_occ": (SCALARS, lambda v: weight_map(PAIR, v)),
-    "weight_map.lam_vis": (SCALARS, lambda v: weight_map(PAIR, 2.0, v)),
     "degrade_prior.iterations": (SCALARS, lambda v: degrade_prior(CUBE, v)),
     "degrade_prior.strength": (SCALARS, lambda v: degrade_prior(CUBE, 2, v)),
     "vgcc_blend.feather_px": (SCALARS, lambda v: vgcc_blend(FIELD, FIELD, PAIR, v)),
-    "LevelWeights.w": (SCALARS, lambda v: LevelWeights(v)),
-    "geo_loss.lam": (SCALARS,
-                     lambda v: geo_loss(FIELD, FIELD, PYRAMID, PYRAMID_SUP, lam=v)),
-    "image_loss.lam1": (SCALARS, lambda v: image_loss(IMAGE, IMAGE_GT, v)),
-    "image_loss.lam2": (SCALARS, lambda v: image_loss(IMAGE, IMAGE_GT, 1.0, v)),
     "EvalReference.n_samples": (SCALARS, lambda v: EvalReference(CUBE, FRAME, v)),
     "EvalReference.seed": (SCALARS, lambda v: EvalReference(CUBE, FRAME, 10, v)),
     "evaluate_pair.n_samples": (SCALARS, lambda v: evaluate_pair(CUBE, CUBE, FRAME, v)),
@@ -306,24 +264,16 @@ TARGETS = {
     "p2s.points": (POINTS, lambda v: p2s(v, CUBE)),
     "FourierField.data": (ARRAYS, lambda v: FourierField(v)),
     "MaskPair.V_M_body": (ARRAYS, lambda v: MaskPair(v, v, v)),
-    "FeaturePyramid.levels": (ARRAYS, lambda v: FeaturePyramid([v])),
     "NormalMap.data": (ARRAYS, lambda v: NormalMap(v, np.ones((2, 2), bool))),
     "NormalMap.from_array": (ARRAYS, lambda v: NormalMap.from_array(v)),
     "OccupancyGrid.values": (ARRAYS, lambda v: OccupancyGrid(v)),
     "decode_ray.coeffs": (ARRAYS, lambda v: decode_ray(v, 0.5)),
     "parseval_energy.coeffs": (ARRAYS, lambda v: parseval_energy(v)),
-    "mse_coeff_loss.c": (ARRAYS, lambda v: mse_coeff_loss(v, v)),
-    "feat_loss.omega": (ARRAYS, lambda v: feat_loss(PYRAMID, PYRAMID_SUP, omega=v)),
-    "ssim.a_b": (ARRAYS, lambda v: ssim(v, v)),
-    "psnr.a_b": (ARRAYS, lambda v: psnr(v, v)),
-    "image_loss.img_img_gt": (ARRAYS, lambda v: image_loss(v, v)),
     "synthesize_occlusion.body": (ARRAYS, lambda v: synthesize_occlusion(v, OccluderSpec())),
-    "occlude_image.image": (ARRAYS, lambda v: occlude_image(v, PAIR)),
     "occlude_field.fof": (ARRAYS, lambda v: occlude_field(v, PAIR)),
     "vgcc_blend.c_obs": (ARRAYS, lambda v: vgcc_blend(v, FIELD, PAIR)),
     "marching_cubes.grid": (OBJECTS, lambda v: marching_cubes(v)),
     "normal_map_error.b": (OBJECTS, lambda v: normal_map_error(NORMALS, v)),
-    "normal_loss.n": (OBJECTS, lambda v: normal_loss(v, NORMALS)),
     "render_normals.mesh": (OBJECTS, lambda v: render_normals(v)),
     "render_silhouette.mesh": (OBJECTS, lambda v: render_silhouette(v)),
     "check_watertight.mesh": (OBJECTS, lambda v: check_watertight(v)),
@@ -339,9 +289,7 @@ TARGETS = {
     "p2s.mesh": (OBJECTS, lambda v: p2s(CUBE.vertices, v)),
     "degrade_prior.mesh": (OBJECTS, lambda v: degrade_prior(v)),
     "normalize_mesh.mesh": (OBJECTS, lambda v: normalize_mesh(v)),
-    "weight_map.pair": (OBJECTS, lambda v: weight_map(v)),
     "occlude_field.pair": (OBJECTS, lambda v: occlude_field(FIELD, v)),
-    "occlude_image.pair": (OBJECTS, lambda v: occlude_image(np.zeros((8, 8, 3)), v)),
     "vgcc_blend.pair": (OBJECTS, lambda v: vgcc_blend(FIELD, FIELD, v)),
     "synthesize_occlusion.spec": (OBJECTS, lambda v: synthesize_occlusion(BODY, v)),
 }

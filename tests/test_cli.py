@@ -18,7 +18,7 @@ from fofkit.mesh import load_obj, save_obj
 from fofkit.occlusion import synthesize_occlusion
 from fofkit.shapes import SHAPE_MAKERS, make_shape
 from fofkit.surface import mesh_volume
-from fofkit.tensor_io import read_pfm, read_pgm, read_tensor
+from fofkit.tensor_io import read_pfm, read_pgm, read_tensor, write_pgm
 
 SPHERE_VOLUME = 4 / 3 * np.pi * 0.6 ** 3
 
@@ -157,7 +157,7 @@ class TestPipeline:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("reconstruct", tmp_path / "nope.oaht", tmp_path / "x.obj") == 3
 
-    @pytest.mark.parametrize("line", ["center = 0.0,0.0", "half_extent = nan"])
+    @pytest.mark.parametrize("line", ["center = 0.0,0.0", "half_extent = nan", "order = 3"])
     def test_bad_field_meta_is_config_error(self, workdir, tmp_path, capsys, line):
         field = tmp_path / "f.oaht"
         field.write_bytes((workdir / "gt.oaht").read_bytes())
@@ -168,6 +168,23 @@ class TestPipeline:
         assert run("reconstruct", field, tmp_path / "r.obj", "--grid-res", 8) == 2
         err = capsys.readouterr().err
         assert "bad field metadata" in err and "Traceback" not in err
+
+    def test_blend_rejects_overlapping_masks(self, workdir, tmp_path, capsys):
+        # V widened to V | M overlaps M on every occluded pixel; blend must
+        # refuse it rather than write a field blended over the overlap.
+        occ = tmp_path / "occ.oaht"
+        assert run("occlude", workdir / "gt.oaht", workdir / "body.pgm", occ,
+                   "--ratio", "0.4", "--seed", "7") == 0
+        v, m = read_pgm(f"{occ}.V.pgm"), read_pgm(f"{occ}.M.pgm")
+        write_pgm(tmp_path / "wide.pgm", v | m)
+        capsys.readouterr()
+        assert run("blend", occ, workdir / "gt.oaht", tmp_path / "wide.pgm", f"{occ}.M.pgm",
+                   tmp_path / "done.oaht") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"overlap on {np.count_nonzero(m)} pixels" in err
+        assert not (tmp_path / "done.oaht").exists()
+        assert not (tmp_path / "done.oaht.meta").exists()
 
     def test_meta_frame_size_mismatch_is_config_error(self, workdir, tmp_path, capsys):
         field = tmp_path / "f.oaht"
@@ -250,6 +267,23 @@ class TestPipeline:
         out = tmp_path / "o"
         assert run("sweep", "--out", out, "--set", override) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["sweep.ratios=0.2,0.4,0.40", "sweep.seeds=0,1,0"])
+    def test_repeated_sweep_value_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                  override):
+        # A repeated ratio or seed would run the same cells twice and count
+        # them twice in curves.svg.
+        def no_context(cfg):
+            raise AssertionError("sweep started with a repeated value")
+
+        monkeypatch.setattr("fofkit.sweep.prepare_context", no_context)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("sweep", "--out", out, "--set", override) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        assert override.split("=")[0] in err and "repeats" in err
 
     @pytest.mark.parametrize("override", [f"{sec}.{key}=x" for sec, key, *_ in SETTINGS] + [
         "prior.strength=2", "prior.iterations=x", "occlude.sigma=abc", "extract.iso=nan",

@@ -425,7 +425,7 @@ class TestMetaFuzz:
 
     @pytest.mark.parametrize("line", ["center = 0.0,0.0", "center = 0,nan,0",
                                       "half_extent = inf", "half_extent = nan",
-                                      "width = 5", "center = \udcff"])
+                                      "width = 5", "center = \udcff", "order = 2"])
     def test_bad_meta_is_config_error(self, tmp_path, line):
         path, _ = self._write(tmp_path)
         meta = pathlib.Path(path + ".meta")
@@ -434,6 +434,16 @@ class TestMetaFuzz:
                  for old in meta.read_text(encoding="utf-8").splitlines()]
         meta.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
         with pytest.raises(ConfigError):
+            _read_field(path)
+
+
+    def test_meta_without_order_is_config_error(self, tmp_path):
+        path, _ = self._write(tmp_path)
+        meta = pathlib.Path(path + ".meta")
+        lines = meta.read_text(encoding="utf-8").splitlines()
+        meta.write_text("\n".join(line for line in lines if not line.startswith("order ")),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="bad field metadata"):
             _read_field(path)
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from fofkit.errors import DomainError, ShapeError
 from fofkit.fof import FourierField
-from fofkit.occlusion import (MaskPair, OccluderSpec, occlude_field, occlude_image,
-                              synthesize_occlusion, weight_map)
+from fofkit.occlusion import MaskPair, OccluderSpec, occlude_field, synthesize_occlusion
 from fofkit.render import render_silhouette
 from fofkit.shapes import make_sphere
 
@@ -68,34 +67,6 @@ class TestSynthesize:
         body = np.ones((64, 64), dtype=bool)
         pair = synthesize_occlusion(body, OccluderSpec("rectangle", 2, 0.5))
         assert abs(pair.M.sum() / body.sum() - 0.5) <= 0.02
-
-
-class TestWeightMap:
-    def test_case_table(self):
-        # paper case table on all 8 per-pixel (V, M, body) combinations
-        bits = [(v, m, b) for v in (0, 1) for m in (0, 1) for b in (0, 1)]
-        pair = MaskPair(
-            np.array([[v for v, _, _ in bits]], dtype=bool),
-            np.array([[m for _, m, _ in bits]], dtype=bool),
-            np.array([[b for _, _, b in bits]], dtype=bool))
-        omega = weight_map(pair, 2.5, 1.5)
-        expected = [2.5 if m else (1.5 if v else 0.0) for v, m, _ in bits]
-        assert np.array_equal(omega[0], expected)
-
-    def test_no_background_support(self, body):
-        rng = np.random.default_rng(2)
-        for seed in range(20):
-            pair = synthesize_occlusion(body, OccluderSpec("rectangle", seed,
-                                                           float(rng.uniform(0.1, 0.8))))
-            omega = weight_map(pair, 2.0, 1.0)
-            assert omega[~pair.body].sum() == 0.0
-
-    def test_negative_weights_rejected(self, body):
-        pair = synthesize_occlusion(body, OccluderSpec("rectangle", 0, 0.3))
-        with pytest.raises(DomainError):
-            weight_map(pair, -1.0, -2.0)
-        with pytest.raises(DomainError):
-            weight_map(pair, 1.0, 2.0)  # lam_occ < lam_vis
 
 
 class TestOccludeField:
@@ -163,29 +134,6 @@ class TestOccludeField:
         small = np.zeros((40, 120), dtype=bool)
         with pytest.raises(ShapeError, match="does not match frame"):
             occlude_field(field, MaskPair(small, small, small))
-
-
-class TestOccludeImage:
-    def test_empty_mask_identity(self, body, rng):
-        img = rng.random((128, 128, 3))
-        pair = MaskPair(body, np.zeros_like(body), body)
-        assert np.array_equal(occlude_image(img, pair, "gray"), img)
-
-    def test_gray_fill(self, body, rng):
-        img = rng.random((128, 128, 3))
-        pair = MaskPair(np.zeros_like(body), body, body)
-        out = occlude_image(img, pair, "gray")
-        assert np.all(out[body] == 0.5)
-
-    def test_psnr_decreases_with_ratio(self, body, rng):
-        from fofkit.metrics import psnr
-
-        img = rng.random((128, 128, 3))
-        values = []
-        for ratio in (0.2, 0.4, 0.6, 0.8):
-            pair = synthesize_occlusion(body, OccluderSpec("rectangle", 5, ratio))
-            values.append(psnr(occlude_image(img, pair, "gray"), img))
-        assert all(values[i] > values[i + 1] for i in range(3))
 
 
 class TestUnreachableRatio:
