@@ -25,7 +25,6 @@ import argparse
 import functools
 import inspect
 import logging
-import os
 import sys
 
 import numpy as np
@@ -101,26 +100,23 @@ def _read_field(path):
         raise DomainError(f"{path}: expected a (H, W, K) field tensor, got dims {dims}")
     field = FourierField(data)
     meta_path = path + ".meta"
-    frame = None
-    if os.path.exists(meta_path):
-        meta = {}
-        try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if "=" in line:
-                        key, value = line.split("=", 1)
-                        meta[key.strip()] = value.strip()
-            frame = OrthoFrame(int(meta["width"]), int(meta["height"]),
-                               tuple(float(t) for t in meta["center"].split(",")),
-                               float(meta["half_extent"]))
-            _check_frame(field, frame)
-            if int(meta["order"]) != field.order:
-                raise ValueError(f"order {meta['order']} does not match "
-                                 f"{field.channels} channels")
-        except (KeyError, ValueError) as exc:  # UnicodeDecodeError and ShapeError too
-            raise ConfigError(f"{meta_path}: bad field metadata: {exc}") from exc
-    if frame is None:
-        frame = OrthoFrame(field.width, field.height)
+    meta = {}
+    try:
+        # A missing sidecar raises OSError, a data error like any missing input.
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if "=" in line:
+                    key, value = line.split("=", 1)
+                    meta[key.strip()] = value.strip()
+        frame = OrthoFrame(int(meta["width"]), int(meta["height"]),
+                           tuple(float(t) for t in meta["center"].split(",")),
+                           float(meta["half_extent"]))
+        _check_frame(field, frame)
+        if int(meta["order"]) != field.order:
+            raise ValueError(f"order {meta['order']} does not match "
+                             f"{field.channels} channels")
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError and ShapeError too
+        raise ConfigError(f"{meta_path}: bad field metadata: {exc}") from exc
     return field, frame
 
 
@@ -175,7 +171,10 @@ def cmd_occlude(args):
 
 def cmd_blend(args):
     obs, frame = _read_field(args.observed)
-    prior, _ = _read_field(args.prior)
+    prior, prior_frame = _read_field(args.prior)
+    if prior_frame != frame:
+        raise DomainError(f"prior {args.prior} is on {prior_frame}, but observed field "
+                          f"{args.observed} is on {frame}")
     v = read_pgm(args.visible)
     m = read_pgm(args.mask)
     pair = MaskPair(v, m, v | m)

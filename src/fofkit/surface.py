@@ -75,10 +75,13 @@ prior, and it gives the same mesh and normal maps bit for bit:
   reconstruct_field, a reference with no sources.
 - A face lies within its cube's column footprint, and rounding moves no
   vertex past a column, so only the faces of cubes (c - 1, c) x (r - 1, r)
-  can cover the center of pixel column (c, r): a 3 x 3 radius of columns.
-  A pixel whose 3 x 3 columns all match one source (columns off the frame
-  match) is covered by the source's faces in the source's relative order,
-  and depth ties keep face order, so it takes the source's map pixels.
+  can cover the center of pixel column (c, r): a 3 x 3 radius of columns,
+  which are the corners of those four cubes. So one 2 x 2 stencil,
+  _all_corners, finds both the cubes whose four columns match a source
+  and, applied twice, the pixels whose 3 x 3 columns do. Such a pixel
+  (columns off the frame match) is covered by the source's faces in the
+  source's relative order, and depth ties keep face order, so it takes the
+  source's map pixels.
   The faces of the cubes at the other pixels are rendered whole, in mesh
   order, and the sources' pixels copied over the maps; a pixel whose 3 x 3
   columns are all dead stays background, as a constant cube has no faces.
@@ -92,16 +95,15 @@ prior, and it gives the same mesh and normal maps bit for bit:
   once its cubes are extracted, before the next store is decoded.
 
 A field may hold a window of its frame (fof.FourierField's window): every
-column off the window is zero, and so dead. Boxes, grid offsets and vertex
-places stay in the frame's columns, and the window is met only where a
-column's samples are read: _decode_box decodes a frame column from its
-place on the field (_window_corner), and _box_part cuts a box out of a
-mask of the window's columns, the columns off the window dead. So a box
-may reach past a window whose edge holds live columns, and a field on a
-window extracts the mesh of the whole frame's field bit for bit; a field
-of the whole frame is the window of every pixel. A reference's sources
-share one window, and a field on another one is extracted over its own
-box.
+column off the window is zero, and so dead. Boxes, grid offsets, vertex
+places and every column mask stay on the frame's (x, y) columns, so a box
+of a mask is a slice of it; _live_columns places a field's live columns on
+the frame, and the window is met only where a column's samples are read,
+where _decode_box finds a frame column's place on the field. So a box may
+reach past a window whose edge holds live columns, and a field on a window
+extracts the mesh of the whole frame's field bit for bit; a field of the
+whole frame is the window of every pixel. A reference's sources share one
+window, and a field on another one is extracted over its own box.
 """
 
 from collections import namedtuple
@@ -175,55 +177,31 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     """
     if not isinstance(fof, FourierField):
         fof = FourierField(fof)
-    corner = _window_corner(fof, frame)
+    live = _live_columns(fof, frame)
     require("depth_res", depth_res, DEPTH_RES)
-    live = _live_columns(fof)
-    lo, hi = _frame_box(live, corner, frame)
-    return _box_grid(fof, frame, lo, hi, depth_res, _box_part(live, corner, lo, hi))
+    lo, hi = _live_box(live)
+    return _box_grid(fof, frame, lo, hi, depth_res, live[lo[0]:hi[0], lo[1]:hi[1]])
 
 
-def _live_columns(fof):
-    """The (x, y) mask of a field's columns with a non-zero coefficient; y
-    runs bottom-up. For a field on a window of its frame, these are the
-    window's columns."""
-    return np.any(fof.data != 0.0, axis=2)[::-1].T
+def _live_columns(field, frame):
+    """The frame's (x, y) mask, y bottom-up, of a field's columns with a
+    non-zero coefficient; the columns off the field's window are dead.
+    ShapeError unless the frame holds the field."""
+    live = np.zeros((frame.height, frame.width), dtype=bool)
+    live[_check_frame(field, frame)] = np.any(field.data != 0.0, axis=2)
+    return live[::-1].T
 
 
-def _window_corner(field, frame):
-    """The frame's (x, y) column, y bottom-up, of a field's column (0, 0):
-    its window's bottom-left pixel, or (0, 0) for a field of the whole
-    frame. ShapeError unless the frame holds the field."""
-    rows, cols = _check_frame(field, frame)
-    return np.array([cols.start, frame.height - rows.stop])
-
-
-def _frame_box(live, corner, frame):
-    """The box [lo, hi) of the frame's columns that _live_box gives for the
-    columns that an (x, y) mask live marks, its column (0, 0) being the
-    frame's column corner."""
+def _live_box(live):
+    """The box [lo, hi) of the columns that an (x, y) mask marks plus one
+    cell on each side, clamped to the mask; [0, 2) x [0, 2) when it marks
+    none. That box overhangs a mask under 2 columns wide or tall, whose
+    slice by it is then all False and broadcasts to the box."""
     xs, ys = np.nonzero(live)
-    return _live_box(xs + corner[0], ys + corner[1], (frame.width, frame.height))
-
-
-def _box_part(mask, corner, lo, hi):
-    """The box [lo, hi) of the frame's columns cut from an (x, y) mask whose
-    column (0, 0) is the frame's column corner; the box's columns off the
-    mask are False."""
-    out = np.zeros(tuple(hi - lo), dtype=bool)
-    a, b = np.maximum(lo, corner), np.minimum(hi, corner + mask.shape)
-    if np.all(a < b):
-        out[a[0] - lo[0]:b[0] - lo[0], a[1] - lo[1]:b[1] - lo[1]] = \
-            mask[a[0] - corner[0]:b[0] - corner[0], a[1] - corner[1]:b[1] - corner[1]]
-    return out
-
-
-def _live_box(xs, ys, shape):
-    """The box [lo, hi) of the columns (xs, ys) plus one cell on each side,
-    clamped to shape; [0, 2) x [0, 2) when there are none."""
     if not len(xs):
         return np.zeros(2, dtype=np.int64), np.full(2, 2)
     return (np.maximum([xs.min() - 1, ys.min() - 1], 0),
-            np.minimum([xs.max() + 2, ys.max() + 2], shape))
+            np.minimum([xs.max() + 2, ys.max() + 2], live.shape))
 
 
 def _box_grid(field, frame, lo, hi, depth_res, live):
@@ -243,9 +221,11 @@ def _decode_box(field, frame, lo, hi, columns, out, rows):
     out (rows 0, 1, ... when rows is None). The columns lie on the field,
     which holds the frame or a window of it."""
     xs, ys = np.divmod(columns, hi[1] - lo[1])
-    corner = _window_corner(field, frame)
-    xs, ys = xs + (lo[0] - corner[0]), ys + (lo[1] - corner[1])
-    _decode_pixels(field, (field.height - 1 - ys) * field.width + xs, out, rows)
+    top, left = (s.start for s in _check_frame(field, frame))
+    # Frame column (x, y) is the frame's pixel (height - 1 - y, x), and the
+    # field's pixel (height - 1 - y - top, x - left).
+    field_rows = frame.height - 1 - top - lo[1] - ys
+    _decode_pixels(field, field_rows * field.width + xs + (lo[0] - left), out, rows)
 
 
 def _grid_map(frame, depth_res):
@@ -436,6 +416,12 @@ def _corner_columns(cubes):
     return corner
 
 
+def _all_corners(columns):
+    """The (X - 1, Y - 1) mask of the cubes whose four corner columns an
+    (X, Y) mask marks."""
+    return columns[:-1, :-1] & columns[1:, :-1] & columns[:-1, 1:] & columns[1:, 1:]
+
+
 def _merge(parts, dtype):
     """The mesh of some parts of a box's mesh, as _cube_mesh gives a mesh:
     its vertices, its faces as dtype, each face's cube id and each vertex's
@@ -548,10 +534,8 @@ class ReconstructionReference:
         # The sources' window of the frame; None when there is no source.
         self.window = _check_frame(fields[0], frame) if fields else None
         self.channels = fields[0].channels if fields else None
-        live = [_live_columns(f) for f in fields]
-        corner = _window_corner(fields[0], frame) if fields else np.zeros(2, dtype=np.int64)
-        self.lo, self.hi = _frame_box(np.any(live, axis=0) if fields else np.zeros((0, 0)),
-                                      corner, frame)
+        live = [_live_columns(f, frame) for f in fields]
+        self.lo, self.hi = _live_box(np.any(live, axis=0) if fields else np.zeros((0, 0)))
         # The box [0, 2) x [0, 2) of no live column overhangs a frame under
         # 2 px wide or tall; clamped, it holds no cube there.
         self.hi = np.minimum(self.hi, (frame.width, frame.height))
@@ -591,8 +575,8 @@ class ReconstructionReference:
         if not isinstance(field, FourierField):
             field = FourierField(field)
         window = _check_frame(field, self.frame)
-        live = _live_columns(field)
-        lo, hi = _frame_box(live, _window_corner(field, self.frame), self.frame)
+        live = _live_columns(field, self.frame)
+        lo, hi = _live_box(live)
         match, todo, served = [], np.ones(tuple(hi - lo - 1), dtype=bool), []
         if (window == self.window and field.channels == self.channels
                 and np.all(lo >= self.lo) and np.all(hi <= self.hi)):
@@ -609,7 +593,7 @@ class ReconstructionReference:
         """The field's (H, W) pixel masks per source, the zero field last;
         the cubes of the reference's box that no source serves, an
         (X - 1, Y - 1) mask; and (source, face mask) for each source that
-        serves some. live is the field's (x, y) mask of live columns.
+        serves some. live is the field's _live_columns.
 
         Off the window the field and every source are zero, and so match. A
         cube whose four columns match one source takes that source's faces;
@@ -619,14 +603,11 @@ class ReconstructionReference:
         for source in self.sources:
             match.append(np.ones((self.frame.height, self.frame.width), dtype=bool))
             match[-1][self.window] = np.all(field.data == source.field.data, axis=2)
-        match.append(np.ones((self.frame.height, self.frame.width), dtype=bool))
-        match[-1][self.window] = ~live.T[::-1]
-        X, Y = self.hi - self.lo
-        todo = np.ones((X - 1, Y - 1), dtype=bool)
+        match.append(~live.T[::-1])
+        todo = np.ones(tuple(self.hi - self.lo - 1), dtype=bool)
         served = []
         for m, source in zip(match, self.sources + [None]):
-            m = m[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]  # per (x, y) column
-            take = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:] & todo
+            take = _all_corners(m[::-1].T[self.lo[0]:self.hi[0], self.lo[1]:self.hi[1]]) & todo
             todo &= ~take
             if source is not None and take.any():
                 served.append((source, take.ravel()[source.cubes // (self.grid_res - 1)]))
@@ -638,7 +619,7 @@ class ReconstructionReference:
         list fields holds, and its other cubes' faces taken from served,
         (source, face mask) pairs as _serve gives them. Returns _merge's
         vertices, faces as dtype, cube ids and edge keys. live is the
-        field's (x, y) mask of live columns.
+        field's _live_columns.
 
         A slab of rows of cube columns at a time is extracted from a column
         store of its live corner columns, and the store freed; the served
@@ -652,7 +633,7 @@ class ReconstructionReference:
         cube, and raises ShapeError if it holds a live column.
         """
         X, Y = hi - lo
-        dead = ~_box_part(live, _window_corner(fields[0], self.frame), lo, hi)
+        dead = ~live[lo[0]:hi[0], lo[1]:hi[1]]
         if min(X, Y) < 2 and not dead.all():
             raise ShapeError(f"grid must be (X>=2, Y>=2, Z>=2), got "
                              f"{(int(X), int(Y), self.grid_res)}")
@@ -699,17 +680,12 @@ class ReconstructionReference:
         the source's map pixels, and the faces near the others are
         rendered."""
         mesh, cubes, (lo, hi), match = extraction
-        H, W = self.frame.height, self.frame.width
-        todo = np.ones((H, W), dtype=bool)
+        todo = np.ones((self.frame.height, self.frame.width), dtype=bool)
         copies = []
         for m in match[:-1]:  # the zero field, last, has no pixels to copy
-            # A pixel whose 3 x 3 columns all match the source; columns off
-            # the frame match.
-            padded = np.pad(m, 1, constant_values=True)
-            take = todo.copy()
-            for dr in range(3):
-                for dc in range(3):
-                    take &= padded[dr:dr + H, dc:dc + W]
+            # A pixel whose 3 x 3 columns, the corners of its four cubes, all
+            # match the source; columns off the frame match.
+            take = _all_corners(_all_corners(np.pad(m, 1, constant_values=True))) & todo
             todo &= ~take
             copies.append(take)
         # Only a face of a cube with a corner column at a pixel can cover

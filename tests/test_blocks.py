@@ -85,40 +85,11 @@ def traced(fn, *args):
 
 
 class TestWorkingMemory:
-    """Peaks on the 82 136-face reconstruction, outputs included: with
-    whole-mesh temporaries they were 30.3 MB (render_normals), 23.7 MB
-    (marching_cubes) and 14.8 MB (the samples' face areas); blocked, 7.6,
-    9.5 (10.8 with an int64 triangle table) and 4.4 MB. The default sweep's
-    reference kept both sources' box grids, 20.1 MB in all, and each
-    reconstruct copied one, peaking at 14.5-16.9 MB on a blend field;
-    without them, 7.7 MB and 8.4-10.1 MB. Its build peaked at 20.1 MB while
-    one source's grid was still bound as the next was decoded; with one
-    grid live at a time, 17.1 MB. A default-sweep cell peaked at
-    18.8-21.8 MB while it kept c_obs, the naive reconstruction and each
-    field to its end; dropping each at its last reader, 13.2-14.2 MB. With
-    int64 faces, cube ids and keys and a cube-column copy, the reference
-    kept 7.7 MB and its build peaked at 17.1 MB; with int32 indices and no
-    copy, 4.9 and 15.6 MB. A cell whose blend field stayed bound while the
-    splice rendered peaked at 14.2 MB; dropped after extract, 12.8 MB. With
-    each field freed at its last reader (extract frees a field passed as a
-    temporary once it has decoded it, c_obs is made again for the blend and
-    mixed in place a block of pixels at a time, and render_normals takes
-    4 096 faces at a time), 7.9-8.7 MB, set by the splice's face merge.
-    Without box grids (each source is extracted from column stores of its
-    live columns, a slab of at most 3.5 MiB of samples at a time), the
-    build peaks at 9.6 MB. A cell then peaks at 5.4-5.9 MB, set by the
-    column store's decode and the splice's render: its mesh is dropped
-    after sampling, before scoring; the slab loop frees each column store
-    once its cubes are extracted; the merge numbers vertices in int32 and
-    places 4 096 faces at a time; the store is decoded in its own rows, a chunk
-    of coefficients at a time; _edge_vertices takes 4 096 keys at a time;
-    render_normals projects each block's corners, not every vertex; face
-    areas and normals gather their corners without copying the vertices;
-    and the samples' cumulative areas are summed in place. On the README
-    reconstruction render_normals peaks at 2.5 MB (5.1 before), marching
-    cubes at 7.7 MB (9.4 with int64 keys and vertex numbers) and the
-    samples at 1.4 MB (3.1 before). Each bound below is the measured
-    figure plus the margin stated beside it."""
+    """tracemalloc peaks, and retained sizes, of the blocked steps, outputs
+    included: on the README chain's reconstruction and commands, and on the
+    default sweep's context, reference and cells. No step may hold a
+    whole-mesh or whole-grid temporary, so each peak stays within a bound
+    of the measured figure beside it plus the margin stated there."""
 
     def test_render_normals(self, readme_chain):
         recon, _, _ = readme_chain

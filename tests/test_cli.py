@@ -186,6 +186,47 @@ class TestPipeline:
         assert not (tmp_path / "done.oaht").exists()
         assert not (tmp_path / "done.oaht.meta").exists()
 
+    @pytest.mark.parametrize("flags", [("--half-extent", "0.8"), ("--center", "0.1,0,0")],
+                             ids=["half-extent", "center"])
+    def test_blend_rejects_a_prior_on_another_frame(self, workdir, tmp_path, capsys, flags):
+        # A prior encoded in another scene frame holds coefficients of other
+        # rays; blend must refuse it, naming both frames, and write nothing.
+        occ, prior = tmp_path / "occ.oaht", tmp_path / "prior.oaht"
+        assert run("occlude", workdir / "gt.oaht", workdir / "body.pgm", occ,
+                   "--ratio", "0.4", "--seed", "7") == 0
+        assert run("encode", workdir / "gt.obj", prior, *flags) == 0
+        capsys.readouterr()
+        assert run("blend", occ, prior, f"{occ}.V.pgm", f"{occ}.M.pgm",
+                   tmp_path / "done.oaht") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "half_extent=1.0)" in err
+        assert ("half_extent=0.8)" if flags[0] == "--half-extent" else
+                "center=(0.1, 0.0, 0.0)") in err
+        assert not (tmp_path / "done.oaht").exists()
+        assert not (tmp_path / "done.oaht.meta").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "occlude", "blend"])
+    def test_missing_sidecar_is_data_error(self, workdir, tmp_path, capsys, command):
+        # A field without its .meta sidecar has no frame to be read in: each
+        # command that reads a field exits 3 with one line naming the
+        # missing file, and writes nothing.
+        field = tmp_path / "f.oaht"
+        field.write_bytes((workdir / "gt.oaht").read_bytes())
+        occ = tmp_path / "occ.oaht"
+        assert run("occlude", workdir / "gt.oaht", workdir / "body.pgm", occ,
+                   "--ratio", "0.4", "--seed", "7") == 0
+        out = tmp_path / "out"
+        argv = {"reconstruct": [field, out, "--grid-res", 8],
+                "occlude": [field, workdir / "body.pgm", out, "--ratio", "0.4", "--seed", "7"],
+                "blend": [occ, field, f"{occ}.V.pgm", f"{occ}.M.pgm", out]}[command]
+        capsys.readouterr()
+        assert run(command, *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{field}.meta" in err
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
     def test_meta_frame_size_mismatch_is_config_error(self, workdir, tmp_path, capsys):
         field = tmp_path / "f.oaht"
         field.write_bytes((workdir / "gt.oaht").read_bytes())

@@ -703,7 +703,7 @@ class TestReconstructionReference:
         (x0, y0), (x1, y1) = reference.lo, reference.hi
         for source, field in zip(reference.sources, sources):
             grid = surface._box_grid(field, frame, reference.lo, reference.hi, grid_res,
-                                     surface._live_columns(field)[x0:x1, y0:y1])
+                                     surface._live_columns(field, frame)[x0:x1, y0:y1])
             vertices, faces, cubes, keys = surface._cube_mesh(
                 *surface._grid_store(grid.values), None, 0.5, grid.origin, grid.spacing,
                 grid.offset)
@@ -774,8 +774,8 @@ class TestReconstructionReference:
             lo, hi = extraction.box
             if field is channels:
                 assert extraction.match == []
-                assert bits(lo, hi) == bits(*surface._frame_box(
-                    surface._live_columns(field), np.zeros(2, dtype=np.int64), frame))
+                assert bits(lo, hi) == bits(*surface._live_box(
+                    surface._live_columns(field, frame)))
             else:
                 assert len(extraction.match) == 3 and bits(lo, hi) == bits(reference.lo,
                                                                             reference.hi)
