@@ -144,17 +144,27 @@ def chamfer(a, b, return_index=False):
     a = check_array(a, "chamfer points", (None, 3))
     if not isinstance(b, cKDTree):  # a cKDTree holds finite points only
         b = _kdtree(check_array(b, "chamfer points", (None, 3)))
-    if len(a) == 0 or b.n == 0:
+    cd, nearest = _chamfer_nearest(a, b)
+    return (cd, nearest) if return_index else cd
+
+
+def _chamfer_nearest(a, tree):
+    """chamfer(a, tree, return_index=True) of finite (n, 3) points a.
+
+    It calls no public fofkit function, so a sweep cell runs it on a helper
+    thread, and a tracer that wraps the public functions sees the spans of
+    one thread only.
+    """
+    if len(a) == 0 or tree.n == 0:
         raise DomainError("chamfer requires two non-empty point sets")
     tree_a = _kdtree(a)
     # Each set is queried in its own tree's leaf order, so that consecutive
     # queries are near each other, and the results are put back in input
     # order. Every query is answered on its own, so the order changes no
     # value.
-    d_ab, nearest = _unpermute(tree_a.indices, *_nearest(a[tree_a.indices], b))
-    d_ba, _ = _unpermute(b.indices, *_nearest(b.data[b.indices], tree_a))
-    cd = float((0.5 * d_ab.mean() + 0.5 * d_ba.mean()) * UNIT_SCALE)
-    return (cd, nearest) if return_index else cd
+    d_ab, nearest = _unpermute(tree_a.indices, *_nearest(a[tree_a.indices], tree))
+    d_ba, _ = _unpermute(tree.indices, *_nearest(tree.data[tree.indices], tree_a))
+    return float((0.5 * d_ab.mean() + 0.5 * d_ba.mean()) * UNIT_SCALE), nearest
 
 
 def chamfer_bruteforce(a, b):
@@ -528,10 +538,10 @@ class EvalReference:
     farther than the sample itself. Every reconstruction scored against one
     reference gets the same report as a one-shot comparison, bit for bit.
 
-    evaluate((mesh, front, back)) is score(sample(mesh), (front, back)): it
-    takes a reconstruction with its normal maps, as a sweep cell renders
-    them, samples the mesh, drops it and then scores the samples, so the
-    mesh is not live beside the Chamfer and P2S working sets.
+    Scoring samples has two halves: chamfer_half, the kd-tree work, gives
+    the Chamfer distance and each sample's nearest ground-truth sample, and
+    p2s_half then walks the distance index from those samples' faces. score
+    runs them in turn; a sweep cell runs chamfer_half on a helper thread.
     """
 
     def __init__(self, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
@@ -550,20 +560,32 @@ class EvalReference:
         reconstruction mesh, (n, 3), drawn with the reference's uniforms."""
         return _sample_points(recon, self.uniforms)[1]
 
+    def chamfer_half(self, points):
+        """(Chamfer distance, index of each point's nearest ground-truth
+        sample) of a reconstruction's samples, as sample returns them. Like
+        _chamfer_nearest, it calls no public fofkit function."""
+        return _chamfer_nearest(points, self.tree)
+
+    def p2s_half(self, points, nearest):
+        """P2S of a reconstruction's samples, each seeded with the face of
+        its nearest ground-truth sample, as chamfer_half indexes them."""
+        return p2s(points, self.index, self.sample_faces[nearest])
+
+    def normal_error(self, front, back):
+        """The mean of the front and back normal-map errors of a
+        reconstruction's NormalMaps, as render_normals draws them on the
+        reference's frame."""
+        return 0.5 * (normal_map_error(front, self.front) + normal_map_error(back, self.back))
+
     def score(self, points, normals):
         """Chamfer and P2S of a reconstruction's samples (as sample returns
-        them) against the ground truth, and the mean of the front and back
-        normal-map errors of its (front, back) pair of NormalMaps, as
-        render_normals draws them on the reference's frame."""
+        them) against the ground truth, and the normal_error of its (front,
+        back) pair of NormalMaps."""
         cd, nearest = chamfer(points, self.tree, return_index=True)
-        p2s_val = p2s(points, self.index, self.sample_faces[nearest])
-        front, back = normals
-        err_front = normal_map_error(front, self.front)
-        err_back = normal_map_error(back, self.back)
         return MetricReport(
             cd=cd,
-            p2s=p2s_val,
-            normal_err=0.5 * (err_front + err_back),
+            p2s=self.p2s_half(points, nearest),
+            normal_err=self.normal_error(*normals),
             n_samples=self.n_samples,
             seed=self.seed,
             config_hash=config_hash(self.frame, self.n_samples, self.seed),
@@ -575,9 +597,11 @@ class EvalReference:
         (mesh, front map, back map) reconstruction, the maps as
         render_normals draws them on the reference's frame (as
         surface.ReconstructionReference.reconstruct returns it):
-        score(sample(mesh), (front, back)). The mesh is sampled and then
-        dropped, so the mesh of a reconstruction passed as a temporary is
-        freed before the samples are scored.
+        score(sample(mesh), (front, back)), one step after another. The
+        mesh is sampled and then dropped, so the mesh of a reconstruction
+        passed as a temporary is freed before the samples are scored. A
+        sweep cell takes the same steps but drops the maps once compared
+        and overlaps each reconstruction's chamfer_half with other work.
         """
         mesh, front, back = reconstruction
         del reconstruction

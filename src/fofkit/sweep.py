@@ -45,19 +45,26 @@ which drops it once it has decoded the fresh cubes' corner columns, before
 the cubes are extracted: a cell's fresh cubes fit one column store. CPython
 3.11 and later hand a call's arguments over to the callee, so the field is
 then freed. The column store of those columns is freed once their cubes
-are extracted, before the faces are merged. Each mesh lives through
-render and sampling only: EvalReference.evaluate takes the (mesh, front,
-back) reconstruction as a temporary, samples the mesh with its uniforms,
-drops it, and then scores the samples and the maps. A cell:
-- makes c_obs (occlude_field) and extracts its mesh, freeing c_obs;
-  renders the naive reconstruction, samples and drops its mesh, and scores
-  it;
-- makes c_obs again, as occlude_field is a pure function of c_gt, the mask
-  pair, the policy, sigma and the seed; vgcc_blend mixes c_prior into
-  c_obs's own coefficients (overwrite_obs), a block of occluded pixels at a
-  time, so the blend field is c_obs's memory and no second field is made;
-- extracts the blend field's mesh, freeing the field, then renders,
-  samples and scores it the same way.
+are extracted, before the faces are merged. Each mesh lives through render
+and sampling only, and each pair of normal maps until its error is taken.
+A cell scores on two threads, opening a one-thread executor for the
+Chamfer half of each scoring (EvalReference.chamfer_half, the kd-tree
+work, which runs in scipy without the GIL) and joining it before it
+returns. It:
+- extracts and renders the blend reconstruction, then samples it and
+  takes its normal-map error; vgcc_blend mixes c_prior into c_obs's own
+  coefficients (overwrite_obs), so no second field is made. Its Chamfer
+  half then goes to the helper thread;
+- does the same for the naive reconstruction, making c_obs again, as
+  occlude_field is a pure function of c_gt, the mask pair, the policy,
+  sigma and the seed;
+- walks P2S (EvalReference.p2s_half) for blend once its Chamfer half is
+  done, beside naive's, and then for naive.
+Blend goes first for memory: its extraction and render peak higher than
+the naive one's, whose mesh has the hole, so only the lower peak runs
+beside a Chamfer half in flight. Rows are written in METHODS order. A
+failed blend fails its own row; a failed naive reconstruction, or a failure
+outside both, fails the cell, as when naive ran first.
 At ratio 0 the occluder mask is empty, so both fields are c_gt, both rows
 are equal, and every cube is served by c_gt. A cell peaks while the
 splice renders, above what the run holds: the context, the
@@ -65,7 +72,8 @@ ReconstructionReference and the EvalReference. Mixing in place also
 matters to the process's peak RSS: with c_obs and a blend copy live
 together, the malloc heap may have to grow by a field.
 
-Cells are independent and run in a fork-based worker pool; rows are written
+Cells are independent and run in a fork-based worker pool; no helper thread
+outlives its cell, so none is alive when the pool forks. Rows are written
 through one sink in (ratio, seed, method) order with repr float formatting,
 so reruns with the same config are byte-identical.
 """
@@ -73,6 +81,7 @@ so reruns with the same config are byte-identical.
 import logging
 import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,7 +107,7 @@ def _run_cell(cell):
     ratio, seed = cell
     ctx = _CTX
     cfg = ctx["cfg"]
-    rows = []
+    scores, failed = {}, {}
     try:
         reference, reconstruction = _reference(ctx)
         decoded = reconstruction.decoded_columns
@@ -115,21 +124,47 @@ def _run_cell(cell):
             return vgcc_blend(observed(), ctx["c_prior"], pair, cfg.feather_px,
                               overwrite_obs=True)
 
-        # Each field is a temporary that extract frees once it has decoded
-        # it, and each reconstruction one whose mesh evaluate frees once it
-        # has sampled it (see the module docstring).
-        for method, field in zip(METHODS, (observed, blended)):
-            rep = reference.evaluate(reconstruction.render(reconstruction.extract(field())))
-            rows.append((ratio, seed, method, rep.cd, rep.p2s, rep.normal_err))
-        log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
-                  reconstruction.decoded_columns - decoded)
+        def started(make):
+            # The field is a temporary that extract frees once it has
+            # decoded it; the mesh dies once sampled and the maps once
+            # compared, before the Chamfer half starts.
+            mesh, front, back = reconstruction.render(reconstruction.extract(make()))
+            points = reference.sample(mesh)
+            del mesh
+            normal_err = reference.normal_error(front, back)
+            del front, back
+            return points, normal_err, helper.submit(reference.chamfer_half, points)
+
+        def finished(points, normal_err, chamfer_half):
+            cd, nearest = chamfer_half.result()
+            return cd, reference.p2s_half(points, nearest), normal_err
+
+        with ThreadPoolExecutor(1) as helper:
+            pending = {}
+            for method, make in (("blend", blended), ("naive", observed)):
+                try:
+                    pending[method] = started(make)
+                except FofkitError as exc:
+                    failed[method] = exc
+            for method in list(pending):
+                try:
+                    scores[method] = finished(*pending.pop(method))
+                except FofkitError as exc:
+                    failed[method] = exc
+        if not failed:
+            log.debug("cell ratio=%s seed=%s: decoded %d columns", ratio, seed,
+                      reconstruction.decoded_columns - decoded)
     except FofkitError as exc:
-        log.error("cell ratio=%s seed=%s failed: %s", ratio, seed, exc)
-        done = {r[2] for r in rows}
-        for method in METHODS:
-            if method not in done:
-                rows.append((ratio, seed, method, float("nan"), float("nan"), float("nan")))
-    return rows
+        failed["naive"] = exc
+    # A failed blend fails its own row; a failed naive reconstruction, or a
+    # failure outside both, fails the cell.
+    if failed:
+        log.error("cell ratio=%s seed=%s failed: %s", ratio, seed,
+                  failed.get("naive", failed.get("blend")))
+    if "naive" in failed:
+        scores.clear()
+    nan = (float("nan"),) * 3
+    return [(ratio, seed, method) + scores.get(method, nan) for method in METHODS]
 
 
 def _reference(ctx):

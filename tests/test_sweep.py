@@ -1,5 +1,6 @@
 import logging
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fofkit import metrics, surface, sweep
 from fofkit.config import HarnessConfig
 from fofkit.completion import blend_alpha, degrade_prior, vgcc_blend
+from fofkit.errors import DomainError, MeshError
 from fofkit.fof import FourierField
 from fofkit.mesh import encoding_window
 from fofkit.occlusion import (OCCLUDER_KINDS, OCCLUSION_POLICIES, MaskPair, OccluderSpec,
@@ -146,25 +148,119 @@ def test_ratio_zero_cell_rows_are_equal(monkeypatch, policy):
 def test_a_cells_mesh_is_freed_before_it_is_scored(monkeypatch):
     # A cell samples each reconstruction mesh and drops it before Chamfer,
     # P2S and the normal-map errors run, so no mesh is live beside their
-    # working sets.
-    meshes, dead = [], []
-    orig_render, orig_chamfer = surface.ReconstructionReference.render, metrics.chamfer
+    # working sets. The next reconstruction's mesh may be live while the
+    # previous samples are scored, so each check is keyed to the mesh that
+    # its samples were drawn from.
+    meshes, mesh_of, dead = [], {}, []
+    orig_render = surface.ReconstructionReference.render
+    orig_sample, orig_chamfer = metrics.EvalReference.sample, metrics._chamfer_nearest
 
     def render(self, extraction):
         out = orig_render(self, extraction)
         meshes.append(weakref.ref(out[0]))
         return out
 
-    def chamfer(*args, **kwargs):
-        dead.append(meshes[-1]() is None)
-        return orig_chamfer(*args, **kwargs)
+    def sample(self, recon):
+        points = orig_sample(self, recon)
+        mesh_of[id(points)] = weakref.ref(recon)
+        return points
+
+    def chamfer_nearest(points, tree):
+        dead.append(mesh_of.pop(id(points))() is None)
+        return orig_chamfer(points, tree)
 
     monkeypatch.setattr(surface.ReconstructionReference, "render", render)
-    monkeypatch.setattr(metrics, "chamfer", chamfer)
+    monkeypatch.setattr(metrics.EvalReference, "sample", sample)
+    monkeypatch.setattr(metrics, "_chamfer_nearest", chamfer_nearest)
     monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(HarnessConfig.load(overrides=TINY)))
     for cell in ((0.0, 1), (0.4, 1)):
         assert np.isfinite([row[3:] for row in sweep._run_cell(cell)]).all()
-    assert len(meshes) == len(dead) == 4 and all(dead)
+    assert len(meshes) == len(dead) == 4 and all(dead) and not mesh_of
+
+
+@pytest.mark.parametrize("method", sweep.METHODS)
+@pytest.mark.parametrize("step", ["extract", "chamfer", "p2s"])
+def test_a_failed_blend_fails_its_row_and_a_failed_naive_the_cell(monkeypatch, caplog, method,
+                                                                  step):
+    # Whichever reconstruction a cell runs first: a FofkitError in the
+    # blend's reconstruction or scoring keeps the naive row, one in the
+    # naive's writes NaN for both methods, and a failed cell logs its error
+    # and no decoded-columns line. Each failure is planted by matching the
+    # method's own field or samples, not by call order.
+    cfg = HarnessConfig.load(overrides=TINY)
+    ctx = sweep.prepare_context(cfg)
+    monkeypatch.setattr(sweep, "_CTX", ctx)
+    reference, reconstruction = sweep._reference(ctx)
+    want = sweep._run_cell((0.4, 1))
+    pair = synthesize_occlusion(reference.front.mask, OccluderSpec(cfg.occluder_kind, 1, 0.4))
+    fields = {"naive": occlude_field(ctx["c_gt"], pair, cfg.occlusion_policy,
+                                     sigma=cfg.noise_sigma, seed=1)}
+    fields["blend"] = vgcc_blend(fields["naive"], ctx["c_prior"], pair, cfg.feather_px)
+    assert not np.array_equal(fields["naive"].data, fields["blend"].data)
+    field = fields[method]
+    points = reference.sample(reconstruction.reconstruct(field)[0])
+    if step == "extract":
+        orig_extract = surface.ReconstructionReference.extract
+
+        def extract(self, f):
+            if np.array_equal(f.data, field.data):
+                raise MeshError("planted")
+            return orig_extract(self, f)
+
+        monkeypatch.setattr(surface.ReconstructionReference, "extract", extract)
+    elif step == "chamfer":
+        orig_nearest = metrics._nearest
+
+        def nearest(queries, tree):  # chamfer queries the samples in its tree's order
+            if len(queries) == len(points) and np.array_equal(np.sort(queries, axis=0),
+                                                              np.sort(points, axis=0)):
+                raise DomainError("planted")
+            return orig_nearest(queries, tree)
+
+        monkeypatch.setattr(metrics, "_nearest", nearest)
+    else:
+        orig_p2s = metrics.p2s
+
+        def p2s(pts, *args):
+            if np.array_equal(pts, points):
+                raise DomainError("planted")
+            return orig_p2s(pts, *args)
+
+        monkeypatch.setattr(metrics, "p2s", p2s)
+    with caplog.at_level(logging.DEBUG, logger="fofkit.sweep"):
+        rows = sweep._run_cell((0.4, 1))
+    assert [r[:3] for r in rows] == [r[:3] for r in want]
+    for row, kept in zip(rows, want):
+        if method == "blend" and row[2] == "naive":
+            assert row == kept
+        else:
+            assert np.isnan(row[3:]).all()
+    assert [m for m in caplog.messages if "decoded" in m or "failed" in m] == [
+        "cell ratio=0.4 seed=1 failed: planted"]
+
+
+def test_no_thread_outlives_a_cell(tmp_path, monkeypatch):
+    # A cell runs each reconstruction's Chamfer half on a helper thread and
+    # joins it before it returns, so no thread is alive when run_sweep forks
+    # its pool: Python 3.12 and later deprecate forking a multi-threaded
+    # process.
+    ran_on = []
+    orig = metrics._chamfer_nearest
+
+    def chamfer_nearest(points, tree):
+        ran_on.append(threading.current_thread())
+        return orig(points, tree)
+
+    monkeypatch.setattr(metrics, "_chamfer_nearest", chamfer_nearest)
+    cfg = HarnessConfig.load(overrides=TINY)
+    monkeypatch.setattr(sweep, "_CTX", sweep.prepare_context(cfg))
+    before = threading.enumerate()
+    assert np.isfinite([row[3:] for row in sweep._run_cell((0.4, 1))]).all()
+    assert len(ran_on) == 2 and threading.main_thread() not in ran_on
+    assert threading.enumerate() == before
+    for jobs in (1, 2):
+        sweep.run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs)
+        assert threading.enumerate() == before
 
 
 def test_no_default_cell_falls_back(default_context):
