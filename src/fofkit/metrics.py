@@ -53,6 +53,7 @@ renders both normal maps from one coverage pass.
 """
 
 import hashlib
+from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -134,22 +135,19 @@ def _unpermute(order, *arrays):
     return out
 
 
-def chamfer(a, b, return_index=False):
+def chamfer(a, b):
     """Symmetric mean nearest-neighbor distance between point sets, x100.
 
-    b may also be a cKDTree over its points, which is then reused. With
-    return_index, also returns the index into b of each point of a's
-    nearest neighbor. Both sets must be (n, 3) finite numbers.
+    Both sets must be (n, 3) finite numbers.
     """
     a = check_array(a, "chamfer points", (None, 3))
-    if not isinstance(b, cKDTree):  # a cKDTree holds finite points only
-        b = _kdtree(check_array(b, "chamfer points", (None, 3)))
-    cd, nearest = _chamfer_nearest(a, b)
-    return (cd, nearest) if return_index else cd
+    b = check_array(b, "chamfer points", (None, 3))
+    return _chamfer_nearest(a, _kdtree(b))[0]
 
 
 def _chamfer_nearest(a, tree):
-    """chamfer(a, tree, return_index=True) of finite (n, 3) points a.
+    """(Chamfer distance, index into the tree's points of each point's
+    nearest neighbor) of finite (n, 3) points a against a kd-tree.
 
     It calls no public fofkit function, so a sweep cell runs it on a helper
     thread, and a tracer that wraps the public functions sees the spans of
@@ -540,8 +538,8 @@ class EvalReference:
 
     Scoring samples has two halves: chamfer_half, the kd-tree work, gives
     the Chamfer distance and each sample's nearest ground-truth sample, and
-    p2s_half then walks the distance index from those samples' faces. score
-    runs them in turn; a sweep cell runs chamfer_half on a helper thread.
+    p2s_half then walks the distance index from those samples' faces; start
+    runs them in that order, chamfer_half on any thread.
     """
 
     def __init__(self, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
@@ -577,37 +575,46 @@ class EvalReference:
         reference's frame."""
         return 0.5 * (normal_map_error(front, self.front) + normal_map_error(back, self.back))
 
-    def score(self, points, normals):
-        """Chamfer and P2S of a reconstruction's samples (as sample returns
-        them) against the ground truth, and the normal_error of its (front,
-        back) pair of NormalMaps."""
-        cd, nearest = chamfer(points, self.tree, return_index=True)
-        return MetricReport(
-            cd=cd,
-            p2s=self.p2s_half(points, nearest),
-            normal_err=self.normal_error(*normals),
-            n_samples=self.n_samples,
-            seed=self.seed,
-            config_hash=config_hash(self.frame, self.n_samples, self.seed),
-        )
+    def start(self, reconstruction, submit=None):
+        """Start scoring a (mesh, front map, back map) reconstruction, the
+        maps as render_normals draws them on the reference's frame (as
+        surface.ReconstructionReference.reconstruct returns it); the
+        returned callable finishes it and returns the MetricReport: Chamfer,
+        P2S from the samples to the ground-truth surface, and the mean of
+        the front and back normal-map errors.
 
-    def evaluate(self, reconstruction):
-        """Chamfer, P2S from reconstruction samples to the ground-truth
-        surface, and the mean of the front and back normal-map errors of a
-        (mesh, front map, back map) reconstruction, the maps as
-        render_normals draws them on the reference's frame (as
-        surface.ReconstructionReference.reconstruct returns it):
-        score(sample(mesh), (front, back)), one step after another. The
-        mesh is sampled and then dropped, so the mesh of a reconstruction
-        passed as a temporary is freed before the samples are scored. A
-        sweep cell takes the same steps but drops the maps once compared
-        and overlaps each reconstruction's chamfer_half with other work.
+        The mesh is dropped once sampled and the maps once compared, so a
+        reconstruction passed as a temporary is freed before its samples
+        are scored. chamfer_half(points) then goes to submit, an executor's
+        submit, or runs at once when submit is None; the callable waits for
+        it and walks p2s_half.
         """
         mesh, front, back = reconstruction
         del reconstruction
         points = self.sample(mesh)
         del mesh
-        return self.score(points, (front, back))
+        normal_err = self.normal_error(front, back)
+        del front, back
+        half = (submit or _run_now)(self.chamfer_half, points)
+
+        def finish():
+            cd, nearest = half.result()
+            return MetricReport(cd, self.p2s_half(points, nearest), normal_err,
+                                n_samples=self.n_samples, seed=self.seed,
+                                config_hash=config_hash(self.frame, self.n_samples, self.seed))
+
+        return finish
+
+    def evaluate(self, reconstruction):
+        """start(reconstruction)(), the whole scoring on this thread."""
+        return self.start(reconstruction)()
+
+
+def _run_now(fn, *args):
+    """An executor's submit that calls fn at once: a done Future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 def evaluate_pair(recon, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
@@ -615,7 +622,8 @@ def evaluate_pair(recon, gt, frame=OrthoFrame(), n_samples=10_000, seed=0):
 
     Samples both surfaces with the same seed; see EvalReference, which does
     the ground-truth half once when many reconstructions share one ground
-    truth.
+    truth. The reconstruction's maps are a temporary of start, so they are
+    freed before its samples are scored.
     """
-    return EvalReference(gt, frame, n_samples, seed).evaluate(
-        (recon,) + render_normals(recon, frame, (FRONT, BACK)))
+    return EvalReference(gt, frame, n_samples, seed).start(
+        (recon,) + render_normals(recon, frame, (FRONT, BACK)))()

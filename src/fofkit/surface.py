@@ -171,7 +171,8 @@ def field_to_grid(fof, frame=OrthoFrame(), depth_res=128):
     full (width, height, depth_res) grid, and origin and spacing are those
     of the full grid. Only live pixels are decoded; the rest of the box is
     +0.0, as the full grid is there. A field with no live pixel gives a
-    2 x 2 x depth_res box of zeros at offset (0, 0, 0). A field on a window
+    2 x 2 x depth_res box of zeros at offset (0, 0, 0); a frame under 2 px
+    wide or tall holds no grid and raises ShapeError. A field on a window
     of the frame gives the grid of the whole frame's field; a field that
     the frame does not hold raises ShapeError.
     """
@@ -194,12 +195,11 @@ def _live_columns(field, frame):
 
 def _live_box(live):
     """The box [lo, hi) of the columns that an (x, y) mask marks plus one
-    cell on each side, clamped to the mask; [0, 2) x [0, 2) when it marks
-    none. That box overhangs a mask under 2 columns wide or tall, whose
-    slice by it is then all False and broadcasts to the box."""
+    cell on each side, clamped to the mask; [0, 2) x [0, 2), clamped, when
+    it marks none."""
     xs, ys = np.nonzero(live)
     if not len(xs):
-        return np.zeros(2, dtype=np.int64), np.full(2, 2)
+        return np.zeros(2, dtype=np.int64), np.minimum(2, live.shape)
     return (np.maximum([xs.min() - 1, ys.min() - 1], 0),
             np.minimum([xs.max() + 2, ys.max() + 2], live.shape))
 
@@ -378,7 +378,7 @@ def reconstruct_field(fof, frame=OrthoFrame(), grid_res=128, iso=0.5):
     field over the box of its live columns, a slab of cube rows at a time,
     from column stores of their live corner columns, so no grid of the box
     is made. A frame too narrow for a grid raises ShapeError, as
-    field_to_grid does, unless no column is live.
+    field_to_grid does, unless no column is live: then the mesh is empty.
     """
     return ReconstructionReference((), frame, grid_res, iso).extract(fof).mesh
 
@@ -535,10 +535,8 @@ class ReconstructionReference:
         self.window = _check_frame(fields[0], frame) if fields else None
         self.channels = fields[0].channels if fields else None
         live = [_live_columns(f, frame) for f in fields]
-        self.lo, self.hi = _live_box(np.any(live, axis=0) if fields else np.zeros((0, 0)))
-        # The box [0, 2) x [0, 2) of no live column overhangs a frame under
-        # 2 px wide or tall; clamped, it holds no cube there.
-        self.hi = np.minimum(self.hi, (frame.width, frame.height))
+        self.lo, self.hi = _live_box(np.any(live, axis=0) if fields else
+                                     np.zeros((frame.width, frame.height), dtype=bool))
         self.decoded_columns = 0  # _extract counts what it decodes
         self.sources = []
         dtype = _index_dtype(tuple(self.hi - self.lo) + (grid_res,))

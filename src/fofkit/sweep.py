@@ -45,21 +45,15 @@ which drops it once it has decoded the fresh cubes' corner columns, before
 the cubes are extracted: a cell's fresh cubes fit one column store. CPython
 3.11 and later hand a call's arguments over to the callee, so the field is
 then freed. The column store of those columns is freed once their cubes
-are extracted, before the faces are merged. Each mesh lives through render
-and sampling only, and each pair of normal maps until its error is taken.
-A cell scores on two threads, opening a one-thread executor for the
-Chamfer half of each scoring (EvalReference.chamfer_half, the kd-tree
-work, which runs in scipy without the GIL) and joining it before it
-returns. It:
-- extracts and renders the blend reconstruction, then samples it and
-  takes its normal-map error; vgcc_blend mixes c_prior into c_obs's own
-  coefficients (overwrite_obs), so no second field is made. Its Chamfer
-  half then goes to the helper thread;
-- does the same for the naive reconstruction, making c_obs again, as
-  occlude_field is a pure function of c_gt, the mask pair, the policy,
-  sigma and the seed;
-- walks P2S (EvalReference.p2s_half) for blend once its Chamfer half is
-  done, beside naive's, and then for naive.
+are extracted, before the faces are merged. Each reconstruction is scored
+by EvalReference.start, which drops its mesh once sampled and its maps
+once compared, and hands its Chamfer half (the kd-tree work, which runs in
+scipy without the GIL) to a one-thread executor that the cell joins before
+it returns. A cell starts the blend reconstruction (vgcc_blend mixes
+c_prior into c_obs's own coefficients, overwrite_obs, so no second field is
+made), then the naive one, making c_obs again (occlude_field is a pure
+function of c_gt, the mask pair, the policy, sigma and the seed), and then
+finishes both in that order, each P2S walk on the cell's own thread.
 Blend goes first for memory: its extraction and render peak higher than
 the naive one's, whose mesh has the hole, so only the lower peak runs
 beside a Chamfer half in flight. Rows are written in METHODS order. A
@@ -124,31 +118,21 @@ def _run_cell(cell):
             return vgcc_blend(observed(), ctx["c_prior"], pair, cfg.feather_px,
                               overwrite_obs=True)
 
-        def started(make):
-            # The field is a temporary that extract frees once it has
-            # decoded it; the mesh dies once sampled and the maps once
-            # compared, before the Chamfer half starts.
-            mesh, front, back = reconstruction.render(reconstruction.extract(make()))
-            points = reference.sample(mesh)
-            del mesh
-            normal_err = reference.normal_error(front, back)
-            del front, back
-            return points, normal_err, helper.submit(reference.chamfer_half, points)
-
-        def finished(points, normal_err, chamfer_half):
-            cd, nearest = chamfer_half.result()
-            return cd, reference.p2s_half(points, nearest), normal_err
-
         with ThreadPoolExecutor(1) as helper:
             pending = {}
             for method, make in (("blend", blended), ("naive", observed)):
                 try:
-                    pending[method] = started(make)
+                    # The field is a temporary that extract frees once it
+                    # has decoded it, and the reconstruction one that start
+                    # frees part by part before the Chamfer half starts.
+                    pending[method] = reference.start(
+                        reconstruction.render(reconstruction.extract(make())), helper.submit)
                 except FofkitError as exc:
                     failed[method] = exc
             for method in list(pending):
                 try:
-                    scores[method] = finished(*pending.pop(method))
+                    report = pending.pop(method)()
+                    scores[method] = (report.cd, report.p2s, report.normal_err)
                 except FofkitError as exc:
                     failed[method] = exc
         if not failed:

@@ -292,7 +292,7 @@ def read_ppm(path):
 
 
 # ---------------------------------------------------------------------------
-# Minimal 16-bit RGB PNG codec (filter 0 on write, filters 0-4 on read).
+# Minimal 16-bit RGB PNG codec: filter 0 (none) only, on write and on read.
 
 
 def _png_chunk(tag, body):
@@ -318,7 +318,8 @@ def write_png16(path, normals):
 
 
 def read_png16(path):
-    """Read a 16-bit RGB PNG written by write_png16; returns normals (H, W, 3)."""
+    """Read a 16-bit RGB PNG written by write_png16; returns normals (H, W, 3).
+    A scanline filtered with any filter but 0 raises ImageFormatError."""
     with open(check_path(path), "rb") as fh:
         blob = fh.read()
     if blob[:8] != b"\x89PNG\r\n\x1a\n":
@@ -356,38 +357,11 @@ def read_png16(path):
     stride = width * 6
     if len(raw) != height * (stride + 1):
         raise ImageFormatError(path, 8, "decompressed size mismatch")
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        ftype = raw[y * (stride + 1)]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=y * (stride + 1) + 1)
-        out[y] = _png_unfilter(line, prev, ftype, bpp=6, path=path)
-        prev = out[y]
-    enc = out.reshape(height, width, 3, 2).astype(np.uint16)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    other = np.flatnonzero(rows[:, 0])
+    if len(other):
+        raise ImageFormatError(path, 8, f"PNG filter {rows[other[0], 0]} in row {other[0]}: "
+                                        "only filter 0 is read")
+    enc = rows[:, 1:].reshape(height, width, 3, 2).astype(np.uint16)
     vals = (enc[..., 0] << 8) | enc[..., 1]
     return vals.astype(np.float64) / 65535.0 * 2.0 - 1.0
-
-
-def _png_unfilter(line, prev, ftype, bpp, path):
-    if ftype == 0:
-        return line.copy()
-    cur = line.astype(np.int64)
-    up = prev.astype(np.int64)
-    out = np.zeros(len(line), dtype=np.int64)
-    if ftype == 2:
-        return ((cur + up) % 256).astype(np.uint8)
-    for i in range(len(line)):
-        left = out[i - bpp] if i >= bpp else 0
-        ul = up[i - bpp] if i >= bpp else 0
-        if ftype == 1:
-            out[i] = (cur[i] + left) % 256
-        elif ftype == 3:
-            out[i] = (cur[i] + (left + up[i]) // 2) % 256
-        elif ftype == 4:
-            p = left + up[i] - ul
-            pa, pb, pc = abs(p - left), abs(p - up[i]), abs(p - ul)
-            pred = left if (pa <= pb and pa <= pc) else (up[i] if pb <= pc else ul)
-            out[i] = (cur[i] + pred) % 256
-        else:
-            raise ImageFormatError(path, 0, f"unknown PNG filter {ftype}")
-    return out.astype(np.uint8)

@@ -14,8 +14,10 @@ from fofkit.cli import build_parser, main
 from fofkit.completion import degrade_prior
 from fofkit.config import SETTINGS, HarnessConfig
 from fofkit.errors import ConfigError, DomainError, OcclusionError
-from fofkit.mesh import load_obj, save_obj
+from fofkit.fof import BasisConfig
+from fofkit.mesh import TriMesh, load_obj, mesh_to_fof, normalize_mesh, save_obj
 from fofkit.occlusion import synthesize_occlusion
+from fofkit.raster import OrthoFrame
 from fofkit.shapes import SHAPE_MAKERS, make_shape
 from fofkit.surface import mesh_volume
 from fofkit.tensor_io import read_pfm, read_pgm, read_tensor, write_pgm
@@ -114,6 +116,25 @@ class TestPipeline:
         assert dims == (128, 128, 31)
         meta = (workdir / "gt.oaht.meta").read_text()
         assert "half_extent" in meta and "order = 15" in meta
+
+    def test_encode_normalize(self, tmp_path):
+        # README ("Scene and units"): encode --normalize rescales an
+        # arbitrary mesh into the scene first. An off-centre mesh larger
+        # than the scene gives the field of normalize_mesh's mesh, bit for
+        # bit, as the container stores it, and without the flag another.
+        sphere = make_shape("sphere", subdivisions=2)
+        save_obj(TriMesh(sphere.vertices * 3.0 + [2.5, -1.0, 0.5], sphere.faces),
+                 tmp_path / "big.obj")
+        want = mesh_to_fof(normalize_mesh(load_obj(tmp_path / "big.obj"))[0], OrthoFrame(24, 20),
+                           BasisConfig(15)).data.astype(np.float32)  # as the container stores it
+        fields = []
+        for flags in (["--normalize"], []):
+            assert run("encode", tmp_path / "big.obj", tmp_path / "big.oaht", "--width", 24,
+                       "--height", 20, *flags) == 0
+            dims, data = read_tensor(tmp_path / "big.oaht")
+            fields.append(np.asarray(data).reshape(dims))
+        assert fields[0].dtype == want.dtype and fields[0].tobytes() == want.tobytes()
+        assert fields[1].tobytes() != want.tobytes()
 
     def test_reconstruct(self, workdir):
         assert run("reconstruct", workdir / "gt.oaht", workdir / "rt.obj",

@@ -602,17 +602,20 @@ class TestReconstructionReference:
 
     @pytest.mark.parametrize("size", [(1, 6), (6, 1), (1, 1)])
     def test_frame_without_a_grid_falls_back(self, size):
-        # A frame under 2 px wide or tall holds no cube: a zero field is
-        # extracted over its own box, empty with background maps, and a
-        # live field or source raises ShapeError.
+        # A frame under 2 px wide or tall holds no cube: a zero field gives
+        # the empty mesh and background maps, where field_to_grid has no
+        # grid to give and raises ShapeError, and a live field or source
+        # raises ShapeError.
         frame = OrthoFrame(*size)
         source = np.zeros((size[1], size[0], 3))
         reference = ReconstructionReference((source,), frame, 5)
         assert reference.sources[0].faces.shape == (0, 3)
-        assert reference.extract(source).match == []
-        assert same_reconstruction(reference, source)
-        mesh, front, back = reference.reconstruct(source)
-        assert mesh.n_faces == 0 and not front.mask.any() and not back.mask.any()
+        empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+        want = reconstruction_bits((empty,) + render_normals(empty, frame, (FRONT, BACK)))
+        assert reconstruction_bits(reference.reconstruct(source)) == want
+        assert reconstruction_bits((reconstruct_field(source, frame, 5),)) == want[:2]
+        with pytest.raises(ShapeError):
+            field_to_grid(source, frame, 5)
         with pytest.raises(ShapeError):
             reference.reconstruct(source + 0.5)
         with pytest.raises(ShapeError):
@@ -640,14 +643,17 @@ class TestReconstructionReference:
                 reconstruction_bits(reference.reconstruct(field)), name
         live = np.zeros((5, 6), dtype=bool)
         live[0, 0] = True
-        for fallback, field in [  # a live column off the box; a frame with no grid
-                (ReconstructionReference((), OrthoFrame(6, 5), 5), random_support_field(live)),
+        # A live column off the box falls back; on a frame with no grid, the
+        # zero field's box, clamped, is the source's, so it is spliced.
+        for one, field, spliced in [
+                (ReconstructionReference((), OrthoFrame(6, 5), 5), random_support_field(live),
+                 False),
                 (ReconstructionReference((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5),
-                 np.zeros((6, 1, 3)))]:
-            extraction = fallback.extract(field)
-            assert extraction.match == []
-            assert reconstruction_bits(fallback.render(extraction)) == \
-                reconstruction_bits(fallback.reconstruct(field))
+                 np.zeros((6, 1, 3)), True)]:
+            extraction = one.extract(field)
+            assert (extraction.match != []) == spliced
+            assert reconstruction_bits(one.render(extraction)) == \
+                reconstruction_bits(one.reconstruct(field))
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="CPython 3.10 keeps a call's arguments on the caller's stack")
@@ -727,13 +733,15 @@ class TestReconstructionReference:
             cases.append((reference, data, np.any(data != 0.0, axis=2).sum()))
         live = np.zeros((5, 6), dtype=bool)
         live[0, 0] = True
-        cases += [(ReconstructionReference((), OrthoFrame(6, 5), 5), random_support_field(live), 1),
-                  (ReconstructionReference((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5),
-                   np.zeros((6, 1, 3)), 0)]
+        cases.append((ReconstructionReference((), OrthoFrame(6, 5), 5),
+                      random_support_field(live), 1))
         for one, field, decoded in cases:
             before = one.decoded_columns
             assert same_reconstruction(one, field)
             assert one.decoded_columns - before == decoded
+        # A frame with no grid: the zero field's mesh is empty.
+        one = ReconstructionReference((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5)
+        assert one.reconstruct(np.zeros((6, 1, 3)))[0].n_faces == one.decoded_columns == 0
 
     def test_one_merge_per_extraction(self, sweep_fields, reference, monkeypatch):
         # The served sources' faces and every slab's mesh are merged in one
@@ -903,8 +911,9 @@ class TestWindowFields:
         # No reference and no reconstruct_field decodes a box grid or runs
         # marching_cubes: not the build, not a spliced field, and not a
         # field extracted over its own box (another channel count, another
-        # window, a live column off the box, the zero field, a 1-px frame).
-        # Each still gives field_to_grid's mesh and maps, bit for bit.
+        # window, a live column off the box, the zero field), nor the zero
+        # field of a 1-px frame, whose mesh is empty. Each still gives
+        # field_to_grid's mesh and maps, bit for bit.
         cfg, ctx = sweep_context
         frame, grid_res, whole = sweep_fields
         on, window = cell_fields(ctx, cfg), ctx["c_gt"].window
@@ -921,11 +930,14 @@ class TestWindowFields:
                               (slice(rows.start - 1, rows.stop - 1), cols)), False),
                 (FourierField(np.zeros_like(on["gt"].data), window), False)]),
             ((), OrthoFrame(6, 5), 5, [(random_support_field(live), False)]),
-            ((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5, [(np.zeros((6, 1, 3)), False)])]
+            ((np.zeros((6, 1, 3)),), OrthoFrame(1, 6), 5, [(np.zeros((6, 1, 3)), True)])]
         wants = []
         for _, case_frame, depth, fields in cases:
             for field, _ in fields:
-                mesh = marching_cubes(field_to_grid(field, case_frame, depth))
+                if min(case_frame.width, case_frame.height) < 2:  # no grid: the empty mesh
+                    mesh = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+                else:
+                    mesh = marching_cubes(field_to_grid(field, case_frame, depth))
                 wants.append(reconstruction_bits(
                     (mesh,) + render_normals(mesh, case_frame, (FRONT, BACK))))
 
