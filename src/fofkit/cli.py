@@ -14,7 +14,6 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 data error, a sweep with
 failed cells or a run out of memory, 4 selftest invariant failure.
-OAHUMAN_SEED provides the seed when --seed is omitted.
 
 eval, sweep and selftest import the modules they run (fofkit.metrics, and
 with it scipy.spatial; fofkit.sweep; fofkit.selftest) when they start, so
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .completion import vgcc_blend
-from .config import SETTINGS, HarnessConfig, default_seed, parse_checked
+from .config import SETTINGS, HarnessConfig, parse_checked
 from .errors import ConfigError, DomainError, FofkitError
 from .fof import BasisConfig, FourierField, _check_frame
 from .mesh import _require_watertight, load_obj, mesh_to_fof, normalize_mesh, save_obj
@@ -78,10 +77,6 @@ def _add_frame_args(p):
 
 def _frame_from_args(args):
     return OrthoFrame(args.width, args.height, args.center, args.half_extent)
-
-
-def _seed_or_env(value):
-    return default_seed() if value is None else value
 
 
 def _write_field(path, field, frame, order):
@@ -156,11 +151,10 @@ def cmd_reconstruct(args):
 def cmd_occlude(args):
     field, frame = _read_field(args.field)
     body = read_pgm(args.body)
-    seed = _seed_or_env(args.seed)
-    pair = synthesize_occlusion(body, OccluderSpec(args.kind, seed, args.ratio))
+    pair = synthesize_occlusion(body, OccluderSpec(args.kind, args.seed, args.ratio))
     # Occluded in the read field's own coefficients, so one field is live,
     # not two.
-    out = occlude_field(field, pair, args.policy, sigma=args.sigma, seed=seed,
+    out = occlude_field(field, pair, args.policy, sigma=args.sigma, seed=args.seed,
                         overwrite_fof=True)
     _write_field(args.out, out, frame, field.order)
     write_pgm(args.out_visible, pair.V)
@@ -211,7 +205,7 @@ def cmd_eval(args):
     recon = load_obj(args.recon)
     gt = load_obj(args.gt)
     frame = _frame_from_args(args)
-    report = evaluate_pair(recon, gt, frame, args.samples, _seed_or_env(args.seed))
+    report = evaluate_pair(recon, gt, frame, args.samples, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(MetricReport.csv_header() + "\n")
         fh.write(report.csv_row() + "\n")
@@ -295,7 +289,7 @@ def build_parser():
     p.add_argument("body", help="body silhouette PGM")
     p.add_argument("out")
     p.add_argument("--ratio", type=_checked_type("ratio", float, RATIO), required=True)
-    p.add_argument("--seed", type=_checked_type("seed", int, SEED), default=None)
+    p.add_argument("--seed", type=_checked_type("seed", int, SEED), default="0")
     _add_setting(p, "--kind", "occlude.kind", choices=OCCLUDER_KINDS)
     _add_setting(p, "--policy", "occlude.policy", choices=OCCLUSION_POLICIES)
     _add_setting(p, "--sigma", "occlude.sigma")
@@ -334,7 +328,7 @@ def build_parser():
     p.add_argument("out")
     _add_frame_args(p)
     _add_setting(p, "--samples", "sweep.eval_samples")
-    p.add_argument("--seed", type=_checked_type("seed", int, SEED), default=None)
+    _add_setting(p, "--seed", "sweep.eval_seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="occlusion-ratio experiment")

@@ -13,7 +13,6 @@ ConfigError naming the setting before any work starts or output is written.
 
 import configparser
 import io
-import os
 
 from .completion import FEATHER, ITERATIONS, STRENGTH
 from .errors import ConfigError, require
@@ -80,11 +79,6 @@ def parse_checked(name, raw, parse, check):
 
 DEFAULTS = {sec: {key: text for s, key, text, *_ in SETTINGS if s == sec}
             for sec, *_ in SETTINGS}
-
-
-def default_seed():
-    """Global seed fallback from the environment."""
-    return parse_checked("OAHUMAN_SEED", os.environ.get("OAHUMAN_SEED", "0"), int, SEED)
 
 
 class HarnessConfig:

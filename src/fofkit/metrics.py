@@ -606,8 +606,13 @@ class EvalReference:
         return finish
 
     def evaluate(self, reconstruction):
-        """start(reconstruction)(), the whole scoring on this thread."""
-        return self.start(reconstruction)()
+        """start(reconstruction)(), the whole scoring on this thread. The
+        argument is handed on through a list and dropped here, so that this
+        frame does not keep a reconstruction passed as a temporary alive
+        while its samples are scored."""
+        box = [reconstruction]
+        del reconstruction
+        return self.start(box.pop())()
 
 
 def _run_now(fn, *args):

@@ -66,10 +66,14 @@ ReconstructionReference and the EvalReference. Mixing in place also
 matters to the process's peak RSS: with c_obs and a blend copy live
 together, the malloc heap may have to grow by a field.
 
-Cells are independent and run in a fork-based worker pool; no helper thread
-outlives its cell, so none is alive when the pool forks. Rows are written
-through one sink in (ratio, seed, method) order with repr float formatting,
-so reruns with the same config are byte-identical.
+Cells are independent and run in a worker pool of the platform's default
+start method. The context, with both references, is built before the pool
+starts, and the pool's initializer hands it to each worker: a fork worker
+inherits it, a spawn or forkserver worker unpickles it, and none builds
+anything. No helper thread outlives its cell, so none is alive when a pool
+forks. Rows are written through one sink in (ratio, seed, method) order
+with repr float formatting, so reruns with the same config are
+byte-identical under any start method.
 """
 
 import logging
@@ -93,8 +97,14 @@ log = logging.getLogger(__name__)
 CSV_HEADER = "ratio,seed,method,cd,p2s,normal_err"
 METHODS = ("naive", "blend")
 
-# Shared state for fork workers; populated by run_sweep before the pool starts.
+# The run's context; run_sweep installs it before the pool starts, and the
+# pool's initializer installs it in each worker.
 _CTX = {}
+
+
+def _install(ctx):
+    global _CTX
+    _CTX = ctx
 
 
 def _run_cell(cell):
@@ -198,18 +208,14 @@ def run_sweep(cfg, out_dir, jobs=None):
     if jobs <= 0:
         jobs = os.cpu_count() or 1
 
-    global _CTX
-    _CTX = prepare_context(cfg)
-    _reference(_CTX)  # once per run, before the cells and the pool's fork
+    _install(prepare_context(cfg))
+    _reference(_CTX)  # once per run, before the cells and the pool
     cells = [(float(r), int(s)) for r in cfg.sweep_ratios for s in cfg.sweep_seeds]
-    try:
-        pool_ctx = multiprocessing.get_context("fork")  # workers inherit _CTX
-    except ValueError:
-        pool_ctx = None
-    if jobs == 1 or len(cells) == 1 or pool_ctx is None:
+    if jobs == 1 or len(cells) == 1:
         results = [_run_cell(c) for c in cells]
     else:
-        with pool_ctx.Pool(min(jobs, len(cells))) as pool:
+        with multiprocessing.Pool(min(jobs, len(cells)), initializer=_install,
+                                  initargs=(_CTX,)) as pool:
             results = pool.map(_run_cell, cells)
     rows = sorted(r for group in results for r in group)
 

@@ -618,12 +618,23 @@ class TestConfig:
         text = cfg.resolved_text()
         assert "[sweep]" in text and "shape = capsule_figure" in text
 
-    def test_env_seed_fallback(self, monkeypatch):
-        from fofkit.config import default_seed
+    def test_omitted_seed_is_zero_whatever_the_environment(self, workdir, tmp_path,
+                                                            monkeypatch):
+        # No environment variable stands in for --seed: occlude and eval
+        # without it write what they write with --seed 0.
         monkeypatch.setenv("OAHUMAN_SEED", "1234")
-        assert default_seed() == 1234
-        monkeypatch.delenv("OAHUMAN_SEED")
-        assert default_seed() == 0
+        for name, seed in (("omitted", ()), ("zero", ("--seed", "0"))):
+            d = tmp_path / name
+            d.mkdir()
+            assert run("occlude", workdir / "gt.oaht", workdir / "body.pgm", d / "occ.oaht",
+                       "--ratio", "0.4", *seed) == 0
+            assert run("eval", workdir / "gt.obj", workdir / "gt.obj", d / "m.csv",
+                       "--samples", "500", *seed) == 0
+        files = sorted(p.name for p in (tmp_path / "omitted").iterdir())
+        assert len(files) == 6
+        for name in files:
+            assert ((tmp_path / "omitted" / name).read_bytes()
+                    == (tmp_path / "zero" / name).read_bytes()), name
 
 
 class TestRenderPng16:

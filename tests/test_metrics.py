@@ -963,6 +963,31 @@ class TestEvalReference:
         assert evaluate_pair(recon, sphere_mesh, frame128, 2000, seed=5) == want
         assert dead == [True, True]
 
+    def test_evaluate_frees_the_maps_before_chamfer(self, sphere_mesh, frame128, monkeypatch):
+        # evaluate keeps no reference to its argument, so maps passed to it
+        # as a temporary are dropped once compared, before the Chamfer half
+        # runs.
+        ref = EvalReference(sphere_mesh, frame128, 2000, seed=5)
+        recon = sphere_mesh.translated([0.01, 0, 0])
+        want = oneshot_report(recon, sphere_mesh, frame128, 2000, 5)
+        maps, dead = [], []
+        orig_chamfer = metrics._chamfer_nearest
+
+        def reconstruction():
+            out = with_maps(recon, frame128)
+            maps.extend(weakref.ref(m) for m in out[1:])
+            return out
+
+        def chamfer_nearest(points, tree):
+            dead.extend(m() is None for m in maps)
+            return orig_chamfer(points, tree)
+
+        monkeypatch.setattr(metrics, "_chamfer_nearest", chamfer_nearest)
+        # Outside the assert, whose rewriting would keep the temporary.
+        report = ref.evaluate(reconstruction())
+        assert report == want
+        assert dead == [True, True]
+
     def test_empty_recon_raises_like_evaluate_pair(self, sphere_mesh, frame128):
         empty = TriMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
         with pytest.raises(DomainError, match="cannot sample an empty mesh"):

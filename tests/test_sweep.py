@@ -1,6 +1,8 @@
 import logging
+import multiprocessing
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
@@ -261,6 +263,24 @@ def test_no_thread_outlives_a_cell(tmp_path, monkeypatch):
     for jobs in (1, 2):
         sweep.run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs)
         assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_every_start_method_writes_the_serial_curves(tmp_path, monkeypatch, method):
+    # The README walkthrough's small sweep. The pool's initializer hands the
+    # built context to each worker, which a fork worker inherits and a spawn
+    # worker unpickles; either way two workers write the serial run's
+    # curves.csv. sweep takes only Pool from multiprocessing, so the pool
+    # starts its workers with the method patched in here.
+    cfg = HarnessConfig.load(overrides=[
+        "frame.width=48", "frame.height=48", "extract.grid_res=48", "sweep.ratios=0.0,0.4",
+        "sweep.seeds=0,1", "sweep.eval_samples=2000"])
+    sweep.run_sweep(cfg, str(tmp_path / "serial"), jobs=1)
+    monkeypatch.setattr(sweep, "multiprocessing",
+                        types.SimpleNamespace(Pool=multiprocessing.get_context(method).Pool))
+    sweep.run_sweep(cfg, str(tmp_path / method), jobs=2)
+    assert ((tmp_path / method / "curves.csv").read_bytes()
+            == (tmp_path / "serial" / "curves.csv").read_bytes())
 
 
 def test_no_default_cell_falls_back(default_context):
